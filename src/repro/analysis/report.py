@@ -23,11 +23,7 @@ RULES: dict[str, str] = {
     "LK002": "blocking call (file/socket I/O, sleep) under a mutex",
     "LK003": "exclusive acquisition nested inside a shared RWLock hold",
     "LK004": "wait() on a foreign object while holding a lock",
-    "PT001": "op in OPS without a server handler",
-    "PT002": "server handler for an op missing from OPS",
-    "PT003": "handler reads meta without a validate_request arm",
-    "PT004": "op classification set names an op outside OPS",
-    "PT005": "client call site sends an op outside OPS",
+    "PT005": "client call site sends an op with no OP_TABLE entry",
     "PT006": "read-classified handler performs a mutation",
     "PT007": "hub denial error missing typed-error registration",
     "PT008": "protocol module lacks an integer PROTOCOL_VERSION",
@@ -37,8 +33,8 @@ RULES: dict[str, str] = {
     "OB004": "lineage record constructed without the full provenance schema",
     "OB005": "trace continuity broken: unadopted wire context or a span "
     "attribute written after the span closed",
-    "OB006": "protocol op invisible to the health model: no default SLO "
-    "objective or no OPS-driven latency histogram coverage",
+    "OB006": "per-op latency histogram children not resolved by iterating "
+    "the op table",
 }
 
 

@@ -19,14 +19,13 @@ OB005  broken trace continuity: a wire-handler function (remote server,
        root a disjoint trace — or a span attribute written via
        ``.set(...)`` after the span's ``with`` block closed, mutating an
        already-exported span dict.
-OB006  an op in the protocol ``OPS`` table invisible to the health
-       model: no default latency objective in ``DEFAULT_OP_OBJECTIVES``
-       (or an objective for an op that left the table), or the per-op
-       request-latency histogram children are not resolved by iterating
-       ``OPS`` — either way a new RPC could ship with no SLO and no
-       sliding-window percentiles, so it could never trip readiness or
-       load shedding. Silent when the analyzed tree has no protocol
-       module (same discovery rule as the PT pack).
+OB006  per-op request-latency histogram children not resolved by
+       iterating the op table (``OPS``, ``OP_TABLE`` or an ``(*OPS,
+       ...)`` alias) — a new RPC would serve without sliding-window
+       percentiles, so it could never trip readiness or load shedding.
+       (Objective coverage needs no rule: ``DEFAULT_OP_OBJECTIVES`` is
+       derived from the table.) Silent when the analyzed tree has no
+       op table (same discovery rule as the PT pack).
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import ast
 from . import conventions
 from .callgraph import Program
 from .model import Finding, SourceFile, enclosing_symbol
+from .rules_protocol import find_op_table
 
 _KINDS = ("counter", "gauge", "histogram")
 
@@ -382,85 +382,10 @@ def _check_late_attr_writes(program: Program) -> list[Finding]:
     return findings
 
 
-def _module_assign(file: SourceFile, name: str) -> ast.Assign | None:
-    for node in file.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node
-    return None
-
-
-def _find_protocol_ops(program: Program) -> tuple[dict[str, int], SourceFile] | None:
-    """The op table, discovered structurally like the PT pack: the
-    protocol module is whichever file assigns both OPS and WRITE_OPS."""
-    for file in program.files:
-        ops_node = _module_assign(file, "OPS")
-        if ops_node is None or _module_assign(file, "WRITE_OPS") is None:
-            continue
-        if not isinstance(ops_node.value, (ast.Tuple, ast.List)):
-            continue
-        ops: dict[str, int] = {}
-        for elt in ops_node.value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                ops[elt.value] = elt.lineno
-        return ops, file
-    return None
-
-
-def _check_slo_coverage(program: Program) -> list[Finding]:
-    """OB006a: DEFAULT_OP_OBJECTIVES must key every protocol op (and
-    nothing else) — an op without a default objective has no latency
-    promise for the health model to enforce."""
-    found = _find_protocol_ops(program)
-    if found is None:
-        return []
-    ops, _ = found
-    findings: list[Finding] = []
-    for file in program.files:
-        node = _module_assign(file, "DEFAULT_OP_OBJECTIVES")
-        if node is None or not isinstance(node.value, ast.Dict):
-            continue
-        keyed: dict[str, int] = {}
-        for key in node.value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keyed[key.value] = key.lineno
-        for op in sorted(set(ops) - set(keyed)):
-            findings.append(
-                Finding(
-                    rule="OB006",
-                    path=file.rel_path,
-                    line=node.lineno,
-                    symbol=enclosing_symbol(file.tree, node.lineno),
-                    message=(
-                        f"op {op!r} is in the protocol OPS table but has "
-                        "no default latency objective — the health model "
-                        "cannot judge or shed what it has no promise for"
-                    ),
-                    hint="add the op to DEFAULT_OP_OBJECTIVES (obs/slo.py)",
-                )
-            )
-        for op in sorted(set(keyed) - set(ops)):
-            findings.append(
-                Finding(
-                    rule="OB006",
-                    path=file.rel_path,
-                    line=keyed[op],
-                    symbol=enclosing_symbol(file.tree, keyed[op]),
-                    message=(
-                        f"default objective for op {op!r} which is not in "
-                        "the protocol OPS table (renamed or removed op?)"
-                    ),
-                    hint="keep DEFAULT_OP_OBJECTIVES keys aligned with OPS",
-                )
-            )
-    return findings
-
-
 def _ops_covering_names(file: SourceFile) -> set[str]:
     """Names whose value enumerates (at least) every protocol op:
-    ``OPS`` itself plus any ``x = (*OPS, ...)``-shaped alias."""
-    names = {"OPS"}
+    ``OPS``/``OP_TABLE`` plus any ``x = (*OPS, ...)``-shaped alias."""
+    names = {"OPS", "OP_TABLE"}
     grew = True
     while grew:
         grew = False
@@ -485,10 +410,10 @@ def _ops_covering_names(file: SourceFile) -> set[str]:
 
 
 def _check_histogram_coverage(program: Program) -> list[Finding]:
-    """OB006b: a request-latency histogram with an ``op`` label must
+    """OB006: a request-latency histogram with an ``op`` label must
     resolve per-op children by iterating the OPS table — an explicit
     subset would leave new ops without sliding-window percentiles."""
-    if _find_protocol_ops(program) is None:
+    if find_op_table(program) is None:
         return []
     findings: list[Finding] = []
     for file in program.files:
@@ -561,7 +486,6 @@ def check(program: Program) -> list[Finding]:
         + _check_lineage_fields(program)
         + _check_handler_adoption(program)
         + _check_late_attr_writes(program)
-        + _check_slo_coverage(program)
         + _check_histogram_coverage(program)
     )
 

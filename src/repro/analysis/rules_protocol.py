@@ -1,41 +1,34 @@
 """Protocol/schema drift rules (PT*).
 
-The op table in ``remote/protocol.py`` is the single authority for the
-wire protocol; these rules cross-reference every other party against it
-so an op added (or renamed) on one side without the matching server
-handler, request validation, read/write classification, or typed-error
-registration fails the lint instead of failing a peer at runtime.
+The op table (``OP_TABLE`` in ``repro/ops.py``) is the single authority
+for the wire protocol. What *derives* from it — the ``OPS``/``*_OPS``
+classification sets, the default SLO objectives, ``validate_request``,
+the server's handler binding — cannot drift and needs no rule (the
+retired PT001–PT004); these rules cover the parties that still spell
+things by hand.
 
-PT001  op listed in ``OPS`` with no ``_op_<name>`` handler method.
-PT002  ``_op_<name>`` handler for an op not listed in ``OPS``.
-PT003  handler reads request ``meta`` but ``validate_request`` has no
-       arm for its op (unvalidated input reaches the handler).
-PT004  op classification set (``WRITE_OPS``, ``CACHEABLE_OPS``,
-       ``PREFLIGHT_OPS``, ...) names an op outside ``OPS``.
-PT005  client call site sends an op not listed in ``OPS``.
-PT006  handler for a non-``WRITE_OPS`` op calls a mutating repository
-       operation (would run under the shared lock side).
+PT005  client call site sends an op with no ``OP_TABLE`` entry.
+PT006  handler for an op not marked ``write=True`` calls a mutating
+       repository operation (would run under the shared lock side).
 PT007  error class used in hub admission denials that is neither in
        ``TYPED_ERRORS`` nor special-cased by ``raise_remote_error``
        (the denial would reach clients untyped).
 PT008  protocol module does not pin an integer ``PROTOCOL_VERSION``.
 
-Discovery is structural, not path-based: the *protocol module* is
-whichever analyzed module assigns both ``OPS`` and ``WRITE_OPS``; a
-*handler class* is any class with ``_op_*`` methods. Absent a protocol
-module, the pack is silent (the tree under analysis has no protocol).
+Discovery is structural, not path-based: the *op table* is the
+module-level ``OP_TABLE`` assignment, read as its ``OpSpec("<name>",
+..., write=True)`` calls; the *protocol module* is whichever analyzed
+module assigns both ``OPS`` and ``WRITE_OPS``; a *handler* is any
+``_op_*`` method. Absent an op table, the pack is silent (the tree
+under analysis has no protocol).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
 from .callgraph import Program
 from .model import Finding, SourceFile, enclosing_symbol
-
-#: Module-level names that classify ops and must stay within OPS.
-_OP_SET_RE = re.compile(r"^[A-Z][A-Z_]*OPS$")
 
 #: Repository mutations a read-side handler must never perform.
 _MUTATING_ATTRS = frozenset(
@@ -54,29 +47,45 @@ _MUTATING_ATTRS = frozenset(
 _HANDLER_PREFIX = "_op_"
 
 
-def _str_elements(node: ast.expr) -> list[tuple[str, int]] | None:
-    """String constants of a tuple/list/set/frozenset(...) literal."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        if node.func.id in ("frozenset", "set", "tuple") and node.args:
-            return _str_elements(node.args[0])
-        return None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        out = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append((elt.value, elt.lineno))
-            else:
-                return None
-        return out
+def _module_assign(file: SourceFile, name: str) -> ast.Assign | ast.AnnAssign | None:
+    """The module-level (annotated or plain) assignment to ``name``."""
+    for node in file.tree.body:
+        targets = (
+            node.targets
+            if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
     return None
 
 
-def _module_assign(file: SourceFile, name: str) -> ast.Assign | None:
-    for node in file.tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node
+def find_op_table(program: Program) -> dict[str, bool] | None:
+    """``op -> write?`` read off the ``OpSpec(...)`` calls inside the
+    module-level ``OP_TABLE`` assignment, or None when no analyzed
+    module declares one."""
+    for file in program.files:
+        node = _module_assign(file, "OP_TABLE")
+        if node is None or node.value is None:
+            continue
+        ops: dict[str, bool] = {}
+        for call in ast.walk(node.value):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "OpSpec"
+                and call.args
+                and isinstance(call.args[0], ast.Constant)
+                and isinstance(call.args[0].value, str)
+            ):
+                continue
+            ops[call.args[0].value] = any(
+                keyword.arg == "write"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in call.keywords
+            )
+        return ops
     return None
 
 
@@ -85,12 +94,7 @@ class _ProtocolFacts:
 
     def __init__(self, file: SourceFile):
         self.file = file
-        ops_node = _module_assign(file, "OPS")
-        self.ops: dict[str, int] = {}
-        self.ops_line = ops_node.lineno if ops_node else 1
-        if ops_node is not None:
-            for value, line in _str_elements(ops_node.value) or []:
-                self.ops[value] = line
+        self.ops_line = _module_assign(file, "OPS").lineno
         self.typed_errors: set[str] = set()
         typed = _module_assign(file, "TYPED_ERRORS")
         if typed is not None:
@@ -98,17 +102,13 @@ class _ProtocolFacts:
                 if isinstance(node, ast.Name) and node.id[:1].isupper():
                     self.typed_errors.add(node.id)
         self.special_cased: set[str] = set()
-        self.has_version = False
+        version = _module_assign(file, "PROTOCOL_VERSION")
+        self.has_version = (
+            version is not None
+            and isinstance(version.value, ast.Constant)
+            and isinstance(version.value.value, int)
+        )
         for node in file.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "PROTOCOL_VERSION"
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        self.has_version = True
             if isinstance(node, ast.FunctionDef) and node.name == "raise_remote_error":
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Compare):
@@ -129,42 +129,13 @@ def _find_protocol(program: Program) -> _ProtocolFacts | None:
     return None
 
 
-def _handler_classes(program: Program) -> dict[str, list]:
-    """op name -> [(FunctionInfo, reads_meta)] over every handler class."""
+def _handlers(program: Program) -> dict[str, list]:
+    """op name -> every ``_op_<name>`` method over all handler classes."""
     handlers: dict[str, list] = {}
     for fn in program.functions.values():
-        if fn.cls is None or not fn.name.startswith(_HANDLER_PREFIX):
-            continue
-        op = fn.name[len(_HANDLER_PREFIX) :]
-        args = fn.node.args.args
-        meta_param = args[1].arg if len(args) > 1 else None
-        reads_meta = False
-        if meta_param is not None:
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Name)
-                    and node.id == meta_param
-                    and isinstance(node.ctx, ast.Load)
-                ):
-                    reads_meta = True
-                    break
-        handlers.setdefault(op, []).append((fn, reads_meta))
+        if fn.cls is not None and fn.name.startswith(_HANDLER_PREFIX):
+            handlers.setdefault(fn.name[len(_HANDLER_PREFIX) :], []).append(fn)
     return handlers
-
-
-def _validated_ops(program: Program, ops: set[str]) -> set[str]:
-    validated: set[str] = set()
-    for fn in program.functions.values():
-        if fn.name != "validate_request":
-            continue
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value in ops
-            ):
-                validated.add(node.value)
-    return validated
 
 
 def _client_op_literals(file: SourceFile) -> list[tuple[str, int]]:
@@ -194,110 +165,13 @@ def _client_op_literals(file: SourceFile) -> list[tuple[str, int]]:
 
 
 def check(program: Program) -> list[Finding]:
-    facts = _find_protocol(program)
-    if facts is None or not facts.ops:
+    ops = find_op_table(program)
+    if not ops:
         return []
     findings: list[Finding] = []
-    ops = set(facts.ops)
-    handlers = _handler_classes(program)
-
-    # PT008 -----------------------------------------------------------------
-    if not facts.has_version:
-        findings.append(
-            Finding(
-                rule="PT008",
-                path=facts.file.rel_path,
-                line=facts.ops_line,
-                symbol="<module>",
-                message="protocol module does not pin an integer PROTOCOL_VERSION",
-                hint="declare PROTOCOL_VERSION so peers can refuse mismatches loudly",
-            )
-        )
-
-    # PT001 / PT002 ---------------------------------------------------------
-    if handlers:
-        for op, line in facts.ops.items():
-            if op not in handlers:
-                findings.append(
-                    Finding(
-                        rule="PT001",
-                        path=facts.file.rel_path,
-                        line=line,
-                        symbol="<module>",
-                        message=f"op {op!r} is in OPS but no _op_{op} handler exists",
-                        hint=f"add _op_{op} to the server class or drop the op",
-                    )
-                )
-        for op, sites in handlers.items():
-            if op not in ops:
-                fn = sites[0][0]
-                findings.append(
-                    Finding(
-                        rule="PT002",
-                        path=fn.file.rel_path,
-                        line=fn.node.lineno,
-                        symbol=fn.symbol,
-                        message=(
-                            f"handler _op_{op} exists but {op!r} is not in OPS; "
-                            "clients can never reach it and validation skips it"
-                        ),
-                        hint="add the op to OPS (and validate_request) or remove it",
-                    )
-                )
-
-    # PT003 -----------------------------------------------------------------
-    validated = _validated_ops(program, ops)
-    for op, sites in handlers.items():
-        if op not in ops:
-            continue  # already PT002
-        for fn, reads_meta in sites:
-            if reads_meta and op not in validated:
-                findings.append(
-                    Finding(
-                        rule="PT003",
-                        path=fn.file.rel_path,
-                        line=fn.node.lineno,
-                        symbol=fn.symbol,
-                        message=(
-                            f"handler _op_{op} reads request meta but "
-                            f"validate_request has no arm for {op!r}"
-                        ),
-                        hint="add a validate_request arm checking the fields read",
-                    )
-                )
-
-    # PT004 -----------------------------------------------------------------
-    for file in program.files:
-        for node in file.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (
-                    isinstance(target, ast.Name)
-                    and _OP_SET_RE.match(target.id)
-                    and target.id != "OPS"
-                ):
-                    continue
-                for value, line in _str_elements(node.value) or []:
-                    if value not in ops:
-                        findings.append(
-                            Finding(
-                                rule="PT004",
-                                path=file.rel_path,
-                                line=line,
-                                symbol="<module>",
-                                message=(
-                                    f"{target.id} classifies op {value!r} "
-                                    "which is not in OPS"
-                                ),
-                                hint="classification sets must stay within OPS",
-                            )
-                        )
 
     # PT005 -----------------------------------------------------------------
     for file in program.files:
-        if file is facts.file:
-            continue
         for value, line in _client_op_literals(file):
             if value not in ops:
                 findings.append(
@@ -306,20 +180,19 @@ def check(program: Program) -> list[Finding]:
                         path=file.rel_path,
                         line=line,
                         symbol=enclosing_symbol(file.tree, line),
-                        message=f"request sends op {value!r} which is not in OPS",
-                        hint="add the op to OPS and the server before using it",
+                        message=(
+                            f"request sends op {value!r} which has no "
+                            "OP_TABLE entry"
+                        ),
+                        hint="add the OpSpec entry and its handler before using it",
                     )
                 )
 
     # PT006 -----------------------------------------------------------------
-    write_ops: set[str] = set()
-    write_node = _module_assign(facts.file, "WRITE_OPS")
-    if write_node is not None:
-        write_ops = {v for v, _ in _str_elements(write_node.value) or []}
-    for op, sites in handlers.items():
-        if op in write_ops or op not in ops:
-            continue
-        for fn, _ in sites:
+    for op, sites in _handlers(program).items():
+        if ops.get(op, True):
+            continue  # a write op, or no table entry (an import error)
+        for fn in sites:
             for node in ast.walk(fn.node):
                 if (
                     isinstance(node, ast.Call)
@@ -337,9 +210,27 @@ def check(program: Program) -> list[Finding]:
                                 f"{node.func.attr}() (runs under the shared "
                                 "lock side)"
                             ),
-                            hint="add the op to WRITE_OPS or drop the mutation",
+                            hint="mark the op write=True in OP_TABLE or drop "
+                            "the mutation",
                         )
                     )
+
+    facts = _find_protocol(program)
+    if facts is None:
+        return findings
+
+    # PT008 -----------------------------------------------------------------
+    if not facts.has_version:
+        findings.append(
+            Finding(
+                rule="PT008",
+                path=facts.file.rel_path,
+                line=facts.ops_line,
+                symbol="<module>",
+                message="protocol module does not pin an integer PROTOCOL_VERSION",
+                hint="declare PROTOCOL_VERSION so peers can refuse mismatches loudly",
+            )
+        )
 
     # PT007 -----------------------------------------------------------------
     known = facts.typed_errors | facts.special_cased | {"RemoteError"}
@@ -367,4 +258,4 @@ def check(program: Program) -> list[Finding]:
     return findings
 
 
-__all__ = ["check"]
+__all__ = ["check", "find_op_table"]

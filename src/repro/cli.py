@@ -150,24 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a repository directory over HTTP"
     )
     serve.add_argument("repo", help="repository directory to serve")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8321)
-    serve.add_argument(
-        "--requests", type=int, default=None,
-        help="exit after handling N requests (default: serve forever)",
-    )
-    serve.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per get_chunks response (default 4 MiB)",
-    )
-    serve.add_argument(
-        "--cache-entries", type=int, default=128,
-        help="read-response cache slots, invalidated on push (0 disables)",
-    )
-    serve.add_argument(
-        "--max-request-bytes", type=_positive_int, default=256 * 1024 * 1024,
-        help="reject request bodies above this size with HTTP 413 "
-        "(default 256 MiB)",
+    _add_serve_arguments(
+        serve,
+        cache_help="read-response cache slots, invalidated on push (0 disables)",
     )
     _add_observability_arguments(serve)
 
@@ -419,28 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="serve every hosted repository over HTTP"
     )
     hub_serve.add_argument("root", help="hub directory")
-    hub_serve.add_argument("--host", default="127.0.0.1")
-    hub_serve.add_argument("--port", type=int, default=8321)
-    hub_serve.add_argument(
-        "--requests", type=int, default=None,
-        help="exit after handling N requests (default: serve forever)",
+    _add_serve_arguments(
+        hub_serve, cache_help="per-repo read-response cache slots (0 disables)"
     )
     hub_serve.add_argument(
         "--max-loaded-repos", type=_positive_int, default=None,
         help="repositories kept resident before LRU eviction (default 16)",
-    )
-    hub_serve.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per get_chunks response (default 4 MiB)",
-    )
-    hub_serve.add_argument(
-        "--cache-entries", type=int, default=128,
-        help="per-repo read-response cache slots (0 disables)",
-    )
-    hub_serve.add_argument(
-        "--max-request-bytes", type=_positive_int, default=256 * 1024 * 1024,
-        help="reject request bodies above this size with HTTP 413 "
-        "(default 256 MiB)",
     )
     _add_observability_arguments(hub_serve)
     pull.add_argument(
@@ -465,6 +434,26 @@ def _add_hub_client_arguments(parser) -> None:
         "--tenant", default=None, metavar="TENANT/REPO",
         help="address a hub-hosted repository: the remote URL is taken as "
         "the hub base and TENANT/REPO is appended as /t/TENANT/REPO",
+    )
+
+
+def _add_serve_arguments(parser, cache_help: str) -> None:
+    """Listening and sizing flags shared by ``serve`` and ``hub serve``."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8321)
+    parser.add_argument(
+        "--requests", type=int, default=None,
+        help="exit after handling N requests (default: serve forever)",
+    )
+    parser.add_argument(
+        "--max-pack-bytes", type=_positive_int, default=None,
+        help="chunk payload window per get_chunks response (default 4 MiB)",
+    )
+    parser.add_argument("--cache-entries", type=int, default=128, help=cache_help)
+    parser.add_argument(
+        "--max-request-bytes", type=_positive_int, default=256 * 1024 * 1024,
+        help="reject request bodies above this size with HTTP 413 "
+        "(default 256 MiB)",
     )
 
 
@@ -860,19 +849,32 @@ def _cmd_serve(args, out) -> int:
         request_budget=args.requests,
         max_request_bytes=args.max_request_bytes,
     )
+    _serve_until_budget(
+        server,
+        lambda: server.repository_server.requests_handled,
+        args.requests,
+        close_obs,
+    )
+    return 0
+
+
+def _serve_until_budget(server, handled, requests: int | None, close_obs) -> None:
+    """Drive ``server`` forever, or until ``handled()`` reaches ``requests``.
+
+    Bounded serving counts handled *requests*, not accepted connections —
+    keep-alive clients multiplex many requests over one socket (handlers
+    stop honouring keep-alive once the budget is spent, see
+    request_limit). The accept timeout lets the loop re-check the count
+    while the last connection is still open, and daemon_threads=False
+    makes server_close() join the handler threads so no response is left
+    in flight.
+    """
     try:
-        if args.requests is not None:
-            # Bounded serving counts handled *requests*, not accepted
-            # connections — keep-alive clients multiplex many requests
-            # over one socket (handlers stop honouring keep-alive once the
-            # budget is spent, see request_limit). The accept timeout lets
-            # the loop re-check the count while the last connection is
-            # still open, and daemon_threads=False makes server_close()
-            # join the handler threads so no response is left in flight.
+        if requests is not None:
             server.daemon_threads = False
             server.timeout = 0.2
-            server.request_limit = args.requests
-            while server.repository_server.requests_handled < args.requests:
+            server.request_limit = requests
+            while handled() < requests:
                 server.handle_request()
         else:
             server.serve_forever()
@@ -881,7 +883,6 @@ def _cmd_serve(args, out) -> int:
     finally:
         server.server_close()
         close_obs()
-    return 0
 
 
 def _cmd_clone(args, out) -> int:
@@ -1487,20 +1488,9 @@ def _cmd_hub_serve(args, out) -> int:
         request_budget=args.requests,
         max_request_bytes=args.max_request_bytes,
     )
-    try:
-        if args.requests is not None:
-            server.daemon_threads = False
-            server.timeout = 0.2
-            server.request_limit = args.requests
-            while hub.requests_handled < args.requests:
-                server.handle_request()
-        else:
-            server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        close_obs()
+    _serve_until_budget(
+        server, lambda: hub.requests_handled, args.requests, close_obs
+    )
     return 0
 
 
@@ -1531,29 +1521,25 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_workloads(out)
     if args.command == "demo":
         return _cmd_demo(args, out)
-    if args.command in (
-        "init", "serve", "clone", "push", "pull", "stats", "health",
-        "lineage", "impact", "trace", "profile", "run", "merge", "gc",
-        "hub", "lint",
-    ):
-        handler = {
-            "init": _cmd_init,
-            "serve": _cmd_serve,
-            "clone": _cmd_clone,
-            "push": _cmd_push,
-            "pull": _cmd_pull,
-            "stats": _cmd_stats,
-            "health": _cmd_health,
-            "lineage": _cmd_lineage,
-            "impact": _cmd_impact,
-            "trace": _cmd_trace,
-            "profile": _cmd_profile,
-            "run": _cmd_run,
-            "merge": _cmd_merge,
-            "gc": _cmd_gc,
-            "hub": _cmd_hub,
-            "lint": _cmd_lint,
-        }[args.command]
+    handler = {
+        "init": _cmd_init,
+        "serve": _cmd_serve,
+        "clone": _cmd_clone,
+        "push": _cmd_push,
+        "pull": _cmd_pull,
+        "stats": _cmd_stats,
+        "health": _cmd_health,
+        "lineage": _cmd_lineage,
+        "impact": _cmd_impact,
+        "trace": _cmd_trace,
+        "profile": _cmd_profile,
+        "run": _cmd_run,
+        "merge": _cmd_merge,
+        "gc": _cmd_gc,
+        "hub": _cmd_hub,
+        "lint": _cmd_lint,
+    }.get(args.command)
+    if handler is not None:
         try:
             return handler(args, out)
         except MLCaskError as error:

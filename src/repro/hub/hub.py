@@ -78,8 +78,9 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
+from ..ops import OP_TABLE, OpSpec
 from ..remote import pack
-from ..remote.protocol import OPS, WRITE_OPS, decode_message, error_response
+from ..remote.protocol import decode_message, error_response
 from ..remote.server import RepositoryServer
 from ..remote.transport import Transport
 from ..storage.chunk_store import FileChunkStore
@@ -127,7 +128,9 @@ DEFAULT_MAX_LOADED_REPOS = 16
 #: not exist yet" bootstraps naturally; content reads (``fetch``,
 #: ``get_chunks``) on a missing repo stay a typed not-found, so a
 #: typo'd clone fails loudly instead of yielding an empty repository.
-PREFLIGHT_OPS = frozenset({"manifest", "known_commits", "missing_chunks"})
+PREFLIGHT_OPS = frozenset(
+    spec.name for spec in OP_TABLE.values() if spec.preflight
+)
 
 
 class HostedRepository:
@@ -776,15 +779,13 @@ class RepositoryHub:
         self,
         config: TenantConfig,
         hosted: HostedRepository,
-        op: str,
+        spec: OpSpec,
         meta: dict,
         blobs: list,
     ) -> None:
         if config.quota_bytes is None:
             return
-        digests = meta.get("chunk_digests" if op == "push" else "digests", [])
-        if not isinstance(digests, list):
-            digests = []  # malformed; the server rejects it after us
+        digests = meta.get(spec.blob_digests_key, [])
         new_bytes = incoming_new_bytes(hosted.view, digests, blobs)
         usage = self.tenant_usage(config.name)
         if usage + new_bytes > config.quota_bytes:
@@ -887,7 +888,8 @@ class RepositoryHub:
                     if decode_error is not None:
                         raise decode_error
                     op = meta.get("op")
-                    write = op in WRITE_OPS
+                    spec = OP_TABLE.get(op)
+                    write = spec is not None and spec.write
                     # Observability-driven load shedding: the last
                     # admission gate, still before any repository state
                     # is touched (same never-partially-mutate contract
@@ -896,7 +898,7 @@ class RepositoryHub:
                     # its typed protocol error; exempt ops (health,
                     # stats, trace) always pass so probes work under the
                     # very overload they diagnose.
-                    if op in OPS:
+                    if spec is not None:
                         retry_after = self.health.shed_decision(op)
                         if retry_after is not None:
                             self.health.note_shed(op)
@@ -905,6 +907,11 @@ class RepositoryHub:
                                 "admissions — retry with backoff",
                                 retry_after=retry_after,
                             )
+                    # Quota arithmetic reads a write's digest list, and
+                    # _acquire auto-creates its target: a malformed write
+                    # must be a typed protocol denial before either.
+                    if write:
+                        spec.validate(meta, blobs)
                 try:
                     hosted = self._acquire(tenant, repo, create=write)
                 except RepositoryNotFoundError:
@@ -923,7 +930,7 @@ class RepositoryHub:
                         # race-free across a tenant's repositories; writes
                         # of different tenants still run concurrently.
                         with self._tenant_lock(tenant):
-                            self._enforce_quota(config, hosted, op, meta, blobs)
+                            self._enforce_quota(config, hosted, spec, meta, blobs)
                             if op == "push":
                                 self._maybe_adopt_config(hosted, meta)
                             response = hosted.server.handle_bytes(

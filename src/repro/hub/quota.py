@@ -71,8 +71,9 @@ class TokenBucket:
 def incoming_new_bytes(view, digests, blobs) -> int:
     """Tenant-logical bytes a write would add to ``view`` if admitted.
 
-    ``digests``/``blobs`` are the request's parallel chunk lists (schema
-    validation has already guaranteed the pairing). A digest the view
+    ``digests``/``blobs`` are the request's parallel chunk lists; the
+    hub runs the op's validator before calling this, so the digests are
+    strings paired one-to-one with the blobs. A digest the view
     already holds adds nothing; a digest repeated within the request is
     charged once. Chunks *other* tenants hold still count in full —
     quotas charge logical usage, the physical dedup is the operator's.

@@ -40,13 +40,16 @@ import threading
 import time
 from collections import deque
 
+from ..ops import OP_TABLE
 from .metrics import NULL_REGISTRY
 from .slo import SLOConfig
 from .trace import NULL_TRACER
 
 #: Ops never shed: the probes an operator (or an automated client
 #: backing off) needs precisely when the server is overloaded.
-SHED_EXEMPT_OPS = frozenset({"health", "stats", "trace"})
+SHED_EXEMPT_OPS = frozenset(
+    spec.name for spec in OP_TABLE.values() if spec.shed_exempt
+)
 
 #: Quantiles the window report carries.
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))

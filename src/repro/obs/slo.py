@@ -18,9 +18,10 @@ Two consumers with deliberately different signals:
 
 Everything here is plain data — JSON-loadable via :meth:`SLOConfig.load`
 (the ``--slo-config`` flag on both serve verbs) — so operators tune
-objectives without touching code. :data:`DEFAULT_OP_OBJECTIVES` must
-cover every op in :data:`repro.remote.protocol.OPS`; the OB006 lint rule
-holds that line, so a new RPC cannot ship invisible to the health model.
+objectives without touching code. :data:`DEFAULT_OP_OBJECTIVES` is
+derived from the op table (:mod:`repro.ops`), where an entry cannot be
+written without its objective — a new RPC cannot ship invisible to the
+health model.
 """
 
 from __future__ import annotations
@@ -28,24 +29,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-#: Default per-op p99 latency objectives (seconds). Writes move chunk
-#: content and get generous budgets (aligned with the slow-op capture
-#: thresholds in :mod:`repro.obs.slowops`); metadata reads are expected
-#: to be near-instant. Keys must cover every member of
-#: :data:`repro.remote.protocol.OPS` — the OB006 lint rule checks this
-#: dict literal statically, so keep it a literal.
+from ..ops import OP_TABLE
+
+#: Default per-op p99 latency objectives (seconds): the ``p99_seconds``
+#: column of the op table, so it covers every wire op by construction.
 DEFAULT_OP_OBJECTIVES = {
-    "manifest": 0.5,
-    "known_commits": 0.5,
-    "missing_chunks": 0.5,
-    "get_chunks": 2.0,
-    "put_chunks": 5.0,
-    "fetch": 2.0,
-    "push": 5.0,
-    "stats": 0.5,
-    "lineage": 1.0,
-    "trace": 1.0,
-    "health": 0.5,
+    spec.name: spec.p99_seconds for spec in OP_TABLE.values()
 }
 
 #: Default availability objective: at most 1% of requests may fail

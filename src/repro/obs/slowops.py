@@ -26,16 +26,17 @@ import threading
 import time
 from collections import deque
 
+from ..ops import OP_TABLE
 from . import profiler as obs_profiler
 
-#: Per-op default latency budgets (seconds). Writes move content and
-#: get generous budgets; metadata reads are expected to be instant.
+#: Default latency budget (seconds) for ops the table gives none;
+#: :data:`DEFAULT_OP_THRESHOLDS` is the op table's ``slow_seconds``
+#: column — writes and content reads move chunks and get generous ones.
 DEFAULT_SLOW_OP_SECONDS = 1.0
 DEFAULT_OP_THRESHOLDS = {
-    "push": 5.0,
-    "put_chunks": 5.0,
-    "fetch": 2.0,
-    "get_chunks": 2.0,
+    spec.name: spec.slow_seconds
+    for spec in OP_TABLE.values()
+    if spec.slow_seconds is not None
 }
 
 

@@ -40,6 +40,7 @@ from ..errors import (
     RepositoryNotFoundError,
     ServerOverloadedError,
 )
+from ..ops import OP_TABLE
 
 MAGIC = b"MLCR"
 #: v2: windowed ``get_chunks`` (``remaining`` count, server-enforced
@@ -49,32 +50,26 @@ MAGIC = b"MLCR"
 PROTOCOL_VERSION = 2
 
 #: Operations a server understands; anything else is a protocol error.
-#: ``stats`` (telemetry readout), ``lineage`` (provenance queries),
-#: ``trace`` (distributed-trace / slow-op readout), and ``health``
-#: (sliding-window health report, :mod:`repro.obs.health`) are
+#: Derived from the op table (:mod:`repro.ops`). Adding an op:
+#:
+#: 1. add its ``OpSpec(...)`` entry to ``repro.ops.OP_TABLE`` (the
+#:    validator is mandatory; ``_no_fields`` when no field is read);
+#: 2. add ``RepositoryServer._op_<name>(self, meta, blobs)`` — import
+#:    fails while an entry lacks a handler or a handler lacks an entry;
+#: 3. optionally add a ``Remote`` method sending ``{"op": "<name>"}``.
+#:
+#: New ops (``stats``, ``lineage``, ``trace``, ``health`` so far) are
 #: schema-additive: old clients never send them, and an old server
 #: answers them with a typed unknown-operation error — no version bump
 #: needed. The same rule covers the optional ``trace_ctx`` meta key
 #: (distributed-trace propagation, :mod:`repro.obs.propagation`): an old
 #: server ignores unknown meta keys, so traced clients interoperate with
 #: legacy peers.
-OPS = (
-    "manifest",
-    "known_commits",
-    "missing_chunks",
-    "get_chunks",
-    "put_chunks",
-    "fetch",
-    "push",
-    "stats",
-    "lineage",
-    "trace",
-    "health",
-)
+OPS = tuple(OP_TABLE)
 
 #: Operations that mutate repository state (served under the exclusive
 #: side of the server's reader-writer lock); everything else is a read.
-WRITE_OPS = frozenset({"push", "put_chunks"})
+WRITE_OPS = frozenset(spec.name for spec in OP_TABLE.values() if spec.write)
 
 
 def encode_message(meta: dict, blobs: list[bytes] | None = None) -> bytes:

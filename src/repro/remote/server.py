@@ -66,6 +66,7 @@ from ..obs.metrics import NULL_METRIC, MetricsRegistry
 from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
+from ..ops import OP_TABLE
 from . import pack
 from .protocol import (
     OPS,
@@ -94,20 +95,11 @@ DEBUG_SLOW_PATH = "/debug/slow"
 HEALTHZ_PATH = "/healthz"
 READYZ_PATH = "/readyz"
 
-#: Read operations whose responses are worth caching: pure metadata, so
-#: entries stay small. ``get_chunks`` is deliberately excluded — content
-#: reads are already O(1) store lookups and their responses are up to a
-#: full pack window each, the wrong trade for a metadata cache.
-#: ``lineage`` qualifies: closures over an append-only ledger are a pure
-#: function of repository state, and the state token carries the ledger
-#: revision, so cached answers expire the moment a new record lands.
+#: Read operations whose responses are served from the response cache
+#: (the ``cacheable`` column of :data:`repro.ops.OP_TABLE`).
 CACHEABLE_OPS = frozenset(
-    {"manifest", "known_commits", "missing_chunks", "fetch", "lineage"}
+    spec.name for spec in OP_TABLE.values() if spec.cacheable
 )
-
-#: The query forms one ``lineage`` request can carry, mapped to the
-#: provenance-query entry points they dispatch to.
-LINEAGE_QUERIES = ("lineage", "consumers", "impact", "trace")
 
 
 class RWLock:
@@ -250,144 +242,33 @@ class ResponseCache:
             }
 
 
-# ------------------------------------------------------- request validation
-def _fail(op: str, message: str):
-    raise RemoteProtocolError(f"invalid {op} request: {message}")
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_dict_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
-
-
-def _check_digest_blob_parallel(op: str, meta: dict, blobs: list) -> None:
-    digests = meta.get("chunk_digests" if op == "push" else "digests", [])
-    if not _is_str_list(digests):
-        _fail(op, "chunk digests must be a list of strings")
-    if len(digests) != len(blobs):
-        _fail(op, f"{len(digests)} chunk digests but {len(blobs)} blobs")
-
-
 def validate_request(op: str, meta: dict, blobs: list) -> None:
     """Schema-check a request before any handler state is touched.
 
     Everything a handler would otherwise discover as a ``KeyError`` or
     ``TypeError`` mid-operation is rejected here as a typed
-    :class:`RemoteProtocolError` instead.
+    :class:`RemoteProtocolError` instead. The checks are the op's
+    validator in :data:`repro.ops.OP_TABLE`.
     """
-    if op == "known_commits":
-        if not _is_str_list(meta.get("ids", [])):
-            _fail(op, "'ids' must be a list of strings")
-    elif op == "missing_chunks":
-        if not _is_str_list(meta.get("digests", [])):
-            _fail(op, "'digests' must be a list of strings")
-    elif op == "get_chunks":
-        if not _is_str_list(meta.get("digests", [])):
-            _fail(op, "'digests' must be a list of strings")
-        max_bytes = meta.get("max_bytes")
-        if max_bytes is not None and (
-            not isinstance(max_bytes, int)
-            or isinstance(max_bytes, bool)
-            or max_bytes <= 0
-        ):
-            _fail(op, "'max_bytes' must be a positive integer")
-    elif op == "put_chunks":
-        _check_digest_blob_parallel(op, meta, blobs)
-    elif op == "fetch":
-        want = meta.get("want")
-        if want is not None:
-            if not isinstance(want, dict):
-                _fail(op, "'want' must be null or {pipeline: [branch, ...]}")
-            for pipeline, branches in want.items():
-                if not isinstance(pipeline, str) or not _is_str_list(branches):
-                    _fail(op, "'want' must map pipeline names to branch lists")
-        if not _is_str_list(meta.get("have_commits", [])):
-            _fail(op, "'have_commits' must be a list of strings")
-    elif op == "push":
-        commits = meta.get("commits", [])
-        if not _is_dict_list(commits):
-            _fail(op, "'commits' must be a list of commit dicts")
-        for entry in commits:
-            if not isinstance(entry.get("commit_id"), str):
-                _fail(op, "every commit needs a string 'commit_id'")
-            if not isinstance(entry.get("sequence"), int):
-                _fail(op, "every commit needs an integer 'sequence'")
-        if not isinstance(meta.get("specs", {}), dict):
-            _fail(op, "'specs' must be a dict")
-        recipes = meta.get("recipes", [])
-        if not _is_dict_list(recipes):
-            _fail(op, "'recipes' must be a list of recipe dicts")
-        for entry in recipes:
-            if (
-                not isinstance(entry.get("blob"), str)
-                or not _is_str_list(entry.get("chunks"))
-                or not isinstance(entry.get("size"), int)
-                or isinstance(entry.get("size"), bool)
-            ):
-                _fail(
-                    op,
-                    "every recipe needs a string 'blob', a 'chunks' list of "
-                    "strings, and an integer 'size'",
-                )
-        if not _is_dict_list(meta.get("records", [])):
-            _fail(op, "'records' must be a list of record dicts")
-        if not _is_dict_list(meta.get("lineage", [])):
-            _fail(op, "'lineage' must be a list of lineage-record dicts")
-        _check_digest_blob_parallel(op, meta, blobs)
-        refs = meta.get("refs", {})
-        if not isinstance(refs, dict):
-            _fail(op, "'refs' must be {pipeline: {branch: {old, new}}}")
-        for pipeline, branches in refs.items():
-            if not isinstance(pipeline, str) or not isinstance(branches, dict):
-                _fail(op, "'refs' must be {pipeline: {branch: {old, new}}}")
-            for branch, update in branches.items():
-                if not isinstance(branch, str) or not isinstance(update, dict):
-                    _fail(op, "every ref update must be a {old, new} dict")
-                if not isinstance(update.get("new"), str) or not update["new"]:
-                    _fail(
-                        op,
-                        f"ref update for {pipeline}:{branch} is missing a "
-                        "non-empty 'new' head",
-                    )
-                old = update.get("old")
-                if old is not None and not isinstance(old, str):
-                    _fail(
-                        op,
-                        f"ref update for {pipeline}:{branch} has a non-string "
-                        "'old' head",
-                    )
-    elif op == "lineage":
-        query = meta.get("query")
-        if query not in LINEAGE_QUERIES:
-            _fail(op, f"'query' must be one of {LINEAGE_QUERIES}")
-        if query in ("lineage", "consumers") and not isinstance(
-            meta.get("ref"), str
-        ):
-            _fail(op, f"a {query!r} query needs a string 'ref'")
-        if query == "impact":
-            if not isinstance(meta.get("component"), str):
-                _fail(op, "an 'impact' query needs a string 'component'")
-            version = meta.get("version")
-            if version is not None and not isinstance(version, str):
-                _fail(op, "'version' must be null or a string")
-        if query == "trace" and not isinstance(meta.get("trace_id"), str):
-            _fail(op, "a 'trace' query needs a string 'trace_id'")
-    elif op == "trace":
-        trace_id = meta.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            _fail(op, "'trace_id' must be null or a string")
-        limit = meta.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int)
-            or isinstance(limit, bool)
-            or limit <= 0
-        ):
-            _fail(op, "'limit' must be a positive integer")
-        if not isinstance(meta.get("slow", False), bool):
-            _fail(op, "'slow' must be a boolean")
+    OP_TABLE[op].validate(meta, blobs)
+
+
+def _bind_handlers(namespace: dict) -> dict[str, str]:
+    """``op -> handler attribute`` for a class body, checked both ways.
+
+    Called once while the handler class is being defined, so drift
+    between the op table and the ``_op_*`` methods is an import error
+    rather than a request-time ``AttributeError`` (or a handler no
+    client can reach).
+    """
+    handlers = {op: f"_op_{op}" for op in OP_TABLE}
+    defined = {name for name in namespace if name.startswith("_op_")}
+    if defined != set(handlers.values()):
+        raise TypeError(
+            "op table and handlers disagree: "
+            f"{sorted(defined ^ set(handlers.values()))}"
+        )
+    return handlers
 
 
 class RepositoryServer:
@@ -610,7 +491,7 @@ class RepositoryServer:
 
     def _dispatch(self, op: str, meta: dict, blobs: list, payload: bytes) -> bytes:
         """Route one validated operation through locking and the cache."""
-        handler = getattr(self, f"_op_{op}")
+        handler = getattr(self, self._HANDLERS[op])
         if op in WRITE_OPS or self.exclusive:
             with self._locked("write"):
                 try:
@@ -1070,6 +951,10 @@ class RepositoryServer:
         if self.on_change is not None:
             self.on_change(repo)
         return encode_message({"ok": True, "updated": applied, "new_chunks": new_chunks})
+
+    #: op -> ``_op_<name>`` attribute, bound from the op table while the
+    #: class is defined; a missing or stray handler fails the import.
+    _HANDLERS = _bind_handlers(locals())
 
 
 # ------------------------------------------------------------- HTTP serve

@@ -95,8 +95,11 @@ class TestLintVerb:
     def test_list_rules(self):
         code, text = run_cli("lint", "--list-rules")
         assert code == 0
-        for rule_id in ("LK001", "LK002", "PT001", "OB001"):
+        for rule_id in ("LK001", "LK002", "PT005", "PT008", "OB001", "OB006"):
             assert rule_id in text
+        # Retired with the op table: what they policed is now derived.
+        for rule_id in ("PT001", "PT002", "PT003", "PT004"):
+            assert rule_id not in text
 
     def test_missing_directory_is_an_error(self, tmp_path):
         code, text = run_cli("lint", str(tmp_path / "nope"))

@@ -336,70 +336,22 @@ class TestOB005TraceContinuity:
         assert len(findings) == 1
 
 
-PROTOCOL_MODULE = """\
-OPS = ("manifest", "fetch", "health")
-WRITE_OPS = frozenset({"push"})
+OP_TABLE_MODULE = """\
+OP_TABLE = {
+    spec.name: spec
+    for spec in (
+        OpSpec("manifest", _no_fields, p99_seconds=0.5),
+        OpSpec("fetch", _no_fields, p99_seconds=2.0),
+        OpSpec("health", _no_fields, p99_seconds=0.5),
+    )
+}
 """
 
+PROTOCOL_MODULE = """\
+from ..ops import OP_TABLE
 
-class TestOB006SLOCoverage:
-    def test_missing_objective_flagged(self, tree, line_of):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        source = tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {  # MARK objectives
-                "manifest": 0.5,
-                "fetch": 2.0,
-            }
-            """,
-        )
-        findings = tree.findings("OB006")
-        assert len(findings) == 1
-        assert "op 'health'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK objectives")
-
-    def test_objective_for_unknown_op_flagged(self, tree, line_of):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        source = tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {
-                "manifest": 0.5,
-                "fetch": 2.0,
-                "health": 0.5,
-                "telemetry": 1.0,  # MARK stale op
-            }
-            """,
-        )
-        findings = tree.findings("OB006")
-        assert len(findings) == 1
-        assert "op 'telemetry'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK stale op")
-
-    def test_full_coverage_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {
-                "manifest": 0.5,
-                "fetch": 2.0,
-                "health": 0.5,
-            }
-            """,
-        )
-        assert tree.findings("OB006") == []
-
-    def test_silent_without_a_protocol_module(self, tree):
-        # Same discovery rule as the PT pack: no OPS table, no opinion.
-        tree.write(
-            "obs/slo.py",
-            """\
-            DEFAULT_OP_OBJECTIVES = {"manifest": 0.5}
-            """,
-        )
-        assert tree.findings("OB006") == []
+OPS = tuple(OP_TABLE)
+"""
 
 
 class TestOB006HistogramCoverage:
@@ -416,15 +368,12 @@ class TestOB006HistogramCoverage:
             f"        {children}\n"
         )
 
-    def objectives(self) -> str:
-        return (
-            "DEFAULT_OP_OBJECTIVES = "
-            '{"manifest": 0.5, "fetch": 2.0, "health": 0.5}\n'
-        )
+    def write_protocol(self, tree) -> None:
+        tree.write("ops.py", OP_TABLE_MODULE)
+        tree.write("remote/protocol.py", PROTOCOL_MODULE)
 
     def test_ops_comprehension_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
+        self.write_protocol(tree)
         tree.write(
             "remote/server.py",
             self.server(
@@ -434,8 +383,7 @@ class TestOB006HistogramCoverage:
         assert tree.findings("OB006") == []
 
     def test_starred_alias_passes(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
+        self.write_protocol(tree)
         tree.write(
             "remote/server.py",
             self.server(
@@ -449,8 +397,7 @@ class TestOB006HistogramCoverage:
     def test_hand_listed_subset_flagged(self, tree):
         # Children resolved from a hand-maintained literal: the next op
         # added to OPS would serve without sliding-window percentiles.
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
+        self.write_protocol(tree)
         tree.write(
             "remote/server.py",
             self.server(
@@ -462,9 +409,19 @@ class TestOB006HistogramCoverage:
         assert len(findings) == 1
         assert "iterating the protocol OPS table" in findings[0].message
 
+    def test_silent_without_an_op_table(self, tree):
+        # Same discovery rule as the PT pack: no OP_TABLE, no opinion.
+        tree.write(
+            "remote/server.py",
+            self.server(
+                'self._m = {op: seconds.labels(op=op) '
+                'for op in ("manifest", "fetch")}'
+            ),
+        )
+        assert tree.findings("OB006") == []
+
     def test_histogram_without_op_label_exempt(self, tree):
-        tree.write("remote/protocol.py", PROTOCOL_MODULE)
-        tree.write("obs/slo.py", self.objectives())
+        self.write_protocol(tree)
         tree.write(
             "remote/server.py",
             """\

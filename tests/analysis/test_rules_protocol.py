@@ -1,21 +1,41 @@
-"""Protocol drift rules over a miniature of the real wire stack."""
+"""Protocol drift rules over a miniature of the real wire stack.
+
+PT001-PT004 are retired: handler/table agreement is enforced when
+``RepositoryServer`` is defined (``tests/remote/test_op_table.py``),
+validators are a mandatory ``OpSpec`` field, and the classification
+sets are comprehensions over the table.
+"""
 
 import textwrap
 
-#: The validate_request arm for "ping" (raw template indentation).
-_PING_ARM = (
-    'if op == "ping":\n'
-    '            if not isinstance(meta.get("payload", ""), str):\n'
-    '                raise ValueError("bad payload")\n'
-    "        elif op"
-)
+OPS_OK = """\
+    def _validate_ping(spec, meta, blobs):
+        if not isinstance(meta.get("payload", ""), str):
+            spec.fail("bad payload")
+
+
+    def _validate_push(spec, meta, blobs):
+        if not isinstance(meta.get("commits", []), list):
+            spec.fail("bad commits")
+
+
+    OP_TABLE: dict = {
+        spec.name: spec
+        for spec in (
+            OpSpec("ping", _validate_ping, p99_seconds=0.5),
+            OpSpec("push", _validate_push, p99_seconds=5.0, write=True),
+        )
+    }
+"""
 
 PROTOCOL_OK = """\
+    from .ops import OP_TABLE
+
     PROTOCOL_VERSION = 1
 
-    OPS = ("ping", "push")
+    OPS = tuple(OP_TABLE)
 
-    WRITE_OPS = frozenset({"push"})
+    WRITE_OPS = frozenset(s.name for s in OP_TABLE.values() if s.write)
 
 
     class PingError(Exception):
@@ -35,13 +55,11 @@ PROTOCOL_OK = """\
 """
 
 SERVER_OK = """\
+    from .ops import OP_TABLE
+
+
     def validate_request(op, meta, blobs):
-        if op == "ping":
-            if not isinstance(meta.get("payload", ""), str):
-                raise ValueError("bad payload")
-        elif op == "push":
-            if not isinstance(meta.get("commits", []), list):
-                raise ValueError("bad commits")
+        OP_TABLE[op].validate(meta, blobs)
 
 
     class Server:
@@ -54,6 +72,7 @@ SERVER_OK = """\
 
 
 def _write_stack(tree, protocol=PROTOCOL_OK, server=SERVER_OK, extra=None):
+    tree.write("ops.py", OPS_OK)
     tree.write("protocol.py", protocol)
     tree.write("server.py", server)
     for rel_path, source in (extra or {}).items():
@@ -78,67 +97,6 @@ class TestCleanStack:
 
 
 class TestDrift:
-    def test_pt001_op_without_handler(self, tree, line_of):
-        source = PROTOCOL_OK.replace(
-            'OPS = ("ping", "push")', 'OPS = ("ping", "push", "evict")'
-        )
-        tree.write("protocol.py", source)
-        tree.write("server.py", SERVER_OK)
-        findings = tree.findings("PT001")
-        assert len(findings) == 1
-        assert "'evict'" in findings[0].message
-        assert findings[0].path.endswith("protocol.py")
-
-    def test_pt002_handler_without_op(self, tree, line_of):
-        server = SERVER_OK + (
-            "\n"
-            "        def _op_evict(self, meta, blobs):  # MARK drifted handler\n"
-            "            return None\n"
-        )
-        _write_stack(tree, server=server)
-        findings = tree.findings("PT002")
-        assert len(findings) == 1
-        assert findings[0].line == line_of(
-            textwrap.dedent(server), "MARK drifted handler"
-        )
-        assert findings[0].symbol == "Server._op_evict"
-
-    def test_pt003_unvalidated_meta_read(self, tree):
-        # Drop the ping arm from validate_request: its handler still
-        # reads meta, so the op is now unvalidated.
-        server = SERVER_OK.replace(_PING_ARM, "if op")
-        assert server != SERVER_OK
-        _write_stack(tree, server=server)
-        findings = tree.findings("PT003")
-        assert len(findings) == 1
-        assert "_op_ping" in findings[0].message
-        assert findings[0].symbol == "Server._op_ping"
-
-    def test_pt003_metaless_handler_needs_no_arm(self, tree):
-        # A handler that never touches meta (like the real _op_manifest
-        # and _op_stats) is fine without a validate arm.
-        server = SERVER_OK.replace(
-            'def _op_ping(self, meta, blobs):\n            return meta.get("payload", "")',
-            "def _op_ping(self, meta, blobs):\n            return 'pong'",
-        ).replace(_PING_ARM, "if op")
-        assert server != SERVER_OK
-        _write_stack(tree, server=server)
-        assert tree.findings("PT003") == []
-
-    def test_pt004_classification_outside_ops(self, tree, line_of):
-        source = tree.write(
-            "routing.py",
-            """\
-            CACHEABLE_OPS = frozenset({"ping", "evict"})  # MARK stray op
-            """,
-        )
-        tree.write("protocol.py", PROTOCOL_OK)
-        tree.write("server.py", SERVER_OK)
-        findings = tree.findings("PT004")
-        assert len(findings) == 1
-        assert "'evict'" in findings[0].message
-        assert findings[0].line == line_of(source, "MARK stray op")
-
     def test_pt005_client_sends_unknown_op(self, tree, line_of):
         source = tree.write(
             "client.py",
@@ -213,6 +171,8 @@ class TestDrift:
         findings = tree.findings("PT008")
         assert len(findings) == 1
 
-    def test_no_protocol_module_means_silence(self, tree):
+    def test_no_op_table_means_silence(self, tree):
+        tree.write("protocol.py", PROTOCOL_OK.replace("PROTOCOL_VERSION = 1\n", ""))
         tree.write("server.py", SERVER_OK)
+        tree.write("client.py", 'REQUEST = {"op": "evict"}\n')
         assert [f for f in tree.findings() if f.rule.startswith("PT")] == []

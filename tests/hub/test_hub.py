@@ -10,6 +10,7 @@ from repro.errors import (
     HubError,
     QuotaExceededError,
     RateLimitedError,
+    RemoteProtocolError,
     RepositoryNotFoundError,
 )
 from repro.hub import RepositoryHub
@@ -184,6 +185,47 @@ class TestQuota:
         )
         assert result.commits_sent == 2
         assert 0 < hub.tenant_usage("t") <= 500_000_000
+
+    @pytest.mark.parametrize(
+        "meta, blobs",
+        [
+            ({"op": "push", "chunk_digests": [["x"]], "refs": {}}, [b"blob"]),
+            ({"op": "put_chunks", "digests": [{"a": 1}]}, [b"blob"]),
+        ],
+        ids=["push", "put_chunks"],
+    )
+    def test_malformed_write_on_quota_tenant_is_typed(self, meta, blobs):
+        """Quota arithmetic used to read the digest list before any
+        schema check ran: unhashable digests escaped as ``internal hub
+        error: TypeError`` (reason ``internal``) — only on tenants with
+        a quota. Validation now runs in admission, before the repo is
+        acquired (auto-created) and before quota state is read."""
+        from repro.remote.protocol import (
+            decode_message,
+            encode_message,
+            raise_remote_error,
+        )
+
+        hub = RepositoryHub()
+        hub.add_tenant("tiny", tokens=["tok"], quota_bytes=10**6)
+        response = hub.handle_request(
+            "tiny", "proj", "tok", encode_message(meta, blobs)
+        )
+        with pytest.raises(RemoteProtocolError) as raised:
+            raise_remote_error(decode_message(response)[0])
+        assert str(raised.value) == (
+            f"remote rejected request: invalid {meta['op']} request: "
+            "chunk digests must be a list of strings"
+        )
+        denied = {
+            reason: hub.registry.value(
+                "repro_admission_denied_total", tenant="tiny", reason=reason
+            )
+            for reason in ("protocol", "internal")
+        }
+        assert denied == {"protocol": 1, "internal": 0}
+        assert hub.list_repos("tiny") == []
+        assert hub.tenant_usage("tiny") == 0
 
 
 class TestHubGC:
