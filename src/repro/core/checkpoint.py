@@ -39,6 +39,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..data.serialize import payload_from_bytes, payload_to_bytes
 from ..storage.accounting import StorageStats
@@ -138,9 +139,11 @@ class CheckpointStore(ABC):
         with self._lock:
             return len(self._index)
 
-    def records(self) -> list[CheckpointRecord]:
+    def records(self, start: int = 0) -> list[CheckpointRecord]:
+        """Records currently indexed, in arrival order, from the
+        ``start``-th on."""
         with self._lock:
-            return list(self._index.values())
+            return list(islice(self._index.values(), start, None))
 
     def import_record(self, record: CheckpointRecord) -> bool:
         """Adopt a record replicated from a peer or loaded from disk.

@@ -10,6 +10,7 @@ ancestor, and the commits lying between an ancestor and a head.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
 from ..errors import CommitNotFoundError, MergeError
 from .commit import PipelineCommit
@@ -49,6 +50,15 @@ class CommitGraph:
 
     def all_commits(self) -> list[PipelineCommit]:
         return sorted(self._commits.values(), key=lambda c: c.sequence)
+
+    def arrivals(self, start: int = 0) -> list[PipelineCommit]:
+        """Commits in the order they were added, from the ``start``-th on.
+
+        This order only ever grows at its end and a parent always
+        precedes its children, whatever ``sequence`` the commits carry —
+        what an append-only journal needs; and unlike :meth:`all_commits`
+        it costs the tail asked for, not a sort of the whole graph."""
+        return list(islice(self._commits.values(), start, None))
 
     # --------------------------------------------------------------- queries
     def ancestors(self, commit_id: str, include_self: bool = True) -> set[str]:

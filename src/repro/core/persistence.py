@@ -25,7 +25,10 @@ Two layouts are supported:
 
 The per-object dict codecs (:func:`commit_to_dict` & friends) are shared
 with the remote-sync wire protocol: a pack travelling over a transport
-and a state file resting on disk serialize commits identically.
+and a state file resting on disk serialize commits identically. The hub
+stores the same dicts one per line in append-only journals
+(:func:`append_journal` / :func:`read_journal`) behind a header
+(:func:`repository_header`) — see :mod:`repro.hub.hub` for that layout.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import os
 
 from ..errors import RepositoryError
-from ..storage.chunk_store import FileChunkStore
+from ..storage.chunk_store import FileChunkStore, write_atomic
 from ..storage.object_store import Recipe
 from .checkpoint import CheckpointRecord
 from .commit import PipelineCommit
@@ -55,10 +58,48 @@ def write_json_atomic(path: str, payload: dict, **dump_kwargs) -> None:
     crashed writer must never leave a truncated metadata file under its
     real name — loaders would fail on it and the repository (or a whole
     hub) would be unreadable until repaired by hand."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, **dump_kwargs)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, **dump_kwargs).encode("utf-8"))
+
+
+# ---------------------------------------------------------------- journals
+def append_journal(path: str, committed: int, rows) -> int:
+    """Append ``rows`` (one JSON value per line) after the first
+    ``committed`` bytes of the journal at ``path``; return its new length.
+
+    Bytes past ``committed`` are what a writer that died before its
+    commit point left behind (whole rows or a torn one) and are cut off
+    first. The caller commits the returned length by publishing it
+    elsewhere (the hub writes it into the repository header); until
+    then readers keep seeing ``committed`` bytes."""
+    data = b"".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        + b"\n"
+        for row in rows
+    )
+    with open(path, "ab") as fh:
+        size = fh.tell()
+        if size < committed:
+            raise RepositoryError(
+                f"journal {path} holds {size} bytes, {committed} were committed"
+            )
+        if size > committed:
+            fh.truncate(committed)
+        fh.write(data)
+    return committed + len(data)
+
+
+def read_journal(path: str, committed: int) -> list:
+    """The rows in the first ``committed`` bytes of the journal at
+    ``path`` — never a byte past them, whatever the file holds."""
+    if not committed:
+        return []
+    with open(path, "rb") as fh:
+        data = fh.read(committed)
+    if len(data) < committed:
+        raise RepositoryError(
+            f"journal {path} holds {len(data)} bytes, {committed} were committed"
+        )
+    return [json.loads(line) for line in data.splitlines()]
 
 
 # ------------------------------------------------------------- dict codecs
@@ -152,9 +193,9 @@ def record_from_dict(entry: dict) -> CheckpointRecord:
 
 
 # ------------------------------------------------------------- state file
-def repository_state(repo) -> dict:
-    """Serializable snapshot of a repository's version-control state."""
-    commits = [commit_to_dict(c) for c in repo.graph.all_commits()]
+def repository_header(repo) -> dict:
+    """The small mutable part of a repository's version-control state:
+    everything but the commits, whose number only ever grows."""
     specs = {
         name: spec_to_dict(repo.spec(name)) for name in repo.branches.pipelines()
     }
@@ -176,12 +217,18 @@ def repository_state(repo) -> dict:
         "format": FORMAT_VERSION,
         "metric": repo.metric,
         "seed": repo.seed,
-        "commits": commits,
         "specs": specs,
         "heads": heads,
         "commit_counts": counts,
         "sequence": repo._sequence,
     }
+
+
+def repository_state(repo) -> dict:
+    """Serializable snapshot of a repository's version-control state."""
+    state = repository_header(repo)
+    state["commits"] = [commit_to_dict(c) for c in repo.graph.all_commits()]
+    return state
 
 
 def save_repository(repo, path: str | os.PathLike[str]) -> None:
@@ -200,10 +247,16 @@ def load_repository(path: str | os.PathLike[str], registry=None, repo=None):
     history is intact) but cannot be re-instantiated until the components
     are registered.
     """
-    from .repository import MLCask
-
     with open(os.fspath(path)) as fh:
         state = json.load(fh)
+    return restore_repository(state, registry=registry, repo=repo)
+
+
+def restore_repository(state: dict, registry=None, repo=None):
+    """:func:`load_repository` from an already-parsed state; commits are
+    added in the order ``state["commits"]`` lists them."""
+    from .repository import MLCask
+
     if state.get("format") != FORMAT_VERSION:
         raise RepositoryError(
             f"unsupported repository format {state.get('format')!r}"

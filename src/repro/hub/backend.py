@@ -28,6 +28,7 @@ charge (every held chunk counted in full); the backend's
 from __future__ import annotations
 
 import threading
+from itertools import islice
 
 from ..errors import ChunkNotFoundError
 from ..storage.chunk_store import ChunkStore, MemoryChunkStore
@@ -245,9 +246,10 @@ class TenantChunkStore(ChunkStore):
         """Tenant-logical bytes this repository holds (quota currency)."""
         return self._held_bytes
 
-    def holdings(self) -> dict[str, int]:
-        """Snapshot of digest -> size, for the persisted manifest."""
-        return dict(self._held)
+    def holdings(self, start: int = 0) -> dict[str, int]:
+        """Snapshot of digest -> size in arrival order, from the
+        ``start``-th holding on, for the persisted manifest."""
+        return dict(islice(self._held.items(), start, None))
 
     def size_of(self, digest: str) -> int | None:
         return self._held.get(digest)

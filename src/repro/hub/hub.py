@@ -25,13 +25,35 @@ Persistence layout (``root`` directory)::
     <root>/hub.json                      tenant registry (tokens, quotas)
     <root>/chunks/ab/cdef...             the shared chunk backend (bytes,
                                          stored once deployment-wide)
-    <root>/tenants/<t>/<r>/state.json    per-repo version-control state
-    <root>/tenants/<t>/<r>/recipes.json  blob digest -> chunk digests
-    <root>/tenants/<t>/<r>/checkpoints.json
-    <root>/tenants/<t>/<r>/lineage.json  provenance ledger (append-only)
-    <root>/tenants/<t>/<r>/chunks.json   holdings manifest: [digest, size]
-                                         pairs — the repo's membership in
-                                         the shared backend
+    <root>/tenants/<t>/<r>/state.json    the repo's *header*: metric, seed,
+                                         specs, heads, commit counts,
+                                         sequence, the journal generation
+                                         ``g`` and the committed byte
+                                         length of each journal
+    <root>/tenants/<t>/<r>/commits.<g>.jsonl      commits, arrival order
+    <root>/tenants/<t>/<r>/recipes.<g>.jsonl      blob digest -> chunk digests
+    <root>/tenants/<t>/<r>/checkpoints.<g>.jsonl  checkpoint records
+    <root>/tenants/<t>/<r>/lineage.<g>.jsonl      provenance ledger rows
+    <root>/tenants/<t>/<r>/chunks.<g>.jsonl       holdings manifest: [digest,
+                                         size] pairs — the repo's membership
+                                         in the shared backend
+
+Everything a hosted repository keeps only grows between garbage
+collections, so a persist costs what the repository *gained*: each
+journal (one JSON value per line) gets the rows its store has added
+since the last persist appended, then the header is replaced atomically
+with the new lengths. That replace is the commit point. A loader reads
+exactly the committed length of each journal; the next writer cuts off
+whatever lies past it — rows a writer appended before dying short of the
+header, or a torn one — so a crash at any write leaves the previous
+committed state. Only ``gc_repo`` removes or amends rows: it writes all
+five journals afresh under the next generation number, commits them with
+the header that names that generation, then removes the old files. A
+journal nothing was ever appended to has no file. A directory from
+before the journals (its header carries the commits themselves, beside
+``recipes.json``, ``checkpoints.json``, ``lineage.json`` and
+``chunks.json``) still loads, and its next persist rewrites it in this
+layout.
 
 A repository directory holds *no* chunk bytes of its own: the holdings
 manifest is the per-repo claim on the shared backend, and backend
@@ -42,6 +64,7 @@ disabled and nothing persists.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -53,12 +76,15 @@ from ..core.persistence import (
     LINEAGE_FILE,
     RECIPES_FILE,
     STATE_FILE,
-    load_repository,
+    append_journal,
+    commit_to_dict,
+    read_journal,
     recipe_from_dict,
     recipe_to_dict,
     record_from_dict,
     record_to_dict,
-    repository_state,
+    repository_header,
+    restore_repository,
     write_json_atomic,
 )
 from ..core.repository import MLCask
@@ -79,6 +105,7 @@ from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from ..ops import OP_TABLE, OpSpec
+from ..provenance.ledger import lineage_record_to_dict
 from ..remote import pack
 from ..remote.protocol import decode_message, error_response
 from ..remote.server import RepositoryServer
@@ -113,8 +140,39 @@ def _denial_reason(error: Exception) -> str:
 
 CHUNKS_DIR = "chunks"
 TENANTS_DIR = "tenants"
-HOLDINGS_FILE = "chunks.json"
 HUB_FORMAT_VERSION = 1
+
+#: journal -> the rows (JSON values) a hosted repository's store has
+#: gained from its ``start``-th on, in arrival order.
+_JOURNAL_TAILS = {
+    "commits": lambda hosted, start: [
+        commit_to_dict(c) for c in hosted.server.repo.graph.arrivals(start)
+    ],
+    "recipes": lambda hosted, start: [
+        recipe_to_dict(r) for r in hosted.server.repo.objects.recipes(start)
+    ],
+    "checkpoints": lambda hosted, start: [
+        record_to_dict(r) for r in hosted.server.repo.checkpoints.records(start)
+    ],
+    "lineage": lambda hosted, start: [
+        lineage_record_to_dict(r)
+        for r in hosted.server.repo.lineage.records(start)
+    ],
+    "chunks": lambda hosted, start: list(hosted.view.holdings(start).items()),
+}
+
+#: Where a directory from before the journals keeps the same rows (its
+#: commits sit in the header itself): journal -> (file, key). Load-only.
+_LEGACY_FILES = {
+    "recipes": (RECIPES_FILE, "recipes"),
+    "checkpoints": (CHECKPOINTS_FILE, "records"),
+    "lineage": (LINEAGE_FILE, "records"),
+    "chunks": ("chunks.json", "chunks"),
+}
+
+
+def _journal_file(name: str, generation: int) -> str:
+    return f"{name}.{generation}.jsonl"
 
 #: Default bound on simultaneously loaded repositories. Sized for "many
 #: repos, few hot": a hub serving hundreds of repos keeps only the
@@ -138,7 +196,7 @@ class HostedRepository:
 
     __slots__ = (
         "tenant", "name", "view", "server", "inflight",
-        "adopt_config", "provisional",
+        "adopt_config", "provisional", "committed",
     )
 
     def __init__(self, tenant: str, name: str, view: TenantChunkStore):
@@ -160,6 +218,10 @@ class HostedRepository:
         #: discarded (see :meth:`RepositoryHub._release`) so a denied or
         #: rejected creating push never squats the name.
         self.provisional = False
+        #: What the header on disk commits: ``(generation, {journal:
+        #: (rows, bytes)})``. None until this repo has a header in the
+        #: journal layout (new, or loaded from an older directory).
+        self.committed: tuple[int, dict[str, tuple[int, int]]] | None = None
 
     @property
     def key(self) -> tuple[str, str]:
@@ -387,7 +449,8 @@ class RepositoryHub:
                 repo_dir = os.path.join(tenant_dir, name)
                 if not os.path.isfile(os.path.join(repo_dir, STATE_FILE)):
                     continue
-                holdings = self._read_holdings(repo_dir)
+                state = self._read_header(repo_dir)
+                holdings = dict(self._read_rows(repo_dir, state, "chunks"))
                 self.backend.register_holdings(holdings)
                 self._record_persisted_locked(
                     (tenant, name), sum(holdings.values())
@@ -406,48 +469,84 @@ class RepositoryHub:
             self._persisted_by_tenant[key[0]] -= size
 
     @staticmethod
-    def _read_holdings(repo_dir: str) -> dict[str, int]:
-        path = os.path.join(repo_dir, HOLDINGS_FILE)
-        if not os.path.isfile(path):
-            return {}
-        with open(path) as fh:
-            return {
-                digest: size for digest, size in json.load(fh)["chunks"]
-            }
+    def _read_header(repo_dir: str) -> dict:
+        with open(os.path.join(repo_dir, STATE_FILE)) as fh:
+            return json.load(fh)
 
-    def _persist_hosted(self, hosted: HostedRepository) -> None:
-        """Write a repo's metadata + holdings manifest (bytes already
-        live in the shared backend, written at request time)."""
+    @staticmethod
+    def _read_rows(repo_dir: str, state: dict, name: str) -> list:
+        """The committed rows of one journal of a persisted repository."""
+        if "commits" not in state:
+            return read_journal(
+                os.path.join(repo_dir, _journal_file(name, state["generation"])),
+                state["journals"][name],
+            )
+        # A directory from before the journals: same rows, other files.
+        if name == "commits":
+            return state["commits"]
+        file_name, key = _LEGACY_FILES[name]
+        path = os.path.join(repo_dir, file_name)
+        if not os.path.isfile(path):  # e.g. no ledger in the oldest ones
+            return []
+        with open(path) as fh:
+            return json.load(fh)[key]
+
+    def _persist_hosted(
+        self, hosted: HostedRepository, compact: bool = False
+    ) -> None:
+        """Append what the repo gained since its last persist to the
+        journals, then commit it by replacing the header (bytes already
+        live in the shared backend, written at request time).
+
+        ``compact`` (garbage collection, the one caller that removed or
+        amended rows) writes every journal afresh under the next
+        generation instead; so does the first persist of a repository
+        that has no journal-layout header yet. Either way nothing the
+        current header names is touched before the new header is in
+        place, and ``hosted.committed`` moves only after it is."""
         if self.root is None:
             return
-        repo = hosted.server.repo
         repo_dir = self._repo_dir(hosted.tenant, hosted.name)
         os.makedirs(repo_dir, exist_ok=True)
+        if hosted.committed is None:
+            compact, generation, marks = True, 0, {}
+        elif compact:
+            generation, marks = hosted.committed[0] + 1, {}
+        else:
+            generation, marks = hosted.committed
+        committed = {}
+        for name, tail in _JOURNAL_TAILS.items():
+            rows_done, length = marks.get(name, (0, 0))
+            rows = tail(hosted, rows_done)
+            if rows:
+                length = append_journal(
+                    os.path.join(repo_dir, _journal_file(name, generation)),
+                    length,
+                    rows,
+                )
+            committed[name] = (rows_done + len(rows), length)
+        header = repository_header(hosted.server.repo)
+        header["generation"] = generation
+        header["journals"] = {name: mark[1] for name, mark in committed.items()}
         write_json_atomic(
-            os.path.join(repo_dir, STATE_FILE),
-            repository_state(repo),
-            sort_keys=True,
+            os.path.join(repo_dir, STATE_FILE), header, sort_keys=True
         )
-        write_json_atomic(
-            os.path.join(repo_dir, RECIPES_FILE),
-            {"recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]},
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, CHECKPOINTS_FILE),
-            {"records": [record_to_dict(r) for r in repo.checkpoints.records()]},
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, LINEAGE_FILE),
-            repo.lineage.to_payload(),
-            sort_keys=True,
-        )
-        write_json_atomic(
-            os.path.join(repo_dir, HOLDINGS_FILE),
-            {"chunks": sorted(hosted.view.holdings().items())},
-            sort_keys=True,
-        )
+        hosted.committed = (generation, committed)
+        if compact:
+            self._sweep_repo_dir(repo_dir, generation)
+
+    @staticmethod
+    def _sweep_repo_dir(repo_dir: str, generation: int) -> None:
+        """Remove the metadata files the committed header no longer
+        names: journals of other generations (the one just compacted
+        away, or what a compaction that died before its header left),
+        the files of the pre-journal layout, temp leftovers."""
+        keep = {STATE_FILE}
+        keep.update(_journal_file(name, generation) for name in _JOURNAL_TAILS)
+        for entry in os.listdir(repo_dir):
+            if entry not in keep and entry.endswith((".jsonl", ".json", ".tmp")):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(repo_dir, entry))
 
     # ------------------------------------------------------- repo lookup
     def _new_hosted(
@@ -482,29 +581,29 @@ class RepositoryHub:
 
     def _load_repo(self, tenant: str, name: str) -> HostedRepository:
         repo_dir = self._repo_dir(tenant, name)
-        state_path = os.path.join(repo_dir, STATE_FILE)
-        with open(state_path) as fh:
-            state = json.load(fh)
-        holdings = self._read_holdings(repo_dir)
+        state = self._read_header(repo_dir)
+        rows = {
+            journal: self._read_rows(repo_dir, state, journal)
+            for journal in _JOURNAL_TAILS
+        }
         hosted = self._new_hosted(
-            tenant, name, state["metric"], state["seed"], holdings
+            tenant, name, state["metric"], state["seed"], dict(rows["chunks"])
         )
         repo = hosted.server.repo
-        load_repository(state_path, repo=repo)
-        recipes_path = os.path.join(repo_dir, RECIPES_FILE)
-        if os.path.isfile(recipes_path):
-            with open(recipes_path) as fh:
-                for entry in json.load(fh)["recipes"]:
-                    repo.objects.add_recipe(recipe_from_dict(entry))
-        checkpoints_path = os.path.join(repo_dir, CHECKPOINTS_FILE)
-        if os.path.isfile(checkpoints_path):
-            with open(checkpoints_path) as fh:
-                for entry in json.load(fh)["records"]:
-                    repo.checkpoints.import_record(record_from_dict(entry))
-        lineage_path = os.path.join(repo_dir, LINEAGE_FILE)
-        if os.path.isfile(lineage_path):  # absent in pre-ledger directories
-            with open(lineage_path) as fh:
-                repo.lineage.load_payload(json.load(fh))
+        restore_repository({**state, "commits": rows["commits"]}, repo=repo)
+        for entry in rows["recipes"]:
+            repo.objects.add_recipe(recipe_from_dict(entry))
+        for entry in rows["checkpoints"]:
+            repo.checkpoints.import_record(record_from_dict(entry))
+        repo.lineage.import_entries(rows["lineage"])
+        if "commits" not in state:
+            hosted.committed = (
+                state["generation"],
+                {
+                    journal: (len(rows[journal]), state["journals"][journal])
+                    for journal in _JOURNAL_TAILS
+                },
+            )
         self.loads += 1
         self._m_loads.inc()
         return hosted
@@ -699,8 +798,9 @@ class RepositoryHub:
         orphan chunks from interrupted streamed pushes included — is
         released from the shared backend (physically reclaimed only when
         the last holding repo lets go) and the tenant's logical usage
-        shrinks accordingly. Runs under the repo's exclusive lock and
-        re-persists, so readers never observe a half-swept store.
+        shrinks accordingly. Runs under the repo's exclusive lock, so
+        readers never observe a half-swept store, and re-persists by
+        compaction: the one full rewrite of the journals.
         Returns the :class:`~repro.storage.gc.GCReport`.
         """
         from ..storage.gc import collect_garbage, live_digests_of_repo
@@ -715,7 +815,7 @@ class RepositoryHub:
                     # kept but flagged, so provenance survives the sweep.
                     repo.lineage.mark_collected(live)
                     report = collect_garbage(repo.objects, live)
-                self._persist_hosted(hosted)
+                self._persist_hosted(hosted, compact=True)
                 return report
         finally:
             self._release(hosted)

@@ -179,10 +179,11 @@ class LineageLedger:
         with self._lock:
             return len(self._records)
 
-    def records(self) -> tuple[LineageRecord, ...]:
-        """Snapshot of every record, append order (oldest first)."""
+    def records(self, start: int = 0) -> tuple[LineageRecord, ...]:
+        """Snapshot of the records from row ``start`` on, append order
+        (oldest first)."""
         with self._lock:
-            return tuple(self._records)
+            return tuple(self._records[start:])
 
     def outputs(self) -> set[str]:
         """Every output ref the ledger has seen produced or adopted."""

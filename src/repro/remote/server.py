@@ -875,6 +875,23 @@ class RepositoryServer:
         non-fast-forward is, so no update is ever lost silently.
         """
         repo = self.repo
+        updates = meta.get("refs", {})
+        # The stale-head check needs nothing from the pack, so it runs
+        # before the pack is imported: a push that lost a race is refused
+        # without its chunks landing in the store.
+        for pipeline, branches in updates.items():
+            for branch, update in branches.items():
+                current = (
+                    repo.branches.head(pipeline, branch)
+                    if repo.branches.has_branch(pipeline, branch)
+                    else None
+                )
+                if current != update.get("old"):
+                    raise PushRejectedError(
+                        pipeline, branch,
+                        "remote branch moved since refs were negotiated "
+                        "(stale old head); fetch and retry",
+                    )
         # Content-completeness gate, before anything imports: every chunk a
         # pushed recipe references must either ride in this message or
         # already be held (landed by put_chunks pre-seeding or earlier
@@ -915,23 +932,13 @@ class RepositoryServer:
             )
             pack.import_commits(repo, meta.get("commits", []))
 
-        updates = meta.get("refs", {})
         # Validate every update before applying any: a push is atomic.
+        # (Heads cannot have moved since the stale-head check above: the
+        # whole push runs under the exclusive lock.)
         for pipeline, branches in updates.items():
             for branch, update in branches.items():
-                observed = update.get("old")
+                current = update.get("old")
                 new_head = update["new"]
-                current = (
-                    repo.branches.head(pipeline, branch)
-                    if repo.branches.has_branch(pipeline, branch)
-                    else None
-                )
-                if current != observed:
-                    raise PushRejectedError(
-                        pipeline, branch,
-                        "remote branch moved since refs were negotiated "
-                        "(stale old head); fetch and retry",
-                    )
                 if new_head not in repo.graph:
                     raise PushRejectedError(
                         pipeline, branch,

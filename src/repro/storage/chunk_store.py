@@ -10,12 +10,33 @@ folder-archival baselines.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from abc import ABC, abstractmethod
 
 from ..errors import ChunkIntegrityError, ChunkNotFoundError
 from .accounting import StorageStats
 from .hashing import sha256_hex
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Publish ``data`` under ``path`` by write-to-temp + rename.
+
+    The temp name is unique per writer (process and thread), so two
+    writers of one path never share a temp file and a rename can only
+    publish bytes its own writer finished; a failed write removes its
+    temp. Leftovers of a killed process end in ``.tmp`` and are ignored
+    by every reader of the directory."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class ChunkStore(ABC):
@@ -178,10 +199,7 @@ class FileChunkStore(ChunkStore):
     def _write(self, digest: str, data: bytes) -> None:
         path = self._path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        write_atomic(path, data)
 
     def _read(self, digest: str) -> bytes:
         with open(self._path(digest), "rb") as fh:

@@ -13,6 +13,7 @@ engine" (section VII-C) materializes here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ..errors import ObjectNotFoundError
 from .chunk_store import ChunkStore, MemoryChunkStore
@@ -77,9 +78,10 @@ class ObjectStore:
         return digest in self._recipes
 
     # ------------------------------------------------------- replication
-    def recipes(self) -> list[Recipe]:
-        """All recipes currently held (for persistence and remote sync)."""
-        return list(self._recipes.values())
+    def recipes(self, start: int = 0) -> list[Recipe]:
+        """Recipes currently held, in arrival order, from the ``start``-th
+        on (for persistence and remote sync)."""
+        return list(islice(self._recipes.values(), start, None))
 
     def add_recipe(self, recipe: Recipe) -> None:
         """Register a recipe received from a peer or loaded from disk.

@@ -139,12 +139,15 @@ class TestFig8Shapes:
     def test_wo_pr_at_most_wo_pcpr(self, merge_result):
         """'MLCask without PR provides minor advantages over MLCask
         without PCPR.' pc_only executes a pruned subset of none's
-        candidates, so the true ratio is <= 1; the slack absorbs
-        wall-clock noise between the two measured merges (1.05 flaked
-        under load on identical code)."""
+        candidates — asserted on the component executions themselves,
+        which repeat exactly; the two merges' wall clocks (what Fig. 8
+        plots) differ by less than their run-to-run noise."""
         for app in APPS:
             m = merge_result.measures[app]
-            assert m["pc_only"].cpt_seconds <= m["none"].cpt_seconds * 1.25
+            assert (
+                0 < m["pc_only"].components_executed
+                <= m["none"].components_executed
+            )
 
     def test_all_modes_same_winner_score(self, merge_result):
         for app in APPS:

@@ -326,7 +326,7 @@ class TestLifecycle:
         assert hub.loaded_repos() == [("ben", "proj")]
         repo_dir = tmp_path / "hub" / "tenants" / "ana" / "proj"
         assert (repo_dir / "state.json").is_file()
-        assert (repo_dir / "chunks.json").is_file()
+        assert (repo_dir / "chunks.0.jsonl").is_file()
         # usage survives eviction
         assert hub.tenant_usage("ana") == hub.tenant_usage("ben") > 0
         # reloading serves the same history (and evicts ben's in turn)
@@ -343,11 +343,11 @@ class TestLifecycle:
         repo_dir = tmp_path / "hub" / "tenants" / "ana" / "proj"
         names = {p.name for p in repo_dir.iterdir()}
         assert names == {
-            "state.json", "recipes.json", "checkpoints.json", "chunks.json",
-            "lineage.json",
+            "state.json", "commits.0.jsonl", "recipes.0.jsonl",
+            "checkpoints.0.jsonl", "chunks.0.jsonl", "lineage.0.jsonl",
         }
-        with open(repo_dir / "chunks.json") as fh:
-            holdings = json.load(fh)["chunks"]
+        with open(repo_dir / "chunks.0.jsonl") as fh:
+            holdings = [json.loads(line) for line in fh]
         assert holdings and all(
             isinstance(d, str) and isinstance(s, int) for d, s in holdings
         )

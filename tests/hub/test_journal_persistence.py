@@ -1,0 +1,568 @@
+"""Hub metadata persistence: append-only journals behind one atomic header.
+
+What is held here: a repository persisted push by push reloads as the
+repository it was (and as one persisted in a single push); a writer that
+dies at any write of a persist or of a GC compaction leaves the previous
+committed state, which a restarted hub loads, serves and builds on; rows
+a rejected push left behind ride the next persist; GC compacts; a
+directory in the pre-journal layout loads and is upgraded; and a persist
+writes what the push added, not what the repository holds.
+"""
+
+import itertools
+import json
+import os
+import shutil
+
+import pytest
+
+import repro.hub.hub as hub_module
+from repro.core.checkpoint import CheckpointRecord
+from repro.core.persistence import (
+    commit_to_dict,
+    recipe_to_dict,
+    record_to_dict,
+    repository_header,
+    repository_state,
+)
+from repro.errors import MLCaskError, PushRejectedError
+from repro.hub import RepositoryHub
+from repro.provenance.ledger import LineageRecord, lineage_record_to_dict
+from repro.remote import clone_repository
+from repro.remote.protocol import (
+    decode_message,
+    encode_message,
+    raise_remote_error,
+)
+from repro.storage.hashing import sha256_hex
+
+from helpers import build_workload_repo
+
+TENANT, REPO, TOKEN = "ana", "proj", "tok"
+JOURNALS = ("commits", "recipes", "checkpoints", "lineage", "chunks")
+
+
+# ------------------------------------------------------------------ helpers
+def open_hub(root) -> RepositoryHub:
+    hub = RepositoryHub(root)
+    if not hub.authenticator.has_tenant(TENANT):
+        hub.add_tenant(TENANT, tokens=[TOKEN])
+    return hub
+
+
+def push(hub, local, workload, name: str):
+    remote = local.add_remote(name, hub.local_transport(TENANT, REPO, TOKEN))
+    return remote.push(workload.name)
+
+
+def commit_model(local, workload, version: int):
+    return local.commit(
+        workload.name,
+        {"model": workload.model_version(version)},
+        message=f"model v{version}",
+    )[0]
+
+
+def repo_dir(root) -> str:
+    return os.path.join(root, "tenants", TENANT, REPO)
+
+
+def snapshot(hub) -> dict:
+    """Everything a hosted repository persists, in arrival order, plus
+    the books the hub keeps about it."""
+    hosted = hub._acquire(TENANT, REPO, create=False)
+    try:
+        repo = hosted.server.repo
+        holdings = hosted.view.holdings()
+        return {
+            "header": repository_header(repo),
+            "commits": [commit_to_dict(c) for c in repo.graph.arrivals()],
+            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()],
+            "records": [record_to_dict(r) for r in repo.checkpoints.records()],
+            "lineage": [
+                lineage_record_to_dict(r) for r in repo.lineage.records()
+            ],
+            "holdings": list(holdings.items()),
+            "refcounts": {d: hub.backend.refcount(d) for d in holdings},
+            "tenant_usage": hub.tenant_usage(TENANT),
+            "physical_bytes": hub.backend.physical_bytes,
+        }
+    finally:
+        hub._release(hosted)
+
+
+def unordered(state: dict) -> dict:
+    """A snapshot with arrival order taken out (two different push
+    sequences reach the same content in different orders)."""
+    return {
+        key: sorted(json.dumps(row, sort_keys=True) for row in value)
+        if isinstance(value, list)
+        else value
+        for key, value in state.items()
+    }
+
+
+def committed_journals(root) -> dict[str, bytes]:
+    """What the header on disk commits, read without the hub's code:
+    the first ``journals[name]`` bytes of each generation-``g`` file."""
+    directory = repo_dir(root)
+    with open(os.path.join(directory, "state.json")) as fh:
+        header = json.load(fh)
+    content = {}
+    for name in JOURNALS:
+        length = header["journals"][name]
+        path = os.path.join(directory, f"{name}.{header['generation']}.jsonl")
+        if length:
+            with open(path, "rb") as fh:
+                content[name] = fh.read()[:length]
+            assert len(content[name]) == length
+        else:
+            content[name] = b""
+    return content
+
+
+def assert_books_match_journals(hub, root) -> None:
+    """``physical_bytes`` and ``tenant_usage`` equal a recompute from
+    the committed holdings journal (one tenant, one repo)."""
+    rows = committed_journals(root)["chunks"].splitlines()
+    held = sum(json.loads(row)[1] for row in rows)
+    stats = hub.stats()
+    assert stats["physical_bytes"] == held
+    assert stats["tenant_usage"][TENANT] == held
+
+
+def assert_clone_verifies(hub, head: str, workload) -> None:
+    clone = clone_repository(hub.local_transport(TENANT, REPO, TOKEN))
+    assert clone.branches.head(workload.name, "master") == head
+    blobs = {
+        digest
+        for commit in clone.graph.all_commits()
+        for digest in commit.stage_outputs.values()
+    }
+    assert blobs
+    for digest in blobs:
+        assert sha256_hex(clone.objects.get(digest)) == digest
+
+
+class Crash(RuntimeError):
+    """The writer dies here."""
+
+
+def die_before_write(monkeypatch, nth: int) -> list:
+    """Let ``nth`` metadata writes of the hub through (journal appends
+    and header replaces alike), then die before the next one. Returns
+    the list the writes are logged to."""
+    log: list = []
+
+    def guarded(name, original):
+        def wrapper(*args, **kwargs):
+            if len(log) >= nth:
+                raise Crash(f"before write {nth} ({name})")
+            log.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("append_journal", "write_json_atomic"):
+        monkeypatch.setattr(
+            hub_module, name, guarded(name, getattr(hub_module, name))
+        )
+    return log
+
+
+def push_garbage(hub, tag: bytes) -> dict:
+    """Land content no commit references — a chunk, its recipe, a
+    checkpoint record and a ledger row — through a ref-less push, which
+    persists like any other. Returns the digests to look for."""
+    blob = tag * 2000
+    digest = sha256_hex(blob)
+    record = CheckpointRecord(
+        key=f"key-{digest[:8]}", component_id="dead.component",
+        output_ref=digest, output_bytes=len(blob), run_seconds=0.0,
+    )
+    row = LineageRecord(
+        checkpoint_key=record.key, stage="dead", pipeline="p",
+        component_id="dead.component", component_fingerprint="f",
+        component_version="0.0", params_digest="d", input_refs=(),
+        output_ref=digest, seed=0, trace_id="", span_id="", tenant=TENANT,
+        via="executed",
+    )
+    meta = {
+        "op": "push",
+        "chunk_digests": [digest],
+        "recipes": [{"blob": digest, "chunks": [digest], "size": len(blob)}],
+        "records": [record_to_dict(record)],
+        "lineage": [lineage_record_to_dict(row)],
+        "refs": {},
+    }
+    transport = hub.local_transport(TENANT, REPO, TOKEN)
+    answer, _ = decode_message(transport.call(encode_message(meta, [blob])))
+    raise_remote_error(answer)
+    return {"chunk": digest, "record": record.key}
+
+
+def write_pre_journal_layout(hub, root) -> None:
+    """Rewrite the repo directory the way the hub persisted it before
+    the journals: the whole state in ``state.json`` and one full JSON
+    file per collection."""
+    directory = repo_dir(root)
+    hosted = hub._loaded[(TENANT, REPO)]
+    repo = hosted.server.repo
+    shutil.rmtree(directory)
+    os.makedirs(directory)
+    files = {
+        "state.json": repository_state(repo),
+        "recipes.json": {
+            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]
+        },
+        "checkpoints.json": {
+            "records": [record_to_dict(r) for r in repo.checkpoints.records()]
+        },
+        "lineage.json": repo.lineage.to_payload(),
+        "chunks.json": {"chunks": sorted(hosted.view.holdings().items())},
+    }
+    for name, payload in files.items():
+        with open(os.path.join(directory, name), "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+
+
+# -------------------------------------------------------------------- tests
+class TestEquivalence:
+    def test_incremental_persists_reload_as_the_live_repo_and_as_one_persist(
+        self, tmp_path, workload
+    ):
+        local = build_workload_repo(workload, commits=1)
+        stepwise = open_hub(tmp_path / "stepwise")
+        push(stepwise, local, workload, "s0")
+        for version in (2, 3, 4):
+            commit_model(local, workload, version)
+            push(stepwise, local, workload, f"s{version}")
+        live = snapshot(stepwise)
+
+        reloaded = snapshot(open_hub(tmp_path / "stepwise"))
+        assert reloaded == live  # order included
+
+        once = open_hub(tmp_path / "once")
+        push(once, local, workload, "once")  # the same history, one persist
+        assert unordered(snapshot(open_hub(tmp_path / "once"))) == unordered(live)
+
+    def test_eviction_persists_only_the_tail_and_reload_continues(
+        self, tmp_path, workload
+    ):
+        hub = RepositoryHub(tmp_path / "hub", max_loaded_repos=1)
+        hub.add_tenant(TENANT, tokens=[TOKEN])
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "first")
+        before = snapshot(hub)
+        hub.create_repo(TENANT, "other")  # evicts proj
+        assert hub.loaded_repos() == [(TENANT, "other")]
+        assert snapshot(hub) == before  # reloaded from the journals
+        commit_model(local, workload, 2)
+        push(hub, local, workload, "second")
+        assert snapshot(open_hub(tmp_path / "hub")) == snapshot(hub)
+
+
+class TestCrashPoints:
+    @pytest.fixture
+    def base(self, tmp_path, workload):
+        """A hub root with two persisted pushes, and a local repository
+        one commit ahead of it."""
+        root = tmp_path / "base"
+        local = build_workload_repo(workload, commits=1)
+        hub = open_hub(root)
+        push(hub, local, workload, "b0")
+        commit_model(local, workload, 2)
+        push(hub, local, workload, "b1")
+        state = snapshot(hub)
+        commit_model(local, workload, 3)
+        return root, local, state
+
+    def test_a_push_cut_at_any_write_leaves_the_previous_state(
+        self, tmp_path, workload, base, monkeypatch
+    ):
+        root, local, previous = base
+        head = local.branches.head(workload.name, "master")
+
+        reference_root = tmp_path / "reference"
+        shutil.copytree(root, reference_root)
+        push(open_hub(reference_root), local, workload, "ref")
+        reference = snapshot(open_hub(reference_root))
+        assert reference["header"]["heads"][workload.name]["master"] == head
+
+        for cut in itertools.count():
+            cut_root = tmp_path / f"cut-{cut}"
+            shutil.copytree(root, cut_root)
+            with monkeypatch.context() as patch:
+                log = die_before_write(patch, cut)
+                try:
+                    push(open_hub(cut_root), local, workload, f"cut{cut}")
+                except MLCaskError:
+                    pass  # the persist died; the hub process is gone
+                else:
+                    break  # every write of the persist went through
+            assert log.count("write_json_atomic") == 0  # died short of the commit
+
+            restarted = open_hub(cut_root)
+            assert snapshot(restarted) == previous
+            assert_books_match_journals(restarted, cut_root)
+            assert_clone_verifies(
+                restarted, previous["header"]["heads"][workload.name]["master"],
+                workload,
+            )
+            push(restarted, local, workload, f"retry{cut}")
+            assert snapshot(restarted) == reference
+            assert committed_journals(cut_root) == committed_journals(reference_root)
+            after = open_hub(cut_root)
+            assert snapshot(after) == reference
+            assert_books_match_journals(after, cut_root)
+            assert_clone_verifies(after, head, workload)
+        # one append per journal (the push added rows to all five), then
+        # the header: died before each of the six writes once
+        assert log == ["append_journal"] * 5 + ["write_json_atomic"]
+        assert cut == len(log)
+
+    def test_a_header_replace_that_fails_publishes_nothing(
+        self, tmp_path, workload, base, monkeypatch
+    ):
+        root, local, previous = base
+        hub = open_hub(root)
+        with monkeypatch.context() as patch:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            patch.setattr("repro.storage.chunk_store.os.replace", refuse)
+            with pytest.raises(MLCaskError):
+                push(hub, local, workload, "doomed")
+        assert not [n for n in os.listdir(repo_dir(root)) if n.endswith(".tmp")]
+        restarted = open_hub(root)
+        assert snapshot(restarted) == previous
+        # the same hub object recovers too: its cursor never moved
+        push(hub, local, workload, "again")
+        assert snapshot(open_hub(root)) == snapshot(hub)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b'{"torn": "ro', b"\x00\xffgarbage\n" * 3, b'{"whole": "row"}\n'],
+        ids=["torn-line", "garbage", "uncommitted-row"],
+    )
+    def test_bytes_past_the_committed_length_are_never_read(
+        self, workload, base, tail
+    ):
+        root, local, previous = base
+        before = committed_journals(root)
+        for name in JOURNALS:
+            with open(os.path.join(repo_dir(root), f"{name}.0.jsonl"), "ab") as fh:
+                fh.write(tail)
+        restarted = open_hub(root)
+        assert snapshot(restarted) == previous
+        assert_books_match_journals(restarted, root)
+        push(restarted, local, workload, "next")  # cuts the tail off, appends
+        after = committed_journals(root)
+        for name in JOURNALS:
+            assert after[name].startswith(before[name])
+            assert tail not in after[name]
+            path = os.path.join(repo_dir(root), f"{name}.0.jsonl")
+            assert os.path.getsize(path) == len(after[name])
+        assert snapshot(open_hub(root)) == snapshot(restarted)
+        assert_clone_verifies(
+            open_hub(root), local.branches.head(workload.name, "master"), workload
+        )
+
+    def test_a_compaction_cut_at_any_write_leaves_the_previous_state(
+        self, tmp_path, workload, base, monkeypatch
+    ):
+        root, local, _ = base
+        push_garbage(open_hub(root), b"dead")
+        previous = snapshot(open_hub(root))
+        live_head = previous["header"]["heads"][workload.name]["master"]
+
+        reference_root = tmp_path / "reference"
+        shutil.copytree(root, reference_root)
+        open_hub(reference_root).gc_repo(TENANT, REPO)
+        reference = snapshot(open_hub(reference_root))
+        assert len(reference["holdings"]) < len(previous["holdings"])
+
+        for cut in itertools.count():
+            cut_root = tmp_path / f"cut-{cut}"
+            shutil.copytree(root, cut_root)
+            with monkeypatch.context() as patch:
+                log = die_before_write(patch, cut)
+                try:
+                    open_hub(cut_root).gc_repo(TENANT, REPO)
+                except Crash:
+                    pass
+                else:
+                    break
+            restarted = open_hub(cut_root)
+            assert snapshot(restarted) == previous
+            assert_books_match_journals(restarted, cut_root)
+            assert_clone_verifies(restarted, live_head, workload)
+            restarted.gc_repo(TENANT, REPO)  # the retried sweep
+            assert committed_journals(cut_root) == committed_journals(reference_root)
+            after = open_hub(cut_root)
+            assert snapshot(after) == reference
+            assert_books_match_journals(after, cut_root)
+            assert_clone_verifies(after, live_head, workload)
+            # what the dead compaction wrote is gone with the old generation
+            assert all(
+                ".1." in name or name == "state.json"
+                for name in os.listdir(repo_dir(cut_root))
+            )
+        assert log == ["append_journal"] * 5 + ["write_json_atomic"]
+        assert cut == len(log)  # died before each of the six writes once
+
+    def test_a_compaction_that_dies_after_its_header_is_committed(
+        self, workload, base, monkeypatch
+    ):
+        root, local, _ = base
+        push_garbage(open_hub(root), b"dead")
+        with monkeypatch.context() as patch:
+            def die(repo_dir, generation):
+                raise Crash("before the old generation is removed")
+
+            patch.setattr(RepositoryHub, "_sweep_repo_dir", staticmethod(die))
+            with pytest.raises(Crash):
+                open_hub(root).gc_repo(TENANT, REPO)
+        names = os.listdir(repo_dir(root))
+        assert "chunks.0.jsonl" in names and "chunks.1.jsonl" in names
+        restarted = open_hub(root)
+        assert restarted.tenant_usage(TENANT) > 0
+        assert_books_match_journals(restarted, root)  # generation 1 is what counts
+        assert_clone_verifies(
+            restarted, local.graph.get(
+                local.branches.head(workload.name, "master")
+            ).parents[0], workload,
+        )
+        restarted.gc_repo(TENANT, REPO)  # the next compaction sweeps the strays
+        assert sorted(os.listdir(repo_dir(root))) == sorted(
+            ["state.json"] + [f"{name}.2.jsonl" for name in JOURNALS]
+        )
+
+
+class TestRejectedThenAccepted:
+    def test_rows_a_rejected_push_left_ride_the_next_persist(
+        self, tmp_path, workload
+    ):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        ana = build_workload_repo(workload, commits=1)
+        push(hub, ana, workload, "a0")
+        ben = clone_repository(
+            hub.local_transport(TENANT, REPO, TOKEN), registry=ana.registry
+        )
+        commit_model(ana, workload, 2)
+        push(hub, ana, workload, "a1")
+        orphan = commit_model(ben, workload, 3)
+        with pytest.raises(PushRejectedError, match="non-fast-forward"):
+            ben.remote("origin").push(workload.name)
+        # imported, not persisted: no on_change fired
+        assert orphan.commit_id not in committed_journals(root)["commits"].decode()
+
+        commit_model(ana, workload, 4)
+        push(hub, ana, workload, "a2")
+        live = snapshot(hub)
+        assert orphan.commit_id in [c["commit_id"] for c in live["commits"]]
+        assert snapshot(open_hub(root)) == live
+
+
+class TestCompaction:
+    def test_gc_shrinks_the_journals_and_flags_survive_reload(
+        self, tmp_path, workload
+    ):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "first")
+        dead = push_garbage(hub, b"dead")
+        before = committed_journals(root)
+        assert dead["chunk"].encode() in before["chunks"]
+        assert dead["record"].encode() in before["checkpoints"]
+        usage = hub.tenant_usage(TENANT)
+
+        report = hub.gc_repo(TENANT, REPO)
+        assert report.swept_chunks == 1
+        after = committed_journals(root)
+        for name in ("chunks", "recipes", "checkpoints"):
+            assert len(after[name]) < len(before[name])
+        assert dead["chunk"].encode() not in after["chunks"]
+        assert dead["chunk"].encode() not in after["recipes"]
+        assert dead["record"].encode() not in after["checkpoints"]
+        assert after["commits"] == before["commits"]
+        # ledger rows are kept and flagged, never dropped
+        rows = [json.loads(line) for line in after["lineage"].splitlines()]
+        assert len(rows) == len(before["lineage"].splitlines())
+        assert [r["collected"] for r in rows if r["stage"] == "dead"] == [True]
+        # the journals moved to the next generation; the old files are gone
+        assert sorted(os.listdir(repo_dir(root))) == sorted(
+            ["state.json"] + [f"{name}.1.jsonl" for name in JOURNALS]
+        )
+
+        restarted = open_hub(root)
+        assert snapshot(restarted) == snapshot(hub)
+        assert restarted.tenant_usage(TENANT) < usage
+        hosted = restarted._acquire(TENANT, REPO, create=False)
+        assert hosted.server.repo.lineage.collected_count() == 1
+        restarted._release(hosted)
+        # appends continue on the compacted generation
+        commit_model(local, workload, 2)
+        push(restarted, local, workload, "second")
+        assert snapshot(open_hub(root)) == snapshot(restarted)
+
+
+class TestPreJournalLayout:
+    def test_old_directory_loads_and_its_next_persist_upgrades_it(
+        self, tmp_path, workload
+    ):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "first")
+        write_pre_journal_layout(hub, root)
+        # the old files listed commits by sequence and holdings by digest
+        expected = unordered(snapshot(hub))
+
+        restarted = open_hub(root)
+        assert unordered(snapshot(restarted)) == expected
+        assert "chunks.json" in os.listdir(repo_dir(root))  # loading wrote nothing
+
+        commit_model(local, workload, 2)
+        push(restarted, local, workload, "second")
+        names = sorted(os.listdir(repo_dir(root)))
+        assert names == sorted(["state.json"] + [f"{n}.0.jsonl" for n in JOURNALS])
+        with open(os.path.join(repo_dir(root), "state.json")) as fh:
+            assert "commits" not in json.load(fh)
+        assert snapshot(open_hub(root)) == snapshot(restarted)
+
+
+class TestPersistCostIsTheDelta:
+    def test_bytes_written_by_the_kth_push_do_not_grow_with_k(
+        self, tmp_path, workload, monkeypatch
+    ):
+        written = []  # bytes per metadata write, across the current push
+
+        def counting_append(path, committed, rows, original=hub_module.append_journal):
+            length = original(path, committed, rows)
+            written.append(length - committed)
+            return length
+
+        def counting_header(path, payload, original=hub_module.write_json_atomic, **kw):
+            original(path, payload, **kw)
+            written.append(os.path.getsize(path))
+
+        monkeypatch.setattr(hub_module, "append_journal", counting_append)
+        monkeypatch.setattr(hub_module, "write_json_atomic", counting_header)
+
+        hub = open_hub(tmp_path / "hub")
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "p1")
+        per_push = []
+        for version in range(2, 9):  # one commit, one new model, every time
+            commit_model(local, workload, version)
+            written.clear()
+            push(hub, local, workload, f"p{version}")
+            per_push.append(sum(written))
+        total = sum(len(j) for j in committed_journals(tmp_path / "hub").values())
+        # same-sized pushes write same-sized deltas (float digits wobble)...
+        assert max(per_push) <= 1.25 * min(per_push)
+        # ...far below what the repository holds by then
+        assert per_push[-1] * 4 < total

@@ -157,7 +157,7 @@ class TestHubHosting:
         hub.add_tenant("ana", tokens=["tok-ana"])
         local = self._push(hub, workload)
         ledger_path = (
-            tmp_path / "hub" / "tenants" / "ana" / "proj" / LINEAGE_FILE
+            tmp_path / "hub" / "tenants" / "ana" / "proj" / "lineage.0.jsonl"
         )
         assert ledger_path.is_file()
         # a fresh hub over the same root serves the same ledger

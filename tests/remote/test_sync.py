@@ -5,6 +5,7 @@ import pytest
 from repro import MLCask
 from repro.errors import ChunkIntegrityError, PushRejectedError, RemoteError
 from repro.remote import LocalTransport, RepositoryServer, clone_repository
+from repro.remote.protocol import decode_message
 
 
 def make_clone(transport, server_repo):
@@ -154,6 +155,46 @@ class TestPush:
         with pytest.raises(PushRejectedError):
             slow.remote("origin").push(workload.name, "master")
         assert server_repo.head_commit(workload.name).message == "fast"
+
+
+    def test_push_that_lost_the_race_is_refused_before_its_content_lands(
+        self, server_repo, workload
+    ):
+        """The server's head moves between the client's ref negotiation
+        and its push message: the push is stale, and nothing it carried
+        — chunks, recipes, commits — may reach the server's stores."""
+        server = RepositoryServer(server_repo)
+
+        class RacedTransport(LocalTransport):
+            def _call(self, payload):
+                meta, _ = decode_message(payload)
+                if meta["op"] == "push":
+                    server_repo.commit(
+                        workload.name,
+                        {"model": workload.model_version(2)},
+                        message="winner",
+                    )
+                    self.before = snapshot()
+                return super()._call(payload)
+
+        def snapshot():
+            return (
+                len(server_repo.graph),
+                len(server_repo.objects),
+                len(server_repo.objects.chunks),
+                len(server_repo.checkpoints),
+                len(server_repo.lineage),
+            )
+
+        transport = RacedTransport(server)
+        clone = make_clone(transport, server_repo)
+        clone.commit(
+            workload.name, {"model": workload.model_version(3)}, message="loser"
+        )
+        with pytest.raises(PushRejectedError, match="stale old head"):
+            clone.remote("origin").push(workload.name, "master")
+        assert snapshot() == transport.before
+        assert server_repo.head_commit(workload.name).message == "winner"
 
 
 class TestPull:

@@ -73,6 +73,27 @@ class TestFileChunkStore:
         with pytest.raises(ChunkNotFoundError):
             FileChunkStore(tmp_path).get("a" * 64)
 
+    def test_temp_leftovers_of_a_dead_writer_are_not_chunks(self, tmp_path):
+        store = FileChunkStore(tmp_path)
+        digest = store.put(b"whole")
+        fanout = tmp_path / digest[:2]
+        (fanout / ("f" * 62 + ".4242-139872.tmp")).write_bytes(b"half a chu")
+        (fanout / ("e" * 62 + ".tmp")).write_bytes(b"older naming")
+        assert store.digests() == [digest]
+        assert FileChunkStore(tmp_path).digests() == [digest]
+
+    def test_failed_write_removes_its_temp(self, tmp_path, monkeypatch):
+        store = FileChunkStore(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("repro.storage.chunk_store.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            store.put(b"never lands")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert store.digests() == []
+
 
 class TestChunkReplication:
     """The have/want and verified-import primitives behind remote sync."""
