@@ -53,12 +53,16 @@ CHECKPOINTS_FILE = "checkpoints.json"
 LINEAGE_FILE = "lineage.json"
 
 
-def write_json_atomic(path: str, payload: dict, **dump_kwargs) -> None:
+def write_json_atomic(
+    path: str, payload: dict, sync: bool = False, **dump_kwargs
+) -> None:
     """Write-to-temp + rename, like the chunk store's object files: a
     crashed writer must never leave a truncated metadata file under its
     real name — loaders would fail on it and the repository (or a whole
-    hub) would be unreadable until repaired by hand."""
-    write_atomic(path, json.dumps(payload, **dump_kwargs).encode("utf-8"))
+    hub) would be unreadable until repaired by hand. ``sync`` flushes the
+    file and its rename to disk before returning (see
+    :func:`~repro.storage.chunk_store.write_atomic`)."""
+    write_atomic(path, json.dumps(payload, **dump_kwargs).encode("utf-8"), sync)
 
 
 # ---------------------------------------------------------------- journals
@@ -70,7 +74,9 @@ def append_journal(path: str, committed: int, rows) -> int:
     commit point left behind (whole rows or a torn one) and are cut off
     first. The caller commits the returned length by publishing it
     elsewhere (the hub writes it into the repository header); until
-    then readers keep seeing ``committed`` bytes."""
+    then readers keep seeing ``committed`` bytes. The rows are flushed to
+    disk before returning, so a length published afterwards never names
+    bytes a power loss could still take."""
     data = b"".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")).encode("utf-8")
         + b"\n"
@@ -85,6 +91,8 @@ def append_journal(path: str, committed: int, rows) -> int:
         if size > committed:
             fh.truncate(committed)
         fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     return committed + len(data)
 
 

@@ -41,14 +41,16 @@ Persistence layout (``root`` directory)::
 Everything a hosted repository keeps only grows between garbage
 collections, so a persist costs what the repository *gained*: each
 journal (one JSON value per line) gets the rows its store has added
-since the last persist appended, then the header is replaced atomically
-with the new lengths. That replace is the commit point. A loader reads
-exactly the committed length of each journal; the next writer cuts off
-whatever lies past it — rows a writer appended before dying short of the
-header, or a torn one — so a crash at any write leaves the previous
-committed state. Only ``gc_repo`` removes or amends rows: it writes all
-five journals afresh under the next generation number, commits them with
-the header that names that generation, then removes the old files. A
+since the last persist appended and flushed to disk, then the header is
+replaced atomically (and durably) with the new lengths. That replace is
+the commit point. A loader reads exactly the committed length of each
+journal; the next writer cuts off whatever lies past it — rows a writer
+appended before dying short of the header, or a torn one — so a crash at
+any write leaves the previous committed state. Only ``gc_repo`` removes
+or amends rows: it writes all five journals afresh under the next
+generation number, commits them with the header that names that
+generation, then removes the old files (and if that persist fails while
+the hub lives on, the next one does the same instead of appending). A
 journal nothing was ever appended to has no file. A directory from
 before the journals (its header carries the commits themselves, beside
 ``recipes.json``, ``checkpoints.json``, ``lineage.json`` and
@@ -67,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -142,23 +145,32 @@ CHUNKS_DIR = "chunks"
 TENANTS_DIR = "tenants"
 HUB_FORMAT_VERSION = 1
 
-#: journal -> the rows (JSON values) a hosted repository's store has
-#: gained from its ``start``-th on, in arrival order.
-_JOURNAL_TAILS = {
-    "commits": lambda hosted, start: [
-        commit_to_dict(c) for c in hosted.server.repo.graph.arrivals(start)
-    ],
-    "recipes": lambda hosted, start: [
-        recipe_to_dict(r) for r in hosted.server.repo.objects.recipes(start)
-    ],
-    "checkpoints": lambda hosted, start: [
-        record_to_dict(r) for r in hosted.server.repo.checkpoints.records(start)
-    ],
-    "lineage": lambda hosted, start: [
-        lineage_record_to_dict(r)
-        for r in hosted.server.repo.lineage.records(start)
-    ],
-    "chunks": lambda hosted, start: list(hosted.view.holdings(start).items()),
+#: journal -> (the store of a hosted repository it mirrors, whose
+#: ``len`` is the rows it holds; the rows (JSON values) that store has
+#: gained from its ``start``-th on, in arrival order).
+_JOURNALS = {
+    "commits": (
+        lambda hosted: hosted.server.repo.graph,
+        lambda graph, start: [commit_to_dict(c) for c in graph.arrivals(start)],
+    ),
+    "recipes": (
+        lambda hosted: hosted.server.repo.objects,
+        lambda objects, start: [recipe_to_dict(r) for r in objects.recipes(start)],
+    ),
+    "checkpoints": (
+        lambda hosted: hosted.server.repo.checkpoints,
+        lambda store, start: [record_to_dict(r) for r in store.records(start)],
+    ),
+    "lineage": (
+        lambda hosted: hosted.server.repo.lineage,
+        lambda ledger, start: [
+            lineage_record_to_dict(r) for r in ledger.records(start)
+        ],
+    ),
+    "chunks": (
+        lambda hosted: hosted.view,
+        lambda view, start: list(view.holdings(start).items()),
+    ),
 }
 
 #: Where a directory from before the journals keeps the same rows (its
@@ -173,6 +185,9 @@ _LEGACY_FILES = {
 
 def _journal_file(name: str, generation: int) -> str:
     return f"{name}.{generation}.jsonl"
+
+
+_JOURNAL_FILE_NAME = re.compile(r"(?P<name>[a-z]+)\.(?P<generation>\d+)\.jsonl")
 
 #: Default bound on simultaneously loaded repositories. Sized for "many
 #: repos, few hot": a hub serving hundreds of repos keeps only the
@@ -196,7 +211,7 @@ class HostedRepository:
 
     __slots__ = (
         "tenant", "name", "view", "server", "inflight",
-        "adopt_config", "provisional", "committed",
+        "adopt_config", "provisional", "committed", "compaction_due",
     )
 
     def __init__(self, tenant: str, name: str, view: TenantChunkStore):
@@ -222,6 +237,11 @@ class HostedRepository:
         #: (rows, bytes)})``. None until this repo has a header in the
         #: journal layout (new, or loaded from an older directory).
         self.committed: tuple[int, dict[str, tuple[int, int]]] | None = None
+        #: True from before garbage collection removes or amends rows the
+        #: journals hold until a compacted generation is committed: the
+        #: row counts in ``committed`` no longer index the stores, so the
+        #: next persist, whoever runs it, must not append from them.
+        self.compaction_due = False
 
     @property
     def key(self) -> tuple[str, str]:
@@ -491,33 +511,34 @@ class RepositoryHub:
         with open(path) as fh:
             return json.load(fh)[key]
 
-    def _persist_hosted(
-        self, hosted: HostedRepository, compact: bool = False
-    ) -> None:
+    def _persist_hosted(self, hosted: HostedRepository) -> None:
         """Append what the repo gained since its last persist to the
         journals, then commit it by replacing the header (bytes already
         live in the shared backend, written at request time).
 
-        ``compact`` (garbage collection, the one caller that removed or
-        amended rows) writes every journal afresh under the next
-        generation instead; so does the first persist of a repository
-        that has no journal-layout header yet. Either way nothing the
-        current header names is touched before the new header is in
-        place, and ``hosted.committed`` moves only after it is."""
+        While ``hosted.compaction_due`` is set (garbage collection, the
+        one caller that removes or amends rows, sets it first) every
+        journal is written afresh under the next generation instead; so
+        is the first persist of a repository that has no journal-layout
+        header yet. Either way nothing the current header names is
+        touched before the new header is in place, and
+        ``hosted.committed`` / ``compaction_due`` move only after it is:
+        a persist that fails leaves the next one the same work."""
         if self.root is None:
             return
         repo_dir = self._repo_dir(hosted.tenant, hosted.name)
         os.makedirs(repo_dir, exist_ok=True)
+        compact = hosted.compaction_due or hosted.committed is None
         if hosted.committed is None:
-            compact, generation, marks = True, 0, {}
+            generation, marks = 0, {}
         elif compact:
             generation, marks = hosted.committed[0] + 1, {}
         else:
             generation, marks = hosted.committed
         committed = {}
-        for name, tail in _JOURNAL_TAILS.items():
+        for name, (store_of, tail) in _JOURNALS.items():
             rows_done, length = marks.get(name, (0, 0))
-            rows = tail(hosted, rows_done)
+            rows = tail(store_of(hosted), rows_done)
             if rows:
                 length = append_journal(
                     os.path.join(repo_dir, _journal_file(name, generation)),
@@ -529,22 +550,33 @@ class RepositoryHub:
         header["generation"] = generation
         header["journals"] = {name: mark[1] for name, mark in committed.items()}
         write_json_atomic(
-            os.path.join(repo_dir, STATE_FILE), header, sort_keys=True
+            os.path.join(repo_dir, STATE_FILE), header, sync=True, sort_keys=True
         )
         hosted.committed = (generation, committed)
+        hosted.compaction_due = False
         if compact:
             self._sweep_repo_dir(repo_dir, generation)
 
     @staticmethod
     def _sweep_repo_dir(repo_dir: str, generation: int) -> None:
         """Remove the metadata files the committed header no longer
-        names: journals of other generations (the one just compacted
-        away, or what a compaction that died before its header left),
-        the files of the pre-journal layout, temp leftovers."""
-        keep = {STATE_FILE}
-        keep.update(_journal_file(name, generation) for name in _JOURNAL_TAILS)
+        names, and nothing else: journals of other generations (the one
+        just compacted away, or what a compaction that died before its
+        header left), the files of the pre-journal layout, the header's
+        temp leftovers."""
+        legacy = {file_name for file_name, _ in _LEGACY_FILES.values()}
         for entry in os.listdir(repo_dir):
-            if entry not in keep and entry.endswith((".jsonl", ".json", ".tmp")):
+            journal = _JOURNAL_FILE_NAME.fullmatch(entry)
+            stale = (
+                entry in legacy
+                or (entry.startswith(STATE_FILE + ".") and entry.endswith(".tmp"))
+                or (
+                    journal is not None
+                    and journal["name"] in _JOURNALS
+                    and int(journal["generation"]) != generation
+                )
+            )
+            if stale:
                 with contextlib.suppress(OSError):
                     os.unlink(os.path.join(repo_dir, entry))
 
@@ -584,7 +616,7 @@ class RepositoryHub:
         state = self._read_header(repo_dir)
         rows = {
             journal: self._read_rows(repo_dir, state, journal)
-            for journal in _JOURNAL_TAILS
+            for journal in _JOURNALS
         }
         hosted = self._new_hosted(
             tenant, name, state["metric"], state["seed"], dict(rows["chunks"])
@@ -597,11 +629,14 @@ class RepositoryHub:
             repo.checkpoints.import_record(record_from_dict(entry))
         repo.lineage.import_entries(rows["lineage"])
         if "commits" not in state:
+            # Row cursors come from the stores, which is what a persist
+            # slices: a loader that folds two equal rows into one must
+            # not leave the cursor past the end of its store.
             hosted.committed = (
                 state["generation"],
                 {
-                    journal: (len(rows[journal]), state["journals"][journal])
-                    for journal in _JOURNAL_TAILS
+                    journal: (len(store_of(hosted)), state["journals"][journal])
+                    for journal, (store_of, _) in _JOURNALS.items()
                 },
             )
         self.loads += 1
@@ -810,12 +845,17 @@ class RepositoryHub:
             with self._tenant_lock(tenant):
                 with hosted.server.maintenance() as repo:
                     live = live_digests_of_repo(repo)
+                    # From here on the stores no longer line up with the
+                    # journals; the flag outlives a persist that fails,
+                    # so whichever persist comes next (a push, eviction)
+                    # compacts instead of appending from stale cursors.
+                    hosted.compaction_due = True
                     repo.checkpoints.prune(live)
                     # Append-only ledger: records for swept outputs are
                     # kept but flagged, so provenance survives the sweep.
                     repo.lineage.mark_collected(live)
                     report = collect_garbage(repo.objects, live)
-                self._persist_hosted(hosted, compact=True)
+                self._persist_hosted(hosted)
                 return report
         finally:
             self._release(hosted)

@@ -20,23 +20,37 @@ from .accounting import StorageStats
 from .hashing import sha256_hex
 
 
-def write_atomic(path: str, data: bytes) -> None:
+def write_atomic(path: str, data: bytes, sync: bool = False) -> None:
     """Publish ``data`` under ``path`` by write-to-temp + rename.
 
     The temp name is unique per writer (process and thread), so two
     writers of one path never share a temp file and a rename can only
     publish bytes its own writer finished; a failed write removes its
     temp. Leftovers of a killed process end in ``.tmp`` and are ignored
-    by every reader of the directory."""
+    by every reader of the directory.
+
+    ``sync`` makes the publication durable before returning: the bytes
+    are flushed to disk before the rename, the directory after it. For a
+    file whose rename commits other files (the hub's repository header);
+    content-addressed chunks can be re-sent and skip the two flushes."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
+            if sync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    if sync:
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 class ChunkStore(ABC):

@@ -438,6 +438,36 @@ class TestCrashPoints:
             ["state.json"] + [f"{name}.2.jsonl" for name in JOURNALS]
         )
 
+    def test_a_compaction_that_fails_in_a_hub_that_lives_on_is_redone(
+        self, tmp_path, workload, base, monkeypatch
+    ):
+        """The disk fills up mid-GC and the hub keeps serving: its stores
+        are swept, the journals are not. The next push must compact, not
+        append from row counts the sweep invalidated."""
+        root, local, _ = base
+        dead = push_garbage(open_hub(root), b"dead")
+        head = local.branches.head(workload.name, "master")
+        for cut in range(6):  # five journals, then the header
+            cut_root = tmp_path / f"cut-{cut}"
+            shutil.copytree(root, cut_root)
+            hub = open_hub(cut_root)
+            with monkeypatch.context() as patch:
+                die_before_write(patch, cut)
+                with pytest.raises(Crash):
+                    hub.gc_repo(TENANT, REPO)
+            push(hub, local, workload, f"after{cut}")  # same hub, no restart
+            journals = committed_journals(cut_root)
+            assert dead["chunk"].encode() not in journals["chunks"]
+            assert dead["record"].encode() not in journals["checkpoints"]
+            restarted = open_hub(cut_root)
+            assert snapshot(restarted) == snapshot(hub)
+            assert_books_match_journals(restarted, cut_root)
+            assert_clone_verifies(restarted, head, workload)
+            assert all(
+                ".1." in name or name == "state.json"
+                for name in os.listdir(repo_dir(cut_root))
+            )
+
 
 class TestRejectedThenAccepted:
     def test_rows_a_rejected_push_left_ride_the_next_persist(
@@ -507,6 +537,85 @@ class TestCompaction:
         commit_model(local, workload, 2)
         push(restarted, local, workload, "second")
         assert snapshot(open_hub(root)) == snapshot(restarted)
+
+    def test_gc_removes_only_the_files_it_owns(self, tmp_path, workload):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        push(hub, build_workload_repo(workload, commits=1), workload, "first")
+        strangers = ["notes.json", "audit.jsonl", "upload.tmp", "commits.old.jsonl"]
+        stale = ["state.json.123-456.tmp", "recipes.json", "chunks.7.jsonl"]
+        for name in strangers + stale:
+            with open(os.path.join(repo_dir(root), name), "w") as fh:
+                fh.write("{}")
+        hub.gc_repo(TENANT, REPO)
+        assert sorted(os.listdir(repo_dir(root))) == sorted(
+            ["state.json"] + [f"{name}.1.jsonl" for name in JOURNALS] + strangers
+        )
+
+
+class TestCursorsFollowTheStores:
+    def test_a_journal_row_the_loader_folds_away_does_not_shift_the_cursor(
+        self, tmp_path, workload
+    ):
+        root = tmp_path / "hub"
+        local = build_workload_repo(workload, commits=1)
+        push(open_hub(root), local, workload, "first")
+        # commit the last ledger row a second time: the ledger keeps one
+        header_path = os.path.join(repo_dir(root), "state.json")
+        with open(header_path) as fh:
+            header = json.load(fh)
+        journal = os.path.join(repo_dir(root), "lineage.0.jsonl")
+        with open(journal, "rb") as fh:
+            last = fh.read().splitlines(keepends=True)[-1]
+        with open(journal, "ab") as fh:
+            fh.write(last)
+        header["journals"]["lineage"] += len(last)
+        with open(header_path, "w") as fh:
+            json.dump(header, fh)
+
+        hub = open_hub(root)
+        commit_model(local, workload, 2)
+        push(hub, local, workload, "second")
+        live = snapshot(hub)
+        # every new row was journaled, after the one doubled row
+        on_disk = committed_journals(root)["lineage"].splitlines()
+        assert len(on_disk) == len(live["lineage"]) + 1
+        assert snapshot(open_hub(root)) == live
+
+
+class TestDurability:
+    def test_journals_reach_the_disk_before_the_header_that_names_them(
+        self, tmp_path, workload, monkeypatch
+    ):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "first")
+        commit_model(local, workload, 2)
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            if target.startswith(repo_dir(root)):
+                events.append(("fsync", os.path.basename(target)))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            if dst.startswith(repo_dir(root)):
+                events.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        push(hub, local, workload, "second")
+        flushed = [name for kind, name in events[:5] if kind == "fsync"]
+        assert sorted(flushed) == sorted(f"{name}.0.jsonl" for name in JOURNALS)
+        kinds = [kind for kind, _ in events[5:]]
+        assert kinds == ["fsync", "replace", "fsync"]  # temp, rename, directory
+        assert events[5][1].endswith(".tmp")
+        assert events[6:] == [("replace", "state.json"), ("fsync", REPO)]
 
 
 class TestPreJournalLayout:
