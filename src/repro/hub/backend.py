@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from itertools import islice
 
-from ..errors import ChunkNotFoundError
+from ..errors import ChunkIntegrityError, ChunkNotFoundError
 from ..storage.chunk_store import ChunkStore, MemoryChunkStore
 
 
@@ -221,13 +221,21 @@ class TenantChunkStore(ChunkStore):
         self._held_bytes += len(data)
 
     def _read(self, digest: str) -> bytes:
-        try:
-            return self.backend.read(digest)
-        except ChunkNotFoundError:
-            # A held digest missing from the backend means the shared
-            # store lost bytes out-of-band; surface it as this view's
-            # miss so the caller sees a normal not-found.
-            raise ChunkNotFoundError(digest) from None
+        # Membership first, before the backend is touched: an unheld
+        # digest costs no I/O and answers the same whether or not some
+        # other tenant's bytes sit underneath (no existence oracle).
+        size = self._held.get(digest)
+        if size is None:
+            raise ChunkNotFoundError(digest)
+        # A held digest the shared store lost out-of-band raises the
+        # backend's own ChunkNotFoundError: this view's normal miss.
+        data = self.backend.read(digest)
+        if len(data) != size:
+            # Truncated or overwritten on disk. The holdings row knows
+            # the size, so refuse here rather than frame and ship bytes
+            # every client's re-hash will reject.
+            raise ChunkIntegrityError(digest)
+        return data
 
     def _delete(self, digest: str) -> None:
         size = self._held.pop(digest)

@@ -632,10 +632,13 @@ class RepositoryServer:
         )
         # Known trade-off: the generator reads one chunk past the window
         # to detect overflow, and that blob is discarded with it — one
-        # redundant store read per window. Served repositories hold chunks
-        # in a MemoryChunkStore (load_dir imports the objects directory
-        # into memory), so this is a dict lookup, accepted in exchange for
-        # a single windowing implementation shared with the push path.
+        # redundant store read per window. Under ``repro serve`` that is a
+        # dict lookup (load_dir imports the objects directory into a
+        # MemoryChunkStore); on a hub it is one more file read — open,
+        # fstat, read, close — and its bytes count in the store's read
+        # stats, once per window of up to ``max_pack_bytes``. Accepted in
+        # exchange for a single windowing implementation shared with the
+        # push path.
         send_digests, payloads, _ = next(
             pack.iter_chunk_batches(self.repo.objects.chunks.get, digests, budget),
             ([], [], False),

@@ -96,14 +96,25 @@ class StorageStats:
         if self._mirror is not None:
             self._mirror["dedup"].inc(n)
 
-    def record_read(self, n: int) -> None:
+    def record_read(self, n: int, seconds: float = 0.0) -> None:
+        """One completed read of ``n`` bytes that took ``seconds`` — the
+        whole per-chunk accounting step of :meth:`ChunkStore.get`."""
         self.read_bytes += n
         self.reads += 1
+        self.read_seconds += seconds
         if self._mirror is not None:
             self._mirror["read"].inc(n)
 
     @contextmanager
     def timed_write(self):
+        """Add the wall-clock of the ``with`` body to ``write_seconds``.
+
+        For coarse, per-blob callers — ``ObjectStore.put``'s whole-blob
+        dedup branch and ``FolderStore.archive`` are the ones left. What
+        runs once per *chunk* (``ChunkStore.put``/``import_chunk``) reads
+        the clock twice inline instead: a generator context manager per
+        5 KB chunk costs more than the accounting it wraps (see "per-chunk
+        paths" in docs/invariants.md)."""
         start = time.perf_counter()
         try:
             yield
@@ -112,6 +123,9 @@ class StorageStats:
 
     @contextmanager
     def timed_read(self):
+        """Read-side twin of :meth:`timed_write`; its one remaining caller
+        is ``FolderStore.retrieve`` (one call per archived version).
+        ``ChunkStore.get`` passes its elapsed time to :meth:`record_read`."""
         start = time.perf_counter()
         try:
             yield

@@ -9,6 +9,7 @@ deadlocked scheduler or merge coordinator fails the test instead of
 hanging the run.
 """
 
+import builtins
 import os
 import signal
 import sys
@@ -25,6 +26,27 @@ try:
     _HAVE_TIMEOUT_PLUGIN = True
 except ImportError:
     _HAVE_TIMEOUT_PLUGIN = False
+
+
+@pytest.fixture
+def syscalls(monkeypatch):
+    """Names of the file system calls made, in order: ``os.open/fstat/
+    read/close/stat/lstat`` by bare name, the buffered ``open`` as
+    ``builtins.open``. For tests that hold a per-chunk path to a count
+    instead of a time; clear the list (``del syscalls[:]``) after set-up."""
+    calls: list[str] = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("open", "fstat", "read", "close", "stat", "lstat"):
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+    monkeypatch.setattr(builtins, "open", counted("builtins.open", builtins.open))
+    return calls
 
 
 def pytest_configure(config):
