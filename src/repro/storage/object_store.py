@@ -59,7 +59,7 @@ class ObjectStore:
                 self.chunks.stats.record_logical(len(data))
                 self.chunks.stats.record_dedup_hit(len(data))
             return digest
-        chunk_digests = tuple(self.chunks.put(chunk) for chunk in self.chunker.split(data))
+        chunk_digests = tuple(self.chunks.put_many(self.chunker.split(data)))
         self._recipes[digest] = Recipe(digest, chunk_digests, len(data))
         self.revision += 1
         return digest

@@ -1,15 +1,21 @@
 """Content-defined chunking tests, including hypothesis invariants."""
 
+import contextlib
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.storage import chunking
 from repro.storage.chunking import (
     ChunkerConfig,
     ContentDefinedChunker,
     FixedSizeChunker,
     rolling_hashes,
+    word_boundary_candidates,
 )
+from repro.storage.hashing import sha256_hex
 
 
 def random_bytes(n: int, seed: int = 0) -> bytes:
@@ -178,3 +184,257 @@ def test_common_suffix_shares_chunks(data, split_at):
     # enough to contain a whole chunk; just assert determinism + roundtrip.
     assert b"".join(chunks_b) == variant
     assert chunks_a == ck.split(data)
+
+
+# ------------------------------------------------------------ references
+# The one-shot kernel and the numpy-indexing cut loop as they stood before
+# the kernel was cache-blocked. They are the specification: the blocked
+# kernel and the list-walking loop must reproduce them offset for offset,
+# or every stored recipe stops deduplicating against new versions.
+
+_PRIME = np.uint64(0x9E3779B97F4A7C15)
+
+
+def reference_candidates(data: bytes, mask: int) -> np.ndarray:
+    usable = len(data) - (len(data) % 8)
+    if usable == 0:
+        return np.zeros(0, dtype=np.int64)
+    words = np.frombuffer(data, dtype="<u8", count=usable // 8)
+    mixed = words * _PRIME
+    mixed = np.bitwise_xor(mixed, np.right_shift(mixed, np.uint64(29)))
+    mixed = mixed * _PRIME
+    hits = np.flatnonzero((mixed & np.uint64(mask)) == 0)
+    return (hits + 1) * 8
+
+
+def reference_cut_points(config: ChunkerConfig, data: bytes) -> list[int]:
+    n = len(data)
+    if n == 0:
+        return []
+    if n <= config.min_size * 2:
+        return [n]
+    if config.boundary == "word":
+        candidates = reference_candidates(data, config.word_mask)
+    else:
+        hashes = rolling_hashes(data, config.window)
+        candidates = np.flatnonzero((hashes & np.uint32(config.mask)) == 0) + 1
+    cuts: list[int] = []
+    start = 0
+    idx = 0
+    while start < n:
+        lo = start + config.min_size
+        hi = min(start + config.max_size, n)
+        cut = hi
+        while idx < candidates.size and candidates[idx] < lo:
+            idx += 1
+        if idx < candidates.size and candidates[idx] <= hi:
+            cut = int(candidates[idx])
+            idx += 1
+        cuts.append(cut)
+        start = cut
+    return cuts
+
+
+@contextlib.contextmanager
+def small_blocks():
+    """Shrink the kernel's block to 64 words (512 bytes) so inputs of a
+    few KB span several blocks and every block-edge case is cheap to
+    reach. A context manager, not a fixture: hypothesis runs many inputs
+    inside one test call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chunking, "_BLOCK_WORDS", 64)
+        yield
+
+
+_BLOCK_BYTES = chunking._BLOCK_WORDS * 8
+#: Lengths around the real block size: one word short of a block, exactly
+#: one, one word over, several blocks, and none of them a multiple of 8
+#: when offset by the tails below.
+_EDGE_LENGTHS = [
+    0, 7, 8, 9, 4096,
+    _BLOCK_BYTES - 8, _BLOCK_BYTES, _BLOCK_BYTES + 8,
+    3 * _BLOCK_BYTES, 3 * _BLOCK_BYTES + 8,
+]  # fmt: skip
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    @pytest.mark.parametrize("tail", [0, 3])
+    @pytest.mark.parametrize("mask", [0x1, 0x1FF])
+    def test_equals_the_one_shot_kernel_around_the_real_block_size(self, length, tail, mask):
+        data = random_bytes(length + tail, seed=length % 97)
+        assert np.array_equal(
+            word_boundary_candidates(data, mask), reference_candidates(data, mask)
+        )
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 64, _BLOCK_BYTES + 8, 2 * _BLOCK_BYTES + 5])
+    def test_all_zero_data_makes_every_word_a_candidate(self, length):
+        data = bytes(length)
+        candidates = word_boundary_candidates(data, 0x1FF)
+        assert candidates.tolist() == list(range(8, length - length % 8 + 1, 8))
+        assert np.array_equal(candidates, reference_candidates(data, 0x1FF))
+
+    def test_result_is_int64_offsets_like_the_reference(self):
+        data = random_bytes(3 * _BLOCK_BYTES)
+        got, want = word_boundary_candidates(data, 0xF), reference_candidates(data, 0xF)
+        assert got.dtype == want.dtype == np.int64
+
+    def test_accepts_any_byte_buffer(self):
+        data = random_bytes(40_000)
+        want = reference_candidates(data, 0x3F)
+        for buffer in (bytearray(data), memoryview(data), memoryview(b"x" + data)[1:]):
+            assert np.array_equal(word_boundary_candidates(buffer, 0x3F), want)
+
+    def test_scratch_is_per_call_so_threads_may_chunk_at_once(self):
+        """Merge workers chunk concurrently; a shared scratch buffer
+        would let one call's hashes overwrite another's mid-block."""
+        import sys
+        import threading
+
+        blobs = [random_bytes(2 * _BLOCK_BYTES + 8 * i, seed=i) for i in range(4)]
+        want = [reference_cut_points(ChunkerConfig(), blob) for blob in blobs]
+        chunker = ContentDefinedChunker()
+        wrong: list[int] = []
+
+        def work(i: int) -> None:
+            for _ in range(20):
+                if chunker.cut_points(blobs[i]) != want[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+# Lengths in units of the shrunken block: inside one, on the edge, one
+# word either side of it, several blocks — each with a ragged tail.
+_block_lengths = st.builds(
+    lambda blocks, words, tail: blocks * 512 + words * 8 + tail,
+    st.integers(0, 5),
+    st.sampled_from([-1, 0, 1, 17]),
+    st.integers(0, 7),
+).filter(lambda n: n >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=_block_lengths,
+    seed=st.integers(0, 2**16),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    mask=st.sampled_from([0x0, 0x1, 0x7, 0x1FF]),
+)
+@example(length=0, seed=0, zero_share=0.0, mask=0x1FF)
+@example(length=7, seed=0, zero_share=0.0, mask=0x1FF)
+@example(length=8, seed=0, zero_share=1.0, mask=0x1FF)
+@example(length=511, seed=1, zero_share=0.0, mask=0x1)
+@example(length=512, seed=1, zero_share=0.0, mask=0x1)
+@example(length=520, seed=1, zero_share=1.0, mask=0x1)
+def test_blocked_kernel_equals_one_shot_property(length, seed, zero_share, mask):
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 256, length, dtype=np.uint8)
+    raw[rng.random(length) < zero_share] = 0
+    data = raw.tobytes()
+    with small_blocks():
+        candidates = word_boundary_candidates(data, mask)
+    assert np.array_equal(candidates, reference_candidates(data, mask))
+
+
+_configs = st.sampled_from(
+    [
+        ChunkerConfig(),
+        ChunkerConfig(target_bits=6, min_size=32, max_size=256),  # many cuts per KB
+        ChunkerConfig(target_bits=8, min_size=64, max_size=512, boundary="byte"),
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=_configs,
+    length=st.integers(0, 6000),
+    seed=st.integers(0, 2**16),
+    zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_cut_points_and_split_equal_the_reference_property(config, length, seed, zero_share):
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 256, length, dtype=np.uint8)
+    raw[rng.random(length) < zero_share] = 0  # zero runs: clamp to min_size
+    data = raw.tobytes()
+    chunker = ContentDefinedChunker(config)
+    with small_blocks():
+        cuts = chunker.cut_points(data)
+    assert cuts == reference_cut_points(config, data)
+    assert all(type(cut) is int for cut in cuts)
+    pieces = chunker.split(data)
+    assert [len(piece) for piece in pieces] == [b - a for a, b in zip([0] + cuts, cuts)]
+    assert b"".join(pieces) == data
+
+
+def golden_blob() -> bytes:
+    """4 MiB fixed by a SHAKE-256 stream (no library RNG in the way), with
+    a 64 KiB run of zeros (every word a candidate: cuts clamp to
+    ``min_size``) and a 64 KiB constant run (no candidate: cuts fall at
+    ``max_size``)."""
+    blob = bytearray(hashlib.shake_256(b"mlcask golden recipe, seed 1509").digest(4 << 20))
+    blob[1 << 20 : (1 << 20) + (64 << 10)] = bytes(64 << 10)
+    blob[2 << 20 : (2 << 20) + (64 << 10)] = b"\x5a" * (64 << 10)
+    return bytes(blob)
+
+
+def recipe_fingerprint(pieces) -> tuple[int, str]:
+    return len(pieces), sha256_hex("".join(sha256_hex(p) for p in pieces).encode())
+
+
+class TestGoldenRecipes:
+    """Chunk count and a digest over the chunk digests, computed on commit
+    525df5e (before the kernel was blocked). A boundary that moves by one
+    word changes the digest: every recipe stored by an earlier version
+    would silently stop deduplicating against new data."""
+
+    def test_word_cdc_default(self):
+        pieces = ContentDefinedChunker().split(golden_blob())
+        assert recipe_fingerprint(pieces) == (
+            879,
+            "9739bfe1ad9c3caf84c7fd35c11346916ffaf827b4faf2fd1c1a051a5bbe1a93",
+        )
+        sizes = [len(piece) for piece in pieces]
+        assert sizes.count(1024) == 65 and sizes.count(16384) == 25  # both clamps hit
+
+    def test_byte_cdc(self):
+        chunker = ContentDefinedChunker(ChunkerConfig(boundary="byte"))
+        assert recipe_fingerprint(chunker.split(golden_blob()[: 256 << 10])) == (
+            54,
+            "817962327bef706586781e922eb5975daaf65b9a1bac523856635323d4c6e2cf",
+        )
+
+    def test_fixed_size(self):
+        assert recipe_fingerprint(FixedSizeChunker(4096).split(golden_blob())) == (
+            1024,
+            "b19050953541fdc057b291f76e6c57de944b25b7a0124f5e34c0015f2da4a4fd",
+        )
+
+
+class TestSplitHandsOutViews:
+    def test_pieces_are_views_of_the_blob_not_copies(self):
+        data = random_bytes(100_000)
+        pieces = ContentDefinedChunker().split(data)
+        assert len(pieces) > 1
+        assert all(type(piece) is memoryview and piece.obj is data for piece in pieces)
+
+    def test_views_of_bytes_hash_and_compare_by_content(self):
+        """What the dedup-fraction helpers rely on: ``set(split(x))``."""
+        data = random_bytes(60_000)
+        pieces = ContentDefinedChunker().split(data)
+        copies = [bytes(piece) for piece in pieces]
+        assert pieces == copies
+        assert set(pieces) == set(copies)
+        assert all(copy in set(pieces) for copy in copies)
