@@ -98,8 +98,18 @@ MODE_MIXED = "mixed"
 BLOCKING_CALLS = frozenset(
     {
         "open",
-        "write_json_atomic",  # repro.core.persistence — atomic disk write
-        "load_repository",  # repro.core.persistence — full repo read
+        # repro.core.persistence — every entry point that reads or
+        # writes (and fsyncs) a repository file or directory
+        "write_json_atomic",
+        "append_journal",
+        "read_journal",
+        "load_repository",
+        "save_repository_dir",
+        "load_repository_dir",
+        "restore_repository_dir",
+        "gc_repository_dir",
+        "read_repository_header",
+        "read_holdings",
     }
 )
 

@@ -746,8 +746,9 @@ def _transport_for(target: str, persist: bool = False, token: str | None = None)
     """A transport to ``target``: HTTP URL or repository-directory path.
 
     Directory remotes are loaded and served in-process over the same wire
-    protocol as HTTP; with ``persist`` the directory is rewritten after
-    every state-mutating request (i.e. a received push sticks).
+    protocol as HTTP; with ``persist`` every ref-moving push is saved
+    back to the directory before it is answered (what it added is
+    appended to the journals, then committed by the header).
     ``token`` rides as a bearer credential on HTTP remotes (hubs).
     """
     from .core.repository import MLCask

@@ -75,6 +75,9 @@ class CheckpointStore(ABC):
         self.load_seconds = 0.0
         # Mutation counter: a staleness token for response caches.
         self.revision = 0
+        #: 0 once :meth:`prune` removed records (every later row shifts),
+        #: until a save has rewritten the journal that may hold them.
+        self.amended_from: int | None = None
         # Guards the index, revision, timing accumulators, and backend
         # persistence — see the module docstring's concurrency contract.
         # Reentrant so a subclass helper may call public operations.
@@ -173,6 +176,7 @@ class CheckpointStore(ABC):
                 del self._index[key]
             if dead:
                 self.revision += 1
+                self.amended_from = 0
             return len(dead)
 
 

@@ -16,29 +16,65 @@ Two layouts are supported:
   re-execution is deterministic, so the archive converges to the same
   content);
 * a *repository directory* (:func:`save_repository_dir` /
-  :func:`load_repository_dir`) that additionally persists the
-  content-addressed store — chunks in a git-style object directory,
-  recipes and the checkpoint index as JSON — so a reloaded repository can
+  :func:`load_repository_dir` / :func:`gc_repository_dir`) that also
+  persists the content-addressed store, so a reloaded repository can
   serve clones and reuse archived outputs without re-running anything.
-  This is the on-disk format behind the ``repro serve/clone/push/pull``
-  CLI verbs.
+  It is the one on-disk form of a repository: a working copy (the
+  ``repro init/commit/run/merge/serve/clone/push/pull/gc <dir>`` verbs)
+  and a repository hosted by the hub differ only in where the chunk
+  bytes live.
+
+Repository directory layout::
+
+    <dir>/state.json             the *header*: metric, seed, specs, heads,
+                                 commit counts, sequence, the journal
+                                 generation ``g`` and the committed byte
+                                 length of each journal
+    <dir>/commits.<g>.jsonl      commits, arrival order
+    <dir>/recipes.<g>.jsonl      blob digest -> ordered chunk digests
+    <dir>/checkpoints.<g>.jsonl  checkpoint records (reuse metadata)
+    <dir>/lineage.<g>.jsonl      provenance ledger rows
+    <dir>/objects/ab/cdef...     a working copy's chunks, git-style
+                                 two-char fan-out
+    <dir>/chunks.<g>.jsonl       a hosted repository's instead: [digest,
+                                 size] rows, its holdings in the hub's
+                                 shared chunk backend (no ``objects/``)
+
+Everything a repository keeps only grows between garbage collections, so
+a save costs what the repository *gained*: chunk files the directory
+lacks are written, each journal (one JSON value per line) gets the rows
+its store has added since the last save appended and flushed to disk,
+then the header is replaced atomically (and durably) with the new
+lengths. That replace is the commit point: loaders read exactly the
+committed lengths, the next writer cuts off whatever lies past them, so
+a crash at any write leaves the previous committed state. When appending
+would be wrong — another directory, another writer in between, rows
+removed or amended since — every journal is written afresh under the
+next generation number and committed by the header that names it; only
+then do the old generation's files and the chunk files no longer held
+go. A directory from before the journals (the commits in its header, one
+whole JSON file per collection beside it) still loads, and its next save
+rewrites it in this layout. The rules, once for both hosts, are in
+``docs/invariants.md`` ("Repository metadata: one commit point").
 
 The per-object dict codecs (:func:`commit_to_dict` & friends) are shared
 with the remote-sync wire protocol: a pack travelling over a transport
-and a state file resting on disk serialize commits identically. The hub
-stores the same dicts one per line in append-only journals
-(:func:`append_journal` / :func:`read_journal`) behind a header
-(:func:`repository_header`) — see :mod:`repro.hub.hub` for that layout.
+and a journal row resting on disk serialize commits identically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
+from dataclasses import dataclass, field
 
 from ..errors import RepositoryError
+from ..provenance.ledger import lineage_record_to_dict
 from ..storage.chunk_store import FileChunkStore, write_atomic
-from ..storage.object_store import Recipe
+from ..storage.gc import GCReport, sweep_repository
+from ..storage.object_store import ObjectStore, Recipe
 from .checkpoint import CheckpointRecord
 from .commit import PipelineCommit
 from .pipeline import PipelineSpec
@@ -48,9 +84,6 @@ FORMAT_VERSION = 1
 
 STATE_FILE = "state.json"
 OBJECTS_DIR = "objects"
-RECIPES_FILE = "recipes.json"
-CHECKPOINTS_FILE = "checkpoints.json"
-LINEAGE_FILE = "lineage.json"
 
 
 def write_json_atomic(
@@ -73,10 +106,10 @@ def append_journal(path: str, committed: int, rows) -> int:
     Bytes past ``committed`` are what a writer that died before its
     commit point left behind (whole rows or a torn one) and are cut off
     first. The caller commits the returned length by publishing it
-    elsewhere (the hub writes it into the repository header); until
-    then readers keep seeing ``committed`` bytes. The rows are flushed to
-    disk before returning, so a length published afterwards never names
-    bytes a power loss could still take."""
+    elsewhere (:func:`save_repository_dir` writes it into the header);
+    until then readers keep seeing ``committed`` bytes. The rows are
+    flushed to disk before returning, so a length published afterwards
+    never names bytes a power loss could still take."""
     data = b"".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")).encode("utf-8")
         + b"\n"
@@ -241,9 +274,9 @@ def repository_state(repo) -> dict:
 
 def save_repository(repo, path: str | os.PathLike[str]) -> None:
     """Write the repository state to ``path`` as JSON."""
-    state = repository_state(repo)
-    with open(os.fspath(path), "w") as fh:
-        json.dump(state, fh, indent=2, sort_keys=True)
+    write_json_atomic(
+        os.fspath(path), repository_state(repo), indent=2, sort_keys=True
+    )
 
 
 def load_repository(path: str | os.PathLike[str], registry=None, repo=None):
@@ -292,165 +325,295 @@ def restore_repository(state: dict, registry=None, repo=None):
     return repo
 
 
-# ------------------------------------------------------ directory layout
-def save_repository_dir(repo, path: str | os.PathLike[str]) -> None:
-    """Persist state *and* content under a repository directory.
+# ----------------------------------------------------- repository directory
+#: The journal a hub-hosted repository keeps in place of ``objects/``.
+HOLDINGS = "chunks"
 
-    Layout::
+#: journal -> (the store of a repository it mirrors, whose ``len`` is the
+#: rows it holds; the rows (JSON values) that store has gained from its
+#: ``start``-th on, in arrival order).
+_JOURNALS = {
+    "commits": (
+        lambda repo: repo.graph,
+        lambda graph, start: [commit_to_dict(c) for c in graph.arrivals(start)],
+    ),
+    "recipes": (
+        lambda repo: repo.objects,
+        lambda objects, start: [recipe_to_dict(r) for r in objects.recipes(start)],
+    ),
+    "checkpoints": (
+        lambda repo: repo.checkpoints,
+        lambda store, start: [record_to_dict(r) for r in store.records(start)],
+    ),
+    "lineage": (
+        lambda repo: repo.lineage,
+        lambda ledger, start: [
+            lineage_record_to_dict(r) for r in ledger.records(start)
+        ],
+    ),
+    HOLDINGS: (
+        lambda repo: repo.objects.chunks,
+        lambda view, start: list(view.holdings(start).items()),
+    ),
+}
 
-        <dir>/state.json        version-control state (as save_repository)
-        <dir>/objects/ab/cdef.. chunks, git-style two-char fan-out
-        <dir>/recipes.json      blob digest -> ordered chunk digests
-        <dir>/checkpoints.json  checkpoint index (reuse metadata)
-        <dir>/lineage.json      append-only provenance ledger
-    """
-    root = os.fspath(path)
-    os.makedirs(root, exist_ok=True)
-    save_repository(repo, os.path.join(root, STATE_FILE))
+#: Where a directory from before the journals keeps the same rows (its
+#: commits sit in the header itself): journal -> (file, key). Load-only.
+_LEGACY_FILES = {
+    "recipes": ("recipes.json", "recipes"),
+    "checkpoints": ("checkpoints.json", "records"),
+    "lineage": ("lineage.json", "records"),
+    HOLDINGS: ("chunks.json", "chunks"),
+}
 
-    disk = FileChunkStore(os.path.join(root, OBJECTS_DIR))
-    chunks = repo.objects.chunks
-    held = set(chunks.digests())
-    for digest in held:
-        if not disk.contains(digest):
-            disk.import_chunk(digest, chunks.get(digest))
-    # Mirror deletions too: chunks the repository no longer holds (e.g.
-    # swept by gc) must not resurrect from disk on the next load.
-    for digest in disk.digests():
-        if digest not in held:
-            disk.discard(digest)
+_JOURNAL_FILE_NAME = re.compile(r"(?P<name>[a-z]+)\.(?P<generation>\d+)\.jsonl")
 
-    with open(os.path.join(root, RECIPES_FILE), "w") as fh:
-        json.dump(
-            {"recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-    with open(os.path.join(root, CHECKPOINTS_FILE), "w") as fh:
-        json.dump(
-            {"records": [record_to_dict(r) for r in repo.checkpoints.records()]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-    with open(os.path.join(root, LINEAGE_FILE), "w") as fh:
-        json.dump(repo.lineage.to_payload(), fh, indent=2, sort_keys=True)
+
+def _journal_path(root: str, name: str, generation: int) -> str:
+    return os.path.join(root, f"{name}.{generation}.jsonl")
+
+
+@dataclass
+class SavedMarks:
+    """What a repository remembers of the directory it was loaded from
+    or last saved to — what lets the next save there append."""
+
+    root: str | None = None
+    generation: int = -1
+    #: What the header at ``root`` commits: journal -> (rows, bytes).
+    journals: dict[str, tuple[int, int]] = field(default_factory=dict)
+    #: True from before garbage collection removes or amends rows the
+    #: journals hold until a compacted generation is committed: the row
+    #: counts above no longer index the stores, so the next save, whoever
+    #: runs it, must not append from them.
+    compaction_due: bool = False
 
 
 def is_repository_dir(path: str | os.PathLike[str]) -> bool:
     return os.path.isfile(os.path.join(os.fspath(path), STATE_FILE))
 
 
-def gc_repository_dir(
-    path: str | os.PathLike[str], keep_checkpoints: bool = False
-) -> tuple["GCReport", int]:
-    """Sweep a repository *directory* in place, without loading chunks.
-
-    Live roots are computed from the persisted commit graph (every stage
-    output a commit references); with ``keep_checkpoints`` the archived
-    checkpoint records count as roots too (preserving reuse for outputs
-    no commit kept, e.g. losing merge candidates). Everything else —
-    chunk files, dead recipes, and (unless kept) orphaned checkpoint
-    records — is removed, and the metadata files are rewritten to match.
-
-    Unlike ``MLCask.load_dir() -> repo.gc() -> save_dir()``, this works
-    directly against the on-disk :class:`FileChunkStore`, so peak memory
-    is the metadata, never the content. Returns ``(report,
-    pruned_records)``.
-    """
-    from ..storage.gc import GCReport, collect_garbage  # noqa: F401
-    from ..storage.object_store import ObjectStore
-
+def read_repository_header(path: str | os.PathLike[str]) -> dict:
     root = os.fspath(path)
     if not is_repository_dir(root):
         raise RepositoryError(f"not a repository directory: {root}")
     with open(os.path.join(root, STATE_FILE)) as fh:
-        state = json.load(fh)
+        return json.load(fh)
 
-    live: set[str] = set()
-    for entry in state.get("commits", []):
-        live.update(entry.get("stage_outputs", {}).values())
 
-    record_entries: list[dict] = []
-    checkpoints_path = os.path.join(root, CHECKPOINTS_FILE)
-    if os.path.isfile(checkpoints_path):
-        with open(checkpoints_path) as fh:
-            record_entries = json.load(fh)["records"]
-    if keep_checkpoints:
-        live.update(entry["output_ref"] for entry in record_entries)
-    kept_records = [
-        entry for entry in record_entries if entry["output_ref"] in live
-    ]
-
-    objects = ObjectStore(
-        chunk_store=FileChunkStore(os.path.join(root, OBJECTS_DIR))
-    )
-    recipes_path = os.path.join(root, RECIPES_FILE)
-    if os.path.isfile(recipes_path):
-        with open(recipes_path) as fh:
-            for entry in json.load(fh)["recipes"]:
-                objects.add_recipe(recipe_from_dict(entry))
-
-    report = collect_garbage(objects, live)
-
-    # Atomic rewrites: the chunk files are already gone, so a truncated
-    # recipes/checkpoints file here would leave the repo unreadable.
-    write_json_atomic(
-        recipes_path,
-        {"recipes": [recipe_to_dict(r) for r in objects.recipes()]},
-        indent=2,
-        sort_keys=True,
-    )
-    write_json_atomic(
-        checkpoints_path, {"records": kept_records}, indent=2, sort_keys=True
-    )
-
-    # The lineage ledger is append-only: rows for swept outputs are kept
-    # but flagged collected, so provenance survives the sweep.
-    lineage_path = os.path.join(root, LINEAGE_FILE)
-    if os.path.isfile(lineage_path):
-        with open(lineage_path) as fh:
-            lineage_entries = json.load(fh).get("records", [])
-        for entry in lineage_entries:
-            if entry.get("output_ref") not in live:
-                entry["collected"] = True
-        write_json_atomic(
-            lineage_path,
-            {"records": lineage_entries},
-            indent=2,
-            sort_keys=True,
+def _read_rows(root: str, header: dict, name: str) -> list:
+    """The committed rows of one journal of a repository directory."""
+    if "commits" not in header:
+        return read_journal(
+            _journal_path(root, name, header["generation"]),
+            header["journals"].get(name, 0),
         )
-    return report, len(record_entries) - len(kept_records)
+    # A directory from before the journals: same rows, other files.
+    if name == "commits":
+        return header["commits"]
+    file_name, key = _LEGACY_FILES[name]
+    path = os.path.join(root, file_name)
+    if not os.path.isfile(path):  # e.g. no ledger in the oldest ones
+        return []
+    with open(path) as fh:
+        return json.load(fh)[key]
+
+
+def read_holdings(path: str | os.PathLike[str], header: dict) -> dict[str, int]:
+    """digest -> size of every chunk a hosted repository directory
+    claims in the shared backend."""
+    return dict(_read_rows(os.fspath(path), header, HOLDINGS))
+
+
+def save_repository_dir(
+    repo, path: str | os.PathLike[str], hosted: bool = False
+) -> None:
+    """Persist state *and* content under a repository directory.
+
+    Appends what the stores gained since ``repo.saved`` was taken, then
+    commits it by replacing the header; when the marks do not describe
+    what ``path`` holds now, every journal is written afresh under the
+    next generation instead. Nothing the current header names is touched
+    before the new one is in place, and the marks move only after it is:
+    a save that fails leaves the next one the same work. ``hosted`` is
+    the hub's form: the chunk store is a view on a shared backend, whose
+    holdings are journaled in place of mirroring bytes to ``objects/``."""
+    root = os.path.abspath(os.fspath(path))
+    os.makedirs(root, exist_ok=True)
+    marks = repo.saved
+    on_disk = read_repository_header(root) if is_repository_dir(root) else {}
+    append = (
+        marks.root == root
+        and not marks.compaction_due
+        # another writer committed in between: its rows are not ours
+        and on_disk.get("generation") == marks.generation
+        and on_disk.get("journals")
+        == {name: length for name, (_, length) in marks.journals.items()}
+        and not any(
+            store.amended_from is not None
+            and store.amended_from < marks.journals[name][0]
+            for name, store in (
+                ("checkpoints", repo.checkpoints), ("lineage", repo.lineage)
+            )
+        )
+    )
+    if append:
+        generation, done = marks.generation, marks.journals
+    else:
+        generation, done = on_disk.get("generation", -1) + 1, {}
+
+    if not hosted:
+        disk = FileChunkStore(os.path.join(root, OBJECTS_DIR))
+        chunks = repo.objects.chunks
+        held = set(chunks.digests())
+        for digest in held:
+            if not disk.contains(digest):
+                disk.import_chunk(digest, chunks.get(digest))
+    committed = {}
+    for name, (store_of, tail) in _JOURNALS.items():
+        if name == HOLDINGS and not hosted:
+            continue
+        rows_done, length = done.get(name, (0, 0))
+        rows = tail(store_of(repo), rows_done)
+        if rows:
+            length = append_journal(
+                _journal_path(root, name, generation), length, rows
+            )
+        committed[name] = (rows_done + len(rows), length)
+    header = repository_header(repo)
+    header["generation"] = generation
+    header["journals"] = {name: mark[1] for name, mark in committed.items()}
+    write_json_atomic(
+        os.path.join(root, STATE_FILE), header, sync=True, sort_keys=True
+    )
+    repo.saved = SavedMarks(root, generation, committed)
+    repo.checkpoints.amended_from = repo.lineage.amended_from = None
+    if not append:
+        _sweep_repo_dir(root, generation)
+    if not hosted:
+        # Mirror deletions too: chunks the repository no longer holds
+        # (e.g. swept by gc) must not resurrect from disk on the next
+        # load — but go only now that no committed header names them.
+        for digest in disk.digests():
+            if digest not in held:
+                disk.discard(digest)
+
+
+def _sweep_repo_dir(root: str, generation: int) -> None:
+    """Remove the metadata files the committed header no longer names,
+    and nothing else: journals of other generations (the one just
+    compacted away, or what a compaction that died before its header
+    left), the files of the pre-journal layout, the header's temp
+    leftovers."""
+    legacy = {file_name for file_name, _ in _LEGACY_FILES.values()}
+    for entry in os.listdir(root):
+        journal = _JOURNAL_FILE_NAME.fullmatch(entry)
+        stale = (
+            entry in legacy
+            or (entry.startswith(STATE_FILE + ".") and entry.endswith(".tmp"))
+            or (
+                journal is not None
+                and journal["name"] in _JOURNALS
+                and int(journal["generation"]) != generation
+            )
+        )
+        if stale:
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(root, entry))
+
+
+def restore_repository_dir(
+    repo, path: str | os.PathLike[str], header: dict, registry=None
+) -> None:
+    """Fill ``repo`` with what ``header``, read from the repository
+    directory at ``path``, commits — everything but the chunks."""
+    root = os.path.abspath(os.fspath(path))
+    restore_repository(
+        {**header, "commits": _read_rows(root, header, "commits")},
+        registry=registry,
+        repo=repo,
+    )
+    for entry in _read_rows(root, header, "recipes"):
+        repo.objects.add_recipe(recipe_from_dict(entry))
+    for entry in _read_rows(root, header, "checkpoints"):
+        repo.checkpoints.import_record(record_from_dict(entry))
+    repo.lineage.import_entries(_read_rows(root, header, "lineage"))
+    if "commits" not in header:
+        # Row cursors come from the stores, which is what a save slices:
+        # a loader that folds two equal rows into one must not leave the
+        # cursor past the end of its store.
+        repo.saved = SavedMarks(
+            root,
+            header["generation"],
+            {
+                name: (len(_JOURNALS[name][0](repo)), length)
+                for name, length in header["journals"].items()
+            },
+        )
+
+
+class _ObjectsInPlace(FileChunkStore):
+    """A directory's ``objects/`` opened as the repository's own chunk
+    store. A discard only forgets the chunk: its file must outlive the
+    header that still names it, and goes when the save that follows
+    mirrors deletions."""
+
+    def __init__(self, root: str):
+        super().__init__(root)
+        self._forgotten: set[str] = set()
+
+    def _contains(self, digest: str) -> bool:
+        return digest not in self._forgotten and super()._contains(digest)
+
+    def _delete(self, digest: str) -> None:
+        self._forgotten.add(digest)
+
+    def digests(self) -> list[str]:
+        return [d for d in super().digests() if d not in self._forgotten]
+
+
+def _open_repository_dir(path, registry, in_place: bool):
+    from .repository import MLCask
+
+    header = read_repository_header(path)
+    objects_root = os.path.join(os.fspath(path), OBJECTS_DIR)
+    repo = MLCask(
+        metric=header["metric"],
+        seed=header["seed"],
+        objects=ObjectStore(_ObjectsInPlace(objects_root)) if in_place else None,
+    )
+    restore_repository_dir(repo, path, header, registry=registry)
+    if not in_place and os.path.isdir(objects_root):
+        disk = FileChunkStore(objects_root)
+        for digest in disk.digests():
+            repo.objects.import_chunk(digest, disk.get(digest))
+    return repo
 
 
 def load_repository_dir(path: str | os.PathLike[str], registry=None):
     """Rebuild a repository (state + content) from a repository directory."""
-    root = os.fspath(path)
-    if not is_repository_dir(root):
-        raise RepositoryError(f"not a repository directory: {root}")
-    repo = load_repository(os.path.join(root, STATE_FILE), registry=registry)
+    return _open_repository_dir(path, registry, in_place=False)
 
-    objects_root = os.path.join(root, OBJECTS_DIR)
-    if os.path.isdir(objects_root):
-        disk = FileChunkStore(objects_root)
-        for digest in disk.digests():
-            repo.objects.import_chunk(digest, disk.get(digest))
 
-    recipes_path = os.path.join(root, RECIPES_FILE)
-    if os.path.isfile(recipes_path):
-        with open(recipes_path) as fh:
-            for entry in json.load(fh)["recipes"]:
-                repo.objects.add_recipe(recipe_from_dict(entry))
+def gc_repository_dir(
+    path: str | os.PathLike[str], keep_checkpoints: bool = False
+) -> tuple[GCReport, int]:
+    """Sweep a repository *directory* in place, without loading chunks.
 
-    checkpoints_path = os.path.join(root, CHECKPOINTS_FILE)
-    if os.path.isfile(checkpoints_path):
-        with open(checkpoints_path) as fh:
-            for entry in json.load(fh)["records"]:
-                repo.checkpoints.import_record(record_from_dict(entry))
+    Live roots are the stage outputs of every commit; with
+    ``keep_checkpoints`` the archived checkpoint records count as roots
+    too (preserving reuse for outputs no commit kept, e.g. losing merge
+    candidates). Everything else — chunk files, dead recipes, and
+    (unless kept) orphaned checkpoint records — is removed by a
+    compacting save; ledger rows of swept outputs are kept, flagged
+    ``collected``.
 
-    lineage_path = os.path.join(root, LINEAGE_FILE)
-    if os.path.isfile(lineage_path):  # absent in pre-ledger directories
-        with open(lineage_path) as fh:
-            repo.lineage.load_payload(json.load(fh))
-    return repo
+    Unlike ``MLCask.load_dir() -> repo.gc() -> save_dir()``, the
+    repository works directly against the on-disk ``objects/``, so peak
+    memory is the metadata, never the content. Returns ``(report,
+    pruned_records)``.
+    """
+    repo = _open_repository_dir(path, None, in_place=True)
+    swept = sweep_repository(repo, keep_checkpoints)
+    save_repository_dir(repo, path)
+    return swept

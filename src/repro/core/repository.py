@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 
 from ..errors import RepositoryError
 from ..provenance.ledger import LineageLedger
+from ..storage.gc import sweep_repository
 from ..storage.kv import VersionedKV
 from ..storage.object_store import ObjectStore
+from . import persistence
 from .branching import BranchManager
 from .checkpoint import CheckpointStore, ChunkedCheckpointStore
 from .commit import PipelineCommit, make_commit_id
@@ -150,6 +152,7 @@ class MLCask:
         self._specs: dict[str, PipelineSpec] = {}
         self._sequence = 0
         self._remotes: dict[str, object] = {}
+        self.saved = persistence.SavedMarks()
 
     # ------------------------------------------------------------ plumbing
     def spec(self, pipeline: str) -> PipelineSpec:
@@ -528,14 +531,7 @@ class MLCask:
         and checkpoint-index entries alike — is swept. Persistence of the
         repositories' metafiles (``library_repo`` etc.) is untouched.
         """
-        from ..storage.gc import collect_garbage, live_digests_of_repo
-
-        live = live_digests_of_repo(self)
-        self.checkpoints.prune(live)
-        # Provenance outlives the artifacts: ledger rows for swept
-        # outputs are retained, flagged ``collected`` (append-only).
-        self.lineage.mark_collected(live)
-        return collect_garbage(self.objects, live)
+        return sweep_repository(self)[0]
 
     # -------------------------------------------------------------- remotes
     def add_remote(self, name: str, transport, max_pack_bytes: int | None = None):
@@ -583,31 +579,25 @@ class MLCask:
     # ---------------------------------------------------------- persistence
     def save(self, path) -> None:
         """Persist the version-control state (commits, branches, specs)."""
-        from .persistence import save_repository
-
-        save_repository(self, path)
+        persistence.save_repository(self, path)
 
     @classmethod
     def load(cls, path, registry: ComponentRegistry | None = None) -> "MLCask":
         """Rebuild a repository saved with :meth:`save`; see
         :mod:`repro.core.persistence` for what does and does not persist."""
-        from .persistence import load_repository
-
-        return load_repository(path, registry=registry)
+        return persistence.load_repository(path, registry=registry)
 
     def save_dir(self, path) -> None:
-        """Persist state *and* content (chunks, recipes, checkpoint index)
-        under a repository directory — the on-disk format the remote CLI
-        verbs (``repro serve/clone/push/pull``) operate on."""
-        from .persistence import save_repository_dir
-
-        save_repository_dir(self, path)
+        """Persist state *and* content (chunks, recipes, checkpoint index,
+        ledger) under a repository directory — the on-disk format the
+        remote CLI verbs (``repro serve/clone/push/pull``) operate on.
+        Saving again to the directory this repository was loaded from or
+        last saved to writes what it gained since."""
+        persistence.save_repository_dir(self, path)
 
     @classmethod
     def load_dir(
         cls, path, registry: ComponentRegistry | None = None
     ) -> "MLCask":
         """Rebuild a repository saved with :meth:`save_dir`."""
-        from .persistence import load_repository_dir
-
-        return load_repository_dir(path, registry=registry)
+        return persistence.load_repository_dir(path, registry=registry)

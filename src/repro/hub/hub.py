@@ -22,72 +22,36 @@ per-repo hot path beyond one dict lookup and a token-bucket tick.
 
 Persistence layout (``root`` directory)::
 
-    <root>/hub.json                      tenant registry (tokens, quotas)
-    <root>/chunks/ab/cdef...             the shared chunk backend (bytes,
-                                         stored once deployment-wide)
-    <root>/tenants/<t>/<r>/state.json    the repo's *header*: metric, seed,
-                                         specs, heads, commit counts,
-                                         sequence, the journal generation
-                                         ``g`` and the committed byte
-                                         length of each journal
-    <root>/tenants/<t>/<r>/commits.<g>.jsonl      commits, arrival order
-    <root>/tenants/<t>/<r>/recipes.<g>.jsonl      blob digest -> chunk digests
-    <root>/tenants/<t>/<r>/checkpoints.<g>.jsonl  checkpoint records
-    <root>/tenants/<t>/<r>/lineage.<g>.jsonl      provenance ledger rows
-    <root>/tenants/<t>/<r>/chunks.<g>.jsonl       holdings manifest: [digest,
-                                         size] pairs — the repo's membership
-                                         in the shared backend
+    <root>/hub.json             tenant registry (tokens, quotas)
+    <root>/chunks/ab/cdef...    the shared chunk backend (bytes, stored
+                                once deployment-wide)
+    <root>/tenants/<t>/<r>/     one repository directory per hosted repo
 
-Everything a hosted repository keeps only grows between garbage
-collections, so a persist costs what the repository *gained*: each
-journal (one JSON value per line) gets the rows its store has added
-since the last persist appended and flushed to disk, then the header is
-replaced atomically (and durably) with the new lengths. That replace is
-the commit point. A loader reads exactly the committed length of each
-journal; the next writer cuts off whatever lies past it — rows a writer
-appended before dying short of the header, or a torn one — so a crash at
-any write leaves the previous committed state. Only ``gc_repo`` removes
-or amends rows: it writes all five journals afresh under the next
-generation number, commits them with the header that names that
-generation, then removes the old files (and if that persist fails while
-the hub lives on, the next one does the same instead of appending). A
-journal nothing was ever appended to has no file. A directory from
-before the journals (its header carries the commits themselves, beside
-``recipes.json``, ``checkpoints.json``, ``lineage.json`` and
-``chunks.json``) still loads, and its next persist rewrites it in this
-layout.
-
-A repository directory holds *no* chunk bytes of its own: the holdings
-manifest is the per-repo claim on the shared backend, and backend
-refcounts are rebuilt from these manifests at startup. With
-``root=None`` the hub is fully in-memory (tests, examples): eviction is
-disabled and nothing persists.
+A hosted repository's directory is the repository directory of
+:mod:`repro.core.persistence` — the header, the append-only journals
+behind it, the same save, load and compaction as a working copy's —
+with one difference: it holds *no* chunk bytes of its own. In place of
+``objects/`` it keeps the holdings journal, the per-repo claim on the
+shared backend (written at request time, before the persist that names
+them), and backend refcounts are rebuilt from these journals at startup.
+With ``root=None`` the hub is fully in-memory (tests, examples): eviction
+is disabled and nothing persists.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import re
 import threading
 import time
 from collections import OrderedDict
 
 from ..core.persistence import (
-    CHECKPOINTS_FILE,
-    LINEAGE_FILE,
-    RECIPES_FILE,
-    STATE_FILE,
-    append_journal,
-    commit_to_dict,
-    read_journal,
-    recipe_from_dict,
-    recipe_to_dict,
-    record_from_dict,
-    record_to_dict,
-    repository_header,
-    restore_repository,
+    is_repository_dir,
+    read_holdings,
+    read_repository_header,
+    restore_repository_dir,
+    save_repository_dir,
     write_json_atomic,
 )
 from ..core.repository import MLCask
@@ -108,7 +72,6 @@ from ..obs.slo import SLOConfig
 from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from ..ops import OP_TABLE, OpSpec
-from ..provenance.ledger import lineage_record_to_dict
 from ..remote import pack
 from ..remote.protocol import decode_message, error_response
 from ..remote.server import RepositoryServer
@@ -145,50 +108,6 @@ CHUNKS_DIR = "chunks"
 TENANTS_DIR = "tenants"
 HUB_FORMAT_VERSION = 1
 
-#: journal -> (the store of a hosted repository it mirrors, whose
-#: ``len`` is the rows it holds; the rows (JSON values) that store has
-#: gained from its ``start``-th on, in arrival order).
-_JOURNALS = {
-    "commits": (
-        lambda hosted: hosted.server.repo.graph,
-        lambda graph, start: [commit_to_dict(c) for c in graph.arrivals(start)],
-    ),
-    "recipes": (
-        lambda hosted: hosted.server.repo.objects,
-        lambda objects, start: [recipe_to_dict(r) for r in objects.recipes(start)],
-    ),
-    "checkpoints": (
-        lambda hosted: hosted.server.repo.checkpoints,
-        lambda store, start: [record_to_dict(r) for r in store.records(start)],
-    ),
-    "lineage": (
-        lambda hosted: hosted.server.repo.lineage,
-        lambda ledger, start: [
-            lineage_record_to_dict(r) for r in ledger.records(start)
-        ],
-    ),
-    "chunks": (
-        lambda hosted: hosted.view,
-        lambda view, start: list(view.holdings(start).items()),
-    ),
-}
-
-#: Where a directory from before the journals keeps the same rows (its
-#: commits sit in the header itself): journal -> (file, key). Load-only.
-_LEGACY_FILES = {
-    "recipes": (RECIPES_FILE, "recipes"),
-    "checkpoints": (CHECKPOINTS_FILE, "records"),
-    "lineage": (LINEAGE_FILE, "records"),
-    "chunks": ("chunks.json", "chunks"),
-}
-
-
-def _journal_file(name: str, generation: int) -> str:
-    return f"{name}.{generation}.jsonl"
-
-
-_JOURNAL_FILE_NAME = re.compile(r"(?P<name>[a-z]+)\.(?P<generation>\d+)\.jsonl")
-
 #: Default bound on simultaneously loaded repositories. Sized for "many
 #: repos, few hot": a hub serving hundreds of repos keeps only the
 #: working set resident, everything else lives as metadata + shared
@@ -211,7 +130,7 @@ class HostedRepository:
 
     __slots__ = (
         "tenant", "name", "view", "server", "inflight",
-        "adopt_config", "provisional", "committed", "compaction_due",
+        "adopt_config", "provisional",
     )
 
     def __init__(self, tenant: str, name: str, view: TenantChunkStore):
@@ -233,15 +152,6 @@ class HostedRepository:
         #: discarded (see :meth:`RepositoryHub._release`) so a denied or
         #: rejected creating push never squats the name.
         self.provisional = False
-        #: What the header on disk commits: ``(generation, {journal:
-        #: (rows, bytes)})``. None until this repo has a header in the
-        #: journal layout (new, or loaded from an older directory).
-        self.committed: tuple[int, dict[str, tuple[int, int]]] | None = None
-        #: True from before garbage collection removes or amends rows the
-        #: journals hold until a compacted generation is committed: the
-        #: row counts in ``committed`` no longer index the stores, so the
-        #: next persist, whoever runs it, must not append from them.
-        self.compaction_due = False
 
     @property
     def key(self) -> tuple[str, str]:
@@ -467,10 +377,9 @@ class RepositoryHub:
                 continue
             for name in sorted(os.listdir(tenant_dir)):
                 repo_dir = os.path.join(tenant_dir, name)
-                if not os.path.isfile(os.path.join(repo_dir, STATE_FILE)):
+                if not is_repository_dir(repo_dir):
                     continue
-                state = self._read_header(repo_dir)
-                holdings = dict(self._read_rows(repo_dir, state, "chunks"))
+                holdings = read_holdings(repo_dir, read_repository_header(repo_dir))
                 self.backend.register_holdings(holdings)
                 self._record_persisted_locked(
                     (tenant, name), sum(holdings.values())
@@ -488,97 +397,12 @@ class RepositoryHub:
         if size is not None:
             self._persisted_by_tenant[key[0]] -= size
 
-    @staticmethod
-    def _read_header(repo_dir: str) -> dict:
-        with open(os.path.join(repo_dir, STATE_FILE)) as fh:
-            return json.load(fh)
-
-    @staticmethod
-    def _read_rows(repo_dir: str, state: dict, name: str) -> list:
-        """The committed rows of one journal of a persisted repository."""
-        if "commits" not in state:
-            return read_journal(
-                os.path.join(repo_dir, _journal_file(name, state["generation"])),
-                state["journals"][name],
-            )
-        # A directory from before the journals: same rows, other files.
-        if name == "commits":
-            return state["commits"]
-        file_name, key = _LEGACY_FILES[name]
-        path = os.path.join(repo_dir, file_name)
-        if not os.path.isfile(path):  # e.g. no ledger in the oldest ones
-            return []
-        with open(path) as fh:
-            return json.load(fh)[key]
-
     def _persist_hosted(self, hosted: HostedRepository) -> None:
-        """Append what the repo gained since its last persist to the
-        journals, then commit it by replacing the header (bytes already
-        live in the shared backend, written at request time).
-
-        While ``hosted.compaction_due`` is set (garbage collection, the
-        one caller that removes or amends rows, sets it first) every
-        journal is written afresh under the next generation instead; so
-        is the first persist of a repository that has no journal-layout
-        header yet. Either way nothing the current header names is
-        touched before the new header is in place, and
-        ``hosted.committed`` / ``compaction_due`` move only after it is:
-        a persist that fails leaves the next one the same work."""
-        if self.root is None:
-            return
-        repo_dir = self._repo_dir(hosted.tenant, hosted.name)
-        os.makedirs(repo_dir, exist_ok=True)
-        compact = hosted.compaction_due or hosted.committed is None
-        if hosted.committed is None:
-            generation, marks = 0, {}
-        elif compact:
-            generation, marks = hosted.committed[0] + 1, {}
-        else:
-            generation, marks = hosted.committed
-        committed = {}
-        for name, (store_of, tail) in _JOURNALS.items():
-            rows_done, length = marks.get(name, (0, 0))
-            rows = tail(store_of(hosted), rows_done)
-            if rows:
-                length = append_journal(
-                    os.path.join(repo_dir, _journal_file(name, generation)),
-                    length,
-                    rows,
-                )
-            committed[name] = (rows_done + len(rows), length)
-        header = repository_header(hosted.server.repo)
-        header["generation"] = generation
-        header["journals"] = {name: mark[1] for name, mark in committed.items()}
-        write_json_atomic(
-            os.path.join(repo_dir, STATE_FILE), header, sync=True, sort_keys=True
-        )
-        hosted.committed = (generation, committed)
-        hosted.compaction_due = False
-        if compact:
-            self._sweep_repo_dir(repo_dir, generation)
-
-    @staticmethod
-    def _sweep_repo_dir(repo_dir: str, generation: int) -> None:
-        """Remove the metadata files the committed header no longer
-        names, and nothing else: journals of other generations (the one
-        just compacted away, or what a compaction that died before its
-        header left), the files of the pre-journal layout, the header's
-        temp leftovers."""
-        legacy = {file_name for file_name, _ in _LEGACY_FILES.values()}
-        for entry in os.listdir(repo_dir):
-            journal = _JOURNAL_FILE_NAME.fullmatch(entry)
-            stale = (
-                entry in legacy
-                or (entry.startswith(STATE_FILE + ".") and entry.endswith(".tmp"))
-                or (
-                    journal is not None
-                    and journal["name"] in _JOURNALS
-                    and int(journal["generation"]) != generation
-                )
-            )
-            if stale:
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(repo_dir, entry))
+        """Save the repo's metadata to its directory (bytes already live
+        in the shared backend, written at request time)."""
+        if self.root is not None:
+            repo_dir = self._repo_dir(hosted.tenant, hosted.name)
+            save_repository_dir(hosted.server.repo, repo_dir, hosted=True)
 
     # ------------------------------------------------------- repo lookup
     def _new_hosted(
@@ -613,32 +437,12 @@ class RepositoryHub:
 
     def _load_repo(self, tenant: str, name: str) -> HostedRepository:
         repo_dir = self._repo_dir(tenant, name)
-        state = self._read_header(repo_dir)
-        rows = {
-            journal: self._read_rows(repo_dir, state, journal)
-            for journal in _JOURNALS
-        }
+        header = read_repository_header(repo_dir)
         hosted = self._new_hosted(
-            tenant, name, state["metric"], state["seed"], dict(rows["chunks"])
+            tenant, name, header["metric"], header["seed"],
+            read_holdings(repo_dir, header),
         )
-        repo = hosted.server.repo
-        restore_repository({**state, "commits": rows["commits"]}, repo=repo)
-        for entry in rows["recipes"]:
-            repo.objects.add_recipe(recipe_from_dict(entry))
-        for entry in rows["checkpoints"]:
-            repo.checkpoints.import_record(record_from_dict(entry))
-        repo.lineage.import_entries(rows["lineage"])
-        if "commits" not in state:
-            # Row cursors come from the stores, which is what a persist
-            # slices: a loader that folds two equal rows into one must
-            # not leave the cursor past the end of its store.
-            hosted.committed = (
-                state["generation"],
-                {
-                    journal: (len(store_of(hosted)), state["journals"][journal])
-                    for journal, (store_of, _) in _JOURNALS.items()
-                },
-            )
+        restore_repository_dir(hosted.server.repo, repo_dir, header)
         self.loads += 1
         self._m_loads.inc()
         return hosted
@@ -838,23 +642,11 @@ class RepositoryHub:
         compaction: the one full rewrite of the journals.
         Returns the :class:`~repro.storage.gc.GCReport`.
         """
-        from ..storage.gc import collect_garbage, live_digests_of_repo
-
         hosted = self._acquire(tenant, name, create=False)
         try:
             with self._tenant_lock(tenant):
                 with hosted.server.maintenance() as repo:
-                    live = live_digests_of_repo(repo)
-                    # From here on the stores no longer line up with the
-                    # journals; the flag outlives a persist that fails,
-                    # so whichever persist comes next (a push, eviction)
-                    # compacts instead of appending from stale cursors.
-                    hosted.compaction_due = True
-                    repo.checkpoints.prune(live)
-                    # Append-only ledger: records for swept outputs are
-                    # kept but flagged, so provenance survives the sweep.
-                    repo.lineage.mark_collected(live)
-                    report = collect_garbage(repo.objects, live)
+                    report = repo.gc()
                 self._persist_hosted(hosted)
                 return report
         finally:

@@ -82,7 +82,7 @@ class LineageRecord:
 
 
 def lineage_record_to_dict(record: LineageRecord) -> dict:
-    """Dict codec shared by the on-disk ``lineage.json`` and the wire
+    """Dict codec shared by the on-disk ``lineage`` journal and the wire
     (schema-additive ``lineage`` pack key); see ``record_to_dict`` in
     :mod:`repro.core.persistence` for the pattern."""
     return {
@@ -151,6 +151,9 @@ class LineageLedger:
         self._by_commit: dict[str, list[int]] = {}
         self._by_trace: dict[str, list[int]] = {}
         self.revision = 0
+        #: Lowest row amended in place since the last save (None: none);
+        #: a journal that already holds that row cannot be appended to.
+        self.amended_from: int | None = None
         #: stamped onto records appended by local runs; a hub hosting
         #: this repo sets it so hub-side executions carry their tenant.
         self.tenant = tenant
@@ -215,6 +218,11 @@ class LineageLedger:
             return sum(1 for r in self._records if r.collected)
 
     # ------------------------------------------------------------ mutation
+    def _amend_locked(self, row: int, record: LineageRecord) -> None:
+        self._records[row] = record
+        if self.amended_from is None or row < self.amended_from:
+            self.amended_from = row
+
     def _index_locked(self, row: int, record: LineageRecord) -> None:
         self._seen.add(record)
         self._by_output.setdefault(record.output_ref, []).append(row)
@@ -288,7 +296,7 @@ class LineageLedger:
                 if record.commit_id:
                     continue
                 amended = replace(record, commit_id=commit_id, branch=branch)
-                self._records[row] = amended
+                self._amend_locked(row, amended)
                 self._seen.add(amended)
                 self._by_commit.setdefault(commit_id, []).append(row)
                 changed = True
@@ -306,7 +314,7 @@ class LineageLedger:
             for row, record in enumerate(self._records):
                 if record.collected or record.output_ref in live_refs:
                     continue
-                self._records[row] = replace(record, collected=True)
+                self._amend_locked(row, replace(record, collected=True))
                 flagged += 1
             if flagged:
                 self.revision += 1

@@ -77,3 +77,21 @@ def live_digests_of_repo(repo) -> set[str]:
     for commit in repo.graph.all_commits():
         live.update(commit.stage_outputs.values())
     return live
+
+
+def sweep_repository(repo, keep_checkpoints: bool = False) -> tuple[GCReport, int]:
+    """Garbage-collect an MLCask repository, whatever hosts it: prune the
+    checkpoint index, flag (never drop) the ledger rows of swept outputs,
+    sweep the object store. With ``keep_checkpoints`` the archived
+    records count as roots too. Returns ``(report, pruned_records)``."""
+    live = live_digests_of_repo(repo)
+    if keep_checkpoints:
+        live.update(record.output_ref for record in repo.checkpoints.records())
+    # From here on the stores no longer line up with the journals of the
+    # directory the repository was saved to; the flag outlives a save
+    # that fails, so whichever save comes next compacts instead of
+    # appending from stale cursors.
+    repo.saved.compaction_due = True
+    pruned = repo.checkpoints.prune(live)
+    repo.lineage.mark_collected(live)
+    return collect_garbage(repo.objects, live), pruned

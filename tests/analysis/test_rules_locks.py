@@ -148,6 +148,39 @@ class TestLK002BlockingUnderLock:
         assert line_of(source, "MARK sleep") in lines
         assert line_of(source, "MARK socket") in lines
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'append_journal("commits.0.jsonl", 0, self.rows)',
+            'read_journal("commits.0.jsonl", 10)',
+            "save_repository_dir(self.repo, self.root, hosted=True)",
+            "restore_repository_dir(self.repo, self.root, self.header)",
+            "read_holdings(self.root, self.header)",
+        ],
+    )
+    def test_fires_on_repository_directory_io(self, tree, line_of, call):
+        """The journal fsync and the header replace sit behind imported
+        names: the lint sees no ``open`` or ``os.fsync`` at the call."""
+        source = tree.write(
+            "host.py",
+            f"""\
+            import threading
+
+            from repro.core.persistence import *
+
+
+            class Host:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def persist(self):
+                    with self._lock:
+                        {call}  # MARK repository I/O
+            """,
+        )
+        findings = tree.findings("LK002")
+        assert [f.line for f in findings] == [line_of(source, "MARK repository I/O")]
+
     def test_transitive_io_reports_chain(self, tree, line_of):
         source = tree.write(
             "store.py",

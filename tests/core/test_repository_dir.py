@@ -1,0 +1,402 @@
+"""Working-copy repository directories: the journals behind one header.
+
+The hub's directories are held to this contract in
+``tests/hub/test_journal_persistence.py``; here the same writer, loader
+and compaction run under ``save_dir`` / ``load_dir`` / ``gc_repository_dir``:
+a save writes what the repository gained; a writer that dies at any
+write leaves the previous committed state (chunk files included) and a
+retry converges; a handle whose directory moved on under it compacts
+instead of appending; rows amended after they were saved are saved
+again; a directory written by the pre-journal ``save_dir`` loads and is
+upgraded by its next save.
+"""
+
+import itertools
+import json
+import os
+import shutil
+
+import pytest
+
+from repro import MLCask
+from repro.core.persistence import (
+    commit_to_dict,
+    gc_repository_dir,
+    recipe_to_dict,
+    record_to_dict,
+    repository_header,
+    repository_state,
+)
+from repro.errors import MLCaskError
+from repro.provenance.ledger import lineage_record_to_dict
+from repro.remote import LocalTransport, RepositoryServer
+from repro.storage import FileChunkStore
+from repro.storage.hashing import sha256_hex
+from repro.workloads import ALL_WORKLOADS
+
+from helpers import Crash, build_workload_repo, committed_rows, die_before_write
+
+TIMINGS = ("run_seconds", "wall_seconds", "cpu_seconds")
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return ALL_WORKLOADS["readmission"](scale=0.3, seed=0)
+
+
+# ------------------------------------------------------------------ helpers
+def snapshot(repo) -> dict:
+    """Everything a working copy persists, rows in arrival order."""
+    return {
+        "header": repository_header(repo),
+        "commits": [commit_to_dict(c) for c in repo.graph.arrivals()],
+        "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()],
+        "records": [record_to_dict(r) for r in repo.checkpoints.records()],
+        "lineage": [lineage_record_to_dict(r) for r in repo.lineage.records()],
+    }
+
+
+def untimed(state: dict) -> dict:
+    """A snapshot without what the clock decides: the retry of a commit
+    runs the pipeline again and times it anew."""
+    return {
+        key: [
+            {k: v for k, v in row.items() if k not in TIMINGS} for row in value
+        ]
+        if isinstance(value, list)
+        else value
+        for key, value in state.items()
+    }
+
+
+def assert_every_blob_reassembles(repo) -> None:
+    """Each recipe the repository holds — dead blobs too — still finds
+    all of its chunks."""
+    recipes = repo.objects.recipes()
+    assert recipes
+    for recipe in recipes:
+        assert sha256_hex(repo.objects.get(recipe.blob_digest)) == recipe.blob_digest
+
+
+def commit_model(repo, workload, version: int):
+    return repo.commit(
+        workload.name,
+        {"model": workload.model_version(version)},
+        message=f"model v{version}",
+    )[0]
+
+
+def garbage(repo) -> None:
+    """Content no commit references: a blob, its recipe and chunks."""
+    repo.objects.put(b"dead" * 5000)
+
+
+def metadata_files(directory) -> dict[str, bytes]:
+    return {
+        name: open(os.path.join(directory, name), "rb").read()
+        for name in os.listdir(directory)
+        if os.path.isfile(os.path.join(directory, name))
+    }
+
+
+def metadata_bytes_written(before: dict, after: dict) -> int:
+    """Bytes a save had to write to turn ``before`` into ``after``, by
+    content alone: a file that grew at its end cost its new tail, any
+    other changed file cost its whole length."""
+    written = 0
+    for name, content in after.items():
+        old = before.get(name)
+        if old is not None and content.startswith(old):
+            written += len(content) - len(old)
+        elif content != old:
+            written += len(content)
+    return written
+
+
+def write_pre_journal_layout(repo, directory) -> None:
+    """``save_repository_dir`` as it was before the journals: the whole
+    state in ``state.json`` and one full JSON file per collection."""
+    os.makedirs(directory)
+    disk = FileChunkStore(os.path.join(directory, "objects"))
+    for digest in repo.objects.chunks.digests():
+        disk.import_chunk(digest, repo.objects.chunks.get(digest))
+    files = {
+        "state.json": repository_state(repo),
+        "recipes.json": {
+            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]
+        },
+        "checkpoints.json": {
+            "records": [record_to_dict(r) for r in repo.checkpoints.records()]
+        },
+        "lineage.json": repo.lineage.to_payload(),
+    }
+    for name, payload in files.items():
+        with open(os.path.join(directory, name), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+# -------------------------------------------------------------------- tests
+class TestSaveCostIsTheDelta:
+    def test_metadata_written_by_the_kth_push_does_not_grow_with_k(
+        self, tmp_path, workload
+    ):
+        directory = str(tmp_path / "served")
+        local = build_workload_repo(workload, commits=1)
+        MLCask(metric=local.metric, seed=local.seed).save_dir(directory)
+        server = RepositoryServer(
+            MLCask.load_dir(directory), on_change=lambda r: r.save_dir(directory)
+        )
+        remote = local.add_remote("origin", LocalTransport(server))
+        remote.push(workload.name)
+
+        per_push = []
+        for version in range(2, 9):  # one commit, one new model, every time
+            commit_model(local, workload, version)
+            before = metadata_files(directory)
+            remote.push(workload.name)
+            per_push.append(metadata_bytes_written(before, metadata_files(directory)))
+        total = sum(len(content) for content in metadata_files(directory).values())
+        # same-sized pushes write same-sized deltas (float digits wobble)...
+        assert max(per_push) <= 1.25 * min(per_push)
+        # ...far below what the repository holds by then
+        assert per_push[-1] * 4 < total
+
+        # N incremental saves reload as the live repository, and as one save
+        live = snapshot(server.repo)
+        assert snapshot(MLCask.load_dir(directory)) == live
+        server.repo.save_dir(tmp_path / "once")
+        once = MLCask.load_dir(tmp_path / "once")
+        assert snapshot(once) == live
+        assert committed_rows(tmp_path / "once") == committed_rows(directory)
+        assert sorted(once.objects.chunks.digests()) == sorted(
+            server.repo.objects.chunks.digests()
+        )
+
+
+class TestCrashPoints:
+    """Each scenario is one operation on a repository directory; it is
+    cut before every metadata write it makes, in turn."""
+
+    @pytest.fixture
+    def base(self, tmp_path, workload):
+        """A directory saved twice (so the scenarios append), holding
+        unreferenced content for the sweeps to find."""
+        directory = str(tmp_path / "base")
+        repo = build_workload_repo(workload, commits=1)
+        repo.save_dir(directory)
+        commit_model(repo, workload, 2)
+        garbage(repo)
+        repo.save_dir(directory)
+        return directory, repo.registry
+
+    def commit_then_save(self, directory, registry, workload):
+        repo = MLCask.load_dir(directory, registry=registry)
+        commit_model(repo, workload, 3)
+        repo.save_dir(directory)
+
+    def push_into_served_directory(self, directory, registry, workload):
+        local = MLCask.load_dir(directory, registry=registry)
+        commit_model(local, workload, 3)
+        server = RepositoryServer(
+            MLCask.load_dir(directory), on_change=lambda r: r.save_dir(directory)
+        )
+        local.add_remote("origin", LocalTransport(server)).push(workload.name)
+
+    def gc_the_directory(self, directory, registry, workload):
+        gc_repository_dir(directory)
+
+    def gc_then_save(self, directory, registry, workload):
+        repo = MLCask.load_dir(directory, registry=registry)
+        assert repo.gc().swept_chunks > 0
+        repo.save_dir(directory)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        ["commit_then_save", "push_into_served_directory", "gc_the_directory", "gc_then_save"],
+    )
+    def test_a_cut_at_any_write_leaves_the_previous_state_and_a_retry_converges(
+        self, tmp_path, workload, base, monkeypatch, scenario
+    ):
+        directory, registry = base
+        run = getattr(self, scenario)
+        previous = snapshot(MLCask.load_dir(directory))
+
+        reference_dir = str(tmp_path / "reference")
+        shutil.copytree(directory, reference_dir)
+        run(reference_dir, registry, workload)
+        reference = untimed(snapshot(MLCask.load_dir(reference_dir)))
+        assert reference != untimed(previous)
+
+        for cut in itertools.count():
+            cut_dir = str(tmp_path / f"cut-{cut}")
+            shutil.copytree(directory, cut_dir)
+            with monkeypatch.context() as patch:
+                log = die_before_write(patch, cut)
+                try:
+                    run(cut_dir, registry, workload)
+                except (Crash, MLCaskError):
+                    pass  # the writer is gone
+                else:
+                    break  # every write of the operation went through
+            assert log.count("write_json_atomic") == 0  # died short of the commit
+
+            reloaded = MLCask.load_dir(cut_dir)
+            assert snapshot(reloaded) == previous
+            assert_every_blob_reassembles(reloaded)
+
+            run(cut_dir, registry, workload)  # the retry
+            after = MLCask.load_dir(cut_dir)
+            assert untimed(snapshot(after)) == reference
+            assert_every_blob_reassembles(after)
+            # nothing of the dead writer's outlives the retry
+            generation = json.loads(metadata_files(cut_dir)["state.json"])["generation"]
+            assert all(
+                name == "state.json" or f".{generation}." in name
+                for name in metadata_files(cut_dir)
+            )
+        # the four journals (each gained or, compacting, holds rows), then
+        # the header: died before each of the five writes once
+        assert log == ["append_journal"] * 4 + ["write_json_atomic"]
+        assert cut == len(log)
+
+    def test_dead_chunk_files_go_only_after_the_header_is_committed(
+        self, workload, base, monkeypatch
+    ):
+        directory, _ = base
+        chunk_files = set(FileChunkStore(os.path.join(directory, "objects")).digests())
+        with monkeypatch.context() as patch:
+            die_before_write(patch, 4)  # four journals written, no header
+            with pytest.raises(Crash):
+                gc_repository_dir(directory)
+        store = FileChunkStore(os.path.join(directory, "objects"))
+        assert set(store.digests()) == chunk_files
+        report, _ = gc_repository_dir(directory)
+        assert report.swept_chunks > 0
+        assert len(store.digests()) == len(chunk_files) - report.swept_chunks
+
+
+class TestStaleHandle:
+    def test_a_handle_whose_directory_moved_on_compacts_with_its_own_state(
+        self, tmp_path, workload
+    ):
+        directory = tmp_path / "shared"
+        seed = build_workload_repo(workload, commits=1)
+        seed.save_dir(directory)
+        registry = seed.registry
+        ana = MLCask.load_dir(directory, registry=registry)
+        ben = MLCask.load_dir(directory, registry=registry)
+        theirs = commit_model(ben, workload, 2)
+        ben.save_dir(directory)  # appends: the header is the one ben read
+        assert json.loads((directory / "state.json").read_text())["generation"] == 0
+
+        mine = commit_model(ana, workload, 3)
+        ana.save_dir(directory)  # last writer wins, by compaction
+        assert json.loads((directory / "state.json").read_text())["generation"] == 1
+        assert sorted(os.listdir(directory)) == sorted(
+            ["state.json", "objects"]
+            + [f"{n}.1.jsonl" for n in ("commits", "recipes", "checkpoints", "lineage")]
+        )
+        reloaded = MLCask.load_dir(directory)
+        assert snapshot(reloaded) == snapshot(ana)
+        assert mine.commit_id in reloaded.graph
+        assert theirs.commit_id not in reloaded.graph
+        assert_every_blob_reassembles(reloaded)
+
+        # ben's handle is the stale one now, and ana's appends again
+        ben.save_dir(directory)
+        assert snapshot(MLCask.load_dir(directory)) == snapshot(ben)
+        commit_model(ben, workload, 4)
+        ben.save_dir(directory)
+        assert json.loads((directory / "state.json").read_text())["generation"] == 2
+        assert snapshot(MLCask.load_dir(directory)) == snapshot(ben)
+
+    def test_saving_elsewhere_leaves_the_first_directory_committed(
+        self, tmp_path, workload
+    ):
+        repo = build_workload_repo(workload, commits=1)
+        repo.save_dir(tmp_path / "one")
+        first = committed_rows(tmp_path / "one")
+        commit_model(repo, workload, 2)
+        repo.save_dir(tmp_path / "two")
+        assert committed_rows(tmp_path / "one") == first
+        assert snapshot(MLCask.load_dir(tmp_path / "two")) == snapshot(repo)
+        # back to the first: its header is not the one the marks describe
+        repo.save_dir(tmp_path / "one")
+        assert snapshot(MLCask.load_dir(tmp_path / "one")) == snapshot(repo)
+
+
+class TestAmendedRowsAreSavedAgain:
+    def saved_with_unbound_rows(self, tmp_path, workload):
+        repo = build_workload_repo(workload, commits=1)
+        before = len(repo.lineage)
+        repo.run_head(workload.name)  # warm re-run: reuse rows, no commit
+        rows = range(before, len(repo.lineage))
+        assert rows and not any(r.commit_id for r in repo.lineage.records(before))
+        repo.save_dir(tmp_path / "repo")
+        return repo, rows
+
+    def test_annotate_commit_after_save(self, tmp_path, workload):
+        repo, rows = self.saved_with_unbound_rows(tmp_path, workload)
+        # (bound to the first commit: the loader folds equal rows, and
+        # the head's own reuse rows already carry the head's id)
+        first = repo.history(workload.name)[0]
+        repo.lineage.annotate_commit(first.commit_id, first.branch, rows)
+        repo.save_dir(tmp_path / "repo")
+        reloaded = MLCask.load_dir(tmp_path / "repo")
+        assert snapshot(reloaded) == snapshot(repo)
+        assert all(r.commit_id for r in reloaded.lineage.records())
+
+    def test_mark_collected_and_prune_after_save(self, tmp_path, workload):
+        repo, _ = self.saved_with_unbound_rows(tmp_path, workload)
+        assert repo.lineage.mark_collected(set()) == len(repo.lineage)
+        assert repo.checkpoints.prune(set()) > 0
+        repo.save_dir(tmp_path / "repo")
+        reloaded = MLCask.load_dir(tmp_path / "repo")
+        assert snapshot(reloaded) == snapshot(repo)
+        assert reloaded.lineage.collected_count() == len(repo.lineage)
+        assert len(reloaded.checkpoints) == 0
+
+    def test_rows_amended_before_their_first_save_are_appended(
+        self, tmp_path, workload
+    ):
+        """``commit`` back-fills the rows its own run appended: nothing a
+        journal holds changed, so the save stays an append."""
+        repo = build_workload_repo(workload, commits=1)
+        repo.save_dir(tmp_path / "repo")
+        commit_model(repo, workload, 2)
+        repo.save_dir(tmp_path / "repo")
+        assert json.loads((tmp_path / "repo" / "state.json").read_text())["generation"] == 0
+        assert snapshot(MLCask.load_dir(tmp_path / "repo")) == snapshot(repo)
+
+
+class TestPreJournalLayout:
+    def test_old_directory_loads_and_its_next_save_upgrades_it(
+        self, tmp_path, workload
+    ):
+        repo = build_workload_repo(workload, commits=1)
+        directory = tmp_path / "old"
+        write_pre_journal_layout(repo, directory)
+        before = sorted(os.listdir(directory))
+
+        loaded = MLCask.load_dir(directory, registry=repo.registry)
+        assert snapshot(loaded) == snapshot(repo)
+        assert_every_blob_reassembles(loaded)
+        assert sorted(os.listdir(directory)) == before  # loading wrote nothing
+
+        commit_model(loaded, workload, 2)
+        loaded.save_dir(directory)
+        assert sorted(os.listdir(directory)) == sorted(
+            ["state.json", "objects"]
+            + [f"{n}.0.jsonl" for n in ("commits", "recipes", "checkpoints", "lineage")]
+        )
+        assert "commits" not in json.loads((directory / "state.json").read_text())
+        assert snapshot(MLCask.load_dir(directory)) == snapshot(loaded)
+
+    def test_gc_of_an_old_directory_upgrades_it_too(self, tmp_path, workload):
+        repo = build_workload_repo(workload, commits=1)
+        garbage(repo)
+        write_pre_journal_layout(repo, tmp_path / "old")
+        report, _ = gc_repository_dir(tmp_path / "old")
+        assert report.swept_chunks > 0
+        assert "recipes.json" not in os.listdir(tmp_path / "old")
+        assert_every_blob_reassembles(MLCask.load_dir(tmp_path / "old"))

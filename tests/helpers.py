@@ -12,8 +12,12 @@ computable by hand.
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 
+import repro.core.persistence as persistence
 from repro.core import (
     DatasetComponent,
     LibraryComponent,
@@ -172,3 +176,47 @@ def build_workload_repo(workload, commits: int = 1, metric=None, seed: int = 0) 
             message=f"model v{idx}",
         )
     return repo
+
+
+class Crash(RuntimeError):
+    """The writer dies here."""
+
+
+def die_before_write(monkeypatch, nth: int) -> list:
+    """Let ``nth`` metadata writes of a repository directory through
+    (journal appends and header replaces alike), then die before the
+    next one. Returns the list the writes are logged to."""
+    log: list = []
+
+    def guarded(name, original):
+        def wrapper(*args, **kwargs):
+            if len(log) >= nth:
+                raise Crash(f"before write {nth} ({name})")
+            log.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("append_journal", "write_json_atomic"):
+        monkeypatch.setattr(
+            persistence, name, guarded(name, getattr(persistence, name))
+        )
+    return log
+
+
+def committed_rows(directory) -> dict[str, list]:
+    """What the header of a repository directory commits, read without
+    the repository's code: the rows in the first ``journals[name]``
+    bytes of each generation-``g`` journal."""
+    with open(os.path.join(directory, "state.json")) as fh:
+        header = json.load(fh)
+    rows = {}
+    for name, length in header["journals"].items():
+        data = b""
+        if length:
+            path = os.path.join(directory, f"{name}.{header['generation']}.jsonl")
+            with open(path, "rb") as fh:
+                data = fh.read()[:length]
+            assert len(data) == length
+        rows[name] = [json.loads(line) for line in data.splitlines()]
+    return rows

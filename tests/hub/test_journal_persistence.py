@@ -16,7 +16,7 @@ import shutil
 
 import pytest
 
-import repro.hub.hub as hub_module
+import repro.core.persistence as persistence
 from repro.core.checkpoint import CheckpointRecord
 from repro.core.persistence import (
     commit_to_dict,
@@ -36,7 +36,7 @@ from repro.remote.protocol import (
 )
 from repro.storage.hashing import sha256_hex
 
-from helpers import build_workload_repo
+from helpers import Crash, build_workload_repo, die_before_write
 
 TENANT, REPO, TOKEN = "ana", "proj", "tok"
 JOURNALS = ("commits", "recipes", "checkpoints", "lineage", "chunks")
@@ -142,32 +142,6 @@ def assert_clone_verifies(hub, head: str, workload) -> None:
     assert blobs
     for digest in blobs:
         assert sha256_hex(clone.objects.get(digest)) == digest
-
-
-class Crash(RuntimeError):
-    """The writer dies here."""
-
-
-def die_before_write(monkeypatch, nth: int) -> list:
-    """Let ``nth`` metadata writes of the hub through (journal appends
-    and header replaces alike), then die before the next one. Returns
-    the list the writes are logged to."""
-    log: list = []
-
-    def guarded(name, original):
-        def wrapper(*args, **kwargs):
-            if len(log) >= nth:
-                raise Crash(f"before write {nth} ({name})")
-            log.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("append_journal", "write_json_atomic"):
-        monkeypatch.setattr(
-            hub_module, name, guarded(name, getattr(hub_module, name))
-        )
-    return log
 
 
 def push_garbage(hub, tag: bytes) -> dict:
@@ -420,7 +394,7 @@ class TestCrashPoints:
             def die(repo_dir, generation):
                 raise Crash("before the old generation is removed")
 
-            patch.setattr(RepositoryHub, "_sweep_repo_dir", staticmethod(die))
+            patch.setattr(persistence, "_sweep_repo_dir", die)
             with pytest.raises(Crash):
                 open_hub(root).gc_repo(TENANT, REPO)
         names = os.listdir(repo_dir(root))
@@ -649,17 +623,17 @@ class TestPersistCostIsTheDelta:
     ):
         written = []  # bytes per metadata write, across the current push
 
-        def counting_append(path, committed, rows, original=hub_module.append_journal):
+        def counting_append(path, committed, rows, original=persistence.append_journal):
             length = original(path, committed, rows)
             written.append(length - committed)
             return length
 
-        def counting_header(path, payload, original=hub_module.write_json_atomic, **kw):
+        def counting_header(path, payload, original=persistence.write_json_atomic, **kw):
             original(path, payload, **kw)
             written.append(os.path.getsize(path))
 
-        monkeypatch.setattr(hub_module, "append_journal", counting_append)
-        monkeypatch.setattr(hub_module, "write_json_atomic", counting_header)
+        monkeypatch.setattr(persistence, "append_journal", counting_append)
+        monkeypatch.setattr(persistence, "write_json_atomic", counting_header)
 
         hub = open_hub(tmp_path / "hub")
         local = build_workload_repo(workload, commits=1)

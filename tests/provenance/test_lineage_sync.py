@@ -7,7 +7,7 @@ import pytest
 
 from repro import MLCask
 from repro.cli import main
-from repro.core.persistence import LINEAGE_FILE, gc_repository_dir
+from repro.core.persistence import gc_repository_dir
 from repro.hub import RepositoryHub
 from repro.obs.trace import Tracer
 from repro.provenance import EXECUTED, LineageRecord
@@ -15,7 +15,7 @@ from repro.remote import LocalTransport, RepositoryServer, clone_repository
 from repro.remote.client import Remote
 from repro.workloads import ALL_WORKLOADS
 
-from helpers import build_workload_repo, fresh_toy_repo, toy_model
+from helpers import build_workload_repo, committed_rows, fresh_toy_repo, toy_model
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ class TestDirPersistence:
         repo = fresh_toy_repo()
         repo.commit("toy", {"model": toy_model(1, 0.6)})
         repo.save_dir(tmp_path / "A")
-        assert (tmp_path / "A" / LINEAGE_FILE).is_file()
+        assert len(committed_rows(tmp_path / "A")["lineage"]) == len(repo.lineage)
         loaded = MLCask.load_dir(tmp_path / "A", registry=repo.registry)
         assert loaded.lineage.records() == repo.lineage.records()
         # commit back-fill survives the trip
@@ -60,9 +60,7 @@ class TestDirPersistence:
         repo.lineage.append(unbound_record())  # orphan: no commit refs it
         repo.save_dir(tmp_path / "A")
         gc_repository_dir(tmp_path / "A")
-        with open(tmp_path / "A" / LINEAGE_FILE) as fh:
-            payload = json.load(fh)
-        entries = payload["records"]
+        entries = committed_rows(tmp_path / "A")["lineage"]
         assert len(entries) == len(repo.lineage)  # append-only on disk too
         by_ref = {e["output_ref"]: e for e in entries}
         assert by_ref["feedbeef"]["collected"] is True

@@ -41,7 +41,7 @@ class TestInit:
         assert "master.0.2" in text
         assert (tmp_path / "A" / "state.json").is_file()
         assert (tmp_path / "A" / "objects").is_dir()
-        assert (tmp_path / "A" / "recipes.json").is_file()
+        assert (tmp_path / "A" / "recipes.0.jsonl").is_file()
 
 
 class TestCloneCommand:

@@ -1,7 +1,6 @@
 """GC beyond MemoryChunkStore: file-backed sweeps and `repro gc`."""
 
 import io
-import json
 import os
 
 import numpy as np
@@ -11,7 +10,7 @@ from repro.cli import main
 from repro.core.persistence import gc_repository_dir
 from repro.storage import FileChunkStore, ObjectStore, collect_garbage
 
-from helpers import build_workload_repo
+from helpers import build_workload_repo, committed_rows
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +87,7 @@ class TestRepositoryDirGC:
         report, _pruned = gc_repository_dir(repo_dir)
         assert report.swept_chunks > 0
 
-        with open(repo_dir / "recipes.json") as fh:
-            recipes = {e["blob"] for e in json.load(fh)["recipes"]}
+        recipes = {e["blob"] for e in committed_rows(repo_dir)["recipes"]}
         assert dead not in recipes
 
         # reloaded repository still serves every commit-referenced output
@@ -100,16 +98,14 @@ class TestRepositoryDirGC:
 
     def test_checkpoint_records_pruned_unless_kept(self, tmp_path, workload):
         repo, repo_dir, _ = self.make_repo_dir(tmp_path, workload)
-        with open(repo_dir / "checkpoints.json") as fh:
-            n_records = len(json.load(fh)["records"])
+        n_records = len(committed_rows(repo_dir)["checkpoints"])
         assert n_records > 0
 
         # default: records whose outputs stay live survive; keep mode too
         _, pruned_kept = gc_repository_dir(repo_dir, keep_checkpoints=True)
         assert pruned_kept == 0
         _, pruned = gc_repository_dir(repo_dir)
-        with open(repo_dir / "checkpoints.json") as fh:
-            remaining = len(json.load(fh)["records"])
+        remaining = len(committed_rows(repo_dir)["checkpoints"])
         assert remaining == n_records - pruned
 
     def test_second_run_sweeps_nothing(self, tmp_path, workload):
