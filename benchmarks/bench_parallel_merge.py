@@ -33,6 +33,7 @@ def test_parallel_merge_speedup_and_equivalence():
     result = run_parallel_merge_experiment(
         workers=(1, 2, 4), seed=BENCH_SEED, **SHAPE, **COSTS
     )
+    by_workers = {row.workers: row for row in result.rows}
     write_result("parallel_merge.txt", result.render_table())
     write_bench_record(
         "parallel_merge",
@@ -42,6 +43,15 @@ def test_parallel_merge_speedup_and_equivalence():
                 str(row.workers): result.speedup_at(row.workers)
                 for row in result.rows
             },
+            # The sequential search's totals; every worker count is held
+            # to them below, and compare_baselines holds them exactly
+            # across commits — a lost reuse or a stage counted twice
+            # changes them.
+            "totals": {
+                "evaluated": by_workers[1].evaluated,
+                "executed": by_workers[1].executed,
+                "reused": by_workers[1].reused,
+            },
         },
     )
 
@@ -49,7 +59,6 @@ def test_parallel_merge_speedup_and_equivalence():
     # on every candidate's score, every stage output ref, the winner, and
     # the executed/reused totals.
     assert result.equivalent, "worker counts diverged on scores/output refs"
-    by_workers = {row.workers: row for row in result.rows}
     for row in result.rows:
         assert row.winner_score == by_workers[1].winner_score
         assert row.evaluated == by_workers[1].evaluated

@@ -19,6 +19,7 @@ that want MLCask's behaviour validate statically before running.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -109,8 +110,78 @@ class RunReport:
         return sum(1 for r in self.stage_reports if r.reused)
 
 
+class _RunState:
+    """Per-run state of one pipeline run, guarded by one run-local lock.
+
+    Refs and records are written by the producing stage before any
+    consumer starts (topological / DAG order guarantees it), so readers
+    see settled values; the lock makes each update atomic and keeps the
+    failure bar consistent when a scheduler runs stages on several
+    threads.
+    """
+
+    def __init__(self, instance: PipelineInstance) -> None:
+        self.order = instance.spec.topological_order()
+        self._indices = {stage: i for i, stage in enumerate(self.order)}
+        self._lock = threading.Lock()
+        self.reports: dict[str, StageReport] = {}
+        self.refs: dict[str, str] = {}
+        self.records: dict[str, object] = {}
+        self.payloads: dict[str, object] = {}
+        #: topological index of the earliest failed stage, if any, and
+        #: that stage's reason
+        self.failed_bar: int | None = None
+        self.failure_reason: str | None = None
+
+    def fail(self, stage: str, stage_report: StageReport, reason: str | None) -> bool:
+        stage_report.failed = True
+        index = self._indices[stage]
+        with self._lock:
+            if self.failed_bar is None or index < self.failed_bar:
+                self.failed_bar, self.failure_reason = index, reason
+        return False
+
+    def settle(self, stage: str, stage_report: StageReport, record, executed: bool) -> bool:
+        """Bind a stage to its checkpoint record: ``executed`` when this
+        run computed it, a reuse otherwise."""
+        stage_report.executed = executed
+        stage_report.reused = not executed
+        stage_report.output_ref = record.output_ref
+        stage_report.output_bytes = record.output_bytes
+        stage_report.checkpoint_key = record.key
+        with self._lock:
+            self.refs[stage] = record.output_ref
+            self.records[stage] = record
+        return True
+
+    def set_payload(self, stage: str, payload) -> None:
+        with self._lock:
+            self.payloads[stage] = payload
+
+    def payload_of(self, stage: str, checkpoints: CheckpointStore):
+        """Lazily materialize a predecessor's output. Two consumers may
+        race the same load; the loads are deterministic so the duplicate
+        is waste, not a bug."""
+        with self._lock:
+            if stage in self.payloads:
+                return self.payloads[stage]
+            record = self.records.get(stage)
+        if record is None:
+            raise ComponentError(f"no payload or checkpoint for stage {stage!r}")
+        payload = checkpoints.load(record)
+        with self._lock:
+            return self.payloads.setdefault(stage, payload)
+
+
 class Executor:
-    """Runs pipeline instances against a checkpoint store."""
+    """Runs pipeline instances against a checkpoint store.
+
+    :meth:`_run_stage` is the single definition of what a stage is and
+    :meth:`_report` the single report assembly; ``run`` only decides the
+    order stages are visited in, and :meth:`_resolve_miss` is the one
+    step a subclass overrides
+    (:class:`repro.engine.ParallelExecutor`: through a single-flight).
+    """
 
     def __init__(
         self,
@@ -123,7 +194,9 @@ class Executor:
         self.metric = metric
         self.reuse = reuse
         #: optional :class:`repro.provenance.LineageLedger`; when set,
-        #: every finished run appends one record per non-failed stage.
+        #: every finished run appends one record per non-failed stage —
+        #: during report assembly (caller's thread, topological order),
+        #: so the ledger never depends on how stages were scheduled.
         self.lineage = lineage
 
     # ----------------------------------------------------------------- run
@@ -139,93 +212,72 @@ class Executor:
         actually has to execute on it.
         """
         context = context or ExecutionContext(metric=self.metric)
-        report = RunReport(pipeline=instance.spec.name)
-        order = instance.spec.topological_order()
-        # stage -> (input_ref for checkpointing, lazily-loaded payload)
-        refs: dict[str, str] = {}
-        payloads: dict[str, object] = {}
-        records: dict[str, object] = {}
-
-        for stage in order:
-            component = instance.component(stage)
-            stage_report = StageReport(
-                stage=stage,
-                component_id=component.identifier,
-                is_model=isinstance(component, LibraryComponent) and component.is_model,
-            )
-            report.stage_reports.append(stage_report)
-
-            preds = instance.spec.predecessors(stage)
-            if isinstance(component, DatasetComponent):
-                input_ref = component.fingerprint
-            else:
-                # Runtime compatibility check (Definition 4): the consumer
-                # must accept every producer's output schema.
-                incompatible = [
-                    p
-                    for p in preds
-                    if not component.accepts(instance.component(p).output_schema)
-                ]
-                if incompatible:
-                    stage_report.failed = True
-                    report.failed = True
-                    report.failure_stage = stage
-                    break
-                input_ref = fingerprint_many(["input", *(refs[p] for p in preds)])
-
-            record = self.checkpoints.lookup(component, input_ref) if self.reuse else None
-            if record is not None:
-                stage_report.reused = True
-                stage_report.output_ref = record.output_ref
-                stage_report.output_bytes = record.output_bytes
-                stage_report.checkpoint_key = record.key
-                refs[stage] = record.output_ref
-                records[stage] = record
-                if record.metrics:
-                    report.metrics = dict(record.metrics)
-                continue
-
-            # Materialize inputs first (loading archived payloads only
-            # now); load time is storage time, not compute time. A
-            # component that *raises* fails the run at this stage (time
-            # spent is still charged) rather than crashing the caller —
-            # a merge must survive a broken candidate and keep searching.
-            rng = context.rng_for(component.fingerprint)
-            start = time.perf_counter()  # re-anchored below; set here so the
-            # except clause can always charge elapsed time
-            try:
-                if isinstance(component, DatasetComponent):
-                    start = time.perf_counter()
-                    cpu_start = time.thread_time()
-                    output = component.materialize(rng)
-                    stage_report.run_seconds = time.perf_counter() - start
-                    stage_report.cpu_seconds = time.thread_time() - cpu_start
-                else:
-                    load_start = time.perf_counter()
-                    inputs = [self._payload_of(p, payloads, records) for p in preds]
-                    stage_report.store_seconds += time.perf_counter() - load_start
-                    payload = inputs[0] if len(inputs) == 1 else {
-                        p: v for p, v in zip(preds, inputs)
-                    }
-                    start = time.perf_counter()
-                    cpu_start = time.thread_time()
-                    output = component.run(payload, rng)
-                    stage_report.run_seconds = time.perf_counter() - start
-                    stage_report.cpu_seconds = time.thread_time() - cpu_start
-            except Exception as error:  # noqa: BLE001 - component code is untrusted
-                stage_report.run_seconds = time.perf_counter() - start
-                stage_report.failed = True
-                report.failed = True
-                report.failure_stage = stage
-                report.failure_reason = f"{type(error).__name__}: {error}"
+        state = _RunState(instance)
+        for stage in state.order:
+            if not self._run_stage(stage, instance, context, state):
                 break
-            stage_report.executed = True
+        return self._report(instance, context, state)
 
-            metrics = None
-            if stage_report.is_model:
-                metrics = output.get("metrics", {})
-                report.metrics = dict(metrics)
+    # ---------------------------------------------------------- one stage
+    def _run_stage(
+        self,
+        stage: str,
+        instance: PipelineInstance,
+        context: ExecutionContext,
+        state: _RunState,
+    ) -> bool:
+        """Process one stage whose predecessors have settled; returns
+        success (a failed stage ends the run at it)."""
+        component = instance.component(stage)
+        is_dataset = isinstance(component, DatasetComponent)
+        stage_report = StageReport(
+            stage=stage,
+            component_id=component.identifier,
+            is_model=isinstance(component, LibraryComponent) and component.is_model,
+        )
+        state.reports[stage] = stage_report
 
+        preds = instance.spec.predecessors(stage)
+        if is_dataset:
+            input_ref = component.fingerprint
+        else:
+            # Runtime compatibility check (Definition 4): the consumer
+            # must accept every producer's output schema.
+            if not all(
+                component.accepts(instance.component(p).output_schema) for p in preds
+            ):
+                return state.fail(stage, stage_report, reason=None)
+            input_ref = fingerprint_many(["input", *(state.refs[p] for p in preds)])
+
+        if self.reuse:
+            record = self.checkpoints.lookup(component, input_ref)
+            if record is not None:
+                return state.settle(stage, stage_report, record, executed=False)
+
+        rng = context.rng_for(component.fingerprint)
+        start = time.perf_counter()
+
+        def compute():
+            # Materialize inputs first (loading archived payloads only
+            # now); load time is storage time, not compute time, so the
+            # run clock is re-anchored after it — a stage that fails is
+            # charged the load once.
+            nonlocal start
+            if not is_dataset:
+                load_start = time.perf_counter()
+                inputs = [state.payload_of(p, self.checkpoints) for p in preds]
+                stage_report.store_seconds += time.perf_counter() - load_start
+                payload = inputs[0] if len(inputs) == 1 else dict(zip(preds, inputs))
+            start = time.perf_counter()
+            cpu_start = time.thread_time()
+            if is_dataset:
+                output = component.materialize(rng)
+            else:
+                output = component.run(payload, rng)
+            stage_report.run_seconds = time.perf_counter() - start
+            stage_report.cpu_seconds = time.thread_time() - cpu_start
+
+            metrics = output.get("metrics", {}) if stage_report.is_model else None
             store_start = time.perf_counter()
             saved = self.checkpoints.save(
                 component,
@@ -235,32 +287,65 @@ class Executor:
                 metrics=metrics,
             )
             stage_report.store_seconds += time.perf_counter() - store_start
-            stage_report.output_ref = saved.output_ref
-            stage_report.output_bytes = saved.output_bytes
-            stage_report.checkpoint_key = saved.key
-            refs[stage] = saved.output_ref
-            payloads[stage] = output
+            state.set_payload(stage, output)
+            return saved
 
-        if not report.failed:
-            if not report.metrics:
-                raise ComponentError(
-                    f"pipeline {instance.spec.name!r} produced no metrics; "
-                    "is the sink stage a model component?"
-                )
-            if self.metric in report.metrics:
-                report.score = score_from_metric(self.metric, report.metrics[self.metric])
+        # A component that *raises* fails the run at this stage (time
+        # spent is still charged) rather than crashing the caller — a
+        # merge must survive a broken candidate and keep searching.
+        try:
+            if self.reuse:
+                record, computed = self._resolve_miss(component, input_ref, compute)
+            else:
+                record, computed = compute(), True
+        except Exception as error:  # noqa: BLE001 - component code is untrusted
+            stage_report.run_seconds = time.perf_counter() - start
+            return state.fail(
+                stage, stage_report, reason=f"{type(error).__name__}: {error}"
+            )
+        return state.settle(stage, stage_report, record, executed=computed)
+
+    def _resolve_miss(self, component, input_ref: str, compute):
+        """Obtain the record of a checkpoint miss: ``(record, computed)``,
+        ``computed`` false when someone else's record was adopted. The
+        one overridable step of a stage; never reached with
+        ``reuse=False``."""
+        return compute(), True
+
+    # ------------------------------------------------------------ assembly
+    def _report(
+        self,
+        instance: PipelineInstance,
+        context: ExecutionContext,
+        state: _RunState,
+    ) -> RunReport:
+        """Deterministic report construction: the topological prefix
+        ending at the earliest failed stage (stages beyond it that a
+        scheduler already ran are dropped; their checkpoints persist
+        harmlessly), the last metrics in topological order, the score."""
+        report = RunReport(pipeline=instance.spec.name)
+        bar = state.failed_bar
+        for stage in state.order if bar is None else state.order[: bar + 1]:
+            stage_report = state.reports[stage]
+            report.stage_reports.append(stage_report)
+            record = state.records.get(stage)  # None only at the failed stage
+            if record is not None and (
+                record.metrics or (stage_report.executed and stage_report.is_model)
+            ):
+                report.metrics = dict(record.metrics)
+        if bar is not None:
+            report.failed = True
+            report.failure_stage = state.order[bar]
+            report.failure_reason = state.failure_reason
+        elif not report.metrics:
+            raise ComponentError(
+                f"pipeline {instance.spec.name!r} produced no metrics; "
+                "is the sink stage a model component?"
+            )
+        elif self.metric in report.metrics:
+            report.score = score_from_metric(self.metric, report.metrics[self.metric])
         if self.lineage is not None:
             report.lineage_rows = self.lineage.record_run(
-                instance, report, refs, seed=context.seed
+                instance, report, state.refs, seed=context.seed
             )
         return report
-
-    def _payload_of(self, stage: str, payloads: dict, records: dict):
-        if stage in payloads:
-            return payloads[stage]
-        record = records.get(stage)
-        if record is None:
-            raise ComponentError(f"no payload or checkpoint for stage {stage!r}")
-        payload = self.checkpoints.load(record)
-        payloads[stage] = payload
-        return payload

@@ -161,12 +161,19 @@ def metric_driven_merge(
     best = max(viable, key=lambda e: e.score)
 
     instance = PipelineInstance(spec=scope.spec, components=dict(best.components))
+    winner_report = best.report
+    if winner_report is None:
+        # The winner was scored from history, so the search never ran it.
+        # The commit still records its stage outputs and metrics: resolve
+        # them with one run, every stage a checkpoint hit. It is not a
+        # candidate evaluation and joins none of the search's tallies.
+        winner_report = executor.run(instance, context)
     commit = repo._store_commit(
         pipeline,
         head_branch,
         instance,
         (head.commit_id, merge_head.commit_id),
-        best.report,
+        winner_report,
         message or f"metric-driven merge of {merge_head_branch} (mode={mode})",
         score_override=best.score,
     )
@@ -176,7 +183,7 @@ def metric_driven_merge(
     return MergeOutcome(
         commit=commit,
         fast_forward=False,
-        winner_report=best.report,
+        winner_report=winner_report,
         candidates_total=candidates_total,
         candidates_pruned_incompatible=pruned,
         candidates_evaluated=len(evaluations),

@@ -26,10 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..context import ExecutionContext
-from ..executor import Executor
+from ..executor import Executor, RunReport
 from .search_space import MergeScope
-from .traversal import CandidateEvaluation, execute_candidate, path_key_of
-from .tree import TreeNode, build_search_tree, leaves
+from .traversal import (
+    CandidateEvaluation,
+    apply_candidate_result,
+    evaluation_of,
+    path_key_of,
+    run_candidate,
+)
+from .tree import TreeNode, build_search_tree, iter_nodes, leaves
 
 
 # ----------------------------------------------------------- score updates
@@ -217,6 +223,90 @@ def pick_random_leaf(
     return candidates[int(rng.integers(len(candidates)))]
 
 
+# --------------------------------------------------------- the search step
+_PICKERS = {"prioritized": pick_prioritized_leaf, "random": pick_random_leaf}
+
+
+def scored_from_history(leaf: TreeNode) -> bool:
+    """A trained pipeline of the commit history (a green leaf of Fig. 4):
+    its score is known, so a live search counts it as searched without
+    executing anything."""
+    return leaf.score is not None and leaf.executed
+
+
+class SearchStep:
+    """The draw and the commit of an ordered search, defined once.
+
+    :func:`run_ordered_search` alternates them, the parallel driver
+    (:mod:`repro.engine.merge_driver`) keeps a window of draws in flight
+    and commits in draw order, and :class:`SearchSimulator` replaces
+    execution with its cost model — all over this one RNG stream, run
+    set and tree. Not thread-safe: callers serialize draws and commits.
+    """
+
+    def __init__(
+        self,
+        root: TreeNode,
+        method: str,
+        seed: int,
+        budget: int | None = None,
+        time_budget_seconds: float | None = None,
+    ) -> None:
+        if method not in _PICKERS:
+            raise ValueError(f"unknown search method {method!r}")
+        if time_budget_seconds is not None and time_budget_seconds < 0:
+            raise ValueError("time_budget_seconds must be non-negative")
+        self.root = root
+        self.budget = budget
+        self.time_budget_seconds = time_budget_seconds
+        self._picker = _PICKERS[method]
+        self._propagate = method == "prioritized"
+        self._rng = np.random.default_rng(seed)
+        refresh_scores(root)
+        self._run = RunSet(root)
+        #: leaves drawn so far; ``evaluations`` holds the committed ones
+        self.drawn = 0
+        self.evaluations: list[CandidateEvaluation] = []
+        self._clock_start = time.perf_counter()
+
+    def draw(self) -> TreeNode | None:
+        """The next leaf to search, marked run — or ``None`` when the
+        evaluation budget, the time budget (once anything committed) or
+        the tree is exhausted."""
+        if self.budget is not None and self.drawn >= self.budget:
+            return None
+        if (
+            self.time_budget_seconds is not None
+            and self.evaluations
+            and time.perf_counter() - self._clock_start >= self.time_budget_seconds
+        ):
+            return None
+        leaf = self._picker(self.root, self._run, self._rng)
+        if leaf is not None:
+            self._run.add(id(leaf))
+            self.drawn += 1
+        return leaf
+
+    def settle(self, leaf: TreeNode, score: float | None) -> None:
+        """Give a searched leaf its score (``None``: the candidate
+        failed) and let it inform later prioritized draws."""
+        leaf.score = score
+        if self._propagate:
+            propagate_leaf_score(leaf)
+
+    def commit(self, leaf: TreeNode, report: RunReport | None) -> None:
+        """Record a drawn leaf's outcome: push a run's execution state
+        onto the tree and settle its score; ``report=None`` for a leaf
+        :func:`scored_from_history`, which changes nothing on the tree."""
+        evaluation = evaluation_of(
+            leaf, report, len(self.evaluations), time.perf_counter() - self._clock_start
+        )
+        if report is not None:
+            apply_candidate_result(leaf, report)
+            self.settle(leaf, evaluation.score)
+        self.evaluations.append(evaluation)
+
+
 # ------------------------------------------------------------- live search
 def run_ordered_search(
     root: TreeNode,
@@ -238,57 +328,13 @@ def run_ordered_search(
     leaves) count as searched without re-execution, exactly like the
     checkpointed nodes of Fig. 4.
     """
-    if method not in ("prioritized", "random"):
-        raise ValueError(f"unknown search method {method!r}")
-    if time_budget_seconds is not None and time_budget_seconds < 0:
-        raise ValueError("time_budget_seconds must be non-negative")
-    rng = np.random.default_rng(seed)
-    refresh_scores(root)
-    run = RunSet(root)
-    evaluations: list[CandidateEvaluation] = []
-    picker = pick_prioritized_leaf if method == "prioritized" else pick_random_leaf
-    clock_start = time.perf_counter()
-
-    while budget is None or len(evaluations) < budget:
-        if (
-            time_budget_seconds is not None
-            and evaluations
-            and time.perf_counter() - clock_start >= time_budget_seconds
-        ):
-            break
-        leaf = picker(root, run, rng)
-        if leaf is None:
-            break
-        run.add(id(leaf))
-        if leaf.score is not None and leaf.executed:
-            # History-trained candidate: score known, nothing to execute.
-            evaluations.append(
-                CandidateEvaluation(
-                    index=len(evaluations),
-                    path_key=path_key_of(leaf),
-                    components={n.stage: n.component for n in leaf.path_from_root()},
-                    report=None,
-                    score=leaf.score,
-                    elapsed_seconds=time.perf_counter() - clock_start,
-                )
-            )
-            continue
-        report = execute_candidate(leaf, scope, executor, context)
-        if report.failed:
-            leaf.score = None
-        evaluations.append(
-            CandidateEvaluation(
-                index=len(evaluations),
-                path_key=path_key_of(leaf),
-                components={n.stage: n.component for n in leaf.path_from_root()},
-                report=report,
-                score=None if report.failed else report.score,
-                elapsed_seconds=time.perf_counter() - clock_start,
-            )
-        )
-        if method == "prioritized":
-            propagate_leaf_score(leaf)
-    return evaluations
+    step = SearchStep(root, method, seed, budget, time_budget_seconds)
+    while (leaf := step.draw()) is not None:
+        if scored_from_history(leaf):
+            step.commit(leaf, None)
+        else:
+            step.commit(leaf, run_candidate(leaf, scope, executor, context))
+    return step.evaluations
 
 
 # --------------------------------------------------------------- simulator
@@ -316,7 +362,7 @@ class TrialResult:
 class SearchSimulator:
     """Replay prioritized/random searches over known scores and costs.
 
-    The simulator mirrors the PR-reuse cost model: evaluating a candidate
+    The simulator follows the PR-reuse cost model: evaluating a candidate
     costs the sum of its *not-yet-executed* component costs within the
     trial (components shared with earlier candidates are free), exactly
     like the real merge's checkpoint reuse. History-trained leaves start
@@ -348,61 +394,35 @@ class SearchSimulator:
         return root
 
     def run_trial(self, method: str, seed: int) -> TrialResult:
-        rng = np.random.default_rng(seed)
         root = self._fresh_tree()
-        refresh_scores(root)
-        run = RunSet(root)
-        executed_components: set[str] = set()
-        for node in _all_nodes(root):
-            if not node.is_root and node.executed:
-                executed_components.add(_node_key(node))
-        picker = pick_prioritized_leaf if method == "prioritized" else pick_random_leaf
-
+        step = SearchStep(root, method, seed)
+        # A node is its path from the root: the same component under a
+        # different upstream prefix is a different execution.
+        executed = {
+            path_key_of(node)
+            for node in iter_nodes(root)
+            if not node.is_root and node.executed
+        }
         result = TrialResult()
         clock = 0.0
-        rank = 0
-        while True:
-            leaf = picker(root, run, rng)
-            if leaf is None:
-                break
-            run.add(id(leaf))
+        while (leaf := step.draw()) is not None:
             cost = 0.0
             for node in leaf.path_from_root():
-                key = _node_key(node)
-                if key not in executed_components:
+                key = path_key_of(node)
+                if key not in executed:
                     cost += self.component_costs.get(node.identifier, 0.0)
-                    executed_components.add(key)
+                    executed.add(key)
                     node.executed = True
             clock += cost
-            score = self.leaf_scores.get(path_key_of(leaf), 0.0)
-            leaf.score = score
-            if method == "prioritized":
-                propagate_leaf_score(leaf)
+            path_key = path_key_of(leaf)
+            score = self.leaf_scores.get(path_key, 0.0)
+            step.settle(leaf, score)
             result.steps.append(
                 SimulatedStep(
-                    rank=rank,
-                    path_key=path_key_of(leaf),
-                    end_time=clock,
-                    score=score,
+                    rank=len(result.steps), path_key=path_key, end_time=clock, score=score
                 )
             )
-            rank += 1
         return result
 
     def run_trials(self, method: str, n_trials: int, seed: int = 0) -> list[TrialResult]:
         return [self.run_trial(method, seed * 100_003 + t) for t in range(n_trials)]
-
-
-def _all_nodes(root: TreeNode):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
-
-
-def _node_key(node: TreeNode) -> str:
-    """Identity of a tree node within a trial: its path from the root —
-    the same component under a different upstream prefix is a different
-    execution (its input differs)."""
-    return "/".join(n.identifier for n in node.path_from_root())

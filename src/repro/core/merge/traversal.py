@@ -47,6 +47,26 @@ def path_key_of(leaf: TreeNode) -> str:
     return "/".join(node.identifier for node in leaf.path_from_root())
 
 
+def evaluation_of(
+    leaf: TreeNode, report: RunReport | None, index: int, elapsed_seconds: float
+) -> CandidateEvaluation:
+    """The record of one searched candidate — every search builds its
+    records here. ``report is None`` means the leaf was scored from the
+    commit history (a trained pipeline of Fig. 4): nothing was executed."""
+    if report is None:
+        score = leaf.score
+    else:
+        score = None if report.failed else report.score
+    return CandidateEvaluation(
+        index=index,
+        path_key=path_key_of(leaf),
+        components=candidate_components(leaf),
+        report=report,
+        score=score,
+        elapsed_seconds=elapsed_seconds,
+    )
+
+
 def run_candidate(
     leaf: TreeNode,
     scope: MergeScope,
@@ -127,13 +147,8 @@ def execute_tree(
                 return  # dead-end left by in-traversal pruning: no candidate
             report = execute_candidate(node, scope, executor, context)
             evaluations.append(
-                CandidateEvaluation(
-                    index=len(evaluations),
-                    path_key=path_key_of(node),
-                    components=candidate_components(node),
-                    report=report,
-                    score=report.score if not report.failed else None,
-                    elapsed_seconds=time.perf_counter() - clock_start,
+                evaluation_of(
+                    node, report, len(evaluations), time.perf_counter() - clock_start
                 )
             )
 

@@ -372,7 +372,12 @@ class MLCask:
         ``time_budget_seconds`` caps wall-clock for the ordered searches.
         ``workers > 1`` evaluates several candidates concurrently through
         the parallel engine (ordered searches only; single-flight
-        checkpointing keeps each component execution at-most-once).
+        checkpointing keeps each component execution at-most-once). The
+        workers are threads: ``BENCH_parallel_merge``'s 1.98x / 3.60x at
+        2 / 4 workers are for sleep-simulated, GIL-releasing component
+        delays; on the four real numpy apps the 2-worker merge measured
+        slower than the sequential one (``merge_parallel_s`` 1.29 s vs
+        ``merge_s`` 0.81 s, ``benchmarks/budget/README.md`` finding 4).
         """
         if self.branches.is_fast_forward(self.graph, pipeline, head_branch, merge_head_branch):
             return self._fast_forward(pipeline, head_branch, merge_head_branch, message)

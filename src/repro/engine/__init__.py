@@ -1,14 +1,17 @@
 """Parallel execution engine: DAG-parallel stage scheduling, multi-worker
 merge search, and single-flight checkpoint deduplication.
 
-The sequential :class:`~repro.core.executor.Executor` stays the reference
-implementation; everything here is differential-tested against it — any
-divergence in stage output refs, metrics, scores, reuse flags, or failure
-stages between worker counts is a bug in this package.
+What a stage is (:meth:`repro.core.executor.Executor._run_stage`) and
+what a search step is (:class:`repro.core.merge.prioritized.SearchStep`)
+are defined in ``repro.core``; this package adds only *when* they run.
+Every executor and search driver is differential-tested against the
+frozen loops of ``tests/engine/reference.py`` — any divergence in stage
+output refs, metrics, scores, reuse flags, or failure stages between
+worker counts is a scheduling bug in this package.
 
 Entry points:
 
-* :class:`ParallelExecutor` — drop-in executor running independent DAG
+* :class:`ParallelExecutor` — an ``Executor`` running independent DAG
   stages concurrently (work-stealing pool) with single-flight reuse;
 * :func:`run_parallel_search` — multi-worker prioritized/random merge
   search preserving the paper's pick order via a fixed-window,

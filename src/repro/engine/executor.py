@@ -1,51 +1,44 @@
 """Parallel pipeline executor: DAG-parallel stages + single-flight reuse.
 
-Drop-in for :class:`repro.core.executor.Executor` — same ``run(instance,
-context) -> RunReport`` contract, same per-stage semantics, differential-
-tested against it — with two additions:
+A :class:`repro.core.executor.Executor` — the stage body and the report
+assembly are inherited, not re-implemented — that differs in exactly two
+places:
 
-* stages with no dependency between them execute concurrently on a
-  work-stealing pool (:class:`~repro.engine.scheduler.DagScheduler`);
-* a checkpoint miss is computed through a shared
+* ``run`` hands the stages to a work-stealing pool
+  (:class:`~repro.engine.scheduler.DagScheduler`), so stages with no
+  dependency between them execute concurrently;
+* a checkpoint miss is resolved through a shared
   :class:`~repro.engine.single_flight.SingleFlight`, so concurrent runs
   (the workers of a parallel merge search) execute each ``(component
   fingerprint, input ref)`` pair at most once — later arrivals block on
   the in-flight computation and record a checkpoint *reuse*, preserving
   the PR pruning invariant under concurrency.
 
-Determinism contract (the differential tests' ground truth): for any
-worker count, a run produces the same stage output refs, metrics, score,
-reuse flags, and failure stage as the sequential executor given the same
-starting checkpoint state. Output refs are content-addressed and every
-component draws a seeded RNG from its own fingerprint, so execution
-*order* cannot leak into results. On failure the report is trimmed to the
-topological prefix ending at the earliest failed stage — exactly the
-prefix the sequential executor would have produced — even if concurrent
-independent stages beyond it already ran (their checkpoints persist
-harmlessly; the store is content-addressed).
+Determinism contract (what the differential tests establish against the
+frozen reference loop in ``tests/engine/reference.py``): for any worker
+count, a run produces the same stage output refs, metrics, score, reuse
+flags, and failure stage given the same starting checkpoint state.
+Output refs are content-addressed and every component draws a seeded RNG
+from its own fingerprint, so execution *order* cannot leak into results.
+On failure the report is the topological prefix ending at the earliest
+failed stage even if concurrent independent stages beyond it already ran
+(their checkpoints persist harmlessly; the store is content-addressed).
 
-Only wall-clock fields (``run_seconds``/``store_seconds``) may differ
-between worker counts; nothing else may.
+Only wall-clock fields (``run_seconds``/``store_seconds``/
+``cpu_seconds``) may differ between worker counts; nothing else may.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
 from ..core.checkpoint import CheckpointStore
-from ..core.component import DatasetComponent, LibraryComponent
 from ..core.context import ExecutionContext
-from ..core.executor import Executor, RunReport, StageReport
-from ..errors import ComponentError
-from ..ml.metrics import score_from_metric
-from ..storage.hashing import fingerprint_many
+from ..core.executor import Executor, RunReport, _RunState
 from ..core.pipeline import PipelineInstance
 from .scheduler import DagScheduler
 from .single_flight import COMPUTED, SingleFlight
 
 
-class ParallelExecutor:
+class ParallelExecutor(Executor):
     """Runs pipeline instances with stage-level parallelism.
 
     ``workers=1`` executes inline in topological order (no threads) but
@@ -65,16 +58,9 @@ class ParallelExecutor:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.checkpoints = checkpoints
-        self.metric = metric
-        self.reuse = reuse
+        super().__init__(checkpoints, metric=metric, reuse=reuse, lineage=lineage)
         self.workers = workers
         self.flight = flight if flight is not None else SingleFlight()
-        #: optional :class:`repro.provenance.LineageLedger`; records are
-        #: emitted during assembly (caller's thread, topological order),
-        #: never from worker threads — the ledger stays bit-identical to
-        #: the sequential executor's for any worker count.
-        self.lineage = lineage
 
     @classmethod
     def from_executor(
@@ -83,32 +69,29 @@ class ParallelExecutor:
         workers: int | None = None,
         flight: SingleFlight | None = None,
     ) -> "ParallelExecutor":
-        """Adopt a sequential executor's configuration (store, metric,
-        reuse policy) — what the merge driver does with the executor the
-        merge built. ``workers``/``flight`` left as ``None`` inherit the
-        executor's own (default 1 / a fresh flight); when given, they are
-        honored even for an already-parallel executor — a requested
+        """Adopt an executor's configuration (store, metric, reuse
+        policy, ledger) — what the merge driver does with the executor
+        the merge built. ``workers``/``flight`` left as ``None`` inherit
+        the executor's own (default 1 / a fresh flight); when given, they
+        are honored even for an already-parallel executor — a requested
         worker count is never silently dropped."""
-        if isinstance(executor, cls):
-            if (workers is None or workers == executor.workers) and (
-                flight is None or flight is executor.flight
-            ):
-                return executor
-            return cls(
-                executor.checkpoints,
-                metric=executor.metric,
-                reuse=executor.reuse,
-                workers=workers if workers is not None else executor.workers,
-                flight=flight if flight is not None else executor.flight,
-                lineage=executor.lineage,
-            )
+        if workers is None:
+            workers = getattr(executor, "workers", 1)
+        if flight is None:
+            flight = getattr(executor, "flight", None)
+        if (
+            isinstance(executor, cls)
+            and workers == executor.workers
+            and flight is executor.flight
+        ):
+            return executor
         return cls(
             executor.checkpoints,
             metric=executor.metric,
             reuse=executor.reuse,
-            workers=workers if workers is not None else 1,
+            workers=workers,
             flight=flight,
-            lineage=getattr(executor, "lineage", None),
+            lineage=executor.lineage,
         )
 
     # ----------------------------------------------------------------- run
@@ -119,241 +102,22 @@ class ParallelExecutor:
     ) -> RunReport:
         context = context or ExecutionContext(metric=self.metric)
         state = _RunState(instance)
-        order = state.order
-
         if self.workers == 1:
-            for stage in order:
-                self._process_stage(stage, instance, context, state)
-                if state.failed_bar is not None:
+            for stage in state.order:
+                if not self._run_stage(stage, instance, context, state):
                     break
         else:
-            deps = {stage: instance.spec.predecessors(stage) for stage in order}
-            scheduler = DagScheduler(order, deps, self.workers)
-            scheduler.run(
-                lambda stage: self._process_stage(stage, instance, context, state)
+            deps = {stage: instance.spec.predecessors(stage) for stage in state.order}
+            DagScheduler(state.order, deps, self.workers).run(
+                lambda stage: self._run_stage(stage, instance, context, state)
             )
-        return self._assemble(instance, state, context)
+        return self._report(instance, context, state)
 
-    # ---------------------------------------------------------- one stage
-    def _process_stage(
-        self,
-        stage: str,
-        instance: PipelineInstance,
-        context: ExecutionContext,
-        state: "_RunState",
-    ) -> bool:
-        """Mirror of the sequential executor's loop body for one stage.
-
-        Returns success (the scheduler's protocol); every divergence from
-        ``Executor.run`` here is a differential-test failure waiting.
-        """
-        component = instance.component(stage)
-        stage_report = StageReport(
-            stage=stage,
-            component_id=component.identifier,
-            is_model=isinstance(component, LibraryComponent) and component.is_model,
+    def _resolve_miss(self, component, input_ref: str, compute):
+        """Through the flight: a join, or a hit the store learned between
+        the stage's lookup and the flight's re-check, is a reuse — exactly
+        as if the other run had finished before this one started."""
+        record, via = self.flight.compute_or_reuse(
+            self.checkpoints, component, input_ref, compute
         )
-        state.reports[stage] = stage_report
-
-        preds = instance.spec.predecessors(stage)
-        if isinstance(component, DatasetComponent):
-            input_ref = component.fingerprint
-        else:
-            incompatible = [
-                p
-                for p in preds
-                if not component.accepts(instance.component(p).output_schema)
-            ]
-            if incompatible:
-                stage_report.failed = True
-                state.mark_failed(stage, reason=None)
-                return False
-            input_ref = fingerprint_many(
-                ["input", *(state.refs[p] for p in preds)]
-            )
-
-        if self.reuse:
-            record = self.checkpoints.lookup(component, input_ref)
-            if record is not None:
-                return state.adopt_reuse(stage, stage_report, record)
-
-        rng = context.rng_for(component.fingerprint)
-        start = time.perf_counter()
-
-        def compute():
-            if isinstance(component, DatasetComponent):
-                run_start = time.perf_counter()
-                cpu_start = time.thread_time()
-                output = component.materialize(rng)
-                stage_report.run_seconds = time.perf_counter() - run_start
-                stage_report.cpu_seconds = time.thread_time() - cpu_start
-            else:
-                load_start = time.perf_counter()
-                inputs = [state.payload_of(p, self.checkpoints) for p in preds]
-                stage_report.store_seconds += time.perf_counter() - load_start
-                payload = (
-                    inputs[0]
-                    if len(inputs) == 1
-                    else {p: v for p, v in zip(preds, inputs)}
-                )
-                run_start = time.perf_counter()
-                cpu_start = time.thread_time()
-                output = component.run(payload, rng)
-                stage_report.run_seconds = time.perf_counter() - run_start
-                stage_report.cpu_seconds = time.thread_time() - cpu_start
-
-            metrics = None
-            if stage_report.is_model:
-                metrics = output.get("metrics", {})
-            state.executed_metrics[stage] = metrics
-
-            store_start = time.perf_counter()
-            saved = self.checkpoints.save(
-                component,
-                input_ref,
-                output,
-                run_seconds=stage_report.run_seconds,
-                metrics=metrics,
-            )
-            stage_report.store_seconds += time.perf_counter() - store_start
-            state.set_payload(stage, output)
-            return saved
-
-        try:
-            if self.reuse:
-                record, via = self.flight.compute_or_reuse(
-                    self.checkpoints, component, input_ref, compute
-                )
-            else:
-                record, via = compute(), COMPUTED
-        except Exception as error:  # noqa: BLE001 - component code is untrusted
-            stage_report.run_seconds = time.perf_counter() - start
-            stage_report.failed = True
-            state.mark_failed(stage, reason=f"{type(error).__name__}: {error}")
-            return False
-
-        if via != COMPUTED:
-            # Another run computed it while we raced (or the store learned
-            # it between our lookup and the flight's re-check): a reuse,
-            # exactly as if their run had finished before ours started.
-            return state.adopt_reuse(stage, stage_report, record)
-
-        stage_report.executed = True
-        stage_report.output_ref = record.output_ref
-        stage_report.output_bytes = record.output_bytes
-        stage_report.checkpoint_key = record.key
-        state.set_ref(stage, record.output_ref)
-        return True
-
-    # ------------------------------------------------------------ assembly
-    def _assemble(
-        self,
-        instance: PipelineInstance,
-        state: "_RunState",
-        context: ExecutionContext,
-    ) -> RunReport:
-        """Deterministic report construction: walk the topological order
-        applying the sequential executor's metric/score rules, trimming to
-        the failure prefix when a stage failed. Lineage records are
-        emitted here — caller's thread, topological order — so ledger
-        content and order never depend on worker interleaving."""
-        report = RunReport(pipeline=instance.spec.name)
-        order = state.order
-        bar = state.failed_bar
-        included = order if bar is None else order[: bar + 1]
-        for stage in included:
-            stage_report = state.reports.get(stage)
-            if stage_report is None:  # unreachable: scheduler settles the prefix
-                raise ComponentError(f"stage {stage!r} was never processed")
-            report.stage_reports.append(stage_report)
-            if stage_report.failed:
-                continue
-            if stage_report.reused:
-                record = state.records[stage]
-                if record.metrics:
-                    report.metrics = dict(record.metrics)
-            elif stage_report.executed and stage_report.is_model:
-                report.metrics = dict(state.executed_metrics.get(stage) or {})
-        if bar is not None:
-            report.failed = True
-            report.failure_stage = order[bar]
-            report.failure_reason = state.failure_reasons.get(order[bar])
-            if self.lineage is not None:
-                report.lineage_rows = self.lineage.record_run(
-                    instance, report, state.refs, seed=context.seed
-                )
-            return report
-        if not report.metrics:
-            raise ComponentError(
-                f"pipeline {instance.spec.name!r} produced no metrics; "
-                "is the sink stage a model component?"
-            )
-        if self.metric in report.metrics:
-            report.score = score_from_metric(self.metric, report.metrics[self.metric])
-        if self.lineage is not None:
-            report.lineage_rows = self.lineage.record_run(
-                instance, report, state.refs, seed=context.seed
-            )
-        return report
-
-
-class _RunState:
-    """Shared per-run state, guarded by one run-local lock.
-
-    Refs and records are written by the producing stage before any
-    consumer is scheduled (the DAG order guarantees it), so readers see
-    settled values; the lock makes each update atomic and keeps the
-    failure bar consistent across workers.
-    """
-
-    def __init__(self, instance: PipelineInstance) -> None:
-        self.order = instance.spec.topological_order()
-        self._indices = {stage: i for i, stage in enumerate(self.order)}
-        self._lock = threading.Lock()
-        self.reports: dict[str, StageReport] = {}
-        self.refs: dict[str, str] = {}
-        self.records: dict[str, object] = {}
-        self.payloads: dict[str, object] = {}
-        self.executed_metrics: dict[str, dict | None] = {}
-        self.failure_reasons: dict[str, str | None] = {}
-        self.failed_bar: int | None = None
-
-    def mark_failed(self, stage: str, reason: str | None) -> None:
-        with self._lock:
-            self.failure_reasons[stage] = reason
-            index = self._indices[stage]
-            if self.failed_bar is None or index < self.failed_bar:
-                self.failed_bar = index
-
-    def adopt_reuse(self, stage: str, stage_report: StageReport, record) -> bool:
-        stage_report.reused = True
-        stage_report.output_ref = record.output_ref
-        stage_report.output_bytes = record.output_bytes
-        stage_report.checkpoint_key = record.key
-        with self._lock:
-            self.refs[stage] = record.output_ref
-            self.records[stage] = record
-        return True
-
-    def set_ref(self, stage: str, ref: str) -> None:
-        with self._lock:
-            self.refs[stage] = ref
-
-    def set_payload(self, stage: str, payload) -> None:
-        with self._lock:
-            self.payloads[stage] = payload
-
-    def payload_of(self, stage: str, checkpoints: CheckpointStore):
-        """Lazily materialize a predecessor's output (sequential
-        ``Executor._payload_of``). Two consumers may race the same load;
-        the loads are deterministic so the duplicate is waste, not a bug."""
-        with self._lock:
-            if stage in self.payloads:
-                return self.payloads[stage]
-            record = self.records.get(stage)
-        if record is None:
-            raise ComponentError(f"no payload or checkpoint for stage {stage!r}")
-        payload = checkpoints.load(record)
-        with self._lock:
-            self.payloads.setdefault(stage, payload)
-            return self.payloads[stage]
+        return record, via == COMPUTED

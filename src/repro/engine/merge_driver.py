@@ -1,14 +1,16 @@
 """Multi-worker prioritized merge search (paper section VII-E, parallel).
 
 The sequential :func:`~repro.core.merge.prioritized.run_ordered_search`
-alternates strictly: pick a leaf, execute it, propagate its score, pick
-the next. The parallel driver keeps several candidates in flight while
-preserving the paper's pick semantics through a fixed-window protocol:
+alternates strictly: draw a leaf, execute it, commit its score, draw the
+next. The parallel driver keeps several candidates in flight over the
+same :class:`~repro.core.merge.prioritized.SearchStep` — what a draw and
+a commit *are* is defined there, once; this module owns only the
+concurrency, a fixed-window protocol that preserves the paper's pick
+semantics:
 
-* **One draw stream.** A single coordinator state (tree, RNG, run set)
-  issues draws in order ``j = 0, 1, 2, ...`` under a lock — workers
-  *draw from the same* ``pick_prioritized_leaf`` *stream*, they never
-  pick independently.
+* **One draw stream.** One ``SearchStep`` (tree, RNG, run set) issues
+  draws in order ``j = 0, 1, 2, ...`` under a lock — workers draw from
+  the same stream, they never pick independently.
 * **Commit in draw order.** Finished candidates park their reports in a
   result buffer; results commit (tree marks, ``leaf.score``, score
   propagation, the evaluation record) strictly in draw order.
@@ -35,33 +37,17 @@ counts as the sequential search.
 from __future__ import annotations
 
 import threading
-import time
-
-import numpy as np
 
 from ..core.context import ExecutionContext
 from ..core.executor import Executor
 from ..obs import propagation
 from ..obs import trace as obs_trace
-from ..core.merge.prioritized import (
-    RunSet,
-    pick_prioritized_leaf,
-    pick_random_leaf,
-    propagate_leaf_score,
-    refresh_scores,
-)
+from ..core.merge.prioritized import SearchStep, scored_from_history
 from ..core.merge.search_space import MergeScope
-from ..core.merge.traversal import (
-    CandidateEvaluation,
-    apply_candidate_result,
-    path_key_of,
-    run_candidate,
-)
+from ..core.merge.traversal import CandidateEvaluation, run_candidate
 from ..core.merge.tree import TreeNode
 from .executor import ParallelExecutor
 from .single_flight import SingleFlight
-
-_PICKERS = {"prioritized": pick_prioritized_leaf, "random": pick_random_leaf}
 
 
 def run_parallel_search(
@@ -84,54 +70,29 @@ def run_parallel_search(
     candidate paths are chains, so each candidate runs sequentially
     within itself while candidates run concurrently with each other.
     """
-    if method not in _PICKERS:
-        raise ValueError(f"unknown search method {method!r}")
-    if time_budget_seconds is not None and time_budget_seconds < 0:
-        raise ValueError("time_budget_seconds must be non-negative")
+    step = SearchStep(root, method, seed, budget, time_budget_seconds)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    picker = _PICKERS[method]
     engine = ParallelExecutor.from_executor(executor, flight=flight)
-    coordinator = _Coordinator(
-        root,
-        scope,
-        engine,
-        context,
-        picker=picker,
-        propagate=method == "prioritized",
-        workers=workers,
-        budget=budget,
-        time_budget_seconds=time_budget_seconds,
-        seed=seed,
-    )
-    return coordinator.search()
+    return _Coordinator(step, scope, engine, context, workers).search()
 
 
 class _Coordinator:
-    """The draw stream, result buffer, and commit logic behind one search."""
+    """The lookahead window, result buffer and threads behind one search."""
 
     def __init__(
         self,
-        root: TreeNode,
+        step: SearchStep,
         scope: MergeScope,
         engine: ParallelExecutor,
         context: ExecutionContext,
-        picker,
-        propagate: bool,
         workers: int,
-        budget: int | None,
-        time_budget_seconds: float | None,
-        seed: int,
     ) -> None:
-        self.root = root
+        self.step = step
         self.scope = scope
         self.engine = engine
         self.context = context
-        self.picker = picker
-        self.propagate = propagate
         self.workers = workers
-        self.budget = budget
-        self.time_budget_seconds = time_budget_seconds
 
         # Trace continuity across the fan-out: worker threads start with
         # an *empty* contextvar context, so without capturing the caller's
@@ -144,16 +105,12 @@ class _Coordinator:
         self._tracer = obs_trace.default_tracer()
 
         self._cond = threading.Condition()
-        self._rng = np.random.default_rng(seed)
-        refresh_scores(root)
-        self._run = RunSet(root)
-        self._drawn = 0
-        self._committed = 0
+        #: draw index -> (leaf, report); report ``None`` for a leaf
+        #: scored from history. Draws issued = ``step.drawn``, results
+        #: committed = ``len(step.evaluations)``.
         self._results: dict[int, tuple] = {}
         self._drawing_done = False
         self._crash: BaseException | None = None
-        self._evaluations: list[CandidateEvaluation] = []
-        self._clock_start = time.perf_counter()
 
     # ------------------------------------------------------------- protocol
     def search(self) -> list[CandidateEvaluation]:
@@ -172,7 +129,7 @@ class _Coordinator:
                 thread.join()
         if self._crash is not None:
             raise self._crash
-        return self._evaluations
+        return self.step.evaluations
 
     def _worker(self) -> None:
         try:
@@ -200,100 +157,50 @@ class _Coordinator:
                     continue
                 index, leaf = drew
                 if leaf is None:
-                    continue  # drawing just stopped; loop to drain/exit
+                    continue  # nothing to execute; loop to drain/exit
             # Execute outside the lock: this is the parallelism.
             with self._tracer.span("merge.candidate", draw=index):
                 report = run_candidate(leaf, self.scope, self.engine, self.context)
             with self._cond:
-                self._results[index] = ("run", leaf, report)
+                self._results[index] = (leaf, report)
                 self._drain_commits()
                 self._cond.notify_all()
 
     def _finished(self) -> bool:
         return self._crash is not None or (
-            self._drawing_done and self._committed == self._drawn
+            self._drawing_done and len(self.step.evaluations) == self.step.drawn
         )
 
     def _try_draw(self):
         """Issue the next draw if the window allows; returns ``None`` when
-        the caller must wait, ``(index, None)`` when drawing stopped, and
-        ``(index, leaf)`` for an executable draw. History-scored leaves
-        are buffered as free results immediately. Runs under the lock."""
+        the caller must wait, ``(index, None)`` when there is nothing to
+        execute (drawing stopped, or a history-scored leaf, buffered as a
+        free result immediately) and ``(index, leaf)`` for an executable
+        draw. Runs under the lock."""
         if self._drawing_done:
             return None
-        j = self._drawn
-        if j >= self.workers and self._committed < j - self.workers + 1:
+        j = self.step.drawn
+        if j >= self.workers and len(self.step.evaluations) < j - self.workers + 1:
             return None
-        if self.budget is not None and j >= self.budget:
-            self._drawing_done = True
-            self._cond.notify_all()
-            return (j, None)
-        if (
-            self.time_budget_seconds is not None
-            and self._evaluations
-            and time.perf_counter() - self._clock_start >= self.time_budget_seconds
-        ):
-            self._drawing_done = True
-            self._cond.notify_all()
-            return (j, None)
-        leaf = self.picker(self.root, self._run, self._rng)
+        leaf = self.step.draw()
         if leaf is None:
             self._drawing_done = True
-            self._cond.notify_all()
-            return (j, None)
-        self._drawn += 1
-        self._run.add(id(leaf))
-        if leaf.score is not None and leaf.executed:
-            # History-trained candidate: score known, nothing to execute.
-            self._results[j] = ("history", leaf)
+        elif scored_from_history(leaf):
+            self._results[j] = (leaf, None)
             self._drain_commits()
-            self._cond.notify_all()
-            return (j, None)
-        return (j, leaf)
+        else:
+            return (j, leaf)
+        self._cond.notify_all()
+        return (j, None)
 
     def _drain_commits(self) -> None:
         """Commit buffered results in draw order while the window (or the
         end of drawing) allows. Runs under the lock — this is the only
         place the tree mutates during a search."""
         while True:
-            i = self._committed
+            i = len(self.step.evaluations)
             if i not in self._results:
                 return
-            if not self._drawing_done and self._drawn < i + self.workers:
+            if not self._drawing_done and self.step.drawn < i + self.workers:
                 return
-            entry = self._results.pop(i)
-            elapsed = time.perf_counter() - self._clock_start
-            if entry[0] == "history":
-                leaf = entry[1]
-                self._evaluations.append(
-                    CandidateEvaluation(
-                        index=len(self._evaluations),
-                        path_key=path_key_of(leaf),
-                        components={
-                            n.stage: n.component for n in leaf.path_from_root()
-                        },
-                        report=None,
-                        score=leaf.score,
-                        elapsed_seconds=elapsed,
-                    )
-                )
-            else:
-                _, leaf, report = entry
-                if report.failed:
-                    leaf.score = None
-                apply_candidate_result(leaf, report)
-                self._evaluations.append(
-                    CandidateEvaluation(
-                        index=len(self._evaluations),
-                        path_key=path_key_of(leaf),
-                        components={
-                            n.stage: n.component for n in leaf.path_from_root()
-                        },
-                        report=report,
-                        score=None if report.failed else report.score,
-                        elapsed_seconds=elapsed,
-                    )
-                )
-                if self.propagate:
-                    propagate_leaf_score(leaf)
-            self._committed += 1
+            self.step.commit(*self._results.pop(i))

@@ -246,14 +246,15 @@ class LineageLedger:
     def record_run(self, instance, report, refs: dict, seed: int = 0) -> tuple[int, ...]:
         """Append one record per non-failed stage of a finished run.
 
-        Called by both executors *after* stage processing, walking
-        ``report.stage_reports`` — which both build in topological order
-        trimmed to the failure prefix — so ledger order is independent
-        of execution interleaving (the bit-identity contract). ``refs``
+        Called by ``Executor._report`` (the one report assembly, under
+        every executor) *after* stage processing, walking
+        ``report.stage_reports`` — built in topological order, trimmed
+        to the failure prefix — so ledger order is independent of
+        execution interleaving (the bit-identity contract). ``refs``
         maps each stage to its settled output ref; predecessors' refs
         become the record's ``input_refs``. Trace/span ids are read from
-        the ambient span of the *calling* thread of control, where both
-        executors assemble their reports.
+        the ambient span of the *calling* thread of control, where the
+        report is assembled.
         """
         span = current_span()
         trace_id = (span.trace_id if span is not None else None) or ""

@@ -1,8 +1,12 @@
-"""Differential equivalence: ParallelExecutor vs the sequential Executor.
+"""Differential equivalence: both executors vs the frozen reference loop.
 
 The engine's determinism contract — for any worker count and seed, a run
 produces the same stage output refs, metrics, score, reuse flags, and
-failure stage as the sequential reference implementation. Asserted here
+failure stage as the reference. ``Executor`` and ``ParallelExecutor``
+share one stage body, so neither can be the other's oracle: both are
+compared against ``reference_run`` (``tests/engine/reference.py``, the
+sequential loop as it stood before the merge), which is what still
+establishes scheduling, prefix trimming and single-flight. Asserted here
 across all bundled workloads, several worker counts and seeds, DAG-shaped
 specs, warm-checkpoint reruns, and the failure paths.
 """
@@ -19,6 +23,7 @@ from repro.engine import ParallelExecutor
 from repro.errors import ComponentError
 from repro.workloads import ALL_WORKLOADS
 
+from engine.reference import reference_run
 from helpers import (
     RAW_SCHEMA,
     TOY_SPEC,
@@ -57,22 +62,34 @@ def report_fingerprint(report):
     }
 
 
+def production_executors(worker_counts=WORKER_COUNTS, **config):
+    """``(label, executor)`` for every production executor, each on a
+    fresh store: the sequential one, then one engine per worker count."""
+    yield "sequential", Executor(ChunkedCheckpointStore(), **config)
+    for workers in worker_counts:
+        yield workers, ParallelExecutor(
+            ChunkedCheckpointStore(), workers=workers, **config
+        )
+
+
 def assert_equivalent(instance, seeds=(0,), metric="accuracy"):
-    """Run sequential vs parallel on fresh stores; then once more on the
-    warm store (the all-reuse path) — both runs must match per seed."""
+    """Run the reference vs every production executor on fresh stores;
+    then once more on the warm store (the all-reuse path) — both runs
+    must match per seed."""
     for seed in seeds:
         context = ExecutionContext(seed=seed, metric=metric)
-        sequential_store = ChunkedCheckpointStore()
-        sequential = Executor(sequential_store, metric=metric)
-        expected_cold = report_fingerprint(sequential.run(instance, context))
-        expected_warm = report_fingerprint(sequential.run(instance, context))
-        for workers in WORKER_COUNTS:
-            store = ChunkedCheckpointStore()
-            engine = ParallelExecutor(store, metric=metric, workers=workers)
-            cold = report_fingerprint(engine.run(instance, context))
-            warm = report_fingerprint(engine.run(instance, context))
-            assert cold == expected_cold, (workers, seed)
-            assert warm == expected_warm, (workers, seed)
+        reference_store = ChunkedCheckpointStore()
+        expected_cold = report_fingerprint(
+            reference_run(reference_store, instance, context, metric=metric)
+        )
+        expected_warm = report_fingerprint(
+            reference_run(reference_store, instance, context, metric=metric)
+        )
+        for label, executor in production_executors(metric=metric):
+            cold = report_fingerprint(executor.run(instance, context))
+            warm = report_fingerprint(executor.run(instance, context))
+            assert cold == expected_cold, (label, seed)
+            assert warm == expected_warm, (label, seed)
 
 
 class TestBundledWorkloads:
@@ -163,11 +180,11 @@ class TestDagPipelines:
         instance = diamond_instance(fail_branch=fail_branch)
         context = ExecutionContext(seed=0)
         expected = report_fingerprint(
-            Executor(ChunkedCheckpointStore()).run(instance, context)
+            reference_run(ChunkedCheckpointStore(), instance, context)
         )
-        for workers in WORKER_COUNTS:
-            engine = ParallelExecutor(ChunkedCheckpointStore(), workers=workers)
-            assert report_fingerprint(engine.run(instance, context)) == expected
+        for label, executor in production_executors():
+            actual = report_fingerprint(executor.run(instance, context))
+            assert actual == expected, label
 
 
 class TestChainFailures:
@@ -192,13 +209,13 @@ class TestChainFailures:
         instance = self._failing_chain()
         context = ExecutionContext(seed=0)
         expected = report_fingerprint(
-            Executor(ChunkedCheckpointStore()).run(instance, context)
+            reference_run(ChunkedCheckpointStore(), instance, context)
         )
-        engine = ParallelExecutor(ChunkedCheckpointStore(), workers=workers)
-        actual = report_fingerprint(engine.run(instance, context))
-        assert actual == expected
-        assert actual["failure_stage"] == "extract"
-        assert "mid-pipeline failure" in actual["failure_reason"]
+        for _, executor in production_executors((workers,)):
+            actual = report_fingerprint(executor.run(instance, context))
+            assert actual == expected
+            assert actual["failure_stage"] == "extract"
+            assert "mid-pipeline failure" in actual["failure_reason"]
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -212,13 +229,13 @@ class TestChainFailures:
         instance = PipelineInstance(spec=TOY_SPEC, components=components)
         context = ExecutionContext(seed=0)
         expected = report_fingerprint(
-            Executor(ChunkedCheckpointStore()).run(instance, context)
+            reference_run(ChunkedCheckpointStore(), instance, context)
         )
-        engine = ParallelExecutor(ChunkedCheckpointStore(), workers=workers)
-        actual = report_fingerprint(engine.run(instance, context))
-        assert actual == expected
-        assert actual["failed"] and actual["failure_stage"] == "model"
-        assert actual["failure_reason"] is None
+        for _, executor in production_executors((workers,)):
+            actual = report_fingerprint(executor.run(instance, context))
+            assert actual == expected
+            assert actual["failed"] and actual["failure_stage"] == "model"
+            assert actual["failure_reason"] is None
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_no_metrics_raises_like_sequential(self, workers):
@@ -230,10 +247,10 @@ class TestChainFailures:
         instance = PipelineInstance(spec=spec, components=components)
         context = ExecutionContext(seed=0)
         with pytest.raises(ComponentError, match="produced no metrics"):
-            Executor(ChunkedCheckpointStore()).run(instance, context)
-        engine = ParallelExecutor(ChunkedCheckpointStore(), workers=workers)
-        with pytest.raises(ComponentError, match="produced no metrics"):
-            engine.run(instance, context)
+            reference_run(ChunkedCheckpointStore(), instance, context)
+        for _, executor in production_executors((workers,)):
+            with pytest.raises(ComponentError, match="produced no metrics"):
+                executor.run(instance, context)
 
 
 class TestConfiguration:

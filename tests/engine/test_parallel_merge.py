@@ -1,7 +1,9 @@
 """Multi-worker merge search tests: determinism, equivalence, dedup.
 
 The driver's contract: ``workers=1`` reproduces the sequential
-``run_ordered_search`` exactly (same RNG stream, same draw sequence);
+``run_ordered_search`` exactly (same RNG stream, same draw sequence) —
+and since both now loop over one ``SearchStep``, both are held to the
+frozen ``reference_ordered_search`` (``tests/engine/reference.py``);
 ``workers > 1`` is deterministic per (seed, workers) and — unbudgeted —
 reaches identical candidate scores, stage output refs, winner, and
 executed/reused totals; and racing candidates sharing an expensive
@@ -27,6 +29,7 @@ from repro.core.repository import MLCask
 from repro.engine import run_parallel_search
 from repro.errors import MergeError
 
+from engine.reference import ReferenceExecutor, reference_ordered_search
 from helpers import (
     TOY_SPEC,
     build_fig3_history,
@@ -56,6 +59,17 @@ def sequential_evaluations(method="prioritized", seed=4, budget=None):
     scope, root = prepared_tree(repo)
     executor = Executor(repo.checkpoints, metric="accuracy", reuse=True)
     return run_ordered_search(
+        root, scope, executor, ExecutionContext(seed=0),
+        method=method, budget=budget, seed=seed,
+    )
+
+
+def reference_evaluations(method="prioritized", seed=4, budget=None):
+    """The frozen search loop over the frozen executor loop."""
+    repo = build_fig3_history()
+    scope, root = prepared_tree(repo)
+    executor = ReferenceExecutor(repo.checkpoints, metric="accuracy", reuse=True)
+    return reference_ordered_search(
         root, scope, executor, ExecutionContext(seed=0),
         method=method, budget=budget, seed=seed,
     )
@@ -101,12 +115,19 @@ class TestWorkersOneIsSequential:
         expected = evaluation_sequence(sequential_evaluations(method, seed))
         actual = evaluation_sequence(parallel_evaluations(1, method, seed))
         assert actual == expected
+        reference = reference_evaluations(method, seed)
+        assert expected == evaluation_sequence(reference)
+        for production in (sequential_evaluations, lambda *a: parallel_evaluations(1, *a)):
+            evaluations = production(method, seed)
+            assert output_ref_map(evaluations) == output_ref_map(reference)
+            assert totals(evaluations) == totals(reference)
 
     @pytest.mark.timeout(120)
     def test_identical_under_budget(self):
         expected = evaluation_sequence(sequential_evaluations(budget=4))
         actual = evaluation_sequence(parallel_evaluations(1, budget=4))
         assert actual == expected
+        assert expected == evaluation_sequence(reference_evaluations(budget=4))
 
 
 class TestMultiWorkerEquivalence:

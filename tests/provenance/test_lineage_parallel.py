@@ -1,10 +1,13 @@
 """Differential lineage: the ledger is bit-identical across executors.
 
-Both executors funnel provenance through the same
+Every executor funnels provenance through the same
 ``LineageLedger.record_run`` walk over the topologically-ordered stage
 reports, on the calling thread — so for any workload, seed, and worker
 count the ledgers must compare equal record-for-record (record identity
-already excludes wall/cpu timing). Mirrors the differential harness of
+already excludes wall/cpu timing). The expectation comes from the frozen
+reference loop (``tests/engine/reference.py``), since both production
+executors now share one stage body; this is what still establishes
+ledger *order* under a scheduler. Follows the differential harness of
 ``tests/engine/test_parallel_executor.py``.
 """
 
@@ -18,16 +21,25 @@ from repro.engine import ParallelExecutor
 from repro.provenance import REUSED, LineageLedger
 from repro.workloads import ALL_WORKLOADS
 
+from engine.reference import ReferenceExecutor
 from helpers import TOY_SPEC, toy_initial_components
 
 WORKER_COUNTS = (1, 2, 4)
+
+
+#: ``workers`` value selecting the frozen reference loop / the production
+#: sequential executor in :func:`run_with_ledger`.
+REFERENCE = "reference"
+PRODUCTION = (None, *WORKER_COUNTS)
 
 
 def run_with_ledger(instance, context, metric, workers=None, runs=1):
     """Fresh store + fresh ledger; return the ledger after ``runs`` runs."""
     store = ChunkedCheckpointStore()
     ledger = LineageLedger()
-    if workers is None:
+    if workers == REFERENCE:
+        executor = ReferenceExecutor(store, metric=metric, lineage=ledger)
+    elif workers is None:
         executor = Executor(store, metric=metric, lineage=ledger)
     else:
         executor = ParallelExecutor(
@@ -39,12 +51,15 @@ def run_with_ledger(instance, context, metric, workers=None, runs=1):
 
 
 def assert_lineage_equivalent(instance, seeds=(0,), metric="accuracy"):
-    """Sequential vs parallel ledgers, cold and warm, per seed."""
+    """Reference vs every production executor's ledger, cold and warm,
+    per seed."""
     for seed in seeds:
         context = ExecutionContext(seed=seed, metric=metric)
-        expected_cold = run_with_ledger(instance, context, metric).records()
-        expected_warm = run_with_ledger(instance, context, metric, runs=2).records()
-        for workers in WORKER_COUNTS:
+        expected_cold = run_with_ledger(instance, context, metric, REFERENCE).records()
+        expected_warm = run_with_ledger(
+            instance, context, metric, REFERENCE, runs=2
+        ).records()
+        for workers in PRODUCTION:
             cold = run_with_ledger(instance, context, metric, workers=workers)
             assert cold.records() == expected_cold, (workers, seed)
             warm = run_with_ledger(
@@ -97,12 +112,13 @@ class TestFailurePrefix:
         must be the same under both executors."""
         instance = self._failing_chain()
         context = ExecutionContext(seed=0, metric="accuracy")
-        expected = run_with_ledger(instance, context, "accuracy").records()
-        actual = run_with_ledger(
-            instance, context, "accuracy", workers=workers
-        ).records()
-        assert actual == expected
-        assert [r.stage for r in actual] == ["dataset", "clean"]
+        expected = run_with_ledger(instance, context, "accuracy", REFERENCE).records()
+        for production in (None, workers):
+            actual = run_with_ledger(
+                instance, context, "accuracy", workers=production
+            ).records()
+            assert actual == expected
+            assert [r.stage for r in actual] == ["dataset", "clean"]
 
 
 class TestReuseRecords:
