@@ -91,6 +91,19 @@ MANIFEST = {
         # Remote's shed-retry loop: retries per overloaded call.
         ("backoff_retries", "exact"),
     ],
+    "chunk_store_io": [
+        # os-level calls per chunk on the file-backed paths: the
+        # per-chunk contract of docs/invariants.md, held across commits.
+        # (The microseconds beside them are recorded, never compared.)
+        ("file/syscalls/novel_write", "exact"),
+        ("file/syscalls/dedup_hit", "exact"),
+        ("file/syscalls/read", "exact"),
+        ("file/syscalls/miss", "exact"),
+        ("view-file/syscalls/novel_write", "exact"),
+        ("view-file/syscalls/dedup_hit", "exact"),
+        ("view-file/syscalls/read", "exact"),
+        ("view-file/syscalls/miss", "exact"),
+    ],
     "fig11_distributed": [
         # Analytic speedup grid — deterministic.
         ("speedup_grid/p=0.9,k=8", "higher"),

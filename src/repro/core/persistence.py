@@ -34,25 +34,25 @@ Repository directory layout::
     <dir>/recipes.<g>.jsonl      blob digest -> ordered chunk digests
     <dir>/checkpoints.<g>.jsonl  checkpoint records (reuse metadata)
     <dir>/lineage.<g>.jsonl      provenance ledger rows
-    <dir>/objects/ab/cdef...     a working copy's chunks, git-style
-                                 two-char fan-out
+    <dir>/objects/               a working copy's chunks, a
+    <dir>/objects.index/         :class:`FileChunkStore` (segment + index)
     <dir>/chunks.<g>.jsonl       a hosted repository's instead: [digest,
                                  size] rows, its holdings in the hub's
                                  shared chunk backend (no ``objects/``)
 
 Everything a repository keeps only grows between garbage collections, so
-a save costs what the repository *gained*: chunk files the directory
-lacks are written, each journal (one JSON value per line) gets the rows
-its store has added since the last save appended and flushed to disk,
-then the header is replaced atomically (and durably) with the new
-lengths. That replace is the commit point: loaders read exactly the
+a save costs what the repository *gained*: chunks the directory lacks
+are appended and flushed to disk, each journal (one JSON value per line)
+gets the rows its store has added since the last save appended and
+flushed, then the header is replaced atomically (and durably) with the
+new lengths. That replace is the commit point: loaders read exactly the
 committed lengths, the next writer cuts off whatever lies past them, so
 a crash at any write leaves the previous committed state. When appending
 would be wrong — another directory, another writer in between, rows
 removed or amended since — every journal is written afresh under the
 next generation number and committed by the header that names it; only
-then do the old generation's files and the chunk files no longer held
-go. A directory from before the journals (the commits in its header, one
+then do the old generation's files and the bytes of chunks no longer
+held go. A directory from before the journals (the commits in its header, one
 whole JSON file per collection beside it) still loads, and its next save
 rewrites it in this layout. The rules, once for both hosts, are in
 ``docs/invariants.md`` ("Repository metadata: one commit point").
@@ -462,13 +462,15 @@ def save_repository_dir(
     else:
         generation, done = on_disk.get("generation", -1) + 1, {}
 
+    chunks = repo.objects.chunks
     if not hosted:
         disk = FileChunkStore(os.path.join(root, OBJECTS_DIR))
-        chunks = repo.objects.chunks
         held = set(chunks.digests())
         for digest in held:
             if not disk.contains(digest):
                 disk.import_chunk(digest, chunks.get(digest))
+    # Chunk bytes reach the disk before the journals that name them.
+    (chunks if hosted else disk).flush()
     committed = {}
     for name, (store_of, tail) in _JOURNALS.items():
         if name == HOLDINGS and not hosted:
@@ -497,6 +499,7 @@ def save_repository_dir(
         for digest in disk.digests():
             if digest not in held:
                 disk.discard(digest)
+        disk.compact()
 
 
 def _sweep_repo_dir(root: str, generation: int) -> None:
@@ -552,26 +555,6 @@ def restore_repository_dir(
         )
 
 
-class _ObjectsInPlace(FileChunkStore):
-    """A directory's ``objects/`` opened as the repository's own chunk
-    store. A discard only forgets the chunk: its file must outlive the
-    header that still names it, and goes when the save that follows
-    mirrors deletions."""
-
-    def __init__(self, root: str):
-        super().__init__(root)
-        self._forgotten: set[str] = set()
-
-    def _contains(self, digest: str) -> bool:
-        return digest not in self._forgotten and super()._contains(digest)
-
-    def _delete(self, digest: str) -> None:
-        self._forgotten.add(digest)
-
-    def digests(self) -> list[str]:
-        return [d for d in super().digests() if d not in self._forgotten]
-
-
 def _open_repository_dir(path, registry, in_place: bool):
     from .repository import MLCask
 
@@ -580,7 +563,7 @@ def _open_repository_dir(path, registry, in_place: bool):
     repo = MLCask(
         metric=header["metric"],
         seed=header["seed"],
-        objects=ObjectStore(_ObjectsInPlace(objects_root)) if in_place else None,
+        objects=ObjectStore(FileChunkStore(objects_root)) if in_place else None,
     )
     restore_repository_dir(repo, path, header, registry=registry)
     if not in_place and os.path.isdir(objects_root):
@@ -603,10 +586,10 @@ def gc_repository_dir(
     Live roots are the stage outputs of every commit; with
     ``keep_checkpoints`` the archived checkpoint records count as roots
     too (preserving reuse for outputs no commit kept, e.g. losing merge
-    candidates). Everything else — chunk files, dead recipes, and
-    (unless kept) orphaned checkpoint records — is removed by a
-    compacting save; ledger rows of swept outputs are kept, flagged
-    ``collected``.
+    candidates). Everything else — chunks, dead recipes, and (unless
+    kept) orphaned checkpoint records — is removed by a compacting save,
+    the chunks' bytes after its header; ledger rows of swept outputs are
+    kept, flagged ``collected``.
 
     Unlike ``MLCask.load_dir() -> repo.gc() -> save_dir()``, the
     repository works directly against the on-disk ``objects/``, so peak

@@ -92,15 +92,16 @@ class SharedChunkBackend:
         the writer of a digest is elected under the lock, concurrent
         acquirers of the *same* digest block on its completion event,
         and everyone else proceeds in parallel. A chunk is refcounted
-        only once its bytes are durable, so a holder can always read
-        what it holds.
+        only once its bytes are written, so a holder can always read
+        what it holds; they are durable from the next :meth:`flush`,
+        which a repository's persist runs before its header names them.
         """
         while True:
             with self._lock:
                 count = self._refcounts.get(digest, 0)
                 if count:
-                    # Bytes are durable (refcounts are only set after a
-                    # completed write or a startup manifest scan).
+                    # Bytes are in the store (refcounts are only set after
+                    # a completed write or a startup manifest scan).
                     self._refcounts[digest] = count + 1
                     return False
                 writing = self._writing.get(digest)
@@ -130,14 +131,14 @@ class SharedChunkBackend:
         return True
 
     def release(self, digest: str) -> int:
-        """Drop one holder; physically discard at refcount zero.
+        """Drop one holder; discard from the store at refcount zero.
 
-        Returns the physical bytes reclaimed (0 while other holders
-        remain). Same lock discipline as :meth:`acquire`: the refcount
-        decision runs under the lock, the disk unlink does not — a big
-        GC sweep must not stall every other tenant's writes — and the
-        digest is marked in-flight so a racing re-acquire waits for the
-        delete to finish instead of adopting bytes about to vanish.
+        Returns the physical bytes no longer held (0 while other holders
+        remain); the store gives the space back in :meth:`compact`. Same
+        lock discipline as :meth:`acquire`: the refcount decision runs
+        under the lock, the store's discard does not, and the digest is
+        marked in-flight so a racing re-acquire waits for the discard to
+        finish instead of adopting bytes about to vanish.
         """
         while True:
             with self._lock:
@@ -181,11 +182,41 @@ class SharedChunkBackend:
 
     def release_holdings(self, digests) -> int:
         """Drop a whole repository's holdings (repo deletion); returns
-        the physical bytes reclaimed."""
+        the physical bytes no longer held. As after a sweep, the caller
+        runs :meth:`compact` once the repository's directory is gone."""
         reclaimed = 0
         for digest in digests:
             reclaimed += self.release(digest)
         return reclaimed
+
+    def flush(self) -> None:
+        """Put every chunk written so far on disk."""
+        self.store.flush()
+
+    def compact(self) -> None:
+        """Give back the space of chunks no repository holds.
+
+        For after the commit point of whatever stopped holding them (a
+        sweep's header, a deleted repository). Chunks the store holds
+        without a holder — what a push or a sweep that died before its
+        commit point left — are discarded first, under the same election
+        as :meth:`release`, so one being adopted right now is left alone.
+        """
+        stored = self.store.digests()
+        with self._lock:
+            unheld = [d for d in stored if d not in self._refcounts]
+        for digest in unheld:
+            with self._lock:
+                if digest in self._refcounts or digest in self._writing:
+                    continue  # acquired, or being acquired, since the scan
+                writing = self._writing[digest] = threading.Event()
+            try:
+                self.store.discard(digest)
+            finally:
+                with self._lock:
+                    del self._writing[digest]
+                writing.set()
+        self.store.compact()
 
 
 class TenantChunkStore(ChunkStore):
@@ -247,6 +278,9 @@ class TenantChunkStore(ChunkStore):
 
     def digests(self) -> list[str]:
         return list(self._held)
+
+    def flush(self) -> None:
+        self.backend.flush()
 
     # ------------------------------------------------------- accounting
     @property

@@ -23,8 +23,9 @@ per-repo hot path beyond one dict lookup and a token-bucket tick.
 Persistence layout (``root`` directory)::
 
     <root>/hub.json             tenant registry (tokens, quotas)
-    <root>/chunks/ab/cdef...    the shared chunk backend (bytes, stored
-                                once deployment-wide)
+    <root>/chunks/segment.<g>   the shared chunk backend (bytes, stored
+                                once deployment-wide) and, beside it,
+    <root>/chunks.index/        its digest -> offset index
     <root>/tenants/<t>/<r>/     one repository directory per hosted repo
 
 A hosted repository's directory is the repository directory of
@@ -635,11 +636,13 @@ class RepositoryHub:
         The hub-side mirror of ``repro gc``: live roots are the stage
         outputs of every commit, everything else the repo holds —
         orphan chunks from interrupted streamed pushes included — is
-        released from the shared backend (physically reclaimed only when
-        the last holding repo lets go) and the tenant's logical usage
+        released from the shared backend (forgotten there only when the
+        last holding repo lets go) and the tenant's logical usage
         shrinks accordingly. Runs under the repo's exclusive lock, so
         readers never observe a half-swept store, and re-persists by
-        compaction: the one full rewrite of the journals.
+        compaction: the one full rewrite of the journals. Only once that
+        header is in place does the backend give the bytes back: a sweep
+        that dies before it leaves every chunk the old header names.
         Returns the :class:`~repro.storage.gc.GCReport`.
         """
         hosted = self._acquire(tenant, name, create=False)
@@ -648,6 +651,7 @@ class RepositoryHub:
                 with hosted.server.maintenance() as repo:
                     report = repo.gc()
                 self._persist_hosted(hosted)
+                self.backend.compact()
                 return report
         finally:
             self._release(hosted)

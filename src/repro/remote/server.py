@@ -634,8 +634,8 @@ class RepositoryServer:
         # to detect overflow, and that blob is discarded with it — one
         # redundant store read per window. Under ``repro serve`` that is a
         # dict lookup (load_dir imports the objects directory into a
-        # MemoryChunkStore); on a hub it is one more file read — open,
-        # fstat, read, close — and its bytes count in the store's read
+        # MemoryChunkStore); on a hub it is one more ``pread`` of the
+        # shared segment, and its bytes count in the store's read
         # stats, once per window of up to ``max_pack_bytes``. Accepted in
         # exchange for a single windowing implementation shared with the
         # push path.

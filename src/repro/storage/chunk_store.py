@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
+import struct
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from time import perf_counter
 
-from ..errors import ChunkIntegrityError, ChunkNotFoundError
+from ..errors import ChunkIntegrityError, ChunkNotFoundError, StorageError
 from .accounting import StorageStats
 from .hashing import sha256_hex
 
@@ -33,8 +35,7 @@ def write_atomic(path: str, data: bytes, sync: bool = False) -> None:
 
     ``sync`` makes the publication durable before returning: the bytes
     are flushed to disk before the rename, the directory after it. For a
-    file whose rename commits other files (the hub's repository header);
-    content-addressed chunks can be re-sent and skip the two flushes."""
+    file whose rename commits other files (a repository's header)."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -48,11 +49,16 @@ def write_atomic(path: str, data: bytes, sync: bool = False) -> None:
             os.unlink(tmp)
         raise
     if sync:
-        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        _fsync_directory(os.path.dirname(path) or ".")
+
+
+def _fsync_directory(path: str) -> None:
+    """Make the names created or renamed in ``path`` durable."""
+    directory = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 class ChunkStore(ABC):
@@ -200,6 +206,16 @@ class ChunkStore(ABC):
             self.stats.write_seconds += perf_counter() - start
         return True
 
+    def flush(self) -> None:
+        """Put the chunks stored so far on disk. Whoever commits something
+        that names chunks — a repository header — calls this first, so a
+        committed name never outlives its bytes across a power loss."""
+
+    def compact(self) -> None:
+        """Give back the space of discarded chunks. Callers whose own
+        commit point names chunks run it only after that commit point
+        has stopped naming the discarded ones."""
+
     def __len__(self) -> int:
         return len(self.digests())
 
@@ -230,74 +246,387 @@ class MemoryChunkStore(ChunkStore):
         return list(self._chunks)
 
 
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+#: One index row: SHA-256, offset in the segment, length.
+_INDEX_ROW = struct.Struct(">32sQI")
+#: The table keeps a row as one int, ``offset << 32 | length``: a third
+#: of the memory of a tuple of two, and the table is the store's RSS.
+_LENGTH_BITS = 32
+_LENGTH_MASK = (1 << _LENGTH_BITS) - 1
+_SEGMENT_NAME = re.compile(r"segment\.(\d+)")
+_INDEX_NAME = re.compile(r"index\.(\d+)(\.tmp)?")
+_FANOUT_NAME = re.compile(r"[0-9a-f]{2}")
+_APPEND_FLAGS = os.O_APPEND | os.O_CREAT
+_COPY_BYTES = 1 << 20  # a compaction copies live runs in pieces of this size
+
+
+def _names_in(directory: str) -> list[str]:
+    try:
+        return os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    written = os.write(fd, data)
+    while written < len(data):  # short write: keep going
+        written += os.write(fd, data[written:])
+
+
+class _Generation:
+    """The open files and the table of one segment generation.
+
+    A reader takes the store's current generation once and keeps it for
+    the span of its read, so a compaction that replaces it meanwhile can
+    neither hand the reader another segment's offsets nor close the
+    descriptor under it: the files close when the last holder lets go."""
+
+    __slots__ = ("number", "entries", "read_fd", "append_fd", "index_fd")
+
+    def __init__(self, number: int | None):
+        self.number = number  # None: nothing is published under the root
+        self.entries: dict[str, int] = {}  # digest -> offset << 32 | length
+        self.read_fd = self.append_fd = self.index_fd = None
+
+    def __del__(self, close=os.close):
+        for fd in (self.read_fd, self.append_fd, self.index_fd):
+            if fd is not None:
+                try:
+                    close(fd)
+                except OSError:
+                    pass
 
 
 class FileChunkStore(ChunkStore):
-    """Filesystem-backed store laid out like git's object directory.
+    """Filesystem-backed store: chunk bytes in one append-only segment.
 
-    A chunk with digest ``abcdef...`` is written to ``<root>/ab/cdef...``;
-    the two-character fan-out keeps directory sizes reasonable. Writes are
-    atomic (write to a temp name, then rename) so a crashed writer can never
-    leave a truncated chunk under its content address.
+    Layout (``g`` is the generation, which only a compaction moves)::
+
+        <root>/segment.<g>        the chunks' bytes back to back, nothing else
+        <root>.index/index.<g>    one 44-byte row per chunk: digest, offset,
+                                  length, in the order the chunks arrived
+
+    The index is read into a dict when the store is opened, so membership
+    and :meth:`digests` never touch the disk; a write is one append to the
+    segment and one row appended to the index under the store's lock, a
+    read one lock-free ``pread`` of exactly the indexed length on a
+    descriptor opened once. Opening writes nothing — no file, no
+    directory, no repair: whatever a writer that died mid-append left (a
+    torn row, rows naming bytes the segment lacks, segment bytes no row
+    names) is skipped on load and cut off by the first append. Chunk
+    bytes commit before whatever names them: :meth:`flush` puts segment,
+    then index, on disk, and callers flush before they write their own
+    commit point.
+
+    A discard only forgets the chunk, in this handle: the bytes stay
+    until :meth:`compact`, which callers run after *their* commit point
+    has stopped naming them, copies the chunks still held into generation
+    ``g+1``, publishes it by renaming its index into place, and removes
+    generation ``g``. A store reopened before that compaction holds the
+    discarded chunks again, unreferenced.
+
+    Several handles on one root: appends use ``O_APPEND`` and take the
+    chunk's offset from where the write landed, so a row never names
+    another handle's bytes, and a handle that finds bytes it did not
+    write below its own reads the rows it is missing first. A compaction
+    beside another handle that keeps appending is not supported.
+
+    A root in the older layout (``<root>/ab/cdef...``, one file per
+    chunk) is read as it is; new chunks go to the segment, and the next
+    compaction absorbs the loose files, re-hashing each.
     """
 
     def __init__(self, root: str | os.PathLike[str]):
         super().__init__()
         self.root = os.fspath(root)
+        self._index_root = self.root + ".index"
+        self._lock = threading.Lock()
+        self._gen = self._load()
+
+    def _segment_path(self, number: int) -> str:
+        return os.path.join(self.root, f"segment.{number}")
+
+    def _index_path(self, number: int) -> str:
+        return os.path.join(self._index_root, f"index.{number}")
+
+    # ----------------------------------------------------------------- open
+    def _published(self) -> int | None:
+        """The generation whose index is in place (the highest, should a
+        compaction have died between its rename and its removals)."""
+        return max(
+            (
+                int(match[1])
+                for match in map(_INDEX_NAME.fullmatch, _names_in(self._index_root))
+                if match and not match[2]
+            ),
+            default=None,
+        )
+
+    def _load(self) -> _Generation:
+        """The published generation, read without writing anything."""
+        gen = _Generation(self._published())
+        #: End of the segment as far as rows name it, length of the index
+        #: as far as it was applied, bytes of the chunks now held.
+        self._end = self._index_len = self._live_bytes = 0
+        #: Chunks still in one-file-per-chunk form (the older layout).
+        self._loose = {
+            fanout + name
+            for fanout in _names_in(self.root)
+            if _FANOUT_NAME.fullmatch(fanout)
+            for name in _names_in(os.path.join(self.root, fanout))
+            if not name.endswith(".tmp")
+        }
+        if gen.number is not None:
+            with open(self._index_path(gen.number), "rb") as fh:
+                rows = fh.read()
+            try:
+                gen.read_fd = os.open(self._segment_path(gen.number), os.O_RDONLY)
+            except FileNotFoundError:
+                return gen  # every row names bytes that are gone
+            size = os.fstat(gen.read_fd).st_size
+            self._index_len = self._apply_rows(gen, rows, size)
+        return gen
+
+    def _apply_rows(self, gen: _Generation, rows: bytes, segment_size: int) -> int:
+        """Book the whole rows at the head of ``rows`` up to the first
+        that names bytes past ``segment_size``; returns their length."""
+        applied = 0
+        usable = len(rows) - len(rows) % _INDEX_ROW.size
+        for raw, offset, size in _INDEX_ROW.iter_unpack(memoryview(rows)[:usable]):
+            if offset + size > segment_size:
+                break
+            self._book(gen, raw.hex(), offset, size)
+            applied += _INDEX_ROW.size
+        return applied
+
+    def _book(self, gen: _Generation, digest: str, offset: int, size: int) -> None:
+        """Enter one row into the table and the byte counts."""
+        superseded = gen.entries.get(digest)
+        if superseded is not None:  # an earlier copy: dead bytes now
+            self._live_bytes -= superseded & _LENGTH_MASK
+        gen.entries[digest] = offset << _LENGTH_BITS | size
+        self._live_bytes += size
+        if offset + size > self._end:
+            self._end = offset + size
+
+    def _strays(self, number: int | None):
+        """Paths this layout owns that generation ``number`` does not
+        name: other generations' files, temp leftovers, fan-out
+        directories of the older layout."""
+        for name in _names_in(self._index_root):
+            match = _INDEX_NAME.fullmatch(name)
+            if match and (match[2] or int(match[1]) != number):
+                yield os.path.join(self._index_root, name)
+        for name in _names_in(self.root):
+            match = _SEGMENT_NAME.fullmatch(name)
+            if (match and int(match[1]) != number) or _FANOUT_NAME.fullmatch(name):
+                yield os.path.join(self.root, name)
+
+    def _open_for_append(self) -> _Generation:
+        """Open (creating, for a new store) the files appends go to and
+        cut off whatever lies past the last usable row. A failure leaves
+        a generation the caller must drop."""
+        gen = self._gen
+        if self._published() != gen.number:
+            gen = self._gen = self._load()  # compacted since this handle loaded
+        number = gen.number if gen.number is not None else 0
         os.makedirs(self.root, exist_ok=True)
+        os.makedirs(self._index_root, exist_ok=True)
+        # The index first: a segment no index names is a dead
+        # compaction's to any handle that opens meanwhile.
+        gen.index_fd = os.open(
+            self._index_path(number), os.O_RDWR | _APPEND_FLAGS, 0o666
+        )
+        segment = self._segment_path(number)
+        gen.append_fd = os.open(segment, os.O_WRONLY | _APPEND_FLAGS, 0o666)
+        if gen.read_fd is None:
+            gen.read_fd = os.open(segment, os.O_RDONLY)
+        if gen.number is None:
+            gen.number = number
+            _fsync_directory(self.root)
+            _fsync_directory(self._index_root)
+        self._catch_up(gen)
+        if os.fstat(gen.index_fd).st_size != self._index_len:
+            os.ftruncate(gen.index_fd, self._index_len)
+        if os.fstat(gen.append_fd).st_size != self._end:
+            os.ftruncate(gen.append_fd, self._end)
+        return gen
 
-    def _path(self, digest: str) -> str:
-        return f"{self.root}{os.sep}{digest[:2]}{os.sep}{digest[2:]}"
+    def _catch_up(self, gen: _Generation) -> None:
+        """Apply the index rows past the ones this handle has seen:
+        another handle's appends."""
+        size = os.fstat(gen.append_fd).st_size
+        rows = b""
+        while True:
+            more = os.pread(gen.index_fd, _COPY_BYTES, self._index_len + len(rows))
+            if not more:
+                break
+            rows += more
+        self._index_len += self._apply_rows(gen, rows, size)
 
+    # ----------------------------------------------------- per-chunk hooks
     def _contains(self, digest: str) -> bool:
-        return os.path.exists(self._path(digest))
+        return digest in self._gen.entries or digest in self._loose
 
-    def _write(self, digest: str, data: bytes) -> None:
-        path = self._path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_atomic(path, data)
+    # The lock orders appenders of one file and nothing else — readers
+    # take none — so the file I/O under it is its whole critical section.
+    def _write(self, digest: str, data: bytes) -> None:  # repro-lint: disable=LK002 - see above
+        # Two writes and an lseek per chunk. No temp name, no rename, no
+        # directory: the row is what publishes the chunk, and a chunk
+        # whose row never lands is cut off by the next writer.
+        size = len(data)
+        if size > _LENGTH_MASK:
+            raise StorageError(f"a {size}-byte chunk does not fit an index row")
+        with self._lock:
+            gen = self._gen
+            try:
+                if gen.append_fd is None:
+                    gen = self._open_for_append()
+                if digest in gen.entries:
+                    return  # another writer of the same content got here first
+                _write_all(gen.append_fd, data)
+                end = os.lseek(gen.append_fd, 0, os.SEEK_CUR)
+                if end - size != self._end:
+                    # another handle appended below us: its rows first
+                    self._catch_up(gen)
+                _write_all(
+                    gen.index_fd,
+                    _INDEX_ROW.pack(bytes.fromhex(digest), end - size, size),
+                )
+            except BaseException:
+                # Half a chunk or half a row may be on disk now. Start
+                # over from what the files hold; the next append cuts
+                # the torn tail off before it writes.
+                self._gen = self._load()
+                raise
+            self._index_len += _INDEX_ROW.size
+            self._book(gen, digest, end - size, size)
 
     def _read(self, digest: str) -> bytes:
-        # Four syscalls per chunk: open, fstat, one read of exactly the
-        # file's size, close. No buffered file object (it adds an ioctl,
-        # two lseeks, a second fstat and a read-to-EOF, each a GIL
-        # hand-off), and no fixed oversized read buffer (a 1 MiB request
-        # per 5 KB chunk is an mmap per call and shows up as hub RSS).
-        try:
-            fd = os.open(self._path(digest), _READ_FLAGS)
-        except FileNotFoundError:
-            raise ChunkNotFoundError(digest) from None
-        try:
-            size = os.fstat(fd).st_size
-            data = os.read(fd, size)
-            while len(data) < size:  # short read: keep going to the size
-                more = os.read(fd, size - len(data))
-                if not more:
-                    break  # truncated under us; the caller sees the length
-                data += more
-            return data
-        finally:
-            os.close(fd)
+        # One pread of exactly the indexed length on a descriptor opened
+        # once, and no lock: no buffered file object (it adds an ioctl,
+        # two lseeks, an fstat and a read-to-EOF, each a GIL hand-off)
+        # and no fixed oversized buffer (a 1 MiB request per 5 KB chunk
+        # is an mmap per call and shows up as hub RSS).
+        gen = self._gen
+        entry = gen.entries.get(digest)
+        if entry is None:
+            if digest in self._loose:
+                return self._read_loose(digest)
+            raise ChunkNotFoundError(digest)
+        offset, size = entry >> _LENGTH_BITS, entry & _LENGTH_MASK
+        data = os.pread(gen.read_fd, size, offset)
+        while len(data) < size:  # short read: keep going to the length
+            more = os.pread(gen.read_fd, size - len(data), offset + len(data))
+            if not more:
+                # the segment was cut short behind the store
+                raise ChunkIntegrityError(digest)
+            data += more
+        return data
 
     def _size(self, digest: str) -> int:
-        return os.path.getsize(self._path(digest))
+        entry = self._gen.entries.get(digest)
+        if entry is not None:
+            return entry & _LENGTH_MASK
+        return os.path.getsize(self._loose_path(digest))
 
     def _delete(self, digest: str) -> None:
-        path = self._path(digest)
-        os.remove(path)
-        try:
-            os.rmdir(os.path.dirname(path))
-        except OSError:
-            pass  # fan-out dir still has siblings
+        with self._lock:
+            entry = self._gen.entries.pop(digest, None)
+            if entry is not None:
+                self._live_bytes -= entry & _LENGTH_MASK
+            self._loose.discard(digest)
 
     def digests(self) -> list[str]:
-        found = []
-        for fanout in os.listdir(self.root):
-            subdir = os.path.join(self.root, fanout)
-            if not os.path.isdir(subdir):
-                continue
-            for name in os.listdir(subdir):
-                if not name.endswith(".tmp"):
-                    found.append(fanout + name)
-        return found
+        return [*self._gen.entries, *self._loose]
+
+    # ------------------------------------------------- the older layout
+    def _loose_path(self, digest: str) -> str:
+        return os.path.join(self.root, digest[:2], digest[2:])
+
+    def _read_loose(self, digest: str) -> bytes:
+        try:
+            with open(self._loose_path(digest), "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            raise ChunkNotFoundError(digest) from None
+
+    # ------------------------------------------------- commit and reclaim
+    def flush(self) -> None:
+        gen = self._gen
+        if gen.append_fd is not None:
+            os.fdatasync(gen.append_fd)
+            os.fdatasync(gen.index_fd)
+
+    def compact(self) -> None:  # repro-lint: disable=LK002 - as for _write
+        with self._lock:
+            if self._end != self._live_bytes or self._loose:
+                self._rewrite(self._gen)
+            # The generation just replaced, or what a compaction that
+            # died around its rename left; nothing, most of the time.
+            for path in list(self._strays(self._gen.number)):
+                with contextlib.suppress(OSError):
+                    if os.path.isdir(path):
+                        for name in os.listdir(path):
+                            os.unlink(os.path.join(path, name))
+                        os.rmdir(path)
+                    else:
+                        os.unlink(path)
+
+    def _rewrite(self, old: _Generation) -> None:
+        """Copy the chunks held into the next generation and publish it."""
+        new = _Generation(0 if old.number is None else old.number + 1)
+        os.makedirs(self.root, exist_ok=True)
+        os.makedirs(self._index_root, exist_ok=True)
+        segment = self._segment_path(new.number)
+        new.append_fd = os.open(
+            segment, os.O_WRONLY | os.O_TRUNC | _APPEND_FLAGS, 0o666
+        )
+        # Held chunks in segment order; neighbours are copied as one run.
+        position, runs = 0, []
+        for digest, entry in sorted(old.entries.items(), key=lambda item: item[1]):
+            offset, size = entry >> _LENGTH_BITS, entry & _LENGTH_MASK
+            new.entries[digest] = position << _LENGTH_BITS | size
+            position += size
+            if runs and runs[-1][1] == offset:
+                runs[-1][1] += size
+            else:
+                runs.append([offset, offset + size])
+        for start, end in runs:
+            while start < end:
+                piece = os.pread(old.read_fd, min(end - start, _COPY_BYTES), start)
+                if not piece:
+                    raise StorageError(
+                        f"{self._segment_path(old.number)} ends at byte {start}; "
+                        f"its index names bytes up to {end}"
+                    )
+                _write_all(new.append_fd, piece)
+                start += len(piece)
+        for digest in sorted(self._loose):
+            data = self._read_loose(digest)
+            if sha256_hex(data) != digest:  # a file name proves nothing
+                raise ChunkIntegrityError(digest)
+            _write_all(new.append_fd, data)
+            new.entries[digest] = position << _LENGTH_BITS | len(data)
+            position += len(data)
+        os.fdatasync(new.append_fd)
+        _fsync_directory(self.root)
+
+        rows = b"".join(
+            _INDEX_ROW.pack(
+                bytes.fromhex(digest), entry >> _LENGTH_BITS, entry & _LENGTH_MASK
+            )
+            for digest, entry in new.entries.items()
+        )
+        index = self._index_path(new.number)
+        new.index_fd = os.open(
+            index + ".tmp", os.O_RDWR | os.O_TRUNC | _APPEND_FLAGS, 0o666
+        )
+        _write_all(new.index_fd, rows)
+        os.fdatasync(new.index_fd)
+        new.read_fd = os.open(segment, os.O_RDONLY)
+        os.replace(index + ".tmp", index)  # the commit point
+        self._gen = new
+        self._end = self._live_bytes = position
+        self._index_len = len(rows)
+        self._loose = set()
+        _fsync_directory(self._index_root)

@@ -30,10 +30,11 @@ def collect_garbage(store: ObjectStore, live_blob_digests: set[str]) -> GCReport
 
     The sweep speaks only the :class:`ChunkStore` interface
     (``digests()``/``discard()``), so every backend sweeps in place:
-    memory stores drop dict entries, :class:`FileChunkStore` unlinks
-    object files (and empty fan-out directories), and a hub tenant view
-    releases its refcounts on the shared backend — the bytes disappear
-    deployment-wide only when the last tenant's sweep lets go.
+    memory stores drop dict entries, :class:`FileChunkStore` forgets the
+    chunk (its ``compact()``, which the caller runs once its own commit
+    point no longer names the chunk, gives the bytes back), and a hub
+    tenant view releases its refcounts on the shared backend — the bytes
+    disappear deployment-wide only when the last tenant's sweep lets go.
     """
     chunks = store.chunks
 

@@ -30,8 +30,8 @@ except ImportError:
 
 @pytest.fixture
 def syscalls(monkeypatch):
-    """Names of the file system calls made, in order: ``os.open/fstat/
-    read/close/stat/lstat`` by bare name, the buffered ``open`` as
+    """Names of the file system calls made, in order: the ``os``
+    functions listed below by bare name, the buffered ``open`` as
     ``builtins.open``. For tests that hold a per-chunk path to a count
     instead of a time; clear the list (``del syscalls[:]``) after set-up."""
     calls: list[str] = []
@@ -43,7 +43,11 @@ def syscalls(monkeypatch):
 
         return wrapper
 
-    for name in ("open", "fstat", "read", "close", "stat", "lstat"):
+    for name in (
+        "open", "fstat", "read", "close", "stat", "lstat",
+        "pread", "write", "lseek", "replace", "fsync", "fdatasync",
+        "listdir", "unlink",
+    ):
         monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
     monkeypatch.setattr(builtins, "open", counted("builtins.open", builtins.open))
     return calls

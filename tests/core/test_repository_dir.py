@@ -4,9 +4,11 @@ The hub's directories are held to this contract in
 ``tests/hub/test_journal_persistence.py``; here the same writer, loader
 and compaction run under ``save_dir`` / ``load_dir`` / ``gc_repository_dir``:
 a save writes what the repository gained; a writer that dies at any
-write leaves the previous committed state (chunk files included) and a
-retry converges; a handle whose directory moved on under it compacts
-instead of appending; rows amended after they were saved are saved
+write — of a journal, of the header, of ``objects/``'s segment or index,
+of its flush or of its compaction — leaves the previous committed state
+(chunk bytes included) or, past the header, the new one, and a retry
+converges; a handle whose directory moved on under it compacts instead
+of appending; rows amended after they were saved are saved
 again; a directory written by the pre-journal ``save_dir`` loads and is
 upgraded by its next save.
 """
@@ -14,6 +16,7 @@ upgraded by its next save.
 import itertools
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -34,7 +37,13 @@ from repro.storage import FileChunkStore
 from repro.storage.hashing import sha256_hex
 from repro.workloads import ALL_WORKLOADS
 
-from helpers import Crash, build_workload_repo, committed_rows, die_before_write
+from helpers import (
+    Crash,
+    build_workload_repo,
+    committed_rows,
+    die_before_write,
+    write_loose_chunk_layout,
+)
 
 TIMINGS = ("run_seconds", "wall_seconds", "cpu_seconds")
 
@@ -78,6 +87,30 @@ def assert_every_blob_reassembles(repo) -> None:
         assert sha256_hex(repo.objects.get(recipe.blob_digest)) == recipe.blob_digest
 
 
+def assert_objects_are_tidy(directory) -> None:
+    """``objects/`` holds one generation and not a byte beyond the
+    chunks a load of the directory finds."""
+    assert len(os.listdir(os.path.join(directory, "objects"))) == 1
+    assert len(os.listdir(os.path.join(directory, "objects.index"))) == 1
+    store = FileChunkStore(os.path.join(directory, "objects"))
+    on_disk = sum(
+        os.path.getsize(os.path.join(store.root, name))
+        for name in os.listdir(store.root)
+    )
+    assert on_disk == sum(store._size(digest) for digest in store.digests())
+
+
+#: The order of a save's writes: chunk bytes and their index rows,
+#: flushed; the four journals; the header; and, when the save dropped
+#: chunks, the compaction of ``objects/`` — held chunks copied to a new
+#: segment, its index, the rename that publishes them, the old files.
+WRITE_ORDER = re.compile(
+    r"((segment index )+flush flush )?"
+    r"(append_journal ){4}write_json_atomic "
+    r"((segment )+flush index flush publish (unlink )+)?"
+)
+
+
 def commit_model(repo, workload, version: int):
     return repo.commit(
         workload.name,
@@ -115,11 +148,14 @@ def metadata_bytes_written(before: dict, after: dict) -> int:
 
 def write_pre_journal_layout(repo, directory) -> None:
     """``save_repository_dir`` as it was before the journals: the whole
-    state in ``state.json`` and one full JSON file per collection."""
+    state in ``state.json``, one full JSON file per collection, and one
+    file per chunk under ``objects/``."""
     os.makedirs(directory)
-    disk = FileChunkStore(os.path.join(directory, "objects"))
-    for digest in repo.objects.chunks.digests():
-        disk.import_chunk(digest, repo.objects.chunks.get(digest))
+    chunks = repo.objects.chunks
+    write_loose_chunk_layout(
+        os.path.join(directory, "objects"),
+        {digest: chunks.get(digest) for digest in chunks.digests()},
+    )
     files = {
         "state.json": repository_state(repo),
         "recipes.json": {
@@ -171,6 +207,32 @@ class TestSaveCostIsTheDelta:
         assert sorted(once.objects.chunks.digests()) == sorted(
             server.repo.objects.chunks.digests()
         )
+
+
+    def test_system_calls_of_the_kth_save_do_not_grow_with_k(
+        self, tmp_path, workload, syscalls
+    ):
+        """A save used to ``stat`` every chunk the repository holds and
+        list ``objects/``; now it pays per chunk it *adds* — two appends
+        and an ``lseek`` each — and a fixed price for the rest."""
+        directory = str(tmp_path / "repo")
+        repo = build_workload_repo(workload, commits=1)
+        repo.save_dir(directory)
+        fixed, held = [], []
+        for version in range(2, 10):  # one commit, one new model, every time
+            before = len(repo.objects.chunks)
+            commit_model(repo, workload, version)
+            new = len(repo.objects.chunks) - before
+            assert new > 0
+            del syscalls[:]
+            repo.save_dir(directory)
+            assert syscalls.count("write") == 2 * new
+            assert syscalls.count("lseek") == new
+            fixed.append(len(syscalls) - 3 * new)
+            held.append(len(repo.objects.chunks))
+        assert held[-1] > 1.5 * held[0]  # the history did grow...
+        assert len(set(fixed)) == 1  # ...the save's fixed price did not
+        assert snapshot(MLCask.load_dir(directory)) == snapshot(repo)
 
 
 class TestCrashPoints:
@@ -238,13 +300,19 @@ class TestCrashPoints:
                     pass  # the writer is gone
                 else:
                     break  # every write of the operation went through
-            assert log.count("write_json_atomic") == 0  # died short of the commit
-
+            # short of the header nothing happened, chunk bytes included;
+            # past it (a sweep giving bytes back) everything did
             reloaded = MLCask.load_dir(cut_dir)
-            assert snapshot(reloaded) == previous
+            if "write_json_atomic" in log:
+                assert untimed(snapshot(reloaded)) == reference
+            else:
+                assert snapshot(reloaded) == previous
             assert_every_blob_reassembles(reloaded)
 
-            run(cut_dir, registry, workload)  # the retry
+            if "write_json_atomic" in log:
+                gc_repository_dir(cut_dir)  # any next sweep finishes the job
+            else:
+                run(cut_dir, registry, workload)  # the retry
             after = MLCask.load_dir(cut_dir)
             assert untimed(snapshot(after)) == reference
             assert_every_blob_reassembles(after)
@@ -254,25 +322,74 @@ class TestCrashPoints:
                 name == "state.json" or f".{generation}." in name
                 for name in metadata_files(cut_dir)
             )
-        # the four journals (each gained or, compacting, holds rows), then
-        # the header: died before each of the five writes once
-        assert log == ["append_journal"] * 4 + ["write_json_atomic"]
+            if scenario.startswith("gc"):
+                assert_objects_are_tidy(cut_dir)
+        # died before each write of the operation once, and they come in
+        # the one order that keeps every committed name backed by bytes
+        assert WRITE_ORDER.fullmatch("".join(f"{name} " for name in log))
+        assert ("publish" in log) == scenario.startswith("gc")
+        assert ("segment" in log[: log.index("append_journal")]) == (
+            not scenario.startswith("gc")
+        )
         assert cut == len(log)
 
     def test_dead_chunk_files_go_only_after_the_header_is_committed(
         self, workload, base, monkeypatch
     ):
         directory, _ = base
-        chunk_files = set(FileChunkStore(os.path.join(directory, "objects")).digests())
+        objects = os.path.join(directory, "objects")
+        chunks = set(FileChunkStore(objects).digests())
+        segment = open(os.path.join(objects, "segment.0"), "rb").read()
         with monkeypatch.context() as patch:
             die_before_write(patch, 4)  # four journals written, no header
             with pytest.raises(Crash):
                 gc_repository_dir(directory)
-        store = FileChunkStore(os.path.join(directory, "objects"))
-        assert set(store.digests()) == chunk_files
+        assert set(FileChunkStore(objects).digests()) == chunks
+        assert open(os.path.join(objects, "segment.0"), "rb").read() == segment
         report, _ = gc_repository_dir(directory)
         assert report.swept_chunks > 0
-        assert len(store.digests()) == len(chunk_files) - report.swept_chunks
+        assert len(FileChunkStore(objects).digests()) == len(chunks) - report.swept_chunks
+        assert os.listdir(objects) == ["segment.1"]
+        assert os.path.getsize(os.path.join(objects, "segment.1")) == (
+            len(segment) - report.swept_bytes
+        )
+
+
+    def test_a_save_killed_between_its_chunks_and_its_journals(self, tmp_path):
+        """CI's killed-save smoke, held here too: a real ``kill -9`` (no
+        Python unwinding) once the new chunks and their rows are in
+        ``objects/`` and nothing else is."""
+        import io
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import main
+
+        directory = str(tmp_path / "d")
+        out = io.StringIO()
+        assert main(
+            ["init", directory, "--workload", "readmission", "--scale", "0.3"], out=out
+        ) == 0
+        saved = snapshot(MLCask.load_dir(directory))
+        segment = os.path.join(directory, "objects", "segment.0")
+        size = os.path.getsize(segment)
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, os.path.join(here, "smoke_killed_save.py"), directory],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        landed = os.path.getsize(segment) - size
+        assert landed > 0  # the chunks did reach objects/
+        reloaded = MLCask.load_dir(directory)
+        assert snapshot(reloaded) == saved
+        assert_every_blob_reassembles(reloaded)
+        report, _ = gc_repository_dir(directory)  # what it left is swept
+        assert report.swept_bytes == landed
+        assert_objects_are_tidy(directory)
 
 
 class TestStaleHandle:
@@ -293,7 +410,7 @@ class TestStaleHandle:
         ana.save_dir(directory)  # last writer wins, by compaction
         assert json.loads((directory / "state.json").read_text())["generation"] == 1
         assert sorted(os.listdir(directory)) == sorted(
-            ["state.json", "objects"]
+            ["state.json", "objects", "objects.index"]
             + [f"{n}.1.jsonl" for n in ("commits", "recipes", "checkpoints", "lineage")]
         )
         reloaded = MLCask.load_dir(directory)
@@ -386,11 +503,12 @@ class TestPreJournalLayout:
         commit_model(loaded, workload, 2)
         loaded.save_dir(directory)
         assert sorted(os.listdir(directory)) == sorted(
-            ["state.json", "objects"]
+            ["state.json", "objects", "objects.index"]
             + [f"{n}.0.jsonl" for n in ("commits", "recipes", "checkpoints", "lineage")]
         )
         assert "commits" not in json.loads((directory / "state.json").read_text())
         assert snapshot(MLCask.load_dir(directory)) == snapshot(loaded)
+        assert_objects_are_tidy(directory)  # the loose chunk files were absorbed
 
     def test_gc_of_an_old_directory_upgrades_it_too(self, tmp_path, workload):
         repo = build_workload_repo(workload, commits=1)
@@ -400,3 +518,61 @@ class TestPreJournalLayout:
         assert report.swept_chunks > 0
         assert "recipes.json" not in os.listdir(tmp_path / "old")
         assert_every_blob_reassembles(MLCask.load_dir(tmp_path / "old"))
+        assert_objects_are_tidy(tmp_path / "old")  # no fan-out directory left
+
+    def test_loose_chunk_files_alone_read_and_report_like_a_segment(
+        self, tmp_path, workload
+    ):
+        """A directory with today's journals over ``objects/ab/cdef...``
+        (written by the release before the segments): ``repro stats`` and
+        ``repro gc`` answer as for the same repository saved today, a
+        chunk file is believed only after re-hashing, and one ``repro
+        gc`` leaves no fan-out directory."""
+        import io
+
+        from repro.cli import main
+
+        repo = build_workload_repo(workload, commits=2)
+        garbage(repo)
+        new, old = tmp_path / "new", tmp_path / "old"
+        repo.save_dir(new)
+        shutil.copytree(new, old)
+        shutil.rmtree(old / "objects")
+        shutil.rmtree(old / "objects.index")
+        chunks = repo.objects.chunks
+        write_loose_chunk_layout(
+            old / "objects", {d: chunks.get(d) for d in chunks.digests()}
+        )
+
+        def run(verb, directory, *flags):
+            out = io.StringIO()
+            assert main([verb, str(directory), *flags], out=out) == 0
+            return out.getvalue()
+
+        def stats(directory):
+            report = json.loads(run("stats", directory, "--json"))
+            storage = {
+                k: v for k, v in report["storage"].items() if not k.endswith("_seconds")
+            }
+            return storage, report["repository"]
+
+        assert snapshot(MLCask.load_dir(old)) == snapshot(MLCask.load_dir(new))
+        assert stats(old) == stats(new)
+        assert run("gc", old).replace(str(old), "") == run("gc", new).replace(str(new), "")
+        assert stats(old) == stats(new)
+        assert_objects_are_tidy(old)
+        assert_every_blob_reassembles(MLCask.load_dir(old))
+
+        # a file name proves nothing: absorbing re-hashes
+        liar = sorted(chunks.digests())[0]
+        shutil.rmtree(old)
+        shutil.copytree(new, old)
+        shutil.rmtree(old / "objects")
+        shutil.rmtree(old / "objects.index")
+        write_loose_chunk_layout(
+            old / "objects",
+            {d: b"not that" if d == liar else chunks.get(d) for d in chunks.digests()},
+        )
+        out = io.StringIO()
+        assert main(["gc", str(old)], out=out) == 1
+        assert liar in out.getvalue()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -182,26 +183,91 @@ class Crash(RuntimeError):
     """The writer dies here."""
 
 
+#: What a step on a chunk store's files is logged as, by the file's name.
+_CHUNK_STORE_FILE = re.compile(r"(segment|index)\.\d+(\.tmp)?")
+
+
+def _chunk_store_file(path) -> str | None:
+    """``"segment"`` or ``"index"`` when ``path`` is one of a
+    ``FileChunkStore``'s files, else None."""
+    match = _CHUNK_STORE_FILE.fullmatch(os.path.basename(os.fspath(path)))
+    return match[1] if match else None
+
+
 def die_before_write(monkeypatch, nth: int) -> list:
-    """Let ``nth`` metadata writes of a repository directory through
-    (journal appends and header replaces alike), then die before the
-    next one. Returns the list the writes are logged to."""
+    """Let ``nth`` writes through, then die before the next one; returns
+    the list the writes are logged to.
+
+    What counts as a write: a repository directory's metadata writes
+    (``append_journal``, ``write_json_atomic``) and every step a
+    ``FileChunkStore`` takes on its files — an append to the segment
+    (``"segment"``) or to the index (``"index"``), an ``fdatasync`` of
+    either (``"flush"``), the rename that publishes a compacted
+    generation (``"publish"``) and each removal of an old one
+    (``"unlink"``). Chunk-store steps are told apart by the name of the
+    file they touch; other users of the same ``os`` calls pass through
+    unlogged."""
     log: list = []
 
-    def guarded(name, original):
+    def guarded(original, name_of):
         def wrapper(*args, **kwargs):
-            if len(log) >= nth:
-                raise Crash(f"before write {nth} ({name})")
-            log.append(name)
+            name = name_of(*args, **kwargs)
+            if name is not None:
+                if len(log) >= nth:
+                    raise Crash(f"before write {nth} ({name})")
+                log.append(name)
             return original(*args, **kwargs)
 
         return wrapper
 
+    def of_descriptor(fd, *_):
+        return _chunk_store_file(os.readlink(f"/proc/self/fd/{fd}"))
+
     for name in ("append_journal", "write_json_atomic"):
         monkeypatch.setattr(
-            persistence, name, guarded(name, getattr(persistence, name))
+            persistence,
+            name,
+            guarded(getattr(persistence, name), lambda *a, _name=name, **k: _name),
         )
+    monkeypatch.setattr(os, "write", guarded(os.write, of_descriptor))
+    monkeypatch.setattr(
+        os,
+        "fdatasync",
+        guarded(os.fdatasync, lambda fd: of_descriptor(fd) and "flush"),
+    )
+    monkeypatch.setattr(
+        os,
+        "replace",
+        guarded(os.replace, lambda src, dst: _chunk_store_file(dst) and "publish"),
+    )
+    monkeypatch.setattr(
+        os,
+        "unlink",
+        guarded(os.unlink, lambda path, **_: _chunk_store_file(path) and "unlink"),
+    )
     return log
+
+
+def write_loose_chunk_layout(root, chunks: dict[str, bytes]) -> None:
+    """Lay ``chunks`` (digest -> bytes) out under ``root`` the way
+    ``FileChunkStore`` did before the segments: one file per chunk at
+    ``<root>/ab/cdef...``, no index. The store reads such a root and
+    never writes one, so the writer lives on here."""
+    for digest, data in chunks.items():
+        fanout = os.path.join(os.fspath(root), digest[:2])
+        os.makedirs(fanout, exist_ok=True)
+        with open(os.path.join(fanout, digest[2:]), "wb") as fh:
+            fh.write(data)
+
+
+def bytes_under(root) -> int:
+    """Bytes of every file under ``root``, the way the budget's
+    books-match-disk check counts them."""
+    return sum(
+        os.path.getsize(os.path.join(directory, name))
+        for directory, _, names in os.walk(root)
+        for name in names
+    )
 
 
 def committed_rows(directory) -> dict[str, list]:

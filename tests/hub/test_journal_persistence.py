@@ -2,11 +2,14 @@
 
 What is held here: a repository persisted push by push reloads as the
 repository it was (and as one persisted in a single push); a writer that
-dies at any write of a persist or of a GC compaction leaves the previous
-committed state, which a restarted hub loads, serves and builds on; rows
-a rejected push left behind ride the next persist; GC compacts; a
-directory in the pre-journal layout loads and is upgraded; and a persist
-writes what the push added, not what the repository holds.
+dies at any write of a persist or of a GC compaction — the chunk store's
+segment and index appends, its flush and every step of its compaction
+included — leaves the previous committed state (or, past the header, the
+new one), which a restarted hub loads, serves and builds on; rows a
+rejected push left behind ride the next persist; GC compacts, and gives
+chunk bytes back only after its header; a directory in the pre-journal
+layout loads and is upgraded; and a persist writes what the push added,
+not what the repository holds.
 """
 
 import itertools
@@ -34,9 +37,16 @@ from repro.remote.protocol import (
     encode_message,
     raise_remote_error,
 )
+from repro.storage import FileChunkStore
 from repro.storage.hashing import sha256_hex
 
-from helpers import Crash, build_workload_repo, die_before_write
+from helpers import (
+    Crash,
+    build_workload_repo,
+    bytes_under,
+    die_before_write,
+    write_loose_chunk_layout,
+)
 
 TENANT, REPO, TOKEN = "ana", "proj", "tok"
 JOURNALS = ("commits", "recipes", "checkpoints", "lineage", "chunks")
@@ -129,6 +139,36 @@ def assert_books_match_journals(hub, root) -> None:
     stats = hub.stats()
     assert stats["physical_bytes"] == held
     assert stats["tenant_usage"][TENANT] == held
+
+
+def chunk_bytes_on_disk(root) -> int:
+    return bytes_under(os.path.join(root, "chunks"))
+
+
+def assert_chunk_store_is_a_valid_prefix(root) -> None:
+    """Whatever a dead writer left, a reopened store lists only chunks
+    that read back to their address."""
+    store = FileChunkStore(os.path.join(root, "chunks"))
+    for digest in store.digests():
+        assert sha256_hex(store.get(digest)) == digest
+
+
+def assert_every_holding_is_served(hub) -> None:
+    """Every chunk the committed holdings name — unreferenced ones
+    too — reads back through the repository's view."""
+    hosted = hub._acquire(TENANT, REPO, create=False)
+    try:
+        for digest in hosted.view.digests():
+            assert sha256_hex(hosted.view.get(digest)) == digest
+    finally:
+        hub._release(hosted)
+
+
+def assert_chunk_store_is_tidy(root) -> None:
+    """One generation, and not a byte under ``chunks/`` the books lack."""
+    assert len(os.listdir(os.path.join(root, "chunks"))) == 1
+    assert len(os.listdir(os.path.join(root, "chunks.index"))) == 1
+    assert chunk_bytes_on_disk(root) == open_hub(root).stats()["physical_bytes"]
 
 
 def assert_clone_verifies(hub, head: str, workload) -> None:
@@ -276,23 +316,36 @@ class TestCrashPoints:
                     break  # every write of the persist went through
             assert log.count("write_json_atomic") == 0  # died short of the commit
 
+            assert_chunk_store_is_a_valid_prefix(cut_root)
             restarted = open_hub(cut_root)
             assert snapshot(restarted) == previous
             assert_books_match_journals(restarted, cut_root)
+            assert_every_holding_is_served(restarted)
             assert_clone_verifies(
                 restarted, previous["header"]["heads"][workload.name]["master"],
                 workload,
             )
+            # the retry adopts the chunks the dead push landed, cuts off
+            # the one it tore, and appends the rest
             push(restarted, local, workload, f"retry{cut}")
             assert snapshot(restarted) == reference
             assert committed_journals(cut_root) == committed_journals(reference_root)
+            assert_chunk_store_is_tidy(cut_root)
             after = open_hub(cut_root)
             assert snapshot(after) == reference
             assert_books_match_journals(after, cut_root)
             assert_clone_verifies(after, head, workload)
-        # one append per journal (the push added rows to all five), then
-        # the header: died before each of the six writes once
-        assert log == ["append_journal"] * 5 + ["write_json_atomic"]
+        # chunk bytes, then their index rows, both flushed; then one
+        # append per journal (the push added rows to all five); then the
+        # header: died before each of these writes once
+        new_chunks = len(reference["holdings"]) - len(previous["holdings"])
+        assert new_chunks > 0
+        assert log == (
+            ["segment", "index"] * new_chunks
+            + ["flush", "flush"]
+            + ["append_journal"] * 5
+            + ["write_json_atomic"]
+        )
         assert cut == len(log)
 
     def test_a_header_replace_that_fails_publishes_nothing(
@@ -310,9 +363,12 @@ class TestCrashPoints:
         assert not [n for n in os.listdir(repo_dir(root)) if n.endswith(".tmp")]
         restarted = open_hub(root)
         assert snapshot(restarted) == previous
-        # the same hub object recovers too: its cursor never moved
+        # the same hub object recovers too: its cursor never moved, so
+        # its next persist carries what the refused one held
+        commit_model(local, workload, 4)
         push(hub, local, workload, "again")
         assert snapshot(open_hub(root)) == snapshot(hub)
+        assert len(snapshot(hub)["commits"]) == len(previous["commits"]) + 2
 
     @pytest.mark.parametrize(
         "tail",
@@ -367,23 +423,41 @@ class TestCrashPoints:
                     pass
                 else:
                     break
+            assert_chunk_store_is_a_valid_prefix(cut_root)
             restarted = open_hub(cut_root)
-            assert snapshot(restarted) == previous
+            # short of the header the sweep never happened, and no byte
+            # the old header names is gone; past it, it is done but for
+            # giving the bytes back
+            committed = "write_json_atomic" in log
+            assert snapshot(restarted) == (reference if committed else previous)
             assert_books_match_journals(restarted, cut_root)
+            assert_every_holding_is_served(restarted)
             assert_clone_verifies(restarted, live_head, workload)
             restarted.gc_repo(TENANT, REPO)  # the retried sweep
             assert committed_journals(cut_root) == committed_journals(reference_root)
+            assert_chunk_store_is_tidy(cut_root)
             after = open_hub(cut_root)
             assert snapshot(after) == reference
             assert_books_match_journals(after, cut_root)
+            assert_every_holding_is_served(after)
             assert_clone_verifies(after, live_head, workload)
             # what the dead compaction wrote is gone with the old generation
+            # (a sweep retried past its header compacts the journals anew)
+            generation = ".2." if committed else ".1."
             assert all(
-                ".1." in name or name == "state.json"
+                generation in name or name == "state.json"
                 for name in os.listdir(repo_dir(cut_root))
             )
-        assert log == ["append_journal"] * 5 + ["write_json_atomic"]
-        assert cut == len(log)  # died before each of the six writes once
+        # the five journals and the header, then the chunk store's
+        # compaction: the held chunks copied to a new segment (one run:
+        # the dead chunk was the last to arrive), its index, the rename
+        # that publishes them, the old generation's two files
+        assert log == (
+            ["append_journal"] * 5
+            + ["write_json_atomic"]
+            + ["segment", "flush", "index", "flush", "publish", "unlink", "unlink"]
+        )
+        assert cut == len(log)  # died before each of these writes once
 
     def test_a_compaction_that_dies_after_its_header_is_committed(
         self, workload, base, monkeypatch
@@ -402,6 +476,9 @@ class TestCrashPoints:
         restarted = open_hub(root)
         assert restarted.tenant_usage(TENANT) > 0
         assert_books_match_journals(restarted, root)  # generation 1 is what counts
+        # the header went in, the chunk store's compaction never ran: the
+        # dead chunk's bytes are still there for the next one to reclaim
+        assert chunk_bytes_on_disk(root) > restarted.stats()["physical_bytes"]
         assert_clone_verifies(
             restarted, local.graph.get(
                 local.branches.head(workload.name, "master")
@@ -411,6 +488,7 @@ class TestCrashPoints:
         assert sorted(os.listdir(repo_dir(root))) == sorted(
             ["state.json"] + [f"{name}.2.jsonl" for name in JOURNALS]
         )
+        assert_chunk_store_is_tidy(root)
 
     def test_a_compaction_that_fails_in_a_hub_that_lives_on_is_redone(
         self, tmp_path, workload, base, monkeypatch
@@ -568,22 +646,31 @@ class TestDurability:
         commit_model(local, workload, 2)
 
         events = []
-        real_fsync, real_replace = os.fsync, os.replace
+        real_fsync, real_fdatasync, real_replace = os.fsync, os.fdatasync, os.replace
 
-        def fsync(fd):
-            target = os.readlink(f"/proc/self/fd/{fd}")
-            if target.startswith(repo_dir(root)):
-                events.append(("fsync", os.path.basename(target)))
-            return real_fsync(fd)
+        def flushed(kind, real):
+            def flush(fd):
+                target = os.readlink(f"/proc/self/fd/{fd}")
+                if target.startswith(str(root)):
+                    events.append((kind, os.path.basename(target)))
+                return real(fd)
+
+            return flush
 
         def replace(src, dst):
             if dst.startswith(repo_dir(root)):
                 events.append(("replace", os.path.basename(dst)))
             return real_replace(src, dst)
 
-        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "fsync", flushed("fsync", real_fsync))
+        monkeypatch.setattr(os, "fdatasync", flushed("fdatasync", real_fdatasync))
         monkeypatch.setattr(os, "replace", replace)
         push(hub, local, workload, "second")
+        # the chunk store first, segment then index: the two flushes a
+        # push pays on top of the metadata's
+        assert events[:2] == [("fdatasync", "segment.0"), ("fdatasync", "index.0")]
+        assert [kind for kind, _ in events].count("fdatasync") == 2
+        events = events[2:]
         flushed = [name for kind, name in events[:5] if kind == "fsync"]
         assert sorted(flushed) == sorted(f"{name}.0.jsonl" for name in JOURNALS)
         kinds = [kind for kind, _ in events[5:]]
@@ -615,6 +702,67 @@ class TestPreJournalLayout:
         with open(os.path.join(repo_dir(root), "state.json")) as fh:
             assert "commits" not in json.load(fh)
         assert snapshot(open_hub(root)) == snapshot(restarted)
+
+
+class TestLooseChunkLayout:
+    """A hub root whose ``chunks/`` is one file per chunk (``ab/cdef...``,
+    as written before the segments) serves as it is and is absorbed by
+    its next ``gc_repo``."""
+
+    def old_root(self, tmp_path, workload, lie_about=None):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        local = build_workload_repo(workload, commits=2)
+        push(hub, local, workload, "first")
+        push_garbage(hub, b"dead")
+        store = hub.backend.store
+        chunks = {digest: store.get(digest) for digest in store.digests()}
+        if lie_about is not None:
+            chunks[sorted(chunks)[lie_about]] = b"not what the name says"
+        shutil.rmtree(root / "chunks")
+        shutil.rmtree(root / "chunks.index")
+        write_loose_chunk_layout(root / "chunks", chunks)
+        return root, hub, local
+
+    def test_it_serves_the_same_frames_and_books_and_gc_leaves_no_fanout(
+        self, tmp_path, workload
+    ):
+        root, written_by, local = self.old_root(tmp_path, workload)
+        hub = open_hub(root)
+        assert snapshot(hub) == snapshot(written_by)
+        assert hub.stats()["physical_bytes"] == written_by.stats()["physical_bytes"]
+        assert_every_holding_is_served(hub)
+        digests = sorted(snapshot(hub)["refcounts"])
+        request = encode_message({"op": "get_chunks", "digests": digests[:40]}, [])
+        assert hub.handle_request(TENANT, REPO, TOKEN, request) == (
+            written_by.handle_request(TENANT, REPO, TOKEN, request)
+        )
+        assert_clone_verifies(
+            hub, local.branches.head(workload.name, "master"), workload
+        )
+        assert not os.path.exists(root / "chunks.index")  # serving wrote nothing
+
+        commit_model(local, workload, 3)
+        push(hub, local, workload, "second")  # new chunks go to a segment
+        assert "segment.0" in os.listdir(root / "chunks")
+        assert snapshot(open_hub(root)) == snapshot(hub)
+
+        hub.gc_repo(TENANT, REPO)
+        assert_chunk_store_is_tidy(root)  # one segment, no fan-out directory
+        restarted = open_hub(root)
+        assert snapshot(restarted) == snapshot(hub)
+        assert_every_holding_is_served(restarted)
+        assert_clone_verifies(
+            restarted, local.branches.head(workload.name, "master"), workload
+        )
+
+    def test_a_loose_chunk_is_rehashed_before_it_is_absorbed(self, tmp_path, workload):
+        from repro.errors import ChunkIntegrityError
+
+        root, _, _ = self.old_root(tmp_path, workload, lie_about=3)
+        with pytest.raises(ChunkIntegrityError):
+            open_hub(root).gc_repo(TENANT, REPO)
+        assert not os.listdir(root / "chunks.index")  # nothing was published
 
 
 class TestPersistCostIsTheDelta:

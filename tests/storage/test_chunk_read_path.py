@@ -1,10 +1,12 @@
-"""The per-chunk read path of a chunk store: counted, not timed.
+"""The per-chunk paths of a chunk store: counted, not timed.
 
-``ChunkStore.get`` runs once per chunk served, so what it does per call
-is held here as counts — which system calls a file-backed read makes,
-what a scripted sequence of hits and misses leaves in the books — and as
-the one behaviour the read-is-the-membership-test rule rests on: a chunk
-whose file is gone is a typed miss on every backend.
+``ChunkStore.get`` runs once per chunk served and ``_write`` once per
+chunk stored, so what they do per call is held here as counts — which
+system calls a file-backed read, miss, membership test, novel write and
+dedup hit make, what a scripted sequence of hits and misses leaves in
+the books — and as the one behaviour the read-is-the-membership-test
+rule rests on: a chunk whose bytes are gone is a typed error on every
+backend, never a raw ``OSError``.
 """
 
 import os
@@ -21,37 +23,57 @@ def make_store(kind, tmp_path):
 
 
 class TestFileReadSyscalls:
-    def test_a_read_is_open_fstat_read_close(self, tmp_path, syscalls):
+    def test_a_read_is_one_pread(self, tmp_path, syscalls):
         store = FileChunkStore(tmp_path / "c")
         digest = store.put(b"x" * 5000)
         del syscalls[:]
         assert store.get(digest) == b"x" * 5000
-        assert syscalls == ["open", "fstat", "read", "close"]
+        assert syscalls == ["pread"]
 
-    def test_a_miss_is_one_failed_open(self, tmp_path, syscalls):
+    def test_a_miss_and_a_membership_test_touch_no_file(self, tmp_path, syscalls):
         store = FileChunkStore(tmp_path / "c")
+        held = store.put(b"held")
         del syscalls[:]
         with pytest.raises(ChunkNotFoundError):
             store.get("0" * 64)
-        assert syscalls == ["open"]
+        assert store.contains(held) and not store.contains("0" * 64)
+        assert store.missing([held, "0" * 64]) == ["0" * 64]
+        assert store.digests() == [held] and len(store) == 1
+        assert syscalls == []
+
+    def test_a_novel_write_is_two_appends_and_a_dedup_hit_is_free(
+        self, tmp_path, syscalls
+    ):
+        store = FileChunkStore(tmp_path / "c")
+        store.put(b"the first write opens the files")
+        del syscalls[:]
+        digest = store.put(b"y" * 5000)
+        # the chunk, where it landed, its index row: no name is created,
+        # renamed or looked up for a chunk
+        assert syscalls == ["write", "lseek", "write"]
+        del syscalls[:]
+        assert store.put(b"y" * 5000) == digest
+        assert store.import_chunk(digest, b"y" * 5000) is False
+        assert syscalls == []
 
     def test_a_short_read_is_continued_to_the_files_size(
         self, tmp_path, monkeypatch
     ):
         store = FileChunkStore(tmp_path / "c")
+        store.put(b"something before it")
         payload = bytes(range(256)) * 20
         digest = store.put(payload)
-        real_read = os.read
-        asked: list[int] = []
+        real_pread = os.pread
+        asked: list[tuple[int, int]] = []
 
-        def at_most_1999_bytes(fd, n):
-            asked.append(n)
-            return real_read(fd, min(n, 1999))
+        def at_most_1999_bytes(fd, n, offset):
+            asked.append((n, offset))
+            return real_pread(fd, min(n, 1999), offset)
 
-        monkeypatch.setattr(os, "read", at_most_1999_bytes)
+        monkeypatch.setattr(os, "pread", at_most_1999_bytes)
         assert store.get(digest) == payload
-        # Never more than what is left of the file: no oversized buffer.
-        assert asked == [5120, 3121, 1122]
+        # Never more than what is left of the chunk: no oversized buffer.
+        assert asked == [(5120, 19), (3121, 19 + 1999), (1122, 19 + 3998)]
 
     def test_an_empty_chunk_reads_back_empty(self, tmp_path):
         store = FileChunkStore(tmp_path / "c")
@@ -76,13 +98,26 @@ class TestReadIsTheMembershipTest:
 
 def test_chunk_file_removed_behind_the_store_is_a_typed_miss(tmp_path):
     """A sweep, an operator or a lost disk block between any check and
-    the open used to escape as a raw ``FileNotFoundError``."""
+    the read must never escape as a raw ``OSError``: a segment cut short
+    under an open store is a ``ChunkIntegrityError`` for the chunks it
+    lost, one removed a ``ChunkNotFoundError`` from the next open on."""
     store = FileChunkStore(tmp_path / "c")
-    digest = store.put(b"here, then not")
-    os.unlink(store._path(digest))
-    with pytest.raises(ChunkNotFoundError) as raised:
-        store.get(digest)
-    assert raised.value.digest == digest
+    kept = store.put(b"written first")
+    lost = store.put(b"here, then not")
+    segment = tmp_path / "c" / "segment.0"
+    os.truncate(segment, len(b"written first") + 4)
+    with pytest.raises(ChunkIntegrityError) as raised:
+        store.get(lost)
+    assert raised.value.digest == lost
+    assert store.get(kept) == b"written first"
+    # a store opened now drops the row that names the missing bytes
+    reopened = FileChunkStore(tmp_path / "c")
+    assert reopened.digests() == [kept]
+    os.unlink(segment)
+    for digest in (kept, lost):
+        with pytest.raises(ChunkNotFoundError) as raised:
+            FileChunkStore(tmp_path / "c").get(digest)
+        assert raised.value.digest == digest
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])

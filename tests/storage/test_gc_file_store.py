@@ -1,7 +1,6 @@
 """GC beyond MemoryChunkStore: file-backed sweeps and `repro gc`."""
 
 import io
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from repro.cli import main
 from repro.core.persistence import gc_repository_dir
 from repro.storage import FileChunkStore, ObjectStore, collect_garbage
 
-from helpers import build_workload_repo, committed_rows
+from helpers import build_workload_repo, bytes_under, committed_rows
 
 
 @pytest.fixture(scope="module")
@@ -26,37 +25,35 @@ def blob_for(seed, n=30_000):
     ).tobytes()
 
 
-def chunk_files(root):
-    found = []
-    for fanout in os.listdir(root):
-        subdir = os.path.join(root, fanout)
-        if os.path.isdir(subdir):
-            found.extend(os.listdir(subdir))
-    return found
-
-
 class TestFileStoreSweep:
     def test_dead_chunk_files_are_unlinked(self, tmp_path):
         store = ObjectStore(chunk_store=FileChunkStore(tmp_path / "objects"))
         keep = store.put(blob_for(1))
         store.put(blob_for(2))
-        before = len(chunk_files(tmp_path / "objects"))
+        before = bytes_under(tmp_path / "objects")
+        assert before == store.chunks.stats.physical_bytes
 
         report = collect_garbage(store, {keep})
 
         assert report.swept_chunks > 0
         assert report.swept_bytes > 0
-        after = len(chunk_files(tmp_path / "objects"))
-        assert after < before
-        assert after == report.live_chunks
+        # forgotten at once, given back by the compaction
+        assert len(store.chunks) == report.live_chunks
+        assert bytes_under(tmp_path / "objects") == before
+        store.chunks.compact()
+        assert bytes_under(tmp_path / "objects") == before - report.swept_bytes
+        assert bytes_under(tmp_path / "objects") == store.chunks.stats.physical_bytes
         assert store.get(keep) == blob_for(1)
+        reopened = FileChunkStore(tmp_path / "objects")
+        assert sorted(reopened.digests()) == sorted(store.chunks.digests())
 
     def test_sweep_everything_empties_the_directory(self, tmp_path):
         store = ObjectStore(chunk_store=FileChunkStore(tmp_path / "objects"))
         store.put(blob_for(3))
         store.put(blob_for(4))
         collect_garbage(store, set())
-        assert chunk_files(tmp_path / "objects") == []
+        store.chunks.compact()
+        assert bytes_under(tmp_path / "objects") == 0
         assert store.chunks.stats.physical_bytes == 0
 
     def test_file_sweep_idempotent(self, tmp_path):

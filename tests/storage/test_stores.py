@@ -1,5 +1,7 @@
 """Chunk store, object store, folder store, and accounting tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,10 @@ class TestFileChunkStore:
         store = FileChunkStore(tmp_path / "objects")
         digest = store.put(b"persistent data")
         assert store.get(digest) == b"persistent data"
-        # git-style fan-out: <root>/ab/cdef...
-        assert (tmp_path / "objects" / digest[:2] / digest[2:]).exists()
+        # the bytes and nothing else in the segment, one row beside it
+        assert (tmp_path / "objects" / "segment.0").read_bytes() == b"persistent data"
+        row = (tmp_path / "objects.index" / "index.0").read_bytes()
+        assert row == bytes.fromhex(digest) + (0).to_bytes(8, "big") + (15).to_bytes(4, "big")
 
     def test_digests_enumeration(self, tmp_path):
         store = FileChunkStore(tmp_path)
@@ -74,25 +78,48 @@ class TestFileChunkStore:
             FileChunkStore(tmp_path).get("a" * 64)
 
     def test_temp_leftovers_of_a_dead_writer_are_not_chunks(self, tmp_path):
-        store = FileChunkStore(tmp_path)
+        root = tmp_path / "c"
+        store = FileChunkStore(root)
         digest = store.put(b"whole")
-        fanout = tmp_path / digest[:2]
-        (fanout / ("f" * 62 + ".4242-139872.tmp")).write_bytes(b"half a chu")
-        (fanout / ("e" * 62 + ".tmp")).write_bytes(b"older naming")
+        # a chunk whose row never landed, half a row, and what a
+        # compaction that died before its rename wrote
+        with open(root / "segment.0", "ab") as fh:
+            fh.write(b"half a chu")
+        with open(tmp_path / "c.index" / "index.0", "ab") as fh:
+            fh.write(b"\xee" * 30)
+        (root / "segment.1").write_bytes(b"whol")
+        (tmp_path / "c.index" / "index.1.tmp").write_bytes(b"\xff" * 44)
         assert store.digests() == [digest]
-        assert FileChunkStore(tmp_path).digests() == [digest]
+        reopened = FileChunkStore(root)
+        assert reopened.digests() == [digest] and reopened.get(digest) == b"whole"
+        # the next writer cuts the torn tails off before it appends
+        other = reopened.put(b"next")
+        assert (root / "segment.0").read_bytes() == b"wholenext"
+        assert os.path.getsize(tmp_path / "c.index" / "index.0") == 2 * 44
+        assert FileChunkStore(root).digests() == [digest, other]
 
-    def test_failed_write_removes_its_temp(self, tmp_path, monkeypatch):
-        store = FileChunkStore(tmp_path)
+    def test_failed_write_leaves_no_chunk_and_the_next_one_lands(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "c"
+        store = FileChunkStore(root)
+        real_write, writes = os.write, []
 
-        def refuse(src, dst):
-            raise OSError("rename refused")
+        def refuse_the_row(fd, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return real_write(fd, data)
 
-        monkeypatch.setattr("repro.storage.chunk_store.os.replace", refuse)
-        with pytest.raises(OSError, match="rename refused"):
-            store.put(b"never lands")
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-        assert store.digests() == []
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.storage.chunk_store.os.write", refuse_the_row)
+            with pytest.raises(OSError, match="disk full"):
+                store.put(b"never lands")
+        assert writes == [11, 44]
+        assert store.digests() == [] and FileChunkStore(root).digests() == []
+        digest = store.put(b"lands")
+        assert (root / "segment.0").read_bytes() == b"lands"
+        assert FileChunkStore(root).digests() == [digest]
 
 
 class TestChunkReplication:
@@ -136,14 +163,16 @@ class TestChunkReplication:
         assert store.discard(digest) == 0  # absent -> no-op
         assert store.contains(keep)
 
-    def test_file_store_discard_cleans_fanout_dir(self, tmp_path):
+    def test_file_store_discard_then_compact_leaves_no_byte(self, tmp_path):
         store = FileChunkStore(tmp_path / "objects")
         digest = store.put(b"lonely chunk")
-        fanout = tmp_path / "objects" / digest[:2]
-        assert fanout.is_dir()
-        store.discard(digest)
-        assert not fanout.exists()
+        assert store.discard(digest) == 12
         assert store.digests() == []
+        store.compact()
+        assert store.digests() == []
+        assert os.listdir(tmp_path / "objects") == ["segment.1"]
+        assert os.path.getsize(tmp_path / "objects" / "segment.1") == 0
+        assert FileChunkStore(tmp_path / "objects").digests() == []
 
     def test_file_store_import(self, tmp_path):
         src = MemoryChunkStore()
