@@ -1,14 +1,15 @@
-"""Concurrent sync: aggregate read throughput, shared vs serialized locking.
+"""Concurrent sync: aggregate read throughput, with and without the response cache.
 
 The collaborative workload the remote subsystem exists for (paper §III,
 §VI): many readers cloning and polling a shared repository while a writer
 publishes updates. Two server configurations race over HTTP against a
 threaded ``serve()`` instance:
 
-* **serialized baseline** — every operation behind one exclusive lock,
-  no response cache (the PR-1 server);
-* **concurrent** — reader-writer locking (reads in parallel, pushes
-  exclusive) plus the revision-keyed response cache.
+* **uncached baseline** — reader-writer locking (reads in parallel,
+  pushes exclusive), response cache off (``cache_entries=0``): every
+  read recomputes its pack metadata;
+* **concurrent** — the same server with the revision-keyed response
+  cache, so what the pair isolates is the cache.
 
 Each reader replays the clone-shaped read mix — ``manifest`` plus a full
 ``fetch`` — while the writer lands pushes on fresh branches (each push
@@ -61,9 +62,7 @@ def build_shared_repo(workload, seed):
     return repo
 
 
-def run_scenario(
-    exclusive: bool, cache_entries: int, registry=None, tracer=None
-) -> dict:
+def run_scenario(cache_entries: int, registry=None, tracer=None) -> dict:
     """One readers-plus-writer storm; returns throughput and checks.
 
     ``registry``/``tracer`` pass through to :func:`serve` — None means
@@ -77,7 +76,6 @@ def run_scenario(
         host="127.0.0.1",
         port=0,
         cache_entries=cache_entries,
-        exclusive=exclusive,
         registry=registry,
         tracer=tracer,
     )
@@ -190,13 +188,12 @@ def run_scenario(
 
 
 def test_concurrent_read_throughput():
-    baseline = run_scenario(exclusive=True, cache_entries=0)
-    concurrent = run_scenario(exclusive=False, cache_entries=128)
+    baseline = run_scenario(cache_entries=0)
+    concurrent = run_scenario(cache_entries=128)
     # Same concurrent configuration with the null registry/tracer: the
     # bare-metal arm of the instrumentation-overhead comparison.
     bare = run_scenario(
-        exclusive=False, cache_entries=128,
-        registry=NULL_REGISTRY, tracer=NULL_TRACER,
+        cache_entries=128, registry=NULL_REGISTRY, tracer=NULL_TRACER
     )
     speedup = concurrent["throughput"] / baseline["throughput"]
     overhead_ratio = concurrent["throughput"] / bare["throughput"]
@@ -206,7 +203,7 @@ def test_concurrent_read_throughput():
         f"{N_READERS} readers x {N_READS} iterations, {N_PUSHES} pushes "
         f"(history {N_HISTORY + 1} commits, scale {BENCH_SCALE}, "
         f"seed {BENCH_SEED}{', SMOKE' if BENCH_SMOKE else ''})",
-        f"serialized baseline   {baseline['throughput']:>9.1f} reads/s  "
+        f"rwlock, no cache      {baseline['throughput']:>9.1f} reads/s  "
         f"({baseline['elapsed'] * 1000:.0f} ms for {baseline['reads']} reads)",
         f"rwlock + cache        {concurrent['throughput']:>9.1f} reads/s  "
         f"({concurrent['elapsed'] * 1000:.0f} ms, "
@@ -223,7 +220,7 @@ def test_concurrent_read_throughput():
         "concurrent_sync",
         {
             "reads_per_second": {
-                "serialized": baseline["throughput"],
+                "uncached": baseline["throughput"],
                 "rwlock_cache": concurrent["throughput"],
                 "uninstrumented": bare["throughput"],
             },
@@ -247,7 +244,7 @@ def test_concurrent_read_throughput():
     assert bare["metrics"] == {}  # null registry: nothing recorded
     if not BENCH_SMOKE:
         # ISSUE 2 acceptance: >= 2x aggregate read throughput with 4+
-        # concurrent readers vs. the single-lock baseline.
+        # concurrent readers vs. the cache-less baseline.
         assert speedup >= 2.0, speedup
         # ISSUE 6 acceptance: identical reads, mostly identical state —
         # the cache should be absorbing the storm.

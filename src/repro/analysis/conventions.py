@@ -48,13 +48,6 @@ project's own persistence helpers). RWLock sides and lock-map members
 are exempt from LK002 by design: the per-repo write lock *is* the
 designed exclusion point for persistence, and a lock-map member only
 serializes one tenant/digest, not the service.
-
-Metric naming
--------------
-
-Families are ``repro_<noun>[_<noun>...]`` (:data:`METRIC_NAME_RE`);
-counters end ``_total``; gauges and histograms must not. A family name
-is declared with one kind and one label set, everywhere.
 """
 
 from __future__ import annotations
@@ -149,41 +142,7 @@ BLOCKING_ATTRS = frozenset(
     }
 )
 
-#: Metric family names: ``repro_`` prefix, lower_snake.
-METRIC_NAME_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
-
-#: Counter families must end with this suffix; other kinds must not.
-COUNTER_SUFFIX = "_total"
-
-#: Reserved Prometheus histogram suffixes no family may end with.
-RESERVED_SUFFIXES = ("_bucket", "_sum", "_count")
-
-#: Every field a ``LineageRecord`` construction site must pass as a
-#: keyword (OB004). The schema's run-time facts — a record missing any
-#: of these is unanchored in the lineage DAG, and the dataclass defaults
-#: would silently paper over the drop. ``commit_id``/``branch`` are
-#: deliberately absent (back-filled once at commit time) as are
-#: ``wall_seconds``/``cpu_seconds``/``collected`` (timing and GC
-#: amendments, excluded from record identity). Keep in lockstep with
-#: :class:`repro.provenance.ledger.LineageRecord`.
-LINEAGE_REQUIRED_FIELDS = (
-    "checkpoint_key",
-    "stage",
-    "pipeline",
-    "component_id",
-    "component_fingerprint",
-    "component_version",
-    "params_digest",
-    "input_refs",
-    "output_ref",
-    "seed",
-    "trace_id",
-    "span_id",
-    "tenant",
-    "via",
-)
-
-#: Inline suppression comment: ``# repro-lint: disable=LK002[,OB001] [- reason]``
+#: Inline suppression comment: ``# repro-lint: disable=LK002[,LK004] [- reason]``
 #: on the finding's line, the line above it, or the enclosing ``def``.
 SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9*,\s]+?)(?:\s+-\s*(?P<reason>.*))?$"

@@ -122,31 +122,6 @@ def _function_spans(tree: ast.AST) -> dict[int, tuple[int, int]]:
     return spans
 
 
-def enclosing_symbol(tree: ast.AST, line: int) -> str:
-    """``Class.method`` (or function name) containing ``line``, else
-    ``"<module>"`` — for findings produced outside the call graph."""
-    best = "<module>"
-    best_span = None
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        nonlocal best, best_span
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{prefix}.{child.name}" if prefix else child.name
-                end = getattr(child, "end_lineno", child.lineno) or child.lineno
-                if child.lineno <= line <= end:
-                    if not isinstance(child, ast.ClassDef):
-                        span = end - child.lineno
-                        if best_span is None or span <= best_span:
-                            best, best_span = name, span
-                    visit(child, name)
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    return best
-
-
 def load_source_tree(root: Path, package: str | None = None) -> list[SourceFile]:
     """Parse every ``*.py`` under ``root`` (a package directory).
 

@@ -1,4 +1,4 @@
-"""Running the rule packs and rendering/baselining the findings."""
+"""Running the lock-discipline rules and rendering/baselining the findings."""
 
 from __future__ import annotations
 
@@ -6,16 +6,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import rules_locks, rules_obs, rules_protocol
+from . import rules_locks
 from .callgraph import Program
 from .model import Baseline, Finding, SourceFile, load_source_tree
-
-#: rule id prefix -> pack, in reporting order.
-RULE_PACKS = (
-    ("LK", rules_locks.check, "lock discipline"),
-    ("PT", rules_protocol.check, "protocol drift"),
-    ("OB", rules_obs.check, "observability"),
-)
 
 #: Every rule id with a one-line description (``repro lint --list-rules``).
 RULES: dict[str, str] = {
@@ -23,18 +16,6 @@ RULES: dict[str, str] = {
     "LK002": "blocking call (file/socket I/O, sleep) under a mutex",
     "LK003": "exclusive acquisition nested inside a shared RWLock hold",
     "LK004": "wait() on a foreign object while holding a lock",
-    "PT005": "client call site sends an op with no OP_TABLE entry",
-    "PT006": "read-classified handler performs a mutation",
-    "PT007": "hub denial error missing typed-error registration",
-    "PT008": "protocol module lacks an integer PROTOCOL_VERSION",
-    "OB001": "metric family name breaks the repro_* convention",
-    "OB002": "metric family redeclared with conflicting kind/labels",
-    "OB003": "tracer span opened but never entered",
-    "OB004": "lineage record constructed without the full provenance schema",
-    "OB005": "trace continuity broken: unadopted wire context or a span "
-    "attribute written after the span closed",
-    "OB006": "per-op latency histogram children not resolved by iterating "
-    "the op table",
 }
 
 
@@ -76,10 +57,7 @@ class LintResult:
 
 def run_rules(files: list[SourceFile]) -> list[Finding]:
     """All raw findings over already-loaded sources (no filtering)."""
-    program = Program(files)
-    findings: list[Finding] = []
-    for _, pack, _ in RULE_PACKS:
-        findings.extend(pack(program))
+    findings = rules_locks.check(Program(files))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -321,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis of the codebase's concurrency, protocol, and "
-        "observability invariants (see docs/invariants.md)",
+        help="static analysis of the codebase's lock discipline "
+        "(see docs/invariants.md)",
     )
     lint.add_argument(
         "path", nargs="?", default=None,
@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rule", default=None,
         help="only run these rule ids or prefixes (comma-separated, e.g. "
-        "LK001 or LK,OB)",
+        "LK or LK001,LK002)",
     )
     lint.add_argument(
         "--json", action="store_true",
@@ -1046,8 +1046,7 @@ def _render_stats_once(args, transport, out, stamp: bool = False) -> None:
             "NOT READY: " + "; ".join(health.get("reasons", []))
         )
         print(
-            f"health: {state} (queue depth {health.get('queue_depth', 0):g}, "
-            f"{health.get('window_seconds', 0):g}s window)",
+            f"health: {state} ({health.get('window_seconds', 0):g}s window)",
             file=out,
         )
     print(
@@ -1096,8 +1095,7 @@ def _cmd_health(args, out) -> int:
     shedding = report.get("shedding", {})
     slo = report.get("slo", {})
     print(
-        f"{state} ({report.get('window_seconds', 0):g}s window, "
-        f"queue depth {report.get('queue_depth', 0):g})\n"
+        f"{state} ({report.get('window_seconds', 0):g}s window)\n"
         f"error budget: {slo.get('availability', 0.0):.2%} availability "
         f"target; burn fast {burn.get('fast', {}).get('burn', 0.0):.2f}x "
         f"/ slow {burn.get('slow', {}).get('burn', 0.0):.2f}x",

@@ -678,14 +678,13 @@ class RepositoryHub:
         # Health computed before taking the hub lock: the monitor reads
         # the registry (its own lock) and must not extend this hold.
         ready, reasons = self.health.ready()
-        health_window = self.health.window()
+        window_seconds = self.health.window()["seconds"]
         with self._lock:
             return {
                 "health": {
                     "ready": ready,
                     "reasons": reasons,
-                    "queue_depth": health_window["queue_depth"],
-                    "window_seconds": health_window["seconds"],
+                    "window_seconds": window_seconds,
                 },
                 "physical_bytes": self.backend.physical_bytes,
                 "chunks": self.backend.chunk_count(),

@@ -4,11 +4,11 @@ The measurement half of self-aware serving (:mod:`repro.obs.slo` is the
 policy half). A :class:`HealthMonitor` periodically snapshots the
 *existing* telemetry streams — the :class:`~repro.obs.metrics.MetricsRegistry`
 families the servers already populate (``repro_request_seconds``,
-``repro_admission_denied_total``, ``repro_lock_wait_seconds``,
-``repro_scheduler_queue_depth``) and the :class:`~repro.obs.trace.Tracer`'s
+``repro_admission_denied_total``, ``repro_lock_wait_seconds``) and the
+:class:`~repro.obs.trace.Tracer`'s
 finished-span buffer — and derives windowed signals from the deltas:
 per-op p50/p95/p99 latency (interpolated from histogram-bucket deltas),
-error rate, admission-denial mix, lock-wait pressure, and queue depth.
+error rate, admission-denial mix and lock-wait pressure.
 No new instrumentation points: if a server emits metrics, it can be
 health-modelled.
 
@@ -22,13 +22,12 @@ Three consumers, deliberately decoupled:
 
 * **liveness** (``GET /healthz``): the process answers — always true if
   the handler runs;
-* **readiness** (``GET /readyz``): flips down on fast error-budget burn,
-  scheduler-queue saturation, or active shedding; recovers as the
-  windows slide clean;
+* **readiness** (``GET /readyz``): flips down on fast error-budget burn
+  or active shedding; recovers as the windows slide clean;
 * **shedding** (:meth:`shed_decision`, called by the hub admission
   pipeline *before any repository state is touched*): triggers on
-  windowed per-op p99 exceeding its objective or queue saturation —
-  never on error burn. Shed requests are answered as typed
+  windowed per-op p99 exceeding its objective — never on error burn.
+  Shed requests are answered as typed
   :class:`~repro.errors.ServerOverloadedError`\\ s and land in the
   admission-denial counters, not the request-latency histograms, so the
   shedder's own output cannot feed its input and latch it on.
@@ -93,15 +92,14 @@ def _percentile(buckets, deltas, q: float) -> float | None:
 class _Sample:
     """One timestamped cut of the cumulative telemetry counters."""
 
-    __slots__ = ("mono", "wall", "ops", "denied", "lock_wait", "queue_depth")
+    __slots__ = ("mono", "wall", "ops", "denied", "lock_wait")
 
-    def __init__(self, mono, wall, ops, denied, lock_wait, queue_depth):
+    def __init__(self, mono, wall, ops, denied, lock_wait):
         self.mono = mono
         self.wall = wall
         self.ops = ops                  # op -> {buckets, counts, count, sum}
         self.denied = denied            # reason -> cumulative total
         self.lock_wait = lock_wait      # {"count": n, "sum": seconds}
-        self.queue_depth = queue_depth  # instantaneous gauge
 
 
 class HealthMonitor:
@@ -156,13 +154,8 @@ class HealthMonitor:
         for series in self.registry.series("repro_lock_wait_seconds"):
             lock_wait["count"] += series["count"]
             lock_wait["sum"] += series["sum"]
-        queue_depth = sum(
-            series["value"]
-            for series in self.registry.series("repro_scheduler_queue_depth")
-        )
         return _Sample(
-            self._clock(), self._wallclock(), ops, denied, lock_wait,
-            queue_depth,
+            self._clock(), self._wallclock(), ops, denied, lock_wait
         )
 
     def _tick(self, force: bool = False) -> None:
@@ -209,7 +202,6 @@ class HealthMonitor:
                 "ops": {},
                 "denied": {},
                 "lock_wait": {"count": 0, "avg_seconds": 0.0},
-                "queue_depth": 0.0,
             }
         baseline, newest = edges
         ops: dict[str, dict] = {}
@@ -248,7 +240,6 @@ class HealthMonitor:
                     lock_sum / lock_count if lock_count > 0 else 0.0
                 ),
             },
-            "queue_depth": newest.queue_depth,
         }
 
     def _burn_rates(self) -> dict:
@@ -297,10 +288,9 @@ class HealthMonitor:
     def ready(self) -> tuple[bool, list[str]]:
         """Readiness and the reasons it is (not) — empty list when ready.
 
-        Flips down on: fast error-budget burn over threshold, scheduler
-        queue saturated past the configured depth, or shedding having
-        fired within the last window. All three clear themselves as the
-        windows slide past the incident.
+        Flips down on: fast error-budget burn over threshold, or
+        shedding having fired within the last window. Both clear
+        themselves as the windows slide past the incident.
         """
         self._tick()
         reasons = []
@@ -313,15 +303,6 @@ class HealthMonitor:
             reasons.append(
                 f"error budget fast burn {fast['burn']:.1f}x >= "
                 f"{self.slo.fast_burn_threshold:.1f}x"
-            )
-        window = self.window()
-        if (
-            self.slo.max_queue_depth > 0
-            and window["queue_depth"] > self.slo.max_queue_depth
-        ):
-            reasons.append(
-                f"scheduler queue depth {window['queue_depth']:.0f} > "
-                f"{self.slo.max_queue_depth:.0f}"
             )
         if self._shedding_active():
             reasons.append("overload shedding active")
@@ -340,22 +321,15 @@ class HealthMonitor:
         state is touched; exempt ops (:data:`SHED_EXEMPT_OPS`) are never
         shed so probes and backoff decisions keep working under load.
         Latency-driven: sheds when the windowed p99 of this op has
-        breached its objective across at least ``min_samples`` requests,
-        or when the scheduler queue is saturated — never on error burn.
+        breached its objective across at least ``min_samples`` requests
+        — never on error burn.
         """
         if not self.slo.shed_enabled or op in SHED_EXEMPT_OPS:
             return None
-        self._tick()
-        window = self.window()
-        if (
-            self.slo.max_queue_depth > 0
-            and window["queue_depth"] > self.slo.max_queue_depth
-        ):
-            return self.slo.retry_after_seconds
         objective = self.slo.objective_for(op)
         if objective is None:
             return None
-        report = window["ops"].get(op)
+        report = self.window()["ops"].get(op)
         if report is None or report["count"] < self.slo.min_samples:
             return None
         p99 = report.get("p99")
@@ -407,7 +381,6 @@ class HealthMonitor:
             "ops": ops,
             "denied": window["denied"],
             "lock_wait": window["lock_wait"],
-            "queue_depth": window["queue_depth"],
             "burn": burn,
             "shedding": shed,
             "slo": self.slo.to_dict(),

@@ -29,6 +29,7 @@ should have something to say.
 from __future__ import annotations
 
 import math
+import re
 import threading
 
 #: Label value every overflowed series reports under (see the module
@@ -47,6 +48,16 @@ DEFAULT_BYTES_BUCKETS = (
     256, 1024, 4096, 16384, 65536, 262144,
     1048576, 4194304, 16777216, 67108864,
 )
+
+
+#: The family-name grammar, enforced by :meth:`MetricsRegistry._declare`
+#: (once per family, at declaration): ``repro_`` prefix, lower-snake; a
+#: counter ends ``_total`` and nothing else does; the exposition's own
+#: histogram suffixes are reserved. The ``/metrics`` scrape and the
+#: dashboards parse on this.
+_NAME_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
+_COUNTER_SUFFIX = "_total"
+_RESERVED_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def _escape_label_value(value: str) -> str:
@@ -132,7 +143,7 @@ class MetricFamily:
     """All series of one metric name; label-keyed child factory.
 
     When declared with no labels the family doubles as its own single
-    child: ``registry.counter("x").inc()`` works without a ``labels()``
+    child: ``registry.counter("repro_x_total").inc()`` works without a ``labels()``
     hop.
     """
 
@@ -242,7 +253,8 @@ class MetricsRegistry:
     layer can declare what it uses without coordination) — but a
     conflicting redeclaration (different kind or label names) raises,
     because two writers disagreeing about a series' shape is a bug worth
-    hearing about.
+    hearing about, and so does a name outside the family grammar
+    (:data:`_NAME_RE`).
     """
 
     def __init__(self, max_label_sets: int = 256):
@@ -262,6 +274,16 @@ class MetricsRegistry:
                         f"{family.kind} with labels {family.label_names}"
                     )
                 return family
+            if (
+                not _NAME_RE.match(name)
+                or name.endswith(_RESERVED_SUFFIXES)
+                or (cls.kind == "counter") != name.endswith(_COUNTER_SUFFIX)
+            ):
+                raise ValueError(
+                    f"{cls.kind} name {name!r} breaks the family grammar: "
+                    "repro_<lower_snake>, ending _total iff a counter, "
+                    "never _bucket/_sum/_count"
+                )
             family = cls(self, name, help_text, label_names, **kwargs)
             self._families[name] = family
             return family

@@ -9,12 +9,12 @@ windows, the multiwindow alerting shape from the SRE workbook).
 
 Two consumers with deliberately different signals:
 
-* **readiness** (``GET /readyz``) flips on error-budget *burn* or queue
-  saturation — symptoms that outlast any single request;
+* **readiness** (``GET /readyz``) flips on error-budget *burn* — a
+  symptom that outlasts any single request;
 * **load shedding** (the hub admission pipeline) triggers on windowed
-  per-op latency exceeding its objective (plus queue depth), never on
-  burn: shed requests are answered as typed errors, and an error-driven
-  shedder would feed its own signal and latch itself on.
+  per-op latency exceeding its objective, never on burn: shed requests
+  are answered as typed errors, and an error-driven shedder would feed
+  its own signal and latch itself on.
 
 Everything here is plain data — JSON-loadable via :meth:`SLOConfig.load`
 (the ``--slo-config`` flag on both serve verbs) — so operators tune
@@ -67,10 +67,9 @@ class SLOConfig:
     ``window_seconds``/``tick_seconds`` shape the sliding window the
     health model aggregates over (the shed signal's horizon);
     ``fast_window_seconds``/``slow_window_seconds`` are the burn-rate
-    horizons readiness watches. ``max_queue_depth`` is the scheduler
-    queue saturation point (0 disables the queue signal);
-    ``min_samples`` keeps one slow outlier from tripping the shedder on
-    a quiet server. ``retry_after_seconds`` rides every
+    horizons readiness watches. ``min_samples`` keeps one slow outlier
+    from tripping the shedder on a quiet server.
+    ``retry_after_seconds`` rides every
     :class:`~repro.errors.ServerOverloadedError` as the client's backoff
     hint; ``shed_enabled`` turns admission shedding off wholesale
     (readiness keeps reporting either way).
@@ -84,7 +83,6 @@ class SLOConfig:
     slow_window_seconds: float = 600.0
     fast_burn_threshold: float = DEFAULT_FAST_BURN
     slow_burn_threshold: float = DEFAULT_SLOW_BURN
-    max_queue_depth: float = 0.0
     min_samples: int = 20
     retry_after_seconds: float = 1.0
     shed_enabled: bool = True
@@ -128,23 +126,31 @@ class SLOConfig:
     def from_dict(cls, data: dict) -> "SLOConfig":
         """Build from a JSON-shaped dict; unlisted ops keep defaults.
 
-        Shape (all keys optional)::
+        Shape (all keys optional; exactly the keys :meth:`to_dict`
+        emits — anything else, and an objective for an op that is not
+        in the op table, is refused by name, so a typo cannot load as a
+        silently ignored setting)::
 
             {"objectives": {"push": 2.0, ...},
              "availability": 0.999,
              "window_seconds": 30, "tick_seconds": 1,
              "fast_window_seconds": 60, "slow_window_seconds": 600,
              "fast_burn_threshold": 14.4, "slow_burn_threshold": 6,
-             "max_queue_depth": 64, "min_samples": 20,
+             "min_samples": 20,
              "retry_after_seconds": 1.0, "shed_enabled": true}
         """
         if not isinstance(data, dict):
             raise ValueError("SLO config must be a JSON object")
         config = cls.default()
+        unknown = sorted(set(data) - set(config.to_dict()))
+        if unknown:
+            raise ValueError(f"unknown SLO config key {unknown[0]!r}")
         objectives = data.get("objectives", {})
         if not isinstance(objectives, dict):
             raise ValueError("'objectives' must map op names to seconds")
         for op, seconds in objectives.items():
+            if op not in OP_TABLE:
+                raise ValueError(f"objective for unknown op {op!r}")
             if not isinstance(seconds, (int, float)) or seconds <= 0:
                 raise ValueError(
                     f"objective for {op!r} must be positive seconds"
@@ -158,7 +164,6 @@ class SLOConfig:
             "slow_window_seconds",
             "fast_burn_threshold",
             "slow_burn_threshold",
-            "max_queue_depth",
             "retry_after_seconds",
         ):
             if name in data:
@@ -199,7 +204,6 @@ class SLOConfig:
             "slow_window_seconds": self.slow_window_seconds,
             "fast_burn_threshold": self.fast_burn_threshold,
             "slow_burn_threshold": self.slow_burn_threshold,
-            "max_queue_depth": self.max_queue_depth,
             "min_samples": self.min_samples,
             "retry_after_seconds": self.retry_after_seconds,
             "shed_enabled": self.shed_enabled,

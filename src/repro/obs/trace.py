@@ -88,7 +88,12 @@ class Span:
         self._token = None
 
     def set(self, **attrs) -> "Span":
-        """Attach attributes to a live span; returns the span."""
+        """Attach attributes to a live span; returns the span.
+
+        A finished span was handed to the buffer and the exporter as a
+        copy, so a later write could never be seen: it raises."""
+        if self.seconds is not None:
+            raise RuntimeError(f"span {self.name!r} already finished")
         self.attrs.update(attrs)
         return self
 

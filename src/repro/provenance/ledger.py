@@ -49,10 +49,15 @@ REUSED = "reused"
 VIA_VALUES = (EXECUTED, REUSED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LineageRecord:
     """One checkpoint event: a stage's output entering (or being adopted
     from) the archive.
+
+    Keyword-only, and the fourteen identity fields have no defaults: a
+    construction site that drops one is a ``TypeError``, not a record
+    unanchored in the lineage DAG. Only the amendments back-filled
+    later (``commit_id``/``branch``, timing, ``collected``) default.
 
     Timing fields (``wall_seconds``/``cpu_seconds``) and the GC
     annotation (``collected``) are excluded from equality/hash — two

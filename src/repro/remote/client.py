@@ -30,9 +30,15 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from ..errors import ChunkNotFoundError, RemoteError, ServerOverloadedError
+from ..errors import (
+    ChunkNotFoundError,
+    RemoteError,
+    RemoteProtocolError,
+    ServerOverloadedError,
+)
 from ..obs import propagation
 from ..obs import trace as obs_trace
+from ..ops import OP_TABLE
 from . import pack
 from .protocol import decode_message, encode_message, raise_remote_error
 
@@ -130,7 +136,11 @@ class Remote:
         # shared null span, no context is current, and inject() leaves the
         # request bytes untouched — untraced clients stay byte-identical.
         tracer = self.tracer if self.tracer is not None else obs_trace.default_tracer()
-        op = meta.get("op", "?")
+        op = meta.get("op")
+        if op not in OP_TABLE:
+            # Refused here, before a byte is framed: a method added to
+            # this class cannot send an op the table does not declare.
+            raise RemoteProtocolError(f"unknown operation {op!r}")
         for attempt in range(self.overload_retries + 1):
             with tracer.span(f"client.{op}", op=op, remote=self.name):
                 payload = encode_message(propagation.inject(meta), blobs)

@@ -278,9 +278,7 @@ class RepositoryServer:
     ref-moving push — directory-backed remotes pass a save callback so
     pushes persist; in-memory servers pass nothing. ``max_pack_bytes``
     windows ``get_chunks`` responses; ``cache_entries`` bounds the read
-    response cache (0 disables it); ``exclusive=True`` serializes *every*
-    operation behind the write lock — the pre-reader-writer behaviour,
-    kept as the baseline the concurrency benchmark measures against.
+    response cache (0 disables it).
     """
 
     def __init__(
@@ -290,7 +288,6 @@ class RepositoryServer:
         *,
         max_pack_bytes: int = pack.DEFAULT_MAX_PACK_BYTES,
         cache_entries: int = 128,
-        exclusive: bool = False,
         registry=None,
         tracer=None,
         metric_labels: dict | None = None,
@@ -300,7 +297,6 @@ class RepositoryServer:
         self.repo = repo
         self.on_change = on_change
         self.max_pack_bytes = max_pack_bytes
-        self.exclusive = exclusive
         # Slow-op forensics: optional and possibly *shared* — a hub hands
         # every hosted repository the same capture ring so one readout
         # covers all tenants. None disables capture entirely.
@@ -492,7 +488,7 @@ class RepositoryServer:
     def _dispatch(self, op: str, meta: dict, blobs: list, payload: bytes) -> bytes:
         """Route one validated operation through locking and the cache."""
         handler = getattr(self, self._HANDLERS[op])
-        if op in WRITE_OPS or self.exclusive:
+        if op in WRITE_OPS:
             with self._locked("write"):
                 try:
                     return handler(meta, blobs)
@@ -500,8 +496,7 @@ class RepositoryServer:
                     # Even a failed/rejected write may have grafted
                     # content before raising; the revision tokens catch
                     # most of that, the wholesale clear catches all.
-                    if op in WRITE_OPS:
-                        self.cache.invalidate()
+                    self.cache.invalidate()
         if op in CACHEABLE_OPS:
             key = hashlib.sha256(self._cache_key_bytes(meta, blobs, payload)).digest()
             cached = self.cache.get(key, self._state_token())
@@ -745,12 +740,10 @@ class RepositoryServer:
     def _health_summary(self) -> dict:
         """The compact health section ``stats`` carries."""
         ready, reasons = self.health_monitor.ready()
-        window = self.health_monitor.window()
         return {
             "ready": ready,
             "reasons": reasons,
-            "queue_depth": window["queue_depth"],
-            "window_seconds": window["seconds"],
+            "window_seconds": self.health_monitor.window()["seconds"],
         }
 
     def _op_health(self, meta: dict, blobs) -> bytes:
@@ -1266,7 +1259,6 @@ def serve(
     verbose: bool = False,
     max_pack_bytes: int = pack.DEFAULT_MAX_PACK_BYTES,
     cache_entries: int = 128,
-    exclusive: bool = False,
     max_request_bytes: int | None = None,
     idle_timeout: float | None = None,
     registry=None,
@@ -1314,7 +1306,6 @@ def serve(
             on_change=on_change,
             max_pack_bytes=max_pack_bytes,
             cache_entries=cache_entries,
-            exclusive=exclusive,
             registry=registry,
             tracer=tracer,
             slow_ops=slow_ops,

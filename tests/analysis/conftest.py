@@ -1,12 +1,11 @@
 """Helpers for the analyzer's tests: write fixture packages to disk,
-run the rule packs over them, and locate marker lines."""
+run the lock rules over them, and locate marker lines."""
 
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import Program
 from repro.analysis.model import load_source_tree
 from repro.analysis.report import run_rules
 
@@ -28,9 +27,6 @@ class FixtureTree:
 
     def load(self):
         return load_source_tree(self.root)
-
-    def program(self) -> Program:
-        return Program(self.load())
 
     def findings(self, rule: str | None = None):
         found = run_rules(self.load())

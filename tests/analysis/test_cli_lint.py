@@ -66,7 +66,7 @@ class TestLintVerb:
         assert report["findings"][0]["fingerprint"].startswith("LK002:")
 
     def test_rule_filter(self, dirty_tree):
-        code, _ = run_cli("lint", "--rule", "OB", str(dirty_tree))
+        code, _ = run_cli("lint", "--rule", "LK001", str(dirty_tree))
         assert code == 0
         code, _ = run_cli("lint", "--rule", "LK002", str(dirty_tree))
         assert code == 1
@@ -95,11 +95,11 @@ class TestLintVerb:
     def test_list_rules(self):
         code, text = run_cli("lint", "--list-rules")
         assert code == 0
-        for rule_id in ("LK001", "LK002", "PT005", "PT008", "OB001", "OB006"):
-            assert rule_id in text
-        # Retired with the op table: what they policed is now derived.
-        for rule_id in ("PT001", "PT002", "PT003", "PT004"):
-            assert rule_id not in text
+        # Lock discipline only: the protocol and telemetry contracts are
+        # refused where they are declared (docs/invariants.md).
+        assert [line.split()[0] for line in text.splitlines()] == [
+            "LK001", "LK002", "LK003", "LK004",
+        ]
 
     def test_missing_directory_is_an_error(self, tmp_path):
         code, text = run_cli("lint", str(tmp_path / "nope"))

@@ -150,18 +150,6 @@ class TestShedDecision:
         self.breach(registry, clock, monitor)
         assert monitor.shed_decision("put_chunks") is None
 
-    def test_queue_saturation_sheds_any_op(self):
-        registry = MetricsRegistry()
-        monitor, clock = make_monitor(
-            slo=self.slo(max_queue_depth=4), registry=registry
-        )
-        registry.gauge(
-            "repro_scheduler_queue_depth", "depth", ()
-        ).labels().set(9)
-        clock.advance(2.0)
-        # No latency samples at all: the queue signal alone decides.
-        assert monitor.shed_decision("fetch") == 1.5
-
     def test_within_objective_admits(self):
         registry = MetricsRegistry()
         monitor, clock = make_monitor(
@@ -251,7 +239,7 @@ class TestHealthReport:
         assert report["alive"] is True
         assert set(report) >= {
             "ready", "reasons", "generated_at", "window_seconds", "ops",
-            "denied", "lock_wait", "queue_depth", "burn", "shedding", "slo",
+            "denied", "lock_wait", "burn", "shedding", "slo",
         }
         put = report["ops"]["put_chunks"]
         assert put["objective_p99_seconds"] == 0.01

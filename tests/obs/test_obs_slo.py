@@ -65,6 +65,29 @@ class TestFromDict:
         rebuilt = SLOConfig.from_dict(original.to_dict())
         assert rebuilt.to_dict() == original.to_dict()
 
+    @pytest.mark.parametrize("key", sorted(SLOConfig.default().to_dict()))
+    def test_every_emitted_key_loads_alone(self, key):
+        emitted = SLOConfig.from_dict({
+            "objectives": {"push": 9.0}, "availability": 0.9,
+            "window_seconds": 7, "tick_seconds": 2,
+            "fast_window_seconds": 110, "slow_window_seconds": 1300,
+            "fast_burn_threshold": 3, "slow_burn_threshold": 2,
+            "min_samples": 5, "retry_after_seconds": 4,
+            "shed_enabled": False,
+        }).to_dict()
+        assert emitted[key] != SLOConfig.default().to_dict()[key]
+        loaded = SLOConfig.from_dict({key: emitted[key]})
+        assert loaded.to_dict()[key] == emitted[key]
+
+    @pytest.mark.parametrize("typo, named", [
+        ({"objectives": {"psuh": 2.0}}, "psuh"),
+        ({"shed_enabld": False}, "shed_enabld"),
+        ({"objective": {"push": 2.0}}, "objective"),
+    ])
+    def test_typos_are_refused_by_name(self, typo, named):
+        with pytest.raises(ValueError, match=named):
+            SLOConfig.from_dict(typo)
+
     @pytest.mark.parametrize("bad", [
         [], "nope", 3,
     ])

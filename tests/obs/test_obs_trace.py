@@ -76,6 +76,26 @@ class TestSpanOutcome:
         (finished,) = tracer.drain()
         assert finished["attrs"] == {"op": "push", "outcome": "allowed"}
 
+    def test_set_on_a_finished_span_raises(self, tracer):
+        # The buffer and the exporter were handed a copy at __exit__: a
+        # late write could never be seen, so it is refused, not dropped.
+        with tracer.span("work") as span:
+            pass
+        with pytest.raises(RuntimeError, match="already finished"):
+            span.set(outcome="too late")
+        (finished,) = tracer.drain()
+        assert "outcome" not in finished["attrs"]
+
+    def test_a_span_never_entered_is_inert(self, tracer):
+        with tracer.span("outer") as outer:
+            stray = tracer.span("stray", op="x")
+            assert obs_trace.current_span() is outer
+            with tracer.span("inner") as inner:
+                assert inner.parent_id == outer.span_id
+        assert stray.span_id is None and stray.seconds is None
+        assert [s["name"] for s in tracer.drain()] == ["inner", "outer"]
+        assert tracer.spans_recorded == 2
+
     def test_timing_fields_are_populated(self, tracer):
         with tracer.span("work"):
             pass

@@ -1,5 +1,7 @@
 """LineageLedger unit contract: append-only, amendments, import dedup."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -32,6 +34,33 @@ def make_record(stage="clean", output_ref="out-1", via=EXECUTED, **overrides):
     )
     fields.update(overrides)
     return LineageRecord(**fields)
+
+
+#: The run-time facts that anchor a record in the lineage DAG — every
+#: field of the dataclass that is not a later amendment.
+IDENTITY_FIELDS = sorted(
+    set(lineage_record_to_dict(make_record()))
+    - {"wall_seconds", "cpu_seconds", "commit_id", "branch", "collected"}
+)
+
+
+class TestRecordSchema:
+    def test_fourteen_identity_fields(self):
+        assert len(IDENTITY_FIELDS) == 14
+
+    @pytest.mark.parametrize("field", IDENTITY_FIELDS)
+    def test_omitting_an_identity_field_is_a_type_error(self, field):
+        fields = lineage_record_to_dict(make_record())
+        del fields[field]
+        with pytest.raises(TypeError, match=field):
+            LineageRecord(**fields)
+
+    def test_positional_construction_is_a_type_error(self):
+        # Every field supplied, in declaration order: only the order of
+        # fourteen adjacent strings would say which is which.
+        values = dataclasses.astuple(make_record())
+        with pytest.raises(TypeError, match="positional"):
+            LineageRecord(*values)
 
 
 class TestRecordIdentity:

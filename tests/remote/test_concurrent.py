@@ -174,13 +174,6 @@ class TestResponseCache:
         assert cache.get(b"big", token) is None
         assert cache._total_bytes <= 100
 
-    def test_exclusive_mode_still_serves(self, server_repo):
-        server = RepositoryServer(server_repo, exclusive=True)
-        clone = clone_repository(
-            LocalTransport(server), registry=server_repo.registry
-        )
-        assert len(clone.graph) == len(server_repo.graph)
-
 
 class TestConcurrentStress:
     @pytest.fixture

@@ -6,6 +6,8 @@ import json
 import socket
 import threading
 
+import pytest
+
 from repro.cli import main
 
 
@@ -82,16 +84,22 @@ class TestSLOConfigFlag:
         assert report["slo"]["availability"] == 0.95
         assert report["shedding"]["enabled"] is False
 
-    def test_bad_slo_config_fails_before_binding(self, tmp_path):
+    @pytest.mark.timeout(60)  # an accepted config would bind and block
+    @pytest.mark.parametrize("config, named", [
+        ({"objectives": {"push": "fast"}}, "positive seconds"),
+        ({"objectives": {"psuh": 2.0}}, "psuh"),
+        ({"shed_enabld": False}, "shed_enabld"),
+    ])
+    def test_bad_slo_config_fails_before_binding(self, tmp_path, config, named):
         init_repo(tmp_path / "A")
         bad = tmp_path / "slo.json"
-        bad.write_text(json.dumps({"objectives": {"push": "fast"}}))
+        bad.write_text(json.dumps(config))
         code, text = run_cli([
             "serve", str(tmp_path / "A"), "--port", "0",
             "--requests", "1", "--slo-config", str(bad),
         ])
         assert code != 0
-        assert "positive seconds" in text
+        assert named in text
 
 
 class TestStatsWatch:

@@ -219,6 +219,34 @@ class TestTraceRPC:
         assert result["slow"][0]["stacks"]
 
 
+class TestHubAdoption:
+    def test_server_span_descends_from_the_client_span_through_the_hub(self):
+        # The hub endpoint's twin of test_wellformed_trace_ctx_adopted:
+        # were handle_request to open hub.request without adopting the
+        # propagated context, the walk below would end at a fresh root.
+        hub = RepositoryHub(tracer=Tracer())
+        hub.add_tenant("team0", tokens=["tok-0"])
+        hub.create_repo("team0", "pipelines")
+        context = {"trace_id": "ab" * 8, "span_id": "cd" * 8}
+        response = hub.handle_request(
+            "team0",
+            "pipelines",
+            "tok-0",
+            encode_message({"op": "manifest", TRACE_CTX_KEY: context}),
+        )
+        assert "error" not in decode_message(response)[0]
+        spans = {s["span_id"]: s for s in hub.tracer.finished()}
+        (node,) = [s for s in spans.values() if s["name"] == "server.manifest"]
+        assert node["trace_id"] == "ab" * 8
+        chain = []
+        while node is not None:
+            chain.append(node["name"])
+            parent_id = node["parent_id"]
+            node = spans.get(parent_id)
+        assert chain[-1] == "hub.request"
+        assert parent_id == "cd" * 8  # the client's span, across the wire
+
+
 class TestHubEvictReload:
     def test_propagation_survives_evict_and_reload(self, tmp_path):
         # max_loaded_repos=1: touching repo "b" evicts "a"; the traced
