@@ -29,7 +29,6 @@ from .compatibility import build_compatibility_lut, prune_incompatible
 from .pruning import mark_checkpointed_nodes
 from .search_space import build_merge_scope
 from .traversal import execute_tree
-from .prioritized import run_ordered_search
 from .tree import build_search_tree, count_candidates
 
 MERGE_MODES = ("pcpr", "pc_only", "none")
@@ -78,9 +77,9 @@ def metric_driven_merge(
 ):
     """Run the merge and return a :class:`repro.core.repository.MergeOutcome`.
 
-    ``workers > 1`` evaluates several candidate leaves concurrently via the
-    parallel engine (:func:`repro.engine.run_parallel_search`) — ordered
-    searches only; the exhaustive depth-first walk is inherently
+    The ordered searches run through :func:`repro.engine.run_parallel_search`
+    with up to ``workers`` candidate leaves in flight (``workers=1``: one at
+    a time on this thread); the exhaustive depth-first walk is inherently
     sequential (its in-traversal pruning mutates the tree as it descends).
     """
     from ..repository import MergeOutcome
@@ -127,7 +126,9 @@ def metric_driven_merge(
     context = ExecutionContext(seed=seed, metric=repo.metric)
     if search == "exhaustive":
         evaluations = execute_tree(root, scope, executor, context)
-    elif workers > 1:
+    else:
+        # One driver for every ordered search: workers=1 is its inline,
+        # thread-free case (the same loop as ``run_ordered_search``).
         from ...engine import run_parallel_search
 
         evaluations = run_parallel_search(
@@ -137,17 +138,6 @@ def metric_driven_merge(
             context,
             method=search,
             workers=workers,
-            budget=budget,
-            time_budget_seconds=time_budget_seconds,
-            seed=seed,
-        )
-    else:
-        evaluations = run_ordered_search(
-            root,
-            scope,
-            executor,
-            context,
-            method=search,
             budget=budget,
             time_budget_seconds=time_budget_seconds,
             seed=seed,

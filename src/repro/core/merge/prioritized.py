@@ -21,6 +21,8 @@ Table I are produced without re-training 100x.
 from __future__ import annotations
 
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,11 +239,11 @@ def scored_from_history(leaf: TreeNode) -> bool:
 class SearchStep:
     """The draw and the commit of an ordered search, defined once.
 
-    :func:`run_ordered_search` alternates them, the parallel driver
-    (:mod:`repro.engine.merge_driver`) keeps a window of draws in flight
-    and commits in draw order, and :class:`SearchSimulator` replaces
-    execution with its cost model — all over this one RNG stream, run
-    set and tree. Not thread-safe: callers serialize draws and commits.
+    :func:`search_window` — the loop of every live search, one draw in
+    flight or several — keeps a window of draws uncommitted and commits
+    in draw order, and :class:`SearchSimulator` replaces execution with
+    its cost model — all over this one RNG stream, run set and tree. Not
+    thread-safe: one thread draws and commits.
     """
 
     def __init__(
@@ -308,6 +310,47 @@ class SearchStep:
 
 
 # ------------------------------------------------------------- live search
+def _inline(evaluate, leaf: TreeNode, index: int) -> Future:
+    """The width-1 ``submit``: evaluate now, on the calling thread."""
+    future: Future = Future()
+    future.set_result(evaluate(leaf, index))
+    return future
+
+
+def search_window(
+    step: SearchStep, evaluate, width: int = 1, submit=_inline
+) -> list[CandidateEvaluation]:
+    """The draw/submit/commit loop of every live search.
+
+    The calling thread owns ``step``. It draws while fewer than
+    ``width`` draws are uncommitted, hands each drawn leaf to
+    ``submit(evaluate, leaf, draw_index) -> Future`` (a leaf
+    :func:`scored_from_history` takes its slot with nothing to wait
+    for), and commits the oldest slot once the window is full or drawing
+    has stopped. Commits are therefore in draw order and the picker's
+    view at draw ``j`` is exactly results ``0 .. j - width`` — whatever
+    ``submit`` does with threads. ``evaluate(leaf, draw_index)`` returns
+    the candidate's :class:`RunReport`; what it raises re-raises here, no
+    later than that candidate's commit, and nothing drawn after it is
+    committed.
+    """
+    window: deque[tuple[TreeNode, Future | None]] = deque()
+    drawing = True
+    while drawing or window:
+        while drawing and len(window) < width:
+            leaf = step.draw()
+            if leaf is None:
+                drawing = False
+            elif scored_from_history(leaf):
+                window.append((leaf, None))
+            else:
+                window.append((leaf, submit(evaluate, leaf, step.drawn - 1)))
+        if window:
+            leaf, future = window.popleft()
+            step.commit(leaf, future.result() if future is not None else None)
+    return step.evaluations
+
+
 def run_ordered_search(
     root: TreeNode,
     scope: MergeScope,
@@ -318,7 +361,7 @@ def run_ordered_search(
     time_budget_seconds: float | None = None,
     seed: int = 0,
 ) -> list[CandidateEvaluation]:
-    """Execute candidates in prioritized or random order.
+    """Execute candidates in prioritized or random order, one at a time.
 
     ``budget`` caps the number of candidate evaluations and
     ``time_budget_seconds`` stops starting new evaluations once the wall
@@ -329,12 +372,9 @@ def run_ordered_search(
     checkpointed nodes of Fig. 4.
     """
     step = SearchStep(root, method, seed, budget, time_budget_seconds)
-    while (leaf := step.draw()) is not None:
-        if scored_from_history(leaf):
-            step.commit(leaf, None)
-        else:
-            step.commit(leaf, run_candidate(leaf, scope, executor, context))
-    return step.evaluations
+    return search_window(
+        step, lambda leaf, _index: run_candidate(leaf, scope, executor, context)
+    )
 
 
 # --------------------------------------------------------------- simulator

@@ -318,7 +318,8 @@ class MLCask:
         With warm checkpoints every stage is a reuse (the paper's "can be
         reused" guarantee); after a GC or on a fresh clone it recomputes
         what is missing. ``workers > 1`` executes independent DAG stages
-        concurrently via the parallel engine.
+        concurrently via the parallel engine (a chain has none and runs
+        inline).
         """
         instance = self.instance_for(self.head_commit(pipeline, branch))
         context = ExecutionContext(seed=self.seed, metric=self.metric)
@@ -373,7 +374,7 @@ class MLCask:
         ``workers > 1`` evaluates several candidates concurrently through
         the parallel engine (ordered searches only; single-flight
         checkpointing keeps each component execution at-most-once). The
-        workers are threads: ``BENCH_parallel_merge``'s 1.98x / 3.60x at
+        workers are threads: ``BENCH_parallel_merge``'s 1.99x / 3.62x at
         2 / 4 workers are for sleep-simulated, GIL-releasing component
         delays; on the four real numpy apps the 2-worker merge measured
         slower than the sequential one (``merge_parallel_s`` 1.29 s vs

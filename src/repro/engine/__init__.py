@@ -12,18 +12,18 @@ worker counts is a scheduling bug in this package.
 Entry points:
 
 * :class:`ParallelExecutor` — an ``Executor`` running independent DAG
-  stages concurrently (work-stealing pool) with single-flight reuse;
+  stages concurrently with single-flight reuse;
 * :func:`run_parallel_search` — multi-worker prioritized/random merge
-  search preserving the paper's pick order via a fixed-window,
-  commit-in-draw-order protocol;
+  search preserving the paper's pick order via a fixed window of draws
+  committed in draw order;
 * :class:`SingleFlight` — at-most-once computation per ``(component
   fingerprint, input ref)`` pair across concurrent runs;
-* :class:`DagScheduler` — the generic work-stealing task pool.
+* :class:`DagScheduler` — the generic task-DAG loop over a thread pool.
 """
 
 from .executor import ParallelExecutor
 from .merge_driver import run_parallel_search
-from .scheduler import DagScheduler, DagResult, SchedulerError
+from .scheduler import DagScheduler, DagResult
 from .single_flight import COMPUTED, HIT, JOINED, FlightStats, SingleFlight
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "run_parallel_search",
     "DagScheduler",
     "DagResult",
-    "SchedulerError",
     "SingleFlight",
     "FlightStats",
     "COMPUTED",

@@ -4,9 +4,10 @@ A :class:`repro.core.executor.Executor` — the stage body and the report
 assembly are inherited, not re-implemented — that differs in exactly two
 places:
 
-* ``run`` hands the stages to a work-stealing pool
-  (:class:`~repro.engine.scheduler.DagScheduler`), so stages with no
-  dependency between them execute concurrently;
+* ``run`` hands the stages of a pipeline that branches to a
+  :class:`~repro.engine.scheduler.DagScheduler`, so stages with no
+  dependency between them execute concurrently (a chain — every bundled
+  pipeline — has no such stages and runs inline, whatever ``workers``);
 * a checkpoint miss is resolved through a shared
   :class:`~repro.engine.single_flight.SingleFlight`, so concurrent runs
   (the workers of a parallel merge search) execute each ``(component
@@ -41,10 +42,10 @@ from .single_flight import COMPUTED, SingleFlight
 class ParallelExecutor(Executor):
     """Runs pipeline instances with stage-level parallelism.
 
-    ``workers=1`` executes inline in topological order (no threads) but
-    still routes checkpoint misses through the single-flight layer, so a
-    pool of sequential-looking executors sharing one ``flight`` dedups
-    across runs — how the parallel merge driver uses it.
+    ``workers=1``, or a chain at any ``workers``, executes inline in
+    topological order (no threads) but still routes checkpoint misses
+    through the single-flight layer, so concurrent runs sharing one
+    ``flight`` dedup across runs — how the parallel merge driver uses it.
     """
 
     def __init__(
@@ -102,12 +103,15 @@ class ParallelExecutor(Executor):
     ) -> RunReport:
         context = context or ExecutionContext(metric=self.metric)
         state = _RunState(instance)
-        if self.workers == 1:
+        deps = {stage: instance.spec.predecessors(stage) for stage in state.order}
+        # Width 1: each stage consumes the one before it, so no two stages
+        # are ever ready together and a pool would only add a thread hop.
+        chain = all(a in deps[b] for a, b in zip(state.order, state.order[1:]))
+        if self.workers == 1 or chain:
             for stage in state.order:
                 if not self._run_stage(stage, instance, context, state):
                     break
         else:
-            deps = {stage: instance.spec.predecessors(stage) for stage in state.order}
             DagScheduler(state.order, deps, self.workers).run(
                 lambda stage: self._run_stage(stage, instance, context, state)
             )

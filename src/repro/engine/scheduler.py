@@ -1,24 +1,18 @@
-"""Work-stealing DAG scheduler: independent stages run concurrently.
+"""DAG scheduler: independent stages run concurrently.
 
 The sequential :class:`~repro.core.executor.Executor` walks a pipeline's
-topological order one stage at a time; for DAG-shaped specs (a single
-dataset feeding several independent feature branches that join at the
-model) that leaves every core but one idle. This scheduler executes a
-task DAG with a small pool of worker threads using the classic
-work-stealing discipline:
+topological order one stage at a time. For a DAG-shaped spec (one dataset
+feeding independent feature branches that join at the model) this
+scheduler keeps up to ``workers`` ready tasks in flight on a
+:class:`~concurrent.futures.ThreadPoolExecutor`. The calling thread owns
+all scheduling state: it submits ready tasks in topological order, waits
+for the first to complete, settles it, and submits what that enabled.
 
-* each worker owns a deque; finishing a task pushes its newly-enabled
-  successors onto the *owner's* front (LIFO — depth-first locality, the
-  data a successor consumes is hot);
-* an idle worker steals from the *back* of a victim's deque (FIFO —
-  stealing the oldest, widest work).
-
-Failure policy mirrors the sequential executor's ``break``: when a task
-fails, every task at-or-after it in topological order is cancelled (tasks
-strictly earlier keep running — they cannot depend on the failure, and
+Failure policy mirrors the sequential executor's ``break``: nothing
+at-or-after the earliest failed topological index is started (tasks
+strictly earlier still run — they cannot depend on the failure, and
 completing them keeps the earliest-failure choice deterministic; see
-:mod:`repro.engine.executor`). Successors of a failed or cancelled task
-are transitively cancelled.
+:mod:`repro.engine.executor`), and what was never started is cancelled.
 
 The scheduler is deliberately generic — tasks are opaque names with a
 fixed topological index — so tests can drive it with scripted tasks and
@@ -28,11 +22,8 @@ the executor stays the only place that knows what a "stage" is.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-
-from ..errors import MLCaskError
-from ..obs import metrics as obs_metrics
 
 #: Task terminal states.
 DONE = "done"
@@ -40,16 +31,12 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 
 
-class SchedulerError(MLCaskError):
-    """A worker raised outside the task protocol (a bug, not a task failure)."""
-
-
 @dataclass
 class DagResult:
     """What happened to every task of one :meth:`DagScheduler.run`."""
 
     status: dict[str, str] = field(default_factory=dict)
-    #: Execution trace as (worker index, task) in completion order.
+    #: Execution trace as (worker thread, task) in completion order.
     trace: list[tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -62,186 +49,52 @@ class DagResult:
 
 
 class DagScheduler:
-    """Executes one task DAG; construct per run (holds per-run state).
+    """Executes one task DAG; construct per run.
 
     ``order`` is the full task list in topological order; ``deps`` maps a
     task to the tasks it consumes. ``execute(task) -> bool`` runs one task
-    on a worker thread and returns success; it must contain its own
-    failures (an escaping exception aborts the whole run and re-raises on
-    the caller's thread).
+    on a pool thread and returns success; it must contain its own
+    failures (an escaping exception stops further submissions and
+    re-raises on the caller's thread once in-flight tasks have finished).
     """
 
-    def __init__(
-        self,
-        order: list[str],
-        deps: dict[str, list[str]],
-        workers: int,
-        registry=None,
-    ):
+    def __init__(self, order: list[str], deps: dict[str, list[str]], workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.order = list(order)
         self.index = {task: i for i, task in enumerate(self.order)}
         self.deps = {task: list(deps.get(task, ())) for task in self.order}
-        self.successors: dict[str, list[str]] = {task: [] for task in self.order}
-        for task, task_deps in self.deps.items():
-            for dep in task_deps:
-                self.successors[dep].append(task)
         self.workers = min(workers, max(1, len(self.order)))
 
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._deques: list[deque[str]] = [deque() for _ in range(self.workers)]
-        self._pending = {task: len(task_deps) for task, task_deps in self.deps.items()}
-        self._settled = 0
-        self._cancel_bar: int | None = None  # min topo index of any failure
-        self._crash: BaseException | None = None
-        self.result = DagResult()
-
-        #: Tasks an idle worker took from a victim's deque — the
-        #: work-stealing effectiveness number tests and dashboards read.
-        self.steals = 0
-        # Metric children resolved once (the default registry is null
-        # unless installed, so an unobserved run pays empty calls).
-        registry = (
-            registry if registry is not None else obs_metrics.default_registry()
-        )
-        tasks_total = registry.counter(
-            "repro_scheduler_tasks_total",
-            "DAG tasks settled, by terminal status",
-            ("status",),
-        )
-        self._m_tasks = {
-            status: tasks_total.labels(status=status)
-            for status in (DONE, FAILED, CANCELLED)
-        }
-        self._m_steals = registry.counter(
-            "repro_scheduler_steals_total",
-            "Tasks taken from another worker's deque",
-        )
-        self._m_depth = registry.gauge(
-            "repro_scheduler_queue_depth",
-            "Runnable tasks currently queued across worker deques",
-        )
-
-    # ------------------------------------------------------------- running
     def run(self, execute) -> DagResult:
-        for i, task in enumerate(t for t in self.order if self._pending[t] == 0):
-            self._deques[i % self.workers].appendleft(task)
-        self._m_depth.set(sum(len(dq) for dq in self._deques))
-        if self.workers == 1:
-            self._worker(0, execute)
-        else:
-            threads = [
-                threading.Thread(
-                    target=self._worker,
-                    args=(i, execute),
-                    name=f"repro-dag-{i}",
-                    daemon=True,
-                )
-                for i in range(self.workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if self._crash is not None:
-            raise self._crash
-        return self.result
+        result = DagResult()
+        status = result.status
+        waiting = list(self.order)  # not yet submitted, topological order
+        bar = len(self.order)  # earliest failed topological index
+        running: dict = {}  # future -> task
 
-    # ------------------------------------------------------------- workers
-    def _worker(self, worker_id: int, execute) -> None:
-        try:
+        def on_worker(task):
+            return execute(task), threading.get_ident()
+
+        with ThreadPoolExecutor(self.workers, thread_name_prefix="repro-dag") as pool:
             while True:
-                with self._work:
-                    task = self._next_task(worker_id)
-                    while task is None:
-                        if self._settled >= len(self.order) or self._crash is not None:
-                            return
-                        self._work.wait()
-                        task = self._next_task(worker_id)
-                success = execute(task)
-                with self._work:
-                    self.result.trace.append((worker_id, task))
-                    self._settle(worker_id, task, DONE if success else FAILED)
-                    self._work.notify_all()
-        except BaseException as error:  # noqa: BLE001 - surfaced to caller
-            with self._work:
-                if self._crash is None:
-                    self._crash = error
-                self._work.notify_all()
-
-    def _next_task(self, worker_id: int) -> str | None:
-        """Pop own work (LIFO) or steal the oldest task from a victim."""
-        own = self._deques[worker_id]
-        while own:
-            task = own.popleft()
-            if self.result.status.get(task) != CANCELLED:
-                return task
-        for offset in range(1, self.workers):
-            victim = self._deques[(worker_id + offset) % self.workers]
-            while victim:
-                task = victim.pop()
-                if self.result.status.get(task) != CANCELLED:
-                    # Callers hold the scheduler condition, so the plain
-                    # increment is race-free.
-                    self.steals += 1
-                    self._m_steals.inc()
-                    return task
-        return None
-
-    # ------------------------------------------------------------ settling
-    def _settle(self, worker_id: int, task: str, status: str) -> None:
-        if self.result.status.get(task) == CANCELLED:
-            # Raced with a cancellation that landed while running; the
-            # cancellation already settled it.
-            return
-        self.result.status[task] = status
-        self._settled += 1
-        self._m_tasks[status].inc()
-        if status == DONE:
-            for succ in self.successors[task]:
-                if self.result.status.get(succ) == CANCELLED:
-                    continue
-                self._pending[succ] -= 1
-                if self._pending[succ] == 0 and not self._past_bar(succ):
-                    self._deques[worker_id].appendleft(succ)
-            self._m_depth.set(sum(len(dq) for dq in self._deques))
-        else:  # FAILED
-            bar = self.index[task]
-            if self._cancel_bar is None or bar < self._cancel_bar:
-                self._cancel_bar = bar
-            for other in self.order:
-                if (
-                    self.index[other] >= bar
-                    and other != task
-                    and self.result.status.get(other) is None
-                    and not self._running_somewhere(other)
-                ):
-                    self._cancel(other)
-            self._cancel_descendants(task)
-
-    def _past_bar(self, task: str) -> bool:
-        blocked = self._cancel_bar is not None and self.index[task] >= self._cancel_bar
-        if blocked and self.result.status.get(task) is None:
-            self._cancel(task)
-        return blocked
-
-    def _cancel(self, task: str) -> None:
-        self.result.status[task] = CANCELLED
-        self._settled += 1
-        self._m_tasks[CANCELLED].inc()
-
-    def _cancel_descendants(self, task: str) -> None:
-        stack = list(self.successors[task])
-        while stack:
-            succ = stack.pop()
-            if self.result.status.get(succ) is None:
-                self._cancel(succ)
-                stack.extend(self.successors[succ])
-
-    def _running_somewhere(self, task: str) -> bool:
-        """A task not in any deque and not settled is running on a worker."""
-        return all(task not in dq for dq in self._deques) and self._pending[
-            task
-        ] == 0 and self.result.status.get(task) is None
+                for task in list(waiting):
+                    if len(running) == self.workers or self.index[task] >= bar:
+                        break
+                    if all(status.get(dep) == DONE for dep in self.deps[task]):
+                        waiting.remove(task)
+                        running[pool.submit(on_worker, task)] = task
+                if not running:
+                    break
+                for future in wait(running, return_when=FIRST_COMPLETED).done:
+                    task = running.pop(future)
+                    # An escaping exception re-raises here; leaving the
+                    # ``with`` waits for the tasks still in flight.
+                    success, worker = future.result()
+                    result.trace.append((worker, task))
+                    status[task] = DONE if success else FAILED
+                    if not success:
+                        bar = min(bar, self.index[task])
+        for task in waiting:
+            status[task] = CANCELLED
+        return result

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from ..core.checkpoint import CheckpointRecord, CheckpointStore, checkpoint_key
 from ..core.component import Component
-from ..obs import metrics as obs_metrics
 
 #: How a stage obtained its checkpoint record (the ``via`` of
 #: :meth:`SingleFlight.compute_or_reuse`).
@@ -70,16 +69,6 @@ class SingleFlight:
         self._lock = threading.Lock()
         self._inflight: dict[str, _Call] = {}
         self.stats = FlightStats()
-        # Registry mirror of the stats block (null unless installed).
-        outcomes = obs_metrics.default_registry().counter(
-            "repro_singleflight_total",
-            "Checkpoint resolutions, by how the record was obtained",
-            ("via",),
-        )
-        self._m_via = {
-            via: outcomes.labels(via=via)
-            for via in (HIT, COMPUTED, JOINED, "failed")
-        }
 
     def compute_or_reuse(
         self,
@@ -102,7 +91,6 @@ class SingleFlight:
         if record is not None:
             with self._lock:
                 self.stats.hits += 1
-            self._m_via[HIT].inc()
             return record, HIT
 
         with self._lock:
@@ -116,7 +104,6 @@ class SingleFlight:
             call.done.wait()
             with self._lock:
                 self.stats.joined += 1
-            self._m_via[JOINED].inc()
             if call.error is not None:
                 raise call.error
             return call.record, JOINED
@@ -135,7 +122,6 @@ class SingleFlight:
             call.error = error
             with self._lock:
                 self.stats.failures += 1
-            self._m_via["failed"].inc()
             raise
         else:
             with self._lock:
@@ -143,7 +129,6 @@ class SingleFlight:
                     self.stats.computed += 1
                 else:
                     self.stats.hits += 1
-            self._m_via[via].inc()
             return record, via
         finally:
             with self._lock:

@@ -218,9 +218,10 @@ def run_parallel_merge_experiment(
     """Time the same prioritized merge search at each worker count.
 
     Each run gets a freshly built (cold) repository so no checkpoints
-    leak between configurations; ``workers=1`` takes the sequential
-    :func:`~repro.core.merge.prioritized.run_ordered_search` path and is
-    the speedup baseline.
+    leak between configurations; ``workers=1`` is the inline, thread-free
+    width of the one search loop
+    (:func:`~repro.core.merge.prioritized.search_window`) and is the
+    speedup baseline.
     """
     result = ParallelMergeResult(leaves=n_clean * n_extract * n_model)
     baseline_seconds = None

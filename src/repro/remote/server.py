@@ -671,11 +671,6 @@ class RepositoryServer:
         changes with every request).
         """
         repo = self.repo
-        # Engine metrics register on the process-default registry at
-        # scheduler/single-flight construction (they are process-wide,
-        # not per-repo), so the readout queries that registry — zeros
-        # when no parallel run ever happened or nothing is installed.
-        engine_registry = obs_metrics.default_registry()
         lineage = getattr(repo, "lineage", None)
         return encode_message(
             {
@@ -687,26 +682,6 @@ class RepositoryServer:
                         "commits": len(repo.graph),
                         "pipelines": len(repo.branches.pipelines()),
                         "checkpoints": len(repo.checkpoints.records()),
-                    },
-                    "engine": {
-                        "scheduler_queue_depth": engine_registry.value(
-                            "repro_scheduler_queue_depth"
-                        ),
-                        "scheduler_steals": engine_registry.value(
-                            "repro_scheduler_steals_total"
-                        ),
-                        "scheduler_tasks": {
-                            status: engine_registry.value(
-                                "repro_scheduler_tasks_total", status=status
-                            )
-                            for status in ("done", "failed", "cancelled")
-                        },
-                        "single_flight": {
-                            via: engine_registry.value(
-                                "repro_singleflight_total", via=via
-                            )
-                            for via in ("hit", "computed", "joined", "failed")
-                        },
                     },
                     "lineage": {
                         "records": len(lineage) if lineage is not None else 0,
