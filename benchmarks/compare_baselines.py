@@ -108,6 +108,17 @@ MANIFEST = {
         # Analytic speedup grid — deterministic.
         ("speedup_grid/p=0.9,k=8", "higher"),
     ],
+    "cold_start": [
+        # The import tiers (docs/invariants.md) seen from outside: what a
+        # fresh process of each kind loaded. (Its milliseconds, megabytes
+        # and module counts are recorded beside these, never compared.)
+        (f"{entry}/loads/{what}", "exact")
+        for entry in (
+            "import repro.cli", "repro --help", "hub serve until ready",
+            "repro stats URL", "import repro.workloads",
+        )
+        for what in ("numpy", "scipy", "repro.ml")
+    ],
 }
 
 

@@ -24,23 +24,8 @@ Quickstart::
     print(outcome.commit.describe())
 """
 
-from .core import (
-    ANY_SCHEMA,
-    Component,
-    ComponentRegistry,
-    DatasetComponent,
-    ExecutionContext,
-    Executor,
-    LibraryComponent,
-    MergeOutcome,
-    MLCask,
-    PipelineCommit,
-    PipelineInstance,
-    PipelineSpec,
-    RunReport,
-    SemVer,
-)
-from .data import Table
+from typing import TYPE_CHECKING
+
 from .errors import (
     IncompatibleComponentsError,
     MergeError,
@@ -51,6 +36,25 @@ from .errors import (
     StorageError,
     VersionError,
 )
+
+if TYPE_CHECKING:
+    from .core import (
+        ANY_SCHEMA,
+        Component,
+        ComponentRegistry,
+        DatasetComponent,
+        ExecutionContext,
+        Executor,
+        LibraryComponent,
+        MergeOutcome,
+        MLCask,
+        PipelineCommit,
+        PipelineInstance,
+        PipelineSpec,
+        RunReport,
+        SemVer,
+    )
+    from .data import Table
 
 __version__ = "1.1.0"
 
@@ -80,3 +84,18 @@ __all__ = [
     "VersionError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562, so that importing a serving submodule loads neither all of core nor numpy.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "Table":
+        from . import data as home
+    else:
+        from . import core as home
+    return getattr(home, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -41,7 +41,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ..data.serialize import payload_from_bytes, payload_to_bytes
 from ..storage.accounting import StorageStats
 from ..storage.folder_store import FolderStore
 from ..storage.hashing import fingerprint_many
@@ -108,6 +107,8 @@ class CheckpointStore(ABC):
         run_seconds: float,
         metrics: dict | None = None,
     ) -> CheckpointRecord:
+        from ..data.serialize import payload_to_bytes  # numpy: client tier only
+
         key = checkpoint_key(component, input_ref)
         start = time.perf_counter()
         # Serialization is pure CPU on caller-owned data — outside the
@@ -129,6 +130,8 @@ class CheckpointStore(ABC):
             return record
 
     def load(self, record: CheckpointRecord):
+        from ..data.serialize import payload_from_bytes  # numpy: client tier only
+
         start = time.perf_counter()
         with self._lock:
             data = self._retrieve(record)

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ComponentError
 from ..storage.hashing import fingerprint_many, meta_schema_hash
 from .metafile import DatasetMetafile, LibraryMetafile
 from .semver import SemVer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ANY_SCHEMA = "*"
 

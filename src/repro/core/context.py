@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -26,6 +28,8 @@ class ExecutionContext:
         between components. Uses the fingerprint's own hex digits rather
         than ``hash()``, which is process-salted and would break
         cross-process determinism."""
+        import numpy as np  # drawn only where a component runs (client tier)
+
         stable = int(component_fingerprint[:15] or "0", 16)
         mixed = (self.seed * 1_000_003 + stable) % (2**63)
         return np.random.default_rng(mixed)

@@ -15,6 +15,9 @@ Incompatible adjacent components are detected *at the moment the consumer
 is reached*, mirroring how the baselines "run the pipeline until the
 compatibility error occurs at the last component" (section VII-C); callers
 that want MLCask's behaviour validate statically before running.
+
+The paper's section V ``score()`` convention (:func:`score_from_metric`) lives here,
+re-exported by ``repro.ml.metrics``: the merge ranks by it, and ``core`` never imports ``ml``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,24 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import ComponentError
-from ..ml.metrics import score_from_metric
 from ..storage.hashing import fingerprint_many
 from .checkpoint import CheckpointStore
 from .component import DatasetComponent, LibraryComponent
 from .context import ExecutionContext
 from .pipeline import PipelineInstance
+
+HIGHER_IS_BETTER = {"accuracy", "auc", "f1", "score"}
+LOWER_IS_BETTER = {"mse", "log_loss"}
+
+
+def score_from_metric(metric_name: str, value: float) -> float:
+    """Convert a metric value to a higher-is-better score (section V)."""
+    if metric_name in HIGHER_IS_BETTER:
+        return float(value)
+    if metric_name in LOWER_IS_BETTER:
+        # Paper: "we can use score = 1/MSE as a score function".
+        return float(1.0 / max(value, 1e-12))
+    raise ValueError(f"unknown metric {metric_name!r}")
 
 
 @dataclass

@@ -101,13 +101,14 @@ class CommitGraph:
             raise MergeError(
                 f"{ancestor_id[:12]} is not an ancestor of {head_id[:12]}"
             )
-        selected = [
-            self._commits[c]
-            for c in head_ancestors
-            if self.is_ancestor(ancestor_id, c)
-        ]
-        if not include_ancestor:
-            selected = [c for c in selected if c.commit_id != ancestor_id]
+        # One pass in arrival order (a parent always precedes its children):
+        # a head ancestor descends from ``ancestor`` iff one of its parents does.
+        reaches = {ancestor_id}
+        selected = [self._commits[ancestor_id]] if include_ancestor else []
+        for commit_id, commit in self._commits.items():
+            if commit_id in head_ancestors and not reaches.isdisjoint(commit.parents):
+                reaches.add(commit_id)
+                selected.append(commit)
         return sorted(selected, key=lambda c: c.sequence)
 
     def first_parent_chain(self, head_id: str) -> list[PipelineCommit]:

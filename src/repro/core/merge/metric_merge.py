@@ -23,7 +23,7 @@ from __future__ import annotations
 from ...errors import MergeError, NoCandidateError
 from ..checkpoint import FolderCheckpointStore
 from ..context import ExecutionContext
-from ..executor import Executor
+from ..executor import Executor, score_from_metric
 from ..pipeline import PipelineInstance
 from .compatibility import build_compatibility_lut, prune_incompatible
 from .pruning import mark_checkpointed_nodes
@@ -43,8 +43,6 @@ def winners_by_metric(evaluations, metric_names):
     Returns ``{metric: (evaluation, score)}`` over the candidates whose
     runs recorded that metric.
     """
-    from ...ml.metrics import score_from_metric
-
     winners = {}
     for metric in metric_names:
         best = None

@@ -4,12 +4,15 @@ The metric-driven merge (paper section V) selects ``argmax score(p)`` over
 candidate pipelines; "for example, we can use score = 1/MSE as a score
 function for a pipeline whose performance metric is MSE". Metrics here all
 return plain floats; :func:`score_from_metric` converts a named metric value
-into a higher-is-better score exactly as the paper prescribes.
+into a higher-is-better score exactly as the paper prescribes; it is
+defined in :mod:`repro.core.executor` and re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.executor import HIGHER_IS_BETTER, LOWER_IS_BETTER, score_from_metric  # noqa: F401
 
 
 def accuracy(y_true, y_pred) -> float:
@@ -89,17 +92,3 @@ def confusion_matrix(y_true, y_pred) -> np.ndarray:
     for t, p in zip(y_true, y_pred):
         out[index[t], index[p]] += 1
     return out
-
-
-HIGHER_IS_BETTER = {"accuracy", "auc", "f1", "score"}
-LOWER_IS_BETTER = {"mse", "log_loss"}
-
-
-def score_from_metric(metric_name: str, value: float) -> float:
-    """Convert a metric value to a higher-is-better score (section V)."""
-    if metric_name in HIGHER_IS_BETTER:
-        return float(value)
-    if metric_name in LOWER_IS_BETTER:
-        # Paper: "we can use score = 1/MSE as a score function".
-        return float(1.0 / max(value, 1e-12))
-    raise ValueError(f"unknown metric {metric_name!r}")

@@ -10,9 +10,10 @@ Public surface:
 * schema-hash helpers from :mod:`repro.storage.hashing`
 """
 
+from typing import TYPE_CHECKING
+
 from .accounting import StorageStats
 from .chunk_store import ChunkStore, FileChunkStore, MemoryChunkStore
-from .chunking import ChunkerConfig, ContentDefinedChunker, FixedSizeChunker, rolling_hashes
 from .folder_store import FolderStore
 from .gc import GCReport, collect_garbage, live_digests_of_repo
 from .hashing import (
@@ -28,6 +29,19 @@ from .hashing import (
 )
 from .kv import DEFAULT_BRANCH, VersionedKV, VersionNode
 from .object_store import ObjectStore, Recipe
+
+if TYPE_CHECKING:
+    from .chunking import ChunkerConfig, ContentDefinedChunker, FixedSizeChunker, rolling_hashes
+
+
+def __getattr__(name: str):
+    # PEP 562: chunking is the one numpy module here; a serving process never splits a blob.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import chunking
+
+    return getattr(chunking, name)
+
 
 __all__ = [
     "StorageStats",

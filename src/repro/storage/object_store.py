@@ -13,12 +13,16 @@ engine" (section VII-C) materializes here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from ..errors import ObjectNotFoundError
 from .chunk_store import ChunkStore, MemoryChunkStore
-from .chunking import ContentDefinedChunker
 from .hashing import sha256_hex
+
+if TYPE_CHECKING:
+    from .chunking import ContentDefinedChunker
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,19 @@ class ObjectStore:
         chunker: ContentDefinedChunker | None = None,
     ):
         self.chunks = chunk_store if chunk_store is not None else MemoryChunkStore()
-        self.chunker = chunker if chunker is not None else ContentDefinedChunker()
+        if chunker is not None:
+            self.chunker = chunker
         self._recipes: dict[str, Recipe] = {}
         # Recipe-membership mutation counter: a staleness token for
         # response caches (the chunk store keeps its own).
         self.revision = 0
+
+    @cached_property
+    def chunker(self) -> ContentDefinedChunker:
+        """Default, built by the first :meth:`put`: a hub never loads numpy."""
+        from .chunking import ContentDefinedChunker
+
+        return ContentDefinedChunker()
 
     def put(self, data: bytes) -> str:
         """Persist ``data``; return its blob digest (idempotent)."""

@@ -1,6 +1,10 @@
 """Commit graph and common-ancestor tests (section V anchor queries)."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.commit import PipelineCommit, make_commit_id
 from repro.core.history import CommitGraph
@@ -155,6 +159,75 @@ class TestCommitsBetween:
         graph, _ = fig3_graph()
         labels = [c.label for c in graph.first_parent_chain("c-dev.0.2")]
         assert labels == ["dev.0.2", "dev.0.1", "dev.0.0", "master.0.0"]
+
+
+def commits_between_by_definition(graph, head_id, ancestor_id, include_ancestor=True):
+    """The body ``commits_between`` had before it became one pass: one
+    full ancestor search per ancestor of the head. Kept as the oracle."""
+    head_ancestors = graph.ancestors(head_id)
+    if ancestor_id not in head_ancestors:
+        raise MergeError(f"{ancestor_id[:12]} is not an ancestor of {head_id[:12]}")
+    selected = [
+        graph.get(c) for c in head_ancestors if graph.is_ancestor(ancestor_id, c)
+    ]
+    if not include_ancestor:
+        selected = [c for c in selected if c.commit_id != ancestor_id]
+    return sorted(selected, key=lambda c: c.sequence)
+
+
+@st.composite
+def random_dags(draw):
+    """A graph of up to 14 commits, each with 0-2 parents among the
+    commits added before it, and unique sequences in an order unrelated
+    to arrival (as after importing a peer's commits)."""
+    size = draw(st.integers(1, 14))
+    sequences = draw(st.permutations(range(1, size + 1)))
+    graph = CommitGraph()
+    for i in range(size):
+        parents = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+        graph.add(commit(f"b.0.{i}", [f"c-b.0.{p}" for p in parents], sequences[i]))
+    return graph, size
+
+
+class TestCommitsBetweenOnePass:
+    @settings(max_examples=150, deadline=None)
+    @given(random_dags(), st.data())
+    def test_equals_the_definition_on_random_dags(self, dag, data):
+        graph, size = dag
+        head = f"c-b.0.{data.draw(st.integers(0, size - 1))}"
+        ancestor = f"c-b.0.{data.draw(st.integers(0, size - 1))}"
+        for include_ancestor in (True, False):
+            try:
+                expected = commits_between_by_definition(graph, head, ancestor, include_ancestor)
+            except MergeError as error:
+                with pytest.raises(MergeError, match=re.escape(str(error))):
+                    graph.commits_between(head, ancestor, include_ancestor)
+            else:
+                assert graph.commits_between(head, ancestor, include_ancestor) == expected
+
+    def test_unknown_head_raises_commit_not_found(self):
+        graph, _ = fig2_graph()
+        with pytest.raises(CommitNotFoundError):
+            graph.commits_between("nope", "c-master.0.0")
+
+    def test_ancestor_search_runs_once_on_a_long_chain(self, monkeypatch):
+        """It used to run once per ancestor of the head: 401 searches of
+        up to 400 commits each for this call."""
+        graph = CommitGraph()
+        graph.add(commit("b.0.0", sequence=0))
+        for i in range(1, 400):
+            graph.add(commit(f"b.0.{i}", [f"c-b.0.{i - 1}"], i))
+        calls = []
+        original = CommitGraph.ancestors
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CommitGraph, "ancestors", counted)
+        between = graph.commits_between("c-b.0.399", "c-b.0.100")
+        assert [c.sequence for c in between] == list(range(100, 400))
+        assert len(calls) <= 2
 
 
 class TestCommitObject:
