@@ -177,7 +177,7 @@ def run_scenario(cache_entries: int, registry=None, tracer=None) -> dict:
             "elapsed": elapsed,
             "reads": reads,
             "throughput": reads / elapsed,
-            "cache_hits": server.repository_server.cache.hits,
+            "cache_hits": server.endpoint.cache.hits,
             "stats": stats_meta["stats"],
             "metrics": server.metrics_registry.snapshot(),
         }

@@ -165,10 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     clone = sub.add_parser("clone", help="clone a remote into a new directory")
     clone.add_argument("source", help="http:// URL or repository directory")
     clone.add_argument("dest", help="directory to create the clone in")
-    clone.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per wire message (default 4 MiB)",
-    )
+    _add_max_pack_bytes_argument(clone, "wire message")
     _add_hub_client_arguments(clone)
 
     push = sub.add_parser("push", help="publish a branch to a remote")
@@ -176,10 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     push.add_argument("remote", help="http:// URL or repository directory")
     push.add_argument("--pipeline", default=None)
     push.add_argument("--branch", default="master")
-    push.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per wire message (default 4 MiB)",
-    )
+    _add_max_pack_bytes_argument(push, "wire message")
     _add_hub_client_arguments(push)
 
     pull = sub.add_parser("pull", help="sync a branch from a remote")
@@ -187,10 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pull.add_argument("remote", help="http:// URL or repository directory")
     pull.add_argument("--pipeline", default=None)
     pull.add_argument("--branch", default="master")
-    pull.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per wire message (default 4 MiB)",
-    )
+    _add_max_pack_bytes_argument(pull, "wire message")
     _add_hub_client_arguments(pull)
 
     stats = sub.add_parser(
@@ -199,10 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "storage bytes) over the wire",
     )
     stats.add_argument("target", help="http:// URL or repository directory")
-    stats.add_argument(
-        "--json", action="store_true",
-        help="emit the raw stats object as one JSON document",
-    )
+    _add_json_argument(stats, "the raw stats object")
     stats.add_argument(
         "--watch", type=float, default=None, metavar="SECONDS",
         help="re-fetch and re-render every SECONDS seconds until "
@@ -217,10 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "burn, and overload-shedding state",
     )
     health.add_argument("target", help="http:// URL or repository directory")
-    health.add_argument(
-        "--json", action="store_true",
-        help="emit the raw health object as one JSON document",
-    )
+    _add_json_argument(health, "the raw health object")
     _add_hub_client_arguments(health)
 
     lineage = sub.add_parser(
@@ -243,10 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reconstruct one traced request: every checkpoint executed or "
         "reused under this trace id, in emission order",
     )
-    lineage.add_argument(
-        "--json", action="store_true",
-        help="emit the raw lineage object as one JSON document",
-    )
+    _add_json_argument(lineage, "the raw lineage object")
     _add_hub_client_arguments(lineage)
 
     impact = sub.add_parser(
@@ -263,10 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--component-version", default=None, metavar="VERSION",
         help="restrict the match to one version of the component",
     )
-    impact.add_argument(
-        "--json", action="store_true",
-        help="emit the raw impact object as one JSON document",
-    )
+    _add_json_argument(impact, "the raw impact object")
     _add_hub_client_arguments(impact)
 
     trace = sub.add_parser(
@@ -287,10 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slow", action="store_true",
         help="include the server's slow-op captures",
     )
-    trace.add_argument(
-        "--json", action="store_true",
-        help="emit the raw trace object as one JSON document",
-    )
+    _add_json_argument(trace, "the raw trace object")
     _add_hub_client_arguments(trace)
 
     profile = sub.add_parser(
@@ -305,10 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slow", action="store_true",
         help="read GET /debug/slow (the slow-op capture ring) instead",
     )
-    profile.add_argument(
-        "--json", action="store_true",
-        help="emit the raw debug object as one JSON document",
-    )
+    _add_json_argument(profile, "the raw debug object")
     profile.add_argument(
         "--token", default=None,
         help="bearer token (hubs gate the debug endpoints on a valid "
@@ -340,10 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only run these rule ids or prefixes (comma-separated, e.g. "
         "LK or LK001,LK002)",
     )
-    lint.add_argument(
-        "--json", action="store_true",
-        help="emit the structured report as one JSON document",
-    )
+    _add_json_argument(lint, "the structured report")
     lint.add_argument(
         "--baseline", default=None,
         help="baseline file of grandfathered findings "
@@ -430,6 +400,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_json_argument(parser, what: str) -> None:
+    parser.add_argument(
+        "--json", action="store_true", help=f"emit {what} as one JSON document"
+    )
+
+
+def _add_max_pack_bytes_argument(parser, per: str) -> None:
+    parser.add_argument(
+        "--max-pack-bytes", type=_positive_int, default=None,
+        help=f"chunk payload window per {per} (default 4 MiB)",
+    )
+
+
 def _add_hub_client_arguments(parser) -> None:
     """Options the remote verbs need to talk to a multi-tenant hub."""
     parser.add_argument(
@@ -451,10 +434,7 @@ def _add_serve_arguments(parser, cache_help: str) -> None:
         "--requests", type=int, default=None,
         help="exit after handling N requests (default: serve forever)",
     )
-    parser.add_argument(
-        "--max-pack-bytes", type=_positive_int, default=None,
-        help="chunk payload window per get_chunks response (default 4 MiB)",
-    )
+    _add_max_pack_bytes_argument(parser, "get_chunks response")
     parser.add_argument("--cache-entries", type=int, default=128, help=cache_help)
     parser.add_argument(
         "--max-request-bytes", type=_positive_int, default=256 * 1024 * 1024,
@@ -729,6 +709,16 @@ def _cmd_experiment(args, out) -> int:
 
 
 # ------------------------------------------------------------ remote verbs
+def _split_slug(slug: str, expects: str) -> tuple[str, str]:
+    """``TENANT/REPO`` -> ``(tenant, repo)``; ``expects`` opens the error."""
+    from .errors import RemoteError
+
+    parts = slug.split("/")
+    if len(parts) != 2 or not all(parts):
+        raise RemoteError(f"{expects} TENANT/REPO, got {slug!r}")
+    return parts[0], parts[1]
+
+
 def _resolve_remote_target(target: str, tenant: str | None) -> str:
     """Append a ``--tenant tenant/repo`` slug to a hub base URL."""
     from .errors import RemoteError
@@ -740,12 +730,8 @@ def _resolve_remote_target(target: str, tenant: str | None) -> str:
             "--tenant addresses a hub over HTTP; the remote must be an "
             "http(s) base URL"
         )
-    parts = tenant.split("/")
-    if len(parts) != 2 or not all(parts):
-        raise RemoteError(
-            f"--tenant expects TENANT/REPO, got {tenant!r}"
-        )
-    return f"{target.rstrip('/')}/t/{parts[0]}/{parts[1]}"
+    tenant, repo = _split_slug(tenant, "--tenant expects")
+    return f"{target.rstrip('/')}/t/{tenant}/{repo}"
 
 
 def _transport_for(target: str, persist: bool = False, token: str | None = None):
@@ -817,22 +803,54 @@ def _cmd_serve(args, out) -> int:
     from .remote.server import serve
 
     repo = MLCask.load_dir(args.repo)
+
+    def start(**options):
+        server = serve(
+            repo,
+            host=args.host,
+            port=args.port,
+            on_change=lambda r: r.save_dir(args.repo),
+            max_pack_bytes=(
+                args.max_pack_bytes
+                if args.max_pack_bytes is not None
+                else DEFAULT_MAX_PACK_BYTES
+            ),
+            cache_entries=args.cache_entries,
+            max_request_bytes=args.max_request_bytes,
+            **options,
+        )
+        print(f"serving {args.repo} at {server.url}/rpc", file=out)
+        return server, "serve.ready", {
+            "endpoint": f"{server.url}/rpc",
+            "repo": args.repo,
+            "commits": len(repo.graph),
+        }
+
+    return _serve_endpoint(args, out, start)
+
+
+def _serve_endpoint(args, out, start) -> int:
+    """The one body of ``serve`` and ``hub serve``, from building the
+    observability to serving until the budget is spent.
+
+    ``start(**options)`` builds and binds the server with the options
+    both verbs share (tracer, slow-op ring, profiler, SLO, idle timeout),
+    prints its banner and returns ``(server, ready event, its fields)``.
+    Bounded serving (``--requests N``) counts handled *requests*, not
+    accepted connections — keep-alive clients multiplex many requests
+    over one socket (handlers stop honouring keep-alive once the budget
+    is spent, see request_limit). The accept timeout lets the loop
+    re-check the count while the last connection is still open, and
+    daemon_threads=False makes server_close() join the handler threads
+    so no response is left in flight.
+    """
+    from .obs.events import emit
+
     tracer, slow_ops, profiler, close_obs = _build_observability(args)
-    server = serve(
-        repo,
-        host=args.host,
-        port=args.port,
-        on_change=lambda r: r.save_dir(args.repo),
+    server, event, fields = start(
         tracer=tracer,
         slow_ops=slow_ops,
         profiler=profiler,
-        max_pack_bytes=(
-            args.max_pack_bytes
-            if args.max_pack_bytes is not None
-            else DEFAULT_MAX_PACK_BYTES
-        ),
-        cache_entries=args.cache_entries,
-        max_request_bytes=args.max_request_bytes,
         slo=_load_slo(args),
         # Bounded serving must return promptly after the Nth request even
         # when clients leave keep-alive sockets open: a short idle timeout
@@ -842,46 +860,21 @@ def _cmd_serve(args, out) -> int:
         # request stalled past it is dropped *and* charged to the budget.
         idle_timeout=5.0 if args.requests is not None else None,
     )
-    print(f"serving {args.repo} at {server.url}/rpc", file=out)
     # One machine-parseable readiness line after the human one: tests and
     # supervisors wait on the event instead of sleeping or scraping prose.
-    from .obs.events import emit
-
     emit(
-        "serve.ready",
+        event,
         stream=out,
-        endpoint=f"{server.url}/rpc",
-        repo=args.repo,
-        commits=len(repo.graph),
+        **fields,
         request_budget=args.requests,
         max_request_bytes=args.max_request_bytes,
     )
-    _serve_until_budget(
-        server,
-        lambda: server.repository_server.requests_handled,
-        args.requests,
-        close_obs,
-    )
-    return 0
-
-
-def _serve_until_budget(server, handled, requests: int | None, close_obs) -> None:
-    """Drive ``server`` forever, or until ``handled()`` reaches ``requests``.
-
-    Bounded serving counts handled *requests*, not accepted connections —
-    keep-alive clients multiplex many requests over one socket (handlers
-    stop honouring keep-alive once the budget is spent, see
-    request_limit). The accept timeout lets the loop re-check the count
-    while the last connection is still open, and daemon_threads=False
-    makes server_close() join the handler threads so no response is left
-    in flight.
-    """
     try:
-        if requests is not None:
+        if args.requests is not None:
             server.daemon_threads = False
             server.timeout = 0.2
-            server.request_limit = requests
-            while handled() < requests:
+            server.request_limit = args.requests
+            while server.endpoint.requests_handled < args.requests:
                 server.handle_request()
         else:
             server.serve_forever()
@@ -890,6 +883,7 @@ def _serve_until_budget(server, handled, requests: int | None, close_obs) -> Non
     finally:
         server.server_close()
         close_obs()
+    return 0
 
 
 def _cmd_clone(args, out) -> int:
@@ -997,48 +991,55 @@ def _cmd_pull(args, out) -> int:
     return 0
 
 
-def _cmd_stats(args, out) -> int:
-    """The ``stats`` op as a verb: one server's counters, human or JSON;
-    ``--watch N`` re-fetches and re-renders every N seconds."""
-    import time
+def _readout(args, out, query, render) -> int:
+    """The readout verbs' one body: resolve the target -> transport ->
+    ``query(remote)`` on one repository-less :class:`Remote` -> close ->
+    ``--json`` or ``render(args, result, out)``.
 
-    target = _resolve_remote_target(args.target, args.tenant)
-    if args.watch is None:
-        transport = _transport_for(target, token=args.token)
-        try:
-            _render_stats_once(args, transport, out)
-        finally:
-            transport.close()
-        return 0
-    interval = max(args.watch, 0.1)
-    # One transport across iterations: keep-alive instead of a fresh
-    # connection per refresh.  Ctrl-C is the documented exit path.
-    transport = _transport_for(target, token=args.token)
-    try:
-        while True:
-            _render_stats_once(args, transport, out, stamp=True)
-            time.sleep(interval)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        transport.close()
-    return 0
-
-
-def _render_stats_once(args, transport, out, stamp: bool = False) -> None:
+    ``stats --watch N`` repeats query and output every N seconds on the
+    one transport (keep-alive, not a fresh connection per refresh), each
+    stamped, until Ctrl-C — its documented exit path."""
     import json
     import time
 
     from .remote.client import Remote
 
-    # repo=None: stats is pure readout, no local repository involved
+    target = _resolve_remote_target(args.target, args.tenant)
+    transport = _transport_for(target, token=args.token)
+    # repo=None: a readout is a pure query, no local repository involved
     # (the same probe shape clone uses for the manifest).
-    stats = Remote(repo=None, transport=transport).stats()
-    if stamp:
-        print(f"--- {time.strftime('%H:%M:%S')} ---", file=out)
-    if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True), file=out)
-        return
+    remote = Remote(repo=None, transport=transport)
+    watch = getattr(args, "watch", None)
+
+    def once() -> None:
+        result = query(remote)
+        if watch is not None:
+            print(f"--- {time.strftime('%H:%M:%S')} ---", file=out)
+        if args.json:
+            print(json.dumps(result, indent=2, sort_keys=True), file=out)
+        else:
+            render(args, result, out)
+
+    try:
+        once()
+        while watch is not None:
+            time.sleep(max(watch, 0.1))
+            once()
+    except KeyboardInterrupt:
+        if watch is None:
+            raise
+    finally:
+        transport.close()
+    return 0
+
+
+def _cmd_stats(args, out) -> int:
+    """The ``stats`` op as a verb: one server's counters, human or JSON;
+    ``--watch N`` re-fetches and re-renders every N seconds."""
+    return _readout(args, out, lambda remote: remote.stats(), _render_stats)
+
+
+def _render_stats(args, stats, out) -> None:
     cache = stats.get("cache", {})
     storage = stats.get("storage", {})
     repository = stats.get("repository", {})
@@ -1072,19 +1073,10 @@ def _render_stats_once(args, transport, out, stamp: bool = False) -> None:
 def _cmd_health(args, out) -> int:
     """The ``health`` op as a verb: the sliding-window report, human or
     JSON — readiness, per-op percentiles vs objectives, burn, shedding."""
-    import json
+    return _readout(args, out, lambda remote: remote.health(), _render_health)
 
-    from .remote.client import Remote
 
-    target = _resolve_remote_target(args.target, args.tenant)
-    transport = _transport_for(target, token=args.token)
-    try:
-        report = Remote(repo=None, transport=transport).health()
-    finally:
-        transport.close()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-        return 0
+def _render_health(args, report, out) -> None:
     state = "ready" if report["ready"] else (
         "NOT READY: " + "; ".join(report.get("reasons", []))
     )
@@ -1118,33 +1110,26 @@ def _cmd_health(args, out) -> int:
             f"(objective {objective_text} ms){breach}",
             file=out,
         )
-    return 0
 
 
 def _cmd_lineage(args, out) -> int:
     """Provenance queries as a verb: closure, consumers, or trace forensics."""
-    import json
-
     from .errors import RemoteError
-    from .remote.client import Remote
 
     if (args.ref is None) == (args.trace is None):
         raise RemoteError("give exactly one of REF or --trace TRACE_ID")
-    target = _resolve_remote_target(args.target, args.tenant)
-    transport = _transport_for(target, token=args.token)
-    try:
-        remote = Remote(repo=None, transport=transport)
+
+    def query(remote):
         if args.trace is not None:
-            result = remote.lineage_trace(args.trace)
-        elif args.consumers:
-            result = remote.lineage_consumers(args.ref)
-        else:
-            result = remote.lineage(args.ref)
-    finally:
-        transport.close()
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True), file=out)
-        return 0
+            return remote.lineage_trace(args.trace)
+        if args.consumers:
+            return remote.lineage_consumers(args.ref)
+        return remote.lineage(args.ref)
+
+    return _readout(args, out, query, _render_lineage)
+
+
+def _render_lineage(args, result, out) -> None:
     if args.trace is not None:
         print(
             f"trace {result['trace_id']}: "
@@ -1158,7 +1143,7 @@ def _cmd_lineage(args, out) -> int:
                 f"-> {node['output_ref'][:12]} ({node['wall_seconds']:.3f}s)",
                 file=out,
             )
-        return 0
+        return
     if args.consumers:
         print(
             f"{result['ref'][:12]} feeds {len(result['consumers'])} "
@@ -1178,7 +1163,7 @@ def _cmd_lineage(args, out) -> int:
                 f"[{commit['pipeline']}:{commit['branch']}] {commit['message']}",
                 file=out,
             )
-        return 0
+        return
     print(
         f"lineage of {result['ref'][:12]}: {len(result['nodes'])} node(s), "
         f"{len(result['edges'])} edge(s)",
@@ -1200,26 +1185,19 @@ def _cmd_lineage(args, out) -> int:
             f"[{commit['pipeline']}:{commit['branch']}] {commit['message']}",
             file=out,
         )
-    return 0
 
 
 def _cmd_impact(args, out) -> int:
     """What-if analysis: the downstream invalidation set of a component."""
-    import json
+    return _readout(
+        args,
+        out,
+        lambda remote: remote.impact(args.component, version=args.component_version),
+        _render_impact,
+    )
 
-    from .remote.client import Remote
 
-    target = _resolve_remote_target(args.target, args.tenant)
-    transport = _transport_for(target, token=args.token)
-    try:
-        result = Remote(repo=None, transport=transport).impact(
-            args.component, version=args.component_version
-        )
-    finally:
-        transport.close()
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True), file=out)
-        return 0
+def _render_impact(args, result, out) -> None:
     versions = ", ".join(result["matched_versions"]) or "-"
     print(
         f"impact of {result['component']} (versions: {versions}):\n"
@@ -1237,26 +1215,19 @@ def _cmd_impact(args, out) -> int:
             f"[{commit['pipeline']}:{commit['branch']}]",
             file=out,
         )
-    return 0
 
 
 def _cmd_trace(args, out) -> int:
     """The ``trace`` op as a verb: span buffer, critical path, slow ops."""
-    import json
+    return _readout(
+        args,
+        out,
+        lambda remote: remote.trace(args.trace_id, limit=args.limit, slow=args.slow),
+        _render_trace,
+    )
 
-    from .remote.client import Remote
 
-    target = _resolve_remote_target(args.target, args.tenant)
-    transport = _transport_for(target, token=args.token)
-    try:
-        result = Remote(repo=None, transport=transport).trace(
-            args.trace_id, limit=args.limit, slow=args.slow
-        )
-    finally:
-        transport.close()
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True), file=out)
-        return 0
+def _render_trace(args, result, out) -> None:
     if args.trace_id is not None:
         from .obs.critical_path import render_critical_path
 
@@ -1280,7 +1251,6 @@ def _cmd_trace(args, out) -> int:
             f"{len(capture.get('spans', []))} span(s))",
             file=out,
         )
-    return 0
 
 
 def _cmd_profile(args, out) -> int:
@@ -1402,35 +1372,25 @@ def _cmd_hub_add_tenant(args, out) -> int:
 
 
 def _cmd_hub_create_repo(args, out) -> int:
-    from .errors import RemoteError
-
-    parts = args.slug.split("/")
-    if len(parts) != 2 or not all(parts):
-        raise RemoteError(f"expected TENANT/REPO, got {args.slug!r}")
+    tenant, name = _split_slug(args.slug, "expected")
     hub = _hub_for(args)
-    hosted = hub.create_repo(parts[0], parts[1], metric=args.metric, seed=args.seed)
-    repo = hosted.server.repo
+    repo = hub.create_repo(tenant, name, metric=args.metric, seed=args.seed).server.repo
     print(
-        f"created {parts[0]}/{parts[1]} "
-        f"(metric {repo.metric!r}, seed {repo.seed})",
+        f"created {tenant}/{name} (metric {repo.metric!r}, seed {repo.seed})",
         file=out,
     )
     return 0
 
 
 def _cmd_hub_gc(args, out) -> int:
-    from .errors import RemoteError
-
-    parts = args.slug.split("/")
-    if len(parts) != 2 or not all(parts):
-        raise RemoteError(f"expected TENANT/REPO, got {args.slug!r}")
+    tenant, name = _split_slug(args.slug, "expected")
     hub = _hub_for(args)
-    report = hub.gc_repo(parts[0], parts[1])
+    report = hub.gc_repo(tenant, name)
     print(
-        f"gc {parts[0]}/{parts[1]}: swept {report.swept_chunks} chunks "
+        f"gc {tenant}/{name}: swept {report.swept_chunks} chunks "
         f"({report.swept_bytes} bytes), kept {report.live_chunks} live "
         f"chunks across {report.live_blobs} live blobs; tenant "
-        f"{parts[0]!r} now uses {hub.tenant_usage(parts[0])} bytes",
+        f"{tenant!r} now uses {hub.tenant_usage(tenant)} bytes",
         file=out,
     )
     return 0
@@ -1444,50 +1404,32 @@ def _cmd_hub_serve(args, out) -> int:
         kwargs["max_loaded_repos"] = args.max_loaded_repos
     if args.max_pack_bytes is not None:
         kwargs["max_pack_bytes"] = args.max_pack_bytes
-    tracer, slow_ops, profiler, close_obs = _build_observability(args)
-    hub = _hub_for(
-        args,
-        cache_entries=args.cache_entries,
-        tracer=tracer,
-        slow_ops=slow_ops,
-        slo=_load_slo(args),
-        **kwargs,
-    )
-    server = serve_hub(
-        hub,
-        host=args.host,
-        port=args.port,
-        max_request_bytes=args.max_request_bytes,
-        profiler=profiler,
-        # See _cmd_serve: bounded serving needs a short idle timeout so
-        # server_close() can join handler threads promptly.
-        idle_timeout=5.0 if args.requests is not None else None,
-    )
-    tenants = ", ".join(c.name for c in hub.authenticator.tenants()) or "none"
-    print(
-        f"serving hub {args.root} at {server.url}/t/<tenant>/<repo>/rpc "
-        f"(tenants: {tenants})",
-        file=out,
-    )
-    from .obs.events import emit
 
-    emit(
-        "hub.ready",
-        stream=out,
-        endpoint=f"{server.url}/t/<tenant>/<repo>/rpc",
-        root=args.root,
-        tenants=len(hub.authenticator.tenants()),
-        repos=sum(
-            len(hub.list_repos(c.name)) for c in hub.authenticator.tenants()
-        ),
-        max_loaded_repos=hub.max_loaded_repos,
-        request_budget=args.requests,
-        max_request_bytes=args.max_request_bytes,
-    )
-    _serve_until_budget(
-        server, lambda: hub.requests_handled, args.requests, close_obs
-    )
-    return 0
+    def start(profiler, idle_timeout, **options):
+        hub = _hub_for(args, cache_entries=args.cache_entries, **options, **kwargs)
+        server = serve_hub(
+            hub,
+            host=args.host,
+            port=args.port,
+            max_request_bytes=args.max_request_bytes,
+            profiler=profiler,
+            idle_timeout=idle_timeout,
+        )
+        tenants = hub.authenticator.tenants()
+        print(
+            f"serving hub {args.root} at {server.url}/t/<tenant>/<repo>/rpc "
+            f"(tenants: {', '.join(c.name for c in tenants) or 'none'})",
+            file=out,
+        )
+        return server, "hub.ready", {
+            "endpoint": f"{server.url}/t/<tenant>/<repo>/rpc",
+            "root": args.root,
+            "tenants": len(tenants),
+            "repos": sum(len(hub.list_repos(c.name)) for c in tenants),
+            "max_loaded_repos": hub.max_loaded_repos,
+        }
+
+    return _serve_endpoint(args, out, start)
 
 
 def _cmd_hub(args, out) -> int:

@@ -52,10 +52,11 @@ would be wrong — another directory, another writer in between, rows
 removed or amended since — every journal is written afresh under the
 next generation number and committed by the header that names it; only
 then do the old generation's files and the bytes of chunks no longer
-held go. A directory from before the journals (the commits in its header, one
-whole JSON file per collection beside it) still loads, and its next save
-rewrites it in this layout. The rules, once for both hosts, are in
-``docs/invariants.md`` ("Repository metadata: one commit point").
+held go. A directory from before the journals (the commits in its header,
+one whole JSON file per collection beside it) is refused with a
+:class:`RepositoryError`, never read as empty. The rules, once for both
+hosts, are in ``docs/invariants.md`` ("Repository metadata: one commit
+point").
 
 The per-object dict codecs (:func:`commit_to_dict` & friends) are shared
 with the remote-sync wire protocol: a pack travelling over a transport
@@ -357,15 +358,6 @@ _JOURNALS = {
     ),
 }
 
-#: Where a directory from before the journals keeps the same rows (its
-#: commits sit in the header itself): journal -> (file, key). Load-only.
-_LEGACY_FILES = {
-    "recipes": ("recipes.json", "recipes"),
-    "checkpoints": ("checkpoints.json", "records"),
-    "lineage": ("lineage.json", "records"),
-    HOLDINGS: ("chunks.json", "chunks"),
-}
-
 _JOURNAL_FILE_NAME = re.compile(r"(?P<name>[a-z]+)\.(?P<generation>\d+)\.jsonl")
 
 
@@ -398,25 +390,21 @@ def read_repository_header(path: str | os.PathLike[str]) -> dict:
     if not is_repository_dir(root):
         raise RepositoryError(f"not a repository directory: {root}")
     with open(os.path.join(root, STATE_FILE)) as fh:
-        return json.load(fh)
+        header = json.load(fh)
+    if "generation" not in header or "journals" not in header:
+        raise RepositoryError(
+            f"{root} is in the pre-journal directory format (commits in "
+            f"{STATE_FILE}, one JSON file per collection), which is not read"
+        )
+    return header
 
 
 def _read_rows(root: str, header: dict, name: str) -> list:
     """The committed rows of one journal of a repository directory."""
-    if "commits" not in header:
-        return read_journal(
-            _journal_path(root, name, header["generation"]),
-            header["journals"].get(name, 0),
-        )
-    # A directory from before the journals: same rows, other files.
-    if name == "commits":
-        return header["commits"]
-    file_name, key = _LEGACY_FILES[name]
-    path = os.path.join(root, file_name)
-    if not os.path.isfile(path):  # e.g. no ledger in the oldest ones
-        return []
-    with open(path) as fh:
-        return json.load(fh)[key]
+    return read_journal(
+        _journal_path(root, name, header["generation"]),
+        header["journals"].get(name, 0),
+    )
 
 
 def read_holdings(path: str | os.PathLike[str], header: dict) -> dict[str, int]:
@@ -506,14 +494,11 @@ def _sweep_repo_dir(root: str, generation: int) -> None:
     """Remove the metadata files the committed header no longer names,
     and nothing else: journals of other generations (the one just
     compacted away, or what a compaction that died before its header
-    left), the files of the pre-journal layout, the header's temp
-    leftovers."""
-    legacy = {file_name for file_name, _ in _LEGACY_FILES.values()}
+    left), the header's temp leftovers."""
     for entry in os.listdir(root):
         journal = _JOURNAL_FILE_NAME.fullmatch(entry)
         stale = (
-            entry in legacy
-            or (entry.startswith(STATE_FILE + ".") and entry.endswith(".tmp"))
+            (entry.startswith(STATE_FILE + ".") and entry.endswith(".tmp"))
             or (
                 journal is not None
                 and journal["name"] in _JOURNALS
@@ -541,18 +526,17 @@ def restore_repository_dir(
     for entry in _read_rows(root, header, "checkpoints"):
         repo.checkpoints.import_record(record_from_dict(entry))
     repo.lineage.import_entries(_read_rows(root, header, "lineage"))
-    if "commits" not in header:
-        # Row cursors come from the stores, which is what a save slices:
-        # a loader that folds two equal rows into one must not leave the
-        # cursor past the end of its store.
-        repo.saved = SavedMarks(
-            root,
-            header["generation"],
-            {
-                name: (len(_JOURNALS[name][0](repo)), length)
-                for name, length in header["journals"].items()
-            },
-        )
+    # Row cursors come from the stores, which is what a save slices: a
+    # loader that folds two equal rows into one must not leave the cursor
+    # past the end of its store.
+    repo.saved = SavedMarks(
+        root,
+        header["generation"],
+        {
+            name: (len(_JOURNALS[name][0](repo)), length)
+            for name, length in header["journals"].items()
+        },
+    )
 
 
 def _open_repository_dir(path, registry, in_place: bool):

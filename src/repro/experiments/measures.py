@@ -39,20 +39,6 @@ class MergeMeasures:
         """Cumulative pipeline time = execution + storage."""
         return self.cet_seconds + self.cst_seconds
 
-    def as_row(self) -> dict:
-        return {
-            "system": self.system,
-            "CPT_s": round(self.cpt_seconds, 4),
-            "CSS_MB": round(self.css_bytes / 1e6, 4),
-            "CET_s": round(self.cet_seconds, 4),
-            "CST_s": round(self.cst_seconds, 4),
-            "preproc_s": round(self.preprocessing_seconds, 4),
-            "training_s": round(self.training_seconds, 4),
-            "evaluated": self.candidates_evaluated,
-            "executed": self.components_executed,
-            "reused": self.components_reused,
-        }
-
 
 @dataclass
 class LinearSeries:
@@ -68,10 +54,6 @@ class LinearSeries:
     scores: list = field(default_factory=list)
     flags: list[str] = field(default_factory=list)  # ok / failed / skipped
     n_executed: list[int] = field(default_factory=list)  # stages run per iter
-
-    @property
-    def final_total_seconds(self) -> float:
-        return self.total_seconds[-1] if self.total_seconds else 0.0
 
     @property
     def final_storage_bytes(self) -> int:

@@ -25,8 +25,8 @@ Layering::
     backend.py   SharedChunkBackend + TenantChunkStore (refcounted views)
     auth.py      TenantConfig, TokenAuthenticator, name grammar
     quota.py     TokenBucket, incoming-bytes arithmetic
-    hub.py       RepositoryHub (routing, LRU, persistence, admission)
-    server.py    path-routed HTTP front (/t/<tenant>/<repo>/rpc)
+    hub.py       RepositoryHub (routing, LRU, persistence, admission), and
+                 serve_hub: the shared HTTP server, routed /t/<tenant>/<repo>/rpc
 
 Quickstart::
 
@@ -43,13 +43,11 @@ Quickstart::
 
 from .auth import TenantConfig, TokenAuthenticator, validate_name
 from .backend import SharedChunkBackend, TenantChunkStore
-from .hub import HostedRepository, HubLocalTransport, RepositoryHub
+from .hub import HostedRepository, HubLocalTransport, RepositoryHub, serve_hub
 from .quota import TokenBucket, incoming_new_bytes
-from .server import HubHTTPServer, serve_hub
 
 __all__ = [
     "HostedRepository",
-    "HubHTTPServer",
     "HubLocalTransport",
     "RepositoryHub",
     "SharedChunkBackend",

@@ -180,15 +180,6 @@ class SharedChunkBackend:
                     self._physical_bytes += size
                 self._refcounts[digest] = count + 1
 
-    def release_holdings(self, digests) -> int:
-        """Drop a whole repository's holdings (repo deletion); returns
-        the physical bytes no longer held. As after a sweep, the caller
-        runs :meth:`compact` once the repository's directory is gone."""
-        reclaimed = 0
-        for digest in digests:
-            reclaimed += self.release(digest)
-        return reclaimed
-
     def flush(self) -> None:
         """Put every chunk written so far on disk."""
         self.store.flush()
@@ -197,7 +188,7 @@ class SharedChunkBackend:
         """Give back the space of chunks no repository holds.
 
         For after the commit point of whatever stopped holding them (a
-        sweep's header, a deleted repository). Chunks the store holds
+        sweep's header). Chunks the store holds
         without a holder — what a push or a sweep that died before its
         commit point left — are discarded first, under the same election
         as :meth:`release`, so one being adopted right now is left alone.
@@ -292,6 +283,3 @@ class TenantChunkStore(ChunkStore):
         """Snapshot of digest -> size in arrival order, from the
         ``start``-th holding on, for the persisted manifest."""
         return dict(islice(self._held.items(), start, None))
-
-    def size_of(self, digest: str) -> int | None:
-        return self._held.get(digest)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -75,11 +76,11 @@ from ..obs.trace import Tracer
 from ..ops import OP_TABLE, OpSpec
 from ..remote import pack
 from ..remote.protocol import decode_message, error_response
-from ..remote.server import RepositoryServer
+from ..remote.server import RepositoryServer, SyncHTTPServer
 from ..remote.transport import Transport
 from ..storage.chunk_store import FileChunkStore
 from ..storage.object_store import ObjectStore
-from .auth import TenantConfig, TokenAuthenticator, validate_name
+from .auth import NAME_FRAGMENT, TenantConfig, TokenAuthenticator, validate_name
 from .backend import SharedChunkBackend, TenantChunkStore
 from .quota import TokenBucket, incoming_new_bytes
 
@@ -124,6 +125,23 @@ DEFAULT_MAX_LOADED_REPOS = 16
 PREFLIGHT_OPS = frozenset(
     spec.name for spec in OP_TABLE.values() if spec.preflight
 )
+
+#: The HTTP path of one hosted repository: /t/<tenant>/<repo> with an
+#: optional /rpc suffix (HttpTransport always appends one). Composed from
+#: the one authoritative name grammar.
+ROUTE = re.compile(
+    f"^/t/(?P<tenant>{NAME_FRAGMENT})/(?P<repo>{NAME_FRAGMENT})(?:/rpc)?/?$"
+)
+
+
+def bearer_token(header_value: str | None) -> str | None:
+    """The token of an ``Authorization: Bearer ...`` header, else None."""
+    if not header_value:
+        return None
+    scheme, _, credential = header_value.partition(" ")
+    if scheme.lower() != "bearer" or not credential.strip():
+        return None
+    return credential.strip()
 
 
 class HostedRepository:
@@ -677,15 +695,10 @@ class RepositoryHub:
         """Hub-wide numbers the benchmark and tests read."""
         # Health computed before taking the hub lock: the monitor reads
         # the registry (its own lock) and must not extend this hold.
-        ready, reasons = self.health.ready()
-        window_seconds = self.health.window()["seconds"]
+        health = self.health.summary()
         with self._lock:
             return {
-                "health": {
-                    "ready": ready,
-                    "reasons": reasons,
-                    "window_seconds": window_seconds,
-                },
+                "health": health,
                 "physical_bytes": self.backend.physical_bytes,
                 "chunks": self.backend.chunk_count(),
                 "loaded_repos": len(self._loaded),
@@ -933,3 +946,64 @@ class HubLocalTransport(Transport):
         return self.hub.handle_request(
             self.tenant, self.repo, self.token, payload
         )
+
+
+def serve_hub(
+    hub: RepositoryHub,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    verbose: bool = False,
+    max_request_bytes: int | None = None,
+    idle_timeout: float | None = None,
+    profiler=None,
+) -> SyncHTTPServer:
+    """Expose every repository of ``hub`` at
+    ``http://host:port/t/<tenant>/<repo>/rpc``; returns the server
+    (caller drives the loop, ``port=0`` binds an ephemeral port).
+
+    The same :class:`~repro.remote.server.SyncHTTPServer` as the
+    single-repository ``serve``, given the hub's route: tenant, repo and
+    bearer token are read off the request and handed to
+    :meth:`RepositoryHub.handle_request`, which owns admission and
+    routing and never raises — every application-level outcome, auth,
+    quota and rate denials included, travels as an HTTP 200 with a
+    typed error body. HTTP status codes stay for transport-level
+    problems. ``GET /metrics`` renders the hub's registry and the probes
+    answer from its health model; the ``/debug/*`` readouts name
+    tenants and live stacks, so they require *a* valid tenant token.
+    ``profiler`` (optional, a started
+    :class:`~repro.obs.profiler.SamplingProfiler`) backs ``GET
+    /debug/profile``; the caller owns its lifecycle."""
+
+    def route(path, headers):
+        match = ROUTE.match(path)
+        if match is None:
+            return None
+        token = bearer_token(headers.get("Authorization"))
+        return lambda payload: hub.handle_request(
+            match["tenant"], match["repo"], token, payload
+        )
+
+    def debug_allowed(headers) -> bool:
+        try:
+            hub.authenticator.authenticate(
+                bearer_token(headers.get("Authorization"))
+            )
+        except AuthenticationError:
+            return False
+        return True
+
+    return SyncHTTPServer(
+        (host, port),
+        hub,
+        route,
+        health_monitor=hub.health,
+        verbose=verbose,
+        max_request_bytes=max_request_bytes,
+        idle_timeout=idle_timeout,
+        profiler=profiler,
+        debug_allowed=debug_allowed,
+        server_version="mlcask-hub/1",
+        not_found="unknown endpoint (expected /t/<tenant>/<repo>/rpc)",
+        internal_error="internal hub error",
+    )

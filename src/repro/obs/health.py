@@ -345,6 +345,16 @@ class HealthMonitor:
             self._shed_by_op[op] = self._shed_by_op.get(op, 0) + 1
 
     # ------------------------------------------------------------- reports
+    def summary(self) -> dict:
+        """The compact section ``stats`` readouts carry: readiness, its
+        reasons, and the window they were judged over."""
+        ready, reasons = self.ready()
+        return {
+            "ready": ready,
+            "reasons": reasons,
+            "window_seconds": self.window()["seconds"],
+        }
+
     def health(self) -> dict:
         """The full health report (the ``health`` RPC's payload).
 

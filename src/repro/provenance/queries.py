@@ -15,12 +15,7 @@ into ledger state):
   downstream invalidation set (checkpoints, commits, branch heads) of a
   component's outputs — Kramer's what-if surface;
 * :func:`trace_forensics` — "what did this request execute?": every
-  record stamped with one trace id, joined back to PR 6 spans;
-* :func:`trace_critical_path` — "what bounded this request's wall
-  time?": the same trace's *span tree* (client → hub → server → lock →
-  storage, joined across the wire by trace-context propagation) run
-  through the critical-path analyzer, with the ledger's
-  executed-vs-reused wall-time attribution alongside.
+  record stamped with one trace id, joined back to the request's spans.
 
 All results are plain JSON-able dicts: the ``lineage`` RPC op serves
 them verbatim and the CLI renders them, so wire, disk, and terminal
@@ -246,41 +241,3 @@ def trace_forensics(repo, trace_id: str) -> dict:
         "executed": sum(1 for r in trace_records if r.via == "executed"),
         "reused": sum(1 for r in trace_records if r.via == "reused"),
     }
-
-
-def trace_critical_path(
-    repo, trace_id: str, spans=None, tracer=None
-) -> dict:
-    """Performance forensics for one trace: *when* joined to *what*.
-
-    The span tree answers where the wall time went (the critical path,
-    per-step self time); the lineage ledger answers what work the time
-    bought (executed vs reused stage seconds). ``spans`` supplies the
-    finished span dicts directly; otherwise they are read from
-    ``tracer`` (default: the installed tracer). Ledger records are
-    optional — a trace with spans but no lineage (a plain fetch) still
-    analyzes — but a trace with *neither* raises
-    :class:`LineageNotFoundError`, typed like every other unknown-trace
-    query.
-    """
-    from ..obs import critical_path as obs_cp
-    from ..obs import trace as obs_trace
-
-    if spans is None:
-        source = tracer if tracer is not None else obs_trace.default_tracer()
-        spans = source.finished()
-    selected = [s for s in spans if s.get("trace_id") == trace_id]
-    try:
-        forensics = trace_forensics(repo, trace_id)
-    except LineageNotFoundError:
-        forensics = None
-    if not selected and forensics is None:
-        raise LineageNotFoundError(
-            f"no spans or lineage recorded for trace {trace_id!r}"
-        )
-    result = obs_cp.critical_path(
-        selected, lineage_records=(forensics or {}).get("nodes")
-    )
-    result["trace_id"] = trace_id
-    result["forensics"] = forensics
-    return result

@@ -10,7 +10,11 @@ terms of pack assembly/import from
 :mod:`repro.remote.pack`. It is transport-agnostic: :class:`LocalTransport`
 calls :meth:`handle_bytes` directly, and :func:`serve` exposes the same
 entry point over a real socket with the stdlib HTTP server (no external
-dependencies, matching the repository's no-new-deps constraint).
+dependencies, matching the repository's no-new-deps constraint). That
+HTTP front — :class:`SyncHTTPServer` running :class:`BaseRPCHandler` —
+is the hub's too (:func:`repro.hub.hub.serve_hub`): one server class and
+one handler for both endpoints, told apart only by the data they are
+constructed with.
 
 Telemetry: every request is counted, timed, and sized into the server's
 :class:`~repro.obs.metrics.MetricsRegistry` (per-op latency/byte
@@ -707,19 +711,10 @@ class RepositoryServer:
                     ),
                     # Schema-additive summary; the full report (per-op
                     # percentiles, burn, SLO config) is the health op's.
-                    "health": self._health_summary(),
+                    "health": self.health_monitor.summary(),
                 }
             }
         )
-
-    def _health_summary(self) -> dict:
-        """The compact health section ``stats`` carries."""
-        ready, reasons = self.health_monitor.ready()
-        return {
-            "ready": ready,
-            "reasons": reasons,
-            "window_seconds": self.health_monitor.window()["seconds"],
-        }
 
     def _op_health(self, meta: dict, blobs) -> bytes:
         """The full sliding-window health report (:mod:`repro.obs.health`).
@@ -937,26 +932,27 @@ class RepositoryServer:
 
 # ------------------------------------------------------------- HTTP serve
 class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
-    """Shared, hardened RPC-over-POST plumbing.
+    """The one request handler of both HTTP endpoints: hardened
+    RPC-over-POST plus the GET readouts.
 
     Keep-alive discipline: a handled request — even one that produced a
     typed error response — leaves the connection reusable. Anything that
-    puts the connection in an unknowable state (truncated body, a failure
-    outside the dispatch callable, a write error) closes it, and internal
-    failures are reported as HTTP 500 with an encoded error body the
-    client surfaces instead of a bare dropped socket.
+    puts the connection in an unknowable state (truncated body, chunked
+    framing, a failure outside the dispatch callable, a write error)
+    closes it, and internal failures are reported as HTTP 500 with an
+    encoded error body the client surfaces instead of a bare dropped
+    socket.
 
-    Subclasses contribute only the routing surface: :meth:`route_request`
-    maps the request path to a ``callable(payload) -> response bytes``
-    (or None for a 404), plus the request counter hooks the bounded-serve
-    budget reads. Everything else — Content-Length validation, the
-    ``max_request_bytes`` 413, short-read teardown, the last-resort 500,
-    and the ``request_limit`` keep-alive cutoff — lives here exactly
-    once, so a hardening fix can never reach one endpoint and miss the
-    other.
+    Nothing here knows which endpoint it serves: what differs between
+    ``serve`` and ``serve_hub`` is data on the :class:`SyncHTTPServer`
+    running it — its ``route``, its ``debug_allowed`` gate and three
+    strings. Content-Length validation, the ``Transfer-Encoding`` 411,
+    the ``max_request_bytes`` 413, short-read teardown, the last-resort
+    500 and the ``request_limit`` keep-alive cutoff live here once, so a
+    hardening fix can never reach one endpoint and miss the other.
     """
 
-    server_version = "mlcask-repro/1"
+    server: SyncHTTPServer
     protocol_version = "HTTP/1.1"
     #: Response headers and body go out in separate writes; with Nagle on,
     #: the second write stalls behind the peer's delayed ACK (~40ms per
@@ -968,148 +964,102 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
     #: by the server's ``idle_timeout``.
     timeout = 60.0
 
-    unknown_endpoint_message = "unknown endpoint"
-    internal_error_prefix = "internal server error"
-
     def setup(self):
-        idle_timeout = getattr(self.server, "idle_timeout", None)
-        if idle_timeout is not None:
-            self.timeout = idle_timeout
+        self.server_version = self.server.server_version
+        if self.server.idle_timeout is not None:
+            self.timeout = self.server.idle_timeout
         super().setup()
 
-    # -------------------------------------------------- subclass surface
-    def route_request(self):
-        """A ``callable(payload) -> bytes`` for this request's path, or
-        None for an unknown endpoint (the base answers the 404)."""
-        raise NotImplementedError
-
-    def count_request(self) -> None:
-        raise NotImplementedError
-
-    def requests_handled(self) -> int:
-        raise NotImplementedError
-
-    def authorize_debug(self) -> bool:
-        """Whether this request may read the ``/debug/*`` endpoints.
-
-        The single-repo server trusts its network (it already serves the
-        repository content itself unauthenticated); the hub overrides
-        this with its token check, because forensics name tenants.
-        """
-        return True
-
-    def slow_captures(self) -> list[dict]:
-        """The slow-op capture ring backing ``/debug/slow``."""
-        return []
-
-    # --------------------------------------------------- shared plumbing
     def do_GET(self):  # noqa: N802 - http.server naming convention
         """GET routes: ``/metrics`` (Prometheus text), ``/healthz`` /
         ``/readyz`` (liveness and readiness probes, JSON),
         ``/debug/profile`` (sampling-profiler snapshot + folded stacks,
         JSON), and ``/debug/slow`` (slow-op captures, JSON).
 
-        ``/metrics`` renders from the server's registry (empty body when
-        the server was built without one); the probes are deliberately
-        unauthenticated (an orchestrator cannot carry tenant tokens) and
-        carry only a boolean plus reasons; ``/debug/profile`` answers 404
-        until a profiler is attached to the server. Every other GET path
-        is a 404; all of them count against a bounded-serve budget like
-        any other request — the budget is a request budget, not an RPC
-        budget.
+        ``/metrics`` renders from the server's registry; the probes are
+        deliberately unauthenticated (an orchestrator cannot carry tenant
+        tokens) and carry only a boolean plus reasons; the debug pair
+        answers 403 when the server's ``debug_allowed`` gate refuses the
+        request, and ``/debug/profile`` 404 until a profiler is attached.
+        Every other GET path is a 404; all of them count against a
+        bounded-serve budget like any other request — the budget is a
+        request budget, not an RPC budget.
         """
-        self.count_request()
+        server = self.server
+        server.endpoint.count_request()
         path = self.path.rstrip("/")
         if path == HEALTHZ_PATH:
             # Liveness: producing this response is the proof.
-            self._answer_get(
-                json.dumps({"alive": True}).encode("utf-8"),
-                "application/json",
+            self._answer(
+                200, "application/json", json.dumps({"alive": True}).encode()
             )
             return
         if path == READYZ_PATH:
-            monitor = getattr(self.server, "health_monitor", None)
-            if monitor is None:
-                ready, reasons = True, []
-            else:
-                ready, reasons = monitor.ready()
-            self._answer_get(
+            monitor = server.health_monitor
+            ready, reasons = (True, []) if monitor is None else monitor.ready()
+            self._answer(
+                200 if ready else 503,
+                "application/json",
                 json.dumps(
                     {"ready": ready, "reasons": reasons}, sort_keys=True
-                ).encode("utf-8"),
-                "application/json",
-                status=200 if ready else 503,
+                ).encode(),
             )
             return
         if path == METRICS_PATH:
-            registry = getattr(self.server, "metrics_registry", None)
-            text = registry.render_prometheus() if registry is not None else ""
-            self._answer_get(
-                text.encode("utf-8"),
+            registry = server.metrics_registry
+            self._answer(
+                200,
                 "text/plain; version=0.0.4; charset=utf-8",
+                (registry.render_prometheus() if registry is not None else "").encode(),
             )
             return
         if path in (DEBUG_PROFILE_PATH, DEBUG_SLOW_PATH):
-            if not self.authorize_debug():
+            if server.debug_allowed is not None and not server.debug_allowed(
+                self.headers
+            ):
                 self.send_error(
                     403, "debug endpoints require an authenticated token"
                 )
                 return
             if path == DEBUG_PROFILE_PATH:
-                profiler = getattr(self.server, "profiler", None)
-                if profiler is None:
+                if server.profiler is None:
                     self.send_error(404, "no profiler attached")
                     return
                 body = {
-                    "profile": profiler.snapshot(),
-                    "folded": profiler.folded(),
+                    "profile": server.profiler.snapshot(),
+                    "folded": server.profiler.folded(),
                 }
             else:
-                body = {"slow": self.slow_captures()}
-            self._answer_get(
-                json.dumps(body, sort_keys=True).encode("utf-8"),
-                "application/json",
+                slow = server.endpoint.slow_ops
+                body = {"slow": slow.captures() if slow is not None else []}
+            self._answer(
+                200, "application/json", json.dumps(body, sort_keys=True).encode()
             )
             return
-        self.send_error(404, self.unknown_endpoint_message)
-
-    def _answer_get(
-        self, body: bytes, content_type: str, status: int = 200
-    ) -> None:
-        limit = getattr(self.server, "request_limit", None)
-        spent = limit is not None and self.requests_handled() >= limit
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if spent:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-            return
-        if spent:
-            self.close_connection = True
+        self.send_error(404, server.not_found)
 
     def do_POST(self):  # noqa: N802 - http.server naming convention
-        dispatch = self.route_request()
+        server = self.server
+        dispatch = server.route(self.path, self.headers)
         if dispatch is None:
-            self.count_request()
-            self.send_error(404, self.unknown_endpoint_message)
+            self._refuse(404, server.not_found)
+            return
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is spoken here. Answering the
+            # body as empty would leave its chunks on the socket to be
+            # parsed as the next request line: one request, two answers.
+            self._refuse(411, "send the body with a Content-Length")
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
         except (TypeError, ValueError):
             length = -1
         if length < 0:
-            self.count_request()
-            self.send_error(400, "bad Content-Length")
+            self._refuse(400, "bad Content-Length")
             return
-        limit = getattr(self.server, "max_request_bytes", None)
+        limit = server.max_request_bytes
         if limit is not None and length > limit:
-            self.count_request()
-            self.send_error(413, "request exceeds the server's size limit")
+            self._refuse(413, "request exceeds the server's size limit")
             return
         try:
             payload = self.rfile.read(length)
@@ -1121,7 +1071,7 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
             # The peer hung up (or stalled) mid-body; there is no request
             # to answer and no sane way to keep framing on this socket —
             # but it still spends one unit of a bounded-serve budget.
-            self.count_request()
+            server.endpoint.count_request()
             self.close_connection = True
             return
         try:
@@ -1132,59 +1082,60 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
             status = 500
             response = error_response(
                 RemoteProtocolError(
-                    f"{self.internal_error_prefix}: "
-                    f"{type(error).__name__}: {error}"
+                    f"{server.internal_error}: {type(error).__name__}: {error}"
                 )
             )
+        self._answer(
+            status, "application/octet-stream", response, close=status != 200
+        )
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Spend one unit of the budget on an HTTP-level error; the error
+        response closes the connection."""
+        self.server.endpoint.count_request()
+        self.send_error(status, message)
+
+    def _answer(
+        self, status: int, content_type: str, body: bytes, close: bool = False
+    ) -> None:
         # Bounded serving (request_limit): once the budget is spent, stop
         # honouring keep-alive so an active pipelining client cannot keep
         # its handler thread alive past the limit.
-        limit = getattr(self.server, "request_limit", None)
-        spent = limit is not None and self.requests_handled() >= limit
+        limit = self.server.request_limit
+        close = close or (
+            limit is not None and self.server.endpoint.requests_handled >= limit
+        )
         try:
             self.send_response(status)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(response)))
-            if status != 200 or spent:
-                self.send_header("Connection", "close")
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")  # sets close_connection
             self.end_headers()
-            self.wfile.write(response)
+            self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-            return
-        if status != 200 or spent:
             self.close_connection = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:
             super().log_message(format, *args)
 
 
-class _Handler(BaseRPCHandler):
-    """Single-repository endpoint: every POST to ``/rpc`` is dispatched
-    to the server's one :class:`RepositoryServer`."""
-
-    def route_request(self):
-        if self.path.rstrip("/") != RPC_PATH:
-            return None
-        return self.server.repository_server.handle_bytes
-
-    def count_request(self) -> None:
-        self.server.repository_server.count_request()
-
-    def requests_handled(self) -> int:
-        return self.server.repository_server.requests_handled
-
-    def slow_captures(self) -> list[dict]:
-        slow = self.server.repository_server.slow_ops
-        return slow.captures() if slow is not None else []
-
-
 class SyncHTTPServer(http.server.ThreadingHTTPServer):
-    """HTTP server bound to one :class:`RepositoryServer`.
+    """The HTTP front of both endpoints, bound to the object it serves.
 
-    ``max_request_bytes`` (optional) rejects oversized request bodies with
-    HTTP 413 before they are read into memory.
+    ``endpoint`` is a :class:`RepositoryServer` (``serve``) or a
+    :class:`~repro.hub.hub.RepositoryHub` (``serve_hub``): either carries
+    ``count_request`` / ``requests_handled`` (the bounded-serve budget),
+    ``registry`` (``GET /metrics``) and ``slow_ops`` (``GET
+    /debug/slow``). What the two endpoints answer differently is passed
+    in as data: ``route(path, headers)`` returns a ``callable(payload)
+    -> response bytes`` for an RPC path or None for a 404;
+    ``debug_allowed(headers)`` gates the ``/debug/*`` pair (None: the
+    network is trusted); ``server_version``, ``not_found`` and
+    ``internal_error`` are the ``Server`` header, the 404 text and the
+    500 prefix. ``max_request_bytes`` (optional) rejects oversized
+    request bodies with HTTP 413 before they are read into memory.
     """
 
     daemon_threads = True
@@ -1192,30 +1143,35 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
     def __init__(
         self,
         address,
-        repository_server,
-        verbose=False,
+        endpoint,
+        route,
+        *,
+        health_monitor,
+        verbose: bool = False,
         max_request_bytes: int | None = None,
         idle_timeout: float | None = None,
-        metrics_registry=None,
         profiler=None,
-        health_monitor=None,
+        debug_allowed=None,
+        server_version: str = "mlcask-repro/1",
+        not_found: str = "unknown endpoint",
+        internal_error: str = "internal server error",
     ):
-        super().__init__(address, _Handler)
-        self.repository_server = repository_server
+        super().__init__(address, BaseRPCHandler)
+        self.endpoint = endpoint
+        self.route = route
         self.verbose = verbose
         self.max_request_bytes = max_request_bytes
         self.idle_timeout = idle_timeout
         # Rendered by GET /metrics; None answers an empty scrape.
-        self.metrics_registry = metrics_registry
+        self.metrics_registry = endpoint.registry
         # Read by GET /debug/profile; None answers 404 (not enabled).
         self.profiler = profiler
-        # Read by GET /readyz; defaults to the repository server's own
-        # monitor, None answers always-ready.
-        self.health_monitor = (
-            health_monitor
-            if health_monitor is not None
-            else getattr(repository_server, "health_monitor", None)
-        )
+        # Read by GET /readyz; None answers always-ready.
+        self.health_monitor = health_monitor
+        self.debug_allowed = debug_allowed
+        self.server_version = server_version
+        self.not_found = not_found
+        self.internal_error = internal_error
         # When set, handlers stop honouring keep-alive once this many
         # requests have been handled (bounded serving, see the CLI).
         self.request_limit: int | None = None
@@ -1224,6 +1180,10 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def repo_url(self, tenant: str, repo: str) -> str:
+        """The clone/push/pull URL of one repository a hub hosts."""
+        return f"{self.url}/t/{tenant}/{repo}"
 
 
 def serve(
@@ -1253,7 +1213,7 @@ def serve(
     ``registry``/``tracer`` default to fresh real instances — an HTTP
     endpoint should answer ``GET /metrics`` with something — and are
     readable back from ``server.metrics_registry`` /
-    ``server.repository_server.tracer``. Pass
+    ``server.endpoint.tracer``. Pass
     :data:`repro.obs.metrics.NULL_REGISTRY` /
     :data:`repro.obs.trace.NULL_TRACER` to serve uninstrumented (the
     overhead benchmark's baseline arm).
@@ -1272,24 +1232,26 @@ def serve(
     """
     registry = registry if registry is not None else MetricsRegistry()
     tracer = tracer if tracer is not None else Tracer()
-    slow_ops = slow_ops if slow_ops is not None else SlowOpCapture()
-    health_monitor = HealthMonitor(registry=registry, slo=slo, tracer=tracer)
+    endpoint = RepositoryServer(
+        repo,
+        on_change=on_change,
+        max_pack_bytes=max_pack_bytes,
+        cache_entries=cache_entries,
+        registry=registry,
+        tracer=tracer,
+        slow_ops=slow_ops if slow_ops is not None else SlowOpCapture(),
+        health_monitor=HealthMonitor(registry=registry, slo=slo, tracer=tracer),
+    )
     return SyncHTTPServer(
         (host, port),
-        RepositoryServer(
-            repo,
-            on_change=on_change,
-            max_pack_bytes=max_pack_bytes,
-            cache_entries=cache_entries,
-            registry=registry,
-            tracer=tracer,
-            slow_ops=slow_ops,
-            health_monitor=health_monitor,
+        endpoint,
+        # Resolved per request, so a replaced handle_bytes takes effect.
+        lambda path, headers: (
+            endpoint.handle_bytes if path.rstrip("/") == RPC_PATH else None
         ),
+        health_monitor=endpoint.health_monitor,
         verbose=verbose,
         max_request_bytes=max_request_bytes,
         idle_timeout=idle_timeout,
-        metrics_registry=registry,
         profiler=profiler,
-        health_monitor=health_monitor,
     )

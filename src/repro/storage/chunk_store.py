@@ -254,7 +254,6 @@ _LENGTH_BITS = 32
 _LENGTH_MASK = (1 << _LENGTH_BITS) - 1
 _SEGMENT_NAME = re.compile(r"segment\.(\d+)")
 _INDEX_NAME = re.compile(r"index\.(\d+)(\.tmp)?")
-_FANOUT_NAME = re.compile(r"[0-9a-f]{2}")
 _APPEND_FLAGS = os.O_APPEND | os.O_CREAT
 _COPY_BYTES = 1 << 20  # a compaction copies live runs in pieces of this size
 
@@ -331,8 +330,7 @@ class FileChunkStore(ChunkStore):
     beside another handle that keeps appending is not supported.
 
     A root in the older layout (``<root>/ab/cdef...``, one file per
-    chunk) is read as it is; new chunks go to the segment, and the next
-    compaction absorbs the loose files, re-hashing each.
+    chunk) is refused with a :class:`StorageError`, never read as empty.
     """
 
     def __init__(self, root: str | os.PathLike[str]):
@@ -367,14 +365,12 @@ class FileChunkStore(ChunkStore):
         #: End of the segment as far as rows name it, length of the index
         #: as far as it was applied, bytes of the chunks now held.
         self._end = self._index_len = self._live_bytes = 0
-        #: Chunks still in one-file-per-chunk form (the older layout).
-        self._loose = {
-            fanout + name
-            for fanout in _names_in(self.root)
-            if _FANOUT_NAME.fullmatch(fanout)
-            for name in _names_in(os.path.join(self.root, fanout))
-            if not name.endswith(".tmp")
-        }
+        for name in _names_in(self.root):
+            if os.path.isdir(os.path.join(self.root, name)):
+                raise StorageError(
+                    f"{self.root} holds the directory {name!r}: the "
+                    "one-file-per-chunk layout, which is not read"
+                )
         if gen.number is not None:
             with open(self._index_path(gen.number), "rb") as fh:
                 rows = fh.read()
@@ -410,15 +406,14 @@ class FileChunkStore(ChunkStore):
 
     def _strays(self, number: int | None):
         """Paths this layout owns that generation ``number`` does not
-        name: other generations' files, temp leftovers, fan-out
-        directories of the older layout."""
+        name: other generations' files, temp leftovers."""
         for name in _names_in(self._index_root):
             match = _INDEX_NAME.fullmatch(name)
             if match and (match[2] or int(match[1]) != number):
                 yield os.path.join(self._index_root, name)
         for name in _names_in(self.root):
             match = _SEGMENT_NAME.fullmatch(name)
-            if (match and int(match[1]) != number) or _FANOUT_NAME.fullmatch(name):
+            if match and int(match[1]) != number:
                 yield os.path.join(self.root, name)
 
     def _open_for_append(self) -> _Generation:
@@ -465,7 +460,7 @@ class FileChunkStore(ChunkStore):
 
     # ----------------------------------------------------- per-chunk hooks
     def _contains(self, digest: str) -> bool:
-        return digest in self._gen.entries or digest in self._loose
+        return digest in self._gen.entries
 
     # The lock orders appenders of one file and nothing else — readers
     # take none — so the file I/O under it is its whole critical section.
@@ -510,8 +505,6 @@ class FileChunkStore(ChunkStore):
         gen = self._gen
         entry = gen.entries.get(digest)
         if entry is None:
-            if digest in self._loose:
-                return self._read_loose(digest)
             raise ChunkNotFoundError(digest)
         offset, size = entry >> _LENGTH_BITS, entry & _LENGTH_MASK
         data = os.pread(gen.read_fd, size, offset)
@@ -525,30 +518,18 @@ class FileChunkStore(ChunkStore):
 
     def _size(self, digest: str) -> int:
         entry = self._gen.entries.get(digest)
-        if entry is not None:
-            return entry & _LENGTH_MASK
-        return os.path.getsize(self._loose_path(digest))
+        if entry is None:
+            raise ChunkNotFoundError(digest)
+        return entry & _LENGTH_MASK
 
     def _delete(self, digest: str) -> None:
         with self._lock:
             entry = self._gen.entries.pop(digest, None)
             if entry is not None:
                 self._live_bytes -= entry & _LENGTH_MASK
-            self._loose.discard(digest)
 
     def digests(self) -> list[str]:
-        return [*self._gen.entries, *self._loose]
-
-    # ------------------------------------------------- the older layout
-    def _loose_path(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest[2:])
-
-    def _read_loose(self, digest: str) -> bytes:
-        try:
-            with open(self._loose_path(digest), "rb") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            raise ChunkNotFoundError(digest) from None
+        return list(self._gen.entries)
 
     # ------------------------------------------------- commit and reclaim
     def flush(self) -> None:
@@ -559,18 +540,13 @@ class FileChunkStore(ChunkStore):
 
     def compact(self) -> None:  # repro-lint: disable=LK002 - as for _write
         with self._lock:
-            if self._end != self._live_bytes or self._loose:
+            if self._end != self._live_bytes:
                 self._rewrite(self._gen)
             # The generation just replaced, or what a compaction that
             # died around its rename left; nothing, most of the time.
             for path in list(self._strays(self._gen.number)):
                 with contextlib.suppress(OSError):
-                    if os.path.isdir(path):
-                        for name in os.listdir(path):
-                            os.unlink(os.path.join(path, name))
-                        os.rmdir(path)
-                    else:
-                        os.unlink(path)
+                    os.unlink(path)
 
     def _rewrite(self, old: _Generation) -> None:
         """Copy the chunks held into the next generation and publish it."""
@@ -601,13 +577,6 @@ class FileChunkStore(ChunkStore):
                     )
                 _write_all(new.append_fd, piece)
                 start += len(piece)
-        for digest in sorted(self._loose):
-            data = self._read_loose(digest)
-            if sha256_hex(data) != digest:  # a file name proves nothing
-                raise ChunkIntegrityError(digest)
-            _write_all(new.append_fd, data)
-            new.entries[digest] = position << _LENGTH_BITS | len(data)
-            position += len(data)
         os.fdatasync(new.append_fd)
         _fsync_directory(self.root)
 
@@ -628,5 +597,4 @@ class FileChunkStore(ChunkStore):
         self._gen = new
         self._end = self._live_bytes = position
         self._index_len = len(rows)
-        self._loose = set()
         _fsync_directory(self._index_root)

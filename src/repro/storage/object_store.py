@@ -130,9 +130,5 @@ class ObjectStore:
     def stats(self):
         return self.chunks.stats
 
-    def unique_chunk_bytes(self) -> int:
-        """Physical bytes across all chunks currently held."""
-        return self.stats.physical_bytes
-
     def __len__(self) -> int:
         return len(self._recipes)

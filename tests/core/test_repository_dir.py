@@ -9,8 +9,7 @@ of its flush or of its compaction — leaves the previous committed state
 (chunk bytes included) or, past the header, the new one, and a retry
 converges; a handle whose directory moved on under it compacts instead
 of appending; rows amended after they were saved are saved
-again; a directory written by the pre-journal ``save_dir`` loads and is
-upgraded by its next save.
+again; a directory written by the pre-journal ``save_dir`` is refused.
 """
 
 import itertools
@@ -30,7 +29,7 @@ from repro.core.persistence import (
     repository_header,
     repository_state,
 )
-from repro.errors import MLCaskError
+from repro.errors import MLCaskError, RepositoryError
 from repro.provenance.ledger import lineage_record_to_dict
 from repro.remote import LocalTransport, RepositoryServer
 from repro.storage import FileChunkStore
@@ -42,7 +41,6 @@ from helpers import (
     build_workload_repo,
     committed_rows,
     die_before_write,
-    write_loose_chunk_layout,
 )
 
 TIMINGS = ("run_seconds", "wall_seconds", "cpu_seconds")
@@ -144,31 +142,6 @@ def metadata_bytes_written(before: dict, after: dict) -> int:
         elif content != old:
             written += len(content)
     return written
-
-
-def write_pre_journal_layout(repo, directory) -> None:
-    """``save_repository_dir`` as it was before the journals: the whole
-    state in ``state.json``, one full JSON file per collection, and one
-    file per chunk under ``objects/``."""
-    os.makedirs(directory)
-    chunks = repo.objects.chunks
-    write_loose_chunk_layout(
-        os.path.join(directory, "objects"),
-        {digest: chunks.get(digest) for digest in chunks.digests()},
-    )
-    files = {
-        "state.json": repository_state(repo),
-        "recipes.json": {
-            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]
-        },
-        "checkpoints.json": {
-            "records": [record_to_dict(r) for r in repo.checkpoints.records()]
-        },
-        "lineage.json": repo.lineage.to_payload(),
-    }
-    for name, payload in files.items():
-        with open(os.path.join(directory, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 # -------------------------------------------------------------------- tests
@@ -487,92 +460,18 @@ class TestAmendedRowsAreSavedAgain:
 
 
 class TestPreJournalLayout:
-    def test_old_directory_loads_and_its_next_save_upgrades_it(
+    def test_an_old_directory_is_refused_not_loaded_as_empty(
         self, tmp_path, workload
     ):
+        """A header from before the journals (the commits in it, no
+        generation) names the format it is in; loading writes nothing."""
         repo = build_workload_repo(workload, commits=1)
         directory = tmp_path / "old"
-        write_pre_journal_layout(repo, directory)
-        before = sorted(os.listdir(directory))
-
-        loaded = MLCask.load_dir(directory, registry=repo.registry)
-        assert snapshot(loaded) == snapshot(repo)
-        assert_every_blob_reassembles(loaded)
-        assert sorted(os.listdir(directory)) == before  # loading wrote nothing
-
-        commit_model(loaded, workload, 2)
-        loaded.save_dir(directory)
-        assert sorted(os.listdir(directory)) == sorted(
-            ["state.json", "objects", "objects.index"]
-            + [f"{n}.0.jsonl" for n in ("commits", "recipes", "checkpoints", "lineage")]
-        )
-        assert "commits" not in json.loads((directory / "state.json").read_text())
-        assert snapshot(MLCask.load_dir(directory)) == snapshot(loaded)
-        assert_objects_are_tidy(directory)  # the loose chunk files were absorbed
-
-    def test_gc_of_an_old_directory_upgrades_it_too(self, tmp_path, workload):
-        repo = build_workload_repo(workload, commits=1)
-        garbage(repo)
-        write_pre_journal_layout(repo, tmp_path / "old")
-        report, _ = gc_repository_dir(tmp_path / "old")
-        assert report.swept_chunks > 0
-        assert "recipes.json" not in os.listdir(tmp_path / "old")
-        assert_every_blob_reassembles(MLCask.load_dir(tmp_path / "old"))
-        assert_objects_are_tidy(tmp_path / "old")  # no fan-out directory left
-
-    def test_loose_chunk_files_alone_read_and_report_like_a_segment(
-        self, tmp_path, workload
-    ):
-        """A directory with today's journals over ``objects/ab/cdef...``
-        (written by the release before the segments): ``repro stats`` and
-        ``repro gc`` answer as for the same repository saved today, a
-        chunk file is believed only after re-hashing, and one ``repro
-        gc`` leaves no fan-out directory."""
-        import io
-
-        from repro.cli import main
-
-        repo = build_workload_repo(workload, commits=2)
-        garbage(repo)
-        new, old = tmp_path / "new", tmp_path / "old"
-        repo.save_dir(new)
-        shutil.copytree(new, old)
-        shutil.rmtree(old / "objects")
-        shutil.rmtree(old / "objects.index")
-        chunks = repo.objects.chunks
-        write_loose_chunk_layout(
-            old / "objects", {d: chunks.get(d) for d in chunks.digests()}
-        )
-
-        def run(verb, directory, *flags):
-            out = io.StringIO()
-            assert main([verb, str(directory), *flags], out=out) == 0
-            return out.getvalue()
-
-        def stats(directory):
-            report = json.loads(run("stats", directory, "--json"))
-            storage = {
-                k: v for k, v in report["storage"].items() if not k.endswith("_seconds")
-            }
-            return storage, report["repository"]
-
-        assert snapshot(MLCask.load_dir(old)) == snapshot(MLCask.load_dir(new))
-        assert stats(old) == stats(new)
-        assert run("gc", old).replace(str(old), "") == run("gc", new).replace(str(new), "")
-        assert stats(old) == stats(new)
-        assert_objects_are_tidy(old)
-        assert_every_blob_reassembles(MLCask.load_dir(old))
-
-        # a file name proves nothing: absorbing re-hashes
-        liar = sorted(chunks.digests())[0]
-        shutil.rmtree(old)
-        shutil.copytree(new, old)
-        shutil.rmtree(old / "objects")
-        shutil.rmtree(old / "objects.index")
-        write_loose_chunk_layout(
-            old / "objects",
-            {d: b"not that" if d == liar else chunks.get(d) for d in chunks.digests()},
-        )
-        out = io.StringIO()
-        assert main(["gc", str(old)], out=out) == 1
-        assert liar in out.getvalue()
+        directory.mkdir()
+        (directory / "state.json").write_text(json.dumps(repository_state(repo)))
+        before = metadata_files(directory)
+        with pytest.raises(RepositoryError, match="pre-journal"):
+            MLCask.load_dir(directory, registry=repo.registry)
+        with pytest.raises(RepositoryError, match="pre-journal"):
+            gc_repository_dir(directory)
+        assert metadata_files(directory) == before

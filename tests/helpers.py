@@ -248,18 +248,6 @@ def die_before_write(monkeypatch, nth: int) -> list:
     return log
 
 
-def write_loose_chunk_layout(root, chunks: dict[str, bytes]) -> None:
-    """Lay ``chunks`` (digest -> bytes) out under ``root`` the way
-    ``FileChunkStore`` did before the segments: one file per chunk at
-    ``<root>/ab/cdef...``, no index. The store reads such a root and
-    never writes one, so the writer lives on here."""
-    for digest, data in chunks.items():
-        fanout = os.path.join(os.fspath(root), digest[:2])
-        os.makedirs(fanout, exist_ok=True)
-        with open(os.path.join(fanout, digest[2:]), "wb") as fh:
-            fh.write(data)
-
-
 def bytes_under(root) -> int:
     """Bytes of every file under ``root``, the way the budget's
     books-match-disk check counts them."""

@@ -8,8 +8,8 @@ included — leaves the previous committed state (or, past the header, the
 new one), which a restarted hub loads, serves and builds on; rows a
 rejected push left behind ride the next persist; GC compacts, and gives
 chunk bytes back only after its header; a directory in the pre-journal
-layout loads and is upgraded; and a persist writes what the push added,
-not what the repository holds.
+layout stops the hub from starting; and a persist writes what the push
+added, not what the repository holds.
 """
 
 import itertools
@@ -26,9 +26,8 @@ from repro.core.persistence import (
     recipe_to_dict,
     record_to_dict,
     repository_header,
-    repository_state,
 )
-from repro.errors import MLCaskError, PushRejectedError
+from repro.errors import MLCaskError, PushRejectedError, RepositoryError, StorageError
 from repro.hub import RepositoryHub
 from repro.provenance.ledger import LineageRecord, lineage_record_to_dict
 from repro.remote import clone_repository
@@ -45,7 +44,6 @@ from helpers import (
     build_workload_repo,
     bytes_under,
     die_before_write,
-    write_loose_chunk_layout,
 )
 
 TENANT, REPO, TOKEN = "ana", "proj", "tok"
@@ -213,31 +211,6 @@ def push_garbage(hub, tag: bytes) -> dict:
     answer, _ = decode_message(transport.call(encode_message(meta, [blob])))
     raise_remote_error(answer)
     return {"chunk": digest, "record": record.key}
-
-
-def write_pre_journal_layout(hub, root) -> None:
-    """Rewrite the repo directory the way the hub persisted it before
-    the journals: the whole state in ``state.json`` and one full JSON
-    file per collection."""
-    directory = repo_dir(root)
-    hosted = hub._loaded[(TENANT, REPO)]
-    repo = hosted.server.repo
-    shutil.rmtree(directory)
-    os.makedirs(directory)
-    files = {
-        "state.json": repository_state(repo),
-        "recipes.json": {
-            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()]
-        },
-        "checkpoints.json": {
-            "records": [record_to_dict(r) for r in repo.checkpoints.records()]
-        },
-        "lineage.json": repo.lineage.to_payload(),
-        "chunks.json": {"chunks": sorted(hosted.view.holdings().items())},
-    }
-    for name, payload in files.items():
-        with open(os.path.join(directory, name), "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
 
 
 # -------------------------------------------------------------------- tests
@@ -594,8 +567,10 @@ class TestCompaction:
         root = tmp_path / "hub"
         hub = open_hub(root)
         push(hub, build_workload_repo(workload, commits=1), workload, "first")
-        strangers = ["notes.json", "audit.jsonl", "upload.tmp", "commits.old.jsonl"]
-        stale = ["state.json.123-456.tmp", "recipes.json", "chunks.7.jsonl"]
+        strangers = [
+            "notes.json", "audit.jsonl", "upload.tmp", "commits.old.jsonl", "recipes.json"
+        ]
+        stale = ["state.json.123-456.tmp", "chunks.7.jsonl"]
         for name in strangers + stale:
             with open(os.path.join(repo_dir(root), name), "w") as fh:
                 fh.write("{}")
@@ -679,90 +654,29 @@ class TestDurability:
         assert events[6:] == [("replace", "state.json"), ("fsync", REPO)]
 
 
-class TestPreJournalLayout:
-    def test_old_directory_loads_and_its_next_persist_upgrades_it(
+class TestOlderLayouts:
+    def test_a_hub_refuses_to_start_on_a_layout_it_no_longer_reads(
         self, tmp_path, workload
     ):
+        """A hosted repository from before the journals, or a chunk root
+        of one file per chunk, stops the hub at startup instead of
+        serving an empty repository."""
         root = tmp_path / "hub"
-        hub = open_hub(root)
-        local = build_workload_repo(workload, commits=1)
-        push(hub, local, workload, "first")
-        write_pre_journal_layout(hub, root)
-        # the old files listed commits by sequence and holdings by digest
-        expected = unordered(snapshot(hub))
+        push(open_hub(root), build_workload_repo(workload), workload, "first")
+        header_path = os.path.join(repo_dir(root), "state.json")
+        with open(header_path) as fh:
+            header = json.load(fh)
+        old = {k: v for k, v in header.items() if k not in ("generation", "journals")}
+        with open(header_path, "w") as fh:
+            json.dump({**old, "commits": []}, fh)
+        with pytest.raises(RepositoryError, match="pre-journal"):
+            open_hub(root)
 
-        restarted = open_hub(root)
-        assert unordered(snapshot(restarted)) == expected
-        assert "chunks.json" in os.listdir(repo_dir(root))  # loading wrote nothing
-
-        commit_model(local, workload, 2)
-        push(restarted, local, workload, "second")
-        names = sorted(os.listdir(repo_dir(root)))
-        assert names == sorted(["state.json"] + [f"{n}.0.jsonl" for n in JOURNALS])
-        with open(os.path.join(repo_dir(root), "state.json")) as fh:
-            assert "commits" not in json.load(fh)
-        assert snapshot(open_hub(root)) == snapshot(restarted)
-
-
-class TestLooseChunkLayout:
-    """A hub root whose ``chunks/`` is one file per chunk (``ab/cdef...``,
-    as written before the segments) serves as it is and is absorbed by
-    its next ``gc_repo``."""
-
-    def old_root(self, tmp_path, workload, lie_about=None):
-        root = tmp_path / "hub"
-        hub = open_hub(root)
-        local = build_workload_repo(workload, commits=2)
-        push(hub, local, workload, "first")
-        push_garbage(hub, b"dead")
-        store = hub.backend.store
-        chunks = {digest: store.get(digest) for digest in store.digests()}
-        if lie_about is not None:
-            chunks[sorted(chunks)[lie_about]] = b"not what the name says"
-        shutil.rmtree(root / "chunks")
-        shutil.rmtree(root / "chunks.index")
-        write_loose_chunk_layout(root / "chunks", chunks)
-        return root, hub, local
-
-    def test_it_serves_the_same_frames_and_books_and_gc_leaves_no_fanout(
-        self, tmp_path, workload
-    ):
-        root, written_by, local = self.old_root(tmp_path, workload)
-        hub = open_hub(root)
-        assert snapshot(hub) == snapshot(written_by)
-        assert hub.stats()["physical_bytes"] == written_by.stats()["physical_bytes"]
-        assert_every_holding_is_served(hub)
-        digests = sorted(snapshot(hub)["refcounts"])
-        request = encode_message({"op": "get_chunks", "digests": digests[:40]}, [])
-        assert hub.handle_request(TENANT, REPO, TOKEN, request) == (
-            written_by.handle_request(TENANT, REPO, TOKEN, request)
-        )
-        assert_clone_verifies(
-            hub, local.branches.head(workload.name, "master"), workload
-        )
-        assert not os.path.exists(root / "chunks.index")  # serving wrote nothing
-
-        commit_model(local, workload, 3)
-        push(hub, local, workload, "second")  # new chunks go to a segment
-        assert "segment.0" in os.listdir(root / "chunks")
-        assert snapshot(open_hub(root)) == snapshot(hub)
-
-        hub.gc_repo(TENANT, REPO)
-        assert_chunk_store_is_tidy(root)  # one segment, no fan-out directory
-        restarted = open_hub(root)
-        assert snapshot(restarted) == snapshot(hub)
-        assert_every_holding_is_served(restarted)
-        assert_clone_verifies(
-            restarted, local.branches.head(workload.name, "master"), workload
-        )
-
-    def test_a_loose_chunk_is_rehashed_before_it_is_absorbed(self, tmp_path, workload):
-        from repro.errors import ChunkIntegrityError
-
-        root, _, _ = self.old_root(tmp_path, workload, lie_about=3)
-        with pytest.raises(ChunkIntegrityError):
-            open_hub(root).gc_repo(TENANT, REPO)
-        assert not os.listdir(root / "chunks.index")  # nothing was published
+        with open(header_path, "w") as fh:
+            json.dump(header, fh)
+        (root / "chunks" / "ab").mkdir()
+        with pytest.raises(StorageError, match="one-file-per-chunk"):
+            open_hub(root)
 
 
 class TestPersistCostIsTheDelta:

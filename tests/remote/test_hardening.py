@@ -7,6 +7,11 @@ Every request here must come back as a *typed* error response — and the
 server must keep serving afterwards.
 """
 
+import re
+import socket
+import threading
+import urllib.parse
+
 import pytest
 
 from repro.errors import (
@@ -22,6 +27,7 @@ from repro.remote import (
     encode_message,
     serve,
 )
+from repro.hub import RepositoryHub, serve_hub
 from repro.remote.protocol import decode_message, raise_remote_error
 from repro.remote.server import validate_request
 
@@ -212,26 +218,98 @@ class TestMalformedRequests:
         )
 
 
-class TestHttpHardening:
-    """The same containment over a real socket: HTTP status mapping and
-    keep-alive connections that survive bad requests."""
+def responses(received: bytes) -> list[tuple[int, bytes]]:
+    """Status and head of each HTTP response in ``received``, which must
+    hold whole responses and nothing else."""
+    parsed = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 "), received
+        length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+        assert len(rest) >= length, received
+        parsed.append((int(head.split()[1]), head))
+        received = rest[length:]
+    return parsed
 
-    @pytest.fixture
-    def http_server(self, server_repo):
-        import threading
 
-        server = serve(server_repo, host="127.0.0.1", port=0)
+class Endpoint:
+    """One endpoint served over a real socket: the HTTP server, the RPC
+    URL and bearer token a client uses, and the name of the method on
+    ``server.endpoint`` that every RPC is dispatched to."""
+
+    def __init__(self, server, url, token, dispatch):
+        self.server, self.url, self.token, self.dispatch = server, url, token, dispatch
+
+    def transport(self):
+        return HttpTransport(self.url, token=self.token)
+
+    def raw(self, request: bytes) -> tuple[bytes, int]:
+        """Send ``request`` on a fresh socket and nothing after it; return
+        everything the server wrote until it closed, and how many
+        requests it counted."""
+        host, port = self.server.server_address[:2]
+        before = self.server.endpoint.requests_handled
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        return received, self.server.endpoint.requests_handled - before
+
+    def head(self, extra: str = "") -> bytes:
+        """The request line and headers of a POST to the RPC path."""
+        path = urllib.parse.urlsplit(self.url).path or "/"
+        auth = f"Authorization: Bearer {self.token}\r\n" if self.token else ""
+        return (
+            f"POST {path.rstrip('/')}/rpc HTTP/1.1\r\nHost: x\r\n{auth}{extra}\r\n"
+        ).encode()
+
+
+@pytest.fixture(params=["serve", "serve_hub"])
+def start_endpoint(request, server_repo, workload):
+    """Start ``serve(server_repo)``, or ``serve_hub`` over a hub holding
+    the same history under ``ana/proj``, with the given serve options."""
+    started = []
+
+    def start(**options):
+        if request.param == "serve":
+            server = serve(server_repo, **options)
+            endpoint = Endpoint(server, server.url, None, "handle_bytes")
+        else:
+            hub = RepositoryHub()
+            hub.add_tenant("ana", tokens=["tok-ana"])
+            server_repo.add_remote(
+                "hub", hub.local_transport("ana", "proj", "tok-ana")
+            ).push(workload.name)
+            server = serve_hub(hub, **options)
+            endpoint = Endpoint(
+                server, server.repo_url("ana", "proj"), "tok-ana", "handle_request"
+            )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        yield server
+        started.append((server, thread))
+        return endpoint
+
+    yield start
+    for server, thread in started:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
 
+
+class TestHttpHardening:
+    """The same containment over a real socket, on both endpoints: HTTP
+    status mapping and keep-alive connections that survive bad requests."""
+
+    @pytest.fixture
+    def http_server(self, start_endpoint):
+        return start_endpoint()
+
     def test_malformed_push_over_http_is_typed_and_connection_survives(
         self, http_server, server_repo, workload
     ):
-        transport = HttpTransport(http_server.url)
+        transport = http_server.transport()
         with pytest.raises(RemoteProtocolError, match="'new'"):
             call_raw(
                 transport,
@@ -243,7 +321,7 @@ class TestHttpHardening:
         transport.close()
 
     def test_garbage_body_over_http(self, http_server):
-        transport = HttpTransport(http_server.url)
+        transport = http_server.transport()
         response = transport.call(b"not a frame at all")
         meta, _ = decode_message(response)
         assert meta["error"]["type"] == "RemoteProtocolError"
@@ -251,55 +329,86 @@ class TestHttpHardening:
         transport.close()
 
     def test_handler_failure_maps_to_http_500_with_detail(
-        self, http_server, server_repo
+        self, http_server, server_repo, monkeypatch
     ):
-        """A failure *outside* handle_bytes's containment becomes HTTP 500
+        """A failure *outside* the dispatch's containment becomes HTTP 500
         with an error body the client surfaces — not a dropped socket."""
-        repository_server = http_server.repository_server
-        original = repository_server.handle_bytes
-        repository_server.handle_bytes = lambda payload: (_ for _ in ()).throw(
-            RuntimeError("handler blew up")
-        )
-        transport = HttpTransport(http_server.url)
-        try:
+
+        def blow_up(*args):
+            raise RuntimeError("handler blew up")
+
+        transport = http_server.transport()
+        with monkeypatch.context() as patch:
+            patch.setattr(http_server.server.endpoint, http_server.dispatch, blow_up)
             with pytest.raises(TransportError, match="HTTP 500") as excinfo:
                 transport.call(encode_message({"op": "manifest"}))
             assert "handler blew up" in str(excinfo.value)
-        finally:
-            repository_server.handle_bytes = original
         # The server is still alive and serving new connections.
         assert_still_serving(transport)
         transport.close()
 
-    def test_oversized_request_rejected_with_413(self, server_repo):
-        import threading
-
-        server = serve(server_repo, host="127.0.0.1", port=0, max_request_bytes=64)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            transport = HttpTransport(server.url)
-            with pytest.raises(TransportError, match="413"):
-                transport.call(encode_message({"op": "manifest", "pad": "x" * 256}))
-            small = HttpTransport(server.url)
-            assert_still_serving(small)
-            small.close()
-            transport.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+    def test_oversized_request_rejected_with_413(self, start_endpoint):
+        endpoint = start_endpoint(max_request_bytes=64)
+        transport = endpoint.transport()
+        with pytest.raises(TransportError, match="413"):
+            transport.call(encode_message({"op": "manifest", "pad": "x" * 256}))
+        small = endpoint.transport()
+        assert_still_serving(small)
+        small.close()
+        transport.close()
 
     def test_clone_still_works_after_an_attack_burst(
         self, http_server, server_repo
     ):
         """A burst of malformed traffic must not degrade the endpoint."""
-        hostile = HttpTransport(http_server.url)
+        hostile = http_server.transport()
         for payload in (b"", b"junk", encode_message({"op": "push", "refs": 1})):
             meta, _ = decode_message(hostile.call(payload))
             assert "error" in meta
         hostile.close()
         clone = clone_repository(
-            HttpTransport(http_server.url), registry=server_repo.registry
+            http_server.transport(), registry=server_repo.registry
         )
         assert len(clone.graph) == len(server_repo.graph)
+
+    def test_bad_content_length_is_400_counted_once(self, http_server):
+        received, counted = http_server.raw(http_server.head("Content-Length: ten\r\n"))
+        [(status, head)] = responses(received)
+        assert status == 400 and b"Connection: close" in head
+        assert counted == 1
+
+    def test_short_read_closes_the_connection_unanswered(self, http_server):
+        received, counted = http_server.raw(
+            http_server.head("Content-Length: 100\r\n") + b"only ten b"
+        )
+        assert received == b""  # no request to answer, and no framing left
+        assert counted == 1
+
+    def test_chunked_post_is_refused_once_and_the_connection_closed(
+        self, http_server
+    ):
+        """``Transfer-Encoding`` used to be read as an empty body (a typed
+        error) and its chunks as the next request line (an uncounted
+        400): one request, two answers. Now: one 411, counted, closed."""
+        body = encode_message({"op": "manifest"})
+        request = http_server.head("Transfer-Encoding: chunked\r\n") + (
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        )
+        received, counted = http_server.raw(request)
+        [(status, head)] = responses(received)
+        assert status == 411 and b"Connection: close" in head
+        assert counted == 1
+
+    def test_keep_alive_is_cut_once_the_request_limit_is_spent(self, http_server):
+        server = http_server.server
+        server.request_limit = server.endpoint.requests_handled + 2
+        body = encode_message({"op": "manifest"})
+        request = http_server.head(f"Content-Length: {len(body)}\r\n") + body
+        # Two requests pipelined on one connection: the first is answered
+        # keep-alive, the second spends the budget and closes it.
+        received, counted = http_server.raw(request * 2)
+        assert [
+            (status, b"Connection: close" in head)
+            for status, head in responses(received)
+        ] == [(200, False), (200, True)]
+        assert counted == 2

@@ -10,8 +10,7 @@ reopen sequences agree with a dict; opening a store writes nothing;
 handles that share a root never write a row that reads back wrong;
 flushed chunks are there for a fresh process; writers and discarders of
 neighbouring digests do not trip over each other; and a root in the
-one-file-per-chunk layout is read as it is and absorbed, re-hashed, by
-its next compaction.
+one-file-per-chunk layout is refused, not read as empty.
 """
 
 import itertools
@@ -26,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.errors import ChunkIntegrityError, ChunkNotFoundError
+from repro.errors import ChunkNotFoundError, StorageError
 from repro.hub import SharedChunkBackend, TenantChunkStore
 from repro.storage import FileChunkStore
 from repro.storage.hashing import sha256_hex
 
-from helpers import Crash, bytes_under, die_before_write, write_loose_chunk_layout
+from helpers import Crash, bytes_under, die_before_write
 
 
 def payload(i: int) -> bytes:
@@ -391,61 +390,14 @@ class TestAWriteBesideADiscard:
 
 
 # -------------------------------------------------------- the older layout
-class TestLooseChunkLayout:
-    @pytest.fixture
-    def old_root(self, tmp_path):
-        chunks = {sha256_hex(payload(i)): payload(i) for i in range(12)}
-        write_loose_chunk_layout(tmp_path / "c", chunks)
-        fanout = tmp_path / "c" / next(iter(chunks))[:2]
-        (fanout / ("f" * 62 + ".4242-139872.tmp")).write_bytes(b"half a chu")
-        return tmp_path / "c", chunks
-
-    def test_is_read_as_it_is_and_opening_writes_nothing(self, old_root):
-        root, chunks = old_root
-        before = tree(root)
-        store = FileChunkStore(root)
-        assert sorted(store.digests()) == sorted(chunks)
-        for digest, data in chunks.items():
-            assert store.contains(digest) and store.get(digest) == data
-            assert store._size(digest) == len(data)
-        with pytest.raises(ChunkNotFoundError):
-            store.get("0" * 64)
-        assert store.put(payload(3)) in chunks  # a dedup hit, not a second copy
-        assert tree(root) == before
-
-    def test_new_chunks_go_to_the_segment_and_a_compaction_absorbs_the_rest(
-        self, old_root
-    ):
-        root, chunks = old_root
-        store = FileChunkStore(root)
-        new = store.put(b"written after the upgrade")
-        gone = sorted(chunks)[0]
-        assert store.discard(gone) == len(chunks[gone])
-        assert (root / "segment.0").read_bytes() == b"written after the upgrade"
-        assert sorted(FileChunkStore(root).digests()) == sorted([*chunks, new])
-
-        store.compact()
-        expected = {**chunks, new: b"written after the upgrade"}
-        del expected[gone]
-        assert os.listdir(root) == ["segment.1"]  # no fan-out directory left
-        assert bytes_under(root) == sum(map(len, expected.values()))
-        for handle in (store, FileChunkStore(root)):
-            assert sorted(handle.digests()) == sorted(expected)
-            for digest, data in expected.items():
-                assert handle.get(digest) == data
-
-    def test_a_loose_chunk_is_rehashed_before_it_is_absorbed(self, old_root):
-        root, chunks = old_root
-        liar = sorted(chunks)[5]
-        (root / liar[:2] / liar[2:]).write_bytes(b"not what the name says")
-        store = FileChunkStore(root)
-        loose = {path: v for path, v in tree(root).items() if v[0] is not None}
-        with pytest.raises(ChunkIntegrityError) as raised:
-            store.compact()
-        assert raised.value.digest == liar
-        # nothing was published: the root is the old layout still, every
-        # loose file where it was, and no index names the half-written segment
-        after = tree(root)
-        assert {path: after[path] for path in loose} == loose
-        assert os.listdir(str(root) + ".index") == []
-        assert sorted(FileChunkStore(root).digests()) == sorted(chunks)
+def test_a_root_in_the_one_file_per_chunk_layout_is_refused(tmp_path):
+    """``<root>/ab/cdef...`` is no longer read: opening such a root
+    raises instead of listing no chunks, and changes no byte."""
+    root = tmp_path / "c"
+    digest = sha256_hex(payload(0))
+    (root / digest[:2]).mkdir(parents=True)
+    (root / digest[:2] / digest[2:]).write_bytes(payload(0))
+    before = tree(root)
+    with pytest.raises(StorageError, match="one-file-per-chunk"):
+        FileChunkStore(root)
+    assert tree(root) == before
