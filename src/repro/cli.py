@@ -298,40 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: prune records whose output no commit references)",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis of the codebase's lock discipline "
-        "(see docs/invariants.md)",
-    )
-    lint.add_argument(
-        "path", nargs="?", default=None,
-        help="package directory to analyze (default: the installed repro "
-        "package)",
-    )
-    lint.add_argument(
-        "--rule", default=None,
-        help="only run these rule ids or prefixes (comma-separated, e.g. "
-        "LK or LK001,LK002)",
-    )
-    _add_json_argument(lint, "the structured report")
-    lint.add_argument(
-        "--baseline", default=None,
-        help="baseline file of grandfathered findings "
-        "(default: ./lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report baselined findings too",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write every current finding to the baseline file and exit",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list every rule id with its one-line description",
-    )
-
     hub = sub.add_parser(
         "hub", help="multi-tenant repository hub (many repos, one process)"
     )
@@ -1443,12 +1409,6 @@ def _cmd_hub(args, out) -> int:
     return handler(args, out)
 
 
-def _cmd_lint(args, out) -> int:
-    from .analysis.cli import run
-
-    return run(args, out)
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     from .errors import MLCaskError
@@ -1475,7 +1435,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "merge": _cmd_merge,
         "gc": _cmd_gc,
         "hub": _cmd_hub,
-        "lint": _cmd_lint,
     }.get(args.command)
     if handler is not None:
         try:

@@ -309,8 +309,8 @@ class RepositoryHub:
             self.authenticator.add_tenant(config)
             self._buckets.pop(name, None)  # rebuilt from the new terms
         # LK002: the config write is disk I/O and must not run under the
-        # hub lock — it would stall every tenant's admission for the
-        # duration of an fsync. _save_config serializes itself.
+        # hub lock — it would stall every tenant's admission while the
+        # file is written and renamed. _save_config serializes itself.
         self._save_config()
         return config
 
@@ -332,11 +332,8 @@ class RepositoryHub:
             return bucket
 
     def _tenant_lock(self, tenant: str) -> threading.Lock:
-        # Naming contract with repro.analysis.conventions: a helper
-        # named ``_<entity>_lock`` returning a per-key Lock is treated
-        # as a lock *map* by the lint — per-entity, never service-wide —
-        # so LK002 does not fire under it, but LK001 still orders it
-        # against every other lock. Rename only together with the lint.
+        # One lock per tenant, never service-wide: I/O under it stalls
+        # only that tenant's writes.
         with self._lock:
             lock = self._tenant_locks.get(tenant)
             if lock is None:
@@ -353,9 +350,8 @@ class RepositoryHub:
         # _config_lock orders concurrent writers; because the tenant
         # snapshot is taken *after* acquiring it, the last writer's file
         # reflects every registration that happened before its turn.
-        # The write below is the lock's whole purpose, so it is exempt
-        # from the I/O-under-lock rule (it guards no request-path
-        # state; admission never touches it).
+        # The write below is the lock's whole purpose: it guards no
+        # request-path state, and admission never touches it.
         with self._config_lock:
             state = {
                 "format": HUB_FORMAT_VERSION,
@@ -364,7 +360,7 @@ class RepositoryHub:
                     for config in self.authenticator.tenants()
                 },
             }
-            write_json_atomic(  # repro-lint: disable=LK002 - see above
+            write_json_atomic(
                 self._config_path(), state, indent=2, sort_keys=True
             )
 

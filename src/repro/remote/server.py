@@ -112,29 +112,41 @@ class RWLock:
     Readers queue behind a *waiting* writer (not only an active one) so a
     steady stream of reads cannot starve pushes indefinitely.
 
-    The method names ``read_locked`` / ``write_locked`` are a contract
-    with the static analyzer (``repro.analysis.conventions``): the lock
-    lint recognizes the shared/exclusive sides by these exact names, so
-    renaming them silently blinds ``repro lint``. Per-repo write
-    exclusion is also the designed persistence point, which is why
-    LK002 (blocking call under a lock) exempts both sides.
+    Neither side is re-entrant. A thread that holds one side and asks for
+    either side again would wait on itself forever — a read -> write
+    upgrade for its own read to end, a read under its own write for the
+    writer to leave — so the request raises :class:`RuntimeError` instead.
+    Per-repo write exclusion is the designed persistence point, so
+    blocking I/O under either side is expected.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
+        self._holder = threading.local()  # .side: the side this thread holds
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
 
+    def _refuse_reentry(self, side: str) -> None:
+        held = getattr(self._holder, "side", None)
+        if held is not None:
+            raise RuntimeError(
+                f"RWLock is not re-entrant: this thread holds the {held} "
+                f"side and asked for the {side} side, which would deadlock"
+            )
+
     @contextlib.contextmanager
     def read_locked(self):
+        self._refuse_reentry("read")
         with self._cond:
             while self._writer_active or self._writers_waiting:
                 self._cond.wait()
             self._active_readers += 1
+        self._holder.side = "read"
         try:
             yield
         finally:
+            self._holder.side = None
             with self._cond:
                 self._active_readers -= 1
                 if self._active_readers == 0:
@@ -142,6 +154,7 @@ class RWLock:
 
     @contextlib.contextmanager
     def write_locked(self):
+        self._refuse_reentry("write")
         with self._cond:
             self._writers_waiting += 1
             try:
@@ -150,9 +163,11 @@ class RWLock:
                 self._writer_active = True
             finally:
                 self._writers_waiting -= 1
+        self._holder.side = "write"
         try:
             yield
         finally:
+            self._holder.side = None
             with self._cond:
                 self._writer_active = False
                 self._cond.notify_all()

@@ -464,7 +464,7 @@ class FileChunkStore(ChunkStore):
 
     # The lock orders appenders of one file and nothing else — readers
     # take none — so the file I/O under it is its whole critical section.
-    def _write(self, digest: str, data: bytes) -> None:  # repro-lint: disable=LK002 - see above
+    def _write(self, digest: str, data: bytes) -> None:
         # Two writes and an lseek per chunk. No temp name, no rename, no
         # directory: the row is what publishes the chunk, and a chunk
         # whose row never lands is cut off by the next writer.
@@ -538,7 +538,8 @@ class FileChunkStore(ChunkStore):
             os.fdatasync(gen.append_fd)
             os.fdatasync(gen.index_fd)
 
-    def compact(self) -> None:  # repro-lint: disable=LK002 - as for _write
+    def compact(self) -> None:
+        # As for _write: the rewrite is the lock's critical section.
         with self._lock:
             if self._end != self._live_bytes:
                 self._rewrite(self._gen)

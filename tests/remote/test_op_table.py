@@ -5,10 +5,10 @@ six modules; they are now comprehensions over the table. The snapshot
 pins their values so a table typo cannot silently move an op to the
 write side, change an objective, or drop a shed exemption.
 
-The second half is the table-driven home of what the protocol lint
-pack used to read off the AST: each test is parametrized over
-``OP_TABLE`` or ``_DENIAL_REASONS``, so a new op or denial is covered
-without editing a test (docs/invariants.md has the map).
+The second half checks each op's protocol contract by behaviour: each
+test is parametrized over ``OP_TABLE`` or ``_DENIAL_REASONS``, so a new
+op or denial is covered without editing a test (docs/invariants.md has
+the map).
 """
 
 import os

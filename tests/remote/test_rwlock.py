@@ -1,4 +1,4 @@
-"""RWLock writer preference under contention.
+"""RWLock writer preference under contention, and its refusal of re-entry.
 
 The lock guards every repository the hub hosts; the property that keeps
 pushes from starving is that readers arriving while a writer *waits*
@@ -8,6 +8,8 @@ events rather than hoping a storm hits the window.
 
 import threading
 import time
+
+import pytest
 
 from repro.remote import RWLock
 
@@ -146,3 +148,32 @@ class TestWriterPreference:
         t = start(quick_writer)
         t.join(timeout=WAIT)
         assert done == [True]
+
+
+class TestReentryRefused:
+    """A thread asking for a side while it holds one would wait on itself
+    forever; the lock raises instead (the timeout catches the old hang)."""
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize(
+        "held, asked",
+        [("read", "write"), ("write", "read"), ("read", "read"), ("write", "write")],
+    )
+    def test_second_side_raises_at_once(self, held, asked):
+        lock = RWLock()
+        side = {"read": lock.read_locked, "write": lock.write_locked}
+        with side[held]():
+            with pytest.raises(RuntimeError, match=f"holds the {held} side"):
+                with side[asked]():
+                    pass
+        # The refusal left the counters alone: another thread takes both.
+        done = []
+
+        def other():
+            with lock.write_locked():
+                done.append("write")
+            with lock.read_locked():
+                done.append("read")
+
+        start(other).join(timeout=WAIT)
+        assert done == ["write", "read"]

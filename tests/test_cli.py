@@ -81,6 +81,11 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             run_cli([])
 
+    def test_lint_is_not_a_verb(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["lint"])
+        assert exit_info.value.code == 2
+
 
 def build_two_branch_repo_dir(path: str) -> None:
     """An on-disk readmission repository with diverged master/dev tips."""
