@@ -25,21 +25,35 @@ def cooccurrence_matrix(
     vocab_size: int,
     window: int = 4,
 ) -> sparse.csr_matrix:
-    """Symmetric within-window co-occurrence counts."""
+    """Symmetric within-window co-occurrence counts.
+
+    Every token ``i`` of a document pairs with the ``min(i, window)``
+    tokens before it, ``j`` ascending, and each pair is emitted as
+    ``(i, j)`` then ``(j, i)``: the order of a loop over the pairs, built
+    with numpy. The CSR conversion sums duplicates into sorted rows, and
+    sums of ones are exact, so ``indptr``, ``indices`` and ``data`` are
+    the very arrays that loop produces.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    rows: list[int] = []
-    cols: list[int] = []
-    for doc in encoded_docs:
-        n = doc.shape[0]
-        for i in range(n):
-            lo = max(0, i - window)
-            for j in range(lo, i):
-                rows.append(int(doc[i]))
-                cols.append(int(doc[j]))
-                rows.append(int(doc[j]))
-                cols.append(int(doc[i]))
-    data = np.ones(len(rows), dtype=np.float64)
+    lengths = np.array([doc.shape[0] for doc in encoded_docs], dtype=np.int64)
+    tokens = (
+        np.concatenate(encoded_docs).astype(np.int64)
+        if encoded_docs
+        else np.zeros(0, dtype=np.int64)
+    )
+    # Position of every token within its document, and how many
+    # predecessors it pairs with.
+    positions = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pairs = np.minimum(positions, window)
+    i = np.repeat(np.arange(tokens.size), pairs)
+    # j runs i - pairs[i] .. i - 1: the rank of each entry within its run.
+    rank = np.arange(i.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    j = i - np.repeat(pairs, pairs) + rank
+    a, b = tokens[i], tokens[j]
+    rows = np.stack([a, b], axis=1).ravel()
+    cols = np.stack([b, a], axis=1).ravel()
+    data = np.ones(rows.size, dtype=np.float64)
     return sparse.csr_matrix(
         (data, (rows, cols)), shape=(vocab_size, vocab_size)
     )

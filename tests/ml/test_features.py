@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.errors import NotFittedError
 from repro.ml import (
@@ -104,6 +106,36 @@ class TestTokenizeAndVocabulary:
             Vocabulary(min_count=0)
 
 
+def reference_cooccurrence(encoded_docs, vocab_size, window=4):
+    """``cooccurrence_matrix`` as a loop over the pairs, the way it was
+    written before the entries were built with numpy: the differential
+    reference. Do not tidy it."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for doc in encoded_docs:
+        n = doc.shape[0]
+        for i in range(n):
+            lo = max(0, i - window)
+            for j in range(lo, i):
+                rows.append(int(doc[i]))
+                cols.append(int(doc[j]))
+                rows.append(int(doc[j]))
+                cols.append(int(doc[i]))
+    data = np.ones(len(rows), dtype=np.float64)
+    return sparse.csr_matrix(
+        (data, (rows, cols)), shape=(vocab_size, vocab_size)
+    )
+
+
+def assert_same_csr(change, reference):
+    """The very arrays ``svds`` is handed: index dtypes included."""
+    assert change.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(change, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+
+
 class TestCooccurrenceAndPPMI:
     def test_cooccurrence_symmetric(self):
         docs = [np.array([1, 2, 3, 1])]
@@ -120,6 +152,29 @@ class TestCooccurrenceAndPPMI:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             cooccurrence_matrix([np.array([0])], 2, window=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 29), max_size=40), max_size=8),
+        st.integers(1, 8),
+        st.sampled_from([np.int64, np.int32]),
+    )
+    def test_matches_the_pair_loop(self, docs, window, dtype):
+        encoded = [np.array(doc, dtype=dtype) for doc in docs]
+        assert_same_csr(
+            cooccurrence_matrix(encoded, 30, window),
+            reference_cooccurrence(encoded, 30, window),
+        )
+
+    def test_matches_the_pair_loop_on_a_review_corpus(self):
+        table = make_reviews(200, seed=4)
+        docs = [tokenize(str(t)) for t in table["text"]]
+        vocab = Vocabulary(max_size=300).fit(docs)
+        encoded = [vocab.encode(d) for d in docs]
+        assert_same_csr(
+            cooccurrence_matrix(encoded, len(vocab)),
+            reference_cooccurrence(encoded, len(vocab)),
+        )
 
     def test_ppmi_nonnegative(self):
         docs = [np.array([1, 2, 1, 3, 2, 1])]

@@ -219,6 +219,16 @@ class TestDecisionStump:
         stump = DecisionStump().fit(X, y, weights, 2)
         assert stump.predict_idx(X[[0]])[0] == 0
 
+    def test_no_valid_split_predicts_the_weighted_majority(self):
+        # Constant features admit no split. Class 1 is the minority by
+        # count and the majority by weight.
+        X = np.zeros((10, 3))
+        y = np.array([1] * 3 + [0] * 7)
+        weights = np.where(y == 1, 0.2, 0.4 / 7)
+        stump = DecisionStump().fit(X, y, weights, 2)
+        assert stump.feature_ == -1
+        assert stump.predict_idx(X).tolist() == [1] * 10
+
 
 class TestAdaBoost:
     def test_beats_single_stump(self):
@@ -250,6 +260,16 @@ class TestAdaBoost:
     def test_rejects_zero_estimators(self):
         with pytest.raises(ValueError):
             AdaBoostClassifier(n_estimators=0)
+
+    def test_rejects_zero_thresholds(self):
+        with pytest.raises(ValueError):
+            AdaBoostClassifier(n_thresholds=0)
+
+    def test_no_valid_split_predicts_the_majority_class(self):
+        X = np.zeros((10, 3))
+        y = np.array([0] * 3 + [1] * 7)
+        model = AdaBoostClassifier(5).fit(X, y)
+        assert model.predict(X).tolist() == [1] * 10
 
     def test_get_params_lengths_consistent(self):
         X, y = xor_data(100, seed=10)
