@@ -17,8 +17,6 @@ from .prioritized import (
     SearchSimulator,
     SimulatedStep,
     TrialResult,
-    pick_prioritized_leaf,
-    pick_random_leaf,
     propagate_leaf_score,
     refresh_scores,
     run_ordered_search,
@@ -43,8 +41,7 @@ __all__ = [
     "schema_compatible",
     "MERGE_MODES", "SEARCH_METHODS", "metric_driven_merge", "winners_by_metric",
     "SearchSimulator", "SimulatedStep", "TrialResult",
-    "pick_prioritized_leaf", "pick_random_leaf", "propagate_leaf_score",
-    "refresh_scores", "run_ordered_search",
+    "propagate_leaf_score", "refresh_scores", "run_ordered_search",
     "executed_leaf_scores", "mark_checkpointed_nodes",
     "MergeScope", "branch_search_space", "build_merge_scope",
     "CandidateEvaluation", "execute_candidate", "execute_tree", "path_key_of",

@@ -77,8 +77,8 @@ def metric_driven_merge(
 
     The ordered searches run through :func:`repro.engine.run_parallel_search`
     with up to ``workers`` candidate leaves in flight (``workers=1``: one at
-    a time on this thread); the exhaustive depth-first walk is inherently
-    sequential (its in-traversal pruning mutates the tree as it descends).
+    a time on this thread); the exhaustive walk is Algorithm 2's
+    depth-first order, one candidate at a time.
     """
     from ..repository import MergeOutcome
 

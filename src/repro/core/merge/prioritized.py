@@ -11,6 +11,13 @@ assigned using scores of the trained pipelines on MERGE_HEAD and HEAD.
 and sequentially pick the child nodes that have the highest scores until
 we reach a leaf node that has not been run yet."
 
+That state lives on the tree's nodes: ``TreeNode.score`` and
+``TreeNode.unrun``, the number of leaves beneath a node not drawn yet —
+a child is worth descending into while its count is positive, and
+drawing a leaf decrements the counts along its ancestry, so a pick costs
+O(depth × branching). :class:`SearchStep` is the one place that sets and
+advances both; the pickers only read them.
+
 The module provides both the *live* search (executing real pipelines, with
 an optional evaluation budget — the paper's limited-time-budget setting)
 and a *simulator* that replays searches over known candidate scores and
@@ -37,7 +44,7 @@ from .traversal import (
     path_key_of,
     run_candidate,
 )
-from .tree import TreeNode, build_search_tree, iter_nodes, leaves
+from .tree import TreeNode, build_search_tree, leaves
 
 
 # ----------------------------------------------------------- score updates
@@ -66,163 +73,57 @@ def propagate_leaf_score(leaf: TreeNode) -> None:
 
 
 # ------------------------------------------------------------- leaf picking
-class _LeafCounter:
-    """Per-node count of unrun leaves beneath it, kept in sync with a run set.
+def pick_prioritized_leaf(root: TreeNode, rng: np.random.Generator) -> TreeNode | None:
+    """Descend by highest score until an undrawn leaf is reached.
 
-    Replaces the recursive subtree rescan the picker used to do on every
-    descent step (which made a full search O(leaves²)): a node is "open"
-    iff its count is positive, and marking a leaf run decrements exactly
-    the counts along that leaf's ancestry — so a pick costs
-    O(depth × branching). Built lazily for whatever run set the caller
-    passes; :class:`RunSet` keeps it current in O(depth) per ``add``.
+    Only children with an undrawn leaf beneath them (``unrun > 0``)
+    compete. A child that has no score yet inherits its parent's current
+    estimate (the mean of the scored siblings): never-explored subtrees
+    compete on equal terms with the parent's average instead of being
+    starved until everything scored is exhausted. Ties — which this rule
+    deliberately creates between a subtree's best-known child and its
+    unexplored siblings — break uniformly at random, which is what
+    spreads the prioritized search's per-rank scores across trials (the
+    variance the paper reports in Fig. 10). With no estimate at all — or
+    none equal to the best, as when a NaN score makes ``max`` NaN — the
+    pick is uniform over the open children.
 
-    The counter assumes the tree's *shape* is fixed (pruning happens
-    before searching, as every caller does); scores may change freely.
+    ``unrun`` is set by :class:`SearchStep`; on a tree no step has
+    prepared, every count is 0 and the pick is ``None``.
     """
-
-    def __init__(self, root: TreeNode, run) -> None:
-        self.counts: dict[int, int] = {}
-        self.ancestry: dict[int, tuple[int, ...]] = {}
-        self.seen: set[int] = set()
-        #: True when a RunSet owns this counter: only that set's ``add``
-        #: may advance it, so a picker called with some *other* run set
-        #: must build its own instead of corrupting the owner's counts.
-        self.owned = False
-        self._build(root)
-        for leaf_id in run:
-            self.mark_run(leaf_id)
-
-    def _build(self, root: TreeNode) -> None:
-        path: list[int] = []
-
-        def visit(node: TreeNode) -> int:
-            path.append(id(node))
-            if node.is_leaf:
-                count = 1
-                self.ancestry[id(node)] = tuple(path)
-            else:
-                count = sum(visit(child) for child in node.children)
-            self.counts[id(node)] = count
-            path.pop()
-            return count
-
-        visit(root)
-
-    def mark_run(self, leaf_id: int) -> None:
-        if leaf_id in self.seen:
-            return
-        self.seen.add(leaf_id)
-        for node_id in self.ancestry.get(leaf_id, ()):
-            self.counts[node_id] -= 1
-
-    def has_unrun(self, node: TreeNode) -> bool:
-        return self.counts[id(node)] > 0
-
-
-class RunSet(set):
-    """A run set bound to its tree: ``add`` updates the unrun-leaf counts.
-
-    :func:`run_ordered_search` and the simulator use this so every pick is
-    O(depth × branching) with no per-pick synchronization; plain sets keep
-    working for external callers (the counter syncs by set difference).
-    """
-
-    def __init__(self, root: TreeNode) -> None:
-        super().__init__()
-        self.root = root
-        self.counter = _LeafCounter(root, ())
-        self.counter.owned = True
-        root._leaf_counter = self.counter
-
-    def add(self, leaf_id: int) -> None:
-        if leaf_id not in self:
-            super().add(leaf_id)
-            self.counter.mark_run(leaf_id)
-
-    def update(self, *others) -> None:
-        for other in others:
-            for leaf_id in other:
-                self.add(leaf_id)
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-    def _no_removal(self, *args, **kwargs):
-        # A run set only grows: counters are decrement-only, so removal
-        # would silently desynchronize them — fail loudly instead.
-        raise TypeError("RunSet does not support removing run leaves")
-
-    remove = discard = pop = clear = _no_removal
-    difference_update = intersection_update = symmetric_difference_update = (
-        _no_removal
-    )
-    __isub__ = __iand__ = __ixor__ = _no_removal
-
-
-def _counter_for(root: TreeNode, run) -> _LeafCounter:
-    """The unrun-leaf counter for ``(root, run)``, reusing the cached one
-    when ``run`` only grew since it was last synced (the picker's loop
-    contract); anything else — a shrunk or replaced run set — rebuilds."""
-    if isinstance(run, RunSet) and run.root is root:
-        return run.counter
-    counter = getattr(root, "_leaf_counter", None)
-    if counter is None or counter.owned or not counter.seen <= run:
-        counter = _LeafCounter(root, run)
-        root._leaf_counter = counter
-    elif len(run) > len(counter.seen):
-        for leaf_id in run - counter.seen:
-            counter.mark_run(leaf_id)
-    return counter
-
-
-def pick_prioritized_leaf(
-    root: TreeNode, run: set[int], rng: np.random.Generator
-) -> TreeNode | None:
-    """Descend by highest score until an unrun leaf is reached.
-
-    A child that has no score yet inherits its parent's current estimate
-    (the mean of the scored siblings): never-explored subtrees compete on
-    equal terms with the parent's average instead of being starved until
-    everything scored is exhausted. Ties — which this rule deliberately
-    creates between a subtree's best-known child and its unexplored
-    siblings — break uniformly at random, which is what spreads the
-    prioritized search's per-rank scores across trials (the variance the
-    paper reports in Fig. 10).
-    """
-    counter = _counter_for(root, run)
+    if not root.unrun:
+        return None
     node = root
     while not node.is_leaf:
-        open_children = [c for c in node.children if counter.has_unrun(c)]
-        if not open_children:
-            return None
+        candidates = [c for c in node.children if c.unrun]
         prior = node.score
-        effective = [
-            c.score if c.score is not None else prior for c in open_children
-        ]
-        if all(e is None for e in effective):
-            node = open_children[int(rng.integers(len(open_children)))]
-            continue
+        effective = [c.score if c.score is not None else prior for c in candidates]
         known = [e for e in effective if e is not None]
-        best = max(known)
-        ties = [
-            c
-            for c, e in zip(open_children, effective)
-            if e is not None and e == best
-        ]
-        if not ties:  # all open children unscored with no prior
-            ties = open_children
-        node = ties[int(rng.integers(len(ties)))]
-    return node if id(node) not in run else None
+        if known:
+            best = max(known)
+            ties = [c for c, e in zip(candidates, effective) if e == best]
+            candidates = ties or candidates
+        node = candidates[int(rng.integers(len(candidates)))]
+    return node
 
 
-def pick_random_leaf(
-    root: TreeNode, run: set[int], rng: np.random.Generator
-) -> TreeNode | None:
-    candidates = [leaf for leaf in leaves(root) if id(leaf) not in run]
+def pick_random_leaf(root: TreeNode, rng: np.random.Generator) -> TreeNode | None:
+    """A uniform pick among the undrawn leaves (``unrun`` as
+    :class:`SearchStep` sets it)."""
+    candidates = [leaf for leaf in leaves(root) if leaf.unrun]
     if not candidates:
         return None
     return candidates[int(rng.integers(len(candidates)))]
+
+
+def _count_unrun(node: TreeNode) -> int:
+    """Set ``unrun`` bottom-up: every leaf is undrawn; the virtual root
+    of a tree pruned empty is no candidate."""
+    if node.is_leaf:
+        node.unrun = 0 if node.is_root else 1
+    else:
+        node.unrun = sum(_count_unrun(child) for child in node.children)
+    return node.unrun
 
 
 # --------------------------------------------------------- the search step
@@ -242,7 +143,9 @@ class SearchStep:
     :func:`search_window` — the loop of every live search, one draw in
     flight or several — keeps a window of draws uncommitted and commits
     in draw order, and :class:`SearchSimulator` replaces execution with
-    its cost model — all over this one RNG stream, run set and tree. Not
+    its cost model — all over this one RNG stream and tree. The search
+    state lives on the tree's nodes (``score``, ``unrun``), so the tree's
+    shape must not change once the step is built: prune before. Not
     thread-safe: one thread draws and commits.
     """
 
@@ -265,16 +168,17 @@ class SearchStep:
         self._propagate = method == "prioritized"
         self._rng = np.random.default_rng(seed)
         refresh_scores(root)
-        self._run = RunSet(root)
+        _count_unrun(root)
         #: leaves drawn so far; ``evaluations`` holds the committed ones
         self.drawn = 0
         self.evaluations: list[CandidateEvaluation] = []
         self._clock_start = time.perf_counter()
 
     def draw(self) -> TreeNode | None:
-        """The next leaf to search, marked run — or ``None`` when the
-        evaluation budget, the time budget (once anything committed) or
-        the tree is exhausted."""
+        """The next leaf to search, marked drawn (``unrun`` decremented
+        on it and every ancestor) — or ``None`` when the evaluation
+        budget, the time budget (once anything committed) or the tree is
+        exhausted."""
         if self.budget is not None and self.drawn >= self.budget:
             return None
         if (
@@ -283,9 +187,12 @@ class SearchStep:
             and time.perf_counter() - self._clock_start >= self.time_budget_seconds
         ):
             return None
-        leaf = self._picker(self.root, self._run, self._rng)
+        leaf = self._picker(self.root, self._rng)
         if leaf is not None:
-            self._run.add(id(leaf))
+            node: TreeNode | None = leaf
+            while node is not None:
+                node.unrun -= 1
+                node = node.parent
             self.drawn += 1
         return leaf
 
@@ -436,22 +343,15 @@ class SearchSimulator:
     def run_trial(self, method: str, seed: int) -> TrialResult:
         root = self._fresh_tree()
         step = SearchStep(root, method, seed)
-        # A node is its path from the root: the same component under a
-        # different upstream prefix is a different execution.
-        executed = {
-            path_key_of(node)
-            for node in iter_nodes(root)
-            if not node.is_root and node.executed
-        }
         result = TrialResult()
         clock = 0.0
         while (leaf := step.draw()) is not None:
+            # A node is its path from the root: the same component under
+            # a different upstream prefix is a different execution.
             cost = 0.0
             for node in leaf.path_from_root():
-                key = path_key_of(node)
-                if key not in executed:
+                if not node.executed:
                     cost += self.component_costs.get(node.identifier, 0.0)
-                    executed.add(key)
                     node.executed = True
             clock += cost
             path_key = path_key_of(leaf)

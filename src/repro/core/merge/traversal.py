@@ -1,8 +1,10 @@
 """Algorithm 2: depth-first traversal and execution of the search tree.
 
-The traversal prunes incompatible children as it descends (lines 5-7 of
-the paper's pseudo-code), pushes nodes onto the walking path, and executes
-a full candidate whenever it reaches a leaf (line 15). After execution,
+The traversal walks the tree depth-first and executes a full candidate
+whenever it reaches a leaf (line 15). The incompatible children that
+lines 5-7 of the paper's pseudo-code remove during the walk are removed
+before it instead, by :func:`~.compatibility.prune_incompatible` (which
+also drops the dead ends they would leave). After execution,
 every node on the walking path is marked executed with its output
 reference recorded (lines 16-19); because the executor consults the
 checkpoint store, components whose (version, input) pair already ran are
@@ -22,9 +24,8 @@ from dataclasses import dataclass, field
 from ..context import ExecutionContext
 from ..executor import Executor, RunReport
 from ..pipeline import PipelineInstance
-from .compatibility import CompatibilityLUT
 from .search_space import MergeScope
-from .tree import TreeNode, candidate_components
+from .tree import TreeNode, candidate_components, leaves
 
 
 @dataclass
@@ -114,43 +115,20 @@ def execute_tree(
     scope: MergeScope,
     executor: Executor,
     context: ExecutionContext,
-    lut: CompatibilityLUT | None = None,
 ) -> list[CandidateEvaluation]:
     """Run every candidate in depth-first order (Algorithm 2).
 
-    ``lut`` enables in-traversal PC pruning; pass ``None`` when the tree
-    was pruned beforehand (or when reproducing the no-pruning ablation).
+    PC pruning happens beforehand (:func:`prune_incompatible`, or not at
+    all for the no-pruning ablation): the walk executes every leaf of the
+    tree it is given.
     """
     evaluations: list[CandidateEvaluation] = []
     clock_start = time.perf_counter()
-
-    n_stages = len(scope.stage_order)
-    binding: dict = {}  # stage -> component along the walking path
-
-    def visit(node: TreeNode) -> None:
-        if node.children:
-            from .compatibility import compatible_with_predecessors
-
-            kept: list[TreeNode] = []
-            for child in node.children:
-                if lut is not None and not compatible_with_predecessors(
-                    binding, node, child, lut, scope.spec
-                ):
-                    continue  # line 7: node.children.remove(child)
-                kept.append(child)
-            node.children = kept
-            for child in node.children:
-                binding[child.stage] = child.component
-                visit(child)
-        elif not node.is_root:
-            if len(node.path_from_root()) != n_stages:
-                return  # dead-end left by in-traversal pruning: no candidate
-            report = execute_candidate(node, scope, executor, context)
-            evaluations.append(
-                evaluation_of(
-                    node, report, len(evaluations), time.perf_counter() - clock_start
-                )
+    for leaf in leaves(root):
+        report = execute_candidate(leaf, scope, executor, context)
+        evaluations.append(
+            evaluation_of(
+                leaf, report, len(evaluations), time.perf_counter() - clock_start
             )
-
-    visit(root)
+        )
     return evaluations

@@ -3,8 +3,9 @@
 Every path from the virtual root to a leaf is one pre-merge pipeline
 candidate. Each :class:`TreeNode` records "the reference to a set of child
 nodes, its corresponding pipeline component, an execution status flag, and
-the reference to the component's output" (section V) — plus the score used
-by the prioritized search of section VII-E.
+the reference to the component's output" (section V) — plus the state the
+ordered searches of section VII-E keep on the nodes: a score and the
+number of leaves beneath that no search has drawn yet.
 
 Because "every node has only one parent node ... the nodes sharing the
 same parent node also share the same path to the tree root" (section
@@ -22,13 +23,26 @@ from .search_space import MergeScope
 
 @dataclass
 class TreeNode:
-    """One node of the pipeline search tree."""
+    """One node of the pipeline search tree.
+
+    Besides the links, the ordered searches read three fields of a node:
+
+    * ``score`` — a searched leaf's result, an internal node's mean over
+      its scored children (section VII-E);
+    * ``executed`` — with a score, marks a leaf trained in the commit
+      history; the simulator's reuse cost model reads it on every node;
+    * ``unrun`` — how many leaves beneath the node the search has not
+      drawn yet (1 or 0 on a leaf, 0 on a childless virtual root). A
+      ``SearchStep`` sets it when it is built and decrements it along the
+      ancestry of every leaf it draws.
+    """
 
     component: Component | None = None  # None only for the virtual root
     stage: str | None = None
     executed: bool = False
     output_ref: str = ""
     score: float | None = None
+    unrun: int = 0
     children: list["TreeNode"] = field(default_factory=list)
     parent: "TreeNode | None" = field(default=None, repr=False)
 

@@ -3,9 +3,10 @@
 What a draw and a commit are, and the loop that alternates them, live in
 :mod:`repro.core.merge.prioritized` (:class:`SearchStep`,
 :func:`search_window`); the calling thread runs that loop and is the only
-one to touch the tree, the RNG and the run set. This module supplies the
-two things concurrency adds: a :class:`ThreadPoolExecutor` for the loop
-to submit candidates to, and the shared single-flight layer.
+one to touch the tree (whose nodes hold the search state) and the RNG.
+This module supplies the two things concurrency adds: a
+:class:`ThreadPoolExecutor` for the loop to submit candidates to, and the
+shared single-flight layer.
 
 With ``workers = W`` the loop keeps at most ``W`` draws uncommitted,
 fills the window before it commits, and commits in draw order, so the

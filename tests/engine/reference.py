@@ -9,6 +9,11 @@ production executor and search driver against. They are verbatim —
 ``self`` attributes and all — so do not tidy them; change them only when
 the semantics of a stage or of a search step are changed on purpose.
 
+The two leaf pickers are frozen too, as they stood at ``7f25be5``, when
+production moved the search state onto the tree's nodes: the copies
+here keep the plain run set of leaf ids and rescan subtrees by brute
+force, so they share no bookkeeping with production.
+
 Import as ``from engine.reference import ...`` (``tests/`` is on
 ``sys.path``, see ``conftest.py``).
 """
@@ -23,20 +28,14 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.component import DatasetComponent, LibraryComponent
 from repro.core.context import ExecutionContext
 from repro.core.executor import RunReport, StageReport
-from repro.core.merge.prioritized import (
-    RunSet,
-    pick_prioritized_leaf,
-    pick_random_leaf,
-    propagate_leaf_score,
-    refresh_scores,
-)
+from repro.core.merge.prioritized import propagate_leaf_score, refresh_scores
 from repro.core.merge.search_space import MergeScope
 from repro.core.merge.traversal import (
     CandidateEvaluation,
     execute_candidate,
     path_key_of,
 )
-from repro.core.merge.tree import TreeNode
+from repro.core.merge.tree import TreeNode, leaves
 from repro.core.pipeline import PipelineInstance
 from repro.errors import ComponentError
 from repro.ml.metrics import score_from_metric
@@ -213,6 +212,56 @@ def reference_run(
     return ReferenceExecutor(checkpoints, metric, reuse, lineage).run(instance, context)
 
 
+def _has_unrun(node: TreeNode, run: set[int]) -> bool:
+    """Brute force: is any leaf beneath ``node`` (the node itself, when
+    it is a leaf other than the virtual root) not in ``run``?"""
+    if node.is_leaf:
+        return not node.is_root and id(node) not in run
+    return any(_has_unrun(child, run) for child in node.children)
+
+
+def reference_pick_prioritized_leaf(
+    root: TreeNode, run: set[int], rng: np.random.Generator
+) -> TreeNode | None:
+    """``pick_prioritized_leaf`` as it stood at ``7f25be5``, over a plain
+    run set. Verbatim except the two marked lines: the per-node unrun
+    counter became :func:`_has_unrun`, in the descent and on the leaf
+    reached (so the virtual root of a tree pruned empty is no pick)."""
+    node = root
+    while not node.is_leaf:
+        open_children = [c for c in node.children if _has_unrun(c, run)]  # marked
+        if not open_children:
+            return None
+        prior = node.score
+        effective = [
+            c.score if c.score is not None else prior for c in open_children
+        ]
+        if all(e is None for e in effective):
+            node = open_children[int(rng.integers(len(open_children)))]
+            continue
+        known = [e for e in effective if e is not None]
+        best = max(known)
+        ties = [
+            c
+            for c, e in zip(open_children, effective)
+            if e is not None and e == best
+        ]
+        if not ties:  # all open children unscored with no prior
+            ties = open_children
+        node = ties[int(rng.integers(len(ties)))]
+    return node if _has_unrun(node, run) else None  # marked
+
+
+def reference_pick_random_leaf(
+    root: TreeNode, run: set[int], rng: np.random.Generator
+) -> TreeNode | None:
+    """``pick_random_leaf`` as it stood at ``7f25be5``, verbatim."""
+    candidates = [leaf for leaf in leaves(root) if id(leaf) not in run]
+    if not candidates:
+        return None
+    return candidates[int(rng.integers(len(candidates)))]
+
+
 def reference_ordered_search(
     root: TreeNode,
     scope: MergeScope,
@@ -231,9 +280,13 @@ def reference_ordered_search(
         raise ValueError("time_budget_seconds must be non-negative")
     rng = np.random.default_rng(seed)
     refresh_scores(root)
-    run = RunSet(root)
+    run: set[int] = set()
     evaluations: list[CandidateEvaluation] = []
-    picker = pick_prioritized_leaf if method == "prioritized" else pick_random_leaf
+    picker = (
+        reference_pick_prioritized_leaf
+        if method == "prioritized"
+        else reference_pick_random_leaf
+    )
     clock_start = time.perf_counter()
 
     while budget is None or len(evaluations) < budget:

@@ -1,24 +1,29 @@
 """Prioritized pipeline search tests (paper section VII-E)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.merge import (
     SearchSimulator,
+    TreeNode,
     build_compatibility_lut,
     build_merge_scope,
     build_search_tree,
-    leaves,
+    iter_nodes,
     mark_checkpointed_nodes,
-    pick_prioritized_leaf,
-    pick_random_leaf,
+    propagate_leaf_score,
     prune_incompatible,
     refresh_scores,
     run_ordered_search,
 )
+from repro.core.merge.prioritized import SearchStep, pick_prioritized_leaf, pick_random_leaf
 from repro.core.context import ExecutionContext
 from repro.core.executor import Executor
 
+from engine.reference import reference_pick_prioritized_leaf, reference_pick_random_leaf
 from helpers import build_fig3_history
 
 
@@ -68,9 +73,7 @@ class TestLeafPicking:
         valid first pick."""
         repo = build_fig3_history()
         _, root = prepared_tree(repo)
-        refresh_scores(root)
-        rng = np.random.default_rng(0)
-        leaf = pick_prioritized_leaf(root, set(), rng)
+        leaf = SearchStep(root, "prioritized", 0).draw()
         path = [n.identifier for n in leaf.path_from_root()]
         assert path[1].endswith("0.1")  # clean 0.1 subtree, always
 
@@ -80,121 +83,129 @@ class TestLeafPicking:
         for seed in range(20):
             repo = build_fig3_history()
             _, root = prepared_tree(repo)
-            refresh_scores(root)
-            leaf = pick_prioritized_leaf(root, set(), np.random.default_rng(seed))
+            leaf = SearchStep(root, "prioritized", seed).draw()
             clean_id = leaf.path_from_root()[1].identifier
             assert clean_id.endswith("0.1"), seed
 
     def test_prioritized_skips_run_leaves(self):
         repo = build_fig3_history()
         _, root = prepared_tree(repo)
-        refresh_scores(root)
-        rng = np.random.default_rng(0)
-        run = set()
-        picked = []
-        while True:
-            leaf = pick_prioritized_leaf(root, run, rng)
-            if leaf is None:
-                break
-            run.add(id(leaf))
-            picked.append(leaf)
+        picked = list(iter(SearchStep(root, "prioritized", 0).draw, None))
         assert len(picked) == 10  # every candidate searched exactly once
         assert len({id(p) for p in picked}) == 10
 
     def test_random_covers_all(self):
         repo = build_fig3_history()
         _, root = prepared_tree(repo)
-        rng = np.random.default_rng(1)
-        run = set()
-        count = 0
-        while (leaf := pick_random_leaf(root, run, rng)) is not None:
-            run.add(id(leaf))
-            count += 1
-        assert count == 10
+        picked = list(iter(SearchStep(root, "random", 1).draw, None))
+        assert len(picked) == 10
 
     def test_exhausted_returns_none(self):
         repo = build_fig3_history()
         _, root = prepared_tree(repo)
-        run = {id(leaf) for leaf in leaves(root)}
-        assert pick_prioritized_leaf(root, run, np.random.default_rng(0)) is None
-        assert pick_random_leaf(root, run, np.random.default_rng(0)) is None
+        step = SearchStep(root, "prioritized", 0)
+        while step.draw() is not None:
+            pass
+        assert root.unrun == 0
+        assert pick_prioritized_leaf(root, np.random.default_rng(0)) is None
+        assert pick_random_leaf(root, np.random.default_rng(0)) is None
+        # a new step over the same tree counts its leaves afresh
+        assert SearchStep(root, "random", 0).draw() is not None
 
 
-class TestUnrunLeafCounting:
-    """The O(depth × branching) pick path: per-node unrun-leaf counts must
-    always agree with a brute-force subtree scan, and picking behaviour
-    (including rng draw order) must be identical however the run set is
-    maintained."""
+# ----------------------------------------------- unrun counts, by property
+#: a few distinct scores, so that ties between siblings are common
+SCORES = st.sampled_from([0.25, 0.5, 0.75, float("nan")])
 
-    def _brute_count(self, node, run):
-        if node.is_leaf:
-            return 0 if id(node) in run else 1
-        return sum(self._brute_count(child, run) for child in node.children)
 
-    def test_counts_match_brute_force_throughout_a_search(self):
-        from repro.core.merge import iter_nodes
-        from repro.core.merge.prioritized import RunSet, _counter_for
+@st.composite
+def search_trees(draw):
+    """A search-tree shape: a list of child shapes per internal node, a
+    score (or ``None``) per leaf. Depth 1-4, branching 1-4, and any
+    subtree may be pruned — all of them, down to an empty root."""
+    depth = draw(st.integers(1, 4))
 
-        repo = build_fig3_history()
-        _, root = prepared_tree(repo)
-        refresh_scores(root)
-        rng = np.random.default_rng(3)
-        run = RunSet(root)
-        while (leaf := pick_prioritized_leaf(root, run, rng)) is not None:
-            run.add(id(leaf))
-            counter = _counter_for(root, run)
-            for node in iter_nodes(root):
-                assert counter.counts[id(node)] == self._brute_count(node, run)
+    def subtree(level):
+        if level == depth:
+            return draw(st.none() | SCORES)
+        children = [subtree(level + 1) for _ in range(draw(st.integers(1, 4)))]
+        kept = draw(st.lists(st.booleans(), min_size=len(children), max_size=len(children)))
+        return [child for child, keep in zip(children, kept) if keep]
 
-    def test_plain_set_and_runset_pick_identical_sequences(self):
-        from repro.core.merge.prioritized import RunSet
-        from repro.core.merge import candidate_components
+    return subtree(0)
 
-        def picked_sequence(make_run):
-            repo = build_fig3_history()
-            _, root = prepared_tree(repo)
-            refresh_scores(root)
-            rng = np.random.default_rng(11)
-            run = make_run(root)
-            picked = []
-            while (leaf := pick_prioritized_leaf(root, run, rng)) is not None:
-                run.add(id(leaf))
-                picked.append(
-                    tuple(c.identifier for c in candidate_components(leaf).values())
-                )
-            return picked
 
-        assert picked_sequence(lambda root: set()) == picked_sequence(RunSet)
+def grow(shape):
+    """The tree of a shape; a non-root node's component names its place."""
+    root = TreeNode(executed=True)
 
-    def test_runset_grows_only(self):
-        """Counters are decrement-only, so RunSet must route every grow
-        through add() and refuse removal outright."""
-        from repro.core.merge.prioritized import RunSet
+    def attach(parent, shape, path):
+        for index, child_shape in enumerate(shape):
+            child = parent.add_child(
+                TreeNode(component=SimpleNamespace(identifier=path + (index,)))
+            )
+            if isinstance(child_shape, list):
+                attach(child, child_shape, path + (index,))
+            elif child_shape is not None:  # a leaf trained in the history
+                child.score, child.executed = child_shape, True
 
-        repo = build_fig3_history()
-        _, root = prepared_tree(repo)
-        run = RunSet(root)
-        all_leaves = leaves(root)
-        run.update([id(leaf) for leaf in all_leaves])
-        assert pick_prioritized_leaf(root, run, np.random.default_rng(0)) is None
-        with pytest.raises(TypeError, match="removing"):
-            run.remove(id(all_leaves[0]))
-        with pytest.raises(TypeError, match="removing"):
-            run.clear()
-        with pytest.raises(TypeError, match="removing"):
-            run -= {id(all_leaves[0])}
+    attach(root, shape, ())
+    return root
 
-    def test_counter_rebuilds_when_run_set_shrinks(self):
-        """External callers may pass any plain set; a counter synced to a
-        larger run must be rebuilt, not trusted."""
-        repo = build_fig3_history()
-        _, root = prepared_tree(repo)
-        refresh_scores(root)
-        everything = {id(leaf) for leaf in leaves(root)}
-        assert pick_prioritized_leaf(root, everything, np.random.default_rng(0)) is None
-        # Shrink back to nothing: picking must work again.
-        leaf = pick_prioritized_leaf(root, set(), np.random.default_rng(0))
-        assert leaf is not None
+
+def brute_unrun(node, drawn):
+    if node.is_leaf:
+        return 0 if node.is_root or id(node) in drawn else 1
+    return sum(brute_unrun(child, drawn) for child in node.children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=search_trees(),
+    method=st.sampled_from(["prioritized", "random"]),
+    seed=st.integers(0, 2**16),
+    settled=st.lists(SCORES, max_size=64),
+)
+def test_unrun_counts_and_draws_match_the_brute_force_reference(
+    shape, method, seed, settled
+):
+    """After every draw each node's ``unrun`` is the brute-force count of
+    undrawn leaves beneath it, and the draws are the frozen reference
+    picker's over a plain run set, score settling included."""
+    root, twin = grow(shape), grow(shape)
+    step = SearchStep(root, method, seed)
+    reference = (
+        reference_pick_prioritized_leaf if method == "prioritized" else reference_pick_random_leaf
+    )
+    rng = np.random.default_rng(seed)
+    refresh_scores(twin)
+    drawn, run = set(), set()
+    scores = iter(settled)
+    while True:
+        leaf, expected = step.draw(), reference(twin, run, rng)
+        if leaf is None or expected is None:
+            assert leaf is expected is None
+            break
+        assert leaf.identifier == expected.identifier
+        drawn.add(id(leaf))
+        run.add(id(expected))
+        for node in iter_nodes(root):
+            assert node.unrun == brute_unrun(node, drawn)
+        score = next(scores, None)
+        step.settle(leaf, score)
+        expected.score = score
+        if method == "prioritized":
+            propagate_leaf_score(expected)
+    assert root.unrun == 0 and step.drawn == brute_unrun(grow(shape), set())
+
+
+def test_nan_scores_fall_back_to_a_uniform_pick():
+    """A NaN score makes the best estimate NaN, which equals no child:
+    the pick falls back to all open children instead of failing."""
+    nan = float("nan")
+    root = grow([[nan, None], [None, 0.5]])
+    picked = list(iter(SearchStep(root, "prioritized", 0).draw, None))
+    assert len(picked) == 4
 
 
 class TestRunOrderedSearch:

@@ -23,8 +23,9 @@ from repro.core.merge import (
     run_ordered_search,
 )
 from repro.engine import run_parallel_search
+from repro.errors import NoCandidateError
 
-from helpers import build_fig3_history
+from helpers import build_fig3_history, fresh_toy_repo, toy_extract, toy_model
 from test_prioritized import prepared_tree
 
 
@@ -140,6 +141,26 @@ class TestHistoryScoredWinner:
         exhaustive = build_fig3_history()
         exhaustive.merge("toy", "master", "dev", search="exhaustive")
         assert len(repo.checkpoints) == len(exhaustive.checkpoints)
+
+
+@pytest.mark.parametrize(
+    "search_method, workers",
+    [("exhaustive", 1), ("prioritized", 1), ("prioritized", 2), ("random", 1), ("random", 2)],
+)
+def test_a_merge_pruned_empty_finds_no_candidate(search_method, workers):
+    """Both branches keep extract 1.1 (feature schema v1) and bump a model
+    that reads v0: PC pruning leaves the virtual root alone, which no
+    search may draw as a candidate."""
+    repo = fresh_toy_repo()
+    unchecked = {"validate": False, "run": False}
+    repo.commit("toy", {"extract": toy_extract(1, variant=1)}, **unchecked)
+    repo.branch("toy", "dev")
+    repo.commit("toy", {"model": toy_model(1, 0.6)}, branch="dev", **unchecked)
+    repo.commit("toy", {"model": toy_model(2, 0.7)}, **unchecked)
+    head = repo.head_commit("toy", "master").commit_id
+    with pytest.raises(NoCandidateError):
+        repo.merge("toy", "master", "dev", search=search_method, workers=workers)
+    assert repo.head_commit("toy", "master").commit_id == head
 
 
 def _winner(outcome):
