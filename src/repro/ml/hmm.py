@@ -9,10 +9,19 @@ The DPM pipeline's third step designs "a Hidden Markov Modeling (HMM) model
 * Viterbi decoding and posterior state probabilities.
 
 In the DPM workload the posterior state probabilities are appended to the
-visit features — the "unbiasing" — before the downstream classifier. The
-HMM is deliberately the expensive pre-processing step: the paper observes
-"HMM processing is time consuming", which drives the reuse savings in
-Figs. 5-6.
+visit features — the "unbiasing" — before the downstream classifier.
+
+All sequences go through one batched E-step. They are grouped by length
+and each group is stacked ``(n, T, F)``; the emissions of every frame come
+from one call, and the scaled recursions step ``t`` over a whole group at
+once. The per-step products are written as stacked matrix-vector products
+with a unit dimension, ``(alpha[:, t-1, None, :] @ A)[:, 0]`` and
+``(A @ w[:, :, None])[:, :, 0]``: numpy runs each item as its own BLAS
+``gemv``, so every item is bit-identical to the one-sequence product
+``alpha[t-1] @ A``. A plain ``(n, S) @ (S, S)`` would be one ``gemm``, which
+sums in another order and moves the last bits. Baum-Welch sums its
+per-sequence statistics in the callers' sequence order, whatever the
+grouping (see "Kernels of the bundled apps" in ``docs/invariants.md``).
 """
 
 from __future__ import annotations
@@ -24,6 +33,42 @@ from .utils import resolve_rng
 
 _MIN_VAR = 1e-4
 _MIN_PROB = 1e-10
+
+
+def _as_sequences(sequences, n_features: int | None = None) -> list[np.ndarray]:
+    """``(T_i, F)`` float arrays; refuse an empty sequence or a width that
+    differs from ``n_features`` (default: the first sequence's)."""
+    arrays = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+    if n_features is None:
+        n_features, against = arrays[0].shape[1], "sequence 0 has"
+    else:
+        against = "the model was fitted on"
+    for index, seq in enumerate(arrays):
+        if seq.shape[0] == 0:
+            raise ValueError(f"sequence {index} is empty")
+        if seq.shape[1] != n_features:
+            raise ValueError(
+                f"sequence {index} has {seq.shape[1]} features, "
+                f"{against} {n_features}"
+            )
+    return arrays
+
+
+class _Batch:
+    """Sequences grouped by length, each group stacked ``(n, T, F)``.
+
+    ``frames`` holds every frame group after group, so the emissions of
+    all of them come from one call and each group's block reshapes back.
+    """
+
+    def __init__(self, sequences: list[np.ndarray]):
+        by_length: dict[int, list[int]] = {}
+        for index, seq in enumerate(sequences):
+            by_length.setdefault(seq.shape[0], []).append(index)
+        self.n_sequences = len(sequences)
+        self.index = [np.array(members) for members in by_length.values()]
+        self.X = [np.stack([sequences[i] for i in members]) for members in by_length.values()]
+        self.frames = np.concatenate([X.reshape(-1, X.shape[2]) for X in self.X])
 
 
 class GaussianHMM:
@@ -58,49 +103,60 @@ class GaussianHMM:
         log_norm = np.sum(np.log(2.0 * np.pi * self.variances_), axis=1)
         return -0.5 * (quad + log_norm[None, :])
 
-    def _emission_probs(self, X: np.ndarray) -> tuple[np.ndarray, float]:
-        """Return per-frame-normalized emission probs and the log offset.
+    def _e_step(self, batch: _Batch) -> list[tuple]:
+        """Scaled forward-backward over every group of ``batch``.
 
-        Normalizing each frame by its max log-density avoids underflow; the
-        subtracted offsets are returned so the exact sequence log-likelihood
-        can be recovered as ``sum(log(scale)) + offset``.
+        Returns per group ``(b, alpha, beta, gamma, ll)``: emission probs
+        normalized per frame by their max log-density (no underflow), the
+        scaled recursions, the state posteriors and each sequence's exact
+        log-likelihood ``sum(log(scale)) + sum(frame max)``.
         """
-        log_b = self._log_emission(X)
+        log_b = self._log_emission(batch.frames)
         frame_max = log_b.max(axis=1, keepdims=True)
-        log_b = log_b - frame_max
-        return np.clip(np.exp(log_b), _MIN_PROB, None), float(frame_max.sum())
+        b_all = np.clip(np.exp(log_b - frame_max), _MIN_PROB, None)
+        A = self.transitions_
+        results, start = [], 0
+        for X in batch.X:
+            n, T, _ = X.shape
+            stop = start + n * T
+            b = b_all[start:stop].reshape(n, T, self.n_states)
+            offset = frame_max[start:stop].reshape(n, T).sum(axis=1)
+            start = stop
 
-    def _forward(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        T = b.shape[0]
-        alpha = np.zeros((T, self.n_states))
-        scale = np.zeros(T)
-        alpha[0] = self.initial_ * b[0]
-        scale[0] = alpha[0].sum()
-        alpha[0] /= max(scale[0], _MIN_PROB)
-        for t in range(1, T):
-            alpha[t] = (alpha[t - 1] @ self.transitions_) * b[t]
-            scale[t] = alpha[t].sum()
-            alpha[t] /= max(scale[t], _MIN_PROB)
-        return alpha, scale
+            alpha = np.zeros((n, T, self.n_states))
+            scale = np.zeros((n, T))
+            alpha[:, 0] = self.initial_ * b[:, 0]
+            scale[:, 0] = alpha[:, 0].sum(axis=1)
+            alpha[:, 0] /= np.maximum(scale[:, 0], _MIN_PROB)[:, None]
+            for t in range(1, T):
+                alpha[:, t] = (alpha[:, t - 1, None, :] @ A)[:, 0] * b[:, t]
+                scale[:, t] = alpha[:, t].sum(axis=1)
+                alpha[:, t] /= np.maximum(scale[:, t], _MIN_PROB)[:, None]
 
-    def _backward(self, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        T = b.shape[0]
-        beta = np.zeros((T, self.n_states))
-        beta[-1] = 1.0
-        for t in range(T - 2, -1, -1):
-            beta[t] = self.transitions_ @ (b[t + 1] * beta[t + 1])
-            beta[t] /= max(scale[t + 1], _MIN_PROB)
-        return beta
+            beta = np.zeros((n, T, self.n_states))
+            beta[:, -1] = 1.0
+            for t in range(T - 2, -1, -1):
+                w = b[:, t + 1] * beta[:, t + 1]
+                beta[:, t] = (A @ w[:, :, None])[:, :, 0]
+                beta[:, t] /= np.maximum(scale[:, t + 1], _MIN_PROB)[:, None]
+
+            gamma = alpha * beta
+            gamma /= np.clip(gamma.sum(axis=2, keepdims=True), _MIN_PROB, None)
+            ll = np.log(np.clip(scale, _MIN_PROB, None)).sum(axis=1) + offset
+            results.append((b, alpha, beta, gamma, ll))
+        return results
 
     # ------------------------------------------------------------ public API
     def fit(self, sequences: list[np.ndarray]) -> "GaussianHMM":
         """Baum-Welch over a list of (T_i, n_features) sequences."""
         if not sequences:
             raise ValueError("need at least one sequence")
-        sequences = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+        sequences = _as_sequences(sequences)
         n_features = sequences[0].shape[1]
         stacked = np.vstack(sequences)
         rng = resolve_rng(self.seed)
+        batch = _Batch(sequences)
+        squares = [X * X for X in batch.X]
 
         # init: k-means-free heuristic — spread means over data quantiles
         quantiles = np.linspace(0.1, 0.9, self.n_states)
@@ -114,46 +170,55 @@ class GaussianHMM:
         )
         np.fill_diagonal(self.transitions_, 0.9)
 
+        # Per-sequence statistics, rows in the callers' sequence order; a
+        # single-frame sequence has no transitions and adds zeros.
+        N, S = batch.n_sequences, self.n_states
+        ll = np.empty(N)
+        first = np.empty((N, S))
+        trans = np.zeros((N, S, S))
+        occupancy = np.empty((N, S))
+        mean_num = np.empty((N, S, n_features))
+        var_num = np.empty((N, S, n_features))
+
         self.log_likelihood_history_ = []
         prev_ll = -np.inf
         for _ in range(self.n_iterations):
-            total_ll = 0.0
-            init_acc = np.zeros(self.n_states)
-            trans_acc = np.zeros((self.n_states, self.n_states))
-            mean_num = np.zeros((self.n_states, n_features))
-            var_num = np.zeros((self.n_states, n_features))
-            gamma_sum = np.zeros(self.n_states)
-
-            for seq in sequences:
-                b, log_offset = self._emission_probs(seq)
-                alpha, scale = self._forward(b)
-                beta = self._backward(b, scale)
-                total_ll += (
-                    float(np.sum(np.log(np.clip(scale, _MIN_PROB, None)))) + log_offset
-                )
-                gamma = alpha * beta
-                gamma /= np.clip(gamma.sum(axis=1, keepdims=True), _MIN_PROB, None)
-
-                init_acc += gamma[0]
-                if seq.shape[0] > 1:
+            groups = zip(batch.index, batch.X, squares, self._e_step(batch))
+            for index, X, X2, (b, alpha, beta, gamma, seq_ll) in groups:
+                ll[index] = seq_ll
+                first[index] = gamma[:, 0]
+                if X.shape[1] > 1:
                     # xi[t] proportional to alpha[t] A b[t+1] beta[t+1]
                     xi = (
-                        alpha[:-1, :, None]
-                        * self.transitions_[None, :, :]
-                        * (b[1:] * beta[1:])[:, None, :]
+                        alpha[:, :-1, :, None]
+                        * self.transitions_
+                        * (b[:, 1:] * beta[:, 1:])[:, :, None, :]
                     )
-                    xi /= np.clip(xi.sum(axis=(1, 2), keepdims=True), _MIN_PROB, None)
-                    trans_acc += xi.sum(axis=0)
-                gamma_sum += gamma.sum(axis=0)
-                mean_num += gamma.T @ seq
-                var_num += gamma.T @ (seq * seq)
+                    xi /= np.clip(xi.sum(axis=(2, 3), keepdims=True), _MIN_PROB, None)
+                    trans[index] = xi.sum(axis=1)
+                occupancy[index] = gamma.sum(axis=1)
+                gamma_t = gamma.transpose(0, 2, 1)
+                mean_num[index] = gamma_t @ X
+                var_num[index] = gamma_t @ X2
+
+            # Sum over sequences one after another from zero, in order: the
+            # sums a sequence-at-a-time loop accumulates, bit for bit. (Not
+            # ``sum()``, which compensates from Python 3.12, nor a 1-D
+            # ``np.sum``, which sums pairwise.)
+            total_ll = 0.0
+            for value in ll.tolist():
+                total_ll += value
+            init_acc, trans_acc, gamma_sum, mean_acc, var_acc = (
+                np.add.reduce(stat, axis=0, initial=0.0)
+                for stat in (first, trans, occupancy, mean_num, var_num)
+            )
 
             self.initial_ = init_acc / init_acc.sum()
             row_sums = np.clip(trans_acc.sum(axis=1, keepdims=True), _MIN_PROB, None)
             self.transitions_ = trans_acc / row_sums
             denom = np.clip(gamma_sum[:, None], _MIN_PROB, None)
-            self.means_ = mean_num / denom
-            self.variances_ = (var_num / denom - self.means_**2).clip(_MIN_VAR, None)
+            self.means_ = mean_acc / denom
+            self.variances_ = (var_acc / denom - self.means_**2).clip(_MIN_VAR, None)
 
             self.log_likelihood_history_.append(total_ll)
             if abs(total_ll - prev_ll) < self.tol * max(abs(prev_ll), 1.0):
@@ -163,20 +228,26 @@ class GaussianHMM:
         self._fitted = True
         return self
 
+    def posteriors(self, sequences: list[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+        """``(gamma, log_likelihood)`` per sequence, from one E-step: gamma
+        is the (T_i, n_states) per-frame state posterior."""
+        self._check()
+        sequences = _as_sequences(sequences, self.means_.shape[1])
+        batch = _Batch(sequences)
+        out: list = [None] * batch.n_sequences
+        for index, (_, _, _, gamma, ll) in zip(batch.index, self._e_step(batch)):
+            for row, position in enumerate(index.tolist()):
+                out[position] = (gamma[row], float(ll[row]))
+        return out
+
     def posterior(self, sequence: np.ndarray) -> np.ndarray:
         """Per-frame state posteriors gamma: (T, n_states)."""
-        self._check()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
-        b, _ = self._emission_probs(seq)
-        alpha, scale = self._forward(b)
-        beta = self._backward(b, scale)
-        gamma = alpha * beta
-        return gamma / np.clip(gamma.sum(axis=1, keepdims=True), _MIN_PROB, None)
+        return self.posteriors([sequence])[0][0]
 
     def viterbi(self, sequence: np.ndarray) -> np.ndarray:
         """Most likely state path."""
         self._check()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
+        (seq,) = _as_sequences([sequence], self.means_.shape[1])
         log_b = self._log_emission(seq)
         log_a = np.log(np.clip(self.transitions_, _MIN_PROB, None))
         T = seq.shape[0]
@@ -194,11 +265,7 @@ class GaussianHMM:
         return path
 
     def log_likelihood(self, sequence: np.ndarray) -> float:
-        self._check()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
-        b, log_offset = self._emission_probs(seq)
-        _, scale = self._forward(b)
-        return float(np.sum(np.log(np.clip(scale, _MIN_PROB, None)))) + log_offset
+        return self.posteriors([sequence])[0][1]
 
     def get_params(self) -> dict:
         self._check()

@@ -101,6 +101,34 @@ class TestInference:
         assert np.allclose(params["transitions"], hmm.transitions_)
 
 
+class TestRefusals:
+    @pytest.fixture(scope="class")
+    def hmm(self):
+        rng = np.random.default_rng(0)
+        return GaussianHMM(n_states=2, n_iterations=3).fit([rng.standard_normal((8, 4))] * 3)
+
+    @pytest.mark.parametrize("method", ["posterior", "log_likelihood", "viterbi"])
+    def test_width_mismatch_names_both_widths(self, hmm, method):
+        with pytest.raises(ValueError, match="sequence 0 has 1 features, the model was fitted on 4"):
+            getattr(hmm, method)(np.zeros((6, 1)))
+
+    def test_posteriors_width_mismatch_names_the_sequence(self, hmm):
+        with pytest.raises(ValueError, match="sequence 1 has 3 features, the model was fitted on 4"):
+            hmm.posteriors([np.zeros((6, 4)), np.zeros((6, 3))])
+
+    def test_fit_refuses_mixed_widths(self):
+        with pytest.raises(ValueError, match="sequence 2 has 1 features, sequence 0 has 4"):
+            GaussianHMM().fit([np.zeros((5, 4)), np.ones((3, 4)), np.zeros((5, 1))])
+
+    def test_fit_refuses_an_empty_sequence(self):
+        with pytest.raises(ValueError, match="sequence 1 is empty"):
+            GaussianHMM().fit([np.ones((5, 2)), np.zeros((0, 2))])
+
+    def test_posterior_refuses_an_empty_sequence(self, hmm):
+        with pytest.raises(ValueError, match="sequence 0 is empty"):
+            hmm.posterior(np.zeros((0, 4)))
+
+
 class TestOnDPMData:
     def test_recovers_progression_structure(self):
         """On the synthetic CKD data, posterior stages must correlate with
