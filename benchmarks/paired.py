@@ -2,6 +2,7 @@
 
     python3 benchmarks/paired.py --workload NAME [--seed N] [--pairs K]
         [--base REV] [--head REV|WORKTREE] [--trace 0|1] [--workdir DIR]
+        [--history FILE]
 
 Both sides are checked out into fresh directories beside each other
 (``git archive`` of a revision; ``WORKTREE`` copies this checkout's tracked
@@ -21,6 +22,12 @@ parent's by more than that distance. ``failed`` counts the failed
 operations of each side, and ``incorrect`` the runs whose checks failed.
 A gain is claimed when the change wins at least nine pairs in ten and
 clears the IQR, at each of the seeds it is claimed for.
+
+With ``--history FILE`` the run is also remembered: one JSON line per side
+is appended to FILE (``benchmarks/results/history.jsonl`` is the committed
+one) with the side's commit id (or ``WORKTREE``), the workload, seed,
+trace flag and pair count, and the median of every end-to-end metric in
+``BENCHMARK.json``; a traced run adds the medians of the per-layer rows.
 """
 
 from __future__ import annotations
@@ -83,11 +90,40 @@ def run_budget(checkout_dir: str, workload: str, seed: int, trace: int) -> dict:
         ) from None
 
 
+def declared() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def directions() -> dict[str, str]:
     """Metric name -> ``"lower"`` or ``"higher"``, from ``BENCHMARK.json``."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        declared = json.load(fh)
-    return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    metrics = declared()
+    return {m["name"]: m["better"] for m in metrics["end_to_end"] + metrics["per_layer"]}
+
+
+def history_record(commit: str, side: str, workload: str, seed: int, trace: int,
+                   runs: list[dict]) -> dict:
+    """One side of a paired run as a ``history.jsonl`` line: the medians of
+    its end-to-end metrics and, when traced, of its per-layer rows."""
+    metrics = declared()
+
+    def medians(group: str) -> dict[str, float]:
+        return {
+            m["name"]: statistics.median([r["metrics"][m["name"]]["value"] for r in runs])
+            for m in metrics[group] if m["name"] in runs[0]["metrics"]
+        }
+
+    record = {"commit": commit, "side": side, "workload": workload, "seed": seed,
+              "trace": trace, "pairs": len(runs), "end_to_end": medians("end_to_end")}
+    if trace:
+        record["layers"] = medians("per_layer")
+    return record
+
+
+def append_history(path: str, records: list[dict]) -> None:
+    with open(path, "a") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -125,6 +161,8 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default=WORKTREE, help=f"the change: a revision or {WORKTREE} (default)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workdir", default=None, help="where the checkouts go (default: a temp dir)")
+    parser.add_argument("--history", default=None, metavar="FILE",
+                        help="append one JSON line of medians per side to FILE")
     args = parser.parse_args(argv)
 
     workdir = tempfile.mkdtemp(prefix="paired-", dir=args.workdir)
@@ -143,6 +181,11 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
+    if args.history:
+        append_history(args.history, [
+            history_record(s["rev"], side, args.workload, args.seed, args.trace, s["runs"])
+            for side, s in sides.items()
+        ])
     better = directions()
     parent_runs, change_runs = sides["parent"]["runs"], sides["change"]["runs"]
     names = [n for n in parent_runs[0]["metrics"] if n in better]

@@ -376,9 +376,11 @@ class MLCask:
         checkpointing keeps each component execution at-most-once). The
         workers are threads: ``BENCH_parallel_merge``'s 1.99x / 3.62x at
         2 / 4 workers are for sleep-simulated, GIL-releasing component
-        delays; on the four real numpy apps the 2-worker merge measured
-        slower than the sequential one (``merge_parallel_s`` 1.29 s vs
-        ``merge_s`` 0.81 s, ``benchmarks/budget/README.md`` finding 4).
+        delays; on the four real numpy apps the 2-worker prioritized merge
+        measures slower than the sequential exhaustive one. One traced
+        ``local_evolve_merge`` round, seed 0, 2-core Xeon: at ``689548b``
+        ``merge_parallel_s`` 0.92 s vs ``merge_s`` 0.56 s; after the MLP
+        moved to one flat parameter buffer, 0.59 s vs 0.40 s.
         """
         if self.branches.is_fast_forward(self.graph, pipeline, head_branch, merge_head_branch):
             return self._fast_forward(pipeline, head_branch, merge_head_branch, message)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import as_2d, encode_labels, one_hot
-from .mlp import MLPClassifier
-from .utils import resolve_rng, softmax
+from .base import as_2d
+from .mlp import MLPClassifier, log_likelihood_rows
+from .utils import resolve_rng
 
 
 def pipeline_speedup(p: float, k: float) -> float:
@@ -104,11 +104,9 @@ class DistributedTrainer:
         """
         model = self.model
         X = as_2d(X)
-        model.classes_, indices = encode_labels(y)
-        n_classes = model.classes_.size
-        targets_full = one_hot(indices, n_classes)
+        targets_full = model._targets(X, y)
         rng = resolve_rng(self.seed)
-        model._init_params(X.shape[1], n_classes, rng)
+        model._init_params(X.shape[1], model.classes_.size, rng)
 
         if compute_time_per_batch is None:
             compute_time_per_batch = self._calibrate(X, targets_full, global_batch)
@@ -126,38 +124,25 @@ class DistributedTrainer:
         for _ in range(n_steps):
             batch = rng.choice(X.shape[0], size=min(global_batch, X.shape[0]), replace=False)
             shards = np.array_split(batch, self.n_workers)
-            grads_w = [np.zeros_like(W) for W in model.weights_]
-            grads_b = [np.zeros_like(b) for b in model.biases_]
+            grads = np.zeros_like(model._params)
             total = 0
             for shard in shards:
                 if shard.size == 0:
                     continue
-                activations, logits = model._forward(X[shard])
-                proba = softmax(logits)
-                shard_targets = targets_full[shard]
+                activations, proba = model._forward(X[shard])
                 total += shard.size
-                gw, gb = model._backward(activations, proba, shard_targets)
                 # _backward normalizes by shard size; undo to weight shards
                 # by their sample counts before global averaging.
-                for layer in range(len(grads_w)):
-                    grads_w[layer] += gw[layer] * shard.size
-                    grads_b[layer] += gb[layer] * shard.size
-            for layer in range(len(grads_w)):
-                model.weights_[layer] -= model.learning_rate * grads_w[layer] / total
-                model.biases_[layer] -= model.learning_rate * grads_b[layer] / total
+                grads += model._backward(activations, proba, targets_full[shard]) * shard.size
+            model._params -= model.learning_rate * grads / total
 
             clock += compute_time_per_batch / self.n_workers + overhead
             trace.times.append(clock)
             # Record the full-dataset training loss: monotone-comparable
             # across worker counts (minibatch losses are too noisy; the
             # simulated clock never charges for this bookkeeping pass).
-            _, logits = model._forward(X)
-            proba = softmax(logits)
-            raw = float(
-                -np.mean(
-                    np.sum(targets_full * np.log(np.clip(proba, 1e-12, 1.0)), axis=1)
-                )
-            )
+            _, proba = model._forward(X)
+            raw = float(-np.mean(log_likelihood_rows(proba, targets_full)))
             trace.losses.append(raw)
             previous = trace.smoothed[-1] if trace.smoothed else raw
             trace.smoothed.append(0.8 * previous + 0.2 * raw)
@@ -170,7 +155,6 @@ class DistributedTrainer:
         model = self.model
         batch = np.arange(min(global_batch, X.shape[0]))
         start = time.perf_counter()
-        activations, logits = model._forward(X[batch])
-        proba = softmax(logits)
+        activations, proba = model._forward(X[batch])
         model._backward(activations, proba, targets_full[batch])
         return max(time.perf_counter() - start, 1e-5)

@@ -5,6 +5,17 @@ paper trains deep models on Apache SINGA; here a seeded numpy MLP plays the
 same role: an expensive trainable component whose accuracy depends on which
 upstream feature-extraction version feeds it — the coupling that makes the
 metric-driven merge non-trivial.
+
+Buffer layout. Every parameter lives in one flat float64 buffer: all
+weight matrices first, layer by layer, each row-major, then all bias
+vectors. ``weights_`` and ``biases_`` are C-contiguous reshaped views of
+it, so ``get_params()`` hands out the same bytes a list of separate arrays
+would. The gradients live in a second buffer of the same layout, written
+in place by ``_backward``; the L2 term is one operation over the weight
+prefix and the momentum step four operations over the whole buffer. Each
+element is rounded exactly as a per-layer loop would round it, so the
+layout changes what a training step costs, never what it computes
+(``tests/ml/test_mlp_reference.py`` holds it to the per-layer model).
 """
 
 from __future__ import annotations
@@ -12,7 +23,39 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, as_2d, encode_labels, one_hot
-from .utils import minibatches, relu, resolve_rng, softmax, xavier_init
+from .utils import resolve_rng, xavier_init
+
+
+def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight matrices, then bias vectors, as views of ``flat``."""
+    weights: list[np.ndarray] = []
+    biases: list[np.ndarray] = []
+    offset = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, numerically stabilized, overwriting ``logits``."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    return logits
+
+
+def log_likelihood_rows(proba: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each row's log-likelihood of its one-hot ``targets`` under ``proba``
+    (clipped to [1e-12, 1]); overwrites ``proba``. Minus its mean is the
+    cross-entropy loss."""
+    np.clip(proba, 1e-12, 1.0, out=proba)
+    np.log(proba, out=proba)
+    np.multiply(targets, proba, out=proba)
+    return np.add.reduce(proba, axis=1)
 
 
 class MLPClassifier(Classifier):
@@ -44,86 +87,106 @@ class MLPClassifier(Classifier):
         self.loss_history_: list[float] = []
 
     # ------------------------------------------------------------- internals
+    def _targets(self, X: np.ndarray, y) -> np.ndarray:
+        """Set ``classes_`` from ``y``; return its one-hot rows, one per row
+        of ``X``."""
+        self.classes_, indices = encode_labels(y)
+        if indices.shape[0] != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has {indices.shape[0]} labels")
+        return one_hot(indices, self.classes_.size)
+
     def _init_params(self, n_features: int, n_classes: int, rng) -> None:
         sizes = [n_features, *self.hidden_sizes, n_classes]
-        self.weights_ = [
-            xavier_init(rng, sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)
-        ]
-        self.biases_ = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        self._n_weights = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
+        self._params = np.zeros(self._n_weights + sum(sizes[1:]))
+        self.weights_, self.biases_ = _layer_views(self._params, sizes)
+        for W in self.weights_:
+            W[...] = xavier_init(rng, *W.shape)
+        self._grads = np.empty_like(self._params)
+        self._grads_w, self._grads_b = _layer_views(self._grads, sizes)
 
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Hidden activations (``X`` first) and the class probabilities."""
         activations = [X]
         h = X
         for W, b in zip(self.weights_[:-1], self.biases_[:-1]):
-            h = relu(h @ W + b)
+            h = h @ W
+            h += b
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
-        logits = h @ self.weights_[-1] + self.biases_[-1]
-        return activations, logits
+        logits = h @ self.weights_[-1]
+        logits += self.biases_[-1]
+        return activations, _softmax_in_place(logits)
 
     def _backward(
         self,
         activations: list[np.ndarray],
         proba: np.ndarray,
         targets: np.ndarray,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        n = targets.shape[0]
-        grad_logits = (proba - targets) / n
-        grads_w: list[np.ndarray] = [None] * len(self.weights_)  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * len(self.biases_)  # type: ignore[list-item]
-        delta = grad_logits
+    ) -> np.ndarray:
+        """The gradient of the mean loss plus the L2 term, written into the
+        flat gradient buffer (which is returned; the next call reuses it)."""
+        delta = proba - targets
+        delta /= targets.shape[0]
         for layer in range(len(self.weights_) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta + self.l2 * self.weights_[layer]
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(activations[layer].T, delta, out=self._grads_w[layer])
+            np.add.reduce(delta, axis=0, out=self._grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights_[layer].T) * (activations[layer] > 0)
-        return grads_w, grads_b
+                delta = delta @ self.weights_[layer].T
+                delta *= activations[layer] > 0
+        n_w = self._n_weights
+        self._grads[:n_w] += self.l2 * self._params[:n_w]
+        return self._grads
 
     # ------------------------------------------------------------ public API
     def fit(self, X, y) -> "MLPClassifier":
         X = as_2d(X)
-        self.classes_, indices = encode_labels(y)
+        targets = self._targets(X, y)
         n_classes = self.classes_.size
         if n_classes < 2:
             raise ValueError("need at least two classes")
-        targets_full = one_hot(indices, n_classes)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         rng = resolve_rng(self.seed)
         self._init_params(X.shape[1], n_classes, rng)
-        velocity_w = [np.zeros_like(W) for W in self.weights_]
-        velocity_b = [np.zeros_like(b) for b in self.biases_]
+        params = self._params
+        velocity = np.zeros_like(params)
+        n, size = X.shape[0], self.batch_size
+        starts = range(0, n, size)
+        epoch_proba = np.empty((n, n_classes))
         self.loss_history_ = []
 
         for _ in range(self.n_epochs):
+            order = rng.permutation(n)
+            epoch_X, epoch_targets = X[order], targets[order]
+            for start in starts:
+                stop = start + size
+                activations, proba = self._forward(epoch_X[start:stop])
+                epoch_proba[start:stop] = proba
+                grads = self._backward(activations, proba, epoch_targets[start:stop])
+                velocity *= self.momentum
+                grads *= self.learning_rate
+                velocity -= grads
+                params += velocity
+            # Each batch's loss is minus the mean of its rows, summed over
+            # its rows alone and added in batch order: what a per-batch
+            # ``np.mean`` of the same rows gives.
+            rows = log_likelihood_rows(epoch_proba, epoch_targets)
             epoch_loss = 0.0
-            n_batches = 0
-            for batch in minibatches(X.shape[0], self.batch_size, rng):
-                activations, logits = self._forward(X[batch])
-                proba = softmax(logits)
-                batch_targets = targets_full[batch]
-                loss = -np.mean(
-                    np.sum(batch_targets * np.log(np.clip(proba, 1e-12, 1.0)), axis=1)
-                )
-                epoch_loss += loss
-                n_batches += 1
-                grads_w, grads_b = self._backward(activations, proba, batch_targets)
-                for layer in range(len(self.weights_)):
-                    velocity_w[layer] = (
-                        self.momentum * velocity_w[layer]
-                        - self.learning_rate * grads_w[layer]
-                    )
-                    velocity_b[layer] = (
-                        self.momentum * velocity_b[layer]
-                        - self.learning_rate * grads_b[layer]
-                    )
-                    self.weights_[layer] += velocity_w[layer]
-                    self.biases_[layer] += velocity_b[layer]
-            self.loss_history_.append(epoch_loss / max(n_batches, 1))
+            for start in starts:
+                batch_rows = rows[start:start + size]
+                epoch_loss += -(np.add.reduce(batch_rows) / batch_rows.shape[0])
+            self.loss_history_.append(epoch_loss / max(len(starts), 1))
         self._mark_fitted()
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         self.check_fitted()
-        _, logits = self._forward(as_2d(X))
-        return softmax(logits)
+        X = as_2d(X)
+        fitted = self.weights_[0].shape[0]
+        if X.shape[1] != fitted:
+            raise ValueError(f"X has {X.shape[1]} features but the model was fitted on {fitted}")
+        return self._forward(X)[1]
 
     def get_params(self) -> dict:
         self.check_fitted()

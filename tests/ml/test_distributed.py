@@ -107,6 +107,13 @@ class TestDistributedTrainer:
 
         assert accuracy(y, model.predict(X)) > 0.7
 
+    @pytest.mark.parametrize("n_labels", [299, 301])
+    def test_label_count_must_match_the_rows(self, n_labels):
+        X, y = data()
+        trainer = DistributedTrainer(MLPClassifier(hidden_sizes=(8,)), n_workers=2)
+        with pytest.raises(ValueError, match=f"X has 300 rows but y has {n_labels} labels"):
+            trainer.train(X, np.resize(y, n_labels), n_steps=1, compute_time_per_batch=0.01)
+
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             DistributedTrainer(MLPClassifier(), n_workers=0)

@@ -154,6 +154,36 @@ class TestMLP:
         model = MLPClassifier(hidden_sizes=(16,), n_epochs=40, seed=2).fit(X, y)
         assert accuracy(y, model.predict(X)) > 0.9
 
+    @pytest.mark.parametrize("n_labels", [49, 51])
+    def test_label_count_must_match_the_rows(self, n_labels):
+        X, y = linearly_separable(50)
+        y = np.resize(y, n_labels)
+        with pytest.raises(ValueError, match=f"X has 50 rows but y has {n_labels} labels"):
+            MLPClassifier(n_epochs=1).fit(X, y)
+
+    @pytest.mark.parametrize("n_epochs", [0, 1])
+    def test_batch_size_must_be_positive(self, n_epochs):
+        X, y = linearly_separable(50)
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            MLPClassifier(batch_size=0, n_epochs=n_epochs).fit(X, y)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_feature_width_must_match_the_fitted_one(self, width):
+        X, y = linearly_separable(50, d=5)
+        model = MLPClassifier(n_epochs=1).fit(X, y)
+        wrong = np.ones((3, width))
+        for method in (model.predict, model.predict_proba):
+            with pytest.raises(ValueError, match=f"X has {width} features but the model was fitted on 5"):
+                method(wrong)
+
+    def test_params_are_views_of_one_buffer(self):
+        X, y = linearly_separable(50, d=4)
+        model = MLPClassifier(hidden_sizes=(8, 4), n_epochs=2).fit(X, y)
+        arrays = (*model.weights_, *model.biases_)
+        assert all(array.flags.c_contiguous for array in arrays)
+        assert len({id(array.base) for array in arrays}) == 1
+        assert arrays[0].base.size == sum(array.size for array in arrays)
+
 
 class TestIm2Col:
     def test_shape(self):
