@@ -38,36 +38,38 @@ def make_reviews(
     Each document mixes neutral tokens with class-matched sentiment tokens
     at rate ``sentiment_strength``; a small fraction of off-class sentiment
     tokens keeps the task non-trivial.
+
+    Every token takes two uniform draws, in order: a roll that picks its
+    kind (own-class, other-class or neutral word) and a pick among the
+    Zipf weights of that kind. The pick is what ``Generator.choice(n,
+    p=p)`` does with the one double it draws: ``searchsorted(cdf, u,
+    side="right")`` over ``p.cumsum() / cdf[-1]``. So one ``rng.random``
+    call after the labels gives every draw of the corpus, the same stream
+    a per-token ``random()`` + ``choice(p=)`` loop consumes, and the same
+    tokens.
     """
     if not 0.0 < sentiment_strength < 1.0:
         raise ValueError("sentiment_strength must be in (0, 1)")
     rng = np.random.default_rng(seed + 104729 * day)
+    words = np.array(vocabulary(n_sentiment, n_neutral), dtype=object)  # pos, neg, neutral
 
-    pos_words = [f"pos{i}" for i in range(n_sentiment)]
-    neg_words = [f"neg{i}" for i in range(n_sentiment)]
-    neutral_words = [f"w{i}" for i in range(n_neutral)]
-
-    # Zipf-ish weights make co-occurrence statistics realistic.
-    neutral_weights = 1.0 / np.arange(1, n_neutral + 1)
-    neutral_weights /= neutral_weights.sum()
-    sent_weights = 1.0 / np.arange(1, n_sentiment + 1)
-    sent_weights /= sent_weights.sum()
+    def pick(n: int, u: np.ndarray) -> np.ndarray:
+        # Zipf-ish weights make co-occurrence statistics realistic.
+        weights = 1.0 / np.arange(1, n + 1)
+        weights /= weights.sum()
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        return np.searchsorted(cdf, u, side="right")
 
     labels = rng.integers(0, 2, n_docs)
-    docs: list[str] = []
-    for label in labels:
-        own = pos_words if label == 1 else neg_words
-        other = neg_words if label == 1 else pos_words
-        tokens: list[str] = []
-        for _ in range(doc_len):
-            roll = rng.random()
-            if roll < sentiment_strength:
-                tokens.append(own[rng.choice(n_sentiment, p=sent_weights)])
-            elif roll < sentiment_strength + 0.05:
-                tokens.append(other[rng.choice(n_sentiment, p=sent_weights)])
-            else:
-                tokens.append(neutral_words[rng.choice(n_neutral, p=neutral_weights)])
-        docs.append(" ".join(tokens))
+    draws = rng.random(2 * n_docs * doc_len).reshape(n_docs, doc_len, 2)
+    roll, u = draws[..., 0], draws[..., 1]
+    # own-class words are the pos ones for label 1, other-class ones for 0
+    positive = (roll < sentiment_strength) == (labels[:, None] == 1)
+    sentiment = np.where(positive, 0, n_sentiment) + pick(n_sentiment, u)
+    neutral = 2 * n_sentiment + pick(n_neutral, u)
+    tokens = np.where(roll < sentiment_strength + 0.05, sentiment, neutral)
+    docs = [" ".join(words[row]) for row in tokens]
 
     return Table({
         "doc_id": np.arange(n_docs, dtype=np.int64) + 10000 * (day + 1),

@@ -86,9 +86,21 @@ def as_2d(X) -> np.ndarray:
     return arr
 
 
-def encode_labels(y) -> tuple[np.ndarray, np.ndarray]:
-    """Return (classes, indices) with indices into the sorted class set."""
+def check_width(X: np.ndarray, fitted: int) -> None:
+    """Refuse an ``X`` whose column count is not the one a model was fitted on."""
+    if X.shape[1] != fitted:
+        raise ValueError(f"X has {X.shape[1]} features but the model was fitted on {fitted}")
+
+
+def encode_labels(y, n_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Return (classes, indices) with indices into the sorted class set.
+
+    With ``n_rows``, the row count of the ``X`` the labels belong to, a
+    different number of labels is refused.
+    """
     arr = np.asarray(y).ravel()
+    if n_rows is not None and arr.shape[0] != n_rows:
+        raise ValueError(f"X has {n_rows} rows but y has {arr.shape[0]} labels")
     classes, indices = np.unique(arr, return_inverse=True)
     return classes, indices
 

@@ -10,19 +10,27 @@ built once per ``AdaBoostClassifier.fit`` and every round's stump does
 only the weighted part (:meth:`DecisionStump._fit_grid`). A standalone
 ``DecisionStump.fit`` builds the grid for its one call: there is one
 scoring path.
+
+The grid stacks the features by threshold count ``t``, so a round scores
+a whole group with one stacked product ``(C, n) @ (G, n, t)``: one
+``(C, n) @ (n, t)`` gemm per feature, the same call a per-feature loop
+makes, so every side score keeps its bits. Features are never padded to a
+common ``t``: ``(C, n) @ (n, 8)`` sums in another order than
+``(C, n) @ (n, 3)``, and the last bits decide near-ties in the ``argmin``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, as_2d, encode_labels
+from .base import Classifier, as_2d, check_width, encode_labels
 
-#: One candidate feature: ``(feature, thresholds, left_mask, invalid)`` —
-#: the distinct quantile thresholds ``(t,)``, the ``(n, t)`` boolean mask
-#: ``column <= threshold`` and the ``(t,)`` flags of thresholds that leave
-#: one side empty.
-SplitGrid = list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+#: One group of candidate features sharing a threshold count ``t``:
+#: ``(features, thresholds, masks, invalid)`` — the ``(G,)`` feature
+#: indices in increasing order, their ``(G, t)`` distinct quantile
+#: thresholds, the ``(G, n, t)`` float masks ``column <= threshold`` and
+#: the ``(G, t)`` flags of thresholds that leave one side empty.
+SplitGroup = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _check_thresholds(n_thresholds: int) -> None:
@@ -30,24 +38,34 @@ def _check_thresholds(n_thresholds: int) -> None:
         raise ValueError(f"n_thresholds must be >= 1, got {n_thresholds}")
 
 
-def _split_grid(X: np.ndarray, n_thresholds: int) -> SplitGrid:
-    """Every feature's candidate splits over a quantile grid of ``X``.
+def _split_grid(X: np.ndarray, n_thresholds: int) -> list[SplitGroup]:
+    """Every feature's candidate splits over a quantile grid of ``X``,
+    grouped by threshold count.
 
     A feature with no valid split (every threshold leaves one side empty)
     is left out.
     """
-    quantiles = np.linspace(0.05, 0.95, n_thresholds)
     n = X.shape[0]
-    grid: SplitGrid = []
+    quantiles = np.quantile(X, np.linspace(0.05, 0.95, n_thresholds), axis=0)  # (q, d)
+    groups: dict[int, list[tuple]] = {}
     for feature in range(X.shape[1]):
-        column = X[:, feature]
-        thresholds = np.unique(np.quantile(column, quantiles))
-        left_mask = column[:, None] <= thresholds[None, :]  # (n, t)
+        thresholds = np.unique(quantiles[:, feature])
+        left_mask = X[:, feature, None] <= thresholds  # (n, t)
         n_left = left_mask.sum(axis=0)
         valid = (n_left > 0) & (n_left < n)
         if valid.any():
-            grid.append((feature, thresholds, left_mask, ~valid))
-    return grid
+            groups.setdefault(thresholds.size, []).append(
+                (feature, thresholds, left_mask, ~valid)
+            )
+    return [
+        (
+            np.array(features),
+            np.stack(thresholds),
+            np.stack(masks).astype(np.float64),
+            np.stack(invalid),
+        )
+        for features, thresholds, masks, invalid in (zip(*group) for group in groups.values())
+    ]
 
 
 class DecisionStump:
@@ -73,15 +91,13 @@ class DecisionStump:
         )
 
     def _fit_grid(
-        self, grid: SplitGrid, y_idx: np.ndarray, weights: np.ndarray, n_classes: int
+        self, grid: list[SplitGroup], y_idx: np.ndarray, weights: np.ndarray, n_classes: int
     ) -> "DecisionStump":
         """Pick the best split of ``grid`` under ``weights``.
 
-        The side scores are one ``(C, n) @ (n, t)`` product per feature,
-        against that feature's boolean mask. One product over all features
-        at once, ``(C, n) @ (n, sum t)``, is not bit-identical: BLAS sums
-        in another order, the last bits move, and with them ties in the
-        ``argmin``, so the per-feature shape stays.
+        Each feature's pick is its first lowest-error threshold; the split
+        is the lowest error over all features, the lowest feature index on
+        a tie.
         """
         n = weights.shape[0]
         # Per-class weight rows (C, n): lets every threshold's side scores
@@ -91,24 +107,28 @@ class DecisionStump:
         total_per_class = class_weights.sum(axis=1)  # (C,)
         total_weight = weights.sum()
         self.left_class_ = self.right_class_ = int(total_per_class.argmax())
-        best_err = np.inf
+        best = (np.inf, -1)  # (error, feature)
 
-        for feature, thresholds, left_mask, invalid in grid:
-            left_scores = class_weights @ left_mask  # (C, t)
+        for features, thresholds, masks, invalid in grid:
+            left_scores = np.matmul(class_weights, masks)  # (G, C, t)
             right_scores = total_per_class[:, None] - left_scores
             err = (
                 total_weight
-                - left_scores.max(axis=0)
-                - right_scores.max(axis=0)
-            )
+                - left_scores.max(axis=1)
+                - right_scores.max(axis=1)
+            )  # (G, t)
             err[invalid] = np.inf
-            pick = int(np.argmin(err))
-            if err[pick] < best_err:
-                best_err = float(err[pick])
-                self.feature_ = feature
-                self.threshold_ = float(thresholds[pick])
-                self.left_class_ = int(left_scores[:, pick].argmax())
-                self.right_class_ = int(right_scores[:, pick].argmax())
+            picks = err.argmin(axis=1)
+            errors = err[np.arange(features.size), picks]
+            g = int(errors.argmin())
+            candidate = (float(errors[g]), int(features[g]))
+            if candidate < best:
+                best = candidate
+                pick = picks[g]
+                self.feature_ = candidate[1]
+                self.threshold_ = float(thresholds[g, pick])
+                self.left_class_ = int(left_scores[g, :, pick].argmax())
+                self.right_class_ = int(right_scores[g, :, pick].argmax())
         return self
 
     def predict_idx(self, X: np.ndarray) -> np.ndarray:
@@ -132,12 +152,18 @@ class AdaBoostClassifier(Classifier):
         self.n_thresholds = n_thresholds
         self.stumps_: list[DecisionStump] = []
         self.alphas_: list[float] = []
+        self.n_features_ = 0
 
     def fit(self, X, y) -> "AdaBoostClassifier":
         X = as_2d(X)
-        self.classes_, y_idx = encode_labels(y)
+        n, d = X.shape
+        if n == 0:
+            raise ValueError("X has 0 rows: nothing to fit")
+        if d == 0:
+            raise ValueError(f"X has {n} rows but 0 feature columns")
+        self.classes_, y_idx = encode_labels(y, n)
+        self.n_features_ = d
         n_classes = self.classes_.size
-        n = X.shape[0]
         weights = np.full(n, 1.0 / n)
         grid = _split_grid(X, self.n_thresholds)
         self.stumps_, self.alphas_ = [], []
@@ -165,6 +191,7 @@ class AdaBoostClassifier(Classifier):
 
     def _votes(self, X) -> np.ndarray:
         X = as_2d(X)
+        check_width(X, self.n_features_)
         n_classes = self.classes_.size
         votes = np.zeros((X.shape[0], n_classes))
         for stump, alpha in zip(self.stumps_, self.alphas_):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, as_2d, encode_labels, one_hot
+from .base import Classifier, as_2d, check_width, encode_labels, one_hot
 from .utils import resolve_rng, xavier_init
 
 
@@ -90,9 +90,7 @@ class MLPClassifier(Classifier):
     def _targets(self, X: np.ndarray, y) -> np.ndarray:
         """Set ``classes_`` from ``y``; return its one-hot rows, one per row
         of ``X``."""
-        self.classes_, indices = encode_labels(y)
-        if indices.shape[0] != X.shape[0]:
-            raise ValueError(f"X has {X.shape[0]} rows but y has {indices.shape[0]} labels")
+        self.classes_, indices = encode_labels(y, X.shape[0])
         return one_hot(indices, self.classes_.size)
 
     def _init_params(self, n_features: int, n_classes: int, rng) -> None:
@@ -183,9 +181,7 @@ class MLPClassifier(Classifier):
     def predict_proba(self, X) -> np.ndarray:
         self.check_fitted()
         X = as_2d(X)
-        fitted = self.weights_[0].shape[0]
-        if X.shape[1] != fitted:
-            raise ValueError(f"X has {X.shape[1]} features but the model was fitted on {fitted}")
+        check_width(X, self.weights_[0].shape[0])
         return self._forward(X)[1]
 
     def get_params(self) -> dict:

@@ -9,7 +9,11 @@ deadlocked scheduler or merge coordinator fails the test instead of
 hanging the run.
 
 It also installs the lock witness (below), which checks the lock
-discipline of everything under ``src/repro`` for the whole session.
+discipline of everything under ``src/repro`` for the whole session, and
+registers the ``kernel-oracles`` hypothesis profile: the wider draw CI
+gives the differential tests of the bundled apps' kernels
+(``python -m pytest --hypothesis-profile kernel-oracles ...``; see
+``oracle_settings`` in ``helpers.py``).
 """
 
 import _thread
@@ -24,9 +28,14 @@ import sys
 import threading
 
 import pytest
+from hypothesis import settings
 
 # Make tests/helpers.py importable as `helpers` from any test module.
 sys.path.insert(0, os.path.dirname(__file__))
+
+# A near-tie a rewritten kernel flips shows up only in some drawn inputs:
+# a padded stump product flips one only where threshold counts mix.
+settings.register_profile("kernel-oracles", max_examples=600, deadline=None)
 
 pytest_plugins = ["pytester"]
 

@@ -8,6 +8,9 @@ deterministically so distinct versions never collide in the
 content-addressed checkpoint store. This makes merge-machinery tests
 exact: expected winners, candidate counts, and reuse counts are all
 computable by hand.
+
+It also holds ``oracle_settings``, the hypothesis settings of the kernel
+oracles (the ``tests/*/test_*_reference.py`` differential tests).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 import re
 
 import numpy as np
+from hypothesis import settings
 
 import repro.core.persistence as persistence
 from repro.core import (
@@ -274,3 +278,12 @@ def committed_rows(directory) -> dict[str, list]:
             assert len(data) == length
         rows[name] = [json.loads(line) for line in data.splitlines()]
     return rows
+
+
+def oracle_settings(max_examples: int) -> settings:
+    """Hypothesis settings of a kernel oracle: ``max_examples`` draws in
+    tier-1, the ``kernel-oracles`` profile's (``conftest.py``) when pytest
+    runs with ``--hypothesis-profile kernel-oracles``."""
+    if settings.get_current_profile_name() == "kernel-oracles":
+        return settings(deadline=None)
+    return settings(max_examples=max_examples, deadline=None)

@@ -5,9 +5,10 @@ Production now builds the grid once per ``AdaBoostClassifier.fit`` and
 re-scores it each round, so it can no longer vouch for itself. These
 copies are the per-round oracle ``test_boosting_reference.py`` compares
 it against, bit for bit. They are verbatim but for the class names and
-one change of semantics made on purpose since: a stump with no valid
-split predicts the weighted-majority class on both sides (it predicted
-class index 0), marked below. Do not tidy them; change them only when the
+two changes of semantics made on purpose since, marked below: a stump
+with no valid split predicts the weighted-majority class on both sides
+(it predicted class index 0), and the boosting loop records the fitted
+width that ``predict`` checks. Do not tidy them; change them only when the
 semantics of a stump or of a boosting round are changed on purpose.
 
 Import as ``from ml.reference_boosting import ...`` (``tests/`` is on
@@ -71,6 +72,8 @@ class ReferenceAdaBoostClassifier(AdaBoostClassifier):
     def fit(self, X, y) -> "ReferenceAdaBoostClassifier":
         X = as_2d(X)
         self.classes_, y_idx = encode_labels(y)
+        # Added on purpose since f1f4db7: the width ``predict`` checks.
+        self.n_features_ = X.shape[1]
         n_classes = self.classes_.size
         n = X.shape[0]
         weights = np.full(n, 1.0 / n)

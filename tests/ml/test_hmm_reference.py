@@ -10,8 +10,9 @@ machine does not.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from helpers import oracle_settings
 from ml.reference_hmm import ReferenceGaussianHMM
 from repro.ml import GaussianHMM
 from repro.workloads import ALL_WORKLOADS
@@ -45,7 +46,7 @@ def hmm_inputs(draw):
     return sequences
 
 
-@settings(max_examples=40, deadline=None)
+@oracle_settings(40)
 @given(
     hmm_inputs(),
     st.integers(2, 6),

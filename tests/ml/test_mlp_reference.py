@@ -12,8 +12,9 @@ the same machine does not.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from helpers import oracle_settings
 from ml.reference_mlp import ReferenceDistributedTrainer, ReferenceMLPClassifier
 from repro.ml import DistributedTrainer, MLPClassifier
 from repro.ml.mlp import _layer_views, log_likelihood_rows
@@ -59,7 +60,7 @@ def training_inputs(draw):
     return X, y, batch_size
 
 
-@settings(max_examples=150, deadline=None)
+@oracle_settings(150)
 @given(
     training_inputs(),
     st.lists(st.integers(1, 64), min_size=1, max_size=3),

@@ -301,6 +301,29 @@ class TestAdaBoost:
         model = AdaBoostClassifier(5).fit(X, y)
         assert model.predict(X).tolist() == [1] * 10
 
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_feature_width_must_match_the_fitted_one(self, width):
+        X, y = linearly_separable(50, d=5)
+        model = AdaBoostClassifier(n_estimators=5).fit(X, y)
+        wrong = np.ones((3, width))
+        for method in (model.predict, model.predict_proba):
+            with pytest.raises(ValueError, match=f"X has {width} features but the model was fitted on 5"):
+                method(wrong)
+
+    @pytest.mark.parametrize("n_labels", [49, 51])
+    def test_label_count_must_match_the_rows(self, n_labels):
+        X, y = linearly_separable(50)
+        with pytest.raises(ValueError, match=f"X has 50 rows but y has {n_labels} labels"):
+            AdaBoostClassifier(n_estimators=5).fit(X, np.resize(y, n_labels))
+
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(ValueError, match="X has 10 rows but 0 feature columns"):
+            AdaBoostClassifier(n_estimators=5).fit(np.zeros((10, 0)), np.arange(10) % 2)
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="X has 0 rows"):
+            AdaBoostClassifier(n_estimators=5).fit(np.zeros((0, 3)), np.zeros(0))
+
     def test_get_params_lengths_consistent(self):
         X, y = xor_data(100, seed=10)
         model = AdaBoostClassifier(n_estimators=15).fit(X, y)

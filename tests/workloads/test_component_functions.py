@@ -155,6 +155,20 @@ class TestAutolearnStages:
         out = run_stage(workload, "featgen", feats)
         assert out["X"].shape[1] == feats["X"].shape[1] + 2 * 40
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_featgen_needs_a_row_per_cv_fold(self, workload, n):
+        X = np.random.default_rng(n).standard_normal((n, 6))
+        with pytest.raises(ValueError, match=f"at least 3 rows for 3-fold CV, got {n}"):
+            run_stage(workload, "featgen", {"X": X, "y": np.zeros(n)})
+
+    @pytest.mark.parametrize("n_candidates", [0, -3])
+    def test_featgen_needs_a_candidate(self, workload, raw, n_candidates):
+        feats = run_stage(workload, "zernike", raw)
+        component = workload.stage_version("featgen", 0)
+        params = {**component.params, "n_candidates": n_candidates}
+        with pytest.raises(ValueError, match=f"n_candidates must be >= 1, got {n_candidates}"):
+            component.fn(feats, params, RNG)
+
     def test_select_keeps_fixed_width(self, workload, raw):
         feats = run_stage(workload, "zernike", raw)
         generated = run_stage(workload, "featgen", feats)
