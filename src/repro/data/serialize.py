@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+import sys
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import ComponentError, StorageError
 from .table import Table
 
 MAGIC = b"RPR1"
@@ -52,10 +54,24 @@ def _read_len(buf: io.BytesIO) -> int:
 
 
 def _read_exact(buf: io.BytesIO, n: int) -> bytes:
-    raw = buf.read(n)
+    # A prefix past sys.maxsize is no length a buffer can have: it reads
+    # short, like any other length the payload does not hold.
+    raw = buf.read(min(n, sys.maxsize))
     if len(raw) != n:
         raise StorageError(f"truncated payload: wanted {n} bytes, got {len(raw)}")
     return raw
+
+
+def _decode(raw: bytes, tag: bytes, what: str, encoding: str = "utf-8") -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError:
+        raise StorageError(f"payload tag {tag!r}: {what} is not {encoding}") from None
+
+
+def _read_text(buf: io.BytesIO, tag: bytes, what: str, encoding: str = "utf-8") -> str:
+    """A length-prefixed string."""
+    return _decode(_read_exact(buf, _read_len(buf)), tag, what, encoding)
 
 
 # --------------------------------------------------------------------- array
@@ -96,22 +112,62 @@ def _write_string_column(out: io.BytesIO, arr: np.ndarray) -> None:
     out.write(raw)
 
 
-def _read_array(buf: io.BytesIO) -> np.ndarray:
-    header = json.loads(_read_exact(buf, _read_len(buf)).decode("utf-8"))
+def _read_array_header(buf: io.BytesIO, tag: bytes) -> dict:
+    """The array header, checked before any of its body is used."""
+    try:
+        header = json.loads(_read_text(buf, tag, "the array header"))
+    except ValueError:  # JSONDecodeError, or an int past the digit limit
+        raise StorageError(f"payload tag {tag!r}: the array header is not JSON") from None
+    if not isinstance(header, dict):
+        raise StorageError(f"payload tag {tag!r}: the array header is not an object")
+    kind, shape = header.get("kind"), header.get("shape")
+    if kind not in ("dense", "strings"):
+        raise StorageError(f"payload tag {tag!r}: unknown array kind {kind!r}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise StorageError(
+            f"payload tag {tag!r}: the array shape {shape!r} is not a list of "
+            "non-negative ints"
+        )
+    return header
+
+
+def _read_array(buf: io.BytesIO, tag: bytes) -> np.ndarray:
+    header = _read_array_header(buf, tag)
     raw = _read_exact(buf, _read_len(buf))
     shape = tuple(header["shape"])
+    count = math.prod(shape)
     if header["kind"] == "strings":
+        if 8 * count > len(raw):
+            raise StorageError(
+                f"payload tag {tag!r}: {len(raw)} body bytes cannot hold {count} strings"
+            )
         body = io.BytesIO(raw)
         items: list[object] = []
-        total = int(np.prod(shape)) if shape else 1
-        for _ in range(total):
+        for _ in range(count):
             (n,) = struct.unpack(">q", _read_exact(body, 8))
-            items.append(None if n < 0 else _read_exact(body, n).decode("utf-8"))
-        arr = np.empty(total, dtype=object)
+            items.append(None if n < 0 else _decode(_read_exact(body, n), tag, "a string"))
+        if body.tell() != len(raw):
+            raise StorageError(f"payload tag {tag!r}: bytes after the last string")
+        arr = np.empty(count, dtype=object)
         arr[:] = items
         return arr.reshape(shape)
-    arr = np.frombuffer(raw, dtype=np.dtype(header["dtype"]))
-    return arr.reshape(shape).copy()
+    name = header.get("dtype")
+    try:
+        if not isinstance(name, str):
+            raise TypeError(name)
+        dtype = np.dtype(name)
+    except (TypeError, ValueError):
+        raise StorageError(f"payload tag {tag!r}: unknown dtype {name!r}") from None
+    if dtype.hasobject:
+        raise StorageError(f"payload tag {tag!r}: object dtype in a dense array")
+    if len(raw) != count * dtype.itemsize:
+        raise StorageError(
+            f"payload tag {tag!r}: {len(raw)} body bytes for shape {list(shape)} "
+            f"of {dtype.str} ({count * dtype.itemsize} expected)"
+        )
+    if not dtype.itemsize:
+        return np.zeros(shape, dtype=dtype)  # nothing to read back
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 # -------------------------------------------------------------------- values
@@ -179,22 +235,29 @@ def _read_value(buf: io.BytesIO):
     if tag == _TAG_BOOL:
         return _read_exact(buf, 1) == b"\x01"
     if tag == _TAG_INT:
-        return int(_read_exact(buf, _read_len(buf)).decode("ascii"))
+        text = _read_text(buf, tag, "the integer", "ascii")
+        try:
+            return int(text)
+        except ValueError:
+            raise StorageError(f"payload tag {tag!r}: {text[:40]!r} is not an integer") from None
     if tag == _TAG_FLOAT:
         return struct.unpack(">d", _read_exact(buf, 8))[0]
     if tag == _TAG_STR:
-        return _read_exact(buf, _read_len(buf)).decode("utf-8")
+        return _read_text(buf, tag, "the string")
     if tag == _TAG_BYTES:
         return _read_exact(buf, _read_len(buf))
     if tag == _TAG_ARRAY:
-        return _read_array(buf)
+        return _read_array(buf, tag)
     if tag == _TAG_TABLE:
         n = _read_len(buf)
         columns: dict[str, np.ndarray] = {}
         for _ in range(n):
-            name = _read_exact(buf, _read_len(buf)).decode("utf-8")
-            columns[name] = _read_array(buf)
-        return Table(columns)
+            name = _read_text(buf, tag, "a column name")
+            columns[name] = _read_array(buf, tag)
+        try:
+            return Table(columns)
+        except ComponentError as exc:
+            raise StorageError(f"payload tag {tag!r}: {exc}") from None
     if tag == _TAG_LIST:
         n = _read_len(buf)
         return [_read_value(buf) for _ in range(n)]
@@ -202,7 +265,7 @@ def _read_value(buf: io.BytesIO):
         n = _read_len(buf)
         result = {}
         for _ in range(n):
-            key = _read_exact(buf, _read_len(buf)).decode("utf-8")
+            key = _read_text(buf, tag, "a key")
             result[key] = _read_value(buf)
         return result
     raise StorageError(f"unknown payload tag: {tag!r}")
@@ -218,7 +281,10 @@ def payload_to_bytes(value) -> bytes:
 
 
 def payload_from_bytes(data: bytes):
-    """Inverse of :func:`payload_to_bytes`."""
+    """Inverse of :func:`payload_to_bytes`. A malformed payload — cut
+    short, a byte flipped, a header that disagrees with its body — raises
+    :class:`StorageError` naming the tag and what was wrong, never
+    another type."""
     buf = io.BytesIO(data)
     magic = buf.read(len(MAGIC))
     if magic != MAGIC:

@@ -48,10 +48,10 @@ class SharedChunkBackend:
         self._lock = threading.RLock()
         self._refcounts: dict[str, int] = {}
         #: Digests whose first write is in flight (digest -> completion
-        #: event). The byte write — hash verification plus, for a file
-        #: store, a disk write — runs *outside* the backend lock so two
-        #: tenants pushing different chunks make parallel progress;
-        #: racers on the *same* digest wait here instead of re-writing.
+        #: event). The byte write — for a file store, a disk write — runs
+        #: *outside* the backend lock so two tenants pushing different
+        #: chunks make parallel progress; racers on the *same* digest wait
+        #: here instead of re-writing.
         self._writing: dict[str, threading.Event] = {}
         # Tracked here, not read off the store's stats: a restarted hub
         # wraps a fresh FileChunkStore whose counters start at zero even
@@ -83,9 +83,12 @@ class SharedChunkBackend:
 
         Returns True when this call took the digest from zero holders to
         one (physical accounting grew), False when another holder
-        already contributed it. The write path is integrity-checked:
-        bytes that do not hash to ``digest`` are rejected before
-        anything lands.
+        already contributed it. ``data`` must hash to ``digest``: the
+        only caller, :meth:`TenantChunkStore._write`, gets bytes that
+        the view's ``import_chunk`` verified or its ``put_many`` derived
+        the digest of, so the bytes are stored through the store's
+        non-verifying :meth:`~repro.storage.chunk_store.ChunkStore.adopt`
+        and a pushed chunk is hashed once on the hub, not twice.
 
         Lock discipline: only the refcount/ownership bookkeeping runs
         under the backend lock. The byte write itself happens unlocked —
@@ -113,11 +116,10 @@ class SharedChunkBackend:
             writing.wait()
 
         try:
-            if not self.store.contains(digest):
-                self.store.import_chunk(digest, data)
-            # else: leftover bytes from a crashed hub — adopt, don't
-            # re-write. Either way this commit takes the digest from
-            # zero holders to one, so the bytes start counting now.
+            # Bytes a crashed hub left are adopted, not re-written. Either
+            # way this call takes the digest from zero holders to one, so
+            # the bytes start counting now.
+            self.store.adopt(digest, data)
         except BaseException:
             with self._lock:
                 del self._writing[digest]

@@ -61,6 +61,17 @@ def _fsync_directory(path: str) -> None:
         os.close(directory)
 
 
+#: What a piece's index key holds besides its length: its first and its
+#: last this many bytes (overlapping in a piece shorter than twice it).
+_EDGE_BYTES = 16
+_pack_length = struct.Struct(">Q").pack
+
+
+def _piece_key(piece) -> bytes:
+    """``put_many``'s index key: length, head and tail of the piece."""
+    return _pack_length(len(piece)) + piece[:_EDGE_BYTES] + piece[-_EDGE_BYTES:]
+
+
 class ChunkStore(ABC):
     """Interface shared by the memory and file backends.
 
@@ -72,6 +83,11 @@ class ChunkStore(ABC):
     def __init__(self) -> None:
         self.stats = StorageStats()
         self.revision = 0
+        #: :meth:`put_many`'s index: a piece's key (:func:`_piece_key`) ->
+        #: the digest of the last piece with that key it hashed or
+        #: confirmed. Only a hint: a digest is reused for bytes equal to
+        #: the chunk held under it, never on the key alone.
+        self._learned: dict[bytes, str] = {}
 
     @abstractmethod
     def _contains(self, digest: str) -> bool: ...
@@ -108,17 +124,22 @@ class ChunkStore(ABC):
         """Store the pieces of one blob; return their digests in order.
 
         Runs once per blob, on what the chunker hands out: zero-copy
-        views. A piece is hashed as it stands, and only one the store
-        lacks is copied (``bytes(piece)``: a content address never
-        aliases memory the caller can still change, and a stored view
-        would pin its whole parent blob); a dedup hit costs its hash and
-        one membership test. The batch is one clock window — hashing
-        stays outside it, as for a single put — and one accounting step,
-        which also books what landed before a ``_write`` that raises:
-        the piece that failed counts as asked for, not as stored.
+        views. A piece whose key (length, first and last 16 bytes) the
+        index knows is compared byte for byte with the chunk held under
+        the indexed digest, read through ``_read`` so no read counter
+        moves; only a piece with no confirmed match is hashed. Only a
+        piece the store lacks is stored, as a copy (``bytes(piece)``: a
+        content address never aliases memory the caller can still
+        change, and a stored view would pin its whole parent blob); a
+        dedup hit costs a key lookup, one comparison and one membership
+        test. The batch is one clock window — the lookups
+        and hashing stay outside it, as for a single put — and one
+        accounting step, which also books what landed before a
+        ``_write`` that raises: the piece that failed counts as asked
+        for, not as stored.
         """
-        pieces = list(pieces)  # walked twice: hashed, then stored
-        digests = [sha256_hex(piece) for piece in pieces]
+        pieces = list(pieces)  # walked twice: digested, then stored
+        digests = self._digests_of(pieces)
         contains, write = self._contains, self._write
         logical = written = hits = novel = asked = 0
         start = perf_counter()
@@ -136,6 +157,28 @@ class ChunkStore(ABC):
         finally:
             self.revision += novel
             self.stats.record_put(asked, logical, written, hits, perf_counter() - start)
+        return digests
+
+    def _digests_of(self, pieces: list) -> list[str]:
+        """Each piece's digest: the indexed one when the chunk held under
+        it has the piece's bytes, else the piece's SHA-256, which the
+        index then learns (the latest piece of a key wins). A confirming
+        read that fails — the chunk was discarded, or lost behind the
+        store — is a miss like any other."""
+        learned, read = self._learned, self._read
+        digests = []
+        for piece in pieces:
+            key = _piece_key(piece)
+            digest = learned.get(key)
+            if digest is not None:
+                try:
+                    if read(digest) == bytes(piece):
+                        digests.append(digest)
+                        continue
+                except StorageError:
+                    pass
+            digest = learned[key] = sha256_hex(piece)
+            digests.append(digest)
         return digests
 
     def get(self, digest: str) -> bytes:
@@ -195,6 +238,13 @@ class ChunkStore(ABC):
         """
         if sha256_hex(data) != digest:
             raise ChunkIntegrityError(digest)
+        return self.adopt(digest, data)
+
+    def adopt(self, digest: str, data: bytes) -> bool:
+        """The step of :meth:`import_chunk` after its hash check, booked
+        the same way, for a caller that already knows ``data`` hashes to
+        ``digest``: the hub's shared backend, whose every write comes
+        from a view that verified or derived the digest itself."""
         start = perf_counter()
         try:
             if self._contains(digest):

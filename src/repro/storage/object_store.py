@@ -62,7 +62,13 @@ class ObjectStore:
         return ContentDefinedChunker()
 
     def put(self, data: bytes) -> str:
-        """Persist ``data``; return its blob digest (idempotent)."""
+        """Persist ``data``; return its blob digest (idempotent).
+
+        The blob is hashed whole once; its chunks go to
+        :meth:`ChunkStore.put_many`, which finds the ones the store
+        already holds by a key lookup and a byte comparison and hashes
+        only the rest, so a new version of a held blob costs hashing
+        what changed, not its size."""
         digest = sha256_hex(data)
         if digest in self._recipes:
             # Re-storing a known blob still counts as logical bytes written:

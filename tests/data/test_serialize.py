@@ -1,10 +1,14 @@
 """Payload serialization tests: roundtrips, determinism, corruption."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data import Table, payload_from_bytes, payload_to_bytes
+from repro.data.serialize import MAGIC
 from repro.errors import StorageError
 
 
@@ -154,3 +158,124 @@ def test_array_shape_roundtrip_property(shape):
     out = payload_from_bytes(payload_to_bytes(arr))
     assert out.shape == arr.shape
     assert np.allclose(out, arr)
+
+
+# ------------------------------------------------------- damaged payloads
+def _prefixed(raw: bytes) -> bytes:
+    return struct.pack(">Q", len(raw)) + raw
+
+
+def crafted_array(header, body: bytes) -> bytes:
+    """An array payload with a hand-written header (dict or raw bytes)."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode()
+    return MAGIC + b"A" + _prefixed(header) + _prefixed(body)
+
+
+DENSE = {"dtype": "<f8", "kind": "dense"}
+
+dense_arrays = st.builds(
+    lambda dtype, shape, seed: np.random.default_rng(seed)
+    .integers(0, 256, int(np.prod(shape)) * np.dtype(dtype).itemsize, dtype=np.uint8)
+    .view(dtype)
+    .reshape(shape),
+    st.sampled_from(["<f8", "<i4", "|u1", "|b1", "<U2", "|S3", "<c8", "<M8[D]"]),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.integers(0, 2**32 - 1),
+)
+string_arrays = st.lists(st.none() | st.text(max_size=6), max_size=5).map(
+    lambda items: np.array(items + ["x"], dtype=object)
+)
+tables = st.integers(1, 4).flatmap(
+    lambda n: st.dictionaries(
+        st.text(max_size=5),
+        st.sampled_from(["float", "int", "str"]),
+        min_size=1,
+        max_size=3,
+    ).map(
+        lambda kinds: Table({
+            name: (
+                np.arange(n, dtype=np.float64) / 3 if kind == "float"
+                else np.arange(n, dtype=np.int64) if kind == "int"
+                else np.array([f"v{i}" for i in range(n)], dtype=object)
+            )
+            for name, kind in kinds.items()
+        })
+    )
+)
+#: A payload of every tag.
+payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=12)
+    | st.binary(max_size=12)
+    | dense_arrays
+    | string_arrays
+    | tables,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_payloads(draw) -> bytes:
+    """A valid payload cut short, or with one byte flipped."""
+    data = payload_to_bytes(draw(payloads))
+    at = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:at]
+    return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_payloads())
+@example(crafted_array(DENSE | {"shape": [1]}, b"12345"))  # not a multiple of 8
+@example(crafted_array(DENSE | {"shape": [3]}, bytes(16)))  # shape disagrees
+@example(crafted_array({"dtype": "<q9", "shape": [1], "kind": "dense"}, bytes(8)))
+@example(crafted_array({"dtype": "|O", "shape": [1], "kind": "dense"}, bytes(8)))
+@example(crafted_array(DENSE, bytes(8)))  # no shape
+@example(crafted_array(b"{not json", bytes(8)))
+@example(MAGIC + b"s" + _prefixed(b"\xff\xfe"))  # not utf-8
+@example(MAGIC + b"i" + _prefixed(b"12a"))  # not digits
+def test_a_damaged_payload_decodes_or_raises_storage_error(data):
+    try:
+        payload_from_bytes(data)
+    except StorageError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [
+        pytest.param(
+            crafted_array(DENSE | {"shape": [1]}, b"12345"), "5 body bytes", id="item size"
+        ),
+        pytest.param(crafted_array(DENSE | {"shape": [3]}, bytes(16)), "16 body bytes", id="shape"),
+        pytest.param(
+            crafted_array({"dtype": "<q9", "shape": [1], "kind": "dense"}, b""),
+            "unknown dtype",
+            id="dtype",
+        ),
+        pytest.param(
+            crafted_array({"dtype": "|O", "shape": [1], "kind": "dense"}, b""),
+            "object dtype",
+            id="object",
+        ),
+        pytest.param(crafted_array(DENSE, bytes(8)), "shape None", id="no shape"),
+        pytest.param(
+            crafted_array({"shape": [-1], "kind": "strings"}, b""), "shape [-1]", id="negative"
+        ),
+        pytest.param(crafted_array(b"{not json", b""), "not JSON", id="json"),
+        pytest.param(
+            MAGIC + b"s" + _prefixed(b"\xff\xfe"), "the string is not utf-8", id="utf-8"
+        ),
+        pytest.param(MAGIC + b"i" + _prefixed(b"12a"), "'12a' is not an integer", id="int"),
+    ],
+)
+def test_the_error_names_the_tag_and_what_was_wrong(data, what):
+    with pytest.raises(StorageError, match=f"payload tag b'{chr(data[4])}'") as error:
+        payload_from_bytes(data)
+    assert what in str(error.value)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ChunkIntegrityError, ChunkNotFoundError
 from repro.hub import SharedChunkBackend, TenantChunkStore
-from repro.storage import FileChunkStore, ObjectStore
+from repro.storage import FileChunkStore, MemoryChunkStore, ObjectStore
+from repro.storage import chunk_store as chunk_store_module
 from repro.storage.hashing import sha256_hex
 
 
@@ -115,6 +116,60 @@ class TestRefcountLifecycle:
         with pytest.raises(ChunkIntegrityError):
             a.import_chunk("0" * 64, b"does not hash to that")
         assert backend.physical_bytes == 0
+
+
+class TestAPushedChunkIsVerifiedOnce:
+    """The view's ``import_chunk`` checks a pushed chunk's bytes against
+    its digest; the backend stores them through the non-verifying
+    ``ChunkStore.adopt`` and does not check them again."""
+
+    def test_a_novel_pushed_chunk_is_hashed_once(self, tmp_path, monkeypatch):
+        backend, (a,) = make_views(1, store=FileChunkStore(tmp_path / "chunks"))
+        data = b"pushed bytes " * 400
+        digest = sha256_hex(data)
+        hashed = []
+        monkeypatch.setattr(
+            chunk_store_module,
+            "sha256_hex",
+            lambda piece: hashed.append(len(piece)) or sha256_hex(piece),
+        )
+        assert a.import_chunk(digest, data) is True
+        assert hashed == [len(data)]
+        assert a.get(digest) == data and backend.refcount(digest) == 1
+
+    def test_the_store_books_what_import_chunk_would(self, tmp_path):
+        backend, (a,) = make_views(1, store=FileChunkStore(tmp_path / "chunks"))
+        direct = FileChunkStore(tmp_path / "direct")
+        for data in (b"one" * 300, b"two" * 500, b"one" * 300):
+            a.import_chunk(sha256_hex(data), data)
+            direct.import_chunk(sha256_hex(data), data)
+        shared = backend.store
+        assert shared.revision == direct.revision == 2
+        assert shared.digests() == direct.digests()
+        assert shared.stats.physical_bytes == direct.stats.physical_bytes == 2400
+        assert backend.physical_bytes == 2400
+
+    def test_a_corrupt_chunk_is_refused_at_the_view_before_anything_lands(self, tmp_path):
+        backend, (a,) = make_views(1, store=FileChunkStore(tmp_path / "chunks"))
+        data = b"pushed bytes " * 400
+        digest = sha256_hex(data)
+        with pytest.raises(ChunkIntegrityError):
+            a.import_chunk(digest, data[:-1] + b"X")
+        assert a.digests() == [] and a.held_bytes == 0
+        assert backend.refcount(digest) == 0 and backend.physical_bytes == 0
+        assert backend.store.digests() == [] and backend.store.revision == 0
+        assert not (tmp_path / "chunks").exists()  # not a byte on disk
+        assert a.import_chunk(digest, data) is True  # the right bytes still land
+
+    def test_leftover_bytes_are_adopted_not_rewritten(self):
+        store = MemoryChunkStore()
+        data = b"left by a crashed hub"
+        store.import_chunk(sha256_hex(data), data)
+        backend = SharedChunkBackend(store)
+        view = TenantChunkStore(backend)
+        assert view.import_chunk(sha256_hex(data), data) is True
+        assert store.revision == 1 and store.stats.physical_bytes == len(data)
+        assert backend.physical_bytes == len(data)
 
 
 class TestFileBackedBackend:

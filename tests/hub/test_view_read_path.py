@@ -89,7 +89,9 @@ class TestOneReadThroughTheView:
         digest = view.put(b"y" * 5000)
         assert syscalls == ["write", "lseek", "write"]
         del syscalls[:]
-        assert view.put(b"y" * 5000) == digest  # the view's own dedup hit
+        assert view.put(b"y" * 5000) == digest  # the view's own dedup hit:
+        assert syscalls == ["pread"]  # put_many's index confirms the bytes
+        del syscalls[:]
         other = TenantChunkStore(view.backend)
         assert other.put(b"y" * 5000) == digest  # the backend's
         assert syscalls == []

@@ -41,7 +41,7 @@ class TestFileReadSyscalls:
         assert store.digests() == [held] and len(store) == 1
         assert syscalls == []
 
-    def test_a_novel_write_is_two_appends_and_a_dedup_hit_is_free(
+    def test_a_novel_write_is_two_appends_and_a_dedup_hit_one_pread(
         self, tmp_path, syscalls
     ):
         store = FileChunkStore(tmp_path / "c")
@@ -53,6 +53,9 @@ class TestFileReadSyscalls:
         assert syscalls == ["write", "lseek", "write"]
         del syscalls[:]
         assert store.put(b"y" * 5000) == digest
+        # put_many's index confirms the held chunk's bytes: one read
+        assert syscalls == ["pread"]
+        del syscalls[:]
         assert store.import_chunk(digest, b"y" * 5000) is False
         assert syscalls == []
 

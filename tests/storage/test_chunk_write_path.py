@@ -269,10 +269,11 @@ class TestAContentAddressNeverAliasesCallerMemory:
 def test_one_write_path_no_backend_overrides_it():
     """The budget's layer table wraps ``ChunkStore.put``/``get``/
     ``import_chunk`` by dotted name; a backend changes what a write
-    costs in its ``_write`` hook, never by a second ``put``."""
+    costs in its ``_write`` hook, never by a second ``put`` or a
+    second ``adopt`` (the step the hub's backend writes through)."""
     from repro.storage.chunk_store import ChunkStore
 
     for backend in (MemoryChunkStore, FileChunkStore, TenantChunkStore):
-        for name in ("put", "put_many", "import_chunk", "get"):
+        for name in ("put", "put_many", "import_chunk", "adopt", "get"):
             assert name not in vars(backend), f"{backend.__name__}.{name}"
             assert getattr(backend, name) is getattr(ChunkStore, name)
