@@ -70,15 +70,6 @@ MANIFEST = {
         ("storage_saving/readmission", "higher"),
         ("storage_saving/sa", "higher"),
     ],
-    "parallel_merge": [
-        # Parallel and serial merge must stay bit-equivalent.
-        ("equivalent", "exact"),
-        # The bench holds these equal across worker counts within a run;
-        # here they are held across commits.
-        ("totals/evaluated", "exact"),
-        ("totals/executed", "exact"),
-        ("totals/reused", "exact"),
-    ],
     "obs_telemetry": [
         # Span counts for one traced push are a protocol contract.
         ("push_trace_spans", "exact"),

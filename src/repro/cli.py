@@ -26,7 +26,7 @@ Usage::
     python -m repro gc REPO                            # sweep dead chunks
 
     python -m repro run REPO --workload readmission    # run the branch head
-    python -m repro merge REPO master dev --workers 4  # metric-driven merge
+    python -m repro merge REPO master dev              # metric-driven merge
 
     python -m repro hub init HUB                       # multi-tenant hub dir
     python -m repro hub add-tenant HUB ana --token SECRET --quota-bytes 10000000
@@ -112,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=1,
         help="stage-parallel threads for pipelines that branch (default 1: "
         "sequential; every bundled workload is a chain and runs inline at "
-        "any value — the one committed thread speedup, BENCH_parallel_merge's "
-        "1.99x / 3.62x at 2 / 4 workers, is `repro merge --workers` over "
-        "sleep-simulated components)",
+        "any value)",
     )
     _add_rebind_arguments(run)
 
@@ -145,10 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     merge.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="candidate-parallel threads (default 1: sequential; "
-        "single-flight checkpointing keeps executions at-most-once; "
-        "BENCH_parallel_merge: 1.99x / 3.62x at 2 / 4 workers, sleep-simulated "
-        "components — numpy components hold the GIL and gain nothing)",
+        help="width W of the ordered search's draw window: each pick sees "
+        "the scores of all but the last W-1 candidates drawn (default 1: "
+        "the paper's sequential search; candidates always run one at a "
+        "time on one thread)",
     )
     _add_rebind_arguments(merge)
 

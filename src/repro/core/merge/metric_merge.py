@@ -26,6 +26,7 @@ from ..context import ExecutionContext
 from ..executor import Executor, score_from_metric
 from ..pipeline import PipelineInstance
 from .compatibility import build_compatibility_lut, prune_incompatible
+from .prioritized import check_search_bounds, run_ordered_search
 from .pruning import mark_checkpointed_nodes
 from .search_space import build_merge_scope
 from .traversal import execute_tree
@@ -75,10 +76,13 @@ def metric_driven_merge(
 ):
     """Run the merge and return a :class:`repro.core.repository.MergeOutcome`.
 
-    The ordered searches run through :func:`repro.engine.run_parallel_search`
-    with up to ``workers`` candidate leaves in flight (``workers=1``: one at
-    a time on this thread); the exhaustive walk is Algorithm 2's
-    depth-first order, one candidate at a time.
+    The exhaustive walk is Algorithm 2's depth-first order; the ordered
+    searches run through :func:`~.prioritized.run_ordered_search`. Every
+    candidate runs on the calling thread, one at a time. ``workers`` is
+    the width ``W`` of the ordered searches' draw window (draw ``j``
+    sees results ``0 .. j - W``); ``budget`` (at least 1) and
+    ``time_budget_seconds`` (non-negative) bound the ordered searches
+    only. Each argument is checked before anything runs.
     """
     from ..repository import MergeOutcome
 
@@ -86,13 +90,23 @@ def metric_driven_merge(
         raise MergeError(f"unknown merge mode {mode!r}; pick one of {MERGE_MODES}")
     if search not in SEARCH_METHODS:
         raise MergeError(f"unknown search {search!r}; pick one of {SEARCH_METHODS}")
-    if workers < 1:
-        raise MergeError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and search == "exhaustive":
-        raise MergeError(
-            "the exhaustive search is sequential; use search='prioritized' "
-            "or 'random' with workers > 1"
-        )
+    try:
+        check_search_bounds(workers, time_budget_seconds)
+    except ValueError as exc:
+        raise MergeError(str(exc)) from None
+    if budget is not None and budget < 1:
+        raise MergeError(f"budget must be >= 1, got {budget}")
+    if search == "exhaustive":
+        for name, value, default in (
+            ("workers", workers, 1),
+            ("budget", budget, None),
+            ("time_budget_seconds", time_budget_seconds, None),
+        ):
+            if value != default:
+                raise MergeError(
+                    f"the exhaustive search evaluates every candidate in order; "
+                    f"{name} applies to search='prioritized' or 'random'"
+                )
 
     head = repo.head_commit(pipeline, head_branch)
     merge_head = repo.head_commit(pipeline, merge_head_branch)
@@ -125,11 +139,7 @@ def metric_driven_merge(
     if search == "exhaustive":
         evaluations = execute_tree(root, scope, executor, context)
     else:
-        # One driver for every ordered search: workers=1 is its inline,
-        # thread-free case (the same loop as ``run_ordered_search``).
-        from ...engine import run_parallel_search
-
-        evaluations = run_parallel_search(
+        evaluations = run_ordered_search(
             root,
             scope,
             executor,

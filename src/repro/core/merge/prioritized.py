@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...obs import trace as obs_trace
 from ..context import ExecutionContext
 from ..executor import Executor, RunReport
 from .search_space import MergeScope
@@ -130,6 +130,21 @@ def _count_unrun(node: TreeNode) -> int:
 _PICKERS = {"prioritized": pick_prioritized_leaf, "random": pick_random_leaf}
 
 
+def check_search_bounds(
+    workers: int = 1, time_budget_seconds: float | None = None
+) -> None:
+    """Refuse a draw window or a time budget no search can honour, with
+    a ``ValueError`` naming the argument, before anything is drawn.
+    ``not >= 0`` also refuses a NaN time budget, which no clock reading
+    ever reaches."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if time_budget_seconds is not None and not time_budget_seconds >= 0:
+        raise ValueError(
+            f"time_budget_seconds must be non-negative, got {time_budget_seconds}"
+        )
+
+
 def scored_from_history(leaf: TreeNode) -> bool:
     """A trained pipeline of the commit history (a green leaf of Fig. 4):
     its score is known, so a live search counts it as searched without
@@ -140,9 +155,9 @@ def scored_from_history(leaf: TreeNode) -> bool:
 class SearchStep:
     """The draw and the commit of an ordered search, defined once.
 
-    :func:`search_window` — the loop of every live search, one draw in
-    flight or several — keeps a window of draws uncommitted and commits
-    in draw order, and :class:`SearchSimulator` replaces execution with
+    :func:`search_window` — the loop of every live search — keeps a
+    window of draws uncommitted and commits in draw order, and
+    :class:`SearchSimulator` replaces execution with
     its cost model — all over this one RNG stream and tree. The search
     state lives on the tree's nodes (``score``, ``unrun``), so the tree's
     shape must not change once the step is built: prune before. Not
@@ -159,8 +174,7 @@ class SearchStep:
     ) -> None:
         if method not in _PICKERS:
             raise ValueError(f"unknown search method {method!r}")
-        if time_budget_seconds is not None and time_budget_seconds < 0:
-            raise ValueError("time_budget_seconds must be non-negative")
+        check_search_bounds(time_budget_seconds=time_budget_seconds)
         self.root = root
         self.budget = budget
         self.time_budget_seconds = time_budget_seconds
@@ -217,31 +231,21 @@ class SearchStep:
 
 
 # ------------------------------------------------------------- live search
-def _inline(evaluate, leaf: TreeNode, index: int) -> Future:
-    """The width-1 ``submit``: evaluate now, on the calling thread."""
-    future: Future = Future()
-    future.set_result(evaluate(leaf, index))
-    return future
+def search_window(step: SearchStep, evaluate, width: int = 1) -> list[CandidateEvaluation]:
+    """The draw/evaluate/commit loop of every live search.
 
-
-def search_window(
-    step: SearchStep, evaluate, width: int = 1, submit=_inline
-) -> list[CandidateEvaluation]:
-    """The draw/submit/commit loop of every live search.
-
-    The calling thread owns ``step``. It draws while fewer than
-    ``width`` draws are uncommitted, hands each drawn leaf to
-    ``submit(evaluate, leaf, draw_index) -> Future`` (a leaf
-    :func:`scored_from_history` takes its slot with nothing to wait
-    for), and commits the oldest slot once the window is full or drawing
-    has stopped. Commits are therefore in draw order and the picker's
-    view at draw ``j`` is exactly results ``0 .. j - width`` — whatever
-    ``submit`` does with threads. ``evaluate(leaf, draw_index)`` returns
-    the candidate's :class:`RunReport`; what it raises re-raises here, no
-    later than that candidate's commit, and nothing drawn after it is
-    committed.
+    The calling thread owns ``step`` and runs every candidate. It draws
+    while fewer than ``width`` draws are uncommitted, evaluates each
+    drawn leaf at once (``evaluate(leaf, draw_index)`` returns its
+    :class:`RunReport`; a leaf :func:`scored_from_history` takes its
+    slot with nothing to run), and commits the oldest slot once the
+    window is full or drawing has stopped. Commits are therefore in draw
+    order and the picker's view at draw ``j`` is exactly results
+    ``0 .. j - width``. What ``evaluate`` raises re-raises here, and
+    nothing drawn after that candidate is committed.
     """
-    window: deque[tuple[TreeNode, Future | None]] = deque()
+    check_search_bounds(workers=width)
+    window: deque[tuple[TreeNode, RunReport | None]] = deque()
     drawing = True
     while drawing or window:
         while drawing and len(window) < width:
@@ -251,10 +255,9 @@ def search_window(
             elif scored_from_history(leaf):
                 window.append((leaf, None))
             else:
-                window.append((leaf, submit(evaluate, leaf, step.drawn - 1)))
+                window.append((leaf, evaluate(leaf, step.drawn - 1)))
         if window:
-            leaf, future = window.popleft()
-            step.commit(leaf, future.result() if future is not None else None)
+            step.commit(*window.popleft())
     return step.evaluations
 
 
@@ -264,12 +267,16 @@ def run_ordered_search(
     executor: Executor,
     context: ExecutionContext,
     method: str = "prioritized",
+    workers: int = 1,
     budget: int | None = None,
     time_budget_seconds: float | None = None,
     seed: int = 0,
 ) -> list[CandidateEvaluation]:
     """Execute candidates in prioritized or random order, one at a time.
 
+    ``workers`` is the width ``W`` of the draw window: draw ``j`` sees
+    the results of draws ``0 .. j - W`` (``W = 1``: every earlier one).
+    The search is a function of ``(method, seed, workers)``.
     ``budget`` caps the number of candidate evaluations and
     ``time_budget_seconds`` stops starting new evaluations once the wall
     clock is exhausted — the paper's fixed-time-budget trade-off ("the
@@ -279,9 +286,13 @@ def run_ordered_search(
     checkpointed nodes of Fig. 4.
     """
     step = SearchStep(root, method, seed, budget, time_budget_seconds)
-    return search_window(
-        step, lambda leaf, _index: run_candidate(leaf, scope, executor, context)
-    )
+    tracer = obs_trace.default_tracer()
+
+    def evaluate(leaf: TreeNode, index: int) -> RunReport:
+        with tracer.span("merge.candidate", draw=index):
+            return run_candidate(leaf, scope, executor, context)
+
+    return search_window(step, evaluate, workers)
 
 
 # --------------------------------------------------------------- simulator

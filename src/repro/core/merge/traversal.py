@@ -75,9 +75,9 @@ def run_candidate(
     context: ExecutionContext,
 ) -> RunReport:
     """Run a leaf's walking path as a pipeline instance — the execution
-    half of ``executeNodeList``, free of tree mutation so parallel merge
-    workers can call it concurrently (tree state is committed separately,
-    in draw order, by :func:`apply_candidate_result`)."""
+    half of ``executeNodeList``, free of tree mutation: an ordered search
+    evaluates a leaf when it draws it and commits the tree state later,
+    in draw order, by :func:`apply_candidate_result`."""
     components = candidate_components(leaf)
     instance = PipelineInstance(spec=scope.spec, components=components)
     return executor.run(instance, context)
@@ -85,8 +85,8 @@ def run_candidate(
 
 def apply_candidate_result(leaf: TreeNode, report: RunReport) -> None:
     """Push one run's execution state back onto the tree nodes (lines
-    16-19 of Algorithm 2). Must be called by one thread at a time — the
-    sequential search's loop body, or the parallel driver's committer."""
+    16-19 of Algorithm 2): the exhaustive walk's loop body, or an ordered
+    search's commit."""
     if report.failed:
         return
     for node in leaf.path_from_root():

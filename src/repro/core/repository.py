@@ -371,16 +371,12 @@ class MLCask:
         ``search`` picks ``"exhaustive"``, ``"prioritized"``, or
         ``"random"``; ``budget`` caps evaluated candidates and
         ``time_budget_seconds`` caps wall-clock for the ordered searches.
-        ``workers > 1`` evaluates several candidates concurrently through
-        the parallel engine (ordered searches only; single-flight
-        checkpointing keeps each component execution at-most-once). The
-        workers are threads: ``BENCH_parallel_merge``'s 1.99x / 3.62x at
-        2 / 4 workers are for sleep-simulated, GIL-releasing component
-        delays; on the four real numpy apps the 2-worker prioritized merge
-        measures slower than the sequential exhaustive one. One traced
-        ``local_evolve_merge`` round, seed 0, 2-core Xeon: at ``689548b``
-        ``merge_parallel_s`` 0.92 s vs ``merge_s`` 0.56 s; after the MLP
-        moved to one flat parameter buffer, 0.59 s vs 0.40 s.
+        Every candidate runs on the calling thread, one at a time.
+        ``workers`` (ordered searches only) is the width ``W`` of the
+        draw window: the pick at draw ``j`` sees the scores of draws
+        ``0 .. j - W``, so each ``(search, seed, workers)`` is one fixed
+        evaluation sequence, and ``workers=1`` is the paper's sequential
+        search. It buys no concurrency.
         """
         if self.branches.is_fast_forward(self.graph, pipeline, head_branch, merge_head_branch):
             return self._fast_forward(pipeline, head_branch, merge_head_branch, message)

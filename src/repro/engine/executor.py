@@ -8,12 +8,13 @@ places:
   :class:`~repro.engine.scheduler.DagScheduler`, so stages with no
   dependency between them execute concurrently (a chain — every bundled
   pipeline — has no such stages and runs inline, whatever ``workers``);
-* a checkpoint miss is resolved through a shared
-  :class:`~repro.engine.single_flight.SingleFlight`, so concurrent runs
-  (the workers of a parallel merge search) execute each ``(component
-  fingerprint, input ref)`` pair at most once — later arrivals block on
-  the in-flight computation and record a checkpoint *reuse*, preserving
-  the PR pruning invariant under concurrency.
+* a checkpoint miss is resolved through the executor's own
+  :class:`~repro.engine.single_flight.SingleFlight`, so two ready stages
+  that bind the same component to the same input (nothing in a
+  :class:`~repro.core.pipeline.PipelineInstance` forbids it) execute
+  that ``(component fingerprint, input ref)`` pair once — the later
+  arrival blocks on the in-flight computation and records a checkpoint
+  *reuse*, preserving the PR pruning invariant under concurrency.
 
 Determinism contract (what the differential tests establish against the
 frozen reference loop in ``tests/engine/reference.py``): for any worker
@@ -44,8 +45,7 @@ class ParallelExecutor(Executor):
 
     ``workers=1``, or a chain at any ``workers``, executes inline in
     topological order (no threads) but still routes checkpoint misses
-    through the single-flight layer, so concurrent runs sharing one
-    ``flight`` dedup across runs — how the parallel merge driver uses it.
+    through the executor's single-flight layer.
     """
 
     def __init__(
@@ -54,44 +54,33 @@ class ParallelExecutor(Executor):
         metric: str = "accuracy",
         reuse: bool = True,
         workers: int = 1,
-        flight: SingleFlight | None = None,
         lineage=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(checkpoints, metric=metric, reuse=reuse, lineage=lineage)
         self.workers = workers
-        self.flight = flight if flight is not None else SingleFlight()
+        self.flight = SingleFlight()
 
     @classmethod
     def from_executor(
-        cls,
-        executor: Executor,
-        workers: int | None = None,
-        flight: SingleFlight | None = None,
+        cls, executor: Executor, workers: int | None = None
     ) -> "ParallelExecutor":
         """Adopt an executor's configuration (store, metric, reuse
-        policy, ledger) — what the merge driver does with the executor
-        the merge built. ``workers``/``flight`` left as ``None`` inherit
-        the executor's own (default 1 / a fresh flight); when given, they
-        are honored even for an already-parallel executor — a requested
-        worker count is never silently dropped."""
+        policy, ledger) — what ``MLCask.run_head`` does with the
+        repository's executor. ``workers`` left as ``None`` inherits the
+        executor's own (default 1); when given, it is honored even for an
+        already-parallel executor — a requested worker count is never
+        silently dropped."""
         if workers is None:
             workers = getattr(executor, "workers", 1)
-        if flight is None:
-            flight = getattr(executor, "flight", None)
-        if (
-            isinstance(executor, cls)
-            and workers == executor.workers
-            and flight is executor.flight
-        ):
+        if isinstance(executor, cls) and workers == executor.workers:
             return executor
         return cls(
             executor.checkpoints,
             metric=executor.metric,
             reuse=executor.reuse,
             workers=workers,
-            flight=flight,
             lineage=executor.lineage,
         )
 
@@ -120,7 +109,7 @@ class ParallelExecutor(Executor):
     def _resolve_miss(self, component, input_ref: str, compute):
         """Through the flight: a join, or a hit the store learned between
         the stage's lookup and the flight's re-check, is a reuse — exactly
-        as if the other run had finished before this one started."""
+        as if the other stage had finished before this one started."""
         record, via = self.flight.compute_or_reuse(
             self.checkpoints, component, input_ref, compute
         )

@@ -4,12 +4,12 @@ The PR pruning invariant (paper section VI-B) says a component whose
 ``(component fingerprint, input ref)`` pair was executed before "does not
 need to be executed again since its output has already been saved". A
 thread-safe :class:`~repro.core.checkpoint.CheckpointStore` alone cannot
-uphold that under concurrency: two merge workers whose candidates share an
-un-checkpointed prefix both miss the lookup and both compute. The
-single-flight layer closes the window — the first arrival (the *leader*)
-computes and saves; later arrivals block on the in-flight call and adopt
-the leader's record as a checkpoint reuse, exactly as if the leader's
-candidate had finished before theirs started.
+uphold that under concurrency: two ready stages of one DAG run that bind
+the same component to the same input both miss the lookup and both
+compute. The single-flight layer closes the window — the first arrival
+(the *leader*) computes and saves; later arrivals block on the in-flight
+call and adopt the leader's record as a checkpoint reuse, exactly as if
+the leader's stage had finished before theirs started.
 
 Failure is shared too: component execution is deterministic given the
 ``(component, input)`` pair (seeded RNGs, see
@@ -59,10 +59,8 @@ class FlightStats:
 class SingleFlight:
     """Keyed in-flight deduplication over a checkpoint store.
 
-    One instance is shared by every worker of a parallel run (and across
-    the candidates of a parallel merge search); the keys are global
-    checkpoint keys, so sharing one flight per checkpoint store is both
-    sufficient and necessary.
+    Each :class:`~repro.engine.ParallelExecutor` owns one, shared by the
+    scheduler threads of its runs; the keys are global checkpoint keys.
     """
 
     def __init__(self) -> None:

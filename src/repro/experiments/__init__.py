@@ -8,12 +8,6 @@ from .distributed import (
 from .linear import LinearExperimentResult, run_linear_experiment
 from .measures import LinearSeries, MergeMeasures
 from .merge import MODE_LABELS, MergeExperimentResult, run_merge_experiment
-from .parallel import (
-    ParallelMergeResult,
-    ParallelMergeRow,
-    build_delayed_merge_repo,
-    run_parallel_merge_experiment,
-)
 from .prioritized import (
     RankPoint,
     SearchExperimentResult,
@@ -33,10 +27,6 @@ __all__ = [
     "MODE_LABELS",
     "MergeExperimentResult",
     "run_merge_experiment",
-    "ParallelMergeResult",
-    "ParallelMergeRow",
-    "build_delayed_merge_repo",
-    "run_parallel_merge_experiment",
     "RankPoint",
     "SearchExperimentResult",
     "TABLE1_FRACTIONS",

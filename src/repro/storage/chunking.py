@@ -155,7 +155,7 @@ def word_boundary_candidates(data: bytes, mask: int) -> np.ndarray:
     per step would allocate blob-sized temporaries — each a fresh ``mmap``
     whose pages fault in on first touch — and cost several times the
     arithmetic. The scratch is allocated per call, never shared:
-    concurrent merge workers may chunk at once.
+    concurrent DAG stages may chunk at once.
     """
     usable = len(data) - (len(data) % 8)
     if usable == 0:

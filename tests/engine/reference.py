@@ -2,17 +2,24 @@
 they stood at ``fe088d0``, before both became one shared definition.
 
 Production now has one stage body (``Executor._run_stage``) under both
-executors and one draw/commit (``SearchStep``) under both search
-drivers, so the two can no longer vouch for each other. These copies
-are the independent oracle the differential tests compare *every*
-production executor and search driver against. They are verbatim —
-``self`` attributes and all — so do not tidy them; change them only when
-the semantics of a stage or of a search step are changed on purpose.
+executors and one draw/commit (``SearchStep``) under every search, so
+the two can no longer vouch for each other. These copies are the
+independent oracle the differential tests compare *every* production
+executor and search against. They are verbatim — ``self`` attributes
+and all — so do not tidy them; change them only when the semantics of a
+stage or of a search step are changed on purpose.
 
 The two leaf pickers are frozen too, as they stood at ``7f25be5``, when
 production moved the search state onto the tree's nodes: the copies
 here keep the plain run set of leaf ids and rescan subtrees by brute
 force, so they share no bookkeeping with production.
+
+So is the thread-pool search driver, as it stood at ``c8dc672``, before
+merge candidates moved onto the calling thread
+(``reference_parallel_search`` over ``reference_search_window``): up to
+``workers`` candidates in flight on a ``ThreadPoolExecutor``, sharing
+one ``SingleFlight``. ``tests/engine/test_search_oracle.py`` holds the
+one caller-thread loop to it.
 
 Import as ``from engine.reference import ...`` (``tests/`` is on
 ``sys.path``, see ``conftest.py``).
@@ -21,24 +28,35 @@ Import as ``from engine.reference import ...`` (``tests/`` is on
 from __future__ import annotations
 
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextvars import copy_context
 
 import numpy as np
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.component import DatasetComponent, LibraryComponent
 from repro.core.context import ExecutionContext
-from repro.core.executor import RunReport, StageReport
-from repro.core.merge.prioritized import propagate_leaf_score, refresh_scores
+from repro.core.executor import Executor, RunReport, StageReport
+from repro.core.merge.prioritized import (
+    SearchStep,
+    propagate_leaf_score,
+    refresh_scores,
+    scored_from_history,
+)
 from repro.core.merge.search_space import MergeScope
 from repro.core.merge.traversal import (
     CandidateEvaluation,
     execute_candidate,
     path_key_of,
+    run_candidate,
 )
 from repro.core.merge.tree import TreeNode, leaves
 from repro.core.pipeline import PipelineInstance
+from repro.engine import ParallelExecutor
 from repro.errors import ComponentError
 from repro.ml.metrics import score_from_metric
+from repro.obs import trace as obs_trace
 from repro.storage.hashing import fingerprint_many
 
 
@@ -329,3 +347,76 @@ def reference_ordered_search(
         if method == "prioritized":
             propagate_leaf_score(leaf)
     return evaluations
+
+
+def _inline(evaluate, leaf: TreeNode, index: int) -> Future:
+    """The width-1 ``submit``: evaluate now, on the calling thread."""
+    future: Future = Future()
+    future.set_result(evaluate(leaf, index))
+    return future
+
+
+def reference_search_window(
+    step: SearchStep, evaluate, width: int = 1, submit=_inline
+) -> list[CandidateEvaluation]:
+    """``search_window`` as it stood at ``c8dc672``, verbatim: each
+    drawn leaf handed to ``submit``, each commit waiting on a future."""
+    window: deque[tuple[TreeNode, Future | None]] = deque()
+    drawing = True
+    while drawing or window:
+        while drawing and len(window) < width:
+            leaf = step.draw()
+            if leaf is None:
+                drawing = False
+            elif scored_from_history(leaf):
+                window.append((leaf, None))
+            else:
+                window.append((leaf, submit(evaluate, leaf, step.drawn - 1)))
+        if window:
+            leaf, future = window.popleft()
+            step.commit(leaf, future.result() if future is not None else None)
+    return step.evaluations
+
+
+def reference_parallel_search(
+    root: TreeNode,
+    scope: MergeScope,
+    executor: Executor | ParallelExecutor,
+    context: ExecutionContext,
+    method: str = "prioritized",
+    workers: int = 2,
+    budget: int | None = None,
+    time_budget_seconds: float | None = None,
+    seed: int = 0,
+) -> list[CandidateEvaluation]:
+    """``engine.run_parallel_search`` as it stood at ``c8dc672``.
+    Verbatim but for the ``reference_`` names and the two marked lines:
+    its ``flight`` argument, which every caller left ``None``, is gone,
+    so each multi-worker search gets a fresh flight from
+    ``from_executor``, as it did then."""
+    step = SearchStep(root, method, seed, budget, time_budget_seconds)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    # Single-flight dedups *concurrent* candidates; one worker with no
+    # flight to share has none, and keeps the executor it was given.
+    engine = executor
+    if workers > 1:  # marked
+        engine = ParallelExecutor.from_executor(executor)  # marked
+    tracer = obs_trace.default_tracer()
+
+    def evaluate(leaf: TreeNode, index: int):
+        with tracer.span("merge.candidate", draw=index):
+            return run_candidate(leaf, scope, engine, context)
+
+    if workers == 1:
+        return reference_search_window(step, evaluate)
+    with ThreadPoolExecutor(workers, thread_name_prefix="repro-merge") as pool:
+        # A pool thread starts with an empty contextvars context; running
+        # under a copy of the caller's keeps every merge.candidate span
+        # nested under the caller's current span, one trace per merge.
+        return reference_search_window(
+            step,
+            evaluate,
+            workers,
+            lambda *call: pool.submit(copy_context().run, *call),
+        )

@@ -268,11 +268,12 @@ class TestConfiguration:
         # Already-parallel executors pass through unchanged...
         assert ParallelExecutor.from_executor(engine) is engine
         # ...unless the caller asks for a different worker count, which is
-        # honored (same store and flight, never silently dropped).
+        # honored (same store, never silently dropped); every executor
+        # owns its flight.
         widened = ParallelExecutor.from_executor(engine, workers=8)
         assert widened is not engine
         assert widened.workers == 8
-        assert widened.checkpoints is store and widened.flight is engine.flight
+        assert widened.checkpoints is store and widened.flight is not engine.flight
 
     @pytest.mark.timeout(120)
     def test_reuse_false_recomputes_like_modeldb(self):

@@ -1,16 +1,14 @@
-"""Multi-worker merge search tests: determinism, equivalence, dedup.
+"""Merge search across window widths: determinism, equivalence, reuse.
 
-The driver's contract: ``workers=1`` reproduces the sequential
-``run_ordered_search`` exactly (same RNG stream, same draw sequence) —
-and since both now loop over one ``SearchStep``, both are held to the
-frozen ``reference_ordered_search`` (``tests/engine/reference.py``);
-``workers > 1`` is deterministic per (seed, workers) and — unbudgeted —
-reaches identical candidate scores, stage output refs, winner, and
-executed/reused totals; and racing candidates sharing an expensive
-prefix execute each (component, input) pair exactly once.
+The search's contract: ``workers=1`` is the sequential search of the
+frozen ``reference_ordered_search`` (``tests/engine/reference.py``:
+same RNG stream, same draw sequence); ``workers > 1`` is deterministic
+per (seed, workers) and — unbudgeted — reaches identical candidate
+scores, stage output refs, winner, and executed/reused totals; and
+candidates sharing a prefix execute each (component, input) pair
+exactly once. ``test_search_oracle.py`` holds every width to the
+thread-pool driver it replaced.
 """
-
-import threading
 
 import pytest
 
@@ -26,7 +24,6 @@ from repro.core.merge import (
     run_ordered_search,
 )
 from repro.core.repository import MLCask
-from repro.engine import run_parallel_search
 from repro.errors import MergeError
 
 from engine.reference import ReferenceExecutor, reference_ordered_search
@@ -75,11 +72,11 @@ def reference_evaluations(method="prioritized", seed=4, budget=None):
     )
 
 
-def parallel_evaluations(workers, method="prioritized", seed=4, budget=None):
+def windowed_evaluations(workers, method="prioritized", seed=4, budget=None):
     repo = build_fig3_history()
     scope, root = prepared_tree(repo)
     executor = Executor(repo.checkpoints, metric="accuracy", reuse=True)
-    return run_parallel_search(
+    return run_ordered_search(
         root, scope, executor, ExecutionContext(seed=0),
         method=method, workers=workers, budget=budget, seed=seed,
     )
@@ -113,19 +110,18 @@ class TestWorkersOneIsSequential:
     @pytest.mark.parametrize("seed", [0, 4, 11])
     def test_identical_evaluation_sequence(self, method, seed):
         expected = evaluation_sequence(sequential_evaluations(method, seed))
-        actual = evaluation_sequence(parallel_evaluations(1, method, seed))
+        actual = evaluation_sequence(windowed_evaluations(1, method, seed))
         assert actual == expected
         reference = reference_evaluations(method, seed)
         assert expected == evaluation_sequence(reference)
-        for production in (sequential_evaluations, lambda *a: parallel_evaluations(1, *a)):
-            evaluations = production(method, seed)
-            assert output_ref_map(evaluations) == output_ref_map(reference)
-            assert totals(evaluations) == totals(reference)
+        evaluations = sequential_evaluations(method, seed)
+        assert output_ref_map(evaluations) == output_ref_map(reference)
+        assert totals(evaluations) == totals(reference)
 
     @pytest.mark.timeout(120)
     def test_identical_under_budget(self):
         expected = evaluation_sequence(sequential_evaluations(budget=4))
-        actual = evaluation_sequence(parallel_evaluations(1, budget=4))
+        actual = evaluation_sequence(windowed_evaluations(1, budget=4))
         assert actual == expected
         assert expected == evaluation_sequence(reference_evaluations(budget=4))
 
@@ -138,7 +134,7 @@ class TestMultiWorkerEquivalence:
         """Unbudgeted: every leaf is evaluated, so scores, output refs,
         and executed/reused totals must match sequential bit for bit."""
         expected = sequential_evaluations(method)
-        actual = parallel_evaluations(workers, method)
+        actual = windowed_evaluations(workers, method)
         assert len(actual) == len(expected)
         assert score_map(actual) == score_map(expected)
         assert output_ref_map(actual) == output_ref_map(expected)
@@ -147,28 +143,28 @@ class TestMultiWorkerEquivalence:
     @pytest.mark.timeout(300)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_deterministic_per_seed_and_workers(self, workers):
-        first = evaluation_sequence(parallel_evaluations(workers, seed=4))
-        second = evaluation_sequence(parallel_evaluations(workers, seed=4))
+        first = evaluation_sequence(windowed_evaluations(workers, seed=4))
+        second = evaluation_sequence(windowed_evaluations(workers, seed=4))
         assert first == second
 
     @pytest.mark.timeout(120)
     def test_budget_caps_evaluations(self):
-        evaluations = parallel_evaluations(4, budget=4)
+        evaluations = windowed_evaluations(4, budget=4)
         assert len(evaluations) == 4
 
     @pytest.mark.timeout(120)
     def test_history_candidates_not_reexecuted(self):
-        evaluations = parallel_evaluations(4)
+        evaluations = windowed_evaluations(4)
         free = [e for e in evaluations if e.report is None]
         assert len(free) == 5  # the five trained pipelines of Fig. 3
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown search method"):
-            parallel_evaluations(2, method="greedy")
+            windowed_evaluations(2, method="greedy")
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            parallel_evaluations(0)
+            windowed_evaluations(0)
 
 
 class TestRepositoryMerge:
@@ -203,24 +199,52 @@ class TestRepositoryMerge:
         with pytest.raises(MergeError, match="workers"):
             repo.merge("toy", "master", "dev", workers=0)
 
+    @pytest.mark.parametrize(
+        "search, bound",
+        [
+            ("exhaustive", {"budget": 2}),
+            ("exhaustive", {"time_budget_seconds": 5.0}),
+            ("prioritized", {"budget": 0}),
+            ("random", {"budget": -3}),
+            ("prioritized", {"time_budget_seconds": -1.0}),
+            ("random", {"time_budget_seconds": float("nan")}),
+        ],
+        ids=[
+            "exhaustive-budget", "exhaustive-time", "zero", "negative",
+            "negative-time", "nan-time",
+        ],
+    )
+    def test_a_budget_it_cannot_honour_is_refused_up_front(self, search, bound):
+        """The exhaustive walk evaluates every candidate; an ordered search
+        needs at least one evaluation and a time budget a clock can reach.
+        Anything else is a ``MergeError`` naming the argument, raised
+        before a candidate runs."""
+        repo = build_fig3_history()
+        head = repo.head_commit("toy", "master").commit_id
+        rows = len(repo.lineage)
+        (argument,) = bound
+        with pytest.raises(MergeError, match=argument):
+            repo.merge("toy", "master", "dev", search=search, **bound)
+        assert repo.head_commit("toy", "master").commit_id == head
+        assert len(repo.lineage) == rows
 
-class TestMergeLevelSingleFlight:
+
+class TestColdMergeExecutesEachPrefixOnce:
     @pytest.mark.timeout(300)
-    def test_racing_candidates_share_prefix_executions(self):
-        """A cold two-branch history whose candidates share prefixes: with
-        4 workers the in-flight candidates race to the same (clean,
-        extract) computations, and each distinct tree prefix must still
-        execute exactly once — the counts a sequential PR-pruned search
-        would produce."""
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shared_prefixes_execute_once(self, workers):
+        """A cold two-branch history whose candidates share prefixes: at
+        any window width each distinct tree prefix executes exactly once
+        — the counts a sequential PR-pruned search produces. (The DAG
+        path's single-flight, where two stages of one run share a key,
+        is ``test_single_flight.py``'s.)"""
         counts: dict[str, int] = {}
-        lock = threading.Lock()
 
         def counting(component, label):
             inner = component.fn
 
             def fn(payload, params, rng):
-                with lock:
-                    counts[label] = counts.get(label, 0) + 1
+                counts[label] = counts.get(label, 0) + 1
                 return inner(payload, params, rng)
 
             return LibraryComponent(
@@ -260,7 +284,7 @@ class TestMergeLevelSingleFlight:
         )
 
         outcome = repo.merge(
-            "toy", "master", "dev", search="prioritized", workers=4, seed=0
+            "toy", "master", "dev", search="prioritized", workers=workers, seed=0
         )
         # Tree: 2 clean x 2 extract x 2 model = 8 leaves, no checkpoints.
         # Exactly-once per distinct (component, upstream-prefix) pair:

@@ -1,13 +1,15 @@
 """Single-flight dedup tests: each (component, input) computed at most once.
 
-The satellite requirement: N threads racing the same candidate execute
-each ``(component fingerprint, input ref)`` pair exactly once, asserted
-via execution-counting components.
+Every merge candidate runs on the calling thread, so the flight's one
+remaining job is inside a DAG run: two ready stages that bind the same
+component to the same input must execute that pair once, asserted via
+execution-counting components, at every worker count.
 """
 
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import LibraryComponent, PipelineSpec, SemVer
@@ -15,8 +17,10 @@ from repro.core.checkpoint import ChunkedCheckpointStore
 from repro.core.context import ExecutionContext
 from repro.core.pipeline import PipelineInstance
 from repro.engine import COMPUTED, HIT, JOINED, ParallelExecutor, SingleFlight
+from repro.provenance import LineageLedger
 
 from helpers import RAW_SCHEMA, toy_dataset
+from test_parallel_executor import report_fingerprint
 
 
 class ExecutionCounter:
@@ -58,58 +62,86 @@ def counting_chain(counter: ExecutionCounter):
     return PipelineInstance(spec=spec, components=components)
 
 
-class TestRacingCandidates:
+def twin_instance(counter: ExecutionCounter, entered: threading.Event):
+    """dataset feeding two stages that bind one component — the same
+    ``(component, input)`` pair twice in one run — joined by a model."""
+
+    def twin_fn(table, params, rng):
+        counter.bump("twin")
+        entered.set()
+        time.sleep(0.05)  # the other stage reaches the flight meanwhile
+        return table.with_column("f0", table["f0"] * 2.0)
+
+    def join_fn(payload, params, rng):
+        counter.bump("join")
+        same = np.array_equal(payload["left"]["f0"], payload["right"]["f0"])
+        return {"metrics": {"accuracy": float(same)}, "params": {}}
+
+    twin = LibraryComponent(
+        name="twin.clean", version=SemVer("master", 0, 0), fn=twin_fn,
+        params={}, input_schema=RAW_SCHEMA, output_schema="twin/clean_v0",
+    )
+    spec = PipelineSpec(
+        name="twin",
+        stages=("dataset", "left", "right", "model"),
+        edges=(
+            ("dataset", "left"),
+            ("dataset", "right"),
+            ("left", "model"),
+            ("right", "model"),
+        ),
+    )
+    components = {
+        "dataset": toy_dataset(),
+        "left": twin,
+        "right": twin,
+        "model": LibraryComponent(
+            name="twin.join", version=SemVer("master", 0, 0), fn=join_fn,
+            params={}, input_schema="twin/clean_v0", output_schema="twin/model",
+            is_model=True,
+        ),
+    }
+    return PipelineInstance(spec=spec, components=components)
+
+
+class TestTwoStagesOneKey:
     @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("n_threads", [2, 8])
-    def test_n_threads_same_candidate_execute_each_stage_once(self, n_threads):
-        counter = ExecutionCounter()
-        instance = counting_chain(counter)
-        checkpoints = ChunkedCheckpointStore()
-        flight = SingleFlight()
-        executors = [
-            ParallelExecutor(checkpoints, metric="accuracy", flight=flight)
-            for _ in range(n_threads)
-        ]
-        barrier = threading.Barrier(n_threads, timeout=60)
-        reports = [None] * n_threads
-        errors: list[BaseException] = []
+    def test_one_stage_executes_and_the_other_reuses_at_any_worker_count(
+        self, monkeypatch
+    ):
+        """``right`` starts only once ``left`` is inside the component, so
+        ``left`` leads the flight at two workers (``right`` joins it, or
+        finds the record it saved) just as it runs first at one."""
+        gate = {}
+        run_stage = ParallelExecutor._run_stage
 
-        def race(i):
-            try:
-                barrier.wait()
-                reports[i] = executors[i].run(instance, ExecutionContext(seed=0))
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
+        def left_first(executor, stage, *args):
+            if stage == "right":
+                assert gate["entered"].wait(timeout=60)
+            return run_stage(executor, stage, *args)
 
-        threads = [threading.Thread(target=race, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors, errors
+        monkeypatch.setattr(ParallelExecutor, "_run_stage", left_first)
+        outcomes = {}
+        for workers in (1, 2):
+            counter, gate["entered"] = ExecutionCounter(), threading.Event()
+            ledger = LineageLedger()
+            executor = ParallelExecutor(
+                ChunkedCheckpointStore(), workers=workers, lineage=ledger
+            )
+            report = executor.run(
+                twin_instance(counter, gate["entered"]), ExecutionContext(seed=0)
+            )
+            assert counter.counts == {"twin": 1, "join": 1}
+            assert report.stage("left").executed and report.stage("right").reused
+            assert report.score == 1.0
+            assert executor.flight.stats.computed == 3  # dataset, left, model
+            outcomes[workers] = (report_fingerprint(report), ledger.records())
+        assert outcomes[1] == outcomes[2]
 
-        # Exactly-once execution per (component, input) pair.
-        assert counter.counts == {"clean": 1, "model": 1}
-        assert len(checkpoints) == 3  # dataset + clean + model, once each
 
-        # Every racer reports the same content-addressed outputs and score,
-        # and the stages executed exactly once across the whole race.
-        outputs = {tuple(sorted(r.stage_outputs.items())) for r in reports}
-        assert len(outputs) == 1
-        assert {r.score for r in reports} == {0.75}
-        total_executed = sum(r.n_executed for r in reports)
-        total_reused = sum(r.n_reused for r in reports)
-        assert total_executed == 3
-        assert total_reused == n_threads * 3 - 3
-        # Nothing recomputed: exactly the three stage computations led a
-        # flight. (Most reuses short-circuit on the executor's store
-        # lookup without entering the flight, so joined/hit counts only
-        # bound the remainder.)
-        assert flight.stats.computed == 3
-        assert flight.stats.joined + flight.stats.hits <= n_threads * 3 - 3
-
+class TestRerun:
     @pytest.mark.timeout(60)
-    def test_sequential_rerun_after_race_is_all_reuse(self):
+    def test_sequential_rerun_is_all_reuse(self):
         counter = ExecutionCounter()
         instance = counting_chain(counter)
         checkpoints = ChunkedCheckpointStore()

@@ -8,7 +8,6 @@ payloads, the ``reuse=False`` policy, what a single-flight join reports,
 and how a failing stage's time is charged.
 """
 
-import threading
 import time
 
 import pytest
@@ -179,63 +178,10 @@ class TestSingleFlightJoin:
         store = ChunkedCheckpointStore()
         instance, context = toy_instance(), ExecutionContext(seed=0)
         leader = Executor(store)
-        flight = JoiningFlight(lambda: leader.run(instance, context))
-        follower = ParallelExecutor(store, workers=workers, flight=flight)
+        follower = ParallelExecutor(store, workers=workers)
+        follower.flight = JoiningFlight(lambda: leader.run(instance, context))
         report = follower.run(instance, context)
         assert not report.failed and report.score == 0.5
         assert report.n_executed == 0 and report.n_reused == 4
         assert report.stage_outputs == leader.run(instance, context).stage_outputs
         assert all(r.run_seconds == 0.0 for r in report.stage_reports)
-
-    def test_racing_run_adopts_the_in_flight_computation(self, workers):
-        """Real threads: the follower arrives while the leader is inside
-        the component, so it must wait and report a reuse — the component
-        runs once."""
-        entered, release = threading.Event(), threading.Event()
-        runs = []
-        clean = toy_initial_components()["clean"]
-
-        def gated(table, params, rng):
-            runs.append(threading.current_thread().name)
-            entered.set()
-            assert release.wait(timeout=60)
-            return clean.fn(table, params, rng)
-
-        instance = toy_instance(
-            clean=LibraryComponent(
-                name=clean.name,
-                version=clean.version,
-                fn=gated,
-                params=clean.params,
-                input_schema=clean.input_schema,
-                output_schema=clean.output_schema,
-            )
-        )
-        store, flight = ChunkedCheckpointStore(), SingleFlight()
-        context = ExecutionContext(seed=0)
-        reports = {}
-
-        def run(name):
-            executor = ParallelExecutor(store, workers=workers, flight=flight)
-            reports[name] = executor.run(instance, context)
-
-        leader = threading.Thread(target=run, args=("leader",), name="leader")
-        follower = threading.Thread(target=run, args=("follower",), name="follower")
-        leader.start()
-        assert entered.wait(timeout=60)
-        follower.start()
-        # the dataset stage is archived, so the follower's next stop is the
-        # in-flight ``clean``; should it be slower than this, it finds the
-        # record in the store instead — a reuse all the same
-        time.sleep(0.2)
-        release.set()
-        leader.join(timeout=60)
-        follower.join(timeout=60)
-        assert not leader.is_alive() and not follower.is_alive()
-
-        assert len(runs) == 1
-        adopted = reports["follower"].stage("clean")
-        assert adopted.reused and not adopted.executed
-        assert reports["leader"].stage("clean").executed
-        assert reports["follower"].stage_outputs == reports["leader"].stage_outputs
-        assert flight.stats.computed == 4

@@ -1,10 +1,12 @@
 """Where the engine's threads are, and what the search window guarantees.
 
-The window rule — at most ``W`` uncommitted draws, the window filled
-before a commit, commits in draw order — makes the picker's view at draw
-``j`` exactly results ``0..j-W``, so a search is a function of ``(seed,
-workers)`` alone. ``golden_search_window.jsonl`` holds the ``(path_key,
-score)`` evaluation sequences of ``merge(workers=W)`` on
+A merge starts no thread: every candidate runs on the calling thread,
+whatever ``workers`` says. Only a DAG run of a spec that branches reaches
+a pool. The window rule — at most ``W`` uncommitted draws, the window
+filled before a commit, commits in draw order — makes the picker's view
+at draw ``j`` exactly results ``0..j-W``, so a search is a function of
+``(seed, workers)`` alone. ``golden_search_window.jsonl`` holds the
+``(path_key, score)`` evaluation sequences of ``merge(workers=W)`` on
 ``build_delayed_merge_repo`` as the thread-per-worker coordinator
 produced them at ``c099a8a``, before the search became one caller-thread
 loop; ``python tests/engine/test_thread_model.py`` prints them afresh.
@@ -20,7 +22,8 @@ import pytest
 from repro.core.context import ExecutionContext
 from repro.core.merge.prioritized import SearchStep
 from repro.engine import DagScheduler, ParallelExecutor
-from repro.experiments import parallel
+
+from engine import delayed
 
 GOLDEN = Path(__file__).with_name("golden_search_window.jsonl")
 WORKERS = (2, 3, 4)
@@ -29,7 +32,7 @@ BUDGETS = (None, 5)
 
 
 def delayed_repo():
-    return parallel.build_delayed_merge_repo(stage_seconds=0.002, model_seconds=0.004)
+    return delayed.build_delayed_merge_repo(stage_seconds=0.002, model_seconds=0.004)
 
 
 def merged(repo, workers, seed=0, budget=None):
@@ -66,9 +69,9 @@ def instrument(monkeypatch, around) -> None:
     ``around(inner, payload, params, rng)`` runs once per candidate, on
     whatever thread evaluates it. (``fn`` is not part of a component's
     fingerprint, so the golden's path keys and refs are unchanged.)"""
-    inner = parallel._model_fn
+    inner = delayed._model_fn
     monkeypatch.setattr(
-        parallel,
+        delayed,
         "_model_fn",
         lambda payload, params, rng: around(inner, payload, params, rng),
     )
@@ -78,8 +81,7 @@ class Probe:
     """Counts candidate evaluations: how many ran, how many at once, and
     on which threads."""
 
-    def __init__(self, hold=0.01):
-        self.hold = hold
+    def __init__(self):
         self.lock = threading.Lock()
         self.running = 0
         self.peak = 0
@@ -92,26 +94,12 @@ class Probe:
             self.peak = max(self.peak, self.running)
             self.threads.add(threading.get_ident())
         try:
-            time.sleep(self.hold)
+            time.sleep(0.01)  # long enough for an overlap to show
             return inner(payload, params, rng)
         finally:
             with self.lock:
                 self.running -= 1
                 self.finished += 1
-
-
-@pytest.mark.timeout(120)
-@pytest.mark.parametrize("workers", WORKERS)
-def test_concurrent_candidates_reach_the_window_and_never_exceed_it(
-    workers, monkeypatch
-):
-    # Held long enough that the first W candidates overlap even when a
-    # loaded box is slow to start a pool thread.
-    probe = Probe(hold=0.04)
-    instrument(monkeypatch, probe)
-    outcome = merged(delayed_repo(), workers)
-    assert outcome.candidates_evaluated == probe.finished == 24
-    assert probe.peak == workers
 
 
 @pytest.mark.timeout(120)
@@ -149,8 +137,22 @@ def test_result_i_commits_only_after_draw_i_plus_w_minus_1(workers, monkeypatch)
     assert drawn == committed == 24
 
 
+def started_threads(monkeypatch) -> list:
+    """Every thread started from here on, by anyone."""
+    started = []
+    start = threading.Thread.start
+
+    def logged_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
+    return started
+
+
 @pytest.mark.timeout(120)
-def test_one_worker_builds_no_pool_and_starts_no_thread(monkeypatch):
+@pytest.mark.parametrize("workers", (1, *WORKERS))
+def test_a_merge_starts_no_thread_at_any_worker_count(workers, monkeypatch):
     probe = Probe()
     threads_alive = []
 
@@ -159,11 +161,14 @@ def test_one_worker_builds_no_pool_and_starts_no_thread(monkeypatch):
         return probe(inner, payload, params, rng)
 
     instrument(monkeypatch, around)
+    repo = delayed_repo()
+    started = started_threads(monkeypatch)
     before = threading.active_count()
-    merged(delayed_repo(), workers=1)
-    assert probe.finished == 24
+    merged(repo, workers)
+    assert probe.finished == 24 and probe.peak == 1
     assert probe.threads == {threading.get_ident()}
     assert set(threads_alive) == {before}
+    assert started == []
 
 
 @pytest.mark.timeout(120)
@@ -199,9 +204,9 @@ class Crash(BaseException):
 
 @pytest.mark.timeout(120)
 def test_a_crashing_candidate_surfaces_on_the_caller(monkeypatch):
-    """The crash re-raises on the calling thread once the candidates in
-    flight beside it have finished, and no draw after the crashed one is
-    committed to the tree."""
+    """The crash re-raises on the calling thread as soon as the crashed
+    candidate runs, and no draw after the crashed one is committed to
+    the tree."""
     probe = Probe()
     crashed_model = "pmerge.model@dev@0.2"
     drawn, committed = [], []
@@ -228,9 +233,10 @@ def test_a_crashing_candidate_surfaces_on_the_caller(monkeypatch):
     head_before = repo.head_commit("pmerge", "master").commit_id
     with pytest.raises(Crash, match="crash probe"):
         merged(repo, workers=3)
-    assert probe.running == 0  # in-flight candidates were waited for
+    assert probe.running == 0
     assert committed == drawn[: len(committed)]
     assert len(committed) <= drawn.index(crashed_model)
+    assert drawn[-1] == crashed_model  # nothing was drawn after it
     assert repo.head_commit("pmerge", "master").commit_id == head_before
 
 

@@ -1,15 +1,13 @@
-"""The search step in absolute terms, on both live drivers and the simulator.
+"""The search step in absolute terms, on the live search and the simulator.
 
-``run_ordered_search``, ``run_parallel_search`` and ``SearchSimulator``
-loop over one ``SearchStep``; the differential tests hold the live
-drivers to the frozen ``reference_ordered_search``. These tests state
+``run_ordered_search`` and ``SearchSimulator`` loop over one
+``SearchStep``; the differential tests hold the live search to the
+frozen ``reference_ordered_search``. These tests state
 what a draw and a commit guarantee without a second implementation:
 what the budgets count, what a history-scored winner leaves in the merge
 commit, and the simulator's step sequences as they were before the three
 loops became one.
 """
-
-import functools
 
 import pytest
 
@@ -22,24 +20,17 @@ from repro.core.merge import (
     prune_incompatible,
     run_ordered_search,
 )
-from repro.engine import run_parallel_search
 from repro.errors import NoCandidateError
 
 from helpers import build_fig3_history, fresh_toy_repo, toy_extract, toy_model
 from test_prioritized import prepared_tree
 
 
-DRIVERS = {
-    "ordered": run_ordered_search,
-    "parallel-1": functools.partial(run_parallel_search, workers=1),
-}
-
-
-def search(driver, **kwargs):
+def search(**kwargs):
     repo = build_fig3_history()
     scope, root = prepared_tree(repo)
     executor = Executor(repo.checkpoints, metric="accuracy", reuse=True)
-    return driver(root, scope, executor, ExecutionContext(seed=0), **kwargs)
+    return run_ordered_search(root, scope, executor, ExecutionContext(seed=0), **kwargs)
 
 
 def sequence(evaluations):
@@ -47,36 +38,38 @@ def sequence(evaluations):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS)
 class TestBudgets:
     @pytest.mark.parametrize("method", ["prioritized", "random"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_budget_counts_history_scored_leaves(self, driver, method, seed):
+    def test_budget_counts_history_scored_leaves(self, method, seed):
         """A leaf scored from history is a searched candidate: it takes a
         slot of the budget although nothing runs. A budgeted search is
         the unbudgeted one, cut after ``budget`` draws."""
-        full = search(driver, method=method, seed=seed)
+        full = search(method=method, seed=seed)
         assert len(full) == 10
         assert sum(e.report is None for e in full) == 5
         # cut just after the first history-scored leaf, so it is counted
         budget = next(e.index for e in full if e.report is None) + 1
-        cut = search(driver, method=method, seed=seed, budget=budget)
+        cut = search(method=method, seed=seed, budget=budget)
         assert sequence(cut) == sequence(full)[:budget]
         assert cut[-1].report is None and cut[-1].score is not None
 
-    def test_budget_zero_evaluates_nothing(self, driver):
-        assert search(driver, budget=0) == []
+    def test_budget_zero_evaluates_nothing(self):
+        assert search(budget=0) == []
 
     @pytest.mark.parametrize("method", ["prioritized", "random"])
-    def test_zero_time_budget_evaluates_exactly_one_candidate(self, driver, method):
+    def test_zero_time_budget_evaluates_exactly_one_candidate(self, method):
         """The clock is consulted only once something has been evaluated:
         a merge under any time budget still finds a candidate."""
-        evaluations = search(driver, method=method, time_budget_seconds=0)
+        evaluations = search(method=method, time_budget_seconds=0)
         assert len(evaluations) == 1
 
-    def test_negative_time_budget_rejected(self, driver):
+    @pytest.mark.parametrize("seconds", [-1, float("nan")], ids=["negative", "nan"])
+    def test_time_budget_no_clock_reaches_is_rejected(self, seconds):
+        """A NaN budget would never stop the search: the step refuses it
+        like a negative one, for every caller, not just the merge."""
         with pytest.raises(ValueError, match="non-negative"):
-            search(driver, time_budget_seconds=-1)
+            search(time_budget_seconds=seconds)
 
 
 @pytest.mark.timeout(120)

@@ -132,7 +132,7 @@ class TestRunCommand:
 
 
 class TestMergeCommand:
-    def test_parallel_merge_commits_winner(self, tmp_path):
+    def test_wide_window_merge_commits_winner(self, tmp_path):
         repo_dir = str(tmp_path / "repo")
         build_two_branch_repo_dir(repo_dir)
         code, text = run_cli(
@@ -146,7 +146,16 @@ class TestMergeCommand:
         assert code == 0
         assert "4 reused" in text
 
-    def test_sequential_default_matches_parallel_winner(self, tmp_path):
+    def test_negative_time_budget_is_an_error_not_a_traceback(self, tmp_path):
+        repo_dir = str(tmp_path / "repo")
+        build_two_branch_repo_dir(repo_dir)
+        code, text = run_cli(
+            ["merge", repo_dir, "master", "dev", "--time-budget", "-1", *REBIND]
+        )
+        assert code == 1
+        assert "error: time_budget_seconds must be non-negative" in text
+
+    def test_default_window_matches_wide_window_winner(self, tmp_path):
         scores = {}
         for label, extra in (("seq", []), ("par", ["--workers", "4"])):
             repo_dir = str(tmp_path / label)

@@ -14,7 +14,6 @@ FAST_EXAMPLES = [
     "retrospective_audit.py",
     "readmission_collaboration.py",
     "remote_collaboration.py",
-    "parallel_merge.py",
     "hub_multitenant.py",
 ]
 
