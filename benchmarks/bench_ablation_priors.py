@@ -26,7 +26,11 @@ def _mean_first_optimal_rank(simulator, method, n_trials, best_score):
     for seed in range(n_trials):
         trial = simulator.run_trial(method, seed=seed)
         ranks.append(
-            next(s.rank for s in trial.steps if s.score >= best_score - 1e-9)
+            next(
+                s.rank
+                for s in trial.steps
+                if s.score is not None and s.score >= best_score - 1e-9
+            )
         )
     return float(np.mean(ranks))
 

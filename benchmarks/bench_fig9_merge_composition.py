@@ -11,10 +11,10 @@ from repro.core.merge import (
     build_compatibility_lut,
     build_merge_scope,
     build_search_tree,
-    execute_candidate,
     leaves,
     mark_checkpointed_nodes,
     prune_incompatible,
+    run_candidate,
 )
 from repro.core.repository import MLCask
 from repro.workloads import apply_nonlinear_history, nonlinear_script, readmission_workload
@@ -42,7 +42,7 @@ def test_fig9_composition(merge_result, benchmark):
     def evaluate_one_candidate():
         leaf = pending[state["i"] % len(pending)]
         state["i"] += 1
-        return execute_candidate(leaf, scope, executor, context)
+        return run_candidate(leaf, scope, executor, context)
 
     benchmark.pedantic(evaluate_one_candidate, rounds=3, iterations=1)
 

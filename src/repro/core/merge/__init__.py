@@ -23,7 +23,7 @@ from .prioritized import (
 )
 from .pruning import executed_leaf_scores, mark_checkpointed_nodes
 from .search_space import MergeScope, branch_search_space, build_merge_scope
-from .traversal import CandidateEvaluation, execute_candidate, execute_tree, path_key_of
+from .traversal import CandidateEvaluation, path_key_of, run_candidate
 from .tree import (
     TreeNode,
     build_search_tree,
@@ -44,7 +44,7 @@ __all__ = [
     "propagate_leaf_score", "refresh_scores", "run_ordered_search",
     "executed_leaf_scores", "mark_checkpointed_nodes",
     "MergeScope", "branch_search_space", "build_merge_scope",
-    "CandidateEvaluation", "execute_candidate", "execute_tree", "path_key_of",
+    "CandidateEvaluation", "path_key_of", "run_candidate",
     "TreeNode", "build_search_tree", "candidate_components", "count_candidates",
     "count_feasible_components", "iter_nodes", "leaves", "nodes_at_level",
 ]

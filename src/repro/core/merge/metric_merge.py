@@ -5,9 +5,9 @@
 Pipeline: build the merge scope (search spaces anchored at the common
 ancestor), construct the pipeline search tree (Algorithm 1), prune it with
 the compatibility LUT (PC) and the history checkpoints (PR) according to
-the requested mode, execute the surviving candidates (Algorithm 2 or a
-prioritized/random ordered search), and commit the winner on the HEAD
-branch with both tips as parents.
+the requested mode, execute the surviving candidates (Algorithm 2's
+depth-first walk or a prioritized/random search, one loop), and commit
+the winner on the HEAD branch with both tips as parents.
 
 Modes reproduce the paper's ablations (section VII-B):
 
@@ -29,7 +29,6 @@ from .compatibility import build_compatibility_lut, prune_incompatible
 from .prioritized import check_search_bounds, run_ordered_search
 from .pruning import mark_checkpointed_nodes
 from .search_space import build_merge_scope
-from .traversal import execute_tree
 from .tree import build_search_tree, count_candidates
 
 MERGE_MODES = ("pcpr", "pc_only", "none")
@@ -76,13 +75,14 @@ def metric_driven_merge(
 ):
     """Run the merge and return a :class:`repro.core.repository.MergeOutcome`.
 
-    The exhaustive walk is Algorithm 2's depth-first order; the ordered
-    searches run through :func:`~.prioritized.run_ordered_search`. Every
-    candidate runs on the calling thread, one at a time. ``workers`` is
-    the width ``W`` of the ordered searches' draw window (draw ``j``
-    sees results ``0 .. j - W``); ``budget`` (at least 1) and
-    ``time_budget_seconds`` (non-negative) bound the ordered searches
-    only. Each argument is checked before anything runs.
+    Every search — the exhaustive walk (Algorithm 2's depth-first
+    order) and the ordered searches — runs through
+    :func:`~.prioritized.run_ordered_search`. Every candidate runs on
+    the calling thread, one at a time. ``workers`` is the width ``W`` of
+    the ordered searches' draw window (draw ``j`` sees results
+    ``0 .. j - W``); ``budget`` (at least 1) and ``time_budget_seconds``
+    (non-negative) bound the ordered searches only. Each argument is
+    checked before anything runs.
     """
     from ..repository import MergeOutcome
 
@@ -136,20 +136,17 @@ def metric_driven_merge(
         executor = Executor(FolderCheckpointStore(), metric=repo.metric, reuse=False)
 
     context = ExecutionContext(seed=seed, metric=repo.metric)
-    if search == "exhaustive":
-        evaluations = execute_tree(root, scope, executor, context)
-    else:
-        evaluations = run_ordered_search(
-            root,
-            scope,
-            executor,
-            context,
-            method=search,
-            workers=workers,
-            budget=budget,
-            time_budget_seconds=time_budget_seconds,
-            seed=seed,
-        )
+    evaluations = run_ordered_search(
+        root,
+        scope,
+        executor,
+        context,
+        method=search,
+        workers=workers,
+        budget=budget,
+        time_budget_seconds=time_budget_seconds,
+        seed=seed,
+    )
 
     viable = [e for e in evaluations if e.score is not None]
     if not viable:
@@ -176,8 +173,7 @@ def metric_driven_merge(
         score_override=best.score,
     )
 
-    executed = sum(e.report.n_executed for e in evaluations if e.report is not None)
-    reused = sum(e.report.n_reused for e in evaluations if e.report is not None)
+    reports = [e.report for e in evaluations if e.report is not None]
     return MergeOutcome(
         commit=commit,
         fast_forward=False,
@@ -185,13 +181,9 @@ def metric_driven_merge(
         candidates_total=candidates_total,
         candidates_pruned_incompatible=pruned,
         candidates_evaluated=len(evaluations),
-        components_executed=executed,
-        components_reused=reused,
-        execution_seconds=sum(
-            e.report.execution_seconds for e in evaluations if e.report is not None
-        ),
-        storage_seconds=sum(
-            e.report.storage_seconds for e in evaluations if e.report is not None
-        ),
+        components_executed=sum(r.n_executed for r in reports),
+        components_reused=sum(r.n_reused for r in reports),
+        execution_seconds=sum(r.execution_seconds for r in reports),
+        storage_seconds=sum(r.storage_seconds for r in reports),
         evaluations=evaluations,
     )

@@ -16,13 +16,14 @@ That state lives on the tree's nodes: ``TreeNode.score`` and
 a child is worth descending into while its count is positive, and
 drawing a leaf decrements the counts along its ancestry, so a pick costs
 O(depth × branching). :class:`SearchStep` is the one place that sets and
-advances both; the pickers only read them.
+advances both; the pickers (prioritized, random, and Algorithm 2's
+depth-first :func:`~.traversal.pick_first_leaf`) only read them.
 
-The module provides both the *live* search (executing real pipelines, with
-an optional evaluation budget — the paper's limited-time-budget setting)
-and a *simulator* that replays searches over known candidate scores and
-component costs, which is how the 100-trial experiments of Fig. 10 and
-Table I are produced without re-training 100x.
+One loop, :func:`search_window`, runs every search, given an evaluator
+and the step's clock: a live merge runs pipelines on the wall clock;
+:class:`SearchSimulator` replays known candidate scores and component
+costs on a simulated clock, which is how the 100-trial experiments of
+Fig. 10 and Table I are produced without re-training 100x.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .traversal import (
     apply_candidate_result,
     evaluation_of,
     path_key_of,
+    pick_first_leaf,
     run_candidate,
 )
 from .tree import TreeNode, build_search_tree, leaves
@@ -127,7 +129,11 @@ def _count_unrun(node: TreeNode) -> int:
 
 
 # --------------------------------------------------------- the search step
-_PICKERS = {"prioritized": pick_prioritized_leaf, "random": pick_random_leaf}
+_PICKERS = {
+    "exhaustive": pick_first_leaf,
+    "prioritized": pick_prioritized_leaf,
+    "random": pick_random_leaf,
+}
 
 
 def check_search_bounds(
@@ -147,21 +153,20 @@ def check_search_bounds(
 
 def scored_from_history(leaf: TreeNode) -> bool:
     """A trained pipeline of the commit history (a green leaf of Fig. 4):
-    its score is known, so a live search counts it as searched without
-    executing anything."""
+    its score is known."""
     return leaf.score is not None and leaf.executed
 
 
 class SearchStep:
-    """The draw and the commit of an ordered search, defined once.
+    """The draw and the commit of a search, defined once.
 
-    :func:`search_window` — the loop of every live search — keeps a
-    window of draws uncommitted and commits in draw order, and
-    :class:`SearchSimulator` replaces execution with
-    its cost model — all over this one RNG stream and tree. The search
-    state lives on the tree's nodes (``score``, ``unrun``), so the tree's
-    shape must not change once the step is built: prune before. Not
-    thread-safe: one thread draws and commits.
+    :func:`search_window` — the loop of every search, live or simulated
+    — keeps a window of draws uncommitted and commits in draw order, all
+    over this one RNG stream and tree. The search state lives on the
+    tree's nodes (``score``, ``unrun``), so the tree's shape must not
+    change once the step is built: prune before. ``clock`` times each
+    evaluation and the time budget. Not thread-safe: one thread draws
+    and commits.
     """
 
     def __init__(
@@ -171,6 +176,7 @@ class SearchStep:
         seed: int,
         budget: int | None = None,
         time_budget_seconds: float | None = None,
+        clock=time.perf_counter,
     ) -> None:
         if method not in _PICKERS:
             raise ValueError(f"unknown search method {method!r}")
@@ -180,13 +186,15 @@ class SearchStep:
         self.time_budget_seconds = time_budget_seconds
         self._picker = _PICKERS[method]
         self._propagate = method == "prioritized"
+        self._runs_history = method == "exhaustive"
         self._rng = np.random.default_rng(seed)
         refresh_scores(root)
         _count_unrun(root)
         #: leaves drawn so far; ``evaluations`` holds the committed ones
         self.drawn = 0
         self.evaluations: list[CandidateEvaluation] = []
-        self._clock_start = time.perf_counter()
+        self._clock = clock
+        self._clock_start = clock()
 
     def draw(self) -> TreeNode | None:
         """The next leaf to search, marked drawn (``unrun`` decremented
@@ -198,7 +206,7 @@ class SearchStep:
         if (
             self.time_budget_seconds is not None
             and self.evaluations
-            and time.perf_counter() - self._clock_start >= self.time_budget_seconds
+            and self._clock() - self._clock_start >= self.time_budget_seconds
         ):
             return None
         leaf = self._picker(self.root, self._rng)
@@ -210,6 +218,12 @@ class SearchStep:
             self.drawn += 1
         return leaf
 
+    def runs(self, leaf: TreeNode) -> bool:
+        """Whether the search evaluates ``leaf``: the exhaustive walk runs
+        a history-trained leaf too (checkpoint hits, which Fig. 9
+        counts); the ordered searches commit it unrun, at its score."""
+        return self._runs_history or not scored_from_history(leaf)
+
     def settle(self, leaf: TreeNode, score: float | None) -> None:
         """Give a searched leaf its score (``None``: the candidate
         failed) and let it inform later prioritized draws."""
@@ -217,45 +231,50 @@ class SearchStep:
         if self._propagate:
             propagate_leaf_score(leaf)
 
-    def commit(self, leaf: TreeNode, report: RunReport | None) -> None:
-        """Record a drawn leaf's outcome: push a run's execution state
-        onto the tree and settle its score; ``report=None`` for a leaf
-        :func:`scored_from_history`, which changes nothing on the tree."""
-        evaluation = evaluation_of(
-            leaf, report, len(self.evaluations), time.perf_counter() - self._clock_start
-        )
-        if report is not None:
+    def commit(self, leaf: TreeNode, outcome: RunReport | float | None) -> None:
+        """Record a drawn leaf's outcome and settle its score. A live
+        run's :class:`RunReport` also pushes its execution state onto
+        the tree; a bare score (``None``: failed) is a simulated run's,
+        or the history score of a leaf the step does not run."""
+        report: RunReport | None = None
+        if isinstance(outcome, RunReport):
+            report, outcome = outcome, (None if outcome.failed else outcome.score)
             apply_candidate_result(leaf, report)
-            self.settle(leaf, evaluation.score)
-        self.evaluations.append(evaluation)
+        self.settle(leaf, outcome)
+        self.evaluations.append(
+            evaluation_of(
+                leaf, report, len(self.evaluations), self._clock() - self._clock_start
+            )
+        )
 
 
-# ------------------------------------------------------------- live search
+# ------------------------------------------------------------- the loop
 def search_window(step: SearchStep, evaluate, width: int = 1) -> list[CandidateEvaluation]:
-    """The draw/evaluate/commit loop of every live search.
+    """The draw/evaluate/commit loop of every search over a merge tree.
 
     The calling thread owns ``step`` and runs every candidate. It draws
     while fewer than ``width`` draws are uncommitted, evaluates each
-    drawn leaf at once (``evaluate(leaf, draw_index)`` returns its
-    :class:`RunReport`; a leaf :func:`scored_from_history` takes its
-    slot with nothing to run), and commits the oldest slot once the
-    window is full or drawing has stopped. Commits are therefore in draw
-    order and the picker's view at draw ``j`` is exactly results
-    ``0 .. j - width``. What ``evaluate`` raises re-raises here, and
-    nothing drawn after that candidate is committed.
+    drawn leaf the step :meth:`~SearchStep.runs` at once
+    (``evaluate(leaf, draw_index)`` returns its :class:`RunReport`, or a
+    simulated score), gives any other leaf its slot at its history
+    score, and commits the oldest slot once the window is full or
+    drawing has stopped. Commits are therefore in draw order and the
+    picker's view at draw ``j`` is exactly results ``0 .. j - width``.
+    What ``evaluate`` raises re-raises here, and nothing drawn after
+    that candidate is committed.
     """
     check_search_bounds(workers=width)
-    window: deque[tuple[TreeNode, RunReport | None]] = deque()
+    window: deque[tuple[TreeNode, RunReport | float | None]] = deque()
     drawing = True
     while drawing or window:
         while drawing and len(window) < width:
             leaf = step.draw()
             if leaf is None:
                 drawing = False
-            elif scored_from_history(leaf):
-                window.append((leaf, None))
-            else:
+            elif step.runs(leaf):
                 window.append((leaf, evaluate(leaf, step.drawn - 1)))
+            else:
+                window.append((leaf, leaf.score))
         if window:
             step.commit(*window.popleft())
     return step.evaluations
@@ -272,7 +291,8 @@ def run_ordered_search(
     time_budget_seconds: float | None = None,
     seed: int = 0,
 ) -> list[CandidateEvaluation]:
-    """Execute candidates in prioritized or random order, one at a time.
+    """Execute candidates in depth-first (``"exhaustive"``), prioritized
+    or random order, one at a time.
 
     ``workers`` is the width ``W`` of the draw window: draw ``j`` sees
     the results of draws ``0 .. j - W`` (``W = 1``: every earlier one).
@@ -283,7 +303,7 @@ def run_ordered_search(
     prioritized pipeline search only searches the most promising pipelines
     according to the history"). Already-trained candidates (history-scored
     leaves) count as searched without re-execution, exactly like the
-    checkpointed nodes of Fig. 4.
+    checkpointed nodes of Fig. 4; the exhaustive walk runs them.
     """
     step = SearchStep(root, method, seed, budget, time_budget_seconds)
     tracer = obs_trace.default_tracer()
@@ -298,12 +318,12 @@ def run_ordered_search(
 # --------------------------------------------------------------- simulator
 @dataclass
 class SimulatedStep:
-    """One search step of one simulated trial."""
+    """One search step of one simulated trial (``score`` ``None``: failed)."""
 
     rank: int
     path_key: str
     end_time: float
-    score: float
+    score: float | None
 
 
 @dataclass
@@ -318,7 +338,9 @@ class TrialResult:
 
 
 class SearchSimulator:
-    """Replay prioritized/random searches over known scores and costs.
+    """Replay searches over known scores and costs: an evaluator and a
+    simulated clock for :func:`search_window`, so a simulated search
+    honours the budgets of a :class:`SearchStep` as a live one does.
 
     The simulator follows the PR-reuse cost model: evaluating a candidate
     costs the sum of its *not-yet-executed* component costs within the
@@ -340,8 +362,14 @@ class SearchSimulator:
         self.component_costs = dict(component_costs)
         self.mark_history = mark_history
         self.prune = prune  # callable(root) applied after tree build
+        #: simulated seconds spent in the current trial
+        self.elapsed = 0.0
 
-    def _fresh_tree(self) -> TreeNode:
+    def clock(self) -> float:
+        return self.elapsed
+
+    def fresh_tree(self) -> TreeNode:
+        """A new trial's tree, pruned and history-marked; the clock at 0."""
         from .pruning import mark_checkpointed_nodes
 
         root = build_search_tree(self.scope)
@@ -349,31 +377,28 @@ class SearchSimulator:
             self.prune(root)
         if self.mark_history:
             mark_checkpointed_nodes(root, self.scope)
+        self.elapsed = 0.0
         return root
 
+    def evaluate(self, leaf: TreeNode, index: int) -> float | None:
+        """Charge the leaf's unexecuted path nodes to the clock, mark them
+        executed, and return its recorded score (``None``: failed)."""
+        # A node is its path from the root: the same component under
+        # a different upstream prefix is a different execution.
+        cost = 0.0
+        for node in leaf.path_from_root():
+            if not node.executed:
+                cost += self.component_costs.get(node.identifier, 0.0)
+                node.executed = True
+        self.elapsed += cost
+        return self.leaf_scores.get(path_key_of(leaf))
+
     def run_trial(self, method: str, seed: int) -> TrialResult:
-        root = self._fresh_tree()
-        step = SearchStep(root, method, seed)
-        result = TrialResult()
-        clock = 0.0
-        while (leaf := step.draw()) is not None:
-            # A node is its path from the root: the same component under
-            # a different upstream prefix is a different execution.
-            cost = 0.0
-            for node in leaf.path_from_root():
-                if not node.executed:
-                    cost += self.component_costs.get(node.identifier, 0.0)
-                    node.executed = True
-            clock += cost
-            path_key = path_key_of(leaf)
-            score = self.leaf_scores.get(path_key, 0.0)
-            step.settle(leaf, score)
-            result.steps.append(
-                SimulatedStep(
-                    rank=len(result.steps), path_key=path_key, end_time=clock, score=score
-                )
-            )
-        return result
+        step = SearchStep(self.fresh_tree(), method, seed, clock=self.clock)
+        return TrialResult([
+            SimulatedStep(e.index, e.path_key, e.elapsed_seconds, e.score)
+            for e in search_window(step, self.evaluate)
+        ])
 
     def run_trials(self, method: str, n_trials: int, seed: int = 0) -> list[TrialResult]:
         return [self.run_trial(method, seed * 100_003 + t) for t in range(n_trials)]

@@ -1,15 +1,18 @@
 """Algorithm 2: depth-first traversal and execution of the search tree.
 
-The traversal walks the tree depth-first and executes a full candidate
-whenever it reaches a leaf (line 15). The incompatible children that
+The traversal visits the leaves depth-first and executes a full
+candidate at each (line 15): the picker :func:`pick_first_leaf`, run
+under ``search="exhaustive"`` by the one search loop,
+:func:`~.prioritized.search_window`. The incompatible children that
 lines 5-7 of the paper's pseudo-code remove during the walk are removed
 before it instead, by :func:`~.compatibility.prune_incompatible` (which
-also drops the dead ends they would leave). After execution,
-every node on the walking path is marked executed with its output
-reference recorded (lines 16-19); because the executor consults the
-checkpoint store, components whose (version, input) pair already ran are
-skipped — "MLCask can leverage node.executed property to skip certain
-components."
+also drops the dead ends they would leave). After execution, every node
+on the walking path is marked executed with its output reference
+recorded (lines 16-19); because the executor consults the checkpoint
+store, components whose (version, input) pair already ran are skipped —
+"MLCask can leverage node.executed property to skip certain
+components." A leaf trained in the history runs too, all checkpoint
+hits.
 
 Depth-first order matters: "it guarantees that once a node's corresponding
 component is being executed, its parent node's corresponding component
@@ -18,26 +21,25 @@ must have been executed as well" (section VI-B).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..context import ExecutionContext
 from ..executor import Executor, RunReport
 from ..pipeline import PipelineInstance
 from .search_space import MergeScope
-from .tree import TreeNode, candidate_components, leaves
+from .tree import TreeNode, candidate_components
 
 
 @dataclass
 class CandidateEvaluation:
-    """One executed pre-merge pipeline candidate."""
+    """One searched pre-merge pipeline candidate."""
 
     index: int
     path_key: str
     components: dict = field(default_factory=dict)
     report: RunReport | None = None
     score: float | None = None
-    elapsed_seconds: float = 0.0  # merge clock when this candidate finished
+    elapsed_seconds: float = 0.0  # the search's clock when this candidate committed
 
     @property
     def failed(self) -> bool:
@@ -52,8 +54,9 @@ def evaluation_of(
     leaf: TreeNode, report: RunReport | None, index: int, elapsed_seconds: float
 ) -> CandidateEvaluation:
     """The record of one searched candidate — every search builds its
-    records here. ``report is None`` means the leaf was scored from the
-    commit history (a trained pipeline of Fig. 4): nothing was executed."""
+    records here. ``report is None`` means nothing was executed: the
+    leaf's score came from the commit history (a trained pipeline of
+    Fig. 4) or from the simulator."""
     if report is None:
         score = leaf.score
     else:
@@ -68,6 +71,17 @@ def evaluation_of(
     )
 
 
+def pick_first_leaf(root: TreeNode, rng) -> TreeNode | None:
+    """The leftmost leaf not drawn yet (``unrun`` as
+    :class:`~.prioritized.SearchStep` sets it); ``rng`` is unused."""
+    if not root.unrun:
+        return None
+    node = root
+    while not node.is_leaf:
+        node = next(child for child in node.children if child.unrun)
+    return node
+
+
 def run_candidate(
     leaf: TreeNode,
     scope: MergeScope,
@@ -75,7 +89,7 @@ def run_candidate(
     context: ExecutionContext,
 ) -> RunReport:
     """Run a leaf's walking path as a pipeline instance — the execution
-    half of ``executeNodeList``, free of tree mutation: an ordered search
+    half of ``executeNodeList``, free of tree mutation: a search
     evaluates a leaf when it draws it and commits the tree state later,
     in draw order, by :func:`apply_candidate_result`."""
     components = candidate_components(leaf)
@@ -85,8 +99,7 @@ def run_candidate(
 
 def apply_candidate_result(leaf: TreeNode, report: RunReport) -> None:
     """Push one run's execution state back onto the tree nodes (lines
-    16-19 of Algorithm 2): the exhaustive walk's loop body, or an ordered
-    search's commit."""
+    16-19 of Algorithm 2), at the search's commit."""
     if report.failed:
         return
     for node in leaf.path_from_root():
@@ -95,40 +108,3 @@ def apply_candidate_result(leaf: TreeNode, report: RunReport) -> None:
         if stage_report.output_ref:
             node.output_ref = stage_report.output_ref
     leaf.score = report.score
-
-
-def execute_candidate(
-    leaf: TreeNode,
-    scope: MergeScope,
-    executor: Executor,
-    context: ExecutionContext,
-) -> RunReport:
-    """``executeNodeList``: run the walking path as a pipeline instance and
-    push execution state back onto the tree nodes."""
-    report = run_candidate(leaf, scope, executor, context)
-    apply_candidate_result(leaf, report)
-    return report
-
-
-def execute_tree(
-    root: TreeNode,
-    scope: MergeScope,
-    executor: Executor,
-    context: ExecutionContext,
-) -> list[CandidateEvaluation]:
-    """Run every candidate in depth-first order (Algorithm 2).
-
-    PC pruning happens beforehand (:func:`prune_incompatible`, or not at
-    all for the no-pruning ablation): the walk executes every leaf of the
-    tree it is given.
-    """
-    evaluations: list[CandidateEvaluation] = []
-    clock_start = time.perf_counter()
-    for leaf in leaves(root):
-        report = execute_candidate(leaf, scope, executor, context)
-        evaluations.append(
-            evaluation_of(
-                leaf, report, len(evaluations), time.perf_counter() - clock_start
-            )
-        )
-    return evaluations

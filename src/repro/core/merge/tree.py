@@ -25,7 +25,7 @@ from .search_space import MergeScope
 class TreeNode:
     """One node of the pipeline search tree.
 
-    Besides the links, the ordered searches read three fields of a node:
+    Besides the links, the searches read three fields of a node:
 
     * ``score`` — a searched leaf's result, an internal node's mean over
       its scored children (section VII-E);

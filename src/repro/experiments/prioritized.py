@@ -136,8 +136,7 @@ def run_search_experiment(
         # "Optimal pipeline found" means reaching a candidate achieving the
         # maximum score; with small test sets scores tie, and any tied-best
         # candidate is an optimal pipeline.
-        best_score = max(leaf_scores.values())
-        epsilon = 1e-9
+        optimum = max(leaf_scores.values()) - 1e-9
         result.points[app] = {}
         result.table1[app] = {}
         n_candidates = len(leaf_scores)
@@ -147,33 +146,31 @@ def run_search_experiment(
             trials = simulator.run_trials(method, n_trials, seed=seed + 1)
             points: list[RankPoint] = []
             for rank in range(n_candidates):
-                end_times = [t.steps[rank].end_time for t in trials if rank < len(t.steps)]
-                scores = [t.steps[rank].score for t in trials if rank < len(t.steps)]
+                steps = [t.steps[rank] for t in trials if rank < len(t.steps)]
+                # a failed candidate (no score) has no place in the mean
+                scores = [s.score for s in steps if s.score is not None]
                 points.append(
                     RankPoint(
                         rank=rank,
-                        mean_end_time=float(np.mean(end_times)),
+                        mean_end_time=float(np.mean([s.end_time for s in steps])),
                         mean_score=float(np.mean(scores)),
                         var_score=float(np.var(scores)),
                     )
                 )
             result.points[app][method] = points
 
-            percentages = {}
-            for fraction in TABLE1_FRACTIONS:
-                threshold = max(1, math.ceil(fraction * n_candidates))
-                found = 0
-                for trial in trials:
-                    first_optimal = next(
-                        (
-                            step.rank
-                            for step in trial.steps
-                            if step.score >= best_score - epsilon
-                        ),
-                        None,
-                    )
-                    if first_optimal is not None and first_optimal < threshold:
-                        found += 1
-                percentages[fraction] = 100.0 * found / len(trials)
-            result.table1[app][method] = percentages
+            # each trial's rank of its first optimal step (N: none found)
+            first_optimal = [
+                next(
+                    (s.rank for s in t.steps if s.score is not None and s.score >= optimum),
+                    n_candidates,
+                )
+                for t in trials
+            ]
+            result.table1[app][method] = {
+                fraction: 100.0
+                * sum(rank < max(1, math.ceil(fraction * n_candidates)) for rank in first_optimal)
+                / len(trials)
+                for fraction in TABLE1_FRACTIONS
+            }
     return result

@@ -102,6 +102,26 @@ class _Sample:
         self.lock_wait = lock_wait      # {"count": n, "sum": seconds}
 
 
+def _op_delta(baseline: _Sample, newest: _Sample, op: str):
+    """One op's ``(buckets, bucket deltas, count, seconds)`` over the
+    window, or ``None`` when it served nothing in it."""
+    current = newest.ops.get(op)
+    if current is None:
+        return None
+    before = baseline.ops.get(op)
+    deltas = list(current["counts"])
+    count = current["count"]
+    total = current["sum"]
+    if before is not None and before["buckets"] == current["buckets"]:
+        for i, n in enumerate(before["counts"]):
+            deltas[i] -= n
+        count -= before["count"]
+        total -= before["sum"]
+    if count <= 0:
+        return None
+    return current["buckets"], deltas, count, total
+
+
 class HealthMonitor:
     """Windowed health/readiness/shedding decisions over live telemetry.
 
@@ -205,21 +225,14 @@ class HealthMonitor:
             }
         baseline, newest = edges
         ops: dict[str, dict] = {}
-        for op, current in newest.ops.items():
-            before = baseline.ops.get(op)
-            deltas = list(current["counts"])
-            count = current["count"]
-            total = current["sum"]
-            if before is not None and before["buckets"] == current["buckets"]:
-                for i, n in enumerate(before["counts"]):
-                    deltas[i] -= n
-                count -= before["count"]
-                total -= before["sum"]
-            if count <= 0:
+        for op in newest.ops:
+            delta = _op_delta(baseline, newest, op)
+            if delta is None:
                 continue
+            buckets, deltas, count, total = delta
             report = {"count": count, "mean_seconds": total / count}
             for name, q in _QUANTILES:
-                value = _percentile(current["buckets"], deltas, q)
+                value = _percentile(buckets, deltas, q)
                 if value is not None:
                     report[name] = value
             ops[op] = report
@@ -329,10 +342,17 @@ class HealthMonitor:
         objective = self.slo.objective_for(op)
         if objective is None:
             return None
-        report = self.window()["ops"].get(op)
-        if report is None or report["count"] < self.slo.min_samples:
+        # The judged op's window only: a whole window() would compute
+        # every op's percentiles on every admitted request.
+        self._tick()
+        edges = self._window_edges()
+        delta = None if edges is None else _op_delta(*edges, op)
+        if delta is None:
             return None
-        p99 = report.get("p99")
+        buckets, deltas, count, _ = delta
+        if count < self.slo.min_samples:
+            return None
+        p99 = _percentile(buckets, deltas, 0.99)
         if p99 is not None and p99 > objective.p99_seconds:
             return self.slo.retry_after_seconds
         return None

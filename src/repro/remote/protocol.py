@@ -12,9 +12,11 @@ Layout::
     MAGIC (4 bytes) | header length (u32 BE) | header JSON (UTF-8) | blobs...
 
 where the header is ``{"meta": {...}, "blob_sizes": [n0, n1, ...]}`` and
-the blobs follow back-to-back in declared order. Decoding is strict: bad
-magic, truncated frames, or trailing garbage raise
-:class:`RemoteProtocolError` rather than yielding partial messages.
+the blobs follow back-to-back in declared order. Decoding is strict and
+total: any byte string either decodes or raises
+:class:`RemoteProtocolError` — bad magic, truncated frames, trailing
+garbage and a header that is not a parseable JSON object alike — never
+a partial message or another exception type.
 
 The ``meta`` dict carries the operation name (requests) or results
 (responses); an error response carries ``{"error": {"type", "message",
@@ -93,8 +95,12 @@ def decode_message(data: bytes) -> tuple[dict, list[bytes]]:
         raise RemoteProtocolError("truncated message header")
     try:
         header = json.loads(data[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and an integer past
+        # Python's digit limit; RecursionError, nesting past the stack.
         raise RemoteProtocolError(f"unparseable header: {error}") from None
+    if not isinstance(header, dict):
+        raise RemoteProtocolError("header is not a JSON object")
     if header.get("v") != PROTOCOL_VERSION:
         raise RemoteProtocolError(
             f"unsupported protocol version {header.get('v')!r}"

@@ -1,10 +1,16 @@
 """Transports: how encoded messages reach a repository server.
 
 A transport moves opaque request bytes to a server and response bytes
-back — it knows nothing about operations or packs, which keeps the byte
-counters honest: ``bytes_sent``/``bytes_received`` measure exactly what
-would cross a real network, framing included. The remote-sync benchmark
-reads these counters to compare incremental push against naive full copy.
+back — it knows nothing about operations or packs. ``bytes_sent`` and
+``bytes_received`` count RPC message bytes: each whole ``MLCR`` frame
+(magic, header length, JSON header, blobs), the same on every transport.
+They leave out what HTTP adds around a frame — the request line, the
+status line and the headers: 286 bytes per ``manifest`` round trip to a
+local ``repro serve``, against 135 bytes of messages, and more with a
+hub's token header — and TCP/IP overhead. The remote-sync benchmark
+reads these counters to compare incremental push against naive full
+copy, and the performance budget's ``wire_bytes`` rows inherit the
+same definition.
 
 * :class:`LocalTransport` — calls a :class:`RepositoryServer` in-process.
   Zero infrastructure; the default for tests, examples, and directory

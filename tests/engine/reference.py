@@ -21,6 +21,17 @@ merge candidates moved onto the calling thread
 one ``SingleFlight``. ``tests/engine/test_search_oracle.py`` holds the
 one caller-thread loop to it.
 
+So are the two other loops over a merge tree, as they stood at
+``db07385``, before ``search_window`` became the only one: Algorithm 2's
+depth-first walk (``reference_execute_tree`` over
+``reference_execute_candidate``) and the simulator's own draw loop
+(``ReferenceSearchSimulator``, the whole class). Verbatim but for the
+``reference_`` names (``reference_ordered_search`` calls the frozen
+``reference_execute_candidate`` now) and one marked line: the
+simulator's relative import of ``mark_checkpointed_nodes`` is absolute
+here. ``tests/engine/test_loop_oracle.py`` holds
+the exhaustive merge and the simulated trials to them.
+
 Import as ``from engine.reference import ...`` (``tests/`` is on
 ``sys.path``, see ``conftest.py``).
 """
@@ -40,6 +51,8 @@ from repro.core.context import ExecutionContext
 from repro.core.executor import Executor, RunReport, StageReport
 from repro.core.merge.prioritized import (
     SearchStep,
+    SimulatedStep,
+    TrialResult,
     propagate_leaf_score,
     refresh_scores,
     scored_from_history,
@@ -47,11 +60,12 @@ from repro.core.merge.prioritized import (
 from repro.core.merge.search_space import MergeScope
 from repro.core.merge.traversal import (
     CandidateEvaluation,
-    execute_candidate,
+    apply_candidate_result,
+    evaluation_of,
     path_key_of,
     run_candidate,
 )
-from repro.core.merge.tree import TreeNode, leaves
+from repro.core.merge.tree import TreeNode, build_search_tree, leaves
 from repro.core.pipeline import PipelineInstance
 from repro.engine import ParallelExecutor
 from repro.errors import ComponentError
@@ -331,7 +345,7 @@ def reference_ordered_search(
                 )
             )
             continue
-        report = execute_candidate(leaf, scope, executor, context)
+        report = reference_execute_candidate(leaf, scope, executor, context)
         if report.failed:
             leaf.score = None
         evaluations.append(
@@ -359,8 +373,11 @@ def _inline(evaluate, leaf: TreeNode, index: int) -> Future:
 def reference_search_window(
     step: SearchStep, evaluate, width: int = 1, submit=_inline
 ) -> list[CandidateEvaluation]:
-    """``search_window`` as it stood at ``c8dc672``, verbatim: each
-    drawn leaf handed to ``submit``, each commit waiting on a future."""
+    """``search_window`` as it stood at ``c8dc672``: each drawn leaf
+    handed to ``submit``, each commit waiting on a future. Verbatim but
+    for the marked line: ``SearchStep.commit`` settles a bare outcome as
+    a score since ``search_window`` became the simulator's loop too, so
+    a history-scored leaf is committed at its score, not as ``None``."""
     window: deque[tuple[TreeNode, Future | None]] = deque()
     drawing = True
     while drawing or window:
@@ -374,7 +391,7 @@ def reference_search_window(
                 window.append((leaf, submit(evaluate, leaf, step.drawn - 1)))
         if window:
             leaf, future = window.popleft()
-            step.commit(leaf, future.result() if future is not None else None)
+            step.commit(leaf, future.result() if future is not None else leaf.score)  # marked
     return step.evaluations
 
 
@@ -420,3 +437,102 @@ def reference_parallel_search(
             workers,
             lambda *call: pool.submit(copy_context().run, *call),
         )
+
+
+def reference_execute_candidate(
+    leaf: TreeNode,
+    scope: MergeScope,
+    executor: Executor,
+    context: ExecutionContext,
+) -> RunReport:
+    """``executeNodeList``: run the walking path as a pipeline instance and
+    push execution state back onto the tree nodes."""
+    report = run_candidate(leaf, scope, executor, context)
+    apply_candidate_result(leaf, report)
+    return report
+
+
+def reference_execute_tree(
+    root: TreeNode,
+    scope: MergeScope,
+    executor: Executor,
+    context: ExecutionContext,
+) -> list[CandidateEvaluation]:
+    """Run every candidate in depth-first order (Algorithm 2).
+
+    PC pruning happens beforehand (:func:`prune_incompatible`, or not at
+    all for the no-pruning ablation): the walk executes every leaf of the
+    tree it is given.
+    """
+    evaluations: list[CandidateEvaluation] = []
+    clock_start = time.perf_counter()
+    for leaf in leaves(root):
+        report = reference_execute_candidate(leaf, scope, executor, context)
+        evaluations.append(
+            evaluation_of(
+                leaf, report, len(evaluations), time.perf_counter() - clock_start
+            )
+        )
+    return evaluations
+
+
+class ReferenceSearchSimulator:
+    """Replay prioritized/random searches over known scores and costs.
+
+    The simulator follows the PR-reuse cost model: evaluating a candidate
+    costs the sum of its *not-yet-executed* component costs within the
+    trial (components shared with earlier candidates are free), exactly
+    like the real merge's checkpoint reuse. History-trained leaves start
+    pre-executed and pre-scored (the green nodes of Fig. 4).
+    """
+
+    def __init__(
+        self,
+        scope: MergeScope,
+        leaf_scores: dict[str, float],
+        component_costs: dict[str, float],
+        mark_history: bool = True,
+        prune=None,
+    ):
+        self.scope = scope
+        self.leaf_scores = dict(leaf_scores)
+        self.component_costs = dict(component_costs)
+        self.mark_history = mark_history
+        self.prune = prune  # callable(root) applied after tree build
+
+    def _fresh_tree(self) -> TreeNode:
+        from repro.core.merge.pruning import mark_checkpointed_nodes  # marked
+
+        root = build_search_tree(self.scope)
+        if self.prune is not None:
+            self.prune(root)
+        if self.mark_history:
+            mark_checkpointed_nodes(root, self.scope)
+        return root
+
+    def run_trial(self, method: str, seed: int) -> TrialResult:
+        root = self._fresh_tree()
+        step = SearchStep(root, method, seed)
+        result = TrialResult()
+        clock = 0.0
+        while (leaf := step.draw()) is not None:
+            # A node is its path from the root: the same component under
+            # a different upstream prefix is a different execution.
+            cost = 0.0
+            for node in leaf.path_from_root():
+                if not node.executed:
+                    cost += self.component_costs.get(node.identifier, 0.0)
+                    node.executed = True
+            clock += cost
+            path_key = path_key_of(leaf)
+            score = self.leaf_scores.get(path_key, 0.0)
+            step.settle(leaf, score)
+            result.steps.append(
+                SimulatedStep(
+                    rank=len(result.steps), path_key=path_key, end_time=clock, score=score
+                )
+            )
+        return result
+
+    def run_trials(self, method: str, n_trials: int, seed: int = 0) -> list[TrialResult]:
+        return [self.run_trial(method, seed * 100_003 + t) for t in range(n_trials)]

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.merge import metric_merge
 from repro.core.repository import MLCask
-from repro.workloads import ALL_WORKLOADS, apply_nonlinear_history, nonlinear_script
+from repro.workloads import ALL_WORKLOADS
 
 from engine.delayed import build_delayed_merge_repo
 from engine.reference import reference_parallel_search
@@ -51,9 +51,6 @@ from helpers import (
 WORKERS = (1, 2, 3, 4)
 BUDGETS = (None, 3)
 METHODS = ("prioritized", "random")
-#: the size the budget's quick pass runs the apps at, the smallest any
-#: harness of this repository uses
-APP_SCALE = 0.15
 
 
 def cold_toy_history() -> MLCask:
@@ -76,30 +73,6 @@ TOY_HISTORIES = {
         lambda: build_delayed_merge_repo(stage_seconds=0.0, model_seconds=0.0),
     ),
 }
-
-
-@pytest.fixture(scope="module")
-def app_history(tmp_path_factory):
-    """app -> (pipeline, build): each build loads a fresh copy of the
-    app's two-branch history, trained once and saved."""
-    built = {}
-
-    def history(app: str):
-        workload = ALL_WORKLOADS[app](scale=APP_SCALE, seed=0)
-        if app not in built:
-            repo = MLCask(metric=workload.metric, seed=0)
-            apply_nonlinear_history(repo, nonlinear_script(workload))
-            built[app] = tmp_path_factory.mktemp(app)
-            repo.save_dir(str(built[app]))
-
-        def build() -> MLCask:
-            repo = MLCask.load_dir(str(built[app]))
-            workload.rebind(repo)
-            return repo
-
-        return workload.name, build
-
-    return history
 
 
 def merged(pipeline, build, **search):

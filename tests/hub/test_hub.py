@@ -228,6 +228,29 @@ class TestQuota:
         assert hub.tenant_usage("tiny") == 0
 
 
+    @pytest.mark.parametrize(
+        "token, error", [("wrong", AuthenticationError), ("tok", RemoteProtocolError)]
+    )
+    def test_a_header_that_is_not_an_object_is_typed_after_auth(self, token, error):
+        """A 13-byte frame whose header is the JSON array ``[1,2]`` used
+        to escape the decode as an ``AttributeError``, out of a handler
+        documented never to raise, before authentication. It is a
+        protocol error now, answered where every decode failure is: an
+        unauthenticated peer gets the auth error."""
+        import struct
+
+        from repro.remote.protocol import MAGIC, decode_message, raise_remote_error
+
+        hub = RepositoryHub()
+        hub.add_tenant("t", tokens=["tok"])
+        frame = MAGIC + struct.pack(">I", 5) + b"[1,2]"
+        assert len(frame) == 13
+        response = hub.handle_request("t", "proj", token, frame)
+        with pytest.raises(error):
+            raise_remote_error(decode_message(response)[0])
+        assert hub.list_repos("t") == []
+
+
 class TestHubGC:
     def test_gc_reclaims_orphans_and_frees_quota(self, hub, workload):
         """Chunks pre-seeded by a push that never completed (put_chunks

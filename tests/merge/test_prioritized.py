@@ -13,6 +13,7 @@ from repro.core.merge import (
     build_merge_scope,
     build_search_tree,
     iter_nodes,
+    leaves,
     mark_checkpointed_nodes,
     propagate_leaf_score,
     prune_incompatible,
@@ -206,6 +207,16 @@ def test_nan_scores_fall_back_to_a_uniform_pick():
     root = grow([[nan, None], [None, 0.5]])
     picked = list(iter(SearchStep(root, "prioritized", 0).draw, None))
     assert len(picked) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=search_trees(), seed=st.integers(0, 2**16))
+def test_exhaustive_draws_every_leaf_in_depth_first_order(shape, seed):
+    """Algorithm 2's walk is a picker too: it draws the leaves in the
+    depth-first order of ``leaves``, whatever the scores and the seed."""
+    root = grow(shape)
+    drawn = list(iter(SearchStep(root, "exhaustive", seed).draw, None))
+    assert [id(leaf) for leaf in drawn] == [id(leaf) for leaf in leaves(root)]
 
 
 class TestRunOrderedSearch:

@@ -4,9 +4,9 @@
 ``SearchStep``; the differential tests hold the live search to the
 frozen ``reference_ordered_search``. These tests state
 what a draw and a commit guarantee without a second implementation:
-what the budgets count, what a history-scored winner leaves in the merge
-commit, and the simulator's step sequences as they were before the three
-loops became one.
+what the budgets count, live and simulated, what a history-scored winner
+leaves in the merge commit, and the simulator's step sequences as they
+were before the three loops became one.
 """
 
 import pytest
@@ -17,9 +17,12 @@ from repro.core.merge import (
     SearchSimulator,
     build_compatibility_lut,
     build_merge_scope,
+    leaves,
+    path_key_of,
     prune_incompatible,
     run_ordered_search,
 )
+from repro.core.merge.prioritized import SearchStep, search_window
 from repro.errors import NoCandidateError
 
 from helpers import build_fig3_history, fresh_toy_repo, toy_extract, toy_model
@@ -226,22 +229,23 @@ GOLDEN_TRIALS = {
 MODEL_QUALITY = {"0": 0.5, "1": 0.55, "2": 0.6, "3": 0.8, "4": 0.7}
 
 
-class TestSimulatorGolden:
-    @pytest.fixture(scope="class")
-    def inputs(self):
-        repo = build_fig3_history()
-        scope = build_merge_scope(
-            repo.graph,
-            repo.registry,
-            repo.spec("toy"),
-            repo.head_commit("toy", "master"),
-            repo.head_commit("toy", "dev"),
-        )
-        outcome = repo.merge("toy", "master", "dev", mode="pcpr")
-        leaf_scores = {e.path_key: e.score for e in outcome.evaluations}
-        costs = {record.component_id: 0.01 for record in repo.checkpoints.records()}
-        return scope, leaf_scores, costs, build_compatibility_lut(scope)
+@pytest.fixture(scope="module")
+def inputs():
+    repo = build_fig3_history()
+    scope = build_merge_scope(
+        repo.graph,
+        repo.registry,
+        repo.spec("toy"),
+        repo.head_commit("toy", "master"),
+        repo.head_commit("toy", "dev"),
+    )
+    outcome = repo.merge("toy", "master", "dev", mode="pcpr")
+    leaf_scores = {e.path_key: e.score for e in outcome.evaluations}
+    costs = {record.component_id: 0.01 for record in repo.checkpoints.records()}
+    return scope, leaf_scores, costs, build_compatibility_lut(scope)
 
+
+class TestSimulatorGolden:
     @pytest.mark.parametrize("mark_history, method", sorted(GOLDEN_TRIALS))
     def test_step_sequences_unchanged(self, inputs, mark_history, method):
         scope, leaf_scores, costs, lut = inputs
@@ -267,3 +271,58 @@ class TestSimulatorGolden:
         scope, leaf_scores, costs, _ = inputs
         with pytest.raises(ValueError, match="unknown search method"):
             SearchSimulator(scope, leaf_scores, costs).run_trial("greedy", seed=0)
+
+
+class TestSimulatedSearch:
+    """A simulated search is ``search_window`` on the simulator's clock,
+    so it honours the budgets a live search does: the Fig. 3 inputs
+    above, every component costing 0.01 simulated seconds."""
+
+    def simulator(self, inputs, leaf_scores=None):
+        scope, scores, costs, lut = inputs
+        return SearchSimulator(
+            scope,
+            scores if leaf_scores is None else leaf_scores,
+            costs,
+            prune=lambda root: prune_incompatible(root, lut),
+        )
+
+    def search(self, simulator, method, seed, **budgets):
+        step = SearchStep(
+            simulator.fresh_tree(), method, seed, clock=simulator.clock, **budgets
+        )
+        evaluations = search_window(step, simulator.evaluate)
+        return [(e.path_key, e.elapsed_seconds, e.score) for e in evaluations]
+
+    @pytest.mark.parametrize("method", ["prioritized", "random"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_at_its_evaluation_budget(self, inputs, method, seed):
+        simulator = self.simulator(inputs)
+        full = self.search(simulator, method, seed)
+        assert len(full) == 10
+        assert self.search(simulator, method, seed, budget=4) == full[:4]
+
+    @pytest.mark.parametrize("method", ["prioritized", "random"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_at_its_simulated_time_budget(self, inputs, method, seed):
+        """No draw once the simulated clock reaches the budget: the cut
+        is the first commit at or past 0.03 s, whatever the wall clock
+        read."""
+        simulator = self.simulator(inputs)
+        full = self.search(simulator, method, seed)
+        cut = self.search(simulator, method, seed, time_budget_seconds=0.03)
+        stop = next(i for i, (_, end, _) in enumerate(full) if end >= 0.03)
+        assert cut == full[: stop + 1]
+        assert len(cut) < len(full)
+
+    def test_a_leaf_with_no_recorded_score_settles_as_a_failure(self, inputs):
+        """A failed candidate has no score in a merge's records; the
+        simulator settles it as ``None``, as a live search settles a
+        failed run, and the search goes on."""
+        _, scores, _, _ = inputs
+        tree = self.simulator(inputs).fresh_tree()
+        missing = path_key_of(next(leaf for leaf in leaves(tree) if not leaf.executed))
+        simulator = self.simulator(inputs, {k: v for k, v in scores.items() if k != missing})
+        trial = simulator.run_trial("prioritized", seed=0)
+        assert len(trial.steps) == 10
+        assert [s.score for s in trial.steps if s.path_key == missing] == [None]

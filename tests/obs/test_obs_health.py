@@ -3,6 +3,8 @@ readiness, shed decisions, and the report shape — no sleeping, no real
 servers; the registry and tracer are fed by hand."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.health import SHED_EXEMPT_OPS, HealthMonitor, _percentile
 from repro.obs.metrics import MetricsRegistry
@@ -157,6 +159,65 @@ class TestShedDecision:
         )
         self.breach(registry, clock, monitor)
         assert monitor.shed_decision("put_chunks") is None
+
+
+def window_rule(monitor, op):
+    """The decision as it was made from the whole ``window()``."""
+    if not monitor.slo.shed_enabled or op in SHED_EXEMPT_OPS:
+        return None
+    objective = monitor.slo.objective_for(op)
+    if objective is None:
+        return None
+    report = monitor.window()["ops"].get(op)
+    if report is None or report["count"] < monitor.slo.min_samples:
+        return None
+    p99 = report.get("p99")
+    if p99 is not None and p99 > objective.p99_seconds:
+        return monitor.slo.retry_after_seconds
+    return None
+
+
+JUDGED_OPS = ("put_chunks", "fetch", "health")
+#: latencies across the default buckets and past the last finite one
+LATENCY = st.sampled_from([0.001, 0.004, 0.02, 0.07, 0.3, 1.2, 4.0, 15.0]) | st.floats(0, 20)
+#: a burst of one op's requests, most at one latency and a few at
+#: another (so p95 and p99 can part), then the clock advances
+EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(JUDGED_OPS),
+        st.tuples(LATENCY, st.integers(0, 40)),
+        st.tuples(LATENCY, st.integers(0, 3)),
+        st.floats(0.0, 6.0),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=EVENTS,
+    min_samples=st.integers(1, 10),
+    objective=st.sampled_from([0.003, 0.01, 0.05, 0.2, 1.0, 3.0]) | st.floats(0.001, 10.0),
+)
+def test_shed_decision_equals_the_window_based_rule(events, min_samples, objective):
+    """Judging one op's window decides as the whole window did, over
+    drawn histories of bucket counts sliding through the window."""
+    slo = SLOConfig(
+        objectives={"put_chunks": objective, "health": objective},
+        window_seconds=10.0,
+        tick_seconds=1.0,
+        min_samples=min_samples,
+        retry_after_seconds=1.5,
+    )
+    registry = MetricsRegistry()
+    monitor, clock = make_monitor(slo=slo, registry=registry)
+    for op, (most, n_most), (few, n_few), advance in events:
+        observe_requests(registry, op, most, n_most)
+        observe_requests(registry, op, few, n_few)
+        clock.advance(advance)
+        for judged in JUDGED_OPS:
+            expected = window_rule(monitor, judged)
+            assert monitor.shed_decision(judged) == expected, judged
 
 
 class TestReadiness:

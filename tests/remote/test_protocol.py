@@ -1,6 +1,11 @@
 """Wire-format tests: framing is exact, strict, and binary-clean."""
 
+import json
+import struct
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import (
     MergeError,
@@ -9,12 +14,15 @@ from repro.errors import (
     RemoteProtocolError,
 )
 from repro.remote.protocol import (
+    MAGIC,
     PROTOCOL_VERSION,
     decode_message,
     encode_message,
     error_response,
     raise_remote_error,
 )
+
+from helpers import oracle_settings
 
 
 class TestFraming:
@@ -88,6 +96,53 @@ class TestFraming:
         with pytest.raises(RemoteProtocolError):
             decode_message(bad)
         assert protocol.PROTOCOL_VERSION == 2  # update this test on bumps
+
+
+def framed(header: bytes, tail: bytes = b"") -> bytes:
+    """A message frame around arbitrary header bytes."""
+    return MAGIC + struct.pack(">I", len(header)) + header + tail
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+MESSAGES = st.one_of(
+    st.binary(),
+    st.builds(framed, st.binary(), st.binary(max_size=16)),
+    st.builds(
+        lambda value, tail: framed(json.dumps(value).encode(), tail),
+        JSON_VALUES,
+        st.binary(max_size=16),
+    ),
+    st.builds(
+        lambda meta, sizes, tail: framed(
+            json.dumps({"v": PROTOCOL_VERSION, "meta": meta, "blob_sizes": sizes}).encode(),
+            tail,
+        ),
+        JSON_VALUES,
+        JSON_VALUES,
+        st.binary(max_size=32),
+    ),
+)
+
+
+@oracle_settings(max_examples=300)
+@given(MESSAGES)
+@example(framed(b"[1,2]"))  # a header that is not an object
+@example(framed(b"[" * 100_000))  # nesting past the recursion limit
+@example(framed(b'{"v": ' + b"1" * 5000 + b"}"))  # past the int digit limit
+def test_any_bytes_decode_or_raise_a_protocol_error(data):
+    """The decoder is total over byte strings: a message, or the typed
+    error every server's error channel catches, never anything else."""
+    try:
+        meta, blobs = decode_message(data)
+    except RemoteProtocolError:
+        return
+    assert isinstance(meta, dict)
+    assert all(isinstance(blob, bytes) for blob in blobs)
 
 
 class TestErrorChannel:
