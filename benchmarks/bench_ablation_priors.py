@@ -37,8 +37,8 @@ def _mean_first_optimal_rank(simulator, method, n_trials, best_score):
 
 def test_ablation_priors(benchmark):
     # scale 0.5: at smaller scales the seeded landscape can anti-correlate
-    # with history (see EXPERIMENTS.md deviations) and priors then hurt —
-    # this ablation quantifies the representative configuration
+    # with history and priors then hurt — this ablation quantifies the
+    # representative configuration
     workload = readmission_workload(scale=0.5, seed=BENCH_SEED)
     repo = MLCask(metric=workload.metric, seed=BENCH_SEED)
     apply_nonlinear_history(repo, nonlinear_script(workload))

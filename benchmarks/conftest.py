@@ -3,7 +3,7 @@
 Every bench regenerates one of the paper's tables or figures at full
 scale, printing the series/rows and writing them under
 ``benchmarks/results/`` (pytest captures stdout, so the files are the
-durable record; EXPERIMENTS.md quotes them).
+durable record).
 
 Heavy experiments are shared through session-scoped fixtures so each
 figure of a family (e.g. Figs. 5/6/7 share one linear-versioning run)

@@ -417,7 +417,8 @@ def _add_observability_arguments(parser) -> None:
     parser.add_argument(
         "--export-spans", default=None, metavar="DEST",
         help="export finished spans as JSON lines to a file path or an "
-        "http(s) collector URL",
+        "http(s) collector URL (sampled spans, failed ones, and ones "
+        "slower than their slow-op threshold)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -430,8 +431,9 @@ def _add_observability_arguments(parser) -> None:
     )
     parser.add_argument(
         "--slow-threshold", type=float, default=None,
-        help="default slow-op capture threshold in seconds (built-in "
-        "per-op thresholds for push/fetch/chunk ops still apply)",
+        help="default slow-op threshold in seconds, for the capture ring "
+        "and --export-spans (built-in per-op thresholds for "
+        "push/fetch/chunk ops still apply)",
     )
     parser.add_argument(
         "--slo-config", default=None, metavar="PATH",
@@ -445,19 +447,25 @@ def _build_observability(args):
     """The tracer, slow-op ring, and optional profiler/exporter behind the
     shared serve flags; returns ``(tracer, slow_ops, profiler, close)``
     where ``close()`` stops whatever background machinery was started."""
-    from .obs import SamplingProfiler, SlowOpCapture, SpanExporter, Tracer, sink_for
+    from .obs import (
+        ExportPolicy, SamplingProfiler, SlowOpCapture, SpanExporter, Tracer, sink_for,
+    )
 
-    exporter = None
-    on_span = None
-    if args.export_spans is not None:
-        exporter = SpanExporter(sink_for(args.export_spans))
-        exporter.start()
-        on_span = exporter.export
-    tracer = Tracer(sample_rate=args.sample_rate, on_span=on_span)
     if args.slow_threshold is not None:
         slow_ops = SlowOpCapture(default_seconds=args.slow_threshold)
     else:
         slow_ops = SlowOpCapture()
+    exporter = None
+    on_span = None
+    if args.export_spans is not None:
+        # An unsampled span is still exported when it ran past the
+        # threshold the slow-op ring captures at.
+        exporter = SpanExporter(
+            sink_for(args.export_spans), ExportPolicy(slow_ops.threshold_for)
+        )
+        exporter.start()
+        on_span = exporter.export
+    tracer = Tracer(sample_rate=args.sample_rate, on_span=on_span)
     profiler = None
     if args.profile:
         profiler = SamplingProfiler(interval=args.profile_interval)

@@ -360,8 +360,10 @@ class RepositoryHub:
                     for config in self.authenticator.tenants()
                 },
             }
+            # Durable before add_tenant returns: a tenant whose
+            # repositories outlive a power loss keeps its token and quota.
             write_json_atomic(
-                self._config_path(), state, indent=2, sort_keys=True
+                self._config_path(), state, sync=True, indent=2, sort_keys=True
             )
 
     def _load_config(self) -> None:

@@ -15,10 +15,10 @@ Keep/drop semantics compose three signals:
   client and server export the same subset;
 * **always-sample on error** — a span with ``status="error"`` is kept
   regardless, because the traces worth money are the ones that failed;
-* **always-sample on latency** — a span slower than its per-op
-  threshold (``slow_op_seconds`` keyed by the span's ``op`` attribute
-  or name, with a default) is kept regardless, the export-side twin of
-  slow-op capture.
+* **always-sample on latency** — a span slower than its op's threshold
+  is kept regardless. The thresholds are the serving process's slow-op
+  capture thresholds (:meth:`repro.obs.slowops.SlowOpCapture.threshold_for`),
+  so "slow" means one thing to the capture ring and to the exporter.
 
 The queue is bounded and *lossy by design*: when the collector cannot
 keep up, the oldest queued spans are dropped and counted
@@ -31,38 +31,28 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
+from collections.abc import Callable
 from urllib.parse import urlparse
 
 
 class ExportPolicy:
-    """Which finished spans are worth exporting.
+    """Which finished spans are worth exporting: sampled ones, failed
+    ones, and slow ones.
 
-    ``slow_op_seconds`` maps an op name (the span's ``op`` attribute,
-    falling back to the span name) to its latency threshold;
-    ``default_slow_seconds`` applies to everything unlisted (None
-    disables the latency override for unlisted ops).
+    ``threshold_for`` maps an op name (the span's ``op`` attribute,
+    falling back to the span name) to its latency threshold in seconds,
+    or None for no latency override; without it no span is kept for
+    being slow.
     """
 
-    def __init__(
-        self,
-        slow_op_seconds: dict[str, float] | None = None,
-        default_slow_seconds: float | None = None,
-        keep_errors: bool = True,
-    ):
-        self.slow_op_seconds = dict(slow_op_seconds or {})
-        self.default_slow_seconds = default_slow_seconds
-        self.keep_errors = keep_errors
-
-    def threshold_for(self, op: str | None) -> float | None:
-        if op is not None and op in self.slow_op_seconds:
-            return self.slow_op_seconds[op]
-        return self.default_slow_seconds
+    def __init__(self, threshold_for: Callable[[str], float | None] | None = None):
+        self.threshold_for = threshold_for
 
     def keep(self, span: dict) -> bool:
-        if span.get("sampled", True):
+        if span.get("sampled", True) or span.get("status") == "error":
             return True
-        if self.keep_errors and span.get("status") == "error":
-            return True
+        if self.threshold_for is None:
+            return False
         op = span.get("attrs", {}).get("op") or span.get("name")
         threshold = self.threshold_for(op)
         seconds = span.get("seconds")

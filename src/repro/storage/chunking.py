@@ -100,8 +100,8 @@ class ChunkerConfig:
       the honest stand-in for ForkBase's C++ chunker.
     * ``"byte"`` — the classic buzhash rolling window with per-byte
       boundaries; resistant to arbitrary-length insertions but roughly an
-      order of magnitude slower in numpy. Kept for the chunking ablation
-      bench and for byte-oriented payloads.
+      order of magnitude slower in numpy. Kept as the insertion-resistant
+      comparison and for byte-oriented payloads.
     """
 
     target_bits: int = 12  # expected chunk size 4 KiB
@@ -252,12 +252,12 @@ class ContentDefinedChunker:
 
 
 class FixedSizeChunker:
-    """Naive fixed-size chunker, kept as the ablation baseline.
+    """Naive fixed-size chunker, kept as the baseline.
 
     A single inserted byte shifts every later chunk boundary, destroying
-    dedup for the remainder of the object; the ablation bench
-    (``bench_ablation_chunking``) quantifies this against the
-    content-defined chunker.
+    dedup for the remainder of the object;
+    ``tests/storage/test_chunking.py::test_bytes_each_edit_shares_with_the_original``
+    holds this against the content-defined chunker.
     """
 
     def __init__(self, size: int = 4096):

@@ -8,10 +8,10 @@ import os
 
 import pytest
 
-COMPARATOR = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    os.pardir, os.pardir, "benchmarks", "compare_baselines.py",
+BENCH_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir, "benchmarks"
 )
+COMPARATOR = os.path.join(BENCH_DIR, "compare_baselines.py")
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +129,19 @@ class TestMainPolicy:
         assert "missing from current record" in capsys.readouterr().out
 
     def test_manifest_names_only_committed_shapes(self, comparator):
-        """Every manifest entry resolves against the committed baseline
-        record — a renamed metric key would silently skip forever."""
+        """Every manifest row names a bench that exists and a metric its
+        committed baseline holds — a half-deleted bench or a renamed
+        metric key would otherwise skip forever."""
         for name, entries in comparator.MANIFEST.items():
+            assert os.path.isfile(os.path.join(BENCH_DIR, f"bench_{name}.py")), name
             record = comparator.load_record(comparator.BASELINE_DIR, name)
-            if record is None:
-                continue
-            for entry in entries:
+            assert record is not None, f"{name}: no committed baseline"
+            for path, _ in entries:
                 assert comparator.resolve(
-                    record.get("metrics", {}), entry[0]
-                ) is not None, f"{name}:{entry[0]} not in committed baseline"
+                    record.get("metrics", {}), path
+                ) is not None, f"{name}:{path} not in committed baseline"
+
+    def test_every_committed_baseline_has_its_bench(self, comparator):
+        for record in os.listdir(comparator.BASELINE_DIR):
+            name = record.removeprefix("BENCH_").removesuffix(".json")
+            assert os.path.isfile(os.path.join(BENCH_DIR, f"bench_{name}.py")), record

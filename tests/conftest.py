@@ -356,9 +356,9 @@ def syscalls(monkeypatch):
         return wrapper
 
     for name in (
-        "open", "fstat", "read", "close", "stat", "lstat",
-        "pread", "write", "lseek", "replace", "fsync", "fdatasync",
-        "listdir", "unlink",
+        "open", "fstat", "read", "close", "stat", "lstat", "mkdir", "rmdir",
+        "pread", "write", "lseek", "replace", "rename", "fsync", "fdatasync",
+        "listdir", "unlink", "remove",
     ):
         monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
     monkeypatch.setattr(builtins, "open", counted("builtins.open", builtins.open))

@@ -112,6 +112,11 @@ class TestDedupAccounting:
         assert usage_a == usage_b > 0
         # both tenants charged in full, bytes stored once
         assert stats["physical_bytes"] == usage_a
+        # and each tenant's written-bytes series counts its own holdings
+        for tenant in ("ana", "ben"):
+            assert hub.registry.value(
+                "repro_chunk_written_bytes_total", tenant=tenant, repo="proj"
+            ) == usage_a
 
     def test_divergent_content_adds_physical_bytes(self, hub, workload):
         push_to(hub, build_local_repo(workload, commits=1), workload,

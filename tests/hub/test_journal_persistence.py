@@ -654,6 +654,24 @@ class TestDurability:
         assert events[6:] == [("replace", "state.json"), ("fsync", REPO)]
 
 
+    def test_a_tenant_is_on_disk_when_add_tenant_returns(self, tmp_path, monkeypatch):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        synced, real_fsync = [], os.fsync
+
+        def fsync(fd):
+            synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        hub.add_tenant("ben", tokens=["tok-ben"], quota_bytes=1 << 20)
+        config = os.path.realpath(hub._config_path())
+        # the temp file before its rename, then the directory after it
+        assert len(synced) == 2
+        assert synced[0].startswith(config + ".") and synced[0].endswith(".tmp")
+        assert synced[1] == os.path.dirname(config)
+
+
 class TestOlderLayouts:
     def test_a_hub_refuses_to_start_on_a_layout_it_no_longer_reads(
         self, tmp_path, workload

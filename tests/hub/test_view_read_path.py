@@ -109,6 +109,14 @@ class TestOneReadThroughTheView:
         assert syscalls == []
         assert store.stats.reads == 0
 
+    def test_a_memory_backed_view_makes_no_system_call(self, syscalls):
+        view = TenantChunkStore(SharedChunkBackend())
+        digest = view.put(b"z" * 5000)
+        assert view.put(b"z" * 5000) == digest and view.get(digest) == b"z" * 5000
+        with pytest.raises(ChunkNotFoundError):
+            view.get("0" * 64)
+        assert syscalls == []
+
 
 class TestBooksAgree:
     def test_view_and_backing_store_count_the_same_hits(self, tmp_path):

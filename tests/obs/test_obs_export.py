@@ -11,6 +11,7 @@ from repro.obs.export import (
     SpanExporter,
     sink_for,
 )
+from repro.obs.slowops import SlowOpCapture
 from repro.obs.trace import Tracer
 
 
@@ -41,32 +42,34 @@ class TestExportPolicy:
         policy = ExportPolicy()
         assert policy.keep(span_dict(sampled=False, status="error"))
 
-    def test_keep_errors_false_drops_errors(self):
-        policy = ExportPolicy(keep_errors=False)
-        assert not policy.keep(span_dict(sampled=False, status="error"))
-
     def test_slow_span_kept_despite_sampling(self):
-        policy = ExportPolicy(default_slow_seconds=0.5)
+        policy = ExportPolicy(lambda op: 0.5)
         assert policy.keep(span_dict(sampled=False, seconds=0.6))
         assert not policy.keep(span_dict(sampled=False, seconds=0.4))
 
     def test_per_op_threshold_beats_default(self):
-        policy = ExportPolicy(
-            slow_op_seconds={"push": 2.0}, default_slow_seconds=0.1
-        )
+        thresholds = {"push": 2.0}
+        policy = ExportPolicy(lambda op: thresholds.get(op, 0.1))
         pushy = span_dict(sampled=False, seconds=1.0, attrs={"op": "push"})
         assert not policy.keep(pushy)  # under the push budget
         other = span_dict(sampled=False, seconds=1.0, attrs={"op": "fetch"})
         assert policy.keep(other)  # over the default
 
     def test_op_falls_back_to_span_name(self):
-        policy = ExportPolicy(slow_op_seconds={"server.push": 0.001})
+        policy = ExportPolicy({"server.push": 0.001}.get)
         named = span_dict(sampled=False, seconds=0.01, name="server.push")
         assert policy.keep(named)
 
+    def test_slow_op_thresholds_are_the_export_thresholds(self):
+        policy = ExportPolicy(SlowOpCapture(default_seconds=0.5).threshold_for)
+        push = {"op": "push"}  # the op table's 5 s
+        assert not policy.keep(span_dict(sampled=False, seconds=4.0, attrs=push))
+        assert policy.keep(span_dict(sampled=False, seconds=5.0, attrs=push))
+        assert policy.keep(span_dict(sampled=False, seconds=0.6, name="lock.write"))
+
     def test_no_threshold_means_no_latency_override(self):
-        policy = ExportPolicy()  # default_slow_seconds=None
-        assert not policy.keep(span_dict(sampled=False, seconds=9999.0))
+        for policy in (ExportPolicy(), ExportPolicy(lambda op: None)):
+            assert not policy.keep(span_dict(sampled=False, seconds=9999.0))
 
 
 class TestSinks:

@@ -11,12 +11,15 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.errors import AuthenticationError, QuotaExceededError
 from repro.hub import RepositoryHub, serve_hub
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer
 from repro.remote import HttpTransport, clone_repository, serve
 from repro.remote.client import Remote
 from repro.remote.protocol import decode_message, encode_message
+
+from helpers import fresh_toy_repo
 
 
 def scrape(url: str) -> tuple[str, str]:
@@ -66,6 +69,97 @@ class TestMetricsEndpoint:
         assert 'repro_admission_denied_total{tenant="ana",reason="auth"} 1' in body
 
 
+def series_total(body: str, series: str) -> float:
+    """Sum of every sample whose name and labels start with ``series``."""
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in body.splitlines()
+        if line.startswith((series + " ", series + "{", series + ","))
+    )
+
+
+class TestLiveHub:
+    """One in-process hub on port 0, driven the way a deployment is: a
+    traced client pushes real lineage over HTTP, two clones read it back
+    (the second from the response cache), one request is refused for
+    its token and one push for its quota, and ``GET /metrics`` is
+    scraped. The client and the hub share nothing but the wire."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        hub = RepositoryHub(tracer=Tracer())
+        hub.add_tenant("ana", tokens=["tok"])
+        hub.add_tenant("cramped", tokens=["tok-c"], quota_bytes=64)
+        server = serve_hub(hub, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        alice = fresh_toy_repo()
+        client_tracer = Tracer()
+
+        def transport(tenant, token):
+            return HttpTransport(server.repo_url(tenant, "proj"), token=token)
+
+        try:
+            pusher = transport("ana", "tok")
+            remote = Remote(alice, pusher, name="hub", tracer=client_tracer)
+            with client_tracer.span("client.sync") as sync:
+                remote.push("toy")
+            pusher.close()
+            hub_spans = hub.tracer.drain()
+            for _ in range(2):
+                reader = transport("ana", "tok")
+                clone_repository(reader, registry=alice.registry)
+                reader.close()
+            for tenant, token, error in (
+                ("ana", "wrong", AuthenticationError),
+                ("cramped", "tok-c", QuotaExceededError),
+            ):
+                refused = transport(tenant, token)
+                with pytest.raises(error):
+                    Remote(alice, refused, name=tenant).push("toy")
+                refused.close()
+            body, _ = scrape(server.url)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        return sync, client_tracer.drain(), hub_spans, body
+
+    def test_the_scrape_carries_the_vital_signs(self, deployment):
+        body = deployment[3]
+        for series in (
+            "repro_requests_total", "repro_request_seconds_bucket",
+            "repro_cache_hits_total", "repro_lineage_records_total",
+            'repro_chunk_written_bytes_total{tenant="ana"',
+        ):
+            assert series_total(body, series) > 0, series
+        # each refusal is counted once, under its own reason
+        assert series_total(
+            body, 'repro_admission_denied_total{tenant="ana",reason="auth"}'
+        ) == 1
+        assert series_total(
+            body, 'repro_admission_denied_total{tenant="cramped",reason="quota"}'
+        ) == 1
+
+    def test_one_trace_spans_both_sides_of_the_wire(self, deployment):
+        sync, client_spans, hub_spans, _ = deployment
+        assert {s["trace_id"] for s in client_spans + hub_spans} == {sync.trace_id}
+        carriers = set()
+        for span in client_spans:
+            if span["span_id"] == sync.span_id:
+                assert span["parent_id"] is None
+            else:
+                assert span["parent_id"] == sync.span_id
+                assert span["name"].startswith("client."), span["name"]
+                carriers.add(span["span_id"])
+        # every hub request hangs under the client span that sent it
+        roots = [s for s in hub_spans if s["name"] == "hub.request"]
+        assert roots and all(root["parent_id"] in carriers for root in roots)
+        assert {"hub.admission", "server.push", "lock.write", "storage.import"} <= {
+            s["name"] for s in hub_spans
+        }
+
+
 class TestStatsOp:
     def test_remote_stats_readout(self, http_server, server_repo):
         transport = HttpTransport(http_server.url)
@@ -102,17 +196,23 @@ class TestTracedHubRequest:
 
         spans = hub.tracer.drain()
         (push,) = [s for s in spans if s["name"] == "server.push"]
-        trace = [s for s in spans if s["trace_id"] == push["trace_id"]]
-        names = {s["name"] for s in trace}
-        assert len(trace) >= 4
-        assert {"hub.request", "hub.admission", "server.push",
-                "lock.write"} <= names
-        (root,) = [s for s in trace if s["name"] == "hub.request"]
-        assert root["parent_id"] is None
+        spans = [s for s in spans if s["trace_id"] == push["trace_id"]]
+        # exactly these five, one each: the request's life story
+        assert sorted(s["name"] for s in spans) == [
+            "hub.admission", "hub.request", "lock.write", "server.push", "storage.import",
+        ]
+        trace = {s["name"]: s for s in spans}
+        root = trace["hub.request"]
+        assert root["parent_id"] is None and root["status"] == "ok"
         assert root["attrs"] == {
             "tenant": "ana", "repo": "proj", "outcome": "allowed"
         }
+        assert trace["hub.admission"]["parent_id"] == root["span_id"]
         assert push["parent_id"] == root["span_id"]
+        for child in ("lock.write", "storage.import"):
+            assert trace[child]["parent_id"] == push["span_id"], child
+        imported = trace["storage.import"]["attrs"]
+        assert imported["chunks"] > 0 and imported["bytes"] > 0
 
 
 class TestTransportReconnect:
@@ -194,57 +294,57 @@ class TestStatsVerb:
         assert "error:" in text
 
 
+def serve_one_clone(tmp_path, *flags):
+    """``repro serve --requests 3 --export-spans FILE *flags`` answering
+    one clone (manifest + fetch + get_chunks); the exported spans."""
+    import shutil
+    import socket
+
+    init_repo(tmp_path / "repo")
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    span_file = tmp_path / "spans.jsonl"
+    thread = threading.Thread(
+        target=main,
+        args=([
+            "serve", str(tmp_path / "repo"),
+            "--port", str(port), "--requests", "3",
+            "--export-spans", str(span_file), *flags,
+        ],),
+        kwargs={"out": io.StringIO()},
+    )
+    thread.start()
+    code, text = None, ""
+    for _ in range(50):
+        code, text = run_cli([
+            "clone", f"http://127.0.0.1:{port}", str(tmp_path / "C"),
+        ])
+        if code == 0:
+            break
+        shutil.rmtree(tmp_path / "C", ignore_errors=True)
+        time.sleep(0.1)
+    thread.join(timeout=15)
+    assert not thread.is_alive()
+    assert code == 0, text
+    by_name = {}
+    if span_file.exists():
+        for line in span_file.read_text().splitlines():
+            span = json.loads(line)
+            by_name.setdefault(span["name"], []).append(span)
+    return by_name
+
+
 class TestExportDrainOnShutdown:
     def test_bounded_serve_exports_every_kept_span(self, tmp_path):
         """A ``--requests N`` run must drain the exporter queue before the
         CLI returns: the last request's spans are typically still queued
         (flush interval 0.5s) when the budget is spent, so only the
         shutdown-path ``exporter.stop()`` gets them to disk."""
-        import socket
-
-        init_repo(tmp_path / "repo")
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        span_file = tmp_path / "spans.jsonl"
-        server_out = io.StringIO()
-        thread = threading.Thread(
-            target=main,
-            args=([
-                "serve", str(tmp_path / "repo"),
-                "--port", str(port), "--requests", "3",
-                "--export-spans", str(span_file),
-                "--sample-rate", "1.0",
-            ],),
-            kwargs={"out": server_out},
-        )
-        thread.start()
-        code, text = None, ""
-        for _ in range(50):
-            code, text = run_cli([
-                "clone", f"http://127.0.0.1:{port}", str(tmp_path / "C"),
-            ])
-            if code == 0:
-                break
-            import shutil
-
-            shutil.rmtree(tmp_path / "C", ignore_errors=True)
-            time.sleep(0.1)
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert code == 0, text
-
-        spans = [
-            json.loads(line)
-            for line in span_file.read_text().splitlines()
-        ]
-        # sample_rate=1.0 keeps everything: all three request spans (a
-        # clone is manifest + fetch + get_chunks) must have reached the
-        # file — no span left behind in the queue.
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span["name"], []).append(span)
+        by_name = serve_one_clone(tmp_path, "--sample-rate", "1.0")
+        # sample_rate=1.0 keeps everything: all three request spans must
+        # have reached the file — no span left behind in the queue.
         for op in ("manifest", "fetch", "get_chunks"):
             assert len(by_name.get(f"server.{op}", [])) == 1, sorted(by_name)
             (span,) = by_name[f"server.{op}"]
@@ -253,6 +353,17 @@ class TestExportDrainOnShutdown:
         # taken per request), proving the drain got whole trees, not
         # just the op roots.
         assert "lock.read" in by_name, sorted(by_name)
+
+    def test_an_unsampled_span_past_its_slow_op_threshold_is_exported(self, tmp_path):
+        """The latency override reads the slow-op thresholds: manifest has
+        none in the op table, so ``--slow-threshold 0`` makes it slow;
+        fetch and get_chunks keep the table's 2 s and are filtered."""
+        by_name = serve_one_clone(
+            tmp_path, "--sample-rate", "0", "--slow-threshold", "0"
+        )
+        (span,) = by_name["server.manifest"]
+        assert span["sampled"] is False
+        assert "server.fetch" not in by_name and "server.get_chunks" not in by_name
 
 
 class TestStartupEvents:

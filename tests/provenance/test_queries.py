@@ -167,6 +167,25 @@ class TestTraceForensics:
         # edges follow within-trace production order
         assert [0, 1] in result["edges"]
 
+    @pytest.mark.parametrize("search", ["exhaustive", "prioritized", "random"])
+    def test_traced_merge_yields_one_node_per_checkpoint_event(self, search):
+        repo = build_fig3_history()
+        tracer = Tracer()
+        with tracer.span("merge") as span:
+            outcome = repo.merge("toy", "master", "dev", search=search, seed=0)
+        result = repo.trace_forensics(span.trace_id)
+        # a winner scored from history is resolved by reusing its four
+        # checkpoints, after the search that the outcome counts
+        winner = max(
+            (e for e in outcome.evaluations if e.score is not None),
+            key=lambda e: e.score,
+        )
+        resolved = 4 if winner.report is None else 0
+        assert result["executed"] == outcome.components_executed
+        assert result["reused"] == outcome.components_reused + resolved
+        assert len(result["nodes"]) == result["executed"] + result["reused"]
+        assert {n["trace_id"] for n in result["nodes"]} == {span.trace_id}
+
     def test_unknown_trace_is_typed(self):
         repo = fresh_toy_repo()
         with pytest.raises(LineageNotFoundError, match="trace"):

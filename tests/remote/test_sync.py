@@ -85,10 +85,14 @@ class TestPush:
         that crosses the wire."""
         clone = make_clone(transport, server_repo)
         clone.commit(workload.name, {"model": workload.model_version(2)}, message="new")
+        novel = set(clone.objects.chunks.digests()) - set(server_repo.objects.chunks.digests())
         transport.reset_counters()
         result = clone.remote("origin").push(workload.name, "master")
         total_chunks = len(clone.objects.chunks.digests())
         assert 0 < result.chunks_sent < total_chunks / 2
+        # exactly the chunks the server lacked, each once, and one commit
+        assert result.commits_sent == 1 and result.chunks_sent == len(novel)
+        assert result.chunk_bytes_sent == sum(len(clone.objects.chunks.get(d)) for d in novel)
         # And the pushed content is valid on the server.
         head = server_repo.head_commit(workload.name)
         for ref in head.stage_outputs.values():

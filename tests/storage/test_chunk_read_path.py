@@ -22,6 +22,15 @@ def make_store(kind, tmp_path):
     return MemoryChunkStore() if kind == "memory" else FileChunkStore(tmp_path / "c")
 
 
+def test_a_memory_store_makes_no_system_call(syscalls):
+    store = MemoryChunkStore()
+    digest = store.put(b"z" * 5000)
+    assert store.put(b"z" * 5000) == digest and store.get(digest) == b"z" * 5000
+    with pytest.raises(ChunkNotFoundError):
+        store.get("0" * 64)
+    assert syscalls == []
+
+
 class TestFileReadSyscalls:
     def test_a_read_is_one_pread(self, tmp_path, syscalls):
         store = FileChunkStore(tmp_path / "c")

@@ -423,6 +423,40 @@ class TestGoldenRecipes:
         )
 
 
+def edit_scripts():
+    """1 MB of random bytes and its three edits: 64 bytes zeroed in the
+    middle (same length), 50 KB appended, and 5 bytes inserted in the
+    middle (not a multiple of the word, so word alignment breaks)."""
+    rng = np.random.default_rng(0)
+    base = rng.integers(0, 256, 1_000_000, dtype=np.uint8).tobytes()
+    value_edit = base[:500_000] + bytes(64) + base[500_064:]
+    append = base + rng.integers(0, 256, 50_000, dtype=np.uint8).tobytes()
+    insert = base[:500_000] + b"WEDGE" + base[500_000:]
+    return base, (value_edit, append, insert)
+
+
+@pytest.mark.parametrize(
+    "chunker, shared",
+    [
+        # the default keeps value edits and appends, and trades
+        # arbitrary insertions for its throughput
+        (ContentDefinedChunker(), (995_952, 990_048, 499_288)),
+        (ContentDefinedChunker(ChunkerConfig(boundary="byte")), (997_273, 998_467, 997_273)),
+        (FixedSizeChunker(4096), (995_904, 999_424, 499_712)),
+    ],
+    ids=["word", "byte", "fixed"],
+)
+def test_bytes_each_edit_shares_with_the_original(chunker, shared):
+    """Exact, not bounded: a boundary rule that moves changes what every
+    stored recipe dedups against."""
+    base, edits = edit_scripts()
+    held = set(chunker.split(base))
+    assert tuple(
+        sum(len(piece) for piece in chunker.split(edited) if piece in held)
+        for edited in edits
+    ) == shared
+
+
 class TestSplitHandsOutViews:
     def test_pieces_are_views_of_the_blob_not_copies(self):
         data = random_bytes(100_000)

@@ -46,6 +46,7 @@ TIERS = [
     ("from repro import MLCask", SERVING),
     ("import repro.storage.chunking", CLIENT),
     ("import repro.data", CLIENT),
+    ("from repro.cli import main; main(['--help'])", SERVING),
 ]
 
 
@@ -54,6 +55,17 @@ def fresh_python(*args, code: str):
         [sys.executable, *args, "-c", code],
         capture_output=True, text=True, env=ENV, timeout=120,
     )
+
+
+def modules_after(statement):
+    """``sys.modules`` of a fresh interpreter that ran ``statement`` (a
+    verb's ``SystemExit`` included)."""
+    done = fresh_python(code=(
+        f"try:\n    {statement}\nexcept SystemExit:\n    pass\n"
+        "import sys, json\nprint(json.dumps(sorted(sys.modules)))"
+    ))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def loaded_under(prefixes, modules):
@@ -65,15 +77,18 @@ def loaded_under(prefixes, modules):
 # ------------------------------------------------------------ (a) the table
 @pytest.mark.parametrize("statement,forbidden", TIERS, ids=[t[0] for t in TIERS])
 def test_entry_point_loads_only_its_tier(statement, forbidden):
-    done = fresh_python(code=f"{statement}\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))")
-    assert done.returncode == 0, done.stderr
-    assert loaded_under(forbidden, json.loads(done.stdout)) == []
+    assert loaded_under(forbidden, modules_after(statement)) == []
 
 
 def test_client_tier_does_load_numpy():
     """The table above is not vacuous: the client tier is where numpy is."""
     done = fresh_python(code="import repro.data, sys; print('numpy' in sys.modules)")
     assert done.stdout.strip() == "True", done.stderr
+
+
+def test_ml_tier_does_load_scipy_and_the_ml_stack():
+    loaded = modules_after("import repro.workloads")
+    assert {"numpy", "scipy", "repro.ml"} <= set(loaded)
 
 
 def test_without_scipy_everything_but_the_ml_tier_imports():
@@ -107,13 +122,14 @@ def test_a_hub_that_served_real_traffic_mapped_neither_numpy_nor_scipy(tmp_path)
     watchdog = threading.Timer(60, hub.kill)  # a hung hub ends the read below
     watchdog.start()
     try:
-        url = None
+        base = None
         for line in hub.stdout:
             event = json.loads(line) if line.startswith("{") else {}
             if event.get("event") == "hub.ready":
-                url = event["endpoint"].split("/t/")[0] + "/t/ana/toy"
+                base = event["endpoint"].split("/t/")[0]
                 break
-        assert url, (log.seek(0), log.read())[1]
+        assert base, (log.seek(0), log.read())[1]
+        url = base + "/t/ana/toy"
 
         def connect():
             return HttpTransport(url, token="tok", timeout=30)
@@ -130,6 +146,10 @@ def test_a_hub_that_served_real_traffic_mapped_neither_numpy_nor_scipy(tmp_path)
         with pytest.raises(PushRejectedError):                           # rejected
             bob.remote("origin").push("toy")
         assert origin.stats()["repository"]["commits"] >= 2              # stats
+        # a sync verb's own process, against the live hub
+        verb = ["stats", base, "--tenant", "ana/toy", "--token", "tok", "--json"]
+        stats = modules_after(f"from repro.cli import main; assert main({verb!r}) == 0")
+        assert loaded_under(SERVING, stats) == []
 
         with open(f"/proc/{hub.pid}/maps") as maps:
             mapped = {line.split()[-1] for line in maps if "/" in line}
