@@ -20,9 +20,6 @@ Usage::
     python -m repro lineage REMOTE REF                 # provenance closure
     python -m repro lineage REMOTE --trace ID          # request forensics
     python -m repro impact REMOTE COMPONENT            # what-if analysis
-    python -m repro trace REMOTE                       # recent-trace readout
-    python -m repro trace REMOTE TRACE_ID              # one trace's critical path
-    python -m repro profile URL --token SECRET         # live profiler readout
     python -m repro gc REPO                            # sweep dead chunks
 
     python -m repro run REPO --workload readmission    # run the branch head
@@ -158,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
         serve,
         cache_help="read-response cache slots, invalidated on push (0 disables)",
     )
-    _add_observability_arguments(serve)
 
     clone = sub.add_parser("clone", help="clone a remote into a new directory")
     clone.add_argument("source", help="http:// URL or repository directory")
@@ -246,46 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json_argument(impact, "the raw impact object")
     _add_hub_client_arguments(impact)
 
-    trace = sub.add_parser(
-        "trace",
-        help="read a server's span buffer: recent traces, one trace's "
-        "tree and critical path, or the slow-op capture ring",
-    )
-    trace.add_argument("target", help="http:// URL or repository directory")
-    trace.add_argument(
-        "trace_id", nargs="?", default=None,
-        help="trace id to analyze (default: summarize recent traces)",
-    )
-    trace.add_argument(
-        "--limit", type=_positive_int, default=None,
-        help="cap on returned spans (with TRACE_ID) or trace summaries",
-    )
-    trace.add_argument(
-        "--slow", action="store_true",
-        help="include the server's slow-op captures",
-    )
-    _add_json_argument(trace, "the raw trace object")
-    _add_hub_client_arguments(trace)
-
-    profile = sub.add_parser(
-        "profile",
-        help="read a serving process's sampling profiler over HTTP "
-        "(GET /debug/profile; the server must run with --profile)",
-    )
-    profile.add_argument(
-        "target", help="http:// base URL of a running serve / hub serve"
-    )
-    profile.add_argument(
-        "--slow", action="store_true",
-        help="read GET /debug/slow (the slow-op capture ring) instead",
-    )
-    _add_json_argument(profile, "the raw debug object")
-    profile.add_argument(
-        "--token", default=None,
-        help="bearer token (hubs gate the debug endpoints on a valid "
-        "tenant token)",
-    )
-
     gc = sub.add_parser(
         "gc", help="sweep chunks no commit references from a repository directory"
     )
@@ -351,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-loaded-repos", type=_positive_int, default=None,
         help="repositories kept resident before LRU eviction (default 16)",
     )
-    _add_observability_arguments(hub_serve)
     pull.add_argument(
         "--workload", choices=["readmission", "dpm", "sa", "autolearn"],
         default=None,
@@ -391,7 +346,7 @@ def _add_hub_client_arguments(parser) -> None:
 
 
 def _add_serve_arguments(parser, cache_help: str) -> None:
-    """Listening and sizing flags shared by ``serve`` and ``hub serve``."""
+    """Listening, sizing and SLO flags shared by ``serve`` and ``hub serve``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321)
     parser.add_argument(
@@ -405,79 +360,12 @@ def _add_serve_arguments(parser, cache_help: str) -> None:
         help="reject request bodies above this size with HTTP 413 "
         "(default 256 MiB)",
     )
-
-
-def _add_observability_arguments(parser) -> None:
-    """Tracing and forensics knobs shared by ``serve`` and ``hub serve``."""
-    parser.add_argument(
-        "--sample-rate", type=float, default=1.0,
-        help="head-sampling probability for new traces, 0..1 (propagated "
-        "peer decisions are honoured regardless; default 1.0)",
-    )
-    parser.add_argument(
-        "--export-spans", default=None, metavar="DEST",
-        help="export finished spans as JSON lines to a file path or an "
-        "http(s) collector URL (sampled spans, failed ones, and ones "
-        "slower than their slow-op threshold)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the wall-clock sampling profiler and expose "
-        "GET /debug/profile",
-    )
-    parser.add_argument(
-        "--profile-interval", type=float, default=0.01,
-        help="profiler sampling interval in seconds (default 0.01)",
-    )
-    parser.add_argument(
-        "--slow-threshold", type=float, default=None,
-        help="default slow-op threshold in seconds, for the capture ring "
-        "and --export-spans (built-in per-op thresholds for "
-        "push/fetch/chunk ops still apply)",
-    )
     parser.add_argument(
         "--slo-config", default=None, metavar="PATH",
         help="JSON file of SLO overrides (per-op p99 objectives, "
         "availability target, burn windows, shedding knobs); default: "
         "the built-in objectives",
     )
-
-
-def _build_observability(args):
-    """The tracer, slow-op ring, and optional profiler/exporter behind the
-    shared serve flags; returns ``(tracer, slow_ops, profiler, close)``
-    where ``close()`` stops whatever background machinery was started."""
-    from .obs import (
-        ExportPolicy, SamplingProfiler, SlowOpCapture, SpanExporter, Tracer, sink_for,
-    )
-
-    if args.slow_threshold is not None:
-        slow_ops = SlowOpCapture(default_seconds=args.slow_threshold)
-    else:
-        slow_ops = SlowOpCapture()
-    exporter = None
-    on_span = None
-    if args.export_spans is not None:
-        # An unsampled span is still exported when it ran past the
-        # threshold the slow-op ring captures at.
-        exporter = SpanExporter(
-            sink_for(args.export_spans), ExportPolicy(slow_ops.threshold_for)
-        )
-        exporter.start()
-        on_span = exporter.export
-    tracer = Tracer(sample_rate=args.sample_rate, on_span=on_span)
-    profiler = None
-    if args.profile:
-        profiler = SamplingProfiler(interval=args.profile_interval)
-        profiler.start()
-
-    def close() -> None:
-        if profiler is not None:
-            profiler.stop()
-        if exporter is not None:
-            exporter.stop()
-
-    return tracer, slow_ops, profiler, close
 
 
 def _load_slo(args):
@@ -802,12 +690,12 @@ def _cmd_serve(args, out) -> int:
 
 
 def _serve_endpoint(args, out, start) -> int:
-    """The one body of ``serve`` and ``hub serve``, from building the
-    observability to serving until the budget is spent.
+    """The one body of ``serve`` and ``hub serve``, from binding the
+    server to serving until the budget is spent.
 
     ``start(**options)`` builds and binds the server with the options
-    both verbs share (tracer, slow-op ring, profiler, SLO, idle timeout),
-    prints its banner and returns ``(server, ready event, its fields)``.
+    both verbs share (SLO, idle timeout), prints its banner and
+    returns ``(server, ready event, its fields)``.
     Bounded serving (``--requests N``) counts handled *requests*, not
     accepted connections — keep-alive clients multiplex many requests
     over one socket (handlers stop honouring keep-alive once the budget
@@ -818,11 +706,7 @@ def _serve_endpoint(args, out, start) -> int:
     """
     from .obs.events import emit
 
-    tracer, slow_ops, profiler, close_obs = _build_observability(args)
     server, event, fields = start(
-        tracer=tracer,
-        slow_ops=slow_ops,
-        profiler=profiler,
         slo=_load_slo(args),
         # Bounded serving must return promptly after the Nth request even
         # when clients leave keep-alive sockets open: a short idle timeout
@@ -854,7 +738,6 @@ def _serve_endpoint(args, out, start) -> int:
         pass
     finally:
         server.server_close()
-        close_obs()
     return 0
 
 
@@ -1189,103 +1072,6 @@ def _render_impact(args, result, out) -> None:
         )
 
 
-def _cmd_trace(args, out) -> int:
-    """The ``trace`` op as a verb: span buffer, critical path, slow ops."""
-    return _readout(
-        args,
-        out,
-        lambda remote: remote.trace(args.trace_id, limit=args.limit, slow=args.slow),
-        _render_trace,
-    )
-
-
-def _render_trace(args, result, out) -> None:
-    if args.trace_id is not None:
-        from .obs.critical_path import render_critical_path
-
-        print(render_critical_path(result["critical_path"]), file=out)
-    else:
-        traces = result.get("traces", [])
-        print(f"{len(traces)} recent trace(s)", file=out)
-        for summary in traces:
-            errors = f", {summary['errors']} error(s)" if summary["errors"] else ""
-            print(
-                f"  {summary['trace_id']} {summary['root'] or '?'}: "
-                f"{summary['spans']} span(s), "
-                f"{summary['seconds'] * 1000.0:.1f} ms{errors}",
-                file=out,
-            )
-    for capture in result.get("slow", []):
-        print(
-            f"  slow {capture['op']}: {capture['seconds']:.3f}s "
-            f"(threshold {capture['threshold']:.3f}s, "
-            f"trace {capture.get('trace_id') or '-'}, "
-            f"{len(capture.get('spans', []))} span(s))",
-            file=out,
-        )
-
-
-def _cmd_profile(args, out) -> int:
-    """Live performance readout of a serving process over plain HTTP."""
-    import json
-    import urllib.error
-    import urllib.request
-
-    from .errors import RemoteError
-
-    if not args.target.startswith(("http://", "https://")):
-        raise RemoteError(
-            "profile reads a live endpoint; the target must be an "
-            "http(s) base URL"
-        )
-    path = "/debug/slow" if args.slow else "/debug/profile"
-    url = args.target.rstrip("/") + path
-    request = urllib.request.Request(url)
-    if args.token is not None:
-        request.add_header("Authorization", f"Bearer {args.token}")
-    try:
-        with urllib.request.urlopen(request, timeout=10.0) as response:
-            body = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        hint = (
-            "; start the server with --profile"
-            if error.code == 404 and not args.slow
-            else "; pass --token with a valid tenant token"
-            if error.code == 403
-            else ""
-        )
-        raise RemoteError(f"{url} answered {error.code}{hint}") from error
-    except OSError as error:
-        raise RemoteError(f"cannot reach {url}: {error}") from error
-    if args.json:
-        print(json.dumps(body, indent=2, sort_keys=True), file=out)
-        return 0
-    if args.slow:
-        captures = body.get("slow", [])
-        print(f"{len(captures)} slow-op capture(s)", file=out)
-        for capture in captures:
-            print(
-                f"  {capture['op']}: {capture['seconds']:.3f}s "
-                f"(threshold {capture['threshold']:.3f}s, "
-                f"trace {capture.get('trace_id') or '-'})",
-                file=out,
-            )
-        return 0
-    snapshot = body.get("profile", {})
-    state = "running" if snapshot.get("running") else "stopped"
-    print(
-        f"profiler {state}: {snapshot.get('samples', 0)} samples, "
-        f"{snapshot.get('unique_stacks', 0)} unique stacks "
-        f"(interval {snapshot.get('interval_seconds', 0.0) * 1000.0:.1f} ms, "
-        f"{snapshot.get('dropped_stacks', 0)} dropped)",
-        file=out,
-    )
-    folded = body.get("folded", "")
-    if folded:
-        print(folded, file=out)
-    return 0
-
-
 def _cmd_gc(args, out) -> int:
     from .core.persistence import gc_repository_dir
 
@@ -1377,14 +1163,13 @@ def _cmd_hub_serve(args, out) -> int:
     if args.max_pack_bytes is not None:
         kwargs["max_pack_bytes"] = args.max_pack_bytes
 
-    def start(profiler, idle_timeout, **options):
+    def start(idle_timeout, **options):
         hub = _hub_for(args, cache_entries=args.cache_entries, **options, **kwargs)
         server = serve_hub(
             hub,
             host=args.host,
             port=args.port,
             max_request_bytes=args.max_request_bytes,
-            profiler=profiler,
             idle_timeout=idle_timeout,
         )
         tenants = hub.authenticator.tenants()
@@ -1435,8 +1220,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "health": _cmd_health,
         "lineage": _cmd_lineage,
         "impact": _cmd_impact,
-        "trace": _cmd_trace,
-        "profile": _cmd_profile,
         "run": _cmd_run,
         "merge": _cmd_merge,
         "gc": _cmd_gc,

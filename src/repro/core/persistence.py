@@ -71,6 +71,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
+from ..codec import build
 from ..errors import RepositoryError
 from ..provenance.ledger import lineage_record_to_dict
 from ..storage.chunk_store import FileChunkStore, write_atomic
@@ -164,12 +165,13 @@ def commit_to_dict(commit: PipelineCommit) -> dict:
 
 
 def commit_from_dict(entry: dict) -> PipelineCommit:
-    return PipelineCommit(
+    return build(
+        PipelineCommit,
         commit_id=entry["commit_id"],
         pipeline=entry["pipeline"],
         version=SemVer.parse_dotted(entry["version"]),
         branch=entry["branch"],
-        parents=tuple(entry["parents"]),
+        parents=entry["parents"],
         component_versions=entry["component_versions"],
         component_fingerprints=entry["component_fingerprints"],
         stage_outputs=entry["stage_outputs"],
@@ -189,10 +191,8 @@ def spec_to_dict(spec: PipelineSpec) -> dict:
 
 
 def spec_from_dict(name: str, entry: dict) -> PipelineSpec:
-    return PipelineSpec(
-        name=name,
-        stages=tuple(entry["stages"]),
-        edges=tuple(tuple(edge) for edge in entry["edges"]),
+    return build(
+        PipelineSpec, name=name, stages=entry["stages"], edges=entry["edges"]
     )
 
 
@@ -205,9 +205,10 @@ def recipe_to_dict(recipe: Recipe) -> dict:
 
 
 def recipe_from_dict(entry: dict) -> Recipe:
-    return Recipe(
+    return build(
+        Recipe,
         blob_digest=entry["blob"],
-        chunk_digests=tuple(entry["chunks"]),
+        chunk_digests=entry["chunks"],
         size=entry["size"],
     )
 
@@ -224,13 +225,14 @@ def record_to_dict(record: CheckpointRecord) -> dict:
 
 
 def record_from_dict(entry: dict) -> CheckpointRecord:
-    return CheckpointRecord(
+    return build(
+        CheckpointRecord,
         key=entry["key"],
         component_id=entry["component_id"],
         output_ref=entry["output_ref"],
         output_bytes=entry["output_bytes"],
         run_seconds=entry["run_seconds"],
-        metrics=dict(entry["metrics"]),
+        metrics=entry["metrics"],
     )
 
 

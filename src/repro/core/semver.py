@@ -84,7 +84,7 @@ class SemVer:
     @classmethod
     def parse_dotted(cls, text: str) -> "SemVer":
         """Parse the pipeline rendering ``branch.schema.increment``."""
-        match = _DOTTED_RE.match(text.strip())
+        match = _DOTTED_RE.match(text.strip()) if isinstance(text, str) else None
         if not match:
             raise VersionError(f"cannot parse dotted version {text!r}")
         return cls(

@@ -71,7 +71,6 @@ from ..obs import propagation
 from ..obs.health import HealthMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOConfig
-from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from ..ops import OP_TABLE, OpSpec
 from ..remote import pack
@@ -194,7 +193,6 @@ class RepositoryHub:
         clock=time.monotonic,
         registry=None,
         tracer=None,
-        slow_ops=None,
         slo: SLOConfig | None = None,
     ):
         self.root = os.fspath(root) if root is not None else None
@@ -245,10 +243,6 @@ class RepositoryHub:
         # share one trace. Pass the null singletons to opt out.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        # One slow-op capture ring shared by every hosted server, so the
-        # hub's /debug/slow readout covers all tenants (each capture is
-        # stamped with its tenant/repo context by the server).
-        self.slow_ops = slow_ops if slow_ops is not None else SlowOpCapture()
         # The health model behind /healthz, /readyz, the health op, and
         # admission shedding. One deployment-wide monitor over the shared
         # registry/tracer: hosted servers answer the health op from it,
@@ -447,7 +441,6 @@ class RepositoryHub:
             registry=self.registry,
             tracer=self.tracer,
             metric_labels={"tenant": tenant, "repo": name},
-            slow_ops=self.slow_ops,
             health_monitor=self.health,
         )
         return hosted
@@ -707,12 +700,10 @@ class RepositoryHub:
                     config.name: self.tenant_usage(config.name)
                     for config in self.authenticator.tenants()
                 },
-                "slow_ops": self.slow_ops.snapshot(),
                 "trace": {
                     "spans_recorded": getattr(
                         self.tracer, "spans_recorded", 0
                     ),
-                    "sample_rate": getattr(self.tracer, "sample_rate", 1.0),
                 },
             }
 
@@ -841,8 +832,8 @@ class RepositoryHub:
                     # is touched (same never-partially-mutate contract
                     # as auth/quota/rate — _acquire runs strictly after
                     # this). Only known ops shed, so an unknown op keeps
-                    # its typed protocol error; exempt ops (health,
-                    # stats, trace) always pass so probes work under the
+                    # its typed protocol error; exempt ops (health and
+                    # stats) always pass so probes work under the
                     # very overload they diagnose.
                     if spec is not None:
                         retry_after = self.health.shed_decision(op)
@@ -953,7 +944,6 @@ def serve_hub(
     verbose: bool = False,
     max_request_bytes: int | None = None,
     idle_timeout: float | None = None,
-    profiler=None,
 ) -> SyncHTTPServer:
     """Expose every repository of ``hub`` at
     ``http://host:port/t/<tenant>/<repo>/rpc``; returns the server
@@ -967,11 +957,7 @@ def serve_hub(
     quota and rate denials included, travels as an HTTP 200 with a
     typed error body. HTTP status codes stay for transport-level
     problems. ``GET /metrics`` renders the hub's registry and the probes
-    answer from its health model; the ``/debug/*`` readouts name
-    tenants and live stacks, so they require *a* valid tenant token.
-    ``profiler`` (optional, a started
-    :class:`~repro.obs.profiler.SamplingProfiler`) backs ``GET
-    /debug/profile``; the caller owns its lifecycle."""
+    answer from its health model."""
 
     def route(path, headers):
         match = ROUTE.match(path)
@@ -982,15 +968,6 @@ def serve_hub(
             match["tenant"], match["repo"], token, payload
         )
 
-    def debug_allowed(headers) -> bool:
-        try:
-            hub.authenticator.authenticate(
-                bearer_token(headers.get("Authorization"))
-            )
-        except AuthenticationError:
-            return False
-        return True
-
     return SyncHTTPServer(
         (host, port),
         hub,
@@ -999,8 +976,6 @@ def serve_hub(
         verbose=verbose,
         max_request_bytes=max_request_bytes,
         idle_timeout=idle_timeout,
-        profiler=profiler,
-        debug_allowed=debug_allowed,
         server_version="mlcask-hub/1",
         not_found="unknown endpoint (expected /t/<tenant>/<repo>/rpc)",
         internal_error="internal hub error",

@@ -24,10 +24,6 @@ propagated ids are correlation data and nothing else — they are *never*
 an input to authentication, authorization, rate limiting, or routing
 (see docs/invariants.md): a peer lying about its trace id can only
 mislabel its own telemetry.
-
-The head-based sampling decision rides along (``sampled``), so both
-sides of the wire keep or skip export of the same trace without
-coordination.
 """
 
 from __future__ import annotations
@@ -49,23 +45,15 @@ class RemoteSpanContext:
     """A parent that lives on the other side of the wire.
 
     Duck-typed to what :meth:`Span.__enter__` reads off a parent —
-    ``trace_id``, ``span_id``, ``sampled`` — and nothing more: it cannot
-    be entered, timed, or finished, because the real span is remote.
+    ``trace_id`` and ``span_id``, nothing more: it cannot be entered,
+    timed, or finished, because the real span is remote.
     """
 
-    __slots__ = ("trace_id", "span_id", "sampled")
+    __slots__ = ("trace_id", "span_id")
 
-    def __init__(self, trace_id: str, span_id: str, sampled: bool = True):
+    def __init__(self, trace_id: str, span_id: str):
         self.trace_id = trace_id
         self.span_id = span_id
-        self.sampled = sampled
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "sampled": self.sampled,
-        }
 
 
 def current_trace_context() -> dict | None:
@@ -78,11 +66,7 @@ def current_trace_context() -> dict | None:
     span = obs_trace.current_span()
     if span is None or span.trace_id is None or span.span_id is None:
         return None
-    return {
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "sampled": bool(getattr(span, "sampled", True)),
-    }
+    return {"trace_id": span.trace_id, "span_id": span.span_id}
 
 
 def inject(meta: dict) -> dict:
@@ -100,10 +84,10 @@ def inject(meta: dict) -> dict:
 def parse_trace_context(meta) -> RemoteSpanContext | None:
     """The inherited context of a request envelope, or None.
 
-    Strict about shape (both ids must be hex strings, ``sampled`` a
-    bool) but *never raises*: an absent key means a legacy peer, a
-    malformed one is ignored the same way — propagation is telemetry,
-    and telemetry must not be able to fail a request.
+    Strict about shape (both ids must be hex strings) but *never
+    raises*: an absent key means a legacy peer, a malformed one is
+    ignored the same way — propagation is telemetry, and telemetry must
+    not be able to fail a request.
     """
     if not isinstance(meta, dict):
         return None
@@ -116,10 +100,7 @@ def parse_trace_context(meta) -> RemoteSpanContext | None:
         return None
     if not isinstance(span_id, str) or not _ID_RE.match(span_id):
         return None
-    sampled = context.get("sampled", True)
-    if not isinstance(sampled, bool):
-        return None
-    return RemoteSpanContext(trace_id, span_id, sampled)
+    return RemoteSpanContext(trace_id, span_id)
 
 
 @contextlib.contextmanager

@@ -8,22 +8,16 @@ a :mod:`contextvars` variable, so the propagation — hub admission →
 server op → lock wait → chunk import — costs one context set/reset per
 span and needs no plumbing through call signatures.
 
-Finished spans land in a bounded in-memory buffer as plain dicts (and
-optionally stream to an ``on_span`` callback); :meth:`Tracer.drain`
-hands them over as structured JSON-ready events, newest last.
+Finished spans land in a bounded in-memory buffer as plain dicts;
+:meth:`Tracer.drain` hands them over as structured JSON-ready events,
+newest last. The buffer's reader in a serving process is the health
+model, which computes its error rate from the ``server.*`` spans.
 
 The context crosses the wire too: :mod:`repro.obs.propagation` stamps
 the current span's ids into a schema-additive ``trace_ctx`` key of the
 request envelope, and the server side adopts it — so a client push, the
 hub's admission path, and the per-repo server share *one* trace, which
-``trace_forensics`` joins back to the lineage ledger. Sampling is
-head-based: the root span draws a deterministic keep/drop decision from
-its ``trace_id`` against the tracer's ``sample_rate``, children inherit
-it, and the decision rides the propagated context so both sides of the
-wire agree. The decision never drops spans from the *buffer* (forensics
-keep working); it is advice to the export pipeline
-(:mod:`repro.obs.export`), which additionally keeps error and slow
-spans regardless.
+``trace_forensics`` joins back to the lineage ledger.
 
 Null default: code resolves its tracer via :func:`default_tracer`,
 which returns the no-op :data:`NULL_TRACER` unless :func:`install` was
@@ -70,7 +64,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "attrs", "trace_id", "span_id", "parent_id",
-        "start", "seconds", "status", "sampled", "_t0", "_token",
+        "start", "seconds", "status", "_t0", "_token",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
@@ -83,15 +77,14 @@ class Span:
         self.start: float | None = None
         self.seconds: float | None = None
         self.status = "ok"
-        self.sampled = True
         self._t0: float | None = None
         self._token = None
 
     def set(self, **attrs) -> "Span":
         """Attach attributes to a live span; returns the span.
 
-        A finished span was handed to the buffer and the exporter as a
-        copy, so a later write could never be seen: it raises."""
+        A finished span was handed to the buffer as a copy, so a later
+        write could never be seen: it raises."""
         if self.seconds is not None:
             raise RuntimeError(f"span {self.name!r} already finished")
         self.attrs.update(attrs)
@@ -100,17 +93,15 @@ class Span:
     def __enter__(self) -> "Span":
         # The parent is whatever is current on this thread of control: a
         # live local Span, or an adopted remote context (a lightweight
-        # trace_id/span_id/sampled triple installed by
-        # repro.obs.propagation when the request arrived over the wire).
+        # trace_id/span_id pair installed by repro.obs.propagation when
+        # the request arrived over the wire).
         parent = _current.get()
         if parent is not None:
             self.trace_id = parent.trace_id
             self.parent_id = parent.span_id
-            self.sampled = getattr(parent, "sampled", True)
         else:
             self.trace_id = _new_id()
             self.parent_id = None
-            self.sampled = self.tracer._sample(self.trace_id)
         self.span_id = _new_id()
         self.start = time.time()
         self._t0 = time.perf_counter()
@@ -135,7 +126,6 @@ class Span:
             "start": self.start,
             "seconds": self.seconds,
             "status": self.status,
-            "sampled": self.sampled,
             "attrs": dict(self.attrs),
         }
 
@@ -145,39 +135,12 @@ class Tracer:
 
     ``max_spans`` bounds memory: a long-lived server traced forever
     keeps only the newest spans (the deque drops from the front).
-    ``on_span`` (optional) receives each finished span's dict — wire it
-    to :func:`repro.obs.events.emit` to stream JSON lines, or to a
-    :class:`repro.obs.export.SpanExporter` for background export.
-
-    ``sample_rate`` is the head-based sampling probability ([0, 1],
-    default keep-everything). The decision is drawn *deterministically*
-    from the trace id (an OpenTelemetry-style trace-id-ratio sampler),
-    so every participant in a distributed trace — and every re-examination
-    of the same trace — agrees without coordination. Sampling never
-    filters the in-memory buffer; it marks spans for the export layer.
     """
 
-    def __init__(self, max_spans: int = 10000, on_span=None,
-                 sample_rate: float = 1.0):
+    def __init__(self, max_spans: int = 10000):
         self._lock = threading.Lock()
         self._finished: deque[dict] = deque(maxlen=max(1, max_spans))
-        self.on_span = on_span
-        self.sample_rate = min(1.0, max(0.0, sample_rate))
         self.spans_recorded = 0
-
-    def _sample(self, trace_id: str) -> bool:
-        """Head decision for a new root: keep iff the trace id's leading
-        64 bits fall under the rate threshold — deterministic per trace,
-        uniformly distributed across traces (ids are os.urandom)."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        try:
-            draw = int(trace_id[:16], 16)
-        except (TypeError, ValueError):
-            return True
-        return draw < self.sample_rate * float(1 << 64)
 
     def span(self, name: str, **attrs) -> Span:
         """A new span; enter it with ``with tracer.span("name"): ...``."""
@@ -196,11 +159,9 @@ class Tracer:
         if parent is not None:
             span.trace_id = parent.trace_id
             span.parent_id = parent.span_id
-            span.sampled = getattr(parent, "sampled", True)
         else:
             span.trace_id = _new_id()
             span.parent_id = None
-            span.sampled = self._sample(span.trace_id)
         span.span_id = _new_id()
         span.start = time.time() - seconds
         span.seconds = seconds
@@ -215,8 +176,6 @@ class Tracer:
         with self._lock:
             self._finished.append(event)
             self.spans_recorded += 1
-        if self.on_span is not None:
-            self.on_span(event)
 
     def drain(self) -> list[dict]:
         """Remove and return all buffered finished spans, oldest first."""

@@ -2,13 +2,12 @@
 
 One :class:`OpSpec` per operation a server understands carries its
 name, lock side, cacheability, hub pre-flight status, shed exemption,
-default p99 objective, slow-op threshold, blob-digest key and request
-validator. Everything else *derives* from :data:`OP_TABLE`:
+default p99 objective, blob-digest key and request validator.
+Everything else *derives* from :data:`OP_TABLE`:
 ``OPS``/``WRITE_OPS`` (:mod:`repro.remote.protocol`), ``CACHEABLE_OPS``
 and ``validate_request`` (:mod:`repro.remote.server`), ``PREFLIGHT_OPS``
-(:mod:`repro.hub.hub`), ``SHED_EXEMPT_OPS`` (:mod:`repro.obs.health`),
-``DEFAULT_OP_OBJECTIVES`` (:mod:`repro.obs.slo`) and
-``DEFAULT_OP_THRESHOLDS`` (:mod:`repro.obs.slowops`) are comprehensions
+(:mod:`repro.hub.hub`), ``SHED_EXEMPT_OPS`` (:mod:`repro.obs.health`)
+and ``DEFAULT_OP_OBJECTIVES`` (:mod:`repro.obs.slo`) are comprehensions
 over it, and ``RepositoryServer`` binds its ``_op_<name>`` handlers
 against it at class-definition time.
 
@@ -54,8 +53,6 @@ class OpSpec:
     preflight: bool = False
     #: Never shed by hub admission (``SHED_EXEMPT_OPS``).
     shed_exempt: bool = False
-    #: Slow-op capture threshold, seconds; None = the capture default.
-    slow_seconds: float | None = None
     #: Meta key of the digest list parallel to the request's blobs
     #: (write ops only) — what validation pairs and quota charges.
     blob_digests_key: str | None = None
@@ -193,23 +190,12 @@ def _validate_lineage(spec: OpSpec, meta: dict, blobs: list) -> None:
         spec.fail("a 'trace' query needs a string 'trace_id'")
 
 
-def _validate_trace(spec: OpSpec, meta: dict, blobs: list) -> None:
-    trace_id = meta.get("trace_id")
-    if trace_id is not None and not isinstance(trace_id, str):
-        spec.fail("'trace_id' must be null or a string")
-    limit = meta.get("limit")
-    if limit is not None and not _is_positive_int(limit):
-        spec.fail("'limit' must be a positive integer")
-    if not isinstance(meta.get("slow", False), bool):
-        spec.fail("'slow' must be a boolean")
-
-
 #: The table, in wire-documentation order. Writes move chunk content and
 #: get generous latency budgets; metadata reads are expected to be
 #: near-instant. ``lineage`` is cacheable because closures over an
 #: append-only ledger are a pure function of repository state (the
-#: server's state token carries the ledger revision); ``stats``,
-#: ``trace`` and ``health`` change with every request and never are.
+#: server's state token carries the ledger revision); ``stats`` and
+#: ``health`` change with every request and never are.
 OP_TABLE: dict[str, OpSpec] = {
     spec.name: spec
     for spec in (
@@ -225,28 +211,19 @@ OP_TABLE: dict[str, OpSpec] = {
             "missing_chunks", _validate_missing_chunks, p99_seconds=0.5,
             cacheable=True, preflight=True,
         ),
-        OpSpec(
-            "get_chunks", _validate_get_chunks, p99_seconds=2.0,
-            slow_seconds=2.0,
-        ),
+        OpSpec("get_chunks", _validate_get_chunks, p99_seconds=2.0),
         OpSpec(
             "put_chunks", _validate_blob_digests, p99_seconds=5.0,
-            write=True, slow_seconds=5.0, blob_digests_key="digests",
+            write=True, blob_digests_key="digests",
         ),
-        OpSpec(
-            "fetch", _validate_fetch, p99_seconds=2.0,
-            cacheable=True, slow_seconds=2.0,
-        ),
+        OpSpec("fetch", _validate_fetch, p99_seconds=2.0, cacheable=True),
         OpSpec(
             "push", _validate_push, p99_seconds=5.0,
-            write=True, slow_seconds=5.0, blob_digests_key="chunk_digests",
+            write=True, blob_digests_key="chunk_digests",
         ),
         OpSpec("stats", _no_fields, p99_seconds=0.5, shed_exempt=True),
         OpSpec(
             "lineage", _validate_lineage, p99_seconds=1.0, cacheable=True,
-        ),
-        OpSpec(
-            "trace", _validate_trace, p99_seconds=1.0, shed_exempt=True,
         ),
         OpSpec("health", _no_fields, p99_seconds=0.5, shed_exempt=True),
     )

@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 
+from ..codec import build
 from ..obs.trace import current_span
 
 #: ``via`` values a record can carry: the stage ran, or an archived
@@ -114,7 +115,8 @@ def lineage_record_to_dict(record: LineageRecord) -> dict:
 
 
 def lineage_record_from_dict(entry: dict) -> LineageRecord:
-    return LineageRecord(
+    return build(
+        LineageRecord,
         checkpoint_key=entry["checkpoint_key"],
         stage=entry["stage"],
         pipeline=entry["pipeline"],
@@ -122,7 +124,7 @@ def lineage_record_from_dict(entry: dict) -> LineageRecord:
         component_fingerprint=entry["component_fingerprint"],
         component_version=entry["component_version"],
         params_digest=entry["params_digest"],
-        input_refs=tuple(entry["input_refs"]),
+        input_refs=entry["input_refs"],
         output_ref=entry["output_ref"],
         seed=entry["seed"],
         trace_id=entry["trace_id"],
@@ -133,7 +135,7 @@ def lineage_record_from_dict(entry: dict) -> LineageRecord:
         cpu_seconds=entry.get("cpu_seconds", 0.0),
         commit_id=entry.get("commit_id", ""),
         branch=entry.get("branch", ""),
-        collected=bool(entry.get("collected", False)),
+        collected=entry.get("collected", False),
     )
 
 

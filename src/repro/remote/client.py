@@ -223,23 +223,6 @@ class Remote:
         meta, _ = self._call(request)
         return meta["lineage"]
 
-    def trace(
-        self,
-        trace_id: str | None = None,
-        limit: int | None = None,
-        slow: bool = False,
-    ) -> dict:
-        """The peer's span buffer: one trace's tree and critical path
-        (``trace_id``), or recent-trace summaries; ``slow`` adds the
-        slow-op captures ring."""
-        request: dict = {"op": "trace", "slow": slow}
-        if trace_id is not None:
-            request["trace_id"] = trace_id
-        if limit is not None:
-            request["limit"] = limit
-        meta, _ = self._call(request)
-        return meta["trace"]
-
     # --------------------------------------------------------------- fetch
     def fetch(self, pipeline: str | None = None, branches=None) -> FetchResult:
         """Synchronize the peer's history and content into this repository.

@@ -30,10 +30,11 @@ Import is the mirror image, with two invariants:
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from collections.abc import Callable, Iterable, Iterator
 
-from ..errors import RemoteError
+from ..errors import MLCaskError, RemoteError
 from ..core.persistence import (
     commit_from_dict,
     commit_to_dict,
@@ -44,7 +45,7 @@ from ..core.persistence import (
     spec_from_dict,
     spec_to_dict,
 )
-from ..provenance.ledger import lineage_record_to_dict
+from ..provenance.ledger import lineage_record_from_dict, lineage_record_to_dict
 
 
 #: Upper bound on the chunk payload of a single wire message. Both sides
@@ -155,6 +156,39 @@ def pack_meta(repo, commits, recipes, records, chunk_digests) -> dict:
 
 
 # ---------------------------------------------------------------- import
+#: The list-valued pack keys and the codec that decodes each of their rows.
+_ROW_CODECS = (
+    ("commits", commit_from_dict),
+    ("recipes", recipe_from_dict),
+    ("records", record_from_dict),
+    ("lineage", lineage_record_from_dict),
+)
+
+
+def undecodable_row(meta: dict) -> str | None:
+    """The first row of a pack its codec refuses, described; or None.
+
+    Every row is decoded and thrown away, so a receiver can refuse a
+    malformed pack before its first import has mutated anything — the
+    imports below decode row by row and would fail halfway through.
+    """
+    rows = [
+        (f"specs[{name!r}]", partial(spec_from_dict, name), entry)
+        for name, entry in meta.get("specs", {}).items()
+    ]
+    rows += [
+        (f"{key}[{index}]", decode, entry)
+        for key, decode in _ROW_CODECS
+        for index, entry in enumerate(meta.get(key, []))
+    ]
+    for where, decode, entry in rows:
+        try:
+            decode(entry)
+        except (KeyError, TypeError, ValueError, MLCaskError) as error:
+            return f"{where} does not decode: {type(error).__name__}: {error}"
+    return None
+
+
 def import_specs(repo, specs: dict) -> None:
     """Adopt pipeline specs; a conflicting redefinition is an error."""
     for name, entry in specs.items():

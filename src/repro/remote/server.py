@@ -1,12 +1,11 @@
 """Repository server: answers sync requests against a live ``MLCask``.
 
 The server side of the wire protocol. One :class:`RepositoryServer` wraps
-one repository and handles the eleven operations — ``manifest``,
+one repository and handles the ten operations — ``manifest``,
 ``known_commits``, ``missing_chunks``, ``get_chunks``, ``put_chunks``,
 ``fetch``, ``push``, ``stats`` (telemetry readout), ``lineage``
-(provenance queries), ``trace`` (distributed-trace and slow-op
-readout), and ``health`` (sliding-window health report) — entirely in
-terms of pack assembly/import from
+(provenance queries) and ``health`` (sliding-window health report) —
+entirely in terms of pack assembly/import from
 :mod:`repro.remote.pack`. It is transport-agnostic: :class:`LocalTransport`
 calls :meth:`handle_bytes` directly, and :func:`serve` exposes the same
 entry point over a real socket with the stdlib HTTP server (no external
@@ -23,9 +22,7 @@ wrapped in a :class:`~repro.obs.trace.Tracer` span so a hub-admitted
 push yields one correlated trace down to its chunk imports. A request
 carrying a propagated ``trace_ctx`` (see :mod:`repro.obs.propagation`)
 has its server spans *adopted* into the client's trace — correlation
-only, never an input to any admission decision — and operations that
-outlive their latency budget are snapshotted by the (optional)
-:class:`~repro.obs.slowops.SlowOpCapture`. Both
+only, never an input to any admission decision. Registry and tracer
 default to the process-wide null singletons — an unobserved server pays
 only empty method calls — while :func:`serve` installs real ones so the
 HTTP endpoint can answer ``GET /metrics`` in Prometheus text format.
@@ -68,7 +65,6 @@ from ..obs import trace as obs_trace
 from ..obs.health import HealthMonitor
 from ..obs.metrics import NULL_METRIC, MetricsRegistry
 from ..obs.slo import SLOConfig
-from ..obs.slowops import SlowOpCapture
 from ..obs.trace import Tracer
 from ..ops import OP_TABLE
 from . import pack
@@ -81,14 +77,8 @@ from .protocol import (
 )
 from .transport import RPC_PATH
 
-#: GET routes both HTTP endpoints answer: the Prometheus text scrape,
-#: plus two JSON debug readouts (the sampling profiler's folded stacks
-#: and the slow-op capture ring). The hub additionally gates the debug
-#: pair behind its token authentication — performance forensics expose
-#: code paths and tenant names, which anonymous scrapes must not see.
+#: The Prometheus text scrape, answered by both HTTP endpoints.
 METRICS_PATH = "/metrics"
-DEBUG_PROFILE_PATH = "/debug/profile"
-DEBUG_SLOW_PATH = "/debug/slow"
 
 #: Kubernetes-style probe routes, unauthenticated on both endpoints:
 #: ``/healthz`` answers liveness (reaching the handler *is* the signal),
@@ -310,16 +300,11 @@ class RepositoryServer:
         registry=None,
         tracer=None,
         metric_labels: dict | None = None,
-        slow_ops: SlowOpCapture | None = None,
         health_monitor: HealthMonitor | None = None,
     ):
         self.repo = repo
         self.on_change = on_change
         self.max_pack_bytes = max_pack_bytes
-        # Slow-op forensics: optional and possibly *shared* — a hub hands
-        # every hosted repository the same capture ring so one readout
-        # covers all tenants. None disables capture entirely.
-        self.slow_ops = slow_ops
         self._rwlock = RWLock()
         self.cache = ResponseCache(cache_entries)
         self._count_lock = threading.Lock()
@@ -452,7 +437,6 @@ class RepositoryServer:
         self.count_request()
         started = time.perf_counter()
         op = "invalid"
-        trace_id = None
         try:
             meta, blobs = (
                 decoded if decoded is not None else decode_message(payload)
@@ -475,8 +459,7 @@ class RepositoryServer:
                     op=op,
                     tenant=self._tenant,
                     repo=self._repo_label,
-                ) as span:
-                    trace_id = getattr(span, "trace_id", None)
+                ):
                     response = self._dispatch(op, meta, blobs, payload)
         except MLCaskError as error:
             response = error_response(error)
@@ -491,17 +474,6 @@ class RepositoryServer:
         self._m_seconds[op].observe(elapsed)
         self._m_bytes[("in", op)].observe(len(payload))
         self._m_bytes[("out", op)].observe(len(response))
-        if self.slow_ops is not None:
-            # After the metrics, outside every lock: capture itself walks
-            # thread stacks and must never extend a lock hold.
-            self.slow_ops.observe(
-                op,
-                elapsed,
-                tracer=self.tracer,
-                trace_id=trace_id,
-                tenant=self._tenant,
-                repo=self._repo_label,
-            )
         return response
 
     def _dispatch(self, op: str, meta: dict, blobs: list, payload: bytes) -> bytes:
@@ -715,15 +687,7 @@ class RepositoryServer:
                             self.tracer, "spans_recorded", 0
                         ),
                         "buffered": len(self.tracer.finished()),
-                        "sample_rate": getattr(
-                            self.tracer, "sample_rate", 1.0
-                        ),
                     },
-                    "slow_ops": (
-                        self.slow_ops.snapshot()
-                        if self.slow_ops is not None
-                        else None
-                    ),
                     # Schema-additive summary; the full report (per-op
                     # percentiles, burn, SLO config) is the health op's.
                     "health": self.health_monitor.summary(),
@@ -767,56 +731,6 @@ class RepositoryServer:
             result = queries.trace_forensics(repo, meta["trace_id"])
         return encode_message({"lineage": result})
 
-    def _op_trace(self, meta: dict, blobs) -> bytes:
-        """Distributed-trace readout: spans, summaries, slow captures.
-
-        With a ``trace_id``: that trace's finished spans (``limit``
-        bounds them, newest kept) plus its critical-path analysis. Without
-        one: per-trace summaries of the buffer, newest last. ``slow``
-        additionally returns the slow-op capture ring. Served under the
-        read lock like ``stats`` and, like it, never cached — the buffer
-        advances with every request.
-        """
-        from ..obs.critical_path import critical_path as compute_critical_path
-
-        spans = self.tracer.finished()
-        limit = meta.get("limit")
-        result: dict = {}
-        trace_id = meta.get("trace_id")
-        if trace_id is not None:
-            selected = [s for s in spans if s.get("trace_id") == trace_id]
-            if limit is not None:
-                selected = selected[-limit:]
-            result["spans"] = selected
-            result["critical_path"] = compute_critical_path(selected)
-        else:
-            summaries: dict[str, dict] = {}
-            for span in spans:
-                entry = summaries.setdefault(
-                    span.get("trace_id"),
-                    {
-                        "trace_id": span.get("trace_id"),
-                        "spans": 0,
-                        "errors": 0,
-                        "root": None,
-                        "seconds": 0.0,
-                        "sampled": bool(span.get("sampled", True)),
-                    },
-                )
-                entry["spans"] += 1
-                if span.get("status") == "error":
-                    entry["errors"] += 1
-                if span.get("parent_id") is None:
-                    entry["root"] = span.get("name")
-                    entry["seconds"] = span.get("seconds") or 0.0
-            traces = list(summaries.values())
-            result["traces"] = traces[-(limit or 50):]
-        if meta.get("slow", False):
-            result["slow"] = (
-                self.slow_ops.captures() if self.slow_ops is not None else []
-            )
-        return encode_message({"trace": result})
-
     def _op_fetch(self, meta: dict, blobs) -> bytes:
         """Commit-graph sync: everything reachable from the wanted refs
         that the client does not claim to have. Content (chunks) is
@@ -857,6 +771,11 @@ class RepositoryServer:
         """
         repo = self.repo
         updates = meta.get("refs", {})
+        # A row its codec refuses would fail its import after the imports
+        # before it had landed: refuse the whole pack before any of them.
+        refused = pack.undecodable_row(meta)
+        if refused is not None:
+            OP_TABLE["push"].fail(refused)
         # The stale-head check needs nothing from the pack, so it runs
         # before the pack is imported: a push that lost a race is refused
         # without its chunks landing in the store.
@@ -960,11 +879,11 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
 
     Nothing here knows which endpoint it serves: what differs between
     ``serve`` and ``serve_hub`` is data on the :class:`SyncHTTPServer`
-    running it — its ``route``, its ``debug_allowed`` gate and three
-    strings. Content-Length validation, the ``Transfer-Encoding`` 411,
-    the ``max_request_bytes`` 413, short-read teardown, the last-resort
-    500 and the ``request_limit`` keep-alive cutoff live here once, so a
-    hardening fix can never reach one endpoint and miss the other.
+    running it — its ``route`` and three strings. Content-Length
+    validation, the ``Transfer-Encoding`` 411, the ``max_request_bytes``
+    413, short-read teardown, the last-resort 500 and the
+    ``request_limit`` keep-alive cutoff live here once, so a hardening
+    fix can never reach one endpoint and miss the other.
     """
 
     server: SyncHTTPServer
@@ -986,17 +905,13 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
         super().setup()
 
     def do_GET(self):  # noqa: N802 - http.server naming convention
-        """GET routes: ``/metrics`` (Prometheus text), ``/healthz`` /
-        ``/readyz`` (liveness and readiness probes, JSON),
-        ``/debug/profile`` (sampling-profiler snapshot + folded stacks,
-        JSON), and ``/debug/slow`` (slow-op captures, JSON).
+        """GET routes: ``/metrics`` (Prometheus text) and ``/healthz`` /
+        ``/readyz`` (liveness and readiness probes, JSON).
 
         ``/metrics`` renders from the server's registry; the probes are
         deliberately unauthenticated (an orchestrator cannot carry tenant
-        tokens) and carry only a boolean plus reasons; the debug pair
-        answers 403 when the server's ``debug_allowed`` gate refuses the
-        request, and ``/debug/profile`` 404 until a profiler is attached.
-        Every other GET path is a 404; all of them count against a
+        tokens) and carry only a boolean plus reasons. Every other GET
+        path is a 404; all of them count against a
         bounded-serve budget like any other request — the budget is a
         request budget, not an RPC budget.
         """
@@ -1026,29 +941,6 @@ class BaseRPCHandler(http.server.BaseHTTPRequestHandler):
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
                 (registry.render_prometheus() if registry is not None else "").encode(),
-            )
-            return
-        if path in (DEBUG_PROFILE_PATH, DEBUG_SLOW_PATH):
-            if server.debug_allowed is not None and not server.debug_allowed(
-                self.headers
-            ):
-                self.send_error(
-                    403, "debug endpoints require an authenticated token"
-                )
-                return
-            if path == DEBUG_PROFILE_PATH:
-                if server.profiler is None:
-                    self.send_error(404, "no profiler attached")
-                    return
-                body = {
-                    "profile": server.profiler.snapshot(),
-                    "folded": server.profiler.folded(),
-                }
-            else:
-                slow = server.endpoint.slow_ops
-                body = {"slow": slow.captures() if slow is not None else []}
-            self._answer(
-                200, "application/json", json.dumps(body, sort_keys=True).encode()
             )
             return
         self.send_error(404, server.not_found)
@@ -1141,13 +1033,11 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
 
     ``endpoint`` is a :class:`RepositoryServer` (``serve``) or a
     :class:`~repro.hub.hub.RepositoryHub` (``serve_hub``): either carries
-    ``count_request`` / ``requests_handled`` (the bounded-serve budget),
-    ``registry`` (``GET /metrics``) and ``slow_ops`` (``GET
-    /debug/slow``). What the two endpoints answer differently is passed
-    in as data: ``route(path, headers)`` returns a ``callable(payload)
-    -> response bytes`` for an RPC path or None for a 404;
-    ``debug_allowed(headers)`` gates the ``/debug/*`` pair (None: the
-    network is trusted); ``server_version``, ``not_found`` and
+    ``count_request`` / ``requests_handled`` (the bounded-serve budget)
+    and ``registry`` (``GET /metrics``). What the two endpoints answer
+    differently is passed in as data: ``route(path, headers)`` returns a
+    ``callable(payload) -> response bytes`` for an RPC path or None for
+    a 404; ``server_version``, ``not_found`` and
     ``internal_error`` are the ``Server`` header, the 404 text and the
     500 prefix. ``max_request_bytes`` (optional) rejects oversized
     request bodies with HTTP 413 before they are read into memory.
@@ -1165,8 +1055,6 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
         verbose: bool = False,
         max_request_bytes: int | None = None,
         idle_timeout: float | None = None,
-        profiler=None,
-        debug_allowed=None,
         server_version: str = "mlcask-repro/1",
         not_found: str = "unknown endpoint",
         internal_error: str = "internal server error",
@@ -1179,11 +1067,8 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
         self.idle_timeout = idle_timeout
         # Rendered by GET /metrics; None answers an empty scrape.
         self.metrics_registry = endpoint.registry
-        # Read by GET /debug/profile; None answers 404 (not enabled).
-        self.profiler = profiler
         # Read by GET /readyz; None answers always-ready.
         self.health_monitor = health_monitor
-        self.debug_allowed = debug_allowed
         self.server_version = server_version
         self.not_found = not_found
         self.internal_error = internal_error
@@ -1213,8 +1098,6 @@ def serve(
     idle_timeout: float | None = None,
     registry=None,
     tracer=None,
-    slow_ops=None,
-    profiler=None,
     slo: SLOConfig | None = None,
 ) -> SyncHTTPServer:
     """Expose ``repo`` at ``http://host:port/rpc``; returns the server.
@@ -1233,13 +1116,6 @@ def serve(
     :data:`repro.obs.trace.NULL_TRACER` to serve uninstrumented (the
     overhead benchmark's baseline arm).
 
-    ``slow_ops`` defaults to a fresh :class:`SlowOpCapture` with the
-    stock per-op budgets — an HTTP endpoint should be able to answer
-    ``GET /debug/slow`` out of the box; check costs one comparison per
-    request and nothing is snapshotted under budget. ``profiler``
-    (optional, a started :class:`~repro.obs.profiler.SamplingProfiler`)
-    backs ``GET /debug/profile``; the caller owns its lifecycle.
-
     ``slo`` (optional :class:`~repro.obs.slo.SLOConfig`, the
     ``--slo-config`` flag) parameterizes the health model behind
     ``GET /healthz`` / ``GET /readyz`` and the ``health`` op; the stock
@@ -1254,7 +1130,6 @@ def serve(
         cache_entries=cache_entries,
         registry=registry,
         tracer=tracer,
-        slow_ops=slow_ops if slow_ops is not None else SlowOpCapture(),
         health_monitor=HealthMonitor(registry=registry, slo=slo, tracer=tracer),
     )
     return SyncHTTPServer(
@@ -1268,5 +1143,4 @@ def serve(
         verbose=verbose,
         max_request_bytes=max_request_bytes,
         idle_timeout=idle_timeout,
-        profiler=profiler,
     )

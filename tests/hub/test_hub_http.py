@@ -1,6 +1,8 @@
 """Hub over a real socket: routing, bearer auth, concurrency, denials."""
 
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -73,6 +75,19 @@ class TestHttpRouting:
         with pytest.raises(TransportError, match="404"):
             transport.call(encode_message({"op": "manifest"}))
         transport.close()
+
+    @pytest.mark.parametrize("token", [None, "tok-ana"])
+    @pytest.mark.parametrize("path", ["/nope", "/debug/profile", "/debug/slow"])
+    def test_unknown_get_path_is_http_404(self, http_hub, path, token):
+        # A valid tenant token opens no GET route beyond /metrics and
+        # the probes.
+        hub, server = http_hub
+        request = urllib.request.Request(server.url + path)
+        if token is not None:
+            request.add_header("Authorization", f"Bearer {token}")
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 404
 
     def test_missing_token_is_typed_denial_not_http_error(
         self, http_hub, workload

@@ -42,9 +42,10 @@ class TestMetricsEndpoint:
         # Latency histogram scraped alongside, _count matching +Inf.
         assert 'repro_request_seconds_bucket{op="fetch",tenant="-",repo="-",le="+Inf"} 1' in body
 
-    def test_unknown_get_path_is_404(self, http_server):
+    @pytest.mark.parametrize("path", ["/nope", "/debug/profile", "/debug/slow"])
+    def test_unknown_get_path_is_404(self, http_server, path):
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(f"{http_server.url}/nope", timeout=10)
+            urllib.request.urlopen(f"{http_server.url}{path}", timeout=10)
         assert err.value.code == 404
 
     def test_hub_endpoint_reports_admission_outcomes(self, tmp_path):
@@ -292,78 +293,6 @@ class TestStatsVerb:
         code, text = run_cli(["stats", "http://127.0.0.1:1"])
         assert code == 1
         assert "error:" in text
-
-
-def serve_one_clone(tmp_path, *flags):
-    """``repro serve --requests 3 --export-spans FILE *flags`` answering
-    one clone (manifest + fetch + get_chunks); the exported spans."""
-    import shutil
-    import socket
-
-    init_repo(tmp_path / "repo")
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    span_file = tmp_path / "spans.jsonl"
-    thread = threading.Thread(
-        target=main,
-        args=([
-            "serve", str(tmp_path / "repo"),
-            "--port", str(port), "--requests", "3",
-            "--export-spans", str(span_file), *flags,
-        ],),
-        kwargs={"out": io.StringIO()},
-    )
-    thread.start()
-    code, text = None, ""
-    for _ in range(50):
-        code, text = run_cli([
-            "clone", f"http://127.0.0.1:{port}", str(tmp_path / "C"),
-        ])
-        if code == 0:
-            break
-        shutil.rmtree(tmp_path / "C", ignore_errors=True)
-        time.sleep(0.1)
-    thread.join(timeout=15)
-    assert not thread.is_alive()
-    assert code == 0, text
-    by_name = {}
-    if span_file.exists():
-        for line in span_file.read_text().splitlines():
-            span = json.loads(line)
-            by_name.setdefault(span["name"], []).append(span)
-    return by_name
-
-
-class TestExportDrainOnShutdown:
-    def test_bounded_serve_exports_every_kept_span(self, tmp_path):
-        """A ``--requests N`` run must drain the exporter queue before the
-        CLI returns: the last request's spans are typically still queued
-        (flush interval 0.5s) when the budget is spent, so only the
-        shutdown-path ``exporter.stop()`` gets them to disk."""
-        by_name = serve_one_clone(tmp_path, "--sample-rate", "1.0")
-        # sample_rate=1.0 keeps everything: all three request spans must
-        # have reached the file — no span left behind in the queue.
-        for op in ("manifest", "fetch", "get_chunks"):
-            assert len(by_name.get(f"server.{op}", [])) == 1, sorted(by_name)
-            (span,) = by_name[f"server.{op}"]
-            assert span["sampled"] is True
-        # Child spans rode along in the same traces (the read lock is
-        # taken per request), proving the drain got whole trees, not
-        # just the op roots.
-        assert "lock.read" in by_name, sorted(by_name)
-
-    def test_an_unsampled_span_past_its_slow_op_threshold_is_exported(self, tmp_path):
-        """The latency override reads the slow-op thresholds: manifest has
-        none in the op table, so ``--slow-threshold 0`` makes it slow;
-        fetch and get_chunks keep the table's 2 s and are filtered."""
-        by_name = serve_one_clone(
-            tmp_path, "--sample-rate", "0", "--slow-threshold", "0"
-        )
-        (span,) = by_name["server.manifest"]
-        assert span["sampled"] is False
-        assert "server.fetch" not in by_name and "server.get_chunks" not in by_name
 
 
 class TestStartupEvents:

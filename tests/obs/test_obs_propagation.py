@@ -27,22 +27,14 @@ class TestCurrentTraceContext:
         tracer = Tracer()
         with tracer.span("op") as span:
             context = current_trace_context()
-        assert context == {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-            "sampled": True,
-        }
+        assert context == {"trace_id": span.trace_id, "span_id": span.span_id}
 
     def test_sees_adopted_remote_context(self):
         # A relaying hop forwards the original trace, not a fresh one.
-        remote = RemoteSpanContext("ab" * 8, "cd" * 8, sampled=False)
+        remote = RemoteSpanContext("ab" * 8, "cd" * 8)
         with adopt_remote_context(remote):
             context = current_trace_context()
-        assert context == {
-            "trace_id": "ab" * 8,
-            "span_id": "cd" * 8,
-            "sampled": False,
-        }
+        assert context == {"trace_id": "ab" * 8, "span_id": "cd" * 8}
 
     def test_none_again_after_span_closes(self):
         tracer = Tracer()
@@ -66,12 +58,6 @@ class TestInject:
         assert stamped[TRACE_CTX_KEY]["trace_id"] == span.trace_id
         assert stamped[TRACE_CTX_KEY]["span_id"] == span.span_id
         assert stamped["op"] == "push"
-
-    def test_sampling_decision_rides_along(self):
-        tracer = Tracer(sample_rate=0.0)
-        with tracer.span("client.push"):
-            stamped = inject({"op": "push"})
-        assert stamped[TRACE_CTX_KEY]["sampled"] is False
 
 
 class TestParseTraceContext:
@@ -99,8 +85,6 @@ class TestParseTraceContext:
             {"trace_id": "", "span_id": "ab" * 8},  # empty
             {"trace_id": "a" * 65, "span_id": "ab" * 8},  # too long
             {"trace_id": "ab" * 8, "span_id": "ab cd"},
-            {"trace_id": "ab" * 8, "span_id": "ab" * 8, "sampled": "yes"},
-            {"trace_id": "ab" * 8, "span_id": "ab" * 8, "sampled": 1},
         ],
     )
     def test_malformed_context_ignored_never_raises(self, context):
@@ -114,7 +98,6 @@ class TestParseTraceContext:
         assert parsed is not None
         assert parsed.trace_id == span.trace_id
         assert parsed.span_id == span.span_id
-        assert parsed.sampled is True
 
     def test_id_length_bounds(self):
         for length in (1, 16, 64):
@@ -123,16 +106,19 @@ class TestParseTraceContext:
             }
             assert parse_trace_context(meta) is not None
 
-    def test_sampled_false_preserved(self):
+    @pytest.mark.parametrize("sampled", [False, "yes", 1])
+    def test_a_peers_sampled_key_is_ignored(self, sampled):
+        # Older clients stamp a sampling flag; nothing reads it any more,
+        # so it neither joins nor breaks the trace.
         meta = {
             TRACE_CTX_KEY: {
                 "trace_id": "ab" * 8,
                 "span_id": "cd" * 8,
-                "sampled": False,
+                "sampled": sampled,
             }
         }
         parsed = parse_trace_context(meta)
-        assert parsed.sampled is False
+        assert (parsed.trace_id, parsed.span_id) == ("ab" * 8, "cd" * 8)
 
 
 class TestAdoptRemoteContext:
@@ -176,13 +162,3 @@ class TestAdoptRemoteContext:
             with adopt_remote_context(remote):
                 raise RuntimeError("boom")
         assert current_trace_context() is None
-
-    def test_adopted_sampling_inherited_by_spans(self):
-        tracer = Tracer()  # local rate keeps everything...
-        remote = RemoteSpanContext("ab" * 8, "cd" * 8, sampled=False)
-        with adopt_remote_context(remote):
-            with tracer.span("server.push") as span:
-                pass
-        # ...but the wire decision wins: both sides agree.
-        assert span.sampled is False
-        assert span.to_dict()["sampled"] is False

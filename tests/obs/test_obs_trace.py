@@ -77,8 +77,7 @@ class TestSpanOutcome:
         assert finished["attrs"] == {"op": "push", "outcome": "allowed"}
 
     def test_set_on_a_finished_span_raises(self, tracer):
-        # The buffer and the exporter were handed a copy at __exit__: a
-        # late write could never be seen, so it is refused, not dropped.
+        # The buffer was handed a copy at __exit__: a late write could never be seen, so it is refused, not dropped.
         with tracer.span("work") as span:
             pass
         with pytest.raises(RuntimeError, match="already finished"):
@@ -139,13 +138,6 @@ class TestBuffer:
         assert len(tracer.finished()) == 1
         assert len(tracer.drain()) == 1
         assert tracer.finished() == []
-
-    def test_on_span_streams_each_finish(self):
-        streamed = []
-        tracer = Tracer(on_span=streamed.append)
-        with tracer.span("x"):
-            pass
-        assert [s["name"] for s in streamed] == ["x"]
 
 
 class TestNullDefault:

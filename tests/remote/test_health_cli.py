@@ -89,6 +89,7 @@ class TestSLOConfigFlag:
         ({"objectives": {"push": "fast"}}, "positive seconds"),
         ({"objectives": {"psuh": 2.0}}, "psuh"),
         ({"shed_enabld": False}, "shed_enabld"),
+        ({"objectives": {"trace": 1.0}}, "unknown op 'trace'"),
     ])
     def test_bad_slo_config_fails_before_binding(self, tmp_path, config, named):
         init_repo(tmp_path / "A")

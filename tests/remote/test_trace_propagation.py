@@ -2,27 +2,19 @@
 
 The contract under test: ``trace_ctx`` is schema-additive telemetry.
 A legacy peer that never sends it gets a fresh root trace; a malformed
-context is ignored, never a protocol error; the head-based sampling
-decision rides the context so both sides of the wire agree; the
-response cache ignores the key so traced and untraced peers share
+context is ignored, never a protocol error; the response cache ignores the key so traced and untraced peers share
 entries; and continuity survives the hub evicting and reloading a
 hosted repository.
 """
 
-import json
-import urllib.error
-import urllib.request
-
 import pytest
 
 from repro import MLCask
-from repro.hub import RepositoryHub, serve_hub
-from repro.obs.profiler import SamplingProfiler
+from repro.hub import RepositoryHub
 from repro.obs.propagation import TRACE_CTX_KEY
 from repro.obs.trace import Tracer
-from repro.remote import LocalTransport, Remote, RepositoryServer, serve
+from repro.remote import LocalTransport, Remote, RepositoryServer
 from repro.remote.protocol import decode_message, encode_message
-from repro.workloads import ALL_WORKLOADS
 
 
 def server_spans(tracer, name=None):
@@ -53,7 +45,6 @@ class TestLegacyAndMalformedPeers:
             {},
             {"trace_id": "NOT-HEX", "span_id": "ab" * 8},
             {"trace_id": "ab" * 8, "span_id": 12345},
-            {"trace_id": "ab" * 8, "span_id": "cd" * 8, "sampled": "yes"},
         ],
     )
     def test_malformed_trace_ctx_never_a_protocol_error(
@@ -121,43 +112,6 @@ class TestTracedClient:
         assert TRACE_CTX_KEY not in meta
 
 
-class TestSamplingAcrossTheWire:
-    def test_client_decision_wins_on_the_server(self, server_repo):
-        # Client rate 0, server rate 1: the head decision is the
-        # client's — every server span must carry sampled=False.
-        server_tracer = Tracer(sample_rate=1.0)
-        server = RepositoryServer(server_repo, tracer=server_tracer)
-        client_tracer = Tracer(sample_rate=0.0)
-        remote = Remote(
-            None, LocalTransport(server), tracer=client_tracer
-        )
-        remote.manifest()
-        client_side = client_tracer.finished()
-        assert client_side and all(
-            s["sampled"] is False for s in client_side
-        )
-        assert all(
-            s["sampled"] is False
-            for s in server_spans(server_tracer, "server.manifest")
-        )
-
-    def test_decision_rides_the_encoded_context(self, server_repo):
-        # Same thing through raw bytes (the cross-process shape): the
-        # propagated sampled=False beats the server's keep-everything.
-        tracer = Tracer(sample_rate=1.0)
-        server = RepositoryServer(server_repo, tracer=tracer)
-        context = {
-            "trace_id": "ab" * 8,
-            "span_id": "cd" * 8,
-            "sampled": False,
-        }
-        LocalTransport(server).call(
-            encode_message({"op": "manifest", TRACE_CTX_KEY: context})
-        )
-        (span,) = server_spans(tracer, "server.manifest")
-        assert span["sampled"] is False
-
-
 class TestCacheSharing:
     def test_traced_and_untraced_peers_share_cache_entries(
         self, server_repo
@@ -180,43 +134,6 @@ class TestCacheSharing:
             encode_message({"op": "manifest", TRACE_CTX_KEY: other})
         )
         assert server.cache.hits == 2
-
-
-class TestTraceRPC:
-    def test_trace_op_readout(self, server_repo, workload):
-        server_tracer = Tracer()
-        server = RepositoryServer(server_repo, tracer=server_tracer)
-        client_tracer = Tracer()
-        remote = Remote(
-            None, LocalTransport(server), tracer=client_tracer
-        )
-        remote.manifest()
-        # Summaries without a trace id...
-        result = remote.trace()
-        assert result["traces"]
-        summary = result["traces"][0]
-        assert summary["spans"] >= 1
-        assert summary["errors"] == 0
-        # ...then one trace's tree plus its critical path.
-        trace_id = summary["trace_id"]
-        detail = remote.trace(trace_id)
-        assert all(s["trace_id"] == trace_id for s in detail["spans"])
-        assert detail["critical_path"]["trace_id"] == trace_id
-        assert detail["critical_path"]["bounded_by"]
-
-    def test_trace_op_slow_flag_returns_capture_ring(self, server_repo):
-        from repro.obs.slowops import SlowOpCapture
-
-        slow_ops = SlowOpCapture(thresholds={"manifest": 0.0})
-        server = RepositoryServer(
-            server_repo, tracer=Tracer(), slow_ops=slow_ops
-        )
-        remote = Remote(None, LocalTransport(server))
-        remote.manifest()  # over the zero budget by definition
-        result = remote.trace(slow=True)
-        assert result["slow"]
-        assert result["slow"][0]["op"] == "manifest"
-        assert result["slow"][0]["stacks"]
 
 
 class TestHubAdoption:
@@ -283,65 +200,3 @@ class TestHubEvictReload:
         assert "server.manifest" in names
         roots = [s for s in reloaded if s["name"] == "hub.request"]
         assert all(s["parent_id"] == "cd" * 8 for s in roots)
-
-
-class TestDebugEndpoints:
-    def _get(self, url, token=None):
-        request = urllib.request.Request(url)
-        if token is not None:
-            request.add_header("Authorization", f"Bearer {token}")
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read())
-
-    def test_plain_server_profile_404_without_profiler(self, server_repo):
-        import threading
-
-        server = serve(server_repo, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(f"{server.url}/debug/profile")
-            assert excinfo.value.code == 404
-            # /debug/slow answers out of the box (empty ring).
-            status, body = self._get(f"{server.url}/debug/slow")
-            assert status == 200
-            assert body == {"slow": []}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-    def test_hub_debug_gated_by_tenant_token(self, workload):
-        import threading
-
-        hub = RepositoryHub(tracer=Tracer())
-        hub.add_tenant("team0", tokens=["tok-0"])
-        hub.create_repo("team0", "pipelines")
-        profiler = SamplingProfiler(interval=0.005).start()
-        server = serve_hub(hub, port=0, profiler=profiler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(f"{server.url}/debug/profile")
-            assert excinfo.value.code == 403
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(f"{server.url}/debug/profile", token="wrong")
-            assert excinfo.value.code == 403
-            status, body = self._get(
-                f"{server.url}/debug/profile", token="tok-0"
-            )
-            assert status == 200
-            assert body["profile"]["running"] is True
-            assert "folded" in body
-            status, body = self._get(
-                f"{server.url}/debug/slow", token="tok-0"
-            )
-            assert status == 200
-            assert body == {"slow": []}
-        finally:
-            profiler.stop()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)

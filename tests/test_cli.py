@@ -81,10 +81,16 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit):
             run_cli([])
 
-    def test_lint_is_not_a_verb(self):
+    @pytest.mark.parametrize("argv", [
+        ["lint"],
+        ["trace", "http://127.0.0.1:1"],
+        ["profile", "http://127.0.0.1:1"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_verb_is_an_invalid_choice(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            run_cli(["lint"])
+            run_cli(argv)
         assert exit_info.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 def build_two_branch_repo_dir(path: str) -> None:
