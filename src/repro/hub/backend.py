@@ -267,7 +267,10 @@ class TenantChunkStore(ChunkStore):
         self.backend.release(digest)
 
     def _size(self, digest: str) -> int:
-        return self._held[digest]
+        size = self._held.get(digest)
+        if size is None:
+            raise ChunkNotFoundError(digest)
+        return size
 
     def digests(self) -> list[str]:
         return list(self._held)

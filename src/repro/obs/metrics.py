@@ -154,6 +154,7 @@ class MetricFamily:
         self.name = name
         self.help = help_text
         self.label_names = tuple(label_names)
+        self._label_set = frozenset(self.label_names)
         self._child_kwargs = child_kwargs
         self._children: dict[tuple[str, ...], _Child] = {}
         self.overflowed = 0
@@ -161,12 +162,16 @@ class MetricFamily:
             self.labels()  # materialize the single unlabelled series
 
     def labels(self, **label_values) -> _Child:
-        if set(label_values) != set(self.label_names):
+        if label_values.keys() != self._label_set:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.label_names}, "
                 f"got {tuple(sorted(label_values))}"
             )
-        key = tuple(str(label_values[n]) for n in self.label_names)
+        key = tuple([str(label_values[n]) for n in self.label_names])
+        # A series once made is never replaced: found, it needs no lock.
+        child = self._children.get(key)
+        if child is not None:
+            return child
         with self.registry._lock:
             child = self._children.get(key)
             if child is None:

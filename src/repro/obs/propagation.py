@@ -103,18 +103,26 @@ def parse_trace_context(meta) -> RemoteSpanContext | None:
     return RemoteSpanContext(trace_id, span_id)
 
 
-@contextlib.contextmanager
+#: What :func:`adopt_remote_context` returns when it adopts nothing.
+_NOT_ADOPTED = contextlib.nullcontext(False)
+
+
 def adopt_remote_context(context: RemoteSpanContext | None):
     """Make ``context`` the parent for spans opened in the body.
 
     Adopt-only: when ``context`` is None — or a local span is already
     current on this thread of control (the in-process transport case,
     where the client's own span *is* the right parent and carries the
-    same trace) — this is a no-op. Yields whether adoption happened.
+    same trace) — this is a no-op, and costs no generator on the request
+    path. Yields whether adoption happened.
     """
     if context is None or obs_trace.current_span() is not None:
-        yield False
-        return
+        return _NOT_ADOPTED
+    return _adopted(context)
+
+
+@contextlib.contextmanager
+def _adopted(context: RemoteSpanContext):
     token = obs_trace._current.set(context)
     try:
         yield True

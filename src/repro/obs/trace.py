@@ -29,10 +29,10 @@ lookup and two empty calls.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 from collections import deque
+from random import getrandbits as _getrandbits
 
 _current: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
@@ -40,7 +40,9 @@ _current: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
 
 
 def _new_id() -> str:
-    return os.urandom(8).hex()
+    # Correlation ids, not secrets: the module PRNG (one C call under the
+    # GIL, thread-safe) instead of a getrandom(2) system call per span.
+    return f"{_getrandbits(64):016x}"
 
 
 def current_span() -> "Span | None":
@@ -83,8 +85,9 @@ class Span:
     def set(self, **attrs) -> "Span":
         """Attach attributes to a live span; returns the span.
 
-        A finished span was handed to the buffer as a copy, so a later
-        write could never be seen: it raises."""
+        A finished span is an event in the buffer, and readers of the
+        buffer may already have taken their copy of it: a later write
+        raises."""
         if self.seconds is not None:
             raise RuntimeError(f"span {self.name!r} already finished")
         self.attrs.update(attrs)
@@ -114,6 +117,7 @@ class Span:
             self.status = "error"
             self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
         _current.reset(self._token)
+        self._token = None  # the token pins the parent span
         self.tracer._finish(self)
         return False
 
@@ -139,7 +143,7 @@ class Tracer:
 
     def __init__(self, max_spans: int = 10000):
         self._lock = threading.Lock()
-        self._finished: deque[dict] = deque(maxlen=max(1, max_spans))
+        self._finished: deque[Span] = deque(maxlen=max(1, max_spans))
         self.spans_recorded = 0
 
     def span(self, name: str, **attrs) -> Span:
@@ -172,9 +176,11 @@ class Tracer:
         return _current.get()
 
     def _finish(self, span: Span) -> None:
-        event = span.to_dict()
+        # The span itself is buffered, not its dict: a finished span
+        # refuses writes (Span.set), so converting on read is the same
+        # event, and the request path never pays for the conversion.
         with self._lock:
-            self._finished.append(event)
+            self._finished.append(span)
             self.spans_recorded += 1
 
     def drain(self) -> list[dict]:
@@ -182,12 +188,13 @@ class Tracer:
         with self._lock:
             spans = list(self._finished)
             self._finished.clear()
-        return spans
+        return [span.to_dict() for span in spans]
 
     def finished(self) -> list[dict]:
         """Buffered finished spans, oldest first (without draining)."""
         with self._lock:
-            return list(self._finished)
+            spans = list(self._finished)
+        return [span.to_dict() for span in spans]
 
 
 # --------------------------------------------------------------- null layer

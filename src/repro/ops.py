@@ -44,9 +44,9 @@ class OpSpec:
     #: Mutates repository state: served under the exclusive side of the
     #: server's reader-writer lock; everything else is a read.
     write: bool = False
-    #: Response worth caching: pure metadata, a function of (request,
-    #: repository state). ``get_chunks`` is deliberately not — content
-    #: reads are O(1) store lookups answering up to a full pack window.
+    #: Response served from the server's response cache: a pure function
+    #: of (request bytes, repository state), so a repeated request under
+    #: an unchanged state token gets the bytes it got before.
     cacheable: bool = False
     #: A read a push performs before its first write; a hub answers it
     #: even for a repository that does not exist yet (``PREFLIGHT_OPS``).
@@ -194,8 +194,11 @@ def _validate_lineage(spec: OpSpec, meta: dict, blobs: list) -> None:
 #: get generous latency budgets; metadata reads are expected to be
 #: near-instant. ``lineage`` is cacheable because closures over an
 #: append-only ledger are a pure function of repository state (the
-#: server's state token carries the ledger revision); ``stats`` and
-#: ``health`` change with every request and never are.
+#: server's state token carries the ledger revision); ``get_chunks``
+#: because a window is a pure function of the request and the chunk
+#: store's membership (the token carries the store revision, and every
+#: write op invalidates); ``stats`` and ``health`` change with every
+#: request and never are.
 OP_TABLE: dict[str, OpSpec] = {
     spec.name: spec
     for spec in (
@@ -211,7 +214,10 @@ OP_TABLE: dict[str, OpSpec] = {
             "missing_chunks", _validate_missing_chunks, p99_seconds=0.5,
             cacheable=True, preflight=True,
         ),
-        OpSpec("get_chunks", _validate_get_chunks, p99_seconds=2.0),
+        OpSpec(
+            "get_chunks", _validate_get_chunks, p99_seconds=2.0,
+            cacheable=True,
+        ),
         OpSpec(
             "put_chunks", _validate_blob_digests, p99_seconds=5.0,
             write=True, blob_digests_key="digests",

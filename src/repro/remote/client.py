@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import (
-    ChunkNotFoundError,
     RemoteError,
     RemoteProtocolError,
     ServerOverloadedError,
@@ -338,16 +337,15 @@ class Remote:
         )
         missing = meta.get("missing", [])
 
-        def read_chunk(digest: str) -> bytes:
-            try:
-                return repo.objects.chunks.get(digest)
-            except ChunkNotFoundError as error:
-                raise RemoteError(
-                    f"cannot push {pipeline}:{branch}: chunk "
-                    f"{error.digest[:12]} is referenced by a local recipe but "
-                    "not held (incomplete objects directory?); restore the "
-                    "content or re-clone before pushing"
-                ) from error
+        chunks = repo.objects.chunks
+        absent = [digest for digest in missing if not chunks.contains(digest)]
+        if absent:
+            raise RemoteError(
+                f"cannot push {pipeline}:{branch}: chunk "
+                f"{absent[0][:12]} is referenced by a local recipe but "
+                "not held (incomplete objects directory?); restore the "
+                "content or re-clone before pushing"
+            )
 
         # Window the content: if everything fits in one pack message the
         # push keeps its single-request shape; otherwise the chunks are
@@ -361,7 +359,7 @@ class Remote:
         push_blobs: list = []
         streamed = False
         for batch_digests, batch_blobs, has_more in pack.iter_chunk_batches(
-            read_chunk, missing, self.max_pack_bytes
+            chunks, missing, self.max_pack_bytes
         ):
             if not has_more and not streamed:
                 # Sole batch: it rides inside the push message itself.

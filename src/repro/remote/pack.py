@@ -32,9 +32,10 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ..errors import MLCaskError, RemoteError
+from ..storage.chunk_store import ChunkStore
 from ..core.persistence import (
     commit_from_dict,
     commit_to_dict,
@@ -58,32 +59,32 @@ DEFAULT_MAX_PACK_BYTES = 4 * 1024 * 1024
 
 
 def iter_chunk_batches(
-    fetch_chunk: Callable[[str], bytes],
+    store: ChunkStore,
     digests: Iterable[str],
     max_bytes: int,
 ) -> Iterator[tuple[list[str], list[bytes], bool]]:
     """Yield ``(digests, blobs, has_more)`` batches of ≤ ``max_bytes`` payload.
 
-    Chunks are fetched lazily: peak memory is one batch plus the single
-    overflow chunk that triggered the yield — consumers can act on
-    ``has_more`` (True on every yield except the last) without pulling the
-    next batch into memory. A chunk larger than the budget still ships
-    (as a batch of one) — the window bounds batch size, it never makes
-    content unsendable.
+    Each batch is cut from the sizes ``store`` holds for its chunks
+    before any of them is read, so every chunk read is one that ships:
+    peak memory is one batch, and consumers can act on ``has_more``
+    (True on every yield except the last) without pulling the next
+    batch into memory. A chunk larger than the budget still ships (as a
+    batch of one) — the window bounds batch size, it never makes content
+    unsendable. An unheld digest raises the store's
+    :class:`~repro.errors.ChunkNotFoundError` when its batch is cut.
     """
-    batch_digests: list[str] = []
-    batch_blobs: list[bytes] = []
+    batch: list[str] = []
     batch_size = 0
     for digest in digests:
-        blob = fetch_chunk(digest)
-        if batch_digests and batch_size + len(blob) > max_bytes:
-            yield batch_digests, batch_blobs, True
-            batch_digests, batch_blobs, batch_size = [], [], 0
-        batch_digests.append(digest)
-        batch_blobs.append(blob)
-        batch_size += len(blob)
-    if batch_digests:
-        yield batch_digests, batch_blobs, False
+        size = store._size(digest)
+        if batch and batch_size + size > max_bytes:
+            yield batch, [store.get(d) for d in batch], True
+            batch, batch_size = [], 0
+        batch.append(digest)
+        batch_size += size
+    if batch:
+        yield batch, [store.get(d) for d in batch], False
 
 
 # -------------------------------------------------------------- assembly

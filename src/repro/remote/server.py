@@ -32,7 +32,8 @@ of a reader-writer lock; only the mutating operations (``push``,
 ``put_chunks``) take the exclusive side. Read responses are additionally
 served from a bounded cache keyed by the request bytes — every response
 is a deterministic function of (request, repository state), so the cache
-is exact and is invalidated wholesale whenever state mutates.
+is exact and is invalidated wholesale whenever state mutates. A response
+is stored on its second request, so one-off reads pin no memory.
 
 Push semantics follow git: received commits and chunks are grafted first
 (content-addressed, so duplicates are no-ops and orphans are harmless —
@@ -58,7 +59,12 @@ import threading
 import time
 from collections import OrderedDict
 
-from ..errors import MLCaskError, PushRejectedError, RemoteProtocolError
+from ..errors import (
+    CommitNotFoundError,
+    MLCaskError,
+    PushRejectedError,
+    RemoteProtocolError,
+)
 from ..obs import metrics as obs_metrics
 from ..obs import propagation
 from ..obs import trace as obs_trace
@@ -173,6 +179,14 @@ class ResponseCache:
     its owner keeps committing). The token is captured under the read
     lock, where writers are excluded, so an entry can never claim a newer
     state than its response reflects.
+
+    Admission on the second offer: :meth:`put` stores a response only
+    when its key was already offered once since the last
+    :meth:`invalidate`. A request nobody repeats (a late clone's chunk
+    windows just before the next push) costs one 32-byte key in a
+    key-only LRU of ``max_entries`` slots, not up to a window of pinned
+    bytes; a request that is repeated is answered from memory from its
+    third arrival on.
     """
 
     #: Total cached-response bytes across all entries. Entry *count* alone
@@ -190,6 +204,8 @@ class ResponseCache:
         self.max_total_bytes = max(0, max_total_bytes)
         self._lock = threading.Lock()
         self._entries: OrderedDict[bytes, tuple[tuple, bytes]] = OrderedDict()
+        #: Keys offered once and not stored (values unused).
+        self._offered: OrderedDict[bytes, None] = OrderedDict()
         self._total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -221,6 +237,13 @@ class ResponseCache:
         if not self.max_entries or len(value) > self.max_total_bytes:
             return
         with self._lock:
+            if key not in self._entries:
+                if key not in self._offered:
+                    self._offered[key] = None
+                    if len(self._offered) > self.max_entries:
+                        self._offered.popitem(last=False)
+                    return
+                del self._offered[key]
             old = self._entries.pop(key, None)
             if old is not None:
                 self._total_bytes -= len(old[1])
@@ -236,6 +259,7 @@ class ResponseCache:
     def invalidate(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._offered.clear()
             self._total_bytes = 0
 
     def snapshot(self) -> dict:
@@ -616,17 +640,8 @@ class RepositoryServer:
             if requested is not None
             else self.max_pack_bytes
         )
-        # Known trade-off: the generator reads one chunk past the window
-        # to detect overflow, and that blob is discarded with it — one
-        # redundant store read per window. Under ``repro serve`` that is a
-        # dict lookup (load_dir imports the objects directory into a
-        # MemoryChunkStore); on a hub it is one more ``pread`` of the
-        # shared segment, and its bytes count in the store's read
-        # stats, once per window of up to ``max_pack_bytes``. Accepted in
-        # exchange for a single windowing implementation shared with the
-        # push path.
         send_digests, payloads, _ = next(
-            pack.iter_chunk_batches(self.repo.objects.chunks.get, digests, budget),
+            pack.iter_chunk_batches(self.repo.objects.chunks, digests, budget),
             ([], [], False),
         )
         return encode_message(
@@ -776,6 +791,16 @@ class RepositoryServer:
         refused = pack.undecodable_row(meta)
         if refused is not None:
             OP_TABLE["push"].fail(refused)
+        # Every commit a commit row names as a parent, and every new head,
+        # must be in the pack or held: decided from the rows (in the order
+        # import_commits grafts them) before anything imports, so a push
+        # that would fail at the graph leaves no trace.
+        offered: set[str] = set()
+        for entry in sorted(meta.get("commits", []), key=lambda e: e["sequence"]):
+            for parent in entry["parents"]:
+                if parent not in offered and parent not in repo.graph:
+                    raise CommitNotFoundError(parent)
+            offered.add(entry["commit_id"])
         # The stale-head check needs nothing from the pack, so it runs
         # before the pack is imported: a push that lost a race is refused
         # without its chunks landing in the store.
@@ -791,6 +816,13 @@ class RepositoryServer:
                         pipeline, branch,
                         "remote branch moved since refs were negotiated "
                         "(stale old head); fetch and retry",
+                    )
+                new_head = update["new"]
+                if new_head not in offered and new_head not in repo.graph:
+                    raise PushRejectedError(
+                        pipeline, branch,
+                        f"new head {new_head[:12]} is neither in the pack "
+                        "nor held",
                     )
         # Content-completeness gate, before anything imports: every chunk a
         # pushed recipe references must either ride in this message or
@@ -837,14 +869,9 @@ class RepositoryServer:
         # whole push runs under the exclusive lock.)
         for pipeline, branches in updates.items():
             for branch, update in branches.items():
-                current = update.get("old")
-                new_head = update["new"]
-                if new_head not in repo.graph:
-                    raise PushRejectedError(
-                        pipeline, branch,
-                        f"new head {new_head[:12]} not present after import",
-                    )
-                if not pack.is_fast_forward_update(repo, current, new_head):
+                if not pack.is_fast_forward_update(
+                    repo, update.get("old"), update["new"]
+                ):
                     raise PushRejectedError(
                         pipeline, branch,
                         "non-fast-forward (branches diverged); pull, resolve "

@@ -152,6 +152,16 @@ class TestBooksAgree:
         assert view.stats.dedup_hit_bytes == len(payloads[0])
 
 
+    def test_a_window_reads_only_the_chunks_it_ships(self, workload, tmp_path):
+        hub, digests = hub_with_history(workload, tmp_path / "root")
+        store = hub.backend.store
+        window = sum(store._size(d) for d in digests[:7]) + 1
+        before = store.stats.reads
+        meta, blobs = decode_message(get_chunks(hub, digests, window))
+        assert len(meta["digests"]) == len(blobs) == 7
+        assert store.stats.reads - before == 7
+
+
 class TestVanishedChunk:
     def test_view_answers_a_typed_miss(self, tmp_path):
         store, view = file_backed_view(tmp_path)

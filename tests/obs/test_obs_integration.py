@@ -81,8 +81,9 @@ def series_total(body: str, series: str) -> float:
 
 class TestLiveHub:
     """One in-process hub on port 0, driven the way a deployment is: a
-    traced client pushes real lineage over HTTP, two clones read it back
-    (the second from the response cache), one request is refused for
+    traced client pushes real lineage over HTTP, three clones read it
+    back (the third from the response cache: a response is stored on its
+    second request), one request is refused for
     its token and one push for its quota, and ``GET /metrics`` is
     scraped. The client and the hub share nothing but the wire."""
 
@@ -107,7 +108,7 @@ class TestLiveHub:
                 remote.push("toy")
             pusher.close()
             hub_spans = hub.tracer.drain()
-            for _ in range(2):
+            for _ in range(3):
                 reader = transport("ana", "tok")
                 clone_repository(reader, registry=alice.registry)
                 reader.close()
@@ -175,7 +176,7 @@ class TestStatsOp:
     def test_repeated_reads_show_up_as_cache_hits(self, http_server, server_repo):
         transport = HttpTransport(http_server.url)
         request = encode_message({"op": "manifest"})
-        for _ in range(3):
+        for _ in range(4):  # stored on the second, served on the rest
             transport.call(request)
         stats = Remote(repo=None, transport=transport).stats()
         transport.close()

@@ -8,6 +8,7 @@ drive both paths with a window small enough that everything batches.
 
 import pytest
 
+from repro.errors import ChunkNotFoundError
 from repro.remote import (
     LocalTransport,
     RepositoryServer,
@@ -16,36 +17,49 @@ from repro.remote import (
 )
 from repro.remote.pack import iter_chunk_batches
 from repro.remote.protocol import decode_message
+from repro.storage import MemoryChunkStore
 
 TINY_WINDOW = 1024  # bytes; far below any workload's content size
 
 
+def store_of(*sizes: int) -> tuple[MemoryChunkStore, list[str]]:
+    """A store holding one distinct chunk per size, and their digests."""
+    store = MemoryChunkStore()
+    return store, [store.put(bytes([i]) * size) for i, size in enumerate(sizes)]
+
+
 class TestIterChunkBatches:
     def test_batches_respect_budget(self):
-        chunks = {f"d{i}": bytes(100) for i in range(10)}
-        batches = list(iter_chunk_batches(chunks.__getitem__, sorted(chunks), 250))
+        store, digests = store_of(*[100] * 10)
+        batches = list(iter_chunk_batches(store, digests, 250))
         assert all(sum(len(b) for b in blobs) <= 250 for _, blobs, _ in batches)
-        assert [d for digests, _, _ in batches for d in digests] == sorted(chunks)
+        assert [d for batch, _, _ in batches for d in batch] == digests
 
     def test_has_more_true_except_on_final_batch(self):
-        chunks = {f"d{i}": bytes(100) for i in range(5)}
+        store, digests = store_of(*[100] * 5)
         flags = [
-            has_more
-            for _, _, has_more in iter_chunk_batches(
-                chunks.__getitem__, sorted(chunks), 200
-            )
+            has_more for _, _, has_more in iter_chunk_batches(store, digests, 200)
         ]
         assert flags == [True, True, False]
 
     def test_oversized_chunk_still_ships_alone(self):
-        chunks = {"big": bytes(500), "small": bytes(10)}
-        batches = list(
-            iter_chunk_batches(chunks.__getitem__, ["big", "small"], 100)
-        )
-        assert [digests for digests, _, _ in batches] == [["big"], ["small"]]
+        store, digests = store_of(500, 10)
+        batches = list(iter_chunk_batches(store, digests, 100))
+        assert [batch for batch, _, _ in batches] == [digests[:1], digests[1:]]
 
     def test_empty_input_yields_nothing(self):
-        assert list(iter_chunk_batches(lambda d: b"", [], 100)) == []
+        assert list(iter_chunk_batches(MemoryChunkStore(), [], 100)) == []
+
+    def test_reads_only_the_chunks_it_yields(self):
+        store, digests = store_of(100, 100, 100)
+        batch, blobs, has_more = next(iter_chunk_batches(store, digests, 250))
+        assert (batch, has_more) == (digests[:2], True)
+        assert store.stats.reads == 2  # the third was sized, never read
+
+    def test_unheld_digest_is_a_typed_miss(self):
+        store, digests = store_of(100)
+        with pytest.raises(ChunkNotFoundError):
+            list(iter_chunk_batches(store, [*digests, "0" * 64], 1000))
 
 
 class TestWindowedGetChunks:

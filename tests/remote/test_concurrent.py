@@ -1,11 +1,13 @@
 """Concurrency: reader-writer locking, the response cache, and a stress run.
 
 The server's contract under concurrent traffic: reads run in parallel
-(and hit the response cache when nothing changed), pushes serialize
-behind the write lock, and a many-readers-plus-one-pusher storm drops no
-request and converges on the correct refs.
+(a request answered twice with nothing changed since is served from the
+response cache, and never across a change), pushes serialize behind the
+write lock, and a many-readers-plus-one-pusher storm drops no request
+and converges on the correct refs.
 """
 
+import sys
 import threading
 
 import pytest
@@ -20,6 +22,24 @@ from repro.remote import (
 )
 from repro.remote.protocol import decode_message
 from repro.remote.server import RWLock
+
+
+def window(digests) -> bytes:
+    return encode_message({"op": "get_chunks", "digests": list(digests)})
+
+
+def uncached(server, request: bytes) -> bytes:
+    """What ``server`` would answer now without its response cache."""
+    return RepositoryServer(
+        server.repo, cache_entries=0, max_pack_bytes=server.max_pack_bytes
+    ).handle_bytes(request)
+
+
+def cached_window(server, request: bytes) -> None:
+    """Ask three times: stored on the second, served on the third."""
+    hits = server.cache.hits
+    answers = {server.handle_bytes(request) for _ in range(3)}
+    assert len(answers) == 1 and server.cache.hits == hits + 1
 
 
 class TestRWLock:
@@ -112,12 +132,162 @@ class TestRWLock:
 
 class TestResponseCache:
     def test_repeated_manifest_hits_cache(self, server_repo):
+        # Stored on its second arrival, served from the third on.
         server = RepositoryServer(server_repo)
         transport = LocalTransport(server)
-        first = transport.call(encode_message({"op": "manifest"}))
-        second = transport.call(encode_message({"op": "manifest"}))
-        assert first == second
+        answers = {
+            transport.call(encode_message({"op": "manifest"})) for _ in range(3)
+        }
+        assert len(answers) == 1
         assert server.cache.hits == 1
+
+    def test_one_off_windows_hold_no_bytes_a_repeated_one_is_held(
+        self, server_repo
+    ):
+        server = RepositoryServer(server_repo)
+        digests = sorted(server_repo.objects.chunks.digests())
+        assert len(digests) > 4
+        for digest in digests:
+            server.handle_bytes(window([digest]))
+        assert server.cache.snapshot()["bytes"] == 0
+        answer = server.handle_bytes(window(digests[:2]))
+        assert server.handle_bytes(window(digests[:2])) == answer
+        assert server.cache.snapshot()["bytes"] == len(answer)
+        assert server.handle_bytes(window(digests[:2])) == answer
+        assert server.cache.hits == 1
+
+    def test_a_cached_window_is_not_served_after_a_push(
+        self, server_repo, workload
+    ):
+        server = RepositoryServer(server_repo)
+        transport = LocalTransport(server)
+        clone = clone_repository(transport, registry=server_repo.registry)
+        request = window(sorted(server_repo.objects.chunks.digests())[:3])
+        cached_window(server, request)
+        clone.commit(
+            workload.name, {"model": workload.model_version(2)}, message="new"
+        )
+        clone.remote("origin").push(workload.name, "master")
+        hits = server.cache.hits
+        assert server.handle_bytes(request) == uncached(server, request)
+        assert server.cache.hits == hits
+
+    def test_a_cached_window_is_not_served_after_a_gc_discard(self, server_repo):
+        server = RepositoryServer(server_repo)
+        orphan = server_repo.objects.chunks.put(b"a chunk no recipe names")
+        request = window([orphan])
+        cached_window(server, request)
+        with server.maintenance() as repo:
+            assert repo.gc().swept_chunks == 1
+        meta, blobs = decode_message(server.handle_bytes(request))
+        assert meta["error"]["type"] == "ChunkNotFoundError" and blobs == []
+
+    def test_a_cached_window_is_not_served_after_an_out_of_band_write(
+        self, server_repo
+    ):
+        server = RepositoryServer(server_repo)
+        request = window(sorted(server_repo.objects.chunks.digests())[:3])
+        cached_window(server, request)
+        server_repo.objects.chunks.put(b"written behind the server")
+        hits = server.cache.hits
+        assert server.handle_bytes(request) == uncached(server, request)
+        assert server.cache.hits == hits
+
+    def test_readers_beside_a_pusher_see_only_answers_of_a_real_state(
+        self, server_repo, workload
+    ):
+        """Two readers re-request the same windows, the manifest and a
+        full fetch while a pusher lands three pushes, and go on until it
+        is done: each answer is byte-equal to an uncached server's at a
+        state the reader could have seen — one no older than the last
+        push finished before the request was sent. More threads than
+        cores, short switch interval."""
+        server = RepositoryServer(server_repo, max_pack_bytes=2048)
+        transport = LocalTransport(server)
+        writer = clone_repository(transport, registry=server_repo.registry)
+        branches = []
+        for idx in range(3):
+            branch = f"race-{idx}"
+            writer.branch(workload.name, branch)
+            writer.commit(
+                workload.name,
+                {"model": workload.model_version(idx + 2)},
+                branch=branch,
+                message=f"race {idx}",
+            )
+            branches.append(branch)
+        digests = sorted(server_repo.objects.chunks.digests())
+        step = max(1, len(digests) // 4)
+        requests = [window(digests[i:]) for i in range(0, len(digests), step)] + [
+            encode_message({"op": "manifest"}),
+            encode_message({"op": "fetch", "want": None, "have_commits": []}),
+        ]
+        #: answers[k]: what an uncached server answers after k pushes.
+        answers = [{request: uncached(server, request) for request in requests}]
+        seen: list[tuple[bytes, bytes, int, int]] = []
+        errors: list[BaseException] = []
+        pushed = threading.Event()
+        start = threading.Barrier(3, timeout=30)
+
+        def reader():
+            try:
+                start.wait()
+                for _ in range(500):
+                    last_round = pushed.is_set()
+                    for request in requests:
+                        # Pushes finished before the request: the answer
+                        # may be of that state or of any later one.
+                        oldest = len(answers) - 1
+                        answer = server.handle_bytes(request)
+                        seen.append((request, answer, oldest, len(answers)))
+                    if last_round:
+                        break
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        def pusher():
+            try:
+                start.wait()
+                for branch in branches:
+                    writer.remote("origin").push(workload.name, branch)
+                    # Only this thread writes: what it reads here is the
+                    # state every reader sees until its next push.
+                    answers.append(
+                        {request: uncached(server, request) for request in requests}
+                    )
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            finally:
+                pushed.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        threads.append(threading.Thread(target=pusher))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(answers) == len(branches) + 1
+        stale = [
+            (request, oldest)
+            for request, answer, oldest, newest in seen
+            # newest + 1: a push can land before the pusher appends its
+            # answers, so the state after it is visible one step early.
+            if answer not in (
+                answers[k][request]
+                for k in range(oldest, min(newest + 1, len(answers)))
+            )
+        ]
+        assert stale == []
+        # The final round ran after the last push: it saw that state.
+        assert {answer for _, answer, oldest, _ in seen if oldest == len(branches)}
+        assert server.cache.hits > 0
 
     def test_push_invalidates_cache(self, server_repo, workload):
         server = RepositoryServer(server_repo)
@@ -166,11 +336,13 @@ class TestResponseCache:
 
         cache = ResponseCache(max_entries=100, max_total_bytes=100)
         token = (0,)
-        cache.put(b"a", token, bytes(60))
-        cache.put(b"b", token, bytes(60))  # evicts a: 120 > 100
+        for key in (b"a", b"b"):  # stored on the second offer
+            cache.put(key, token, bytes(60))
+            cache.put(key, token, bytes(60))  # b evicts a: 120 > 100
         assert cache.get(b"a", token) is None
         assert cache.get(b"b", token) is not None
         cache.put(b"big", token, bytes(101))  # larger than the budget
+        cache.put(b"big", token, bytes(101))
         assert cache.get(b"big", token) is None
         assert cache._total_bytes <= 100
 

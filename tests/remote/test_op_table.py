@@ -62,7 +62,10 @@ def test_derived_views_equal_the_pre_table_literals():
     )
     assert WRITE_OPS == frozenset({"push", "put_chunks"})
     assert CACHEABLE_OPS == frozenset(
-        {"manifest", "known_commits", "missing_chunks", "fetch", "lineage"}
+        {
+            "manifest", "known_commits", "missing_chunks", "get_chunks",
+            "fetch", "lineage",
+        }
     )
     assert PREFLIGHT_OPS == frozenset(
         {"manifest", "known_commits", "missing_chunks"}
@@ -313,6 +316,36 @@ def test_each_retyped_pack_field_is_refused_before_any_import(key, index, field)
     message = response["error"]["message"]
     # The validator refuses a few fields by name; the codecs the rest.
     assert message.startswith("invalid push request: "), message
+    assert repository_state(server) == before
+
+
+def name_an_unheld_parent(meta: dict) -> None:
+    meta["commits"][0]["parents"] = ["a" * 64]
+
+
+def name_an_unheld_new_head(meta: dict) -> None:
+    meta["refs"]["toy"]["master"]["new"] = "b" * 64
+
+
+@pytest.mark.parametrize(
+    "damage, refusal",
+    [
+        (name_an_unheld_parent, "CommitNotFoundError"),
+        (name_an_unheld_new_head, "PushRejectedError"),
+    ],
+    ids=["parent", "new-head"],
+)
+def test_a_push_naming_an_unheld_commit_is_refused_before_any_import(
+    damage, refusal
+):
+    # Rows that decode but name a commit neither in the pack nor held
+    # would fail at the graph, after the content imports had landed.
+    server = RepositoryServer(MLCask())
+    meta, blobs = copy.deepcopy(toy_push())
+    damage(meta)
+    before = repository_state(server)
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert response["error"]["type"] == refusal, response
     assert repository_state(server) == before
 
 

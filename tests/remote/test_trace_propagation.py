@@ -118,15 +118,19 @@ class TestCacheSharing:
     ):
         server = RepositoryServer(server_repo, cache_entries=8)
         transport = LocalTransport(server)
-        plain = transport.call(encode_message({"op": "manifest"}))
-        assert server.cache.hits == 0
         context = {"trace_id": "ab" * 8, "span_id": "cd" * 8}
+        # An untraced request and a traced one are one key: its second
+        # offer stores the entry, and the next traced request hits it.
+        plain = transport.call(encode_message({"op": "manifest"}))
+        transport.call(encode_message({"op": "manifest", TRACE_CTX_KEY: context}))
+        assert server.cache.hits == 0
+        assert server.cache.snapshot()["entries"] == 1, (
+            "a traced request must count as a repeat of the untraced one"
+        )
         traced = transport.call(
             encode_message({"op": "manifest", TRACE_CTX_KEY: context})
         )
-        assert server.cache.hits == 1, (
-            "a traced request must hit the untraced request's cache entry"
-        )
+        assert server.cache.hits == 1
         assert traced == plain
         # And per-trace ids must not fragment the cache either.
         other = dict(context, trace_id="ef" * 8, span_id="01" * 8)

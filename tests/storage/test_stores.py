@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ChunkIntegrityError, ChunkNotFoundError, ObjectNotFoundError
+from repro.hub import SharedChunkBackend, TenantChunkStore
 from repro.storage import (
     FileChunkStore,
     FolderStore,
@@ -120,6 +121,25 @@ class TestFileChunkStore:
         digest = store.put(b"lands")
         assert (root / "segment.0").read_bytes() == b"lands"
         assert FileChunkStore(root).digests() == [digest]
+
+
+STORES = {
+    "memory": lambda tmp_path: MemoryChunkStore(),
+    "file": lambda tmp_path: FileChunkStore(tmp_path / "objects"),
+    "tenant": lambda tmp_path: TenantChunkStore(SharedChunkBackend()),
+}
+
+
+@pytest.mark.parametrize("kind", STORES)
+def test_size_is_the_held_length_or_a_typed_miss(kind, tmp_path):
+    # Windowing sizes each chunk before it reads any (iter_chunk_batches):
+    # an unheld digest must answer as a read of it would.
+    store = STORES[kind](tmp_path)
+    digest = store.put(b"sized")
+    assert store._size(digest) == 5
+    with pytest.raises(ChunkNotFoundError) as raised:
+        store._size("0" * 64)
+    assert raised.value.digest == "0" * 64
 
 
 class TestChunkReplication:
