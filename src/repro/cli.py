@@ -18,7 +18,6 @@ Usage::
     python -m repro stats REMOTE --watch 2             # re-render every 2s
     python -m repro health REMOTE                      # SLO health readout
     python -m repro lineage REMOTE REF                 # provenance closure
-    python -m repro lineage REMOTE --trace ID          # request forensics
     python -m repro impact REMOTE COMPONENT            # what-if analysis
     python -m repro gc REPO                            # sweep dead chunks
 
@@ -205,22 +204,16 @@ def _build_parser() -> argparse.ArgumentParser:
     lineage = sub.add_parser(
         "lineage",
         help="query a repository's provenance ledger: the upstream closure "
-        "of an output, its consumers, or one traced request's forensics",
+        "of an output, or its consumers",
     )
     lineage.add_argument("target", help="http:// URL or repository directory")
     lineage.add_argument(
-        "ref", nargs="?", default=None,
-        help="output ref (full digest or unique prefix); omit with --trace",
+        "ref", help="output ref (full digest or unique prefix)",
     )
     lineage.add_argument(
         "--consumers", action="store_true",
         help="list what consumed REF downstream instead of its upstream "
         "closure",
-    )
-    lineage.add_argument(
-        "--trace", default=None, metavar="TRACE_ID",
-        help="reconstruct one traced request: every checkpoint executed or "
-        "reused under this trace id, in emission order",
     )
     _add_json_argument(lineage, "the raw lineage object")
     _add_hub_client_arguments(lineage)
@@ -941,8 +934,7 @@ def _render_health(args, report, out) -> None:
     print(
         f"{state} ({report.get('window_seconds', 0):g}s window)\n"
         f"error budget: {slo.get('availability', 0.0):.2%} availability "
-        f"target; burn fast {burn.get('fast', {}).get('burn', 0.0):.2f}x "
-        f"/ slow {burn.get('slow', {}).get('burn', 0.0):.2f}x",
+        f"target; burn {burn.get('burn', 0.0):.2f}x",
         file=out,
     )
     shed_state = "on" if shedding.get("enabled") else "off"
@@ -968,15 +960,9 @@ def _render_health(args, report, out) -> None:
 
 
 def _cmd_lineage(args, out) -> int:
-    """Provenance queries as a verb: closure, consumers, or trace forensics."""
-    from .errors import RemoteError
-
-    if (args.ref is None) == (args.trace is None):
-        raise RemoteError("give exactly one of REF or --trace TRACE_ID")
+    """Provenance queries as a verb: closure or consumers."""
 
     def query(remote):
-        if args.trace is not None:
-            return remote.lineage_trace(args.trace)
         if args.consumers:
             return remote.lineage_consumers(args.ref)
         return remote.lineage(args.ref)
@@ -985,20 +971,6 @@ def _cmd_lineage(args, out) -> int:
 
 
 def _render_lineage(args, result, out) -> None:
-    if args.trace is not None:
-        print(
-            f"trace {result['trace_id']}: "
-            f"{result['executed']} executed, {result['reused']} reused",
-            file=out,
-        )
-        for node in result["nodes"]:
-            flag = "x" if node["via"] == "executed" else "r"
-            print(
-                f"  [{flag}] {node['stage']}: {node['component_id']} "
-                f"-> {node['output_ref'][:12]} ({node['wall_seconds']:.3f}s)",
-                file=out,
-            )
-        return
     if args.consumers:
         print(
             f"{result['ref'][:12]} feeds {len(result['consumers'])} "

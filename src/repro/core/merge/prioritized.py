@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...obs import trace as obs_trace
 from ..context import ExecutionContext
 from ..executor import Executor, RunReport
 from .search_space import MergeScope
@@ -306,11 +305,9 @@ def run_ordered_search(
     checkpointed nodes of Fig. 4; the exhaustive walk runs them.
     """
     step = SearchStep(root, method, seed, budget, time_budget_seconds)
-    tracer = obs_trace.default_tracer()
 
     def evaluate(leaf: TreeNode, index: int) -> RunReport:
-        with tracer.span("merge.candidate", draw=index):
-            return run_candidate(leaf, scope, executor, context)
+        return run_candidate(leaf, scope, executor, context)
 
     return search_window(step, evaluate, workers)
 

@@ -460,13 +460,6 @@ class MLCask:
 
         return impact_of(self, component, version=version)
 
-    def trace_forensics(self, trace_id: str) -> dict:
-        """Everything one traced request executed or reused, joined to
-        its spans by trace id."""
-        from ..provenance.queries import trace_forensics
-
-        return trace_forensics(self, trace_id)
-
     def _resolve_ref(self, pipeline: str, ref: str) -> PipelineCommit:
         """Accept a branch name, full commit id, or unambiguous prefix."""
         if self.branches.has_branch(pipeline, ref):

@@ -221,7 +221,7 @@ class ProvenanceError(MLCaskError):
 
 
 class LineageNotFoundError(ProvenanceError):
-    """A lineage query matched nothing (unknown ref, component, or trace).
+    """A lineage query matched nothing (unknown ref or component).
 
     Travels over the wire as a typed error response (see
     :func:`repro.remote.protocol.raise_remote_error`), so a client asking

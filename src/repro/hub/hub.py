@@ -67,11 +67,9 @@ from ..errors import (
     RepositoryNotFoundError,
     ServerOverloadedError,
 )
-from ..obs import propagation
 from ..obs.health import HealthMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOConfig
-from ..obs.trace import Tracer
 from ..ops import OP_TABLE, OpSpec
 from ..remote import pack
 from ..remote.protocol import decode_message, error_response
@@ -192,7 +190,6 @@ class RepositoryHub:
         default_seed: int = 0,
         clock=time.monotonic,
         registry=None,
-        tracer=None,
         slo: SLOConfig | None = None,
     ):
         self.root = os.fspath(root) if root is not None else None
@@ -236,22 +233,18 @@ class RepositoryHub:
         self.evictions = 0
         self.loads = 0
 
-        # Telemetry: a hub defaults to *real* instruments (it fronts the
-        # /metrics endpoint), one registry/tracer shared by every hosted
-        # RepositoryServer so per-repo series land in one scrape and a
-        # request's spans — admission, op, lock wait, chunk import —
-        # share one trace. Pass the null singletons to opt out.
+        # Telemetry: a hub defaults to a *real* registry (it fronts the
+        # /metrics endpoint), one shared by every hosted RepositoryServer
+        # so per-repo series land in one scrape. Pass NULL_REGISTRY to
+        # opt out.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         # The health model behind /healthz, /readyz, the health op, and
         # admission shedding. One deployment-wide monitor over the shared
-        # registry/tracer: hosted servers answer the health op from it,
+        # registry: hosted servers answer the health op from it,
         # so a tenant's view is the hub's view (per-op windows aggregate
         # across tenants — overload is a shared-substrate condition).
         self.slo = slo if slo is not None else SLOConfig.default()
-        self.health = HealthMonitor(
-            registry=self.registry, slo=self.slo, tracer=self.tracer
-        )
+        self.health = HealthMonitor(registry=self.registry, slo=self.slo)
         self._m_admission = self.registry.counter(
             "repro_admission_total",
             "Hub admission decisions, by tenant and outcome",
@@ -439,7 +432,6 @@ class RepositoryHub:
             max_pack_bytes=self.max_pack_bytes,
             cache_entries=self.cache_entries,
             registry=self.registry,
-            tracer=self.tracer,
             metric_labels={"tenant": tenant, "repo": name},
             health_monitor=self.health,
         )
@@ -700,11 +692,6 @@ class RepositoryHub:
                     config.name: self.tenant_usage(config.name)
                     for config in self.authenticator.tenants()
                 },
-                "trace": {
-                    "spans_recorded": getattr(
-                        self.tracer, "spans_recorded", 0
-                    ),
-                },
             }
 
     # --------------------------------------------------------- admission
@@ -766,143 +753,103 @@ class RepositoryHub:
 
         Denials (auth, rate, quota, unknown repo, overload shed) are
         answered as typed error responses *before* the repository server
-        — and therefore any repository state — is touched.
+        — and therefore any repository state — is touched. The payload
+        is decoded only after authentication and rate limiting pass, so
+        an unauthenticated or throttled peer costs no parse and learns
+        nothing about its payload.
 
-        Telemetry: the whole request runs under a ``hub.request`` root
-        span (admission itself under a ``hub.admission`` child, the
-        hosted server's op/lock/storage spans nest below via the
-        shared tracer), and every decision lands in the admission
-        counters — ``repro_admission_total{tenant,outcome}`` plus, for
-        denials, ``repro_admission_denied_total{tenant,reason}``. A
-        propagated ``trace_ctx`` in the request envelope parents the
-        root span into the client's trace (correlation only — admission
-        decisions never read the propagated ids)."""
+        Telemetry: every decision lands in the admission counters —
+        ``repro_admission_total{tenant,outcome}`` plus, for denials,
+        ``repro_admission_denied_total{tenant,reason}``."""
         self.count_request()
-        # Decoding moved ahead of admission so the envelope's trace
-        # context can parent the root span; the work is wasted on a
-        # denied request, which is accepted — denials are the rare path.
-        # A decode failure is *stashed* and re-raised exactly where the
-        # decode used to happen (after auth and rate limiting), so the
-        # externally observable denial ordering is unchanged: an
-        # unauthenticated peer still gets the auth error, never a
-        # protocol error that would confirm its payload was parsed.
-        meta: dict = {}
-        blobs: list = []
-        decode_error: RemoteProtocolError | None = None
         try:
+            validate_name("tenant", tenant)
+            validate_name("repository", repo)
+            config = self.authenticator.authorize(token, tenant)
+            bucket = self._bucket_for(config)
+            if bucket is not None and not bucket.try_acquire():
+                raise RateLimitedError(
+                    f"tenant {tenant!r} exceeded "
+                    f"{config.rate_per_second:g} requests/s "
+                    f"(burst {bucket.burst:g}); retry after a pause"
+                )
             meta, blobs = decode_message(payload)
-        except RemoteProtocolError as error:
-            decode_error = error
-        inherited = propagation.parse_trace_context(meta)
-        with propagation.adopt_remote_context(inherited):
-            return self._handle_admitted(
-                tenant, repo, token, payload, meta, blobs, decode_error
-            )
-
-    def _handle_admitted(
-        self,
-        tenant: str,
-        repo: str,
-        token: str | None,
-        payload: bytes,
-        meta: dict,
-        blobs: list,
-        decode_error: RemoteProtocolError | None,
-    ) -> bytes:
-        with self.tracer.span("hub.request", tenant=tenant, repo=repo) as root:
+            op = meta.get("op")
+            spec = OP_TABLE.get(op)
+            write = spec is not None and spec.write
+            # Observability-driven load shedding: the last admission
+            # gate, still before any repository state is touched (same
+            # never-partially-mutate contract as auth/quota/rate —
+            # _acquire runs strictly after this). Only known ops shed,
+            # so an unknown op keeps its typed protocol error; exempt
+            # ops (health and stats) always pass so probes work under
+            # the very overload they diagnose.
+            if spec is not None:
+                retry_after = self.health.shed_decision(op)
+                if retry_after is not None:
+                    self.health.note_shed(op)
+                    raise ServerOverloadedError(
+                        f"hub overloaded; shedding {op!r} "
+                        "admissions — retry with backoff",
+                        retry_after=retry_after,
+                    )
+            # Quota arithmetic reads a write's digest list, and _acquire
+            # auto-creates its target: a malformed write must be a typed
+            # protocol denial before either.
+            if write:
+                spec.validate(meta, blobs)
             try:
-                with self.tracer.span("hub.admission", tenant=tenant):
-                    validate_name("tenant", tenant)
-                    validate_name("repository", repo)
-                    config = self.authenticator.authorize(token, tenant)
-                    bucket = self._bucket_for(config)
-                    if bucket is not None and not bucket.try_acquire():
-                        raise RateLimitedError(
-                            f"tenant {tenant!r} exceeded "
-                            f"{config.rate_per_second:g} requests/s "
-                            f"(burst {bucket.burst:g}); retry after a pause"
-                        )
-                    if decode_error is not None:
-                        raise decode_error
-                    op = meta.get("op")
-                    spec = OP_TABLE.get(op)
-                    write = spec is not None and spec.write
-                    # Observability-driven load shedding: the last
-                    # admission gate, still before any repository state
-                    # is touched (same never-partially-mutate contract
-                    # as auth/quota/rate — _acquire runs strictly after
-                    # this). Only known ops shed, so an unknown op keeps
-                    # its typed protocol error; exempt ops (health and
-                    # stats) always pass so probes work under the
-                    # very overload they diagnose.
-                    if spec is not None:
-                        retry_after = self.health.shed_decision(op)
-                        if retry_after is not None:
-                            self.health.note_shed(op)
-                            raise ServerOverloadedError(
-                                f"hub overloaded; shedding {op!r} "
-                                "admissions — retry with backoff",
-                                retry_after=retry_after,
-                            )
-                    # Quota arithmetic reads a write's digest list, and
-                    # _acquire auto-creates its target: a malformed write
-                    # must be a typed protocol denial before either.
-                    if write:
-                        spec.validate(meta, blobs)
-                try:
-                    hosted = self._acquire(tenant, repo, create=write)
-                except RepositoryNotFoundError:
-                    if op not in PREFLIGHT_OPS:
-                        raise
-                    ephemeral = self._new_hosted(
-                        tenant, repo, self.default_metric, self.default_seed
-                    )
-                    self._note_admitted(root, tenant)
-                    return ephemeral.server.handle_bytes(
-                        payload, decoded=(meta, blobs)
-                    )
-                try:
-                    if write:
-                        # Per-tenant serialization makes the quota check
-                        # race-free across a tenant's repositories; writes
-                        # of different tenants still run concurrently.
-                        with self._tenant_lock(tenant):
-                            self._enforce_quota(config, hosted, spec, meta, blobs)
-                            if op == "push":
-                                self._maybe_adopt_config(hosted, meta)
-                            response = hosted.server.handle_bytes(
-                                payload, decoded=(meta, blobs)
-                            )
-                    else:
+                hosted = self._acquire(tenant, repo, create=write)
+            except RepositoryNotFoundError:
+                if op not in PREFLIGHT_OPS:
+                    raise
+                ephemeral = self._new_hosted(
+                    tenant, repo, self.default_metric, self.default_seed
+                )
+                self._note_admitted(tenant)
+                return ephemeral.server.handle_bytes(
+                    payload, decoded=(meta, blobs)
+                )
+            try:
+                if write:
+                    # Per-tenant serialization makes the quota check
+                    # race-free across a tenant's repositories; writes
+                    # of different tenants still run concurrently.
+                    with self._tenant_lock(tenant):
+                        self._enforce_quota(config, hosted, spec, meta, blobs)
+                        if op == "push":
+                            self._maybe_adopt_config(hosted, meta)
                         response = hosted.server.handle_bytes(
                             payload, decoded=(meta, blobs)
                         )
-                finally:
-                    # Auto-created repos are kept only if something landed
-                    # in them (the provisional check in _release).
-                    self._release(hosted)
-                self._note_admitted(root, tenant)
-                return response
-            except (HubError, RemoteProtocolError) as error:
-                self._note_denied(root, tenant, error)
-                return error_response(error)
-            except Exception as error:  # noqa: BLE001 - last-resort containment
-                self._note_denied(root, tenant, error)
-                return error_response(
-                    RemoteProtocolError(
-                        f"internal hub error: {type(error).__name__}: {error}"
+                else:
+                    response = hosted.server.handle_bytes(
+                        payload, decoded=(meta, blobs)
                     )
+            finally:
+                # Auto-created repos are kept only if something landed
+                # in them (the provisional check in _release).
+                self._release(hosted)
+            self._note_admitted(tenant)
+            return response
+        except (HubError, RemoteProtocolError) as error:
+            self._note_denied(tenant, error)
+            return error_response(error)
+        except Exception as error:  # noqa: BLE001 - last-resort containment
+            self._note_denied(tenant, error)
+            return error_response(
+                RemoteProtocolError(
+                    f"internal hub error: {type(error).__name__}: {error}"
                 )
+            )
 
-    def _note_admitted(self, span, tenant: str) -> None:
+    def _note_admitted(self, tenant: str) -> None:
         self._m_admission.labels(tenant=tenant, outcome="allowed").inc()
-        span.set(outcome="allowed")
 
-    def _note_denied(self, span, tenant: str, error: Exception) -> None:
+    def _note_denied(self, tenant: str, error: Exception) -> None:
         reason = _denial_reason(error)
         self._m_admission.labels(tenant=tenant, outcome="denied").inc()
         self._m_denied.labels(tenant=tenant, reason=reason).inc()
-        span.set(outcome="denied", reason=reason)
 
     # --------------------------------------------------------- transports
     def local_transport(

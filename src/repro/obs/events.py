@@ -10,10 +10,6 @@ mode that made ``repro serve`` look silent to anything but a terminal.
 Used for lifecycle signals (server startup, shutdown) and structured
 warnings (a transport replaying onto a fresh socket); high-frequency
 per-request signals belong in :mod:`repro.obs.metrics` instead.
-
-Events emitted while a span is open carry that span's ``trace_id`` and
-``span_id``, so log lines join to traces (and to lineage records, which
-stamp the same ids) without the emitter passing anything through.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-
-from .trace import current_span
 
 
 def emit(event: str, stream=None, **fields) -> dict:
@@ -32,13 +26,7 @@ def emit(event: str, stream=None, **fields) -> dict:
     timestamp) so callers can reuse or assert on it. Fields must be
     JSON-serializable; anything that is not is stringified rather than
     killing the caller — an event line is telemetry, never control flow.
-    While a span is active its trace/span ids are stamped on (explicit
-    ``trace_id``/``span_id`` fields from the caller win).
     """
-    span = current_span()
-    if span is not None and span.trace_id is not None:
-        fields.setdefault("trace_id", span.trace_id)
-        fields.setdefault("span_id", span.span_id)
     record = {"event": event, "ts": round(time.time(), 6), **fields}
     try:
         line = json.dumps(record, sort_keys=True)

@@ -2,15 +2,14 @@
 
 The measurement half of self-aware serving (:mod:`repro.obs.slo` is the
 policy half). A :class:`HealthMonitor` periodically snapshots the
-*existing* telemetry streams — the :class:`~repro.obs.metrics.MetricsRegistry`
-families the servers already populate (``repro_request_seconds``,
-``repro_admission_denied_total``, ``repro_lock_wait_seconds``) and the
-:class:`~repro.obs.trace.Tracer`'s
-finished-span buffer — and derives windowed signals from the deltas:
-per-op p50/p95/p99 latency (interpolated from histogram-bucket deltas),
-error rate, admission-denial mix and lock-wait pressure.
-No new instrumentation points: if a server emits metrics, it can be
-health-modelled.
+:class:`~repro.obs.metrics.MetricsRegistry` families the servers already
+populate (``repro_request_seconds``, ``repro_request_errors_total``,
+``repro_admission_denied_total``, ``repro_lock_wait_seconds``) and
+derives windowed signals from the deltas: per-op p50/p95/p99 latency
+(interpolated from histogram-bucket deltas), error-budget burn,
+admission-denial mix and lock-wait pressure. One stream, one window:
+if a server emits metrics, it can be health-modelled, and a probe costs
+one registry cut per tick however many requests were served.
 
 Snapshots are ticked *lazily* from the read paths (``health()``,
 ``ready()``, ``shed_decision()``), rate-limited to the SLO's
@@ -22,8 +21,8 @@ Three consumers, deliberately decoupled:
 
 * **liveness** (``GET /healthz``): the process answers — always true if
   the handler runs;
-* **readiness** (``GET /readyz``): flips down on fast error-budget burn
-  or active shedding; recovers as the windows slide clean;
+* **readiness** (``GET /readyz``): flips down on error-budget burn or
+  active shedding; recovers as the window slides clean;
 * **shedding** (:meth:`shed_decision`, called by the hub admission
   pipeline *before any repository state is touched*): triggers on
   windowed per-op p99 exceeding its objective — never on error burn.
@@ -42,7 +41,6 @@ from collections import deque
 from ..ops import OP_TABLE
 from .metrics import NULL_REGISTRY
 from .slo import SLOConfig
-from .trace import NULL_TRACER
 
 #: Ops never shed: the probes an operator (or an automated client
 #: backing off) needs precisely when the server is overloaded.
@@ -52,12 +50,6 @@ SHED_EXEMPT_OPS = frozenset(
 
 #: Quantiles the window report carries.
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-
-#: Span-name prefix identifying served requests (error-rate source).
-#: Hub/client spans are excluded on purpose: a shed request errors its
-#: ``hub.request`` span, and counting that into burn would couple the
-#: shedder to its own output.
-_REQUEST_SPAN_PREFIX = "server."
 
 
 def _percentile(buckets, deltas, q: float) -> float | None:
@@ -92,14 +84,17 @@ def _percentile(buckets, deltas, q: float) -> float | None:
 class _Sample:
     """One timestamped cut of the cumulative telemetry counters."""
 
-    __slots__ = ("mono", "wall", "ops", "denied", "lock_wait")
+    __slots__ = ("mono", "ops", "errors", "denied", "lock_wait")
 
-    def __init__(self, mono, wall, ops, denied, lock_wait):
+    def __init__(self, mono, ops, errors, denied, lock_wait):
         self.mono = mono
-        self.wall = wall
         self.ops = ops                  # op -> {buckets, counts, count, sum}
+        self.errors = errors            # handler failures, cumulative
         self.denied = denied            # reason -> cumulative total
         self.lock_wait = lock_wait      # {"count": n, "sum": seconds}
+
+    def requests(self) -> int:
+        return sum(agg["count"] for agg in self.ops.values())
 
 
 def _op_delta(baseline: _Sample, newest: _Sample, op: str):
@@ -131,10 +126,9 @@ class HealthMonitor:
     """
 
     def __init__(self, registry=None, slo: SLOConfig | None = None,
-                 tracer=None, clock=time.monotonic, wallclock=time.time):
+                 clock=time.monotonic, wallclock=time.time):
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.slo = slo if slo is not None else SLOConfig.default()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock
         self._wallclock = wallclock
         self._lock = threading.Lock()
@@ -166,6 +160,10 @@ class HealthMonitor:
                     agg["counts"][i] += n
                 agg["count"] += series["count"]
                 agg["sum"] += series["sum"]
+        errors = sum(
+            series["value"]
+            for series in self.registry.series("repro_request_errors_total")
+        )
         denied: dict[str, float] = {}
         for series in self.registry.series("repro_admission_denied_total"):
             reason = series["labels"].get("reason", "-")
@@ -174,9 +172,7 @@ class HealthMonitor:
         for series in self.registry.series("repro_lock_wait_seconds"):
             lock_wait["count"] += series["count"]
             lock_wait["sum"] += series["sum"]
-        return _Sample(
-            self._clock(), self._wallclock(), ops, denied, lock_wait
-        )
+        return _Sample(self._clock(), ops, errors, denied, lock_wait)
 
     def _tick(self, force: bool = False) -> None:
         """Snapshot the registry if the last cut is older than a tick."""
@@ -255,42 +251,31 @@ class HealthMonitor:
             },
         }
 
-    def _burn_rates(self) -> dict:
-        """Error-budget burn over the fast/slow windows, from spans.
+    def _burn(self) -> dict:
+        """Error-budget burn over the sliding window, from the registry.
 
-        Burn = (error fraction of served requests in the window) divided
+        Burn = (handler failures / requests served in the window) divided
         by the budget; 1.0 means "spending exactly what the availability
-        objective allows". Only ``server.*`` spans count — see
-        :data:`_REQUEST_SPAN_PREFIX`.
+        objective allows". Failures are ``repro_request_errors_total``,
+        which a server counts only when an admitted, validated request's
+        handler raises: validation refusals and hub denials — shed
+        requests included — never count, so the shedder cannot feed
+        its own signal.
         """
-        spans = self.tracer.finished()
-        now = self._wallclock()
-        rates = {}
-        for name, horizon in (
-            ("fast", self.slo.fast_window_seconds),
-            ("slow", self.slo.slow_window_seconds),
-        ):
-            total = errors = 0
-            cutoff = now - horizon
-            for span in spans:
-                if not str(span.get("name", "")).startswith(
-                    _REQUEST_SPAN_PREFIX
-                ):
-                    continue
-                start = span.get("start")
-                if start is None or start < cutoff:
-                    continue
-                total += 1
-                if span.get("status") == "error":
-                    errors += 1
-            rate = errors / total if total else 0.0
-            rates[name] = {
-                "requests": total,
-                "errors": errors,
-                "error_rate": rate,
-                "burn": rate / self.slo.error_budget,
-            }
-        return rates
+        self._tick()
+        edges = self._window_edges()
+        requests = errors = 0
+        if edges is not None:
+            baseline, newest = edges
+            requests = max(newest.requests() - baseline.requests(), 0)
+            errors = max(newest.errors - baseline.errors, 0)
+        rate = errors / requests if requests else 0.0
+        return {
+            "requests": requests,
+            "errors": errors,
+            "error_rate": rate,
+            "burn": rate / self.slo.error_budget,
+        }
 
     # ----------------------------------------------------------- decisions
     def alive(self) -> bool:
@@ -301,21 +286,19 @@ class HealthMonitor:
     def ready(self) -> tuple[bool, list[str]]:
         """Readiness and the reasons it is (not) — empty list when ready.
 
-        Flips down on: fast error-budget burn over threshold, or
-        shedding having fired within the last window. Both clear
-        themselves as the windows slide past the incident.
+        Flips down on: error-budget burn over threshold, or shedding
+        having fired within the last window. Both clear themselves as
+        the window slides past the incident.
         """
-        self._tick()
         reasons = []
-        burn = self._burn_rates()
-        fast = burn["fast"]
+        burn = self._burn()
         if (
-            fast["requests"] >= self.slo.min_samples
-            and fast["burn"] >= self.slo.fast_burn_threshold
+            burn["requests"] >= self.slo.min_samples
+            and burn["burn"] >= self.slo.burn_threshold
         ):
             reasons.append(
-                f"error budget fast burn {fast['burn']:.1f}x >= "
-                f"{self.slo.fast_burn_threshold:.1f}x"
+                f"error budget burn {burn['burn']:.1f}x >= "
+                f"{self.slo.burn_threshold:.1f}x"
             )
         if self._shedding_active():
             reasons.append("overload shedding active")
@@ -380,9 +363,8 @@ class HealthMonitor:
 
         JSON-ready; schema-additive consumers should tolerate new keys.
         """
-        self._tick()
         window = self.window()
-        burn = self._burn_rates()
+        burn = self._burn()
         ready, reasons = self.ready()
         ops = {}
         for op, report in sorted(window["ops"].items()):

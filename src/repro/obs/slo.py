@@ -3,9 +3,8 @@
 The policy half of self-aware serving (:mod:`repro.obs.health` is the
 measurement half): an :class:`SLOConfig` names, per wire operation, the
 latency the server promises (p99 seconds) and, globally, how much
-failure the deployment tolerates (the error budget) and when burning
-through that budget should flip readiness (fast/slow burn-rate
-windows, the multiwindow alerting shape from the SRE workbook).
+failure the deployment tolerates (the error budget) and how fast
+burning through that budget may go before readiness flips.
 
 Two consumers with deliberately different signals:
 
@@ -41,12 +40,10 @@ DEFAULT_OP_OBJECTIVES = {
 #: before the error budget is spent.
 DEFAULT_AVAILABILITY = 0.99
 
-#: Burn-rate thresholds: readiness flips when the *fast* window burns
-#: budget at >= 14.4x the sustainable rate (the classic page-worthy
-#: figure: a 30-day budget gone in ~2 days) — the slow window is
-#: reported for context and keeps the signal honest against blips.
-DEFAULT_FAST_BURN = 14.4
-DEFAULT_SLOW_BURN = 6.0
+#: Burn-rate threshold: readiness flips when the window burns budget at
+#: >= 14.4x the sustainable rate (the classic page-worthy figure: a
+#: 30-day budget gone in ~2 days).
+DEFAULT_BURN = 14.4
 
 
 @dataclass(frozen=True)
@@ -64,11 +61,11 @@ class SLObjective:
 class SLOConfig:
     """The serving stack's objectives plus the knobs that act on them.
 
-    ``window_seconds``/``tick_seconds`` shape the sliding window the
-    health model aggregates over (the shed signal's horizon);
-    ``fast_window_seconds``/``slow_window_seconds`` are the burn-rate
-    horizons readiness watches. ``min_samples`` keeps one slow outlier
-    from tripping the shedder on a quiet server.
+    ``window_seconds``/``tick_seconds`` shape the one sliding window the
+    health model aggregates over — the horizon of both the shed signal
+    and the error-budget burn readiness watches (``burn_threshold``).
+    ``min_samples`` keeps one slow outlier (or one failure) from
+    tripping the shedder (or readiness) on a quiet server.
     ``retry_after_seconds`` rides every
     :class:`~repro.errors.ServerOverloadedError` as the client's backoff
     hint; ``shed_enabled`` turns admission shedding off wholesale
@@ -79,10 +76,7 @@ class SLOConfig:
     availability: float = DEFAULT_AVAILABILITY
     window_seconds: float = 30.0
     tick_seconds: float = 1.0
-    fast_window_seconds: float = 60.0
-    slow_window_seconds: float = 600.0
-    fast_burn_threshold: float = DEFAULT_FAST_BURN
-    slow_burn_threshold: float = DEFAULT_SLOW_BURN
+    burn_threshold: float = DEFAULT_BURN
     min_samples: int = 20
     retry_after_seconds: float = 1.0
     shed_enabled: bool = True
@@ -99,10 +93,6 @@ class SLOConfig:
         self.availability = min(1.0, max(0.0, self.availability))
         self.window_seconds = max(1.0, self.window_seconds)
         self.tick_seconds = max(0.05, self.tick_seconds)
-        self.fast_window_seconds = max(1.0, self.fast_window_seconds)
-        self.slow_window_seconds = max(
-            self.fast_window_seconds, self.slow_window_seconds
-        )
 
     @property
     def error_budget(self) -> float:
@@ -134,8 +124,7 @@ class SLOConfig:
             {"objectives": {"push": 2.0, ...},
              "availability": 0.999,
              "window_seconds": 30, "tick_seconds": 1,
-             "fast_window_seconds": 60, "slow_window_seconds": 600,
-             "fast_burn_threshold": 14.4, "slow_burn_threshold": 6,
+             "burn_threshold": 14.4,
              "min_samples": 20,
              "retry_after_seconds": 1.0, "shed_enabled": true}
         """
@@ -160,10 +149,7 @@ class SLOConfig:
             "availability",
             "window_seconds",
             "tick_seconds",
-            "fast_window_seconds",
-            "slow_window_seconds",
-            "fast_burn_threshold",
-            "slow_burn_threshold",
+            "burn_threshold",
             "retry_after_seconds",
         ):
             if name in data:
@@ -200,10 +186,7 @@ class SLOConfig:
             "availability": self.availability,
             "window_seconds": self.window_seconds,
             "tick_seconds": self.tick_seconds,
-            "fast_window_seconds": self.fast_window_seconds,
-            "slow_window_seconds": self.slow_window_seconds,
-            "fast_burn_threshold": self.fast_burn_threshold,
-            "slow_burn_threshold": self.slow_burn_threshold,
+            "burn_threshold": self.burn_threshold,
             "min_samples": self.min_samples,
             "retry_after_seconds": self.retry_after_seconds,
             "shed_enabled": self.shed_enabled,
@@ -212,9 +195,8 @@ class SLOConfig:
 
 __all__ = [
     "DEFAULT_AVAILABILITY",
-    "DEFAULT_FAST_BURN",
+    "DEFAULT_BURN",
     "DEFAULT_OP_OBJECTIVES",
-    "DEFAULT_SLOW_BURN",
     "SLObjective",
     "SLOConfig",
 ]

@@ -28,7 +28,7 @@ from .errors import RemoteProtocolError
 
 #: The query forms one ``lineage`` request can carry, mapped to the
 #: provenance-query entry points they dispatch to.
-LINEAGE_QUERIES = ("lineage", "consumers", "impact", "trace")
+LINEAGE_QUERIES = ("lineage", "consumers", "impact")
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,6 @@ def _validate_lineage(spec: OpSpec, meta: dict, blobs: list) -> None:
         version = meta.get("version")
         if version is not None and not isinstance(version, str):
             spec.fail("'version' must be null or a string")
-    if query == "trace" and not isinstance(meta.get("trace_id"), str):
-        spec.fail("a 'trace' query needs a string 'trace_id'")
 
 
 #: The table, in wire-documentation order. Writes move chunk content and

@@ -20,7 +20,6 @@ from .queries import (
     impact_of,
     lineage_of,
     resolve_output_ref,
-    trace_forensics,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "impact_of",
     "lineage_of",
     "resolve_output_ref",
-    "trace_forensics",
 ]

@@ -6,8 +6,7 @@ reused out of it (including single-flight joins) — appends one
 ledger is the provenance counterpart of the checkpoint index: the index
 says *what is archived*, the ledger says *how it got there* (component
 identity and version, the exact upstream artifact refs consumed, the run
-seed, wall/CPU cost, and — when a span was active — the trace/span ids
-that join the event to the request that caused it).
+seed, and wall/CPU cost).
 
 Capture follows Grafberger's instrumentation angle: lineage falls out of
 execution as a side effect, at near-zero cost, and is assembled into a
@@ -39,7 +38,6 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from ..codec import build
-from ..obs.trace import current_span
 
 #: ``via`` values a record can carry: the stage ran, or an archived
 #: output was adopted (direct lookup hit, single-flight join, or
@@ -55,7 +53,7 @@ class LineageRecord:
     """One checkpoint event: a stage's output entering (or being adopted
     from) the archive.
 
-    Keyword-only, and the fourteen identity fields have no defaults: a
+    Keyword-only, and the twelve identity fields have no defaults: a
     construction site that drops one is a ``TypeError``, not a record
     unanchored in the lineage DAG. Only the amendments back-filled
     later (``commit_id``/``branch``, timing, ``collected``) default.
@@ -76,8 +74,6 @@ class LineageRecord:
     input_refs: tuple[str, ...]
     output_ref: str
     seed: int
-    trace_id: str
-    span_id: str
     tenant: str
     via: str
     wall_seconds: float = field(default=0.0, compare=False)
@@ -102,8 +98,10 @@ def lineage_record_to_dict(record: LineageRecord) -> dict:
         "input_refs": list(record.input_refs),
         "output_ref": record.output_ref,
         "seed": record.seed,
-        "trace_id": record.trace_id,
-        "span_id": record.span_id,
+        # Retired request-trace ids: still written, always empty, so the
+        # journal and the wire keep their bytes without a format bump.
+        "trace_id": "",
+        "span_id": "",
         "tenant": record.tenant,
         "via": record.via,
         "wall_seconds": record.wall_seconds,
@@ -127,8 +125,6 @@ def lineage_record_from_dict(entry: dict) -> LineageRecord:
         input_refs=entry["input_refs"],
         output_ref=entry["output_ref"],
         seed=entry["seed"],
-        trace_id=entry["trace_id"],
-        span_id=entry["span_id"],
         tenant=entry["tenant"],
         via=entry["via"],
         wall_seconds=entry.get("wall_seconds", 0.0),
@@ -156,7 +152,6 @@ class LineageLedger:
         self._seen: set[LineageRecord] = set()
         self._by_output: dict[str, list[int]] = {}
         self._by_commit: dict[str, list[int]] = {}
-        self._by_trace: dict[str, list[int]] = {}
         self.revision = 0
         #: Lowest row amended in place since the last save (None: none);
         #: a journal that already holds that row cannot be appended to.
@@ -204,12 +199,6 @@ class LineageLedger:
         with self._lock:
             return tuple(self._records[i] for i in self._by_output.get(ref, ()))
 
-    def by_trace(self, trace_id: str) -> tuple[LineageRecord, ...]:
-        """Records stamped with ``trace_id``, append order — one traced
-        request's execution forensics."""
-        with self._lock:
-            return tuple(self._records[i] for i in self._by_trace.get(trace_id, ()))
-
     def records_for_commits(self, commit_ids) -> list[LineageRecord]:
         """Records back-filled with one of ``commit_ids`` (what rides a
         push/fetch pack alongside those commits), append order."""
@@ -235,8 +224,6 @@ class LineageLedger:
         self._by_output.setdefault(record.output_ref, []).append(row)
         if record.commit_id:
             self._by_commit.setdefault(record.commit_id, []).append(row)
-        if record.trace_id:
-            self._by_trace.setdefault(record.trace_id, []).append(row)
 
     def append(self, record: LineageRecord) -> int:
         """Append one event; returns its row index. Never deduplicates —
@@ -259,13 +246,8 @@ class LineageLedger:
         to the failure prefix — so ledger order is independent of
         execution interleaving (the bit-identity contract). ``refs``
         maps each stage to its settled output ref; predecessors' refs
-        become the record's ``input_refs``. Trace/span ids are read from
-        the ambient span of the *calling* thread of control, where the
-        report is assembled.
+        become the record's ``input_refs``.
         """
-        span = current_span()
-        trace_id = (span.trace_id if span is not None else None) or ""
-        span_id = (span.span_id if span is not None else None) or ""
         rows = []
         for stage_report in report.stage_reports:
             if stage_report.failed or not stage_report.output_ref:
@@ -284,8 +266,6 @@ class LineageLedger:
                 input_refs=tuple(refs[p] for p in preds),
                 output_ref=stage_report.output_ref,
                 seed=seed,
-                trace_id=trace_id,
-                span_id=span_id,
                 tenant=self.tenant,
                 via=REUSED if stage_report.reused else EXECUTED,
                 wall_seconds=stage_report.run_seconds,

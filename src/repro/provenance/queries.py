@@ -13,9 +13,7 @@ into ledger state):
   records and consuming commits;
 * :func:`impact_of` — "what breaks if I bump this component?": the
   downstream invalidation set (checkpoints, commits, branch heads) of a
-  component's outputs — Kramer's what-if surface;
-* :func:`trace_forensics` — "what did this request execute?": every
-  record stamped with one trace id, joined back to the request's spans.
+  component's outputs — Kramer's what-if surface.
 
 All results are plain JSON-able dicts: the ``lineage`` RPC op serves
 them verbatim and the CLI renders them, so wire, disk, and terminal
@@ -216,28 +214,4 @@ def impact_of(repo, component: str, version: str | None = None) -> dict:
         ),
         "commits": _consuming_commits(repo, invalidated),
         "branches": affected_branches,
-    }
-
-
-def trace_forensics(repo, trace_id: str) -> dict:
-    """Everything one traced request executed or reused, as a DAG whose
-    nodes are the *events* of that trace (so node count equals executed
-    plus reused checkpoints for the request)."""
-    trace_records = _ledger_of(repo).by_trace(trace_id)
-    if not trace_records:
-        raise LineageNotFoundError(f"no lineage recorded for trace {trace_id!r}")
-    produced: dict[str, list[int]] = {}
-    for index, record in enumerate(trace_records):
-        produced.setdefault(record.output_ref, []).append(index)
-    edges = []
-    for index, record in enumerate(trace_records):
-        for parent_ref in record.input_refs:
-            for parent_index in produced.get(parent_ref, ()):
-                edges.append([parent_index, index])
-    return {
-        "trace_id": trace_id,
-        "nodes": [lineage_record_to_dict(r) for r in trace_records],
-        "edges": edges,
-        "executed": sum(1 for r in trace_records if r.via == "executed"),
-        "reused": sum(1 for r in trace_records if r.via == "reused"),
     }

@@ -35,8 +35,6 @@ from ..errors import (
     RemoteProtocolError,
     ServerOverloadedError,
 )
-from ..obs import propagation
-from ..obs import trace as obs_trace
 from ..ops import OP_TABLE
 from . import pack
 from .protocol import decode_message, encode_message, raise_remote_error
@@ -105,7 +103,6 @@ class Remote:
         transport,
         name: str = "origin",
         max_pack_bytes: int = pack.DEFAULT_MAX_PACK_BYTES,
-        tracer=None,
         overload_retries: int = 2,
         backoff=None,
     ):
@@ -113,7 +110,6 @@ class Remote:
         self.transport = transport
         self.name = name
         self.max_pack_bytes = max_pack_bytes
-        self.tracer = tracer
         self.overload_retries = max(0, overload_retries)
         self._backoff = backoff if backoff is not None else time.sleep
 
@@ -129,35 +125,26 @@ class Remote:
         return base * (0.5 + random.random())
 
     def _call(self, meta: dict, blobs: list[bytes] | None = None):
-        # Every RPC goes out under a client.<op> span, and the *current*
-        # span's identity rides the envelope (trace_ctx) so the server's
-        # spans join this trace. With no tracer installed the span is the
-        # shared null span, no context is current, and inject() leaves the
-        # request bytes untouched — untraced clients stay byte-identical.
-        tracer = self.tracer if self.tracer is not None else obs_trace.default_tracer()
         op = meta.get("op")
         if op not in OP_TABLE:
             # Refused here, before a byte is framed: a method added to
             # this class cannot send an op the table does not declare.
             raise RemoteProtocolError(f"unknown operation {op!r}")
+        payload = encode_message(meta, blobs)
         for attempt in range(self.overload_retries + 1):
-            with tracer.span(f"client.{op}", op=op, remote=self.name):
-                payload = encode_message(propagation.inject(meta), blobs)
-                response = self.transport.call(payload)
-                meta_out, blobs_out = decode_message(response)
-                try:
-                    raise_remote_error(meta_out)
-                except ServerOverloadedError as error:
-                    # A shed request has touched no repository state
-                    # (the hub's admission contract), so a verbatim
-                    # retry is always safe — including for writes.
-                    if attempt >= self.overload_retries:
-                        raise
-                    self._backoff(
-                        self._backoff_seconds(error.retry_after, attempt)
-                    )
-                    continue
-                return meta_out, blobs_out
+            response = self.transport.call(payload)
+            meta_out, blobs_out = decode_message(response)
+            try:
+                raise_remote_error(meta_out)
+            except ServerOverloadedError as error:
+                # A shed request has touched no repository state (the
+                # hub's admission contract), so a verbatim retry is
+                # always safe — including for writes.
+                if attempt >= self.overload_retries:
+                    raise
+                self._backoff(self._backoff_seconds(error.retry_after, attempt))
+                continue
+            return meta_out, blobs_out
 
     def tracking_branch(self, branch: str) -> str:
         return f"{self.name}/{branch}"
@@ -205,13 +192,6 @@ class Remote:
     def lineage_consumers(self, ref: str) -> dict:
         """Direct downstream consumers of an output ref on the peer."""
         meta, _ = self._call({"op": "lineage", "query": "consumers", "ref": ref})
-        return meta["lineage"]
-
-    def lineage_trace(self, trace_id: str) -> dict:
-        """Per-request forensics: the peer's ledger rows for one trace id."""
-        meta, _ = self._call(
-            {"op": "lineage", "query": "trace", "trace_id": trace_id}
-        )
         return meta["lineage"]
 
     def impact(self, component: str, version: str | None = None) -> dict:

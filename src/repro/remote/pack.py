@@ -190,17 +190,28 @@ def undecodable_row(meta: dict) -> str | None:
     return None
 
 
-def import_specs(repo, specs: dict) -> None:
-    """Adopt pipeline specs; a conflicting redefinition is an error."""
+def conflicting_spec(repo, specs: dict) -> str | None:
+    """The first pack spec that redefines a held pipeline differently,
+    described; or None. A receiver checks this before its first import,
+    because specs are registered only after the content they describe."""
     for name, entry in specs.items():
         spec = spec_from_dict(name, entry)
         existing = repo._specs.get(name)
-        if existing is None:
-            repo._specs[name] = spec
-        elif existing.stages != spec.stages or existing.edges != spec.edges:
-            raise RemoteError(
-                f"pipeline {name!r} exists locally with a different spec"
-            )
+        if existing is not None and (
+            existing.stages != spec.stages or existing.edges != spec.edges
+        ):
+            return f"pipeline {name!r} exists locally with a different spec"
+    return None
+
+
+def import_specs(repo, specs: dict) -> None:
+    """Adopt pipeline specs, all or none; a conflicting redefinition is
+    an error."""
+    conflict = conflicting_spec(repo, specs)
+    if conflict is not None:
+        raise RemoteError(conflict)
+    for name, entry in specs.items():
+        repo._specs.setdefault(name, spec_from_dict(name, entry))
 
 
 def import_commits(repo, commit_entries) -> list:

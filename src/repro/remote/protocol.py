@@ -60,13 +60,11 @@ PROTOCOL_VERSION = 2
 #:    fails while an entry lacks a handler or a handler lacks an entry;
 #: 3. optionally add a ``Remote`` method sending ``{"op": "<name>"}``.
 #:
-#: New ops (``stats``, ``lineage``, ``trace``, ``health`` so far) are
+#: New ops (``stats``, ``lineage``, ``health`` so far) are
 #: schema-additive: old clients never send them, and an old server
 #: answers them with a typed unknown-operation error — no version bump
-#: needed. The same rule covers the optional ``trace_ctx`` meta key
-#: (distributed-trace propagation, :mod:`repro.obs.propagation`): an old
-#: server ignores unknown meta keys, so traced clients interoperate with
-#: legacy peers.
+#: needed. Servers ignore meta keys they do not read, so a peer that
+#: adds one (an older client's trace context, say) still interoperates.
 OPS = tuple(OP_TABLE)
 
 #: Operations that mutate repository state (served under the exclusive

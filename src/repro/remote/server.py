@@ -17,14 +17,10 @@ constructed with.
 
 Telemetry: every request is counted, timed, and sized into the server's
 :class:`~repro.obs.metrics.MetricsRegistry` (per-op latency/byte
-histograms, cache hit/miss counters, reader/writer lock wait time) and
-wrapped in a :class:`~repro.obs.trace.Tracer` span so a hub-admitted
-push yields one correlated trace down to its chunk imports. A request
-carrying a propagated ``trace_ctx`` (see :mod:`repro.obs.propagation`)
-has its server spans *adopted* into the client's trace — correlation
-only, never an input to any admission decision. Registry and tracer
-default to the process-wide null singletons — an unobserved server pays
-only empty method calls — while :func:`serve` installs real ones so the
+histograms, handler failures, cache hit/miss counters, reader/writer
+lock wait time) — the one stream the health model reads. The registry
+defaults to the process-wide null singleton — an unobserved server pays
+only empty method calls — while :func:`serve` installs a real one so the
 HTTP endpoint can answer ``GET /metrics`` in Prometheus text format.
 
 Concurrency model: read operations run in parallel under the shared side
@@ -63,15 +59,13 @@ from ..errors import (
     CommitNotFoundError,
     MLCaskError,
     PushRejectedError,
+    RemoteError,
     RemoteProtocolError,
 )
 from ..obs import metrics as obs_metrics
-from ..obs import propagation
-from ..obs import trace as obs_trace
 from ..obs.health import HealthMonitor
 from ..obs.metrics import NULL_METRIC, MetricsRegistry
 from ..obs.slo import SLOConfig
-from ..obs.trace import Tracer
 from ..ops import OP_TABLE
 from . import pack
 from .protocol import (
@@ -322,7 +316,6 @@ class RepositoryServer:
         max_pack_bytes: int = pack.DEFAULT_MAX_PACK_BYTES,
         cache_entries: int = 128,
         registry=None,
-        tracer=None,
         metric_labels: dict | None = None,
         health_monitor: HealthMonitor | None = None,
     ):
@@ -338,9 +331,9 @@ class RepositoryServer:
         #: (``repro serve --requests N``) keys off this, and an uncounted
         #: rejection would leave it waiting forever.
         self.requests_handled = 0
-        # Telemetry sinks: default to the process-wide (usually null)
-        # singletons so an unobserved server pays only empty calls; a
-        # hub passes its registry/tracer plus {tenant, repo} labels so
+        # Telemetry sink: defaults to the process-wide (usually null)
+        # singleton so an unobserved server pays only empty calls; a
+        # hub passes its registry plus {tenant, repo} labels so
         # every series is attributable. Children are resolved once here
         # — the per-request path touches plain attributes, not the
         # registry's family tables.
@@ -348,7 +341,6 @@ class RepositoryServer:
             registry if registry is not None else obs_metrics.default_registry()
         )
         self.registry = registry
-        self.tracer = tracer if tracer is not None else obs_trace.default_tracer()
         labels = dict(metric_labels or {})
         self._tenant = str(labels.get("tenant", "-"))
         self._repo_label = str(labels.get("repo", "-"))
@@ -361,6 +353,11 @@ class RepositoryServer:
         request_seconds = registry.histogram(
             "repro_request_seconds",
             "End-to-end request handling latency",
+            ("op", "tenant", "repo"),
+        )
+        request_errors = registry.counter(
+            "repro_request_errors_total",
+            "Admitted, validated requests whose handler raised",
             ("op", "tenant", "repo"),
         )
         request_bytes = registry.histogram(
@@ -376,6 +373,7 @@ class RepositoryServer:
         self._m_seconds = {
             op: request_seconds.labels(op=op, **ids) for op in tracked_ops
         }
+        self._m_errors = {op: request_errors.labels(op=op, **ids) for op in OPS}
         self._m_bytes = {
             (direction, op): request_bytes.labels(
                 direction=direction, op=op, **ids
@@ -417,11 +415,11 @@ class RepositoryServer:
         # Health model over this server's own telemetry; a hub passes its
         # shared monitor instead so the deployment-wide view answers the
         # ``health`` op for every hosted repo. Defaults to the stock SLO
-        # over this registry/tracer — null sinks just report ready.
+        # over this registry — a null sink just reports ready.
         self.health_monitor = (
             health_monitor
             if health_monitor is not None
-            else HealthMonitor(registry=registry, tracer=self.tracer)
+            else HealthMonitor(registry=registry)
         )
 
     def count_request(self) -> None:
@@ -454,9 +452,13 @@ class RepositoryServer:
 
         ``decoded`` (optional) is the ``(meta, blobs)`` pair for
         ``payload`` when the caller already decoded it — a hub inspects
-        every request for admission and must not pay the blob-slicing
-        cost twice. ``payload`` is still required: cache keys hash the
-        raw bytes.
+        every admitted request and must not pay the blob-slicing cost
+        twice. ``payload`` is still required: cache keys hash the raw
+        bytes.
+
+        A request that passed validation and whose handler then raised —
+        typed or not — counts once in ``repro_request_errors_total``:
+        the failure signal of the health model's error-budget burn.
         """
         self.count_request()
         started = time.perf_counter()
@@ -470,21 +472,11 @@ class RepositoryServer:
                 raise RemoteProtocolError(f"unknown operation {requested!r}")
             op = requested
             validate_request(op, meta, blobs)
-            # A propagated trace context (schema-additive trace_ctx meta
-            # key) makes the server's spans children of the client's —
-            # adopt-only, so an in-process caller whose span is already
-            # current keeps its natural nesting, and a malformed context
-            # parses to None rather than failing the request. The ids are
-            # correlation data only; admission never reads them.
-            inherited = propagation.parse_trace_context(meta)
-            with propagation.adopt_remote_context(inherited):
-                with self.tracer.span(
-                    f"server.{op}",
-                    op=op,
-                    tenant=self._tenant,
-                    repo=self._repo_label,
-                ):
-                    response = self._dispatch(op, meta, blobs, payload)
+            try:
+                response = self._dispatch(op, meta, blobs, payload)
+            except Exception:
+                self._m_errors[op].inc()
+                raise
         except MLCaskError as error:
             response = error_response(error)
         except Exception as error:  # noqa: BLE001 - last-resort containment
@@ -513,7 +505,7 @@ class RepositoryServer:
                     # most of that, the wholesale clear catches all.
                     self.cache.invalidate()
         if op in CACHEABLE_OPS:
-            key = hashlib.sha256(self._cache_key_bytes(meta, blobs, payload)).digest()
+            key = hashlib.sha256(payload).digest()
             cached = self.cache.get(key, self._state_token())
             if cached is not None:
                 return cached
@@ -525,33 +517,12 @@ class RepositoryServer:
         with self._locked("read"):
             return handler(meta, blobs)
 
-    @staticmethod
-    def _cache_key_bytes(meta: dict, blobs: list, payload: bytes) -> bytes:
-        """The request bytes the response cache should key on.
-
-        A propagated trace context perturbs the raw payload per trace
-        while changing nothing about the answer — hashing it would turn
-        every traced client into a cache miss. Stripping the key and
-        re-encoding restores the untraced request's exact bytes (the
-        framing is deterministic: sorted keys, declared sizes), so traced
-        and untraced peers share cache entries. The common case (no
-        trace_ctx) stays zero-copy.
-        """
-        if propagation.TRACE_CTX_KEY not in meta:
-            return payload
-        stripped = {
-            k: v for k, v in meta.items() if k != propagation.TRACE_CTX_KEY
-        }
-        return encode_message(stripped, blobs)
-
     @contextlib.contextmanager
     def _locked(self, mode: str):
         """Take the RWLock's ``mode`` side, observing the acquisition wait.
 
-        The wait lands in the ``repro_lock_wait_seconds`` histogram and —
-        when a real tracer is active — as a backdated ``lock.<mode>``
-        span under the current operation span, so a trace shows exactly
-        how long a push sat behind readers (or a read behind a writer).
+        The wait lands in the ``repro_lock_wait_seconds`` histogram: how
+        long a push sat behind readers (or a read behind a writer).
         """
         started = time.perf_counter()
         acquire = (
@@ -562,7 +533,6 @@ class RepositoryServer:
         with acquire:
             waited = time.perf_counter() - started
             self._m_lock_wait[mode].observe(waited)
-            self.tracer.record(f"lock.{mode}", waited, mode=mode)
             yield
 
     def _state_token(self) -> tuple:
@@ -697,12 +667,6 @@ class RepositoryServer:
                             else 0
                         ),
                     },
-                    "trace": {
-                        "spans_recorded": getattr(
-                            self.tracer, "spans_recorded", 0
-                        ),
-                        "buffered": len(self.tracer.finished()),
-                    },
                     # Schema-additive summary; the full report (per-op
                     # percentiles, burn, SLO config) is the health op's.
                     "health": self.health_monitor.summary(),
@@ -727,7 +691,7 @@ class RepositoryServer:
         A read like ``stats`` — served under the shared lock, and (unlike
         ``stats``) response-cache eligible because every answer is a pure
         function of repository state, which the state token now covers via
-        the ledger revision. Unknown refs/components/traces surface as
+        the ledger revision. Unknown refs/components surface as
         typed :class:`LineageNotFoundError` responses, not prose.
         """
         from ..provenance import queries
@@ -738,12 +702,10 @@ class RepositoryServer:
             result = queries.lineage_of(repo, meta["ref"])
         elif query == "consumers":
             result = queries.consumers_of(repo, meta["ref"])
-        elif query == "impact":
+        else:  # "impact" — validate_request admits no other form
             result = queries.impact_of(
                 repo, meta["component"], version=meta.get("version")
             )
-        else:  # "trace" — validate_request admits no other form
-            result = queries.trace_forensics(repo, meta["trace_id"])
         return encode_message({"lineage": result})
 
     def _op_fetch(self, meta: dict, blobs) -> bytes:
@@ -791,6 +753,9 @@ class RepositoryServer:
         refused = pack.undecodable_row(meta)
         if refused is not None:
             OP_TABLE["push"].fail(refused)
+        conflict = pack.conflicting_spec(repo, meta.get("specs", {}))
+        if conflict is not None:
+            raise RemoteError(conflict)
         # Every commit a commit row names as a parent, and every new head,
         # must be in the pack or held: decided from the rows (in the order
         # import_commits grafts them) before anything imports, so a push
@@ -843,26 +808,23 @@ class RepositoryServer:
                 f"the pack nor held by the server (first: {absent[0][:12]}); "
                 "negotiate with missing_chunks and resend"
             )
+        # Content lands first (the mirror of the client-fetch ordering):
+        # if a blob fails its integrity check here, no spec, recipe or
+        # commit has been registered yet — grafting commits first would
+        # leave orphans a retry push could fast-forward onto even though
+        # their content never arrived, the poisoned state the gate above
+        # exists to stop. Chunks verified before the bad one stay in the
+        # store unreferenced until GC collects them.
+        new_chunks = pack.import_content(
+            repo,
+            meta.get("recipes", []),
+            meta.get("records", []),
+            meta.get("chunk_digests", []),
+            blobs,
+            lineage_entries=meta.get("lineage", []),
+        )
         pack.import_specs(repo, meta.get("specs", {}))
-        # Content lands before commits (the mirror of the client-fetch
-        # ordering): if a blob fails its integrity check here, nothing has
-        # been grafted yet — grafting commits first would leave orphans a
-        # retry push could fast-forward onto even though their content
-        # never arrived, the poisoned state the gate above exists to stop.
-        with self.tracer.span(
-            "storage.import",
-            chunks=len(meta.get("chunk_digests", [])),
-            bytes=sum(len(blob) for blob in blobs),
-        ):
-            new_chunks = pack.import_content(
-                repo,
-                meta.get("recipes", []),
-                meta.get("records", []),
-                meta.get("chunk_digests", []),
-                blobs,
-                lineage_entries=meta.get("lineage", []),
-            )
-            pack.import_commits(repo, meta.get("commits", []))
+        pack.import_commits(repo, meta.get("commits", []))
 
         # Validate every update before applying any: a push is atomic.
         # (Heads cannot have moved since the stale-head check above: the
@@ -1124,7 +1086,6 @@ def serve(
     max_request_bytes: int | None = None,
     idle_timeout: float | None = None,
     registry=None,
-    tracer=None,
     slo: SLOConfig | None = None,
 ) -> SyncHTTPServer:
     """Expose ``repo`` at ``http://host:port/rpc``; returns the server.
@@ -1135,13 +1096,10 @@ def serve(
     handled on a thread per connection: reads run concurrently, pushes
     exclusively (see :class:`RepositoryServer`).
 
-    ``registry``/``tracer`` default to fresh real instances — an HTTP
-    endpoint should answer ``GET /metrics`` with something — and are
-    readable back from ``server.metrics_registry`` /
-    ``server.endpoint.tracer``. Pass
-    :data:`repro.obs.metrics.NULL_REGISTRY` /
-    :data:`repro.obs.trace.NULL_TRACER` to serve uninstrumented (the
-    overhead benchmark's baseline arm).
+    ``registry`` defaults to a fresh real instance — an HTTP endpoint
+    should answer ``GET /metrics`` with something — readable back from
+    ``server.metrics_registry``. Pass
+    :data:`repro.obs.metrics.NULL_REGISTRY` to serve uninstrumented.
 
     ``slo`` (optional :class:`~repro.obs.slo.SLOConfig`, the
     ``--slo-config`` flag) parameterizes the health model behind
@@ -1149,15 +1107,13 @@ def serve(
     objectives apply when omitted.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    tracer = tracer if tracer is not None else Tracer()
     endpoint = RepositoryServer(
         repo,
         on_change=on_change,
         max_pack_bytes=max_pack_bytes,
         cache_entries=cache_entries,
         registry=registry,
-        tracer=tracer,
-        health_monitor=HealthMonitor(registry=registry, slo=slo, tracer=tracer),
+        health_monitor=HealthMonitor(registry=registry, slo=slo),
     )
     return SyncHTTPServer(
         (host, port),

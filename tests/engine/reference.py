@@ -70,7 +70,6 @@ from repro.core.pipeline import PipelineInstance
 from repro.engine import ParallelExecutor
 from repro.errors import ComponentError
 from repro.ml.metrics import score_from_metric
-from repro.obs import trace as obs_trace
 from repro.storage.hashing import fingerprint_many
 
 
@@ -407,10 +406,13 @@ def reference_parallel_search(
     seed: int = 0,
 ) -> list[CandidateEvaluation]:
     """``engine.run_parallel_search`` as it stood at ``c8dc672``.
-    Verbatim but for the ``reference_`` names and the two marked lines:
+    Verbatim but for the ``reference_`` names and the four marked lines:
     its ``flight`` argument, which every caller left ``None``, is gone,
     so each multi-worker search gets a fresh flight from
-    ``from_executor``, as it did then."""
+    ``from_executor``, as it did then; and ``evaluate`` calls
+    ``run_candidate`` directly instead of under a ``merge.candidate``
+    span, which recorded nothing under the default null tracer and never
+    touched the candidate, its report or the draw order."""
     step = SearchStep(root, method, seed, budget, time_budget_seconds)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -419,11 +421,9 @@ def reference_parallel_search(
     engine = executor
     if workers > 1:  # marked
         engine = ParallelExecutor.from_executor(executor)  # marked
-    tracer = obs_trace.default_tracer()
 
-    def evaluate(leaf: TreeNode, index: int):
-        with tracer.span("merge.candidate", draw=index):
-            return run_candidate(leaf, scope, engine, context)
+    def evaluate(leaf: TreeNode, index: int):  # marked
+        return run_candidate(leaf, scope, engine, context)  # marked
 
     if workers == 1:
         return reference_search_window(step, evaluate)

@@ -15,6 +15,7 @@ from repro.errors import (
 )
 from repro.hub import RepositoryHub
 from repro.remote import clone_repository
+from repro.remote.protocol import decode_message, encode_message
 
 from helpers import build_workload_repo as build_local_repo
 
@@ -340,6 +341,103 @@ class TestRateLimit:
             slow.manifest()
         for _ in range(5):
             fast.manifest()  # unaffected
+
+
+class TestDecodeAfterAdmission:
+    """The hub parses a payload only once auth and rate limiting admit
+    it: a denied peer costs no decode and learns nothing of its bytes."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        import repro.hub.hub as hub_module
+
+        calls = []
+        real = hub_module.decode_message
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(hub_module, "decode_message", counting)
+        return calls
+
+    def error_type(self, response):
+        return decode_message(response)[0]["error"]["type"]
+
+    def test_an_auth_denial_decodes_nothing(self, decodes):
+        hub = RepositoryHub()
+        hub.add_tenant("ana", tokens=["tok"])
+        request = encode_message({"op": "manifest"})
+        response = hub.handle_request("ana", "proj", "wrong", request)
+        assert self.error_type(response) == "AuthenticationError"
+        assert decodes == []
+
+    def test_a_rate_limit_denial_decodes_nothing(self, decodes):
+        hub = RepositoryHub(clock=lambda: 0.0)
+        hub.add_tenant("t", tokens=["tok"], rate_per_second=1.0, burst=1)
+        request = encode_message({"op": "manifest"})
+        hub.handle_request("t", "proj", "tok", request)
+        assert len(decodes) == 1  # the admitted one
+        response = hub.handle_request("t", "proj", "tok", request)
+        assert self.error_type(response) == "RateLimitedError"
+        assert len(decodes) == 1
+
+    def test_undecodable_bytes_from_an_unauthenticated_peer_get_the_auth_error(
+        self, decodes
+    ):
+        hub = RepositoryHub()
+        hub.add_tenant("ana", tokens=["tok"])
+        response = hub.handle_request("ana", "proj", None, b"\x00garbage")
+        assert self.error_type(response) == "AuthenticationError"
+        assert decodes == []
+
+    @pytest.mark.parametrize(
+        "tenant, repo, token, denial",
+        [
+            ("ana", "proj", "tok-ana-old", "AuthenticationError"),
+            ("ana", "proj", None, "AuthenticationError"),
+            ("ben", "proj", "tok-ana", "AuthorizationError"),
+            ("nobody", "proj", "tok-ana", "AuthorizationError"),
+            ("bad name!", "proj", "tok-ana", "HubError"),
+            ("ana", "bad name!", "tok-ana", "HubError"),
+        ],
+        ids=[
+            "wrong-token", "no-token", "other-tenant", "unknown-tenant",
+            "bad-tenant-name", "bad-repo-name",
+        ],
+    )
+    def test_every_pre_admission_denial_answers_garbage_unread(
+        self, decodes, hub, tenant, repo, token, denial
+    ):
+        # The peer's bytes would not even decode; the denial it gets is
+        # the admission's, and nothing looked at them.
+        response = hub.handle_request(tenant, repo, token, b"\x00garbage")
+        assert self.error_type(response) == denial
+        assert decodes == []
+
+    @pytest.mark.parametrize(
+        "op, hosted",
+        [("manifest", False), ("manifest", True), ("stats", True)],
+        ids=["preflight-unhosted", "preflight-hosted", "read-hosted"],
+    )
+    def test_an_admitted_request_is_decoded_once(
+        self, decodes, hub, monkeypatch, op, hosted
+    ):
+        # The hub hands its decode to the server, hosted or ephemeral:
+        # no second parse.
+        import repro.remote.server as server_module
+
+        if hosted:
+            hub.create_repo("ana", "proj")
+
+        def refuse(payload):
+            raise AssertionError("the server decoded a hub-decoded request")
+
+        monkeypatch.setattr(server_module, "decode_message", refuse)
+        request = encode_message({"op": op})
+        response = hub.handle_request("ana", "proj", "tok-ana", request)
+        assert "error" not in decode_message(response)[0]
+        assert decodes == [request]
 
 
 class TestLifecycle:

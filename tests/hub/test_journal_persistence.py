@@ -196,7 +196,7 @@ def push_garbage(hub, tag: bytes) -> dict:
         checkpoint_key=record.key, stage="dead", pipeline="p",
         component_id="dead.component", component_fingerprint="f",
         component_version="0.0", params_digest="d", input_refs=(),
-        output_ref=digest, seed=0, trace_id="", span_id="", tenant=TENANT,
+        output_ref=digest, seed=0, tenant=TENANT,
         via="executed",
     )
     meta = {

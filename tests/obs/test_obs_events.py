@@ -33,32 +33,7 @@ class TestEmit:
         assert parsed["event"] == "odd"
         assert "payload" in parsed  # stringified, line still landed
 
-
-class TestTraceStamping:
-    def test_emit_inside_span_stamps_trace_and_span_ids(self):
-        from repro.obs.trace import Tracer
-
+    def test_record_is_the_event_its_time_and_the_callers_fields(self):
         out = io.StringIO()
-        tracer = Tracer()
-        with tracer.span("request") as span:
-            emit("push.done", stream=out, commits=2)
-        parsed = json.loads(out.getvalue())
-        assert parsed["trace_id"] == span.trace_id
-        assert parsed["span_id"] == span.span_id
-
-    def test_explicit_caller_fields_win(self):
-        from repro.obs.trace import Tracer
-
-        out = io.StringIO()
-        with Tracer().span("request"):
-            emit("push.done", stream=out, trace_id="mine", span_id="own")
-        parsed = json.loads(out.getvalue())
-        assert parsed["trace_id"] == "mine"
-        assert parsed["span_id"] == "own"
-
-    def test_no_stamp_without_an_active_span(self):
-        out = io.StringIO()
-        emit("push.done", stream=out)
-        parsed = json.loads(out.getvalue())
-        assert "trace_id" not in parsed
-        assert "span_id" not in parsed
+        emit("push.done", stream=out, commits=2)
+        assert set(json.loads(out.getvalue())) == {"event", "ts", "commits"}

@@ -1,14 +1,17 @@
 """HealthMonitor under a fake clock: windowed percentiles, burn-driven
-readiness, shed decisions, and the report shape — no sleeping, no real
-servers; the registry and tracer are fed by hand."""
+readiness, shed decisions, and the report shape — no sleeping; the
+registry is fed by hand, or by a real in-process server."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fresh_toy_repo
 from repro.obs.health import SHED_EXEMPT_OPS, HealthMonitor, _percentile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOConfig
+from repro.remote import RepositoryServer
+from repro.remote.protocol import decode_message, encode_message
 
 
 class Clock:
@@ -24,22 +27,11 @@ class Clock:
         self.now += seconds
 
 
-class FakeTracer:
-    """Just enough tracer: a hand-fed finished-span buffer."""
-
-    def __init__(self):
-        self.spans = []
-
-    def finished(self):
-        return list(self.spans)
-
-
-def make_monitor(slo=None, registry=None, tracer=None, clock=None):
+def make_monitor(slo=None, registry=None, clock=None):
     clock = clock if clock is not None else Clock()
     monitor = HealthMonitor(
         registry=registry if registry is not None else MetricsRegistry(),
         slo=slo if slo is not None else SLOConfig(),
-        tracer=tracer,
         clock=clock,
         wallclock=clock,
     )
@@ -52,6 +44,12 @@ def observe_requests(registry, op, seconds, n):
     ).labels(op=op, tenant="-", repo="-")
     for _ in range(n):
         child.observe(seconds)
+
+
+def fail_requests(registry, op, n):
+    registry.counter(
+        "repro_request_errors_total", "failures", ("op", "tenant", "repo")
+    ).labels(op=op, tenant="-", repo="-").inc(n)
 
 
 class TestPercentileInterpolation:
@@ -227,42 +225,43 @@ class TestReadiness:
         assert ready and reasons == []
         assert monitor.alive() is True
 
-    def test_fast_burn_flips_readiness(self):
-        tracer = FakeTracer()
+    def test_handler_failures_flip_readiness(self):
+        registry = MetricsRegistry()
         slo = SLOConfig(availability=0.99, min_samples=10)
-        monitor, clock = make_monitor(slo=slo, tracer=tracer)
-        # 20 served requests, half errored: burn = 0.5/0.01 = 50x.
-        tracer.spans = [
-            {"name": "server.push", "start": clock.now,
-             "status": "error" if i % 2 else "ok"}
-            for i in range(20)
-        ]
+        monitor, clock = make_monitor(slo=slo, registry=registry)
+        # 20 served requests, 10 failed: burn = 0.5/0.01 = 50x.
+        observe_requests(registry, "push", 0.01, 20)
+        fail_requests(registry, "push", 10)
+        clock.advance(2.0)
         ready, reasons = monitor.ready()
         assert not ready
-        assert any("fast burn" in reason for reason in reasons)
-
-    def test_non_server_spans_do_not_burn(self):
-        # A shed request errors its hub.request span; counting those
-        # would couple the shedder to its own output.
-        tracer = FakeTracer()
-        monitor, clock = make_monitor(
-            slo=SLOConfig(min_samples=1), tracer=tracer
+        assert any("error budget burn" in reason for reason in reasons)
+        assert monitor.health()["burn"] == pytest.approx(
+            {"requests": 20, "errors": 10, "error_rate": 0.5, "burn": 50.0}
         )
-        tracer.spans = [
-            {"name": "hub.request", "start": clock.now, "status": "error"}
-            for _ in range(50)
-        ]
+
+    def test_burn_clears_as_the_window_slides(self):
+        registry = MetricsRegistry()
+        slo = SLOConfig(window_seconds=10.0, tick_seconds=1.0, min_samples=10)
+        monitor, clock = make_monitor(slo=slo, registry=registry)
+        observe_requests(registry, "push", 0.01, 20)
+        fail_requests(registry, "push", 10)
+        clock.advance(2.0)
+        assert not monitor.ready()[0]
+        for _ in range(15):
+            clock.advance(1.1)
+            monitor.ready()
         ready, reasons = monitor.ready()
         assert ready, reasons
 
     def test_few_errors_guarded_by_min_samples(self):
-        tracer = FakeTracer()
+        registry = MetricsRegistry()
         monitor, clock = make_monitor(
-            slo=SLOConfig(min_samples=20), tracer=tracer
+            slo=SLOConfig(min_samples=20), registry=registry
         )
-        tracer.spans = [
-            {"name": "server.push", "start": clock.now, "status": "error"}
-        ]
+        observe_requests(registry, "push", 0.01, 1)
+        fail_requests(registry, "push", 1)
+        clock.advance(2.0)
         ready, _ = monitor.ready()
         assert ready
 
@@ -280,14 +279,11 @@ class TestReadiness:
 class TestHealthReport:
     def test_report_shape_and_breach_flags(self):
         registry = MetricsRegistry()
-        tracer = FakeTracer()
         slo = SLOConfig(
             objectives={"put_chunks": 0.01, "fetch": 5.0},
             window_seconds=10.0, tick_seconds=1.0,
         )
-        monitor, clock = make_monitor(
-            slo=slo, registry=registry, tracer=tracer
-        )
+        monitor, clock = make_monitor(slo=slo, registry=registry)
         observe_requests(registry, "put_chunks", 0.2, 8)
         observe_requests(registry, "fetch", 0.2, 8)
         registry.counter(
@@ -310,5 +306,76 @@ class TestHealthReport:
         assert report["shedding"]["total"] == 1
         assert report["shedding"]["by_op"] == {"put_chunks": 1}
         assert report["shedding"]["active"] is True
-        assert report["burn"]["fast"]["requests"] == 0
+        assert report["burn"]["requests"] == 16
+        assert report["burn"]["errors"] == 0
         assert report["slo"]["objectives"]["put_chunks"] == 0.01
+
+
+class TestServedBurn:
+    """Burn from a real in-process server: the error counter moves only
+    when an admitted, validated request's handler raises."""
+
+    def serve(self, min_samples=10):
+        registry = MetricsRegistry()
+        monitor, clock = make_monitor(
+            slo=SLOConfig(min_samples=min_samples), registry=registry
+        )
+        server = RepositoryServer(
+            fresh_toy_repo(), registry=registry, health_monitor=monitor
+        )
+        return server, monitor, clock
+
+    def call(self, server, meta):
+        return decode_message(server.handle_bytes(encode_message(meta)))[0]
+
+    def test_handler_failures_flip_readiness(self):
+        server, monitor, clock = self.serve()
+        unknown = {"op": "lineage", "query": "lineage", "ref": "f" * 64}
+        for _ in range(10):
+            assert "error" not in self.call(server, {"op": "manifest"})
+            assert "error" in self.call(server, unknown)  # the handler raised
+        clock.advance(2.0)
+        ready, reasons = monitor.ready()
+        assert not ready
+        assert any("error budget burn" in reason for reason in reasons)
+        burn = monitor.health()["burn"]
+        assert (burn["requests"], burn["errors"]) == (20, 10)
+
+    def test_validation_refusals_never_burn(self):
+        server, monitor, clock = self.serve(min_samples=1)
+        for _ in range(50):
+            reply = self.call(server, {"op": "known_commits", "ids": "abc"})
+            assert "error" in reply
+        for _ in range(5):
+            assert "error" in self.call(server, {"op": "no-such-op"})
+        clock.advance(2.0)
+        ready, reasons = monitor.ready()
+        assert ready, reasons
+        burn = monitor.health()["burn"]
+        assert (burn["requests"], burn["errors"]) == (55, 0)
+
+    def test_ready_cost_does_not_grow_with_requests_served(self):
+        server, monitor, clock = self.serve()
+        rows = []
+        series = monitor.registry.series
+
+        def counting(name):
+            out = series(name)
+            rows.append(len(out))
+            return out
+
+        monitor.registry.series = counting
+
+        def rows_read_by_ready():
+            rows.clear()
+            clock.advance(2.0)
+            monitor.ready()
+            return sum(rows)
+
+        request = encode_message({"op": "manifest"})
+        server.handle_bytes(request)
+        few = rows_read_by_ready()
+        for _ in range(2000):
+            server.handle_bytes(request)
+        assert few > 0
+        assert rows_read_by_ready() == few

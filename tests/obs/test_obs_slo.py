@@ -20,14 +20,43 @@ class TestDefaults:
         assert SLOConfig(availability=1.0).error_budget == pytest.approx(1e-6)
 
     def test_clamps(self):
-        config = SLOConfig(
-            window_seconds=0.0, tick_seconds=0.0,
-            fast_window_seconds=120.0, slow_window_seconds=5.0,
-        )
+        config = SLOConfig(window_seconds=0.0, tick_seconds=0.0)
         assert config.window_seconds == 1.0
         assert config.tick_seconds == 0.05
-        # The slow horizon can never undercut the fast one.
-        assert config.slow_window_seconds == config.fast_window_seconds
+
+    def test_burn_shares_the_one_window(self):
+        # No burn-specific horizon: readiness judges burn over the same
+        # sliding window the latency percentiles use.
+        assert set(SLOConfig.default().to_dict()) == {
+            "objectives", "availability", "window_seconds", "tick_seconds",
+            "burn_threshold", "min_samples", "retry_after_seconds",
+            "shed_enabled",
+        }
+
+
+#: The burn knobs the one shared window retired.
+RETIRED_KNOBS = {
+    "fast_window_seconds": 60,
+    "slow_window_seconds": 600,
+    "fast_burn_threshold": 14.4,
+    "slow_burn_threshold": 6,
+}
+
+
+class TestRetiredKnobs:
+    @pytest.mark.parametrize("knob", RETIRED_KNOBS)
+    def test_no_constructor_argument(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SLOConfig(**{knob: RETIRED_KNOBS[knob]})
+
+    @pytest.mark.parametrize("knob", RETIRED_KNOBS)
+    def test_a_config_file_naming_one_fails_to_load_by_name(self, knob, tmp_path):
+        # An operator's pre-existing --slo-config file must fail loudly,
+        # not serve with its burn horizon silently dropped.
+        path = tmp_path / "slo.json"
+        path.write_text(json.dumps({"availability": 0.99, knob: RETIRED_KNOBS[knob]}))
+        with pytest.raises(ValueError, match=knob):
+            SLOConfig.load(str(path))
 
 
 class TestNormalization:
@@ -69,9 +98,7 @@ class TestFromDict:
     def test_every_emitted_key_loads_alone(self, key):
         emitted = SLOConfig.from_dict({
             "objectives": {"push": 9.0}, "availability": 0.9,
-            "window_seconds": 7, "tick_seconds": 2,
-            "fast_window_seconds": 110, "slow_window_seconds": 1300,
-            "fast_burn_threshold": 3, "slow_burn_threshold": 2,
+            "window_seconds": 7, "tick_seconds": 2, "burn_threshold": 3,
             "min_samples": 5, "retry_after_seconds": 4,
             "shed_enabled": False,
         }).to_dict()
@@ -83,6 +110,11 @@ class TestFromDict:
         ({"objectives": {"psuh": 2.0}}, "psuh"),
         ({"shed_enabld": False}, "shed_enabld"),
         ({"objective": {"push": 2.0}}, "objective"),
+        # The burn knobs a single window retired are refused, not ignored.
+        ({"fast_window_seconds": 60}, "fast_window_seconds"),
+        ({"slow_window_seconds": 600}, "slow_window_seconds"),
+        ({"fast_burn_threshold": 14.4}, "fast_burn_threshold"),
+        ({"slow_burn_threshold": 6}, "slow_burn_threshold"),
     ])
     def test_typos_are_refused_by_name(self, typo, named):
         with pytest.raises(ValueError, match=named):

@@ -27,8 +27,6 @@ def make_record(stage="clean", output_ref="out-1", via=EXECUTED, **overrides):
         input_refs=("in-1",),
         output_ref=output_ref,
         seed=0,
-        trace_id="",
-        span_id="",
         tenant="",
         via=via,
     )
@@ -39,25 +37,25 @@ def make_record(stage="clean", output_ref="out-1", via=EXECUTED, **overrides):
 #: The run-time facts that anchor a record in the lineage DAG — every
 #: field of the dataclass that is not a later amendment.
 IDENTITY_FIELDS = sorted(
-    set(lineage_record_to_dict(make_record()))
+    {f.name for f in dataclasses.fields(LineageRecord)}
     - {"wall_seconds", "cpu_seconds", "commit_id", "branch", "collected"}
 )
 
 
 class TestRecordSchema:
-    def test_fourteen_identity_fields(self):
-        assert len(IDENTITY_FIELDS) == 14
+    def test_twelve_identity_fields(self):
+        assert len(IDENTITY_FIELDS) == 12
 
     @pytest.mark.parametrize("field", IDENTITY_FIELDS)
     def test_omitting_an_identity_field_is_a_type_error(self, field):
-        fields = lineage_record_to_dict(make_record())
+        fields = dataclasses.asdict(make_record())
         del fields[field]
         with pytest.raises(TypeError, match=field):
             LineageRecord(**fields)
 
     def test_positional_construction_is_a_type_error(self):
         # Every field supplied, in declaration order: only the order of
-        # fourteen adjacent strings would say which is which.
+        # twelve adjacent fields would say which is which.
         values = dataclasses.astuple(make_record())
         with pytest.raises(TypeError, match="positional"):
             LineageRecord(*values)
@@ -80,8 +78,6 @@ class TestRecordIdentity:
             commit_id="c1",
             branch="dev",
             collected=True,
-            trace_id="t1",
-            span_id="s1",
         )
         entry = lineage_record_to_dict(record)
         restored = lineage_record_from_dict(entry)
@@ -89,6 +85,32 @@ class TestRecordIdentity:
         assert restored.wall_seconds == record.wall_seconds
         assert restored.cpu_seconds == record.cpu_seconds
         assert restored.collected is True
+
+    def test_codec_keeps_the_retired_trace_fields_empty(self):
+        # The journal and the wire keep their bytes: both keys are still
+        # written, always empty, and an old entry's ids are ignored.
+        entry = lineage_record_to_dict(make_record())
+        assert entry["trace_id"] == "" and entry["span_id"] == ""
+        old = dict(entry, trace_id="ab" * 8, span_id="cd" * 8)
+        restored = lineage_record_from_dict(old)
+        assert restored == make_record()
+        assert lineage_record_to_dict(restored) == entry
+
+    @pytest.mark.parametrize("field", ["trace_id", "span_id"])
+    def test_a_retired_trace_field_is_no_constructor_argument(self, field):
+        fields = dataclasses.asdict(make_record())
+        with pytest.raises(TypeError, match=field):
+            LineageRecord(**fields, **{field: "ab" * 8})
+
+    @pytest.mark.parametrize("field", ["trace_id", "span_id"])
+    def test_an_old_peers_trace_id_does_not_split_identity(self, field):
+        # Ids an older, traced peer wrote are not part of what a record
+        # is: its entry dedups against the same local run.
+        ledger = LineageLedger()
+        ledger.append(make_record())
+        entry = dict(lineage_record_to_dict(make_record()), **{field: "ab" * 8})
+        assert ledger.import_entries([entry]) == 0
+        assert len(ledger) == 1
 
     def test_codec_defaults_for_pre_amendment_entries(self):
         entry = lineage_record_to_dict(make_record())
@@ -165,15 +187,11 @@ class TestAmendments:
 
 
 class TestIndexes:
-    def test_by_trace_and_rows_for_output(self):
+    def test_rows_for_output_and_outputs(self):
         ledger = LineageLedger()
-        ledger.append(make_record(trace_id="t1", span_id="s1"))
-        ledger.append(
-            make_record(stage="extract", output_ref="out-2", trace_id="t1")
-        )
+        ledger.append(make_record())
+        ledger.append(make_record(stage="extract", output_ref="out-2"))
         ledger.append(make_record(stage="model", output_ref="out-3"))
-        assert [r.stage for r in ledger.by_trace("t1")] == ["clean", "extract"]
-        assert ledger.by_trace("missing") == ()
         assert len(ledger.rows_for_output("out-1")) == 1
         assert ledger.outputs() == {"out-1", "out-2", "out-3"}
 

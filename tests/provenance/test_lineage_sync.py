@@ -9,7 +9,6 @@ from repro import MLCask
 from repro.cli import main
 from repro.core.persistence import gc_repository_dir
 from repro.hub import RepositoryHub
-from repro.obs.trace import Tracer
 from repro.provenance import EXECUTED, LineageRecord
 from repro.remote import LocalTransport, RepositoryServer, clone_repository
 from repro.remote.client import Remote
@@ -37,8 +36,6 @@ def unbound_record(output_ref="feedbeef"):
         input_refs=(),
         output_ref=output_ref,
         seed=0,
-        trace_id="",
-        span_id="",
         tenant="",
         via=EXECUTED,
     )
@@ -127,19 +124,6 @@ class TestLineageRPC:
         impact = remote.impact(workload.model_stage)
         assert ref in impact["outputs"]
 
-    def test_trace_query_over_the_wire(self, workload):
-        server_repo = build_workload_repo(workload)
-        tracer = Tracer()
-        with tracer.span("train") as span:
-            server_repo.commit(
-                workload.name, {"model": workload.model_version(2)}
-            )
-        transport = LocalTransport(RepositoryServer(server_repo))
-        remote = Remote(repo=None, transport=transport)
-        result = remote.lineage_trace(span.trace_id)
-        assert result["executed"] >= 1
-        assert all(n["trace_id"] == span.trace_id for n in result["nodes"])
-
 
 class TestHubHosting:
     def _push(self, hub, workload, tenant="ana", repo="proj", token="tok-ana"):
@@ -199,54 +183,47 @@ class TestLineageCLI:
     @pytest.fixture
     def repo_dir(self, tmp_path):
         repo = fresh_toy_repo()
-        tracer = Tracer()
-        with tracer.span("update") as span:
-            repo.commit("toy", {"model": toy_model(1, 0.6)})
+        repo.commit("toy", {"model": toy_model(1, 0.6)})
         path = tmp_path / "repo"
         repo.save_dir(path)
         ref = repo.head_commit("toy").stage_outputs["model"]
-        return str(path), ref, span.trace_id
+        return str(path), ref
 
     def test_human_lineage_listing(self, repo_dir):
-        path, ref, _ = repo_dir
+        path, ref = repo_dir
         code, text = self.run_cli(["lineage", path, ref[:12]])
         assert code == 0
         assert f"lineage of {ref[:12]}" in text
         assert "toy.model" in text
 
     def test_json_lineage_document(self, repo_dir):
-        path, ref, _ = repo_dir
+        path, ref = repo_dir
         code, text = self.run_cli(["lineage", path, ref, "--json"])
         assert code == 0
         assert json.loads(text)["ref"] == ref
 
     def test_consumers_listing(self, repo_dir):
-        path, ref, _ = repo_dir
+        path, ref = repo_dir
         code, text = self.run_cli(["lineage", path, ref, "--consumers"])
         assert code == 0
         assert "downstream record(s)" in text
 
-    def test_trace_forensics_listing(self, repo_dir):
-        path, _, trace_id = repo_dir
-        code, text = self.run_cli(["lineage", path, "--trace", trace_id])
-        assert code == 0
-        assert f"trace {trace_id}" in text
-        assert "[x]" in text and "[r]" in text
-
-    def test_ref_and_trace_are_mutually_exclusive(self, repo_dir):
-        path, ref, trace_id = repo_dir
-        code, text = self.run_cli(["lineage", path, ref, "--trace", trace_id])
-        assert code == 1 and "exactly one" in text
-        code, text = self.run_cli(["lineage", path])
-        assert code == 1 and "exactly one" in text
+    @pytest.mark.parametrize(
+        "extra", [[], ["--trace", "ab" * 8]], ids=["no-ref", "trace-flag"]
+    )
+    def test_ref_is_required_and_trace_is_gone(self, repo_dir, extra):
+        path, _ = repo_dir
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(["lineage", path, *extra])
+        assert exit_info.value.code == 2
 
     def test_unknown_ref_is_a_clean_error(self, repo_dir):
-        path, _, _ = repo_dir
+        path, _ = repo_dir
         code, text = self.run_cli(["lineage", path, "ffffffffffff"])
         assert code == 1 and "no lineage" in text
 
     def test_impact_verb(self, repo_dir):
-        path, ref, _ = repo_dir
+        path, ref = repo_dir
         code, text = self.run_cli(["impact", path, "toy.model"])
         assert code == 0
         assert "impact of toy.model" in text
@@ -256,7 +233,7 @@ class TestLineageCLI:
         assert ref in json.loads(text)["outputs"]
 
     def test_stats_verb_shows_lineage_section(self, repo_dir):
-        path, _, _ = repo_dir
+        path, _ = repo_dir
         code, text = self.run_cli(["stats", path])
         assert code == 0
         assert "lineage:" in text and "records" in text

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import MLCask
 from repro.errors import LineageNotFoundError
-from repro.obs.trace import Tracer
 from repro.provenance.queries import resolve_output_ref
 
 from helpers import (
@@ -154,26 +153,25 @@ class TestImpactOf:
             repo.impact_of("nonexistent")
 
 
-class TestTraceForensics:
-    def test_traced_commit_yields_one_node_per_event(self):
+def events_of(repo, start: int) -> dict:
+    """``{"executed": n, "reused": n}`` over the ledger rows from ``start``."""
+    records = repo.lineage.records(start)
+    return {via: sum(r.via == via for r in records) for via in ("executed", "reused")}
+
+
+class TestRunEvents:
+    def test_commit_appends_one_record_per_event(self):
         repo = fresh_toy_repo()
-        tracer = Tracer()
-        with tracer.span("request") as span:
-            _, report = repo.commit("toy", {"model": toy_model(1, 0.6)})
-        result = repo.trace_forensics(span.trace_id)
-        assert len(result["nodes"]) == report.n_executed + report.n_reused == 4
-        assert result["executed"] == 1 and result["reused"] == 3
-        assert all(n["trace_id"] == span.trace_id for n in result["nodes"])
-        # edges follow within-trace production order
-        assert [0, 1] in result["edges"]
+        start = len(repo.lineage)
+        _, report = repo.commit("toy", {"model": toy_model(1, 0.6)})
+        assert len(repo.lineage) - start == report.n_executed + report.n_reused == 4
+        assert events_of(repo, start) == {"executed": 1, "reused": 3}
 
     @pytest.mark.parametrize("search", ["exhaustive", "prioritized", "random"])
-    def test_traced_merge_yields_one_node_per_checkpoint_event(self, search):
+    def test_merge_appends_one_record_per_checkpoint_event(self, search):
         repo = build_fig3_history()
-        tracer = Tracer()
-        with tracer.span("merge") as span:
-            outcome = repo.merge("toy", "master", "dev", search=search, seed=0)
-        result = repo.trace_forensics(span.trace_id)
+        start = len(repo.lineage)
+        outcome = repo.merge("toy", "master", "dev", search=search, seed=0)
         # a winner scored from history is resolved by reusing its four
         # checkpoints, after the search that the outcome counts
         winner = max(
@@ -181,19 +179,10 @@ class TestTraceForensics:
             key=lambda e: e.score,
         )
         resolved = 4 if winner.report is None else 0
-        assert result["executed"] == outcome.components_executed
-        assert result["reused"] == outcome.components_reused + resolved
-        assert len(result["nodes"]) == result["executed"] + result["reused"]
-        assert {n["trace_id"] for n in result["nodes"]} == {span.trace_id}
-
-    def test_unknown_trace_is_typed(self):
-        repo = fresh_toy_repo()
-        with pytest.raises(LineageNotFoundError, match="trace"):
-            repo.trace_forensics("no-such-trace")
-
-    def test_untraced_runs_carry_no_trace_id(self):
-        repo = fresh_toy_repo()
-        assert all(r.trace_id == "" for r in repo.lineage.records())
+        assert events_of(repo, start) == {
+            "executed": outcome.components_executed,
+            "reused": outcome.components_reused + resolved,
+        }
 
 
 class TestGC:

@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro import MLCask
-from repro.errors import RemoteProtocolError
+from repro.core.persistence import spec_from_dict
+from repro.errors import CommitNotFoundError, RemoteProtocolError
+from repro.hub import RepositoryHub
 from repro.hub.hub import _DENIAL_REASONS, PREFLIGHT_OPS
 from repro.obs.health import SHED_EXEMPT_OPS
-from repro.obs.propagation import TRACE_CTX_KEY
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DEFAULT_OP_OBJECTIVES
 from repro.ops import OP_TABLE
 from repro.remote import LocalTransport, Remote, RepositoryServer
@@ -42,6 +44,7 @@ from repro.remote.protocol import (
     raise_remote_error,
 )
 from repro.remote.server import CACHEABLE_OPS
+from repro.storage.hashing import sha256_hex
 
 from helpers import fresh_toy_repo, oracle_settings
 
@@ -212,6 +215,85 @@ def test_every_op_has_its_latency_series(server_repo):
     assert set(server._m_seconds) == set(server._m_requests)
 
 
+# ---------------------------------------------------- handler failures
+def failures(server) -> dict:
+    """Each op's ``repro_request_errors_total`` count on ``server``."""
+    return {op: child.value for op, child in server._m_errors.items()}
+
+
+def served_request(op: str, repo) -> tuple[dict, list]:
+    """A request ``op``'s handler answers without error on ``repo``
+    (a push on an empty repository, every other op on ``repo``)."""
+    if op == "push":
+        return toy_push()
+    if op == "put_chunks":
+        return {"op": op, "digests": [sha256_hex(b"chunk")]}, [b"chunk"]
+    return {"op": op, **READ_REQUESTS[op](repo)}, []
+
+
+@pytest.mark.parametrize(
+    "raised, answered",
+    [
+        (CommitNotFoundError("no such commit"), "CommitNotFoundError"),
+        (KeyError("a bug"), "RemoteProtocolError"),
+    ],
+    ids=["typed", "untyped"],
+)
+@pytest.mark.parametrize("op", OPS)
+def test_a_handler_failure_counts_once_against_its_op(
+    op, raised, answered, server_repo
+):
+    # The burn signal: a validated request whose handler raises, typed
+    # or not, is one failure of its own op and of no other.
+    server = RepositoryServer(server_repo, registry=MetricsRegistry())
+    meta, blobs = served_request(op, server_repo)
+
+    def fail(meta, blobs):
+        raise raised
+
+    setattr(server, server._HANDLERS[op], fail)
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert response["error"]["type"] == answered, response
+    assert failures(server) == {name: int(name == op) for name in OPS}
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_served_request_counts_no_failure(op, server_repo):
+    repo = MLCask() if op == "push" else server_repo
+    server = RepositoryServer(repo, registry=MetricsRegistry())
+    meta, blobs = served_request(op, repo)
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert "error" not in response, response
+    assert set(failures(server).values()) == {0}
+
+
+#: Requests refused before any handler runs: undecodable, unknown, and
+#: one validation refusal for each op that validates a field.
+REFUSED_REQUESTS = {
+    "undecodable": b"\x00garbage",
+    "unknown-op": encode_message({"op": "nope"}),
+    "known_commits": encode_message({"op": "known_commits", "ids": "abc"}),
+    "missing_chunks": encode_message({"op": "missing_chunks", "digests": {}}),
+    "get_chunks": encode_message({"op": "get_chunks", "digests": [1]}),
+    "put_chunks": encode_message({"op": "put_chunks", "digests": ["d"]}),
+    "fetch": encode_message({"op": "fetch", "want": 3}),
+    "push": encode_message({"op": "push", "commits": "abc"}),
+    "lineage": encode_message({"op": "lineage", "query": "trace", "trace_id": "t"}),
+}
+
+
+@pytest.mark.parametrize(
+    "payload", REFUSED_REQUESTS.values(), ids=REFUSED_REQUESTS.keys()
+)
+def test_a_refused_request_counts_no_failure(payload, server_repo):
+    # A malformed peer is the peer's fault, not the service's: it must
+    # never spend the error budget.
+    server = RepositoryServer(server_repo, registry=MetricsRegistry())
+    response, _ = decode_message(server.handle_bytes(payload))
+    assert response["error"]["type"] == "RemoteProtocolError", response
+    assert set(failures(server).values()) == {0}
+
+
 # ------------------------------------------------------------- fuzzing
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -223,8 +305,9 @@ JSON = st.recursive(
 META_KEYS = st.sampled_from([
     "ids", "digests", "max_bytes", "want", "have_commits", "commits",
     "specs", "recipes", "records", "lineage", "chunk_digests", "refs",
-    "query", "ref", "component", "version", "trace_id", "repo_config",
-    TRACE_CTX_KEY,
+    "query", "ref", "component", "version", "repo_config",
+    # Read by no handler any more; older clients still send it.
+    "trace_ctx",
 ]) | st.text(max_size=8)
 
 
@@ -293,10 +376,15 @@ def first_pack_rows(meta: dict) -> dict:
     return rows
 
 
+#: Wire fields no codec reads: a ledger row still carries the retired
+#: ``trace_id``/``span_id`` (always empty) so the bytes stay the same.
+IGNORED_ROW_FIELDS = {("lineage", "trace_id"), ("lineage", "span_id")}
+
 PACK_ROW_FIELDS = [
     (*path, field)
     for path, row in first_pack_rows(toy_push()[0]).items()
     for field in sorted(row)
+    if (path[0], field) not in IGNORED_ROW_FIELDS
 ]
 
 
@@ -317,6 +405,59 @@ def test_each_retyped_pack_field_is_refused_before_any_import(key, index, field)
     # The validator refuses a few fields by name; the codecs the rest.
     assert message.startswith("invalid push request: "), message
     assert repository_state(server) == before
+
+
+def test_a_retyped_ignored_field_is_not_read():
+    server = RepositoryServer(MLCask())
+    meta, blobs = copy.deepcopy(toy_push())
+    for _, field in sorted(IGNORED_ROW_FIELDS):
+        meta["lineage"][0][field] = 0
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert response.get("ok") is True, response
+
+
+#: Every ``trace_ctx`` shape an older client stamped, or a broken one
+#: could: well-formed, with a sampling flag, and malformed every way the
+#: retired parser once had to survive.
+OLDER_TRACE_CONTEXTS = {
+    "well-formed": {"trace_id": "ab" * 8, "span_id": "cd" * 8},
+    "malformed": "garbage",
+    "sampled-false": {"trace_id": "ab" * 8, "span_id": "cd" * 8, "sampled": False},
+    "sampled-text": {"trace_id": "ab" * 8, "span_id": "cd" * 8, "sampled": "yes"},
+    "empty-list": [],
+    "number": 42,
+    "empty-object": {},
+    "no-span-id": {"trace_id": "ab" * 8},
+    "no-trace-id": {"span_id": "ab" * 8},
+    "null-trace-id": {"trace_id": None, "span_id": "ab" * 8},
+    "numeric-trace-id": {"trace_id": 123, "span_id": "ab" * 8},
+    "non-hex-trace-id": {"trace_id": "XYZ", "span_id": "ab" * 8},
+    "uppercase-trace-id": {"trace_id": "AB" * 8, "span_id": "ab" * 8},
+    "empty-trace-id": {"trace_id": "", "span_id": "ab" * 8},
+    "overlong-trace-id": {"trace_id": "a" * 65, "span_id": "ab" * 8},
+    "spaced-span-id": {"trace_id": "ab" * 8, "span_id": "ab cd"},
+    "numeric-span-id": {"trace_id": "ab" * 8, "span_id": 12345},
+}
+
+
+@pytest.mark.parametrize(
+    "context", OLDER_TRACE_CONTEXTS.values(), ids=OLDER_TRACE_CONTEXTS.keys()
+)
+def test_an_older_clients_trace_context_is_ignored(server_repo, context):
+    # Older clients stamp a ``trace_ctx`` meta key; both endpoints answer
+    # it exactly as they answer the request without it.
+    hub = RepositoryHub()
+    hub.add_tenant("ana", tokens=["tok"])
+    hub.create_repo("ana", "proj")
+    endpoints = [
+        RepositoryServer(server_repo).handle_bytes,
+        functools.partial(hub.handle_request, "ana", "proj", "tok"),
+    ]
+    for handle in endpoints:
+        plain = handle(encode_message({"op": "manifest"}))
+        stamped = handle(encode_message({"op": "manifest", "trace_ctx": context}))
+        assert "error" not in decode_message(stamped)[0]
+        assert stamped == plain
 
 
 def name_an_unheld_parent(meta: dict) -> None:
@@ -346,6 +487,39 @@ def test_a_push_naming_an_unheld_commit_is_refused_before_any_import(
     before = repository_state(server)
     response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
     assert response["error"]["type"] == refusal, response
+    assert repository_state(server) == before
+
+
+@pytest.mark.parametrize("corrupt", range(len(toy_push()[1])))
+def test_a_push_with_a_corrupt_blob_registers_nothing(corrupt):
+    # Content imports first: the blob that fails its hash is refused
+    # before any spec, recipe, record, lineage row or commit lands.
+    # Chunks verified before it may stay, unreferenced, until GC.
+    server = RepositoryServer(MLCask())
+    repo = server.repo
+    meta, blobs = copy.deepcopy(toy_push())
+    blobs[corrupt] = bytes(len(blobs[corrupt]))
+    before = (
+        len(repo._specs), repo.graph.revision, repo.branches.revision,
+        repo.checkpoints.revision, repo.lineage.revision,
+    )
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert response["error"]["type"] == "ChunkIntegrityError", response
+    assert (
+        len(repo._specs), repo.graph.revision, repo.branches.revision,
+        repo.checkpoints.revision, repo.lineage.revision,
+    ) == before
+
+
+def test_a_push_redefining_a_held_spec_is_refused_before_any_import():
+    server = RepositoryServer(MLCask())
+    meta, blobs = copy.deepcopy(toy_push())
+    server.repo._specs["toy"] = spec_from_dict("toy", {
+        **meta["specs"]["toy"], "edges": [],
+    })
+    before = repository_state(server)
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert "different spec" in response["error"]["message"], response
     assert repository_state(server) == before
 
 

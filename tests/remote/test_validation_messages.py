@@ -19,7 +19,7 @@ _RECIPE_SHAPE = (
     "every recipe needs a string 'blob', a 'chunks' list of strings, "
     "and an integer 'size'"
 )
-_QUERIES = "('lineage', 'consumers', 'impact', 'trace')"
+_QUERIES = "('lineage', 'consumers', 'impact')"
 
 #: (op, meta, blobs, message after ``invalid <op> request: ``)
 MALFORMED = [
@@ -142,9 +142,10 @@ MALFORMED = [
         "lineage", {"query": "impact", "component": "c", "version": 2}, [],
         "'version' must be null or a string",
     ),
+    # The retired trace query is refused like any unknown form.
     (
-        "lineage", {"query": "trace", "trace_id": None}, [],
-        "a 'trace' query needs a string 'trace_id'",
+        "lineage", {"query": "trace", "trace_id": "t"}, [],
+        f"'query' must be one of {_QUERIES}",
     ),
 ]
 
@@ -196,6 +197,5 @@ def test_every_lineage_query_form_validates():
         {"query": "lineage", "ref": "r"},
         {"query": "consumers", "ref": "r"},
         {"query": "impact", "component": "c"},
-        {"query": "trace", "trace_id": "t"},
     ):
         validate_request("lineage", {"op": "lineage", **meta}, [])
