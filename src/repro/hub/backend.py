@@ -27,6 +27,7 @@ charge (every held chunk counted in full); the backend's
 
 from __future__ import annotations
 
+import sys
 import threading
 from itertools import islice
 
@@ -180,6 +181,7 @@ class SharedChunkBackend:
                 count = self._refcounts.get(digest, 0)
                 if count == 0:
                     self._physical_bytes += size
+                    digest = sys.intern(digest)  # the store's key string
                 self._refcounts[digest] = count + 1
 
     def flush(self) -> None:
@@ -219,6 +221,12 @@ class TenantChunkStore(ChunkStore):
     persisted repository already holds; refcounts are *not* touched for
     adopted holdings — they were registered when the hub scanned the
     repo's manifest (or never dropped, for an evict/reload cycle).
+
+    Every digest the view keeps — a holding, and each chunk digest of a
+    recipe registered against it (:meth:`canonical`) — is interned, so
+    the many recipes of a repository that name one chunk, its holdings,
+    the backend's refcounts and the store's index share one string per
+    chunk, freed with its last reference.
     """
 
     def __init__(
@@ -228,7 +236,9 @@ class TenantChunkStore(ChunkStore):
     ):
         super().__init__()
         self.backend = backend
-        self._held: dict[str, int] = dict(holdings or {})
+        self._held: dict[str, int] = {
+            sys.intern(digest): size for digest, size in (holdings or {}).items()
+        }
         self._held_bytes = sum(self._held.values())
         # The view's stats speak tenant-logical language: "physical" here
         # is what this repository holds, regardless of how many other
@@ -239,7 +249,12 @@ class TenantChunkStore(ChunkStore):
     def _contains(self, digest: str) -> bool:
         return digest in self._held
 
+    @staticmethod
+    def canonical(digests: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(map(sys.intern, digests))
+
     def _write(self, digest: str, data: bytes) -> None:
+        digest = sys.intern(digest)
         self.backend.acquire(digest, data)
         self._held[digest] = len(data)
         self._held_bytes += len(data)

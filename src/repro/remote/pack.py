@@ -151,7 +151,9 @@ def pack_meta(repo, commits, recipes, records, chunk_digests) -> dict:
         },
         "recipes": [recipe_to_dict(r) for r in recipes],
         "records": [record_to_dict(r) for r in records],
-        "chunk_digests": list(chunk_digests),
+        # Sorted: the digests come as a set, whose order would make the
+        # bytes of a response depend on the process's hash seed.
+        "chunk_digests": sorted(chunk_digests),
         "lineage": lineage_entries_for(repo, commits),
     }
 
@@ -270,15 +272,32 @@ def import_content(
     return new
 
 
-def is_fast_forward_update(repo, old_head: str | None, new_head: str) -> bool:
-    """Would moving a ref ``old_head -> new_head`` be a fast-forward?
+def is_fast_forward_update(
+    repo, old_head: str | None, new_head: str, commit_entries
+) -> bool:
+    """Would moving a ref ``old_head -> new_head`` be a fast-forward once
+    the pack's ``commit_entries`` are grafted?
 
-    Called *after* the incoming commits are grafted, so reachability is
-    answered by the local graph. A new branch (``old_head is None``) and a
-    no-op update are both fast-forwards.
+    Decided before anything imports: the rows' parent links are walked
+    from ``new_head`` down to the commits the graph holds, whose
+    ancestry the graph answers. A new branch (``old_head is None``) and
+    a no-op update are both fast-forwards.
     """
     if old_head is None or old_head == new_head:
         return True
-    if new_head not in repo.graph:
-        return False
-    return repo.graph.is_ancestor(old_head, new_head)
+    parents = {
+        entry["commit_id"]: entry["parents"]
+        for entry in commit_entries
+        if entry["commit_id"] not in repo.graph
+    }
+    stack, seen, held = [new_head], set(), set()
+    while stack:
+        commit = stack.pop()
+        if commit in seen:
+            continue
+        seen.add(commit)
+        if commit in parents:
+            stack.extend(parents[commit])
+        elif commit in repo.graph:
+            held.add(commit)
+    return any(repo.graph.is_ancestor(old_head, commit) for commit in held)

@@ -766,9 +766,10 @@ class RepositoryServer:
                 if parent not in offered and parent not in repo.graph:
                     raise CommitNotFoundError(parent)
             offered.add(entry["commit_id"])
-        # The stale-head check needs nothing from the pack, so it runs
-        # before the pack is imported: a push that lost a race is refused
-        # without its chunks landing in the store.
+        # The ref checks need the pack's commit rows at most, so they run
+        # before the pack is imported: a push that lost a race, or whose
+        # branch diverged, is refused without its chunks, recipes or
+        # commits landing anywhere.
         for pipeline, branches in updates.items():
             for branch, update in branches.items():
                 current = (
@@ -788,6 +789,14 @@ class RepositoryServer:
                         pipeline, branch,
                         f"new head {new_head[:12]} is neither in the pack "
                         "nor held",
+                    )
+                if not pack.is_fast_forward_update(
+                    repo, current, new_head, meta.get("commits", [])
+                ):
+                    raise PushRejectedError(
+                        pipeline, branch,
+                        "non-fast-forward (branches diverged); pull, resolve "
+                        "with the metric-driven merge, then push the result",
                     )
         # Content-completeness gate, before anything imports: every chunk a
         # pushed recipe references must either ride in this message or
@@ -826,19 +835,9 @@ class RepositoryServer:
         pack.import_specs(repo, meta.get("specs", {}))
         pack.import_commits(repo, meta.get("commits", []))
 
-        # Validate every update before applying any: a push is atomic.
-        # (Heads cannot have moved since the stale-head check above: the
-        # whole push runs under the exclusive lock.)
-        for pipeline, branches in updates.items():
-            for branch, update in branches.items():
-                if not pack.is_fast_forward_update(
-                    repo, update.get("old"), update["new"]
-                ):
-                    raise PushRejectedError(
-                        pipeline, branch,
-                        "non-fast-forward (branches diverged); pull, resolve "
-                        "with the metric-driven merge, then push the result",
-                    )
+        # Every update was validated above, before any import: a push is
+        # atomic. (Heads cannot have moved since: the whole push runs
+        # under the exclusive lock.)
         applied = {}
         for pipeline, branches in updates.items():
             for branch, update in branches.items():

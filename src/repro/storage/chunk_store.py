@@ -14,6 +14,7 @@ import contextlib
 import os
 import re
 import struct
+import sys
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
@@ -112,6 +113,14 @@ class ChunkStore(ABC):
         without materializing the content (a GC sweep of gigabytes of
         dead chunks must not read them just to count them)."""
         return len(self._read(digest))
+
+    @staticmethod
+    def canonical(digests: tuple[str, ...]) -> tuple[str, ...]:
+        """``digests`` as a recipe registered against this store keeps
+        them. The base keeps them as decoded; a store that outlives many
+        recipes naming the same chunks (a hub's tenant view) gives each
+        digest one shared string. Runs on decoded, validated rows."""
+        return digests
 
     def put(self, data: bytes) -> str:
         """Store ``data``; return its digest. Duplicate content is free.
@@ -440,7 +449,9 @@ class FileChunkStore(ChunkStore):
         for raw, offset, size in _INDEX_ROW.iter_unpack(memoryview(rows)[:usable]):
             if offset + size > segment_size:
                 break
-            self._book(gen, raw.hex(), offset, size)
+            # Interned: a hub's refcounts and tenant views key on the
+            # same digests, so the table shares their strings.
+            self._book(gen, sys.intern(raw.hex()), offset, size)
             applied += _INDEX_ROW.size
         return applied
 

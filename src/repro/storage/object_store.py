@@ -107,9 +107,13 @@ class ObjectStore:
         The chunks it references may arrive separately (and later): a
         recipe is pure metadata, so holding one for not-yet-fetched
         content is fine — :meth:`get` fails chunk-by-chunk until the
-        content lands.
+        content lands. Its chunk digests are kept as the chunk store's
+        :meth:`~ChunkStore.canonical` gives them back.
         """
         if recipe.blob_digest not in self._recipes:
+            chunk_digests = self.chunks.canonical(recipe.chunk_digests)
+            if chunk_digests is not recipe.chunk_digests:
+                recipe = Recipe(recipe.blob_digest, chunk_digests, recipe.size)
             self._recipes[recipe.blob_digest] = recipe
             self.revision += 1
 

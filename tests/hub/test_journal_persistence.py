@@ -5,8 +5,9 @@ repository it was (and as one persisted in a single push); a writer that
 dies at any write of a persist or of a GC compaction — the chunk store's
 segment and index appends, its flush and every step of its compaction
 included — leaves the previous committed state (or, past the header, the
-new one), which a restarted hub loads, serves and builds on; rows a
-rejected push left behind ride the next persist; GC compacts, and gives
+new one), which a restarted hub loads, serves and builds on; a diverged push is
+refused before anything of it imports; a hosted repository keeps one
+string per chunk digest; GC compacts, and gives
 chunk bytes back only after its header; a directory in the pre-journal
 layout stops the hub from starting; and a persist writes what the push
 added, not what the repository holds.
@@ -494,8 +495,8 @@ class TestCrashPoints:
             )
 
 
-class TestRejectedThenAccepted:
-    def test_rows_a_rejected_push_left_ride_the_next_persist(
+class TestRejectedPush:
+    def test_a_diverged_push_is_refused_before_anything_imports(
         self, tmp_path, workload
     ):
         root = tmp_path / "hub"
@@ -508,16 +509,60 @@ class TestRejectedThenAccepted:
         commit_model(ana, workload, 2)
         push(hub, ana, workload, "a1")
         orphan = commit_model(ben, workload, 3)
+        before = snapshot(hub)
+        on_disk = bytes_under(root / "chunks"), bytes_under(root / "chunks.index")
         with pytest.raises(PushRejectedError, match="non-fast-forward"):
             ben.remote("origin").push(workload.name)
-        # imported, not persisted: no on_change fired
-        assert orphan.commit_id not in committed_journals(root)["commits"].decode()
+        # no chunk, recipe, record, lineage row or commit landed
+        assert snapshot(hub) == before
+        assert (
+            bytes_under(root / "chunks"), bytes_under(root / "chunks.index")
+        ) == on_disk
 
         commit_model(ana, workload, 4)
         push(hub, ana, workload, "a2")
         live = snapshot(hub)
-        assert orphan.commit_id in [c["commit_id"] for c in live["commits"]]
+        assert orphan.commit_id not in [c["commit_id"] for c in live["commits"]]
+        assert orphan.commit_id not in committed_journals(root)["commits"].decode()
         assert snapshot(open_hub(root)) == live
+
+
+def assert_one_string_per_digest(hub) -> None:
+    """Every chunk digest the hosted repository keeps — in its recipes,
+    its holdings, the backend's refcounts and the store's index — is
+    one ``str`` object: each recipe's digest *is* its holding's key."""
+    hosted = hub._acquire(TENANT, REPO, create=False)
+    try:
+        holdings = hosted.view.holdings()
+        key_of = {digest: digest for digest in holdings}
+        named = [
+            digest
+            for recipe in hosted.server.repo.objects.recipes()
+            for digest in recipe.chunk_digests
+        ]
+        assert named and all(digest is key_of[digest] for digest in named)
+        kept = (
+            named + list(holdings) + list(hub.backend._refcounts)
+            + hub.backend.store.digests()
+        )
+        assert len({id(digest) for digest in kept}) == len(set(kept))
+    finally:
+        hub._release(hosted)
+
+
+class TestDigestIdentity:
+    def test_a_hosted_repository_keeps_one_string_per_chunk_digest(
+        self, tmp_path, workload
+    ):
+        root = tmp_path / "hub"
+        hub = open_hub(root)
+        local = build_workload_repo(workload, commits=1)
+        push(hub, local, workload, "first")
+        for version in (2, 3):
+            commit_model(local, workload, version)
+            push(hub, local, workload, f"v{version}")
+        assert_one_string_per_digest(hub)
+        assert_one_string_per_digest(open_hub(root))  # a cold reload
 
 
 class TestCompaction:

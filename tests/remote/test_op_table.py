@@ -416,6 +416,28 @@ def test_a_retyped_ignored_field_is_not_read():
     assert response.get("ok") is True, response
 
 
+def test_a_recipe_naming_a_non_string_chunk_is_refused_on_a_hub_alike():
+    # A hosted repository interns each recipe's chunk digests. That runs
+    # after the request's validation and the codecs' decode of every row,
+    # so a digest that is no string meets their typed refusal before any
+    # import, on a hub as on a plain server, never the bare TypeError of
+    # ``sys.intern``.
+    hub = RepositoryHub()
+    hub.add_tenant("ana", tokens=["tok"])
+    hub.create_repo("ana", "proj")
+    hosted = hub._loaded["ana", "proj"].server
+    meta, blobs = copy.deepcopy(toy_push())
+    meta["recipes"][0]["chunks"][0] = 3
+    request = encode_message(meta, blobs)
+    before = repository_state(hosted)
+    on_hub, _ = decode_message(hub.handle_request("ana", "proj", "tok", request))
+    plain, _ = decode_message(RepositoryServer(MLCask()).handle_bytes(request))
+    assert on_hub["error"] == plain["error"]
+    assert on_hub["error"]["type"] == "RemoteProtocolError"
+    assert on_hub["error"]["message"].startswith("invalid push request: ")
+    assert repository_state(hosted) == before
+
+
 #: Every ``trace_ctx`` shape an older client stamped, or a broken one
 #: could: well-formed, with a sampling flag, and malformed every way the
 #: retired parser once had to survive.
