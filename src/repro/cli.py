@@ -4,10 +4,7 @@ Usage::
 
     python -m repro workloads                 # list the evaluated pipelines
     python -m repro demo readmission          # Fig. 3 scenario + merge
-    python -m repro experiment linear         # regenerate Figs. 5-7
-    python -m repro experiment merge          # regenerate Figs. 8-9
-    python -m repro experiment search         # regenerate Fig. 10 + Table I
-    python -m repro experiment distributed    # regenerate Fig. 11
+    python -m repro experiment table1_optimal_found   # one paper figure/table
 
     python -m repro init REPO --workload readmission   # repo dir on disk
     python -m repro serve REPO --port 8321             # expose it over HTTP
@@ -35,8 +32,8 @@ or plain repository-directory paths, synced in-process through the same
 wire protocol; hub-hosted repositories are addressed as
 ``http://host:port/t/<tenant>/<repo>`` (or a base URL plus
 ``--tenant tenant/repo``) with a ``--token`` bearer credential.
-``--scale`` resizes workloads (1.0 = the benchmark default), ``--seed``
-fixes all randomness.
+``--scale`` resizes workloads, ``--seed`` fixes all randomness; an
+``experiment`` runs at the sizes of ``repro.experiments.figures``.
 """
 
 from __future__ import annotations
@@ -73,15 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="regenerate a paper figure/table")
     experiment.add_argument(
-        "which", choices=["linear", "merge", "search", "distributed"]
+        "name", help="a record name of repro.experiments.figures.FIGURES, "
+        "e.g. fig5_linear_total_time or table1_optimal_found",
     )
-    experiment.add_argument("--scale", type=float, default=0.5)
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument("--iterations", type=int, default=10)
-    experiment.add_argument("--trials", type=int, default=50)
-    experiment.add_argument(
-        "--apps", nargs="+", default=["readmission", "dpm", "sa", "autolearn"]
-    )
 
     init = sub.add_parser(
         "init", help="create an on-disk repository seeded with a workload"
@@ -510,54 +502,17 @@ def _cmd_demo(args, out) -> int:
 
 
 def _cmd_experiment(args, out) -> int:
-    if args.which == "linear":
-        from .experiments import run_linear_experiment
+    from .experiments.figures import FIGURES
 
-        result = run_linear_experiment(
-            apps=tuple(args.apps),
-            n_iterations=args.iterations,
-            scale=args.scale,
-            seed=args.seed,
+    figure = FIGURES.get(args.name)
+    if figure is None:
+        print(
+            f"error: unknown figure {args.name!r}; one of: {', '.join(FIGURES)}",
+            file=out,
         )
-        print(result.render_fig5(), file=out)
-        print(file=out)
-        print(result.render_fig6(), file=out)
-        print(file=out)
-        print(result.render_fig7(), file=out)
-    elif args.which == "merge":
-        from .experiments import run_merge_experiment
-
-        result = run_merge_experiment(
-            apps=tuple(args.apps), scale=args.scale, seed=args.seed
-        )
-        print(result.render_fig8(), file=out)
-        print(file=out)
-        print(result.render_fig9(), file=out)
-        print(file=out)
-        print(result.render_provenance(), file=out)
-        for app in args.apps:
-            print(
-                f"{app}: speedup {result.speedup(app):.2f}x, "
-                f"storage saving {result.storage_saving(app):.2f}x",
-                file=out,
-            )
-    elif args.which == "search":
-        from .experiments import run_search_experiment
-
-        result = run_search_experiment(
-            apps=tuple(args.apps),
-            n_trials=args.trials,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        print(result.render_table1(), file=out)
-    else:  # distributed
-        from .experiments import run_distributed_experiment
-
-        result = run_distributed_experiment(seed=args.seed)
-        print(result.render_fig11a(), file=out)
-        print(file=out)
-        print(result.render_fig11b(), file=out)
+        return 2
+    record = figure.run(figure.sizes["full"], args.seed)
+    print(record["table"], file=out)
     return 0
 
 

@@ -124,6 +124,14 @@ class RemoteProtocolError(RemoteError):
     """A wire message was malformed or of an unsupported version."""
 
 
+#: Why a push whose new head does not descend from the server's head is
+#: refused; the server says it, and so does a client that can tell first.
+NON_FAST_FORWARD = (
+    "non-fast-forward (branches diverged); pull, resolve with the "
+    "metric-driven merge, then push the result"
+)
+
+
 class PushRejectedError(RemoteError):
     """The server refused a ref update (non-fast-forward push).
 

@@ -28,7 +28,6 @@ DEFAULT_SYSTEMS = ("modeldb", "mlflow", "mlcask")
 class LinearExperimentResult:
     """All series for all (application, system) pairs."""
 
-    n_iterations: int
     series: dict = field(default_factory=dict)  # app -> system -> LinearSeries
 
     def fig5_series(self, app: str) -> dict:
@@ -112,7 +111,7 @@ def run_linear_experiment(
     seed: int = 0,
 ) -> LinearExperimentResult:
     """Replay the update schedule on every system for every application."""
-    result = LinearExperimentResult(n_iterations=n_iterations)
+    result = LinearExperimentResult()
     for app in apps:
         result.series[app] = {}
         for system_name in systems:
@@ -124,13 +123,11 @@ def run_linear_experiment(
             for step in steps:
                 record = system.run_iteration(step.iteration, step.updates)
                 cumulative += record.total_seconds
-                series.iterations.append(step.iteration)
                 series.total_seconds.append(cumulative)
                 series.storage_bytes.append(record.storage_bytes)
                 series.preprocessing_seconds.append(record.preprocessing_seconds)
                 series.training_seconds.append(record.training_seconds)
                 series.storage_seconds.append(record.storage_seconds)
-                series.scores.append(record.score)
                 series.n_executed.append(record.n_executed)
                 if record.skipped_incompatible:
                     series.flags.append("skipped")

@@ -24,15 +24,8 @@ class MergeMeasures:
     css_bytes: int = 0  # cumulative storage size
     preprocessing_seconds: float = 0.0
     training_seconds: float = 0.0
-    candidates_total: int = 0
-    candidates_evaluated: int = 0
     components_executed: int = 0
-    components_reused: int = 0
     winner_score: float | None = None
-    # Provenance accounting (full MLCask only; the ablation arms run on
-    # throwaway folder stores with no ledger attached).
-    lineage_records: int = 0
-    winner_lineage_nodes: int = 0
 
     @property
     def cpt_seconds(self) -> float:
@@ -45,13 +38,11 @@ class LinearSeries:
     """Per-iteration series for one (application, system) pair."""
 
     system: str
-    iterations: list[int] = field(default_factory=list)
     total_seconds: list[float] = field(default_factory=list)  # cumulative
     storage_bytes: list[int] = field(default_factory=list)  # CSS per iter
     preprocessing_seconds: list[float] = field(default_factory=list)
     training_seconds: list[float] = field(default_factory=list)
     storage_seconds: list[float] = field(default_factory=list)
-    scores: list = field(default_factory=list)
     flags: list[str] = field(default_factory=list)  # ok / failed / skipped
     n_executed: list[int] = field(default_factory=list)  # stages run per iter
 

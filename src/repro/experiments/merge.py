@@ -30,26 +30,23 @@ MODE_LABELS = {
 class MergeExperimentResult:
     measures: dict = field(default_factory=dict)  # app -> mode -> MergeMeasures
 
-    def fig8_rows(self, app: str) -> list[list]:
-        rows = []
-        for mode, label in MODE_LABELS.items():
-            m = self.measures[app][mode]
-            rows.append([
-                label,
-                round(m.cpt_seconds, 3),
-                round(m.css_bytes / 1e6, 3),
-                round(m.cet_seconds, 3),
-                round(m.cst_seconds, 3),
-            ])
-        return rows
-
     def render_fig8(self) -> str:
         blocks = []
         for app in self.measures:
+            rows = [
+                [
+                    m.system,
+                    round(m.cpt_seconds, 3),
+                    round(m.css_bytes / 1e6, 3),
+                    round(m.cet_seconds, 3),
+                    round(m.cst_seconds, 3),
+                ]
+                for m in self.measures[app].values()
+            ]
             blocks.append(
                 format_table(
                     ["system", "CPT_s", "CSS_MB", "CET_s", "CST_s"],
-                    self.fig8_rows(app),
+                    rows,
                     title=f"Fig 8 ({app}): non-linear versioning performance",
                 )
             )
@@ -58,15 +55,15 @@ class MergeExperimentResult:
     def render_fig9(self) -> str:
         blocks = []
         for app in self.measures:
-            rows = []
-            for mode, label in MODE_LABELS.items():
-                m = self.measures[app][mode]
-                rows.append([
-                    label,
+            rows = [
+                [
+                    m.system,
                     round(m.cst_seconds, 3),
                     round(m.preprocessing_seconds, 3),
                     round(m.training_seconds, 3),
-                ])
+                ]
+                for m in self.measures[app].values()
+            ]
             blocks.append(
                 format_table(
                     ["system", "storage_s", "preprocessing_s", "training_s"],
@@ -75,27 +72,6 @@ class MergeExperimentResult:
                 )
             )
         return "\n\n".join(blocks)
-
-    def render_provenance(self) -> str:
-        """Per-app provenance summary of the full-MLCask merge: ledger
-        size and the winning model's upstream closure."""
-        rows = []
-        for app in self.measures:
-            m = self.measures[app].get("pcpr")
-            if m is None:
-                continue
-            rows.append([
-                app,
-                m.lineage_records,
-                m.winner_lineage_nodes,
-                m.components_executed,
-                m.components_reused,
-            ])
-        return format_table(
-            ["app", "ledger_records", "winner_closure", "executed", "reused"],
-            rows,
-            title="Provenance: lineage captured during the merge search",
-        )
 
     def speedup(self, app: str) -> float:
         """CPT of w/o PCPR over CPT of full MLCask (the paper's headline
@@ -122,10 +98,7 @@ def _measure_merge(app: str, mode: str, scale: float, seed: int) -> MergeMeasure
     measures = MergeMeasures(system=MODE_LABELS[mode])
     measures.cet_seconds = outcome.execution_seconds
     measures.cst_seconds = outcome.storage_seconds
-    measures.candidates_total = outcome.candidates_total
-    measures.candidates_evaluated = outcome.candidates_evaluated
     measures.components_executed = outcome.components_executed
-    measures.components_reused = outcome.components_reused
     measures.winner_score = outcome.commit.score
 
     reports = [e.report for e in outcome.evaluations if e.report is not None]
@@ -135,14 +108,6 @@ def _measure_merge(app: str, mode: str, scale: float, seed: int) -> MergeMeasure
     if mode == "pcpr":
         # Storage grown on the shared deduplicating engine during the merge.
         measures.css_bytes = repo.checkpoints.stats.physical_bytes - store_before
-        # Provenance: the merge's full audit trail, and the upstream
-        # closure of the winning model (what an auditor replays).
-        measures.lineage_records = len(repo.lineage)
-        winner_ref = outcome.commit.stage_outputs.get(workload.model_stage)
-        if winner_ref is not None and repo.lineage.rows_for_output(winner_ref):
-            measures.winner_lineage_nodes = len(
-                repo.lineage_of(winner_ref)["nodes"]
-            )
     else:
         # Ablations archived every candidate's outputs into fresh folders;
         # count what those folders hold.

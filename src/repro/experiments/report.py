@@ -46,13 +46,3 @@ def format_series(
             row.append(round(values[i], precision) if i < len(values) else "")
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def format_ratio(label: str, numerator: float, denominator: float) -> str:
-    if denominator <= 0:
-        return f"{label}: n/a"
-    return f"{label}: {numerator / denominator:.2f}x"
-
-
-def indent(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())

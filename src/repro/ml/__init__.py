@@ -2,7 +2,6 @@
 
 from .base import Classifier, Estimator, Transformer
 from .boosting import AdaBoostClassifier, DecisionStump
-from .cnn import SimpleCNN, im2col
 from .distributed import DistributedTrainer, TrainingTrace, pipeline_speedup
 from .embeddings import WordEmbedder, cooccurrence_matrix, ppmi_matrix
 from .hmm import GaussianHMM
@@ -31,7 +30,6 @@ from .zernike import ZernikeExtractor
 __all__ = [
     "Classifier", "Estimator", "Transformer",
     "AdaBoostClassifier", "DecisionStump",
-    "SimpleCNN", "im2col",
     "DistributedTrainer", "TrainingTrace", "pipeline_speedup",
     "WordEmbedder", "cooccurrence_matrix", "ppmi_matrix",
     "GaussianHMM",

@@ -15,7 +15,9 @@ chunk-level content negotiation:
 * **push** — offer reachable commits, learn which the server lacks, send
   those plus exactly the chunks the server reports missing. The server
   only fast-forwards refs; a diverged push raises
-  :class:`PushRejectedError` and is resolved client-side via ``pull``.
+  :class:`PushRejectedError` (from the client itself, after one
+  ``manifest`` request, when the server's head is not in its history)
+  and is resolved client-side via ``pull``.
 * **clone** — bootstrap a fresh repository from a peer's manifest plus
   one full fetch (:func:`clone_repository`).
 
@@ -31,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import (
+    NON_FAST_FORWARD,
+    PushRejectedError,
     RemoteError,
     RemoteProtocolError,
     ServerOverloadedError,
@@ -301,7 +305,11 @@ class Remote:
         if observed == head:
             return PushResult(up_to_date=True)
 
-        if observed is not None and observed in repo.graph:
+        if observed is not None and observed not in repo.graph:
+            # Our head cannot descend from a commit we do not hold, so the
+            # server would refuse the update: say so before shipping a pack.
+            raise PushRejectedError(pipeline, branch, NON_FAST_FORWARD)
+        if observed is not None:
             # The server's head is in our history (the common case after a
             # clone or pull): everything it can reach, it has. No need to
             # ask — one round-trip and one O(history) id list saved.

@@ -57,6 +57,7 @@ from collections import OrderedDict
 
 from ..errors import (
     CommitNotFoundError,
+    NON_FAST_FORWARD,
     MLCaskError,
     PushRejectedError,
     RemoteError,
@@ -793,11 +794,7 @@ class RepositoryServer:
                 if not pack.is_fast_forward_update(
                     repo, current, new_head, meta.get("commits", [])
                 ):
-                    raise PushRejectedError(
-                        pipeline, branch,
-                        "non-fast-forward (branches diverged); pull, resolve "
-                        "with the metric-driven merge, then push the result",
-                    )
+                    raise PushRejectedError(pipeline, branch, NON_FAST_FORWARD)
         # Content-completeness gate, before anything imports: every chunk a
         # pushed recipe references must either ride in this message or
         # already be held (landed by put_chunks pre-seeding or earlier

@@ -1,6 +1,6 @@
 """Report-rendering tests."""
 
-from repro.experiments.report import format_ratio, format_series, format_table, indent
+from repro.experiments.report import format_series, format_table
 
 
 class TestFormatTable:
@@ -39,15 +39,3 @@ class TestFormatSeries:
         text = format_series({"s": [1.23456]}, precision=2)
         assert "1.23" in text
         assert "1.2346" not in text
-
-
-class TestHelpers:
-    def test_format_ratio(self):
-        assert format_ratio("speedup", 4.0, 2.0) == "speedup: 2.00x"
-
-    def test_format_ratio_zero_denominator(self):
-        assert "n/a" in format_ratio("x", 1.0, 0.0)
-
-    def test_indent(self):
-        assert indent("a\nb") == "  a\n  b"
-        assert indent("x", prefix="> ") == "> x"

@@ -509,6 +509,9 @@ class TestRejectedPush:
         commit_model(ana, workload, 2)
         push(hub, ana, workload, "a1")
         orphan = commit_model(ben, workload, 3)
+        # Fetched, ben holds the hub's head, so its client ships the pack
+        # and the hub's own gate is what refuses it.
+        ben.remote("origin").fetch()
         before = snapshot(hub)
         on_disk = bytes_under(root / "chunks"), bytes_under(root / "chunks.index")
         with pytest.raises(PushRejectedError, match="non-fast-forward"):

@@ -1,4 +1,4 @@
-"""Model tests: linear, MLP, CNN, boosting — learning and API contracts."""
+"""Model tests: linear, MLP, boosting — learning and API contracts."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from repro.ml import (
     LogisticRegression,
     MLPClassifier,
     RidgeRegression,
-    SimpleCNN,
     accuracy,
 )
 from repro.ml.boosting import DecisionStump
-from repro.ml.cnn import im2col
 from repro.data.synthetic import make_digits
 
 
@@ -183,54 +181,6 @@ class TestMLP:
         assert all(array.flags.c_contiguous for array in arrays)
         assert len({id(array.base) for array in arrays}) == 1
         assert arrays[0].base.size == sum(array.size for array in arrays)
-
-
-class TestIm2Col:
-    def test_shape(self):
-        images = np.zeros((2, 8, 8))
-        cols = im2col(images, 3)
-        assert cols.shape == (2, 36, 9)
-
-    def test_patch_content(self):
-        image = np.arange(16.0).reshape(1, 4, 4)
-        cols = im2col(image, 2)
-        assert np.array_equal(cols[0, 0], [0, 1, 4, 5])
-
-    def test_kernel_too_large(self):
-        with pytest.raises(ValueError):
-            im2col(np.zeros((1, 4, 4)), 5)
-
-
-class TestSimpleCNN:
-    def test_learns_digits(self):
-        images, labels = make_digits(400, size=16, seed=3)
-        model = SimpleCNN(n_epochs=12, learning_rate=0.08, seed=2).fit(
-            images[:300], labels[:300]
-        )
-        assert accuracy(labels[300:], model.predict(images[300:])) > 0.8
-
-    def test_accepts_flat_rows(self):
-        X, y = linearly_separable(150, d=16)
-        model = SimpleCNN(n_epochs=8, seed=1).fit(X, y)
-        assert model.predict(X).shape == (150,)
-
-    def test_loss_decreases(self):
-        images, labels = make_digits(200, seed=4)
-        model = SimpleCNN(n_epochs=8, seed=0).fit(images, labels)
-        assert model.loss_history_[-1] < model.loss_history_[0]
-
-    def test_bad_kernel(self):
-        with pytest.raises(ValueError):
-            SimpleCNN(kernel_size=1)
-
-    def test_params_serializable(self):
-        from repro.data.serialize import payload_from_bytes, payload_to_bytes
-
-        images, labels = make_digits(100, seed=5)
-        model = SimpleCNN(n_epochs=2, seed=0).fit(images, labels)
-        params = model.get_params()
-        restored = payload_from_bytes(payload_to_bytes(params))
-        assert np.allclose(restored["filters"], params["filters"])
 
 
 class TestDecisionStump:

@@ -8,6 +8,18 @@ from repro.remote import LocalTransport, RepositoryServer, clone_repository
 from repro.remote.protocol import decode_message
 
 
+class RecordingTransport(LocalTransport):
+    """A LocalTransport that notes the op of every request it sends."""
+
+    def __init__(self, server):
+        super().__init__(server)
+        self.ops = []
+
+    def _call(self, payload):
+        self.ops.append(decode_message(payload)[0]["op"])
+        return super()._call(payload)
+
+
 def make_clone(transport, server_repo):
     """Clone sharing the server's registry (components are live objects)."""
     return clone_repository(transport, registry=server_repo.registry)
@@ -98,9 +110,15 @@ class TestPush:
         for ref in head.stage_outputs.values():
             server_repo.objects.get(ref)
 
+    @pytest.mark.parametrize("fetched", [False, True], ids=["client_refuses", "server_refuses"])
     def test_diverged_push_rejected_then_merge_and_push_succeeds(
-        self, transport, server_repo, workload
+        self, server_repo, workload, fetched
     ):
+        """A server head the client does not hold is refused by the client
+        after one ``manifest`` request, before any pack is shipped; once
+        fetched, the push ships and the server's fast-forward gate refuses
+        it. Either way the server's refs and stores stay as they were."""
+        transport = RecordingTransport(RepositoryServer(server_repo))
         clone = make_clone(transport, server_repo)
         server_repo.commit(
             workload.name, {"model": workload.model_version(2)}, message="server"
@@ -108,9 +126,16 @@ class TestPush:
         clone.commit(
             workload.name, {"model": workload.model_version(3)}, message="client"
         )
+        if fetched:
+            clone.remote("origin").fetch()
+        held_chunks = set(server_repo.objects.chunks.digests())
+        transport.ops.clear()
         with pytest.raises(PushRejectedError, match="non-fast-forward"):
             clone.remote("origin").push(workload.name, "master")
-        # Server refs are untouched by the rejected attempt.
+        assert (transport.ops[-1] == "push") is fetched
+        if not fetched:
+            assert transport.ops == ["manifest"]
+        assert set(server_repo.objects.chunks.digests()) == held_chunks
         server_head = server_repo.head_commit(workload.name)
         assert server_head.message == "server"
 
@@ -147,19 +172,26 @@ class TestPush:
         with pytest.raises(RemoteError, match="referenced by a local recipe"):
             clone.remote("origin").push(workload.name, "master")
 
-    def test_concurrent_push_race_rejected(self, server_repo, workload):
+    @pytest.mark.parametrize("fetched", [False, True], ids=["client_refuses", "server_refuses"])
+    def test_concurrent_push_race_rejected(self, server_repo, workload, fetched):
         """Two clones race to publish: the slower push is rejected (its
-        head does not descend from the winner's), nothing is lost."""
+        head does not descend from the winner's), nothing is lost. The
+        slower clone refuses it itself while it lacks the winner's head;
+        once it has fetched that head, the server's gate refuses it."""
         server = RepositoryServer(server_repo)
         fast = make_clone(LocalTransport(server), server_repo)
-        slow = make_clone(LocalTransport(server), server_repo)
+        slow_transport = RecordingTransport(server)
+        slow = make_clone(slow_transport, server_repo)
         fast.commit(workload.name, {"model": workload.model_version(2)}, message="fast")
         slow.commit(workload.name, {"model": workload.model_version(3)}, message="slow")
         fast.remote("origin").push(workload.name, "master")
+        if fetched:
+            slow.remote("origin").fetch()
+        slow_transport.ops.clear()
         with pytest.raises(PushRejectedError):
             slow.remote("origin").push(workload.name, "master")
+        assert (slow_transport.ops[-1] == "push") is fetched
         assert server_repo.head_commit(workload.name).message == "fast"
-
 
     def test_push_that_lost_the_race_is_refused_before_its_content_lands(
         self, server_repo, workload

@@ -1,6 +1,7 @@
 """CLI tests: every subcommand runs and prints what it promises."""
 
 import io
+import os
 
 import pytest
 
@@ -47,35 +48,29 @@ class TestDemoCommand:
             run_cli(["demo", "nonexistent"])
 
 
+RESULTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks", "results")
+
+
 class TestExperimentCommand:
-    def test_linear_prints_three_figures(self):
-        code, text = run_cli([
-            "experiment", "linear", "--scale", "0.3",
-            "--iterations", "4", "--apps", "readmission",
-        ])
+    def test_full_size_table1_is_the_committed_one(self):
+        code, text = run_cli(["experiment", "table1_optimal_found"])
         assert code == 0
-        assert "Fig 5" in text and "Fig 6" in text and "Fig 7" in text
+        with open(os.path.join(RESULTS, "table1_optimal_found.txt"), encoding="utf-8") as fh:
+            assert text == fh.read()
 
-    def test_merge_prints_fig8_and_speedups(self):
-        code, text = run_cli([
-            "experiment", "merge", "--scale", "0.3", "--apps", "readmission",
-        ])
-        assert code == 0
-        assert "Fig 8" in text
-        assert "speedup" in text
+    def test_unknown_figure_names_the_registered_ones(self):
+        code, text = run_cli(["experiment", "search"])
+        assert code == 2
+        assert "unknown figure 'search'" in text and "table1_optimal_found" in text
 
-    def test_search_prints_table1(self):
-        code, text = run_cli([
-            "experiment", "search", "--scale", "0.3",
-            "--trials", "10", "--apps", "readmission",
-        ])
-        assert code == 0
-        assert "Table I" in text
-
-    def test_distributed_prints_fig11(self):
-        code, text = run_cli(["experiment", "distributed"])
-        assert code == 0
-        assert "Fig 11a" in text and "Fig 11b" in text
+    @pytest.mark.parametrize("flag", [
+        ["--scale", "0.3"], ["--iterations", "4"], ["--trials", "10"], ["--apps", "dpm"],
+    ], ids=lambda flag: flag[0])
+    def test_retired_size_flag_is_an_argparse_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["experiment", "fig5_linear_total_time", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -143,7 +143,10 @@ def test_a_hub_that_served_real_traffic_mapped_neither_numpy_nor_scipy(tmp_path)
         alice.commit("toy", {"model": toy_model(1, 0.6)})
         origin.push("toy")
         bob.commit("toy", {"model": toy_model(2, 0.7)})
-        with pytest.raises(PushRejectedError):                           # rejected
+        with pytest.raises(PushRejectedError):                           # rejected by bob
+            bob.remote("origin").push("toy")
+        bob.remote("origin").fetch()
+        with pytest.raises(PushRejectedError):                           # by the hub
             bob.remote("origin").push("toy")
         assert origin.stats()["repository"]["commits"] >= 2              # stats
         # a sync verb's own process, against the live hub
