@@ -75,15 +75,19 @@ def _read_text(buf: io.BytesIO, tag: bytes, what: str, encoding: str = "utf-8") 
 
 
 # --------------------------------------------------------------------- array
+def _array_header(dtype: str, shape, kind: str) -> bytes:
+    """The one header an array of this dtype, shape and kind is written
+    with; the reader refuses any other spelling of it."""
+    return json.dumps(
+        {"dtype": dtype, "shape": list(shape), "kind": kind}, sort_keys=True
+    ).encode("utf-8")
+
+
 def _write_array(out: io.BytesIO, arr: np.ndarray) -> None:
     if arr.dtype == object:
         _write_string_column(out, arr)
         return
-    header = json.dumps({
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "kind": "dense",
-    }, sort_keys=True).encode("utf-8")
+    header = _array_header(arr.dtype.str, arr.shape, "dense")
     _write_len(out, len(header))
     out.write(header)
     raw = np.ascontiguousarray(arr).tobytes()
@@ -92,11 +96,7 @@ def _write_array(out: io.BytesIO, arr: np.ndarray) -> None:
 
 
 def _write_string_column(out: io.BytesIO, arr: np.ndarray) -> None:
-    header = json.dumps({
-        "dtype": "object",
-        "shape": list(arr.shape),
-        "kind": "strings",
-    }, sort_keys=True).encode("utf-8")
+    header = _array_header("object", arr.shape, "strings")
     _write_len(out, len(header))
     out.write(header)
     body = io.BytesIO()
@@ -112,10 +112,13 @@ def _write_string_column(out: io.BytesIO, arr: np.ndarray) -> None:
     out.write(raw)
 
 
-def _read_array_header(buf: io.BytesIO, tag: bytes) -> dict:
-    """The array header, checked before any of its body is used."""
+def _read_array_header(buf: io.BytesIO, tag: bytes) -> tuple[tuple, np.dtype | None]:
+    """The array's shape and dtype (None for strings), checked before
+    any of its body is used: a header is refused unless it is the one
+    :func:`_array_header` writes for them."""
+    raw = _read_exact(buf, _read_len(buf))
     try:
-        header = json.loads(_read_text(buf, tag, "the array header"))
+        header = json.loads(_decode(raw, tag, "the array header"))
     except ValueError:  # JSONDecodeError, or an int past the digit limit
         raise StorageError(f"payload tag {tag!r}: the array header is not JSON") from None
     if not isinstance(header, dict):
@@ -128,15 +131,27 @@ def _read_array_header(buf: io.BytesIO, tag: bytes) -> dict:
             f"payload tag {tag!r}: the array shape {shape!r} is not a list of "
             "non-negative ints"
         )
-    return header
+    dtype = None
+    if kind == "dense":
+        name = header.get("dtype")
+        try:
+            if not isinstance(name, str):
+                raise TypeError(name)
+            dtype = np.dtype(name)
+        except (TypeError, ValueError):
+            raise StorageError(f"payload tag {tag!r}: unknown dtype {name!r}") from None
+        if dtype.hasobject:
+            raise StorageError(f"payload tag {tag!r}: object dtype in a dense array")
+    if raw != _array_header("object" if dtype is None else dtype.str, shape, kind):
+        raise StorageError(f"payload tag {tag!r}: the array header is not in canonical form")
+    return tuple(shape), dtype
 
 
 def _read_array(buf: io.BytesIO, tag: bytes) -> np.ndarray:
-    header = _read_array_header(buf, tag)
+    shape, dtype = _read_array_header(buf, tag)
     raw = _read_exact(buf, _read_len(buf))
-    shape = tuple(header["shape"])
     count = math.prod(shape)
-    if header["kind"] == "strings":
+    if dtype is None:  # strings
         if 8 * count > len(raw):
             raise StorageError(
                 f"payload tag {tag!r}: {len(raw)} body bytes cannot hold {count} strings"
@@ -145,21 +160,14 @@ def _read_array(buf: io.BytesIO, tag: bytes) -> np.ndarray:
         items: list[object] = []
         for _ in range(count):
             (n,) = struct.unpack(">q", _read_exact(body, 8))
+            if n < -1:
+                raise StorageError(f"payload tag {tag!r}: a string of length {n}")
             items.append(None if n < 0 else _decode(_read_exact(body, n), tag, "a string"))
         if body.tell() != len(raw):
             raise StorageError(f"payload tag {tag!r}: bytes after the last string")
         arr = np.empty(count, dtype=object)
         arr[:] = items
         return arr.reshape(shape)
-    name = header.get("dtype")
-    try:
-        if not isinstance(name, str):
-            raise TypeError(name)
-        dtype = np.dtype(name)
-    except (TypeError, ValueError):
-        raise StorageError(f"payload tag {tag!r}: unknown dtype {name!r}") from None
-    if dtype.hasobject:
-        raise StorageError(f"payload tag {tag!r}: object dtype in a dense array")
     if len(raw) != count * dtype.itemsize:
         raise StorageError(
             f"payload tag {tag!r}: {len(raw)} body bytes for shape {list(shape)} "
@@ -174,7 +182,7 @@ def _read_array(buf: io.BytesIO, tag: bytes) -> np.ndarray:
 def _write_value(out: io.BytesIO, value) -> None:
     if value is None:
         out.write(_TAG_NONE)
-    elif isinstance(value, bool):  # before int: bool is an int subclass
+    elif isinstance(value, (bool, np.bool_)):  # before int: bool is an int subclass
         out.write(_TAG_BOOL)
         out.write(b"\x01" if value else b"\x00")
     elif isinstance(value, (int, np.integer)):
@@ -233,13 +241,21 @@ def _read_value(buf: io.BytesIO):
     if tag == _TAG_NONE:
         return None
     if tag == _TAG_BOOL:
-        return _read_exact(buf, 1) == b"\x01"
+        raw = _read_exact(buf, 1)
+        if raw not in (b"\x00", b"\x01"):
+            raise StorageError(f"payload tag {tag!r}: {raw!r} is not a bool")
+        return raw == b"\x01"
     if tag == _TAG_INT:
         text = _read_text(buf, tag, "the integer", "ascii")
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise StorageError(f"payload tag {tag!r}: {text[:40]!r} is not an integer") from None
+        if str(value) != text:  # a sign, a zero, an underscore or a space too many
+            raise StorageError(
+                f"payload tag {tag!r}: {text[:40]!r} is not how {value} is written"
+            )
+        return value
     if tag == _TAG_FLOAT:
         return struct.unpack(">d", _read_exact(buf, 8))[0]
     if tag == _TAG_STR:
@@ -253,7 +269,13 @@ def _read_value(buf: io.BytesIO):
         columns: dict[str, np.ndarray] = {}
         for _ in range(n):
             name = _read_text(buf, tag, "a column name")
-            columns[name] = _read_array(buf, tag)
+            if name in columns:
+                raise StorageError(f"payload tag {tag!r}: the column {name!r} repeats")
+            column = columns[name] = _read_array(buf, tag)
+            if column.dtype.kind in "US":  # a table keeps these as objects
+                raise StorageError(
+                    f"payload tag {tag!r}: the column {name!r} is dense {column.dtype.str}"
+                )
         try:
             return Table(columns)
         except ComponentError as exc:
@@ -266,6 +288,8 @@ def _read_value(buf: io.BytesIO):
         result = {}
         for _ in range(n):
             key = _read_text(buf, tag, "a key")
+            if key in result:
+                raise StorageError(f"payload tag {tag!r}: the key {key!r} repeats")
             result[key] = _read_value(buf)
         return result
     raise StorageError(f"unknown payload tag: {tag!r}")

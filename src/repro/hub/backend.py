@@ -79,7 +79,7 @@ class SharedChunkBackend:
         return self.store.get(digest)
 
     # ---------------------------------------------------------- mutation
-    def acquire(self, digest: str, data: bytes) -> bool:
+    def acquire(self, digest: str, data: bytes | memoryview) -> bool:
         """Register one new holder of ``digest``, storing bytes if novel.
 
         Returns True when this call took the digest from zero holders to
@@ -89,7 +89,9 @@ class SharedChunkBackend:
         the view's ``import_chunk`` verified or its ``put_many`` derived
         the digest of, so the bytes are stored through the store's
         non-verifying :meth:`~repro.storage.chunk_store.ChunkStore.adopt`
-        and a pushed chunk is hashed once on the hub, not twice.
+        and a pushed chunk is hashed once on the hub, not twice. A pushed
+        chunk arrives as a view into its request and is copied only by a
+        store that keeps bytes in memory.
 
         Lock discipline: only the refcount/ownership bookkeeping runs
         under the backend lock. The byte write itself happens unlocked —
@@ -253,7 +255,7 @@ class TenantChunkStore(ChunkStore):
     def canonical(digests: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(map(sys.intern, digests))
 
-    def _write(self, digest: str, data: bytes) -> None:
+    def _write(self, digest: str, data: bytes | memoryview) -> None:
         digest = sys.intern(digest)
         self.backend.acquire(digest, data)
         self._held[digest] = len(data)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -128,13 +129,15 @@ class Remote:
         base = max(retry_after, 0.0) * (2 ** attempt)
         return base * (0.5 + random.random())
 
-    def _call(self, meta: dict, blobs: list[bytes] | None = None):
+    def _call(self, meta: dict, blobs=None, sizes: list[int] | None = None):
+        """One request and its decoded response (``blobs``/``sizes`` as
+        :func:`~repro.remote.protocol.encode_message` takes them)."""
         op = meta.get("op")
         if op not in OP_TABLE:
             # Refused here, before a byte is framed: a method added to
             # this class cannot send an op the table does not declare.
             raise RemoteProtocolError(f"unknown operation {op!r}")
-        payload = encode_message(meta, blobs)
+        payload = encode_message(meta, blobs, sizes)
         for attempt in range(self.overload_retries + 1):
             response = self.transport.call(payload)
             meta_out, blobs_out = decode_message(response)
@@ -341,24 +344,24 @@ class Remote:
         # an interrupted push leaves only harmless orphans) and the final
         # push message carries metadata and the ref update alone. The
         # has_more flag keeps peak memory at one window: each batch is
-        # shipped before the next is materialized.
+        # shipped before the next is read, and a batch's chunks are read
+        # one at a time into its frame.
         chunk_bytes_sent = 0
         push_digests: list = []
-        push_blobs: list = []
+        push_sizes: list = []
+        push_blobs: Iterable[bytes] = ()
         streamed = False
-        for batch_digests, batch_blobs, has_more in pack.iter_chunk_batches(
+        for batch_digests, sizes, blobs, has_more in pack.iter_chunk_batches(
             chunks, missing, self.max_pack_bytes
         ):
             if not has_more and not streamed:
                 # Sole batch: it rides inside the push message itself.
-                push_digests, push_blobs = batch_digests, batch_blobs
+                push_digests, push_sizes, push_blobs = batch_digests, sizes, blobs
                 break
-            self._call(
-                {"op": "put_chunks", "digests": batch_digests}, batch_blobs
-            )
+            self._call({"op": "put_chunks", "digests": batch_digests}, blobs, sizes)
             streamed = True
-            chunk_bytes_sent += sum(len(b) for b in batch_blobs)
-        chunk_bytes_sent += sum(len(b) for b in push_blobs)
+            chunk_bytes_sent += sum(sizes)
+        chunk_bytes_sent += sum(push_sizes)
 
         push_meta = pack.pack_meta(repo, commits, recipes, records, push_digests)
         push_meta["op"] = "push"
@@ -370,7 +373,7 @@ class Remote:
         # adopts it, so later clones bootstrap with the right metric/seed.
         # Plain servers ignore the key (schema-additive, no version bump).
         push_meta["repo_config"] = {"metric": repo.metric, "seed": repo.seed}
-        meta, _ = self._call(push_meta, push_blobs)
+        meta, _ = self._call(push_meta, push_blobs, push_sizes)
         return PushResult(
             commits_sent=len(commits),
             chunks_sent=len(missing),

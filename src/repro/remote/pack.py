@@ -62,12 +62,15 @@ def iter_chunk_batches(
     store: ChunkStore,
     digests: Iterable[str],
     max_bytes: int,
-) -> Iterator[tuple[list[str], list[bytes], bool]]:
-    """Yield ``(digests, blobs, has_more)`` batches of ≤ ``max_bytes`` payload.
+) -> Iterator[tuple[list[str], list[int], Iterator[bytes], bool]]:
+    """Yield ``(digests, sizes, blobs, has_more)`` batches of ≤ ``max_bytes``.
 
     Each batch is cut from the sizes ``store`` holds for its chunks
-    before any of them is read, so every chunk read is one that ships:
-    peak memory is one batch, and consumers can act on ``has_more``
+    before any of them is read, so every chunk read is one that ships.
+    ``blobs`` reads the batch's chunks lazily, one ``store.get`` per
+    chunk, for :func:`~repro.remote.protocol.encode_message` to frame
+    as they come (``sizes`` is the frame's size list): peak memory is
+    the frame and one chunk, and consumers can act on ``has_more``
     (True on every yield except the last) without pulling the next
     batch into memory. A chunk larger than the budget still ships (as a
     batch of one) — the window bounds batch size, it never makes content
@@ -75,16 +78,18 @@ def iter_chunk_batches(
     :class:`~repro.errors.ChunkNotFoundError` when its batch is cut.
     """
     batch: list[str] = []
+    sizes: list[int] = []
     batch_size = 0
     for digest in digests:
         size = store._size(digest)
         if batch and batch_size + size > max_bytes:
-            yield batch, [store.get(d) for d in batch], True
-            batch, batch_size = [], 0
+            yield batch, sizes, map(store.get, batch), True
+            batch, sizes, batch_size = [], [], 0
         batch.append(digest)
+        sizes.append(size)
         batch_size += size
     if batch:
-        yield batch, [store.get(d) for d in batch], False
+        yield batch, sizes, map(store.get, batch), False
 
 
 # -------------------------------------------------------------- assembly

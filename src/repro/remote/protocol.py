@@ -26,8 +26,10 @@ exception hierarchy client-side.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+from collections.abc import Iterable
 
 from ..errors import (
     AuthenticationError,
@@ -72,19 +74,59 @@ OPS = tuple(OP_TABLE)
 WRITE_OPS = frozenset(spec.name for spec in OP_TABLE.values() if spec.write)
 
 
-def encode_message(meta: dict, blobs: list[bytes] | None = None) -> bytes:
-    """Frame ``meta`` plus binary ``blobs`` into one wire message."""
-    blobs = blobs or []
+def encode_message(
+    meta: dict,
+    blobs: Iterable[bytes | memoryview] | None = None,
+    sizes: list[int] | None = None,
+) -> bytes:
+    """Frame ``meta`` plus binary ``blobs`` into one wire message.
+
+    ``blobs`` is a list, or — when their ``sizes`` are given — any
+    iterable yielding blobs of exactly those sizes, read one at a time:
+    the frame is allocated once, at its final size, before the first
+    blob is read, and each blob is copied into it and dropped before the
+    next one is read. A window of chunks framed straight from a store
+    therefore holds the frame and one chunk, never every chunk beside a
+    joined copy of them. A blob whose length is not its declared size
+    raises :class:`ValueError`.
+    """
+    if sizes is None:
+        blobs = list(blobs or ())
+        sizes = [len(blob) for blob in blobs]
     header = json.dumps(
-        {"v": PROTOCOL_VERSION, "meta": meta, "blob_sizes": [len(b) for b in blobs]},
+        {"v": PROTOCOL_VERSION, "meta": meta, "blob_sizes": sizes},
         separators=(",", ":"),
         sort_keys=True,
     ).encode("utf-8")
-    return b"".join([MAGIC, struct.pack(">I", len(header)), header, *blobs])
+    frame = io.BytesIO()
+    # Writing the last byte first sizes the buffer exactly, so it never
+    # regrows, and getvalue() returns that buffer itself, not a copy.
+    frame.seek(8 + len(header) + sum(sizes) - 1)
+    frame.write(b"\0")
+    frame.seek(0)
+    frame.write(MAGIC)
+    frame.write(struct.pack(">I", len(header)))
+    frame.write(header)
+    pending = iter(blobs or ())
+    for index, size in enumerate(sizes):
+        blob = next(pending, None)
+        if blob is None or len(blob) != size:
+            raise ValueError(f"blob {index} does not have its declared {size} bytes")
+        frame.write(blob)
+        del blob  # the next read must not find this one still alive
+    if next(pending, None) is not None:
+        raise ValueError(f"more blobs than the {len(sizes)} declared sizes")
+    return frame.getvalue()
 
 
-def decode_message(data: bytes) -> tuple[dict, list[bytes]]:
-    """Inverse of :func:`encode_message`; strict about every byte."""
+def decode_message(data: bytes) -> tuple[dict, list[memoryview]]:
+    """Inverse of :func:`encode_message`; strict about every byte.
+
+    The blobs are zero-copy views into ``data``: whoever keeps one past
+    the message's life copies it (``MemoryChunkStore`` does; a
+    ``FileChunkStore`` writes the view and keeps nothing), so importing
+    a pushed window allocates no per-chunk copy.
+    """
     if len(data) < 8 or data[:4] != MAGIC:
         raise RemoteProtocolError("bad magic: not a remote-sync message")
     (header_len,) = struct.unpack(">I", data[4:8])
@@ -110,10 +152,11 @@ def decode_message(data: bytes) -> tuple[dict, list[bytes]]:
         not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in sizes
     ):
         raise RemoteProtocolError("invalid blob_sizes in header")
+    view = memoryview(data)
     blobs = []
     cursor = header_end
     for size in sizes:
-        blob = data[cursor : cursor + size]
+        blob = view[cursor : cursor + size]
         if len(blob) != size:
             raise RemoteProtocolError("truncated message blob")
         blobs.append(blob)

@@ -611,9 +611,9 @@ class RepositoryServer:
             if requested is not None
             else self.max_pack_bytes
         )
-        send_digests, payloads, _ = next(
+        send_digests, sizes, payloads, _ = next(
             pack.iter_chunk_batches(self.repo.objects.chunks, digests, budget),
-            ([], [], False),
+            ([], [], (), False),
         )
         return encode_message(
             {
@@ -621,6 +621,7 @@ class RepositoryServer:
                 "remaining": len(digests) - len(send_digests),
             },
             payloads,
+            sizes,
         )
 
     def _op_put_chunks(self, meta: dict, blobs) -> bytes:

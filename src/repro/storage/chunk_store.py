@@ -94,7 +94,11 @@ class ChunkStore(ABC):
     def _contains(self, digest: str) -> bool: ...
 
     @abstractmethod
-    def _write(self, digest: str, data: bytes) -> None: ...
+    def _write(self, digest: str, data: bytes | memoryview) -> None:
+        """Hold ``data`` under ``digest``. ``data`` may be a view into a
+        buffer the caller still owns (a wire message, a chunked blob):
+        a store that keeps the bytes in memory copies them, one that
+        writes them out does not."""
 
     @abstractmethod
     def _read(self, digest: str) -> bytes:
@@ -137,10 +141,9 @@ class ChunkStore(ABC):
         index knows is compared byte for byte with the chunk held under
         the indexed digest, read through ``_read`` so no read counter
         moves; only a piece with no confirmed match is hashed. Only a
-        piece the store lacks is stored, as a copy (``bytes(piece)``: a
-        content address never aliases memory the caller can still
-        change, and a stored view would pin its whole parent blob); a
-        dedup hit costs a key lookup, one comparison and one membership
+        piece the store lacks is stored, handed to ``_write`` as it came
+        (a store that keeps bytes in memory copies it there); a dedup
+        hit costs a key lookup, one comparison and one membership
         test. The batch is one clock window — the lookups
         and hashing stay outside it, as for a single put — and one
         accounting step, which also books what landed before a
@@ -160,7 +163,7 @@ class ChunkStore(ABC):
                 if contains(digest):
                     hits += size
                 else:
-                    write(digest, bytes(piece))
+                    write(digest, piece)
                     written += size
                     novel += 1
         finally:
@@ -235,7 +238,7 @@ class ChunkStore(ABC):
                 wanted.append(digest)
         return wanted
 
-    def import_chunk(self, digest: str, data: bytes) -> bool:
+    def import_chunk(self, digest: str, data: bytes | memoryview) -> bool:
         """Store a chunk received under a claimed ``digest``.
 
         Unlike :meth:`put`, the address is asserted by the sender, so the
@@ -249,16 +252,18 @@ class ChunkStore(ABC):
             raise ChunkIntegrityError(digest)
         return self.adopt(digest, data)
 
-    def adopt(self, digest: str, data: bytes) -> bool:
+    def adopt(self, digest: str, data: bytes | memoryview) -> bool:
         """The step of :meth:`import_chunk` after its hash check, booked
         the same way, for a caller that already knows ``data`` hashes to
         ``digest``: the hub's shared backend, whose every write comes
-        from a view that verified or derived the digest itself."""
+        from a view that verified or derived the digest itself. ``data``
+        goes to ``_write`` as it came — a view into a request stays a
+        view unless the store keeps bytes in memory."""
         start = perf_counter()
         try:
             if self._contains(digest):
                 return False
-            self._write(digest, bytes(data))  # a copy unless already bytes
+            self._write(digest, data)
             self.stats.record_physical(len(data))
             self.revision += 1
         finally:
@@ -289,8 +294,11 @@ class MemoryChunkStore(ChunkStore):
     def _contains(self, digest: str) -> bool:
         return digest in self._chunks
 
-    def _write(self, digest: str, data: bytes) -> None:
-        self._chunks[digest] = data
+    def _write(self, digest: str, data: bytes | memoryview) -> None:
+        # The one copy of the write path: a content address never aliases
+        # memory the caller can still change, and a stored view would pin
+        # its whole parent buffer. bytes(bytes) is the object itself.
+        self._chunks[digest] = bytes(data)
 
     def _read(self, digest: str) -> bytes:
         try:
@@ -525,8 +533,9 @@ class FileChunkStore(ChunkStore):
 
     # The lock orders appenders of one file and nothing else — readers
     # take none — so the file I/O under it is its whole critical section.
-    def _write(self, digest: str, data: bytes) -> None:
-        # Two writes and an lseek per chunk. No temp name, no rename, no
+    def _write(self, digest: str, data: bytes | memoryview) -> None:
+        # Two writes and an lseek per chunk, of ``data`` as it came (a
+        # view is written, never copied). No temp name, no rename, no
         # directory: the row is what publishes the chunk, and a chunk
         # whose row never lands is cut off by the next writer.
         size = len(data)

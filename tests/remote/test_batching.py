@@ -32,28 +32,33 @@ class TestIterChunkBatches:
     def test_batches_respect_budget(self):
         store, digests = store_of(*[100] * 10)
         batches = list(iter_chunk_batches(store, digests, 250))
-        assert all(sum(len(b) for b in blobs) <= 250 for _, blobs, _ in batches)
-        assert [d for batch, _, _ in batches for d in batch] == digests
+        assert all(sum(sizes) <= 250 for _, sizes, _, _ in batches)
+        assert [d for batch, *_ in batches for d in batch] == digests
+        for batch, sizes, blobs, _ in batches:
+            assert list(blobs) == [store.get(d) for d in batch]
+            assert sizes == [len(store.get(d)) for d in batch]
 
     def test_has_more_true_except_on_final_batch(self):
         store, digests = store_of(*[100] * 5)
         flags = [
-            has_more for _, _, has_more in iter_chunk_batches(store, digests, 200)
+            has_more for *_, has_more in iter_chunk_batches(store, digests, 200)
         ]
         assert flags == [True, True, False]
 
     def test_oversized_chunk_still_ships_alone(self):
         store, digests = store_of(500, 10)
         batches = list(iter_chunk_batches(store, digests, 100))
-        assert [batch for batch, _, _ in batches] == [digests[:1], digests[1:]]
+        assert [batch for batch, *_ in batches] == [digests[:1], digests[1:]]
 
     def test_empty_input_yields_nothing(self):
         assert list(iter_chunk_batches(MemoryChunkStore(), [], 100)) == []
 
     def test_reads_only_the_chunks_it_yields(self):
         store, digests = store_of(100, 100, 100)
-        batch, blobs, has_more = next(iter_chunk_batches(store, digests, 250))
-        assert (batch, has_more) == (digests[:2], True)
+        batch, sizes, blobs, has_more = next(iter_chunk_batches(store, digests, 250))
+        assert (batch, sizes, has_more) == (digests[:2], [100, 100], True)
+        assert store.stats.reads == 0  # cut from sizes; nothing read yet
+        assert len(encode_message({}, blobs, sizes)) > 200
         assert store.stats.reads == 2  # the third was sized, never read
 
     def test_unheld_digest_is_a_typed_miss(self):

@@ -323,7 +323,10 @@ def json_type(value) -> str:
 
 @functools.cache
 def toy_push() -> tuple[dict, list]:
-    """The one push request of a fresh toy repository (meta, blobs)."""
+    """The one push request of a fresh toy repository (meta, blobs).
+
+    The blobs are copied out of the decoder's views into ``bytes``, so
+    the request can be deep-copied and outlive its frame."""
     captured = []
 
     class Recording(LocalTransport):
@@ -332,8 +335,8 @@ def toy_push() -> tuple[dict, list]:
             return super().call(request)
 
     Remote(fresh_toy_repo(), Recording(RepositoryServer(MLCask()))).push("toy")
-    (push,) = [request for request in captured if request[0]["op"] == "push"]
-    return push
+    ((meta, blobs),) = [request for request in captured if request[0]["op"] == "push"]
+    return meta, [bytes(blob) for blob in blobs]
 
 
 @st.composite

@@ -37,6 +37,35 @@ class TestFraming:
         decoded, out = decode_message(encode_message({"op": "get_chunks"}, blobs))
         assert out == blobs
 
+    def test_blobs_read_lazily_frame_the_same_bytes(self):
+        blobs = [b"\x00\xff" * 100, b"", bytes(range(256))]
+        reads = []
+
+        def lazily():
+            for blob in blobs:
+                reads.append(len(blob))
+                yield blob
+
+        framed = encode_message({"op": "x"}, lazily(), [len(b) for b in blobs])
+        assert type(framed) is bytes
+        assert framed == encode_message({"op": "x"}, blobs)
+        assert reads == [200, 0, 256]
+
+    @pytest.mark.parametrize(
+        "sizes", [[200, 1, 256], [200, 0], [200, 0, 256, 0]], ids=["size", "fewer", "more"]
+    )
+    def test_a_blob_that_is_not_its_declared_size_is_refused(self, sizes):
+        blobs = [b"\x00\xff" * 100, b"", bytes(range(256))]
+        with pytest.raises(ValueError):
+            encode_message({"op": "x"}, iter(blobs), sizes)
+
+    def test_decoded_blobs_are_views_into_the_message(self):
+        message = encode_message({"op": "x"}, [b"abc", b"de"])
+        _, blobs = decode_message(message)
+        assert [type(b) for b in blobs] == [memoryview, memoryview]
+        assert all(b.obj is message for b in blobs)
+        assert blobs == [b"abc", b"de"]
+
     def test_blob_bytes_are_raw_not_inflated(self):
         # Chunk payloads must travel verbatim (no base64): the message is
         # only framing-overhead bigger than the content it carries.

@@ -258,12 +258,12 @@ class TestAContentAddressNeverAliasesCallerMemory:
         written = []
         real_write = store.chunks._write
         monkeypatch.setattr(
-            store.chunks, "_write", lambda d, data: (written.append(data), real_write(d, data))
+            store.chunks, "_write", lambda d, data: (written.append(d), real_write(d, data))
         )
         edited = blob[:50_000] + b"\x00" * 8 + blob[50_008:]
         store.put(edited)
         assert 1 <= len(written) <= 2  # the chunk(s) the edit touched
-        assert all(type(data) is bytes for data in written)
+        assert all(type(store.chunks._chunks[d]) is bytes for d in written)
 
 
 def test_one_write_path_no_backend_overrides_it():
