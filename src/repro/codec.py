@@ -1,21 +1,30 @@
-"""Typed row construction for the dict codecs.
+"""Row codecs derived from the dataclasses.
 
-The dict codecs (``commit_from_dict`` & friends in
-:mod:`repro.core.persistence`, ``lineage_record_from_dict`` in
-:mod:`repro.provenance.ledger`) turn JSON rows from disk and from the
-wire into frozen dataclasses. :func:`build` checks every value against
-its field's annotation before constructing, so a row whose field has the
-wrong JSON type fails to decode with a ``TypeError`` naming the field.
-Without the check such a row decodes fine and fails later, half-applied:
-a list-typed lineage field breaks the ledger's dedup set, a list-typed
-pipeline name the branch index. The annotations are the schema; nothing
-here lists a field.
+Every row kind that lands on disk as a journal row and crosses the wire
+as a pack row (commits, specs, recipes, checkpoint records, lineage
+records) is a frozen dataclass, and that dataclass is its one schema:
+:func:`encode` writes an object's JSON row, :func:`decode` reads it
+back, both from a plan computed once per class. Where a row differs
+from the fields, a field's ``metadata`` says so: ``"wire"`` is its key
+in the row, ``"encode"``/``"decode"`` convert its value, an
+``"optional"`` field a row omits takes its default, and a ``"keyed"``
+field is the key the row is stored under, not part of it. A class's
+``WIRE_CONSTANTS`` are keys every row carries with a fixed value and a
+reader ignores.
+
+:func:`build` checks every value against its field's annotation before
+constructing, so a row whose field has the wrong JSON type fails to
+decode with a ``TypeError`` naming the field. Without the check such a
+row decodes fine and fails later, half-applied: a list-typed lineage
+field breaks the ledger's dedup set, a list-typed pipeline name the
+branch index. The annotations are the types; nothing here lists a field.
 
 This is a leaf module: it imports only the standard library.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import types
 import typing
 from functools import cache
@@ -78,11 +87,44 @@ def _conformer(hint):
 
 
 @cache
+def _jsonifier(hint):
+    """A function returning a value of a field annotated ``hint`` as
+    JSON reads it back — a tuple as a list, a dict copied — or None when
+    the value already is."""
+    if hint is dict or typing.get_origin(hint) is dict:
+        return dict
+    if typing.get_origin(hint) is not tuple:
+        return None
+    item = _jsonifier(typing.get_args(hint)[0])  # a row's tuples hold one kind
+    if item is None:
+        return list
+    return lambda value: [item(part) for part in value]
+
+
+@cache
 def _fields(cls) -> dict:
     return {
         name: (hint, _conformer(hint))
         for name, hint in typing.get_type_hints(cls).items()
     }
+
+
+@cache
+def _plan(cls) -> tuple[tuple, dict, tuple]:
+    """``(writes, constants, reads)`` of a row class: ``(field, key,
+    encode)`` per written field, the keys written with a fixed value,
+    and ``(field, key, decode, optional)`` per field read from a row."""
+    writes: list = []
+    reads: list = []
+    for spec in dataclasses.fields(cls):
+        wire = spec.metadata
+        if wire.get("keyed"):
+            continue
+        key = wire.get("wire", spec.name)
+        encode = wire.get("encode") or _jsonifier(_fields(cls)[spec.name][0])
+        writes.append((spec.name, key, encode))
+        reads.append((spec.name, key, wire.get("decode"), wire.get("optional")))
+    return tuple(writes), dict(getattr(cls, "WIRE_CONSTANTS", {})), tuple(reads)
 
 
 def _name(hint) -> str:
@@ -105,3 +147,26 @@ def build(cls, **values):
                 f"got {type(value).__name__}"
             ) from None
     return cls(**values)
+
+
+def encode(obj) -> dict:
+    """The row of a row-class object: what :func:`decode` reads back."""
+    writes, constants, _ = _plan(type(obj))
+    row = dict(constants)
+    for name, key, convert in writes:
+        value = getattr(obj, name)
+        row[key] = value if convert is None else convert(value)
+    return row
+
+
+def decode(cls, row: dict, **keyed):
+    """The ``cls`` object a row holds, through :func:`build`. ``keyed``
+    supplies the fields the row is stored under. A row lacking a key a
+    field does not declare optional raises ``KeyError``; a value of the
+    wrong type ``TypeError``; keys no field reads are ignored."""
+    for name, key, convert, optional in _plan(cls)[2]:
+        if optional and key not in row:
+            continue
+        value = row[key]
+        keyed[name] = value if convert is None else convert(value)
+    return build(cls, **keyed)

@@ -22,7 +22,9 @@ class PipelineCommit:
 
     commit_id: str
     pipeline: str
-    version: SemVer
+    version: SemVer = field(  # a row holds it dotted
+        metadata={"encode": lambda version: version.dotted, "decode": SemVer.parse_dotted}
+    )
     branch: str
     parents: tuple[str, ...]
     component_versions: dict = field(compare=False)  # stage -> component identifier

@@ -58,9 +58,9 @@ one whole JSON file per collection beside it) is refused with a
 hosts, are in ``docs/invariants.md`` ("Repository metadata: one commit
 point").
 
-The per-object dict codecs (:func:`commit_to_dict` & friends) are shared
-with the remote-sync wire protocol: a pack travelling over a transport
-and a journal row resting on disk serialize commits identically.
+A journal row and a pack row travelling over a transport are one row:
+both are :func:`repro.codec.encode` of the object, read back by
+:func:`repro.codec.decode`, whose dataclass is its schema.
 """
 
 from __future__ import annotations
@@ -71,16 +71,15 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from ..codec import build
+from ..codec import decode, encode
 from ..errors import RepositoryError
-from ..provenance.ledger import lineage_record_to_dict
+from ..provenance.ledger import LineageRecord
 from ..storage.chunk_store import FileChunkStore, write_atomic
 from ..storage.gc import GCReport, sweep_repository
 from ..storage.object_store import ObjectStore, Recipe
 from .checkpoint import CheckpointRecord
 from .commit import PipelineCommit
 from .pipeline import PipelineSpec
-from .semver import SemVer
 
 FORMAT_VERSION = 1
 
@@ -145,104 +144,11 @@ def read_journal(path: str, committed: int) -> list:
     return [json.loads(line) for line in data.splitlines()]
 
 
-# ------------------------------------------------------------- dict codecs
-def commit_to_dict(commit: PipelineCommit) -> dict:
-    return {
-        "commit_id": commit.commit_id,
-        "pipeline": commit.pipeline,
-        "version": commit.version.dotted,
-        "branch": commit.branch,
-        "parents": list(commit.parents),
-        "component_versions": dict(commit.component_versions),
-        "component_fingerprints": dict(commit.component_fingerprints),
-        "stage_outputs": dict(commit.stage_outputs),
-        "metrics": dict(commit.metrics),
-        "score": commit.score,
-        "message": commit.message,
-        "author": commit.author,
-        "sequence": commit.sequence,
-    }
-
-
-def commit_from_dict(entry: dict) -> PipelineCommit:
-    return build(
-        PipelineCommit,
-        commit_id=entry["commit_id"],
-        pipeline=entry["pipeline"],
-        version=SemVer.parse_dotted(entry["version"]),
-        branch=entry["branch"],
-        parents=entry["parents"],
-        component_versions=entry["component_versions"],
-        component_fingerprints=entry["component_fingerprints"],
-        stage_outputs=entry["stage_outputs"],
-        metrics=entry["metrics"],
-        score=entry["score"],
-        message=entry["message"],
-        author=entry["author"],
-        sequence=entry["sequence"],
-    )
-
-
-def spec_to_dict(spec: PipelineSpec) -> dict:
-    return {
-        "stages": list(spec.stages),
-        "edges": [list(edge) for edge in spec.edges],
-    }
-
-
-def spec_from_dict(name: str, entry: dict) -> PipelineSpec:
-    return build(
-        PipelineSpec, name=name, stages=entry["stages"], edges=entry["edges"]
-    )
-
-
-def recipe_to_dict(recipe: Recipe) -> dict:
-    return {
-        "blob": recipe.blob_digest,
-        "chunks": list(recipe.chunk_digests),
-        "size": recipe.size,
-    }
-
-
-def recipe_from_dict(entry: dict) -> Recipe:
-    return build(
-        Recipe,
-        blob_digest=entry["blob"],
-        chunk_digests=entry["chunks"],
-        size=entry["size"],
-    )
-
-
-def record_to_dict(record: CheckpointRecord) -> dict:
-    return {
-        "key": record.key,
-        "component_id": record.component_id,
-        "output_ref": record.output_ref,
-        "output_bytes": record.output_bytes,
-        "run_seconds": record.run_seconds,
-        "metrics": dict(record.metrics),
-    }
-
-
-def record_from_dict(entry: dict) -> CheckpointRecord:
-    return build(
-        CheckpointRecord,
-        key=entry["key"],
-        component_id=entry["component_id"],
-        output_ref=entry["output_ref"],
-        output_bytes=entry["output_bytes"],
-        run_seconds=entry["run_seconds"],
-        metrics=entry["metrics"],
-    )
-
-
 # ------------------------------------------------------------- state file
 def repository_header(repo) -> dict:
     """The small mutable part of a repository's version-control state:
     everything but the commits, whose number only ever grows."""
-    specs = {
-        name: spec_to_dict(repo.spec(name)) for name in repo.branches.pipelines()
-    }
+    specs = {name: encode(repo.spec(name)) for name in repo.branches.pipelines()}
     heads = {
         pipeline: {
             branch: repo.branches.head(pipeline, branch)
@@ -271,7 +177,7 @@ def repository_header(repo) -> dict:
 def repository_state(repo) -> dict:
     """Serializable snapshot of a repository's version-control state."""
     state = repository_header(repo)
-    state["commits"] = [commit_to_dict(c) for c in repo.graph.all_commits()]
+    state["commits"] = [encode(c) for c in repo.graph.all_commits()]
     return state
 
 
@@ -312,10 +218,10 @@ def restore_repository(state: dict, registry=None, repo=None):
         repo.registry = registry
 
     for name, spec_state in state["specs"].items():
-        repo._specs[name] = spec_from_dict(name, spec_state)
+        repo._specs[name] = decode(PipelineSpec, spec_state, name=name)
 
     for entry in state["commits"]:
-        repo.graph.add(commit_from_dict(entry))
+        repo.graph.add(decode(PipelineCommit, entry))
 
     for pipeline, branches in state["heads"].items():
         for branch, head in branches.items():
@@ -338,21 +244,19 @@ HOLDINGS = "chunks"
 _JOURNALS = {
     "commits": (
         lambda repo: repo.graph,
-        lambda graph, start: [commit_to_dict(c) for c in graph.arrivals(start)],
+        lambda graph, start: [encode(c) for c in graph.arrivals(start)],
     ),
     "recipes": (
         lambda repo: repo.objects,
-        lambda objects, start: [recipe_to_dict(r) for r in objects.recipes(start)],
+        lambda objects, start: [encode(r) for r in objects.recipes(start)],
     ),
     "checkpoints": (
         lambda repo: repo.checkpoints,
-        lambda store, start: [record_to_dict(r) for r in store.records(start)],
+        lambda store, start: [encode(r) for r in store.records(start)],
     ),
     "lineage": (
         lambda repo: repo.lineage,
-        lambda ledger, start: [
-            lineage_record_to_dict(r) for r in ledger.records(start)
-        ],
+        lambda ledger, start: [encode(r) for r in ledger.records(start)],
     ),
     HOLDINGS: (
         lambda repo: repo.objects.chunks,
@@ -524,10 +428,12 @@ def restore_repository_dir(
         repo=repo,
     )
     for entry in _read_rows(root, header, "recipes"):
-        repo.objects.add_recipe(recipe_from_dict(entry))
+        repo.objects.add_recipe(decode(Recipe, entry))
     for entry in _read_rows(root, header, "checkpoints"):
-        repo.checkpoints.import_record(record_from_dict(entry))
-    repo.lineage.import_entries(_read_rows(root, header, "lineage"))
+        repo.checkpoints.import_record(decode(CheckpointRecord, entry))
+    repo.lineage.import_entries(
+        decode(LineageRecord, entry) for entry in _read_rows(root, header, "lineage")
+    )
     # Row cursors come from the stores, which is what a save slices: a
     # loader that folds two equal rows into one must not leave the cursor
     # past the end of its store.

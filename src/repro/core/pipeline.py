@@ -25,7 +25,7 @@ from .component import Component, DatasetComponent, LibraryComponent
 class PipelineSpec:
     """Stage names plus edges; validated to be a single-source DAG."""
 
-    name: str
+    name: str = field(metadata={"keyed": True})  # a spec row is stored under it
     stages: tuple[str, ...]
     edges: tuple[tuple[str, str], ...] = ()
 

@@ -187,7 +187,13 @@ def _write_value(out: io.BytesIO, value) -> None:
         out.write(b"\x01" if value else b"\x00")
     elif isinstance(value, (int, np.integer)):
         out.write(_TAG_INT)
-        encoded = str(int(value)).encode("ascii")
+        try:
+            encoded = str(int(value)).encode("ascii")
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            raise StorageError(
+                f"payload tag {_TAG_INT!r}: an integer of {int(value).bit_length()} "
+                "bits has too many digits to write"
+            ) from None
         _write_len(out, len(encoded))
         out.write(encoded)
     elif isinstance(value, (float, np.floating)):
@@ -249,8 +255,10 @@ def _read_value(buf: io.BytesIO):
         text = _read_text(buf, tag, "the integer", "ascii")
         try:
             value = int(text)
-        except ValueError:
-            raise StorageError(f"payload tag {tag!r}: {text[:40]!r} is not an integer") from None
+        except ValueError:  # a well-formed integer past the digit limit, too
+            digits = text.removeprefix("-").isdigit()
+            what = "has too many digits" if digits else "is not an integer"
+            raise StorageError(f"payload tag {tag!r}: {text[:40]!r} {what}") from None
         if str(value) != text:  # a sign, a zero, an underscore or a space too many
             raise StorageError(
                 f"payload tag {tag!r}: {text[:40]!r} is not how {value} is written"

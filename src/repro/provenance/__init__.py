@@ -12,8 +12,6 @@ from .ledger import (
     REUSED,
     LineageLedger,
     LineageRecord,
-    lineage_record_from_dict,
-    lineage_record_to_dict,
 )
 from .queries import (
     consumers_of,
@@ -27,8 +25,6 @@ __all__ = [
     "REUSED",
     "LineageLedger",
     "LineageRecord",
-    "lineage_record_from_dict",
-    "lineage_record_to_dict",
     "consumers_of",
     "impact_of",
     "lineage_of",

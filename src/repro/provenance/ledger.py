@@ -37,7 +37,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 
-from ..codec import build
 
 #: ``via`` values a record can carry: the stage ran, or an archived
 #: output was adopted (direct lookup hit, single-flight join, or
@@ -62,7 +61,15 @@ class LineageRecord:
     annotation (``collected``) are excluded from equality/hash — two
     records are *the same event* if everything else matches, which is
     what sync-import dedup and the executor differential tests compare.
+
+    A row (journal and wire alike, :mod:`repro.codec`) may omit any of
+    the five amendments, which then take their defaults.
     """
+
+    #: Retired request-trace ids: still written, always empty, and
+    #: ignored on read, so the journal and the wire keep their bytes
+    #: without a format bump.
+    WIRE_CONSTANTS = {"trace_id": "", "span_id": ""}
 
     checkpoint_key: str
     stage: str
@@ -76,63 +83,11 @@ class LineageRecord:
     seed: int
     tenant: str
     via: str
-    wall_seconds: float = field(default=0.0, compare=False)
-    cpu_seconds: float = field(default=0.0, compare=False)
-    commit_id: str = ""
-    branch: str = ""
-    collected: bool = field(default=False, compare=False)
-
-
-def lineage_record_to_dict(record: LineageRecord) -> dict:
-    """Dict codec shared by the on-disk ``lineage`` journal and the wire
-    (schema-additive ``lineage`` pack key); see ``record_to_dict`` in
-    :mod:`repro.core.persistence` for the pattern."""
-    return {
-        "checkpoint_key": record.checkpoint_key,
-        "stage": record.stage,
-        "pipeline": record.pipeline,
-        "component_id": record.component_id,
-        "component_fingerprint": record.component_fingerprint,
-        "component_version": record.component_version,
-        "params_digest": record.params_digest,
-        "input_refs": list(record.input_refs),
-        "output_ref": record.output_ref,
-        "seed": record.seed,
-        # Retired request-trace ids: still written, always empty, so the
-        # journal and the wire keep their bytes without a format bump.
-        "trace_id": "",
-        "span_id": "",
-        "tenant": record.tenant,
-        "via": record.via,
-        "wall_seconds": record.wall_seconds,
-        "cpu_seconds": record.cpu_seconds,
-        "commit_id": record.commit_id,
-        "branch": record.branch,
-        "collected": record.collected,
-    }
-
-
-def lineage_record_from_dict(entry: dict) -> LineageRecord:
-    return build(
-        LineageRecord,
-        checkpoint_key=entry["checkpoint_key"],
-        stage=entry["stage"],
-        pipeline=entry["pipeline"],
-        component_id=entry["component_id"],
-        component_fingerprint=entry["component_fingerprint"],
-        component_version=entry["component_version"],
-        params_digest=entry["params_digest"],
-        input_refs=entry["input_refs"],
-        output_ref=entry["output_ref"],
-        seed=entry["seed"],
-        tenant=entry["tenant"],
-        via=entry["via"],
-        wall_seconds=entry.get("wall_seconds", 0.0),
-        cpu_seconds=entry.get("cpu_seconds", 0.0),
-        commit_id=entry.get("commit_id", ""),
-        branch=entry.get("branch", ""),
-        collected=entry.get("collected", False),
-    )
+    wall_seconds: float = field(default=0.0, compare=False, metadata={"optional": True})
+    cpu_seconds: float = field(default=0.0, compare=False, metadata={"optional": True})
+    commit_id: str = field(default="", metadata={"optional": True})
+    branch: str = field(default="", metadata={"optional": True})
+    collected: bool = field(default=False, compare=False, metadata={"optional": True})
 
 
 class LineageLedger:
@@ -322,18 +277,7 @@ class LineageLedger:
             self._mirror.inc()
         return True
 
-    def import_entries(self, entries) -> int:
-        """Import dict-codec entries (the pack/disk form); returns how
+    def import_entries(self, records) -> int:
+        """Import records decoded from a pack or a journal; returns how
         many were new."""
-        imported = 0
-        for entry in entries:
-            if self.import_record(lineage_record_from_dict(entry)):
-                imported += 1
-        return imported
-
-    # -------------------------------------------------------- persistence
-    def to_payload(self) -> dict:
-        return {"records": [lineage_record_to_dict(r) for r in self.records()]}
-
-    def load_payload(self, payload: dict) -> int:
-        return self.import_entries(payload.get("records", []))
+        return sum(map(self.import_record, records))

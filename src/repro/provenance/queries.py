@@ -22,8 +22,9 @@ agree field-for-field.
 
 from __future__ import annotations
 
+from ..codec import encode
 from ..errors import LineageNotFoundError
-from .ledger import LineageLedger, LineageRecord, lineage_record_to_dict
+from .ledger import LineageLedger, LineageRecord
 
 
 def _ledger_of(repo) -> LineageLedger:
@@ -134,9 +135,7 @@ def lineage_of(repo, ref: str) -> dict:
         "nodes": [_node_of(r, producers[r]) for r in closure if r in producers],
         "edges": [list(edge) for edge in edges],
         "records": [
-            lineage_record_to_dict(record)
-            for record in records
-            if record.output_ref in seen
+            encode(record) for record in records if record.output_ref in seen
         ],
         "commits": _consuming_commits(repo, {target}),
     }
@@ -150,7 +149,7 @@ def consumers_of(repo, ref: str) -> dict:
     consumers = [r for r in records if target in r.input_refs]
     return {
         "ref": target,
-        "consumers": [lineage_record_to_dict(r) for r in consumers],
+        "consumers": [encode(r) for r in consumers],
         "refs": sorted({r.output_ref for r in consumers}),
         "commits": _consuming_commits(repo, {target}),
     }

@@ -225,6 +225,9 @@ class Remote:
         meta, _ = self._call(
             {"op": "fetch", "want": want, "have_commits": have}
         )
+        # Decoded before the first chunk lands: a response with a row that
+        # does not decode changes nothing here.
+        rows = pack.decode_pack(meta, "fetch response")
 
         # Chunk transfer is windowed to max_pack_bytes per response and
         # each batch is imported (integrity-verified) as it arrives, so
@@ -275,16 +278,11 @@ class Remote:
         # delta, so grafting commits before their content has safely
         # landed would make a retry after a failed transfer believe there
         # is nothing left to fetch.
-        pack.import_specs(self.repo, meta.get("specs", {}))
+        pack.import_specs(self.repo, rows["specs"])
         pack.import_content(
-            self.repo,
-            meta.get("recipes", []),
-            meta.get("records", []),
-            [],
-            [],
-            lineage_entries=meta.get("lineage", []),
+            self.repo, rows["recipes"], rows["records"], [], [], lineage=rows["lineage"]
         )
-        added = pack.import_commits(self.repo, meta.get("commits", []))
+        added = pack.import_commits(self.repo, rows["commits"])
         result = FetchResult(
             refs=meta.get("refs", {}),
             commits_received=len(added),

@@ -15,7 +15,8 @@ commits:
 * the chunk digests the receiver still needs — negotiated beforehand via
   :meth:`ChunkStore.missing` so duplicate content never crosses the wire.
 
-Import is the mirror image, with two invariants:
+Import is the mirror image: every row is decoded (:func:`decode_pack`)
+before the first import, which takes the decoded rows. Two invariants:
 
 * **Sequence reassignment.** ``sequence`` is a repository-local logical
   clock (it drives common-ancestor selection and history ordering).
@@ -29,24 +30,17 @@ Import is the mirror image, with two invariants:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import partial
-
 from collections.abc import Iterable, Iterator
+from dataclasses import replace
 
-from ..errors import MLCaskError, RemoteError
+from ..codec import decode, encode
+from ..core.checkpoint import CheckpointRecord
+from ..core.commit import PipelineCommit
+from ..core.pipeline import PipelineSpec
+from ..errors import MLCaskError, RemoteError, RemoteProtocolError
+from ..provenance.ledger import LineageRecord
 from ..storage.chunk_store import ChunkStore
-from ..core.persistence import (
-    commit_from_dict,
-    commit_to_dict,
-    record_from_dict,
-    record_to_dict,
-    recipe_from_dict,
-    recipe_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
-from ..provenance.ledger import lineage_record_from_dict, lineage_record_to_dict
+from ..storage.object_store import Recipe
 
 
 #: Upper bound on the chunk payload of a single wire message. Both sides
@@ -129,7 +123,7 @@ def content_of_commits(repo, commits) -> tuple[list, list, set[str]]:
 
 
 def lineage_entries_for(repo, commits) -> list[dict]:
-    """Ledger records back-filled with the given commits, dict-codec form.
+    """Ledger records back-filled with the given commits, as rows.
 
     This is the schema-additive ``lineage`` pack key: provenance rides
     the same have/want sync as everything else, scoped to the commits
@@ -141,21 +135,19 @@ def lineage_entries_for(repo, commits) -> list[dict]:
     if ledger is None:
         return []
     records = ledger.records_for_commits(c.commit_id for c in commits)
-    return [lineage_record_to_dict(r) for r in records]
+    return [encode(r) for r in records]
 
 
 def pack_meta(repo, commits, recipes, records, chunk_digests) -> dict:
     """The JSON half of a pack (chunks travel as framed binary blobs)."""
     pipelines = sorted({c.pipeline for c in commits})
     return {
-        "commits": [commit_to_dict(c) for c in commits],
+        "commits": [encode(c) for c in commits],
         "specs": {
-            name: spec_to_dict(repo.spec(name))
-            for name in pipelines
-            if name in repo._specs
+            name: encode(repo.spec(name)) for name in pipelines if name in repo._specs
         },
-        "recipes": [recipe_to_dict(r) for r in recipes],
-        "records": [record_to_dict(r) for r in records],
+        "recipes": [encode(r) for r in recipes],
+        "records": [encode(r) for r in records],
         # Sorted: the digests come as a set, whose order would make the
         # bytes of a response depend on the process's hash seed.
         "chunk_digests": sorted(chunk_digests),
@@ -164,45 +156,44 @@ def pack_meta(repo, commits, recipes, records, chunk_digests) -> dict:
 
 
 # ---------------------------------------------------------------- import
-#: The list-valued pack keys and the codec that decodes each of their rows.
-_ROW_CODECS = (
-    ("commits", commit_from_dict),
-    ("recipes", recipe_from_dict),
-    ("records", record_from_dict),
-    ("lineage", lineage_record_from_dict),
-)
+#: The class of the rows under each list-valued pack key.
+_ROW_CLASSES = {
+    "commits": PipelineCommit,
+    "recipes": Recipe,
+    "records": CheckpointRecord,
+    "lineage": LineageRecord,
+}
 
 
-def undecodable_row(meta: dict) -> str | None:
-    """The first row of a pack its codec refuses, described; or None.
-
-    Every row is decoded and thrown away, so a receiver can refuse a
-    malformed pack before its first import has mutated anything — the
-    imports below decode row by row and would fail halfway through.
-    """
-    rows = [
-        (f"specs[{name!r}]", partial(spec_from_dict, name), entry)
-        for name, entry in meta.get("specs", {}).items()
-    ]
-    rows += [
-        (f"{key}[{index}]", decode, entry)
-        for key, decode in _ROW_CODECS
-        for index, entry in enumerate(meta.get(key, []))
-    ]
-    for where, decode, entry in rows:
-        try:
-            decode(entry)
-        except (KeyError, TypeError, ValueError, MLCaskError) as error:
-            return f"{where} does not decode: {type(error).__name__}: {error}"
-    return None
+def decode_pack(meta: dict, what: str) -> dict:
+    """Every row of a pack, decoded once, before anything imports:
+    ``"specs"`` maps names to :class:`PipelineSpec`\\ s, every other row
+    key lists objects of its class. A row that does not decode refuses
+    the whole pack with a :class:`RemoteProtocolError` naming it
+    (``what`` names the message: ``"push request"``)."""
+    where = "specs"
+    rows: dict = {"specs": {}}
+    try:
+        for name, row in meta.get("specs", {}).items():
+            where = f"specs[{name!r}]"
+            rows["specs"][name] = decode(PipelineSpec, row, name=name)
+        for key, cls in _ROW_CLASSES.items():
+            rows[key] = []
+            for index, row in enumerate(meta.get(key, [])):
+                where = f"{key}[{index}]"
+                rows[key].append(decode(cls, row))
+    except (KeyError, TypeError, ValueError, AttributeError, MLCaskError) as error:
+        raise RemoteProtocolError(
+            f"invalid {what}: {where} does not decode: {type(error).__name__}: {error}"
+        ) from None
+    return rows
 
 
 def conflicting_spec(repo, specs: dict) -> str | None:
     """The first pack spec that redefines a held pipeline differently,
     described; or None. A receiver checks this before its first import,
     because specs are registered only after the content they describe."""
-    for name, entry in specs.items():
-        spec = spec_from_dict(name, entry)
+    for name, spec in specs.items():
         existing = repo._specs.get(name)
         if existing is not None and (
             existing.stages != spec.stages or existing.edges != spec.edges
@@ -217,22 +208,22 @@ def import_specs(repo, specs: dict) -> None:
     conflict = conflicting_spec(repo, specs)
     if conflict is not None:
         raise RemoteError(conflict)
-    for name, entry in specs.items():
-        repo._specs.setdefault(name, spec_from_dict(name, entry))
+    for name, spec in specs.items():
+        repo._specs.setdefault(name, spec)
 
 
-def import_commits(repo, commit_entries) -> list:
+def import_commits(repo, commits) -> list:
     """Graft new commits into the local graph; returns the commits added.
 
-    Entries are applied in sender-sequence order and re-stamped with local
+    Commits are applied in sender-sequence order and re-stamped with local
     sequence numbers; commits already present (content-derived ids match)
     are skipped, which also makes import idempotent.
     """
     added = []
-    for entry in sorted(commit_entries, key=lambda e: e["sequence"]):
-        if entry["commit_id"] in repo.graph:
+    for commit in sorted(commits, key=lambda c: c.sequence):
+        if commit.commit_id in repo.graph:
             continue
-        commit = replace(commit_from_dict(entry), sequence=repo._next_sequence())
+        commit = replace(commit, sequence=repo._next_sequence())
         repo.graph.add(commit)
         repo.branches.note_commit(commit.pipeline, commit.branch)
         added.append(commit)
@@ -241,11 +232,11 @@ def import_commits(repo, commit_entries) -> list:
 
 def import_content(
     repo,
-    recipe_entries,
-    record_entries,
+    recipes,
+    records,
     chunk_digests,
     chunk_blobs,
-    lineage_entries=(),
+    lineage=(),
 ) -> int:
     """Adopt recipes, checkpoint records, lineage, and verified chunks.
 
@@ -266,22 +257,22 @@ def import_content(
     for digest, blob in zip(chunk_digests, chunk_blobs):
         if repo.objects.import_chunk(digest, blob):
             new += 1
-    for entry in recipe_entries:
-        repo.objects.add_recipe(recipe_from_dict(entry))
-    for entry in record_entries:
-        repo.checkpoints.import_record(record_from_dict(entry))
-    if lineage_entries:
+    for recipe in recipes:
+        repo.objects.add_recipe(recipe)
+    for record in records:
+        repo.checkpoints.import_record(record)
+    if lineage:
         ledger = getattr(repo, "lineage", None)
         if ledger is not None:
-            ledger.import_entries(lineage_entries)
+            ledger.import_entries(lineage)
     return new
 
 
 def is_fast_forward_update(
-    repo, old_head: str | None, new_head: str, commit_entries
+    repo, old_head: str | None, new_head: str, commits
 ) -> bool:
     """Would moving a ref ``old_head -> new_head`` be a fast-forward once
-    the pack's ``commit_entries`` are grafted?
+    the pack's ``commits`` are grafted?
 
     Decided before anything imports: the rows' parent links are walked
     from ``new_head`` down to the commits the graph holds, whose
@@ -291,9 +282,9 @@ def is_fast_forward_update(
     if old_head is None or old_head == new_head:
         return True
     parents = {
-        entry["commit_id"]: entry["parents"]
-        for entry in commit_entries
-        if entry["commit_id"] not in repo.graph
+        commit.commit_id: commit.parents
+        for commit in commits
+        if commit.commit_id not in repo.graph
     }
     stack, seen, held = [new_head], set(), set()
     while stack:

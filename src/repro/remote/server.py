@@ -750,12 +750,10 @@ class RepositoryServer:
         """
         repo = self.repo
         updates = meta.get("refs", {})
-        # A row its codec refuses would fail its import after the imports
-        # before it had landed: refuse the whole pack before any of them.
-        refused = pack.undecodable_row(meta)
-        if refused is not None:
-            OP_TABLE["push"].fail(refused)
-        conflict = pack.conflicting_spec(repo, meta.get("specs", {}))
+        # Every row decodes before anything imports, or the push is
+        # refused whole.
+        rows = pack.decode_pack(meta, "push request")
+        conflict = pack.conflicting_spec(repo, rows["specs"])
         if conflict is not None:
             raise RemoteError(conflict)
         # Every commit a commit row names as a parent, and every new head,
@@ -763,11 +761,11 @@ class RepositoryServer:
         # import_commits grafts them) before anything imports, so a push
         # that would fail at the graph leaves no trace.
         offered: set[str] = set()
-        for entry in sorted(meta.get("commits", []), key=lambda e: e["sequence"]):
-            for parent in entry["parents"]:
+        for commit in sorted(rows["commits"], key=lambda c: c.sequence):
+            for parent in commit.parents:
                 if parent not in offered and parent not in repo.graph:
                     raise CommitNotFoundError(parent)
-            offered.add(entry["commit_id"])
+            offered.add(commit.commit_id)
         # The ref checks need the pack's commit rows at most, so they run
         # before the pack is imported: a push that lost a race, or whose
         # branch diverged, is refused without its chunks, recipes or
@@ -793,7 +791,7 @@ class RepositoryServer:
                         "nor held",
                     )
                 if not pack.is_fast_forward_update(
-                    repo, current, new_head, meta.get("commits", [])
+                    repo, current, new_head, rows["commits"]
                 ):
                     raise PushRejectedError(pipeline, branch, NON_FAST_FORWARD)
         # Content-completeness gate, before anything imports: every chunk a
@@ -804,9 +802,7 @@ class RepositoryServer:
         # later fetch of that branch with an unservable chunk digest.
         incoming = set(meta.get("chunk_digests", []))
         referenced = {
-            digest
-            for entry in meta.get("recipes", [])
-            for digest in entry["chunks"]
+            digest for recipe in rows["recipes"] for digest in recipe.chunk_digests
         }
         absent = repo.objects.chunks.missing(sorted(referenced - incoming))
         if absent:
@@ -824,14 +820,14 @@ class RepositoryServer:
         # store unreferenced until GC collects them.
         new_chunks = pack.import_content(
             repo,
-            meta.get("recipes", []),
-            meta.get("records", []),
+            rows["recipes"],
+            rows["records"],
             meta.get("chunk_digests", []),
             blobs,
-            lineage_entries=meta.get("lineage", []),
+            lineage=rows["lineage"],
         )
-        pack.import_specs(repo, meta.get("specs", {}))
-        pack.import_commits(repo, meta.get("commits", []))
+        pack.import_specs(repo, rows["specs"])
+        pack.import_commits(repo, rows["commits"])
 
         # Every update was validated above, before any import: a push is
         # atomic. (Heads cannot have moved since: the whole push runs

@@ -12,7 +12,7 @@ engine" (section VII-C) materializes here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -29,8 +29,8 @@ if TYPE_CHECKING:
 class Recipe:
     """How to reassemble a blob: ordered chunk digests plus total size."""
 
-    blob_digest: str
-    chunk_digests: tuple[str, ...]
+    blob_digest: str = field(metadata={"wire": "blob"})
+    chunk_digests: tuple[str, ...] = field(metadata={"wire": "chunks"})
     size: int
 
     @property

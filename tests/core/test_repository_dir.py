@@ -21,16 +21,13 @@ import shutil
 import pytest
 
 from repro import MLCask
+from repro.codec import encode
 from repro.core.persistence import (
-    commit_to_dict,
     gc_repository_dir,
-    recipe_to_dict,
-    record_to_dict,
     repository_header,
     repository_state,
 )
 from repro.errors import MLCaskError, RepositoryError
-from repro.provenance.ledger import lineage_record_to_dict
 from repro.remote import LocalTransport, RepositoryServer
 from repro.storage import FileChunkStore
 from repro.storage.hashing import sha256_hex
@@ -56,10 +53,10 @@ def snapshot(repo) -> dict:
     """Everything a working copy persists, rows in arrival order."""
     return {
         "header": repository_header(repo),
-        "commits": [commit_to_dict(c) for c in repo.graph.arrivals()],
-        "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()],
-        "records": [record_to_dict(r) for r in repo.checkpoints.records()],
-        "lineage": [lineage_record_to_dict(r) for r in repo.lineage.records()],
+        "commits": [encode(c) for c in repo.graph.arrivals()],
+        "recipes": [encode(r) for r in repo.objects.recipes()],
+        "records": [encode(r) for r in repo.checkpoints.records()],
+        "lineage": [encode(r) for r in repo.lineage.records()],
     }
 
 

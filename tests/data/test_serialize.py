@@ -117,6 +117,16 @@ class TestDeterminism:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
+    def test_an_int_past_the_digit_limit_is_refused_on_write(self, value):
+        with pytest.raises(StorageError, match="payload tag b'i': .* too many digits"):
+            payload_to_bytes(value)
+
+    @pytest.mark.parametrize("text", [b"1" * 5000, b"-" + b"1" * 5000], ids=["positive", "negative"])
+    def test_an_int_past_the_digit_limit_is_refused_on_read(self, text):
+        with pytest.raises(StorageError, match="payload tag b'i': .* has too many digits"):
+            payload_from_bytes(MAGIC + b"i" + struct.pack(">Q", len(text)) + text)
+
     def test_bad_magic(self):
         with pytest.raises(StorageError):
             payload_from_bytes(b"XXXX" + payload_to_bytes(1)[4:])

@@ -21,16 +21,12 @@ import shutil
 import pytest
 
 import repro.core.persistence as persistence
+from repro.codec import encode
 from repro.core.checkpoint import CheckpointRecord
-from repro.core.persistence import (
-    commit_to_dict,
-    recipe_to_dict,
-    record_to_dict,
-    repository_header,
-)
+from repro.core.persistence import repository_header
 from repro.errors import MLCaskError, PushRejectedError, RepositoryError, StorageError
 from repro.hub import RepositoryHub
-from repro.provenance.ledger import LineageRecord, lineage_record_to_dict
+from repro.provenance.ledger import LineageRecord
 from repro.remote import clone_repository
 from repro.remote.protocol import (
     decode_message,
@@ -85,12 +81,10 @@ def snapshot(hub) -> dict:
         holdings = hosted.view.holdings()
         return {
             "header": repository_header(repo),
-            "commits": [commit_to_dict(c) for c in repo.graph.arrivals()],
-            "recipes": [recipe_to_dict(r) for r in repo.objects.recipes()],
-            "records": [record_to_dict(r) for r in repo.checkpoints.records()],
-            "lineage": [
-                lineage_record_to_dict(r) for r in repo.lineage.records()
-            ],
+            "commits": [encode(c) for c in repo.graph.arrivals()],
+            "recipes": [encode(r) for r in repo.objects.recipes()],
+            "records": [encode(r) for r in repo.checkpoints.records()],
+            "lineage": [encode(r) for r in repo.lineage.records()],
             "holdings": list(holdings.items()),
             "refcounts": {d: hub.backend.refcount(d) for d in holdings},
             "tenant_usage": hub.tenant_usage(TENANT),
@@ -204,8 +198,8 @@ def push_garbage(hub, tag: bytes) -> dict:
         "op": "push",
         "chunk_digests": [digest],
         "recipes": [{"blob": digest, "chunks": [digest], "size": len(blob)}],
-        "records": [record_to_dict(record)],
-        "lineage": [lineage_record_to_dict(row)],
+        "records": [encode(record)],
+        "lineage": [encode(row)],
         "refs": {},
     }
     transport = hub.local_transport(TENANT, REPO, TOKEN)

@@ -4,14 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.provenance import (
     EXECUTED,
     REUSED,
     LineageLedger,
     LineageRecord,
-    lineage_record_from_dict,
-    lineage_record_to_dict,
 )
 
 
@@ -79,8 +78,8 @@ class TestRecordIdentity:
             branch="dev",
             collected=True,
         )
-        entry = lineage_record_to_dict(record)
-        restored = lineage_record_from_dict(entry)
+        entry = encode(record)
+        restored = decode(LineageRecord, entry)
         assert restored == record
         assert restored.wall_seconds == record.wall_seconds
         assert restored.cpu_seconds == record.cpu_seconds
@@ -89,12 +88,12 @@ class TestRecordIdentity:
     def test_codec_keeps_the_retired_trace_fields_empty(self):
         # The journal and the wire keep their bytes: both keys are still
         # written, always empty, and an old entry's ids are ignored.
-        entry = lineage_record_to_dict(make_record())
+        entry = encode(make_record())
         assert entry["trace_id"] == "" and entry["span_id"] == ""
         old = dict(entry, trace_id="ab" * 8, span_id="cd" * 8)
-        restored = lineage_record_from_dict(old)
+        restored = decode(LineageRecord, old)
         assert restored == make_record()
-        assert lineage_record_to_dict(restored) == entry
+        assert encode(restored) == entry
 
     @pytest.mark.parametrize("field", ["trace_id", "span_id"])
     def test_a_retired_trace_field_is_no_constructor_argument(self, field):
@@ -108,15 +107,15 @@ class TestRecordIdentity:
         # is: its entry dedups against the same local run.
         ledger = LineageLedger()
         ledger.append(make_record())
-        entry = dict(lineage_record_to_dict(make_record()), **{field: "ab" * 8})
-        assert ledger.import_entries([entry]) == 0
+        entry = dict(encode(make_record()), **{field: "ab" * 8})
+        assert ledger.import_entries([decode(LineageRecord, entry)]) == 0
         assert len(ledger) == 1
 
     def test_codec_defaults_for_pre_amendment_entries(self):
-        entry = lineage_record_to_dict(make_record())
+        entry = encode(make_record())
         for key in ("wall_seconds", "cpu_seconds", "commit_id", "branch", "collected"):
             del entry[key]
-        restored = lineage_record_from_dict(entry)
+        restored = decode(LineageRecord, entry)
         assert restored.commit_id == "" and restored.collected is False
 
 
@@ -129,9 +128,9 @@ class TestAppendOnly:
 
     def test_import_is_idempotent(self):
         ledger = LineageLedger()
-        entry = lineage_record_to_dict(make_record())
-        assert ledger.import_entries([entry, entry]) == 1
-        assert ledger.import_entries([entry]) == 0
+        record = decode(LineageRecord, encode(make_record()))
+        assert ledger.import_entries([record, record]) == 1
+        assert ledger.import_entries([record]) == 0
         assert len(ledger) == 1
 
     def test_import_after_local_append_dedups(self):
@@ -200,11 +199,12 @@ class TestIndexes:
         row = ledger.append(make_record())
         ledger.annotate_commit("c1", "master", [row])
         ledger.append(make_record(stage="extract", output_ref="out-2"))
+        rows = [encode(record) for record in ledger.records()]
         restored = LineageLedger()
-        assert restored.load_payload(ledger.to_payload()) == 2
+        assert restored.import_entries(decode(LineageRecord, r) for r in rows) == 2
         assert restored.records() == ledger.records()
-        # loading the same payload again imports nothing (idempotent)
-        assert restored.load_payload(ledger.to_payload()) == 0
+        # importing the same rows again imports nothing (idempotent)
+        assert restored.import_entries(decode(LineageRecord, r) for r in rows) == 0
 
 
 class TestRegistryMirror:

@@ -12,7 +12,9 @@ the map). The last test fuzzes every op: any request is answered with a
 typed response, and a refused one changes nothing.
 """
 
+import collections
 import copy
+import dataclasses
 import functools
 import os
 import subprocess
@@ -23,8 +25,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro import MLCask
-from repro.core.persistence import spec_from_dict
+from repro import MLCask, codec
+from repro.codec import decode
+from repro.core.pipeline import PipelineSpec
 from repro.errors import CommitNotFoundError, RemoteProtocolError
 from repro.hub import RepositoryHub
 from repro.hub.hub import _DENIAL_REASONS, PREFLIGHT_OPS
@@ -32,6 +35,7 @@ from repro.obs.health import SHED_EXEMPT_OPS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DEFAULT_OP_OBJECTIVES
 from repro.ops import OP_TABLE
+from repro.provenance.ledger import LineageRecord
 from repro.remote import LocalTransport, Remote, RepositoryServer
 from repro.remote import server as server_module
 from repro.remote.protocol import (
@@ -339,10 +343,33 @@ def toy_push() -> tuple[dict, list]:
     return meta, [bytes(blob) for blob in blobs]
 
 
-@st.composite
-def damaged_push(draw) -> dict:
-    """The toy push with one field of one pack row dropped or retyped."""
-    meta = copy.deepcopy(toy_push()[0])
+@functools.cache
+def toy_origin() -> RepositoryServer:
+    """A server holding the toy repository; only ever fetched from."""
+    return RepositoryServer(fresh_toy_repo())
+
+
+@functools.cache
+def toy_fetch() -> dict:
+    """The meta of the fetch response a fresh client gets from
+    :func:`toy_origin`."""
+    captured = []
+
+    class Recording(LocalTransport):
+        def call(self, request: bytes) -> bytes:
+            response = super().call(request)
+            if decode_message(request)[0]["op"] == "fetch":
+                captured.append(decode_message(response)[0])
+            return response
+
+    Remote(MLCask(), Recording(toy_origin())).fetch()
+    return captured[0]
+
+
+def damage_a_row(draw, meta: dict) -> dict:
+    """A copy of ``meta`` with one field of one pack row dropped or
+    retyped."""
+    meta = copy.deepcopy(meta)
     rows = [("specs", name) for name in meta["specs"]] + [
         (key, index)
         for key in ("commits", "recipes", "records", "lineage")
@@ -357,6 +384,19 @@ def damaged_push(draw) -> dict:
         kind = json_type(row[field])
         row[field] = draw(JSON.filter(lambda value: json_type(value) != kind))
     return meta
+
+
+@st.composite
+def damaged_push(draw) -> dict:
+    """The toy push with one field of one pack row dropped or retyped."""
+    return damage_a_row(draw, toy_push()[0])
+
+
+@st.composite
+def damaged_fetch(draw) -> dict:
+    """The toy fetch response with one field of one pack row dropped or
+    retyped."""
+    return damage_a_row(draw, toy_fetch())
 
 
 def repository_state(server) -> tuple:
@@ -383,6 +423,17 @@ def first_pack_rows(meta: dict) -> dict:
 #: ``trace_id``/``span_id`` (always empty) so the bytes stay the same.
 IGNORED_ROW_FIELDS = {("lineage", "trace_id"), ("lineage", "span_id")}
 
+#: Fields a row may omit: a lineage row's amendments, which then take
+#: their defaults.
+LINEAGE_DEFAULTS = {
+    spec.name: spec.default
+    for spec in dataclasses.fields(LineageRecord)
+    if spec.default is not dataclasses.MISSING
+}
+assert sorted(LINEAGE_DEFAULTS) == [
+    "branch", "collected", "commit_id", "cpu_seconds", "wall_seconds",
+]
+
 PACK_ROW_FIELDS = [
     (*path, field)
     for path, row in first_pack_rows(toy_push()[0]).items()
@@ -391,19 +442,35 @@ PACK_ROW_FIELDS = [
 ]
 
 
+def retyped(row: dict, field: str) -> None:
+    row[field] = 0 if isinstance(row[field], str) else "0"
+
+
+def dropped(row: dict, field: str) -> None:
+    del row[field]
+
+
+@pytest.mark.parametrize("damage", [retyped, dropped], ids=["retyped", "dropped"])
 @pytest.mark.parametrize(
     "key, index, field", PACK_ROW_FIELDS,
     ids=[f"{key}-{field}" for key, _, field in PACK_ROW_FIELDS],
 )
-def test_each_retyped_pack_field_is_refused_before_any_import(key, index, field):
+def test_each_retyped_pack_field_is_refused_before_any_import(
+    key, index, field, damage
+):
     # The fuzz test below draws some of these; this one walks them all,
-    # so no field of any row kind goes undecoded before the first import.
+    # so no field of any row kind goes undecoded before the first import,
+    # and the rows a push accepts stay exactly the rows it accepted.
     server = RepositoryServer(MLCask())
     meta, blobs = copy.deepcopy(toy_push())
-    row = meta[key][index]
-    row[field] = 0 if isinstance(row[field], str) else "0"
+    damage(meta[key][index], field)
     before = repository_state(server)
     response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    if damage is dropped and key == "lineage" and field in LINEAGE_DEFAULTS:
+        assert response.get("ok") is True, response
+        first = server.repo.lineage.records()[0]
+        assert getattr(first, field) == LINEAGE_DEFAULTS[field]
+        return
     message = response["error"]["message"]
     # The validator refuses a few fields by name; the codecs the rest.
     assert message.startswith("invalid push request: "), message
@@ -539,13 +606,85 @@ def test_a_push_with_a_corrupt_blob_registers_nothing(corrupt):
 def test_a_push_redefining_a_held_spec_is_refused_before_any_import():
     server = RepositoryServer(MLCask())
     meta, blobs = copy.deepcopy(toy_push())
-    server.repo._specs["toy"] = spec_from_dict("toy", {
-        **meta["specs"]["toy"], "edges": [],
-    })
+    server.repo._specs["toy"] = decode(
+        PipelineSpec, {**meta["specs"]["toy"], "edges": []}, name="toy"
+    )
     before = repository_state(server)
     response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
     assert "different spec" in response["error"]["message"], response
     assert repository_state(server) == before
+
+
+class Answering(LocalTransport):
+    """Answers a fetch with ``meta``; passes every other request on."""
+
+    def __init__(self, server, meta: dict):
+        super().__init__(server)
+        self.meta = meta
+
+    def call(self, request: bytes) -> bytes:
+        if decode_message(request)[0]["op"] == "fetch":
+            return encode_message(self.meta)
+        return super().call(request)
+
+
+def client_state(repo) -> tuple:
+    return (
+        dict(repo._specs),
+        repo.objects.recipes(),
+        repo.checkpoints.records(),
+        repo.lineage.records(),
+        repo.graph.arrivals(),
+        sorted(repo.objects.chunks.digests()),
+        repo.branches.revision,
+    )
+
+
+def test_a_fetch_response_with_an_undecodable_row_changes_nothing():
+    # Every row decodes before the first import: a bad last checkpoint
+    # record used to land the spec, the recipes and the records before it.
+    meta = copy.deepcopy(toy_fetch())
+    meta["records"][-1]["output_bytes"] = "0"
+    client = MLCask()
+    before = client_state(client)
+    with pytest.raises(RemoteProtocolError) as error:
+        Remote(client, Answering(toy_origin(), meta)).fetch()
+    index = len(meta["records"]) - 1
+    assert str(error.value).startswith(
+        f"invalid fetch response: records[{index}] does not decode: TypeError: "
+        "CheckpointRecord.output_bytes must be int"
+    ), error.value
+    assert client_state(client) == before
+
+
+def pack_rows(meta: dict) -> collections.Counter:
+    """How many rows of each class a pack carries."""
+    return collections.Counter({
+        "PipelineSpec": len(meta["specs"]),
+        "PipelineCommit": len(meta["commits"]),
+        "Recipe": len(meta["recipes"]),
+        "CheckpointRecord": len(meta["records"]),
+        "LineageRecord": len(meta["lineage"]),
+    })
+
+
+def test_each_pack_row_is_decoded_once(monkeypatch):
+    decoded = collections.Counter()
+    build = codec.build
+
+    def counting(cls, **values):
+        decoded[cls.__name__] += 1
+        return build(cls, **values)
+
+    monkeypatch.setattr(codec, "build", counting)
+    meta, blobs = toy_push()
+    server = RepositoryServer(MLCask())
+    response, _ = decode_message(server.handle_bytes(encode_message(meta, blobs)))
+    assert response.get("ok") is True, response
+    assert decoded == pack_rows(meta)
+    decoded.clear()
+    Remote(MLCask(), Answering(toy_origin(), toy_fetch())).fetch()
+    assert decoded == pack_rows(toy_fetch())
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -571,3 +710,18 @@ def test_any_request_is_answered_typed_and_a_refusal_changes_nothing(op, data):
     if error is not None:
         assert not error["message"].startswith("internal server error"), error
         assert repository_state(server) == before, error
+
+
+@oracle_settings(max_examples=40)
+@given(meta=damaged_fetch())
+def test_a_damaged_fetch_response_is_refused_typed_and_changes_nothing(meta):
+    # The client side of the push fuzz test above: a response row with
+    # a field dropped or retyped either decodes (an omitted lineage
+    # amendment, a retired trace field) or is refused before anything
+    # lands.
+    client = MLCask()
+    before = client_state(client)
+    try:
+        Remote(client, Answering(toy_origin(), meta)).fetch()
+    except RemoteProtocolError:
+        assert client_state(client) == before
