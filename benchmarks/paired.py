@@ -160,11 +160,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
     parser.add_argument("--head", default=WORKTREE, help=f"the change: a revision or {WORKTREE} (default)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--workdir", default=None, help="where the checkouts go (default: a temp dir)")
+    parser.add_argument("--workdir", default=None,
+                        help="where the checkouts go, created if missing (default: a temp dir)")
     parser.add_argument("--history", default=None, metavar="FILE",
                         help="append one JSON line of medians per side to FILE")
     args = parser.parse_args(argv)
 
+    if args.workdir is not None:
+        os.makedirs(args.workdir, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="paired-", dir=args.workdir)
     try:
         sides = {}

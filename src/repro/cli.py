@@ -610,9 +610,8 @@ def _cmd_serve(args, out) -> int:
     from .remote.pack import DEFAULT_MAX_PACK_BYTES
     from .remote.server import serve
 
-    repo = MLCask.load_dir(args.repo)
-
     def start(**options):
+        repo = MLCask.load_dir(args.repo)
         server = serve(
             repo,
             host=args.host,
@@ -641,9 +640,11 @@ def _serve_endpoint(args, out, start) -> int:
     """The one body of ``serve`` and ``hub serve``, from binding the
     server to serving until the budget is spent.
 
-    ``start(**options)`` builds and binds the server with the options
-    both verbs share (SLO, idle timeout), prints its banner and
-    returns ``(server, ready event, its fields)``.
+    ``start(**options)`` builds what is served and binds the server with
+    the options both verbs share (SLO, idle timeout), prints its banner
+    and returns ``(server, ready event, its fields)``. Before it runs,
+    malloc is capped at one heap (:func:`~repro.remote.server.share_one_heap`),
+    so no handler thread gets a heap of its own.
     Bounded serving (``--requests N``) counts handled *requests*, not
     accepted connections — keep-alive clients multiplex many requests
     over one socket (handlers stop honouring keep-alive once the budget
@@ -653,7 +654,9 @@ def _serve_endpoint(args, out, start) -> int:
     so no response is left in flight.
     """
     from .obs.events import emit
+    from .remote.server import share_one_heap
 
+    share_one_heap()
     server, event, fields = start(
         slo=_load_slo(args),
         # Bounded serving must return promptly after the Nth request even

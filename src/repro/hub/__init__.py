@@ -31,7 +31,9 @@ Layering::
 Quickstart::
 
     from repro.hub import RepositoryHub
+    from repro.remote.server import share_one_heap
 
+    share_one_heap()  # one malloc heap for every handler thread, as `repro hub serve`
     hub = RepositoryHub("/srv/mlcask-hub")
     hub.add_tenant("ana", tokens=["ana-secret"], quota_bytes=10**9)
     hub.add_tenant("ben", tokens=["ben-secret"], quota_bytes=10**9)

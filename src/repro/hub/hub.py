@@ -904,7 +904,11 @@ def serve_hub(
     quota and rate denials included, travels as an HTTP 200 with a
     typed error body. HTTP status codes stay for transport-level
     problems. ``GET /metrics`` renders the hub's registry and the probes
-    answer from its health model."""
+    answer from its health model.
+
+    A program that serves with this, as ``repro hub serve`` does, calls
+    :func:`~repro.remote.server.share_one_heap` first, before it builds
+    ``hub``."""
 
     def route(path, headers):
         match = ROUTE.match(path)

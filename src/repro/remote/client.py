@@ -51,6 +51,29 @@ from .protocol import decode_message, encode_message, raise_remote_error
 WANT_DIGESTS_PER_REQUEST = 4096
 
 
+def checked_refs(meta: dict, what: str) -> dict[str, dict[str, str]]:
+    """The ``refs`` of a manifest or fetch response, checked to map
+    pipeline -> branch -> commit id before anything is imported or sent
+    on their account; any other shape is a :class:`RemoteProtocolError`
+    naming the response (``what``: ``"fetch response"``)."""
+    refs = meta.get("refs")
+
+    def refuse(where: str, value, expected: str):
+        raise RemoteProtocolError(
+            f"invalid {what}: {where} is {type(value).__name__}, not {expected}"
+        )
+
+    if not isinstance(refs, dict):
+        refuse("refs", refs, "a map of pipelines")
+    for pipeline, branches in refs.items():
+        if not isinstance(branches, dict):
+            refuse(f"refs[{pipeline!r}]", branches, "a map of branches")
+        for branch, head in branches.items():
+            if not isinstance(head, str):
+                refuse(f"refs[{pipeline!r}][{branch!r}]", head, "a commit id")
+    return refs
+
+
 @dataclass
 class FetchResult:
     """What one fetch moved."""
@@ -162,7 +185,7 @@ class Remote:
         return meta
 
     def refs(self) -> dict:
-        return self.manifest()["refs"]
+        return checked_refs(self.manifest(), "manifest response")
 
     def stats(self) -> dict:
         """The peer's telemetry readout (requests, cache, storage, sizes).
@@ -226,8 +249,9 @@ class Remote:
             {"op": "fetch", "want": want, "have_commits": have}
         )
         # Decoded before the first chunk lands: a response with a row that
-        # does not decode changes nothing here.
+        # does not decode, or refs of the wrong shape, changes nothing here.
         rows = pack.decode_pack(meta, "fetch response")
+        refs = checked_refs(meta, "fetch response")
 
         # Chunk transfer is windowed to max_pack_bytes per response and
         # each batch is imported (integrity-verified) as it arrives, so
@@ -284,7 +308,7 @@ class Remote:
         )
         added = pack.import_commits(self.repo, rows["commits"])
         result = FetchResult(
-            refs=meta.get("refs", {}),
+            refs=refs,
             commits_received=len(added),
             chunks_received=new_chunks,
             chunk_bytes_received=chunk_bytes,
@@ -445,6 +469,7 @@ def clone_repository(
 
     remote_probe = Remote(repo=None, transport=transport, name=name)
     manifest = remote_probe.manifest()
+    refs = checked_refs(manifest, "manifest response")
     kwargs = {"metric": manifest["metric"], "seed": manifest["seed"]}
     if author is not None:
         kwargs["author"] = author
@@ -453,7 +478,7 @@ def clone_repository(
         repo.registry = registry
     remote = repo.add_remote(name, transport, max_pack_bytes=max_pack_bytes)
     remote.fetch()
-    for pipeline, branches in manifest["refs"].items():
+    for pipeline, branches in refs.items():
         for branch, head in branches.items():
             repo.branches.set_head(pipeline, branch, head)
     return repo

@@ -1068,6 +1068,49 @@ class SyncHTTPServer(http.server.ThreadingHTTPServer):
         return f"{self.url}/t/{tenant}/{repo}"
 
 
+#: glibc's ``mallopt`` parameters: the most arenas malloc may create,
+#: and the size from which a block is mapped on its own.
+M_ARENA_MAX = -8
+M_MMAP_THRESHOLD = -3
+
+#: Blocks this large or larger (request bodies, ``get_chunks`` frames)
+#: are mapped when allocated and unmapped when freed.
+MMAP_THRESHOLD_BYTES = 1 << 20
+
+
+def share_one_heap() -> bool:
+    """Cap glibc malloc at one arena, and map every block of at least
+    :data:`MMAP_THRESHOLD_BYTES` on its own, for the rest of this
+    process; True when the allocator took both settings, False (and
+    nothing changed) where libc has no ``mallopt`` or refuses the first.
+
+    A serving process calls this before it builds what it serves and
+    before any handler thread starts. Without it glibc gives each new
+    thread — one per connection — a heap of its own, and each heap keeps
+    the request bodies and response frames its thread freed. Handler
+    threads allocate under the GIL, so separate arenas buy no
+    concurrency; one heap lets the next request, on any thread, reuse
+    what the last one freed. The fixed threshold keeps the multi-MB
+    bodies and frames out of that heap: by default glibc raises the
+    threshold to the size of the first mapped block freed, after which
+    such blocks are carved from the heap wherever the interleaving of
+    concurrent requests leaves room, and the heap's peak moves from one
+    run to the next. ``repro serve`` and ``repro hub serve`` call it; a
+    program that embeds :func:`serve` or :func:`~repro.hub.hub.serve_hub`
+    calls it itself if it wants it.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return (
+        mallopt(M_ARENA_MAX, 1) == 1
+        and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+    )
+
+
 def serve(
     repo,
     host: str = "127.0.0.1",
@@ -1098,6 +1141,9 @@ def serve(
     ``--slo-config`` flag) parameterizes the health model behind
     ``GET /healthz`` / ``GET /readyz`` and the ``health`` op; the stock
     objectives apply when omitted.
+
+    A program that serves with this, as ``repro serve`` does, calls
+    :func:`share_one_heap` first, before it loads ``repo``.
     """
     registry = registry if registry is not None else MetricsRegistry()
     endpoint = RepositoryServer(

@@ -93,3 +93,21 @@ def test_a_gap_inside_the_parent_spread_does_not_clear(paired):
     summary = paired.summarize(parent, [p - 5.0 for p in parent], "lower")
     assert summary["wins"] == 5
     assert not summary["clears_iqr"]
+
+
+def test_a_missing_workdir_is_created(paired, monkeypatch, tmp_path, capsys):
+    checkouts = []
+
+    def checkout(rev, dest):
+        os.makedirs(dest)
+        checkouts.append(dest)
+        return rev
+
+    monkeypatch.setattr(paired, "checkout", checkout)
+    monkeypatch.setattr(paired, "run_budget", lambda *args: run_line({"step_p50_ms": 1.0}))
+    workdir = tmp_path / "not" / "yet"
+    assert paired.main(["--workload", "collab_cycle", "--pairs", "1",
+                        "--workdir", str(workdir)]) == 0
+    assert [os.path.dirname(os.path.dirname(path)) for path in checkouts] == [str(workdir)] * 2
+    assert os.listdir(workdir) == []  # the run's checkouts are removed again
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["pairs"] == 1

@@ -616,14 +616,18 @@ def test_a_push_redefining_a_held_spec_is_refused_before_any_import():
 
 
 class Answering(LocalTransport):
-    """Answers a fetch with ``meta``; passes every other request on."""
+    """Answers ``op`` (a fetch by default) with ``meta``; passes every other
+    request on. ``ops`` lists the operations asked for, in order."""
 
-    def __init__(self, server, meta: dict):
+    def __init__(self, server, meta: dict, op: str = "fetch"):
         super().__init__(server)
         self.meta = meta
+        self.op = op
+        self.ops = []
 
     def call(self, request: bytes) -> bytes:
-        if decode_message(request)[0]["op"] == "fetch":
+        self.ops.append(decode_message(request)[0]["op"])
+        if self.ops[-1] == self.op:
             return encode_message(self.meta)
         return super().call(request)
 
@@ -655,6 +659,36 @@ def test_a_fetch_response_with_an_undecodable_row_changes_nothing():
         "CheckpointRecord.output_bytes must be int"
     ), error.value
     assert client_state(client) == before
+
+
+#: Refs of the wrong shape, and where the refusal names the fault.
+BAD_REFS = [
+    ([], "refs is list, not a map of pipelines"),
+    ({"toy": 5}, "refs['toy'] is int, not a map of branches"),
+    ({"toy": {"master": 7}}, "refs['toy']['master'] is int, not a commit id"),
+]
+
+
+@pytest.mark.parametrize("refs,fault", BAD_REFS, ids=[repr(r) for r, _ in BAD_REFS])
+def test_a_fetch_response_with_refs_of_the_wrong_shape_changes_nothing(refs, fault):
+    meta = {**copy.deepcopy(toy_fetch()), "refs": refs}
+    client = MLCask()
+    before = client_state(client)
+    with pytest.raises(RemoteProtocolError) as error:
+        Remote(client, Answering(toy_origin(), meta)).fetch()
+    assert str(error.value) == f"invalid fetch response: {fault}"
+    assert client_state(client) == before
+
+
+@pytest.mark.parametrize("refs,fault", BAD_REFS, ids=[repr(r) for r, _ in BAD_REFS])
+def test_a_push_against_refs_of_the_wrong_shape_asks_for_no_chunks(refs, fault):
+    transport = Answering(
+        RepositoryServer(MLCask()), {"refs": refs, "metric": "accuracy", "seed": 0}, "manifest"
+    )
+    with pytest.raises(RemoteProtocolError) as error:
+        Remote(fresh_toy_repo(), transport).push("toy")
+    assert str(error.value) == f"invalid manifest response: {fault}"
+    assert transport.ops == ["manifest"]
 
 
 def pack_rows(meta: dict) -> collections.Counter:

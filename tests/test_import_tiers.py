@@ -34,7 +34,8 @@ ML_TIER = (
     "repro.ml", "repro.workloads", "repro.experiments", "repro.baselines",
     "repro.data.synthetic",
 )
-SERVING = ("numpy", "scipy") + ML_TIER
+#: ctypes too: the serving verbs load it only when they cap the heap.
+SERVING = ("numpy", "scipy", "ctypes") + ML_TIER
 CLIENT = ("scipy",) + ML_TIER
 
 #: entry point -> module prefixes it must not have loaded.
