@@ -66,11 +66,12 @@ def main() -> None:
 
     # Persist the audit trail and reload it in a fresh process context.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dpm-history.json"
-        repo.save(path)
-        reloaded = MLCask.load(path, registry=repo.registry)
+        path = Path(tmp) / "dpm-history"
+        repo.save_dir(path)
+        reloaded = MLCask.load_dir(path, registry=repo.registry)
         assert reloaded.best_commit(workload.name).score == best.score
-        print(f"\naudit trail saved ({path.stat().st_size} bytes) and reloaded: "
+        size = sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
+        print(f"\naudit trail saved ({size} bytes) and reloaded: "
               f"{len(reloaded.graph)} commits intact")
 
     # Reclaim outputs no deployment references anymore.

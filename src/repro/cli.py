@@ -13,7 +13,7 @@ Usage::
     python -m repro pull REPO REMOTE                   # sync (+merge) back
     python -m repro stats REMOTE                       # telemetry readout
     python -m repro stats REMOTE --watch 2             # re-render every 2s
-    python -m repro health REMOTE                      # SLO health readout
+    python -m repro health REMOTE                      # health readout
     python -m repro lineage REMOTE REF                 # provenance closure
     python -m repro impact REMOTE COMPONENT            # what-if analysis
     python -m repro gc REPO                            # sweep dead chunks
@@ -186,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     health = sub.add_parser(
         "health",
         help="read a server's sliding-window health model: readiness, "
-        "per-op latency percentiles vs SLO objectives, error-budget "
+        "per-op latency percentiles vs objectives, error-budget "
         "burn, and overload-shedding state",
     )
     health.add_argument("target", help="http:// URL or repository directory")
@@ -258,14 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quota-bytes", type=_positive_int, default=None,
         help="cap on tenant-logical reachable bytes (default: unlimited)",
     )
-    hub_tenant.add_argument(
-        "--rate", type=float, default=None,
-        help="requests per second before throttling (default: unlimited)",
-    )
-    hub_tenant.add_argument(
-        "--burst", type=float, default=None,
-        help="token-bucket burst capacity (default: max(1, rate))",
-    )
 
     hub_create = hub_sub.add_parser(
         "create-repo", help="create an empty repository in a tenant namespace"
@@ -331,7 +323,7 @@ def _add_hub_client_arguments(parser) -> None:
 
 
 def _add_serve_arguments(parser, cache_help: str) -> None:
-    """Listening, sizing and SLO flags shared by ``serve`` and ``hub serve``."""
+    """Listening and sizing flags shared by ``serve`` and ``hub serve``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321)
     parser.add_argument(
@@ -345,30 +337,6 @@ def _add_serve_arguments(parser, cache_help: str) -> None:
         help="reject request bodies above this size with HTTP 413 "
         "(default 256 MiB)",
     )
-    parser.add_argument(
-        "--slo-config", default=None, metavar="PATH",
-        help="JSON file of SLO overrides (per-op p99 objectives, "
-        "availability target, burn windows, shedding knobs); default: "
-        "the built-in objectives",
-    )
-
-
-def _load_slo(args):
-    """The :class:`~repro.obs.slo.SLOConfig` behind ``--slo-config``
-    (the built-in defaults when the flag is absent)."""
-    from .errors import MLCaskError
-    from .obs import SLOConfig
-
-    if args.slo_config is None:
-        return SLOConfig.default()
-    try:
-        return SLOConfig.load(args.slo_config)
-    except (OSError, ValueError) as error:
-        # Fail the verb before it binds a port: a server that came up
-        # with a half-read SLO would shed against the wrong promises.
-        raise MLCaskError(
-            f"invalid SLO config {args.slo_config}: {error}"
-        ) from error
 
 
 def _add_rebind_arguments(parser) -> None:
@@ -610,7 +578,7 @@ def _cmd_serve(args, out) -> int:
     from .remote.pack import DEFAULT_MAX_PACK_BYTES
     from .remote.server import serve
 
-    def start(**options):
+    def start(idle_timeout):
         repo = MLCask.load_dir(args.repo)
         server = serve(
             repo,
@@ -624,7 +592,7 @@ def _cmd_serve(args, out) -> int:
             ),
             cache_entries=args.cache_entries,
             max_request_bytes=args.max_request_bytes,
-            **options,
+            idle_timeout=idle_timeout,
         )
         print(f"serving {args.repo} at {server.url}/rpc", file=out)
         return server, "serve.ready", {
@@ -640,8 +608,8 @@ def _serve_endpoint(args, out, start) -> int:
     """The one body of ``serve`` and ``hub serve``, from binding the
     server to serving until the budget is spent.
 
-    ``start(**options)`` builds what is served and binds the server with
-    the options both verbs share (SLO, idle timeout), prints its banner
+    ``start(idle_timeout)`` builds what is served and binds the server
+    with the idle timeout both verbs share, prints its banner
     and returns ``(server, ready event, its fields)``. Before it runs,
     malloc is capped at one heap (:func:`~repro.remote.server.share_one_heap`),
     so no handler thread gets a heap of its own.
@@ -658,7 +626,6 @@ def _serve_endpoint(args, out, start) -> int:
 
     share_one_heap()
     server, event, fields = start(
-        slo=_load_slo(args),
         # Bounded serving must return promptly after the Nth request even
         # when clients leave keep-alive sockets open: a short idle timeout
         # lets server_close() join the handler threads without waiting out
@@ -883,22 +850,22 @@ def _cmd_health(args, out) -> int:
 
 
 def _render_health(args, report, out) -> None:
+    from .obs.health import AVAILABILITY
+
     state = "ready" if report["ready"] else (
         "NOT READY: " + "; ".join(report.get("reasons", []))
     )
     burn = report.get("burn", {})
     shedding = report.get("shedding", {})
-    slo = report.get("slo", {})
     print(
         f"{state} ({report.get('window_seconds', 0):g}s window)\n"
-        f"error budget: {slo.get('availability', 0.0):.2%} availability "
+        f"error budget: {AVAILABILITY:.2%} availability "
         f"target; burn {burn.get('burn', 0.0):.2f}x",
         file=out,
     )
-    shed_state = "on" if shedding.get("enabled") else "off"
-    active = " ACTIVE" if shedding.get("active") else ""
+    active = "ACTIVE" if shedding.get("active") else "idle"
     print(
-        f"shedding: {shed_state}{active}, {shedding.get('total', 0)} shed",
+        f"shedding: {active}, {shedding.get('total', 0)} shed",
         file=out,
     )
     for op, summary in sorted(report.get("ops", {}).items()):
@@ -1042,18 +1009,11 @@ def _cmd_hub_add_tenant(args, out) -> int:
         args.name,
         tokens=args.tokens,
         quota_bytes=args.quota_bytes,
-        rate_per_second=args.rate,
-        burst=args.burst,
     )
     quota = "unlimited" if config.quota_bytes is None else str(config.quota_bytes)
-    rate = (
-        "unlimited"
-        if config.rate_per_second is None
-        else f"{config.rate_per_second:g}/s"
-    )
     print(
         f"tenant {config.name!r}: {len(config.tokens)} token(s), "
-        f"quota {quota} bytes, rate {rate}",
+        f"quota {quota} bytes",
         file=out,
     )
     return 0
@@ -1093,8 +1053,8 @@ def _cmd_hub_serve(args, out) -> int:
     if args.max_pack_bytes is not None:
         kwargs["max_pack_bytes"] = args.max_pack_bytes
 
-    def start(idle_timeout, **options):
-        hub = _hub_for(args, cache_entries=args.cache_entries, **options, **kwargs)
+    def start(idle_timeout):
+        hub = _hub_for(args, cache_entries=args.cache_entries, **kwargs)
         server = serve_hub(
             hub,
             host=args.host,

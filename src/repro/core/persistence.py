@@ -7,22 +7,15 @@ re-binds commits to components through a registry the caller provides
 (the same separation the paper uses: the library repository stores
 executables, the pipeline repository stores references).
 
-Two layouts are supported:
-
-* a single JSON file (:func:`save_repository` / :func:`load_repository`)
-  holding only the version-control state. Checkpointed outputs are
-  content-addressed; a repository loaded this way starts with an empty
-  checkpoint store and repopulates it lazily on the next runs (every
-  re-execution is deterministic, so the archive converges to the same
-  content);
-* a *repository directory* (:func:`save_repository_dir` /
-  :func:`load_repository_dir` / :func:`gc_repository_dir`) that also
-  persists the content-addressed store, so a reloaded repository can
-  serve clones and reuse archived outputs without re-running anything.
-  It is the one on-disk form of a repository: a working copy (the
-  ``repro init/commit/run/merge/serve/clone/push/pull/gc <dir>`` verbs)
-  and a repository hosted by the hub differ only in where the chunk
-  bytes live.
+A repository is persisted as a *repository directory*
+(:func:`save_repository_dir` / :func:`load_repository_dir` /
+:func:`gc_repository_dir`) that holds the content-addressed store beside
+the version-control state, so a reloaded repository can serve clones and
+reuse archived outputs without re-running anything. It is the one
+on-disk form of a repository: a working copy (the
+``repro init/commit/run/merge/serve/clone/push/pull/gc <dir>`` verbs)
+and a repository hosted by the hub differ only in where the chunk bytes
+live.
 
 Repository directory layout::
 
@@ -172,66 +165,6 @@ def repository_header(repo) -> dict:
         "commit_counts": counts,
         "sequence": repo._sequence,
     }
-
-
-def repository_state(repo) -> dict:
-    """Serializable snapshot of a repository's version-control state."""
-    state = repository_header(repo)
-    state["commits"] = [encode(c) for c in repo.graph.all_commits()]
-    return state
-
-
-def save_repository(repo, path: str | os.PathLike[str]) -> None:
-    """Write the repository state to ``path`` as JSON."""
-    write_json_atomic(
-        os.fspath(path), repository_state(repo), indent=2, sort_keys=True
-    )
-
-
-def load_repository(path: str | os.PathLike[str], registry=None, repo=None):
-    """Rebuild a repository from ``path``.
-
-    ``registry`` (a :class:`ComponentRegistry` or any object with a
-    compatible ``get``/``register``) supplies the live components the
-    commits reference; commits whose components are absent still load (the
-    history is intact) but cannot be re-instantiated until the components
-    are registered.
-    """
-    with open(os.fspath(path)) as fh:
-        state = json.load(fh)
-    return restore_repository(state, registry=registry, repo=repo)
-
-
-def restore_repository(state: dict, registry=None, repo=None):
-    """:func:`load_repository` from an already-parsed state; commits are
-    added in the order ``state["commits"]`` lists them."""
-    from .repository import MLCask
-
-    if state.get("format") != FORMAT_VERSION:
-        raise RepositoryError(
-            f"unsupported repository format {state.get('format')!r}"
-        )
-
-    if repo is None:
-        repo = MLCask(metric=state["metric"], seed=state["seed"])
-    if registry is not None:
-        repo.registry = registry
-
-    for name, spec_state in state["specs"].items():
-        repo._specs[name] = decode(PipelineSpec, spec_state, name=name)
-
-    for entry in state["commits"]:
-        repo.graph.add(decode(PipelineCommit, entry))
-
-    for pipeline, branches in state["heads"].items():
-        for branch, head in branches.items():
-            repo.branches.set_head(pipeline, branch, head)
-    for pipeline, branches in state["commit_counts"].items():
-        for branch, count in branches.items():
-            for _ in range(count):
-                repo.branches.note_commit(pipeline, branch)
-    repo._sequence = state["sequence"]
-    return repo
 
 
 # ----------------------------------------------------- repository directory
@@ -420,13 +353,32 @@ def restore_repository_dir(
     repo, path: str | os.PathLike[str], header: dict, registry=None
 ) -> None:
     """Fill ``repo`` with what ``header``, read from the repository
-    directory at ``path``, commits — everything but the chunks."""
+    directory at ``path``, commits — everything but the chunks.
+
+    ``registry`` (a :class:`ComponentRegistry` or any object with a
+    compatible ``get``/``register``) supplies the live components the
+    commits reference; commits whose components are absent still load
+    (the history is intact) but cannot be re-instantiated until the
+    components are registered."""
+    if header.get("format") != FORMAT_VERSION:
+        raise RepositoryError(
+            f"unsupported repository format {header.get('format')!r}"
+        )
     root = os.path.abspath(os.fspath(path))
-    restore_repository(
-        {**header, "commits": _read_rows(root, header, "commits")},
-        registry=registry,
-        repo=repo,
-    )
+    if registry is not None:
+        repo.registry = registry
+    for name, spec_state in header["specs"].items():
+        repo._specs[name] = decode(PipelineSpec, spec_state, name=name)
+    for entry in _read_rows(root, header, "commits"):
+        repo.graph.add(decode(PipelineCommit, entry))
+    for pipeline, branches in header["heads"].items():
+        for branch, head in branches.items():
+            repo.branches.set_head(pipeline, branch, head)
+    for pipeline, branches in header["commit_counts"].items():
+        for branch, count in branches.items():
+            for _ in range(count):
+                repo.branches.note_commit(pipeline, branch)
+    repo._sequence = header["sequence"]
     for entry in _read_rows(root, header, "recipes"):
         repo.objects.add_recipe(decode(Recipe, entry))
     for entry in _read_rows(root, header, "checkpoints"):

@@ -574,16 +574,6 @@ class MLCask:
         )
 
     # ---------------------------------------------------------- persistence
-    def save(self, path) -> None:
-        """Persist the version-control state (commits, branches, specs)."""
-        persistence.save_repository(self, path)
-
-    @classmethod
-    def load(cls, path, registry: ComponentRegistry | None = None) -> "MLCask":
-        """Rebuild a repository saved with :meth:`save`; see
-        :mod:`repro.core.persistence` for what does and does not persist."""
-        return persistence.load_repository(path, registry=registry)
-
     def save_dir(self, path) -> None:
         """Persist state *and* content (chunks, recipes, checkpoint index,
         ledger) under a repository directory — the on-disk format the

@@ -189,13 +189,6 @@ class QuotaExceededError(HubError):
         super().__init__(message)
 
 
-class RateLimitedError(HubError):
-    """The tenant's token bucket is empty; retry after it refills."""
-
-    def __init__(self, message: str = "tenant request rate limit exceeded"):
-        super().__init__(message)
-
-
 class RepositoryNotFoundError(HubError):
     """The addressed {tenant}/{repo} does not exist on the hub."""
 

@@ -16,15 +16,15 @@ subsystem adds the *hosting* layer on top:
   while per-tenant views keep membership isolated and charge quotas
   the full *logical* usage.
 * **Admission** — bearer-token auth (:class:`TokenAuthenticator`),
-  per-tenant storage quotas, and a token-bucket rate limiter, all
-  enforced before a request touches repository state, all answered
+  per-tenant storage quotas, and overload shedding by the health model,
+  all enforced before a request touches repository state, all answered
   with typed protocol errors clients can distinguish.
 
 Layering::
 
     backend.py   SharedChunkBackend + TenantChunkStore (refcounted views)
     auth.py      TenantConfig, TokenAuthenticator, name grammar
-    quota.py     TokenBucket, incoming-bytes arithmetic
+    quota.py     incoming-bytes arithmetic
     hub.py       RepositoryHub (routing, LRU, persistence, admission), and
                  serve_hub: the shared HTTP server, routed /t/<tenant>/<repo>/rpc
 
@@ -46,7 +46,7 @@ Quickstart::
 from .auth import TenantConfig, TokenAuthenticator, validate_name
 from .backend import SharedChunkBackend, TenantChunkStore
 from .hub import HostedRepository, HubLocalTransport, RepositoryHub, serve_hub
-from .quota import TokenBucket, incoming_new_bytes
+from .quota import incoming_new_bytes
 
 __all__ = [
     "HostedRepository",
@@ -56,7 +56,6 @@ __all__ = [
     "TenantChunkStore",
     "TenantConfig",
     "TokenAuthenticator",
-    "TokenBucket",
     "incoming_new_bytes",
     "serve_hub",
     "validate_name",

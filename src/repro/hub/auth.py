@@ -1,8 +1,8 @@
 """Admission identity: bearer tokens, tenants, and their service terms.
 
 A *tenant* is the unit of isolation, accounting, and admission on the
-hub: tokens authenticate to exactly one tenant, quotas and rate limits
-are per tenant, and a tenant's repositories live under its own
+hub: tokens authenticate to exactly one tenant, quotas are per tenant,
+and a tenant's repositories live under its own
 ``/t/<tenant>/...`` namespace. The authenticator is deliberately tiny —
 a token registry with constant-time comparison — because the hub's
 security posture is *containment*, not cryptography: a request either
@@ -41,36 +41,62 @@ class TenantConfig:
 
     ``quota_bytes`` bounds tenant-*logical* usage (reachable bytes across
     the tenant's repositories, every chunk counted in full); ``None``
-    means unlimited. ``rate_per_second``/``burst`` parameterize the
-    token-bucket rate limiter; ``rate_per_second=None`` disables it.
+    means unlimited. A malformed term is refused here, naming the tenant
+    and the field, so it fails at registration or at hub start-up rather
+    than on the tenant's next request.
     """
 
     name: str
     tokens: tuple[str, ...] = ()
     quota_bytes: int | None = None
-    rate_per_second: float | None = None
-    burst: float | None = None
 
     def __post_init__(self) -> None:
         validate_name("tenant", self.name)
-        self.tokens = tuple(self.tokens)
+        # A bare string would iterate into one-character tokens, each of
+        # which would authenticate as this tenant.
+        if isinstance(self.tokens, (str, bytes)):
+            raise self._invalid(
+                "tokens", f"must be a list of strings, not one {type(self.tokens).__name__}"
+            )
+        try:
+            self.tokens = tuple(self.tokens)
+        except TypeError:
+            raise self._invalid("tokens", "must be a list of strings") from None
+        if not all(isinstance(token, str) and token for token in self.tokens):
+            raise self._invalid("tokens", "must each be a non-empty string")
+        quota = self.quota_bytes
+        if quota is not None and (
+            not isinstance(quota, int) or isinstance(quota, bool) or quota <= 0
+        ):
+            raise self._invalid(
+                "quota_bytes", f"must be a positive integer or null, not {quota!r}"
+            )
+
+    def _invalid(self, field: str, why: str) -> HubError:
+        return HubError(f"tenant {self.name!r}: {field!r} {why}")
 
     def to_dict(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "quota_bytes": self.quota_bytes,
-            "rate_per_second": self.rate_per_second,
-            "burst": self.burst,
-        }
+        return {"tokens": list(self.tokens), "quota_bytes": self.quota_bytes}
 
     @classmethod
     def from_dict(cls, name: str, entry: dict) -> "TenantConfig":
+        """One tenant of ``hub.json``. A term this hub does not know is
+        refused by name unless it is ``null`` — which is how hubs from
+        before rate limiting was removed wrote its two fields: dropping
+        a configured limit would change admission without telling anyone."""
+        if not isinstance(entry, dict):
+            raise HubError(f"tenant {name!r}: hub.json entry must be an object")
+        for field in sorted(set(entry) - {"tokens", "quota_bytes"}):
+            if entry[field] is not None:
+                raise HubError(
+                    f"tenant {name!r}: hub.json sets {field!r}, which this "
+                    "hub does not support (per-tenant rate limits were "
+                    "removed); delete it to start the hub"
+                )
         return cls(
             name=name,
-            tokens=tuple(entry.get("tokens", ())),
+            tokens=entry.get("tokens", ()),
             quota_bytes=entry.get("quota_bytes"),
-            rate_per_second=entry.get("rate_per_second"),
-            burst=entry.get("burst"),
         )
 
 

@@ -5,11 +5,11 @@ a hosting service: it routes ``{tenant}/{repo}`` addresses to per-repo
 servers, keeps only a bounded working set of them loaded (LRU-evicting
 idle repos back to disk), shares one chunk backend across every
 repository it hosts, and runs an admission pipeline — authentication,
-rate limiting, quota — in front of every request.
+overload shedding, quota — in front of every request.
 
 Request path (:meth:`RepositoryHub.handle_request`)::
 
-    token ──authorize──▶ tenant ──token bucket──▶ decode op
+    token ──authorize──▶ tenant ──decode op──▶ shed decision
         reads:  route to the loaded server, concurrent per repo
         writes: per-tenant serialization ▶ quota pre-check ▶ server
 
@@ -18,7 +18,7 @@ request, and every admission denial is raised before any state is
 touched — a rejected push leaves the target repo bit-identical, which
 the hub tests assert. Inside a repository, the PR-2 reader-writer lock
 and response cache still apply unchanged; the hub adds nothing to the
-per-repo hot path beyond one dict lookup and a token-bucket tick.
+per-repo hot path beyond one dict lookup and a shed decision.
 
 Persistence layout (``root`` directory)::
 
@@ -45,7 +45,6 @@ import json
 import os
 import re
 import threading
-import time
 from collections import OrderedDict
 
 from ..core.persistence import (
@@ -62,14 +61,12 @@ from ..errors import (
     AuthorizationError,
     HubError,
     QuotaExceededError,
-    RateLimitedError,
     RemoteProtocolError,
     RepositoryNotFoundError,
     ServerOverloadedError,
 )
 from ..obs.health import HealthMonitor
 from ..obs.metrics import MetricsRegistry
-from ..obs.slo import SLOConfig
 from ..ops import OP_TABLE, OpSpec
 from ..remote import pack
 from ..remote.protocol import decode_message, error_response
@@ -79,7 +76,7 @@ from ..storage.chunk_store import FileChunkStore
 from ..storage.object_store import ObjectStore
 from .auth import NAME_FRAGMENT, TenantConfig, TokenAuthenticator, validate_name
 from .backend import SharedChunkBackend, TenantChunkStore
-from .quota import TokenBucket, incoming_new_bytes
+from .quota import incoming_new_bytes
 
 HUB_CONFIG_FILE = "hub.json"
 
@@ -89,7 +86,6 @@ _DENIAL_REASONS = (
     (AuthenticationError, "auth"),
     (AuthorizationError, "auth"),
     (QuotaExceededError, "quota"),
-    (RateLimitedError, "rate"),
     (RepositoryNotFoundError, "not_found"),
     (ServerOverloadedError, "overload"),
     (HubError, "hub"),
@@ -188,9 +184,7 @@ class RepositoryHub:
         cache_entries: int = 128,
         default_metric: str = "accuracy",
         default_seed: int = 0,
-        clock=time.monotonic,
         registry=None,
-        slo: SLOConfig | None = None,
     ):
         self.root = os.fspath(root) if root is not None else None
         self.authenticator = authenticator or TokenAuthenticator()
@@ -207,7 +201,6 @@ class RepositoryHub:
         self.cache_entries = cache_entries
         self.default_metric = default_metric
         self.default_seed = default_seed
-        self.clock = clock
 
         self._lock = threading.RLock()
         self._loaded: OrderedDict[tuple[str, str], HostedRepository] = OrderedDict()
@@ -224,7 +217,6 @@ class RepositoryHub:
         #: wait on its event and retry.
         self._pending: dict[tuple[str, str], threading.Event] = {}
         self._tenant_locks: dict[str, threading.Lock] = {}
-        self._buckets: dict[str, TokenBucket] = {}
         #: Serializes config writes only (never request-path state): the
         #: snapshot happens inside it, so the last writer to the file
         #: always carries every registration that preceded its turn.
@@ -243,8 +235,7 @@ class RepositoryHub:
         # registry: hosted servers answer the health op from it,
         # so a tenant's view is the hub's view (per-op windows aggregate
         # across tenants — overload is a shared-substrate condition).
-        self.slo = slo if slo is not None else SLOConfig.default()
-        self.health = HealthMonitor(registry=self.registry, slo=self.slo)
+        self.health = HealthMonitor(registry=self.registry)
         self._m_admission = self.registry.counter(
             "repro_admission_total",
             "Hub admission decisions, by tenant and outcome",
@@ -278,45 +269,18 @@ class RepositoryHub:
         name: str,
         tokens=(),
         quota_bytes: int | None = None,
-        rate_per_second: float | None = None,
-        burst: float | None = None,
     ) -> TenantConfig:
         """Register (or reconfigure) a tenant; persists when disk-backed.
 
         Re-adding an existing tenant *replaces* its config — that is how
         tokens rotate and quotas change."""
-        config = TenantConfig(
-            name=name,
-            tokens=tuple(tokens),
-            quota_bytes=quota_bytes,
-            rate_per_second=rate_per_second,
-            burst=burst,
-        )
-        with self._lock:
-            self.authenticator.add_tenant(config)
-            self._buckets.pop(name, None)  # rebuilt from the new terms
+        config = TenantConfig(name=name, tokens=tokens, quota_bytes=quota_bytes)
+        self.authenticator.add_tenant(config)
         # LK002: the config write is disk I/O and must not run under the
         # hub lock — it would stall every tenant's admission while the
         # file is written and renamed. _save_config serializes itself.
         self._save_config()
         return config
-
-    def _bucket_for(self, config: TenantConfig) -> TokenBucket | None:
-        if config.rate_per_second is None:
-            return None
-        with self._lock:
-            bucket = self._buckets.get(config.name)
-            if bucket is None:
-                burst = (
-                    config.burst
-                    if config.burst is not None
-                    else max(1.0, config.rate_per_second)
-                )
-                bucket = TokenBucket(
-                    config.rate_per_second, burst, clock=self.clock
-                )
-                self._buckets[config.name] = bucket
-            return bucket
 
     def _tenant_lock(self, tenant: str) -> threading.Lock:
         # One lock per tenant, never service-wide: I/O under it stalls
@@ -751,12 +715,12 @@ class RepositoryHub:
     ) -> bytes:
         """Admit and execute one wire request; never raises.
 
-        Denials (auth, rate, quota, unknown repo, overload shed) are
+        Denials (auth, quota, unknown repo, overload shed) are
         answered as typed error responses *before* the repository server
         — and therefore any repository state — is touched. The payload
-        is decoded only after authentication and rate limiting pass, so
-        an unauthenticated or throttled peer costs no parse and learns
-        nothing about its payload.
+        is decoded only after authentication passes, so an
+        unauthenticated peer costs no parse and learns nothing about its
+        payload.
 
         Telemetry: every decision lands in the admission counters —
         ``repro_admission_total{tenant,outcome}`` plus, for denials,
@@ -766,20 +730,13 @@ class RepositoryHub:
             validate_name("tenant", tenant)
             validate_name("repository", repo)
             config = self.authenticator.authorize(token, tenant)
-            bucket = self._bucket_for(config)
-            if bucket is not None and not bucket.try_acquire():
-                raise RateLimitedError(
-                    f"tenant {tenant!r} exceeded "
-                    f"{config.rate_per_second:g} requests/s "
-                    f"(burst {bucket.burst:g}); retry after a pause"
-                )
             meta, blobs = decode_message(payload)
             op = meta.get("op")
             spec = OP_TABLE.get(op)
             write = spec is not None and spec.write
             # Observability-driven load shedding: the last admission
             # gate, still before any repository state is touched (same
-            # never-partially-mutate contract as auth/quota/rate —
+            # never-partially-mutate contract as auth and quota —
             # _acquire runs strictly after this). Only known ops shed,
             # so an unknown op keeps its typed protocol error; exempt
             # ops (health and stats) always pass so probes work under
@@ -900,8 +857,8 @@ def serve_hub(
     single-repository ``serve``, given the hub's route: tenant, repo and
     bearer token are read off the request and handed to
     :meth:`RepositoryHub.handle_request`, which owns admission and
-    routing and never raises — every application-level outcome, auth,
-    quota and rate denials included, travels as an HTTP 200 with a
+    routing and never raises — every application-level outcome, auth
+    and quota denials included, travels as an HTTP 200 with a
     typed error body. HTTP status codes stay for transport-level
     problems. ``GET /metrics`` renders the hub's registry and the probes
     answer from its health model.

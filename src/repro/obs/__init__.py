@@ -8,12 +8,12 @@ Small, dependency-free pieces:
   as plain-dict snapshots (the ``stats`` RPC op, benchmark dumps);
 * :mod:`repro.obs.events` — structured one-line JSON log events
   (startup readiness, transport reconnect warnings);
-* :mod:`repro.obs.slo` / :mod:`repro.obs.health` — the self-aware
-  serving pair: declarative per-op latency objectives with error-budget
-  burn, and the sliding-window :class:`HealthMonitor` that derives
-  per-op percentiles, error rate, denial mix, and lock pressure from
-  the registry alone — feeding ``/healthz`` / ``/readyz``, the
-  ``health`` RPC op, and the hub's overload shedding.
+* :mod:`repro.obs.health` — self-aware serving: the sliding-window
+  :class:`HealthMonitor` that derives per-op percentiles, error-budget
+  burn, denial mix, and lock pressure from the registry alone, judged
+  by one fixed policy (each op's objective is its ``p99_seconds`` in the
+  op table) — feeding ``/healthz`` / ``/readyz``, the ``health`` RPC op,
+  and the hub's overload shedding.
 
 The registry is the one telemetry stream, and it has a null default:
 library code resolves its sink via ``default_registry()``, which returns
@@ -30,16 +30,12 @@ from .metrics import (
     MetricsRegistry,
     default_registry,
 )
-from .slo import DEFAULT_OP_OBJECTIVES, SLOConfig, SLObjective
 
 __all__ = [
-    "DEFAULT_OP_OBJECTIVES",
     "HealthMonitor",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "SHED_EXEMPT_OPS",
-    "SLOConfig",
-    "SLObjective",
     "default_registry",
     "emit",
 ]

@@ -1,7 +1,6 @@
 """Sliding-window health model: the serving stack reading its own telemetry.
 
-The measurement half of self-aware serving (:mod:`repro.obs.slo` is the
-policy half). A :class:`HealthMonitor` periodically snapshots the
+A :class:`HealthMonitor` periodically snapshots the
 :class:`~repro.obs.metrics.MetricsRegistry` families the servers already
 populate (``repro_request_seconds``, ``repro_request_errors_total``,
 ``repro_admission_denied_total``, ``repro_lock_wait_seconds``) and
@@ -12,8 +11,8 @@ if a server emits metrics, it can be health-modelled, and a probe costs
 one registry cut per tick however many requests were served.
 
 Snapshots are ticked *lazily* from the read paths (``health()``,
-``ready()``, ``shed_decision()``), rate-limited to the SLO's
-``tick_seconds`` — no background thread, so a monitor on an idle server
+``ready()``, ``shed_decision()``), at most one per :data:`TICK_SECONDS`
+— no background thread, so a monitor on an idle server
 costs nothing and a monitor under load amortizes one registry copy per
 tick across every admission decision in that tick.
 
@@ -30,6 +29,11 @@ Three consumers, deliberately decoupled:
   :class:`~repro.errors.ServerOverloadedError`\\ s and land in the
   admission-denial counters, not the request-latency histograms, so the
   shedder's own output cannot feed its input and latch it on.
+
+The policy is fixed: each op's objective is its ``p99_seconds`` in the
+op table (:mod:`repro.ops`), where an entry cannot be written without
+one, so a new RPC cannot ship invisible to the health model; the rest
+are the module constants below.
 """
 
 from __future__ import annotations
@@ -40,7 +44,28 @@ from collections import deque
 
 from ..ops import OP_TABLE
 from .metrics import NULL_REGISTRY
-from .slo import SLOConfig
+
+#: At most 1% of requests may fail before the error budget is spent.
+AVAILABILITY = 0.99
+
+#: Readiness flips when the window burns budget at >= 14.4x the
+#: sustainable rate (the classic page-worthy figure: a 30-day budget
+#: gone in ~2 days).
+BURN_THRESHOLD = 14.4
+
+#: The one sliding window both the shed signal and the burn are judged
+#: over, and the least time between two registry cuts.
+WINDOW_SECONDS = 30.0
+TICK_SECONDS = 1.0
+
+#: Requests an op (or, for burn, the server) must have served in the
+#: window before one slow outlier or one failure can shed or flip
+#: readiness on a quiet server.
+MIN_SAMPLES = 20
+
+#: The backoff hint every :class:`~repro.errors.ServerOverloadedError`
+#: carries.
+RETRY_AFTER_SECONDS = 1.0
 
 #: Ops never shed: the probes an operator (or an automated client
 #: backing off) needs precisely when the server is overloaded.
@@ -125,10 +150,8 @@ class HealthMonitor:
     own lock guarantees each snapshot is a consistent cut).
     """
 
-    def __init__(self, registry=None, slo: SLOConfig | None = None,
-                 clock=time.monotonic, wallclock=time.time):
+    def __init__(self, registry=None, clock=time.monotonic, wallclock=time.time):
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.slo = slo if slo is not None else SLOConfig.default()
         self._clock = clock
         self._wallclock = wallclock
         self._lock = threading.Lock()
@@ -178,11 +201,11 @@ class HealthMonitor:
         """Snapshot the registry if the last cut is older than a tick."""
         now = self._clock()
         with self._lock:
-            if not force and now - self._last_tick < self.slo.tick_seconds:
+            if not force and now - self._last_tick < TICK_SECONDS:
                 return
             self._last_tick = now
             self._samples.append(self._collect())
-            horizon = self.slo.window_seconds + 2 * self.slo.tick_seconds
+            horizon = WINDOW_SECONDS + 2 * TICK_SECONDS
             while (
                 len(self._samples) > 2
                 and now - self._samples[1].mono > horizon
@@ -196,7 +219,7 @@ class HealthMonitor:
             if len(self._samples) < 2:
                 return None
             newest = self._samples[-1]
-            cutoff = newest.mono - self.slo.window_seconds
+            cutoff = newest.mono - WINDOW_SECONDS
             baseline = self._samples[0]
             for sample in self._samples:
                 if sample.mono <= cutoff:
@@ -274,7 +297,7 @@ class HealthMonitor:
             "requests": requests,
             "errors": errors,
             "error_rate": rate,
-            "burn": rate / self.slo.error_budget,
+            "burn": rate / (1.0 - AVAILABILITY),
         }
 
     # ----------------------------------------------------------- decisions
@@ -293,21 +316,18 @@ class HealthMonitor:
         reasons = []
         burn = self._burn()
         if (
-            burn["requests"] >= self.slo.min_samples
-            and burn["burn"] >= self.slo.burn_threshold
+            burn["requests"] >= MIN_SAMPLES
+            and burn["burn"] >= BURN_THRESHOLD
         ):
             reasons.append(
-                f"error budget burn {burn['burn']:.1f}x >= "
-                f"{self.slo.burn_threshold:.1f}x"
+                f"error budget burn {burn['burn']:.1f}x >= {BURN_THRESHOLD:.1f}x"
             )
         if self._shedding_active():
             reasons.append("overload shedding active")
         return (not reasons, reasons)
 
     def _shedding_active(self) -> bool:
-        return (
-            self._clock() - self._last_shed_mono <= self.slo.window_seconds
-        )
+        return self._clock() - self._last_shed_mono <= WINDOW_SECONDS
 
     def shed_decision(self, op: str) -> float | None:
         """Should an admission of ``op`` be shed right now?
@@ -317,13 +337,11 @@ class HealthMonitor:
         state is touched; exempt ops (:data:`SHED_EXEMPT_OPS`) are never
         shed so probes and backoff decisions keep working under load.
         Latency-driven: sheds when the windowed p99 of this op has
-        breached its objective across at least ``min_samples`` requests
-        — never on error burn.
+        breached its objective across at least :data:`MIN_SAMPLES`
+        requests — never on error burn.
         """
-        if not self.slo.shed_enabled or op in SHED_EXEMPT_OPS:
-            return None
-        objective = self.slo.objective_for(op)
-        if objective is None:
+        spec = OP_TABLE.get(op)
+        if spec is None or spec.shed_exempt:
             return None
         # The judged op's window only: a whole window() would compute
         # every op's percentiles on every admitted request.
@@ -333,11 +351,11 @@ class HealthMonitor:
         if delta is None:
             return None
         buckets, deltas, count, _ = delta
-        if count < self.slo.min_samples:
+        if count < MIN_SAMPLES:
             return None
         p99 = _percentile(buckets, deltas, 0.99)
-        if p99 is not None and p99 > objective.p99_seconds:
-            return self.slo.retry_after_seconds
+        if p99 is not None and p99 > spec.p99_seconds:
+            return RETRY_AFTER_SECONDS
         return None
 
     def note_shed(self, op: str) -> None:
@@ -369,20 +387,17 @@ class HealthMonitor:
         ops = {}
         for op, report in sorted(window["ops"].items()):
             entry = dict(report)
-            objective = self.slo.objective_for(op)
-            if objective is not None:
-                entry["objective_p99_seconds"] = objective.p99_seconds
+            spec = OP_TABLE.get(op)
+            if spec is not None:
+                entry["objective_p99_seconds"] = spec.p99_seconds
                 p99 = report.get("p99")
-                entry["breach"] = bool(
-                    p99 is not None and p99 > objective.p99_seconds
-                )
+                entry["breach"] = bool(p99 is not None and p99 > spec.p99_seconds)
             ops[op] = entry
         with self._lock:
             shed = {
                 "active": self._shedding_active(),
                 "total": self._shed_total,
                 "by_op": dict(self._shed_by_op),
-                "enabled": self.slo.shed_enabled,
             }
         return {
             "alive": self.alive(),
@@ -395,8 +410,16 @@ class HealthMonitor:
             "lock_wait": window["lock_wait"],
             "burn": burn,
             "shedding": shed,
-            "slo": self.slo.to_dict(),
         }
 
 
-__all__ = ["SHED_EXEMPT_OPS", "HealthMonitor"]
+__all__ = [
+    "AVAILABILITY",
+    "BURN_THRESHOLD",
+    "MIN_SAMPLES",
+    "RETRY_AFTER_SECONDS",
+    "SHED_EXEMPT_OPS",
+    "TICK_SECONDS",
+    "WINDOW_SECONDS",
+    "HealthMonitor",
+]

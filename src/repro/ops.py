@@ -2,13 +2,13 @@
 
 One :class:`OpSpec` per operation a server understands carries its
 name, lock side, cacheability, hub pre-flight status, shed exemption,
-default p99 objective, blob-digest key and request validator.
+p99 objective, blob-digest key and request validator.
 Everything else *derives* from :data:`OP_TABLE`:
 ``OPS``/``WRITE_OPS`` (:mod:`repro.remote.protocol`), ``CACHEABLE_OPS``
 and ``validate_request`` (:mod:`repro.remote.server`), ``PREFLIGHT_OPS``
-(:mod:`repro.hub.hub`), ``SHED_EXEMPT_OPS`` (:mod:`repro.obs.health`)
-and ``DEFAULT_OP_OBJECTIVES`` (:mod:`repro.obs.slo`) are comprehensions
-over it, and ``RepositoryServer`` binds its ``_op_<name>`` handlers
+(:mod:`repro.hub.hub`) and ``SHED_EXEMPT_OPS`` (:mod:`repro.obs.health`)
+are comprehensions over it, the health model judges each op against
+its ``p99_seconds``, and ``RepositoryServer`` binds its ``_op_<name>`` handlers
 against it at class-definition time.
 
 This is a leaf module: it imports only :mod:`repro.errors`, so the
@@ -39,7 +39,8 @@ class OpSpec:
     #: ``validator(spec, meta, blobs)`` rejects a malformed request via
     #: :meth:`fail` before any handler (or hub admission) state is read.
     validator: Callable[["OpSpec", dict, list], None]
-    #: Default p99 latency objective, seconds (:mod:`repro.obs.slo`).
+    #: p99 latency objective, seconds: what the health model
+    #: (:mod:`repro.obs.health`) sheds and reports breaches against.
     p99_seconds: float
     #: Mutates repository state: served under the exclusive side of the
     #: server's reader-writer lock; everything else is a read.

@@ -50,6 +50,10 @@ from .protocol import decode_message, encode_message, raise_remote_error
 #: in chunk count; a slice keeps each request bounded (~270 KB of JSON).
 WANT_DIGESTS_PER_REQUEST = 4096
 
+#: Retries of a request an overloaded peer shed, each after a jittered
+#: backoff; a shed request touched no state, so retrying is always safe.
+OVERLOAD_RETRIES = 2
+
 
 def checked_refs(meta: dict, what: str) -> dict[str, dict[str, str]]:
     """The ``refs`` of a manifest or fetch response, checked to map
@@ -117,12 +121,13 @@ class Remote:
     requests to it, and a push whose missing content exceeds it streams
     the chunks in ``put_chunks`` batches before the final ref update.
 
-    ``overload_retries`` is how many times a request shed by an
-    overloaded peer (:class:`~repro.errors.ServerOverloadedError`) is
-    retried after backing off per the server's ``retry_after`` hint;
-    the final attempt's error propagates. ``backoff`` (optional, a
-    ``callable(seconds)``) replaces ``time.sleep`` — tests inject a
-    recorder, schedulers could yield instead of blocking.
+    A request shed by an overloaded peer
+    (:class:`~repro.errors.ServerOverloadedError`) is retried
+    :data:`OVERLOAD_RETRIES` times after backing off per the server's
+    ``retry_after`` hint; the final attempt's error propagates.
+    ``backoff`` (optional, a ``callable(seconds)``) replaces
+    ``time.sleep`` — tests inject a recorder, schedulers could yield
+    instead of blocking.
     """
 
     def __init__(
@@ -131,14 +136,12 @@ class Remote:
         transport,
         name: str = "origin",
         max_pack_bytes: int = pack.DEFAULT_MAX_PACK_BYTES,
-        overload_retries: int = 2,
         backoff=None,
     ):
         self.repo = repo
         self.transport = transport
         self.name = name
         self.max_pack_bytes = max_pack_bytes
-        self.overload_retries = max(0, overload_retries)
         self._backoff = backoff if backoff is not None else time.sleep
 
     # ------------------------------------------------------------ plumbing
@@ -161,7 +164,7 @@ class Remote:
             # this class cannot send an op the table does not declare.
             raise RemoteProtocolError(f"unknown operation {op!r}")
         payload = encode_message(meta, blobs, sizes)
-        for attempt in range(self.overload_retries + 1):
+        for attempt in range(OVERLOAD_RETRIES + 1):
             response = self.transport.call(payload)
             meta_out, blobs_out = decode_message(response)
             try:
@@ -170,7 +173,7 @@ class Remote:
                 # A shed request has touched no repository state (the
                 # hub's admission contract), so a verbatim retry is
                 # always safe — including for writes.
-                if attempt >= self.overload_retries:
+                if attempt >= OVERLOAD_RETRIES:
                     raise
                 self._backoff(self._backoff_seconds(error.retry_after, attempt))
                 continue
@@ -198,7 +201,8 @@ class Remote:
 
     def health(self) -> dict:
         """The peer's sliding-window health report (per-op latency
-        percentiles, error-budget burn, shedding state, SLO config).
+        percentiles against their objectives, error-budget burn,
+        shedding state).
 
         Schema-additive read op like :meth:`stats`: old servers answer
         with a typed unknown-operation error. On a hub, reaching this op

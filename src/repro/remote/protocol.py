@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 from collections.abc import Iterable
 
 from ..errors import (
@@ -38,7 +39,6 @@ from ..errors import (
     LineageNotFoundError,
     PushRejectedError,
     QuotaExceededError,
-    RateLimitedError,
     RemoteError,
     RemoteProtocolError,
     RepositoryNotFoundError,
@@ -183,8 +183,8 @@ def error_response(error: Exception) -> bytes:
 
 #: Error types that reconstruct client-side from their message alone.
 #: Hub admission denials live here: a client must be able to tell an
-#: auth failure from a quota denial from a rate limit programmatically,
-#: not by parsing prose. ``LineageNotFoundError`` rides along so a
+#: auth failure from a quota denial programmatically, not by parsing
+#: prose. ``LineageNotFoundError`` rides along so a
 #: lineage query about an unrecorded ref fails typed, not generic.
 TYPED_ERRORS = {
     cls.__name__: cls
@@ -194,10 +194,26 @@ TYPED_ERRORS = {
         HubError,
         LineageNotFoundError,
         QuotaExceededError,
-        RateLimitedError,
         RepositoryNotFoundError,
     )
 }
+
+
+def _retry_after(error: dict) -> float:
+    """A shed response's backoff hint: a finite, non-negative number of
+    seconds (1 when absent). Anything else is the peer's protocol error,
+    never a builtin one out of the client's retry loop or its sleep."""
+    value = error.get("retry_after", 1.0)
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max  # NaN fails both
+    ):
+        return float(value)
+    raise RemoteProtocolError(
+        f"invalid error response: 'retry_after' must be a finite, "
+        f"non-negative number of seconds, not {value!r}"
+    )
 
 
 def raise_remote_error(meta: dict) -> None:
@@ -205,24 +221,29 @@ def raise_remote_error(meta: dict) -> None:
     error = meta.get("error")
     if error is None:
         return
-    if error.get("type") == "PushRejectedError":
+    if not isinstance(error, dict):
+        raise RemoteProtocolError(
+            f"invalid error response: 'error' must be an object, not {error!r}"
+        )
+    kind = error.get("type")
+    if kind == "PushRejectedError":
         raise PushRejectedError(
             error.get("pipeline", "?"),
             error.get("branch", "?"),
             error.get("reason", error.get("message", "rejected")),
         )
-    if error.get("type") == "RemoteProtocolError":
+    if kind == "RemoteProtocolError":
         raise RemoteProtocolError(
             f"remote rejected request: {error.get('message')}"
         )
-    if error.get("type") == "ServerOverloadedError":
+    if kind == "ServerOverloadedError":
         # Special-cased (not TYPED_ERRORS) to reconstruct the backoff
         # hint: clients schedule their retry off ``retry_after``.
         raise ServerOverloadedError(
             error.get("message", "server overloaded; retry later"),
-            retry_after=float(error.get("retry_after", 1.0)),
+            retry_after=_retry_after(error),
         )
-    typed = TYPED_ERRORS.get(error.get("type"))
+    typed = TYPED_ERRORS.get(kind) if isinstance(kind, str) else None
     if typed is not None:
         raise typed(error.get("message", "rejected by the remote hub"))
-    raise RemoteError(f"remote error: {error.get('type')}: {error.get('message')}")
+    raise RemoteError(f"remote error: {kind}: {error.get('message')}")

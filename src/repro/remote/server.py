@@ -66,7 +66,6 @@ from ..errors import (
 from ..obs import metrics as obs_metrics
 from ..obs.health import HealthMonitor
 from ..obs.metrics import NULL_METRIC, MetricsRegistry
-from ..obs.slo import SLOConfig
 from ..ops import OP_TABLE
 from . import pack
 from .protocol import (
@@ -415,8 +414,8 @@ class RepositoryServer:
             lineage.bind_registry(registry, self._tenant, self._repo_label)
         # Health model over this server's own telemetry; a hub passes its
         # shared monitor instead so the deployment-wide view answers the
-        # ``health`` op for every hosted repo. Defaults to the stock SLO
-        # over this registry — a null sink just reports ready.
+        # ``health`` op for every hosted repo. Defaults to a monitor over
+        # this registry — a null sink just reports ready.
         self.health_monitor = (
             health_monitor
             if health_monitor is not None
@@ -670,7 +669,7 @@ class RepositoryServer:
                         ),
                     },
                     # Schema-additive summary; the full report (per-op
-                    # percentiles, burn, SLO config) is the health op's.
+                    # percentiles, burn, shedding) is the health op's.
                     "health": self.health_monitor.summary(),
                 }
             }
@@ -1122,7 +1121,6 @@ def serve(
     max_request_bytes: int | None = None,
     idle_timeout: float | None = None,
     registry=None,
-    slo: SLOConfig | None = None,
 ) -> SyncHTTPServer:
     """Expose ``repo`` at ``http://host:port/rpc``; returns the server.
 
@@ -1137,11 +1135,6 @@ def serve(
     ``server.metrics_registry``. Pass
     :data:`repro.obs.metrics.NULL_REGISTRY` to serve uninstrumented.
 
-    ``slo`` (optional :class:`~repro.obs.slo.SLOConfig`, the
-    ``--slo-config`` flag) parameterizes the health model behind
-    ``GET /healthz`` / ``GET /readyz`` and the ``health`` op; the stock
-    objectives apply when omitted.
-
     A program that serves with this, as ``repro serve`` does, calls
     :func:`share_one_heap` first, before it loads ``repo``.
     """
@@ -1152,7 +1145,6 @@ def serve(
         max_pack_bytes=max_pack_bytes,
         cache_entries=cache_entries,
         registry=registry,
-        health_monitor=HealthMonitor(registry=registry, slo=slo),
     )
     return SyncHTTPServer(
         (host, port),

@@ -1,4 +1,6 @@
-"""Persistence (save/load) and garbage-collection tests."""
+"""Persistence (save_dir/load_dir) and garbage-collection tests."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,9 +16,8 @@ from helpers import build_fig3_history, fresh_toy_repo, toy_model
 class TestSaveLoad:
     def test_roundtrip_preserves_history(self, tmp_path):
         repo = build_fig3_history()
-        path = tmp_path / "repo.json"
-        repo.save(path)
-        loaded = MLCask.load(path)
+        repo.save_dir(tmp_path / "repo")
+        loaded = MLCask.load_dir(tmp_path / "repo")
         assert len(loaded.graph) == len(repo.graph)
         assert loaded.head_commit("toy", "dev").label == "dev.0.2"
         assert loaded.head_commit("toy", "master").label == "master.0.1"
@@ -24,9 +25,8 @@ class TestSaveLoad:
     def test_roundtrip_preserves_scores_and_messages(self, tmp_path):
         repo = fresh_toy_repo(model_quality=0.62)
         repo.commit("toy", {"model": toy_model(1, 0.7)}, message="better model")
-        path = tmp_path / "repo.json"
-        repo.save(path)
-        loaded = MLCask.load(path)
+        repo.save_dir(tmp_path / "repo")
+        loaded = MLCask.load_dir(tmp_path / "repo")
         head = loaded.head_commit("toy")
         assert head.score == 0.7
         assert head.message == "better model"
@@ -34,35 +34,33 @@ class TestSaveLoad:
     def test_version_numbering_continues(self, tmp_path):
         repo = fresh_toy_repo()
         repo.commit("toy", {"model": toy_model(1, 0.6)})
-        path = tmp_path / "repo.json"
-        repo.save(path)
-        loaded = MLCask.load(path, registry=repo.registry)
+        repo.save_dir(tmp_path / "repo")
+        loaded = MLCask.load_dir(tmp_path / "repo", registry=repo.registry)
         commit, _ = loaded.commit("toy", {"model": toy_model(2, 0.7)})
         assert commit.label == "master.0.2"  # not reset to 0.0
 
     def test_loaded_repo_can_merge_with_registry(self, tmp_path):
         repo = build_fig3_history()
-        path = tmp_path / "repo.json"
-        repo.save(path)
-        loaded = MLCask.load(path, registry=repo.registry)
+        repo.save_dir(tmp_path / "repo")
+        loaded = MLCask.load_dir(tmp_path / "repo", registry=repo.registry)
         outcome = loaded.merge("toy", "master", "dev", mode="pcpr")
         assert outcome.commit.score == 0.8
 
     def test_load_without_registry_keeps_history_readable(self, tmp_path):
         repo = build_fig3_history()
-        path = tmp_path / "repo.json"
-        repo.save(path)
-        loaded = MLCask.load(path)  # no components registered
+        repo.save_dir(tmp_path / "repo")
+        loaded = MLCask.load_dir(tmp_path / "repo")  # no components registered
         assert loaded.log("toy", "dev")
         assert loaded.best_commit("toy").score == 0.8
         with pytest.raises(RepositoryError):
             loaded.instance_for(loaded.head_commit("toy", "dev"))
 
     def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": 99}')
-        with pytest.raises(RepositoryError):
-            MLCask.load(path)
+        fresh_toy_repo().save_dir(tmp_path / "repo")
+        state = tmp_path / "repo" / "state.json"
+        state.write_text(json.dumps({**json.loads(state.read_text()), "format": 99}))
+        with pytest.raises(RepositoryError, match="unsupported repository format 99"):
+            MLCask.load_dir(tmp_path / "repo")
 
 
 class TestObjectStoreGC:

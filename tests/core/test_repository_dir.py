@@ -22,11 +22,7 @@ import pytest
 
 from repro import MLCask
 from repro.codec import encode
-from repro.core.persistence import (
-    gc_repository_dir,
-    repository_header,
-    repository_state,
-)
+from repro.core.persistence import gc_repository_dir, repository_header
 from repro.errors import MLCaskError, RepositoryError
 from repro.remote import LocalTransport, RepositoryServer
 from repro.storage import FileChunkStore
@@ -465,7 +461,10 @@ class TestPreJournalLayout:
         repo = build_workload_repo(workload, commits=1)
         directory = tmp_path / "old"
         directory.mkdir()
-        (directory / "state.json").write_text(json.dumps(repository_state(repo)))
+        commits = [encode(c) for c in repo.graph.all_commits()]
+        (directory / "state.json").write_text(
+            json.dumps({**repository_header(repo), "commits": commits})
+        )
         before = metadata_files(directory)
         with pytest.raises(RepositoryError, match="pre-journal"):
             MLCask.load_dir(directory, registry=repo.registry)

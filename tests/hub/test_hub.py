@@ -9,7 +9,6 @@ from repro.errors import (
     AuthorizationError,
     HubError,
     QuotaExceededError,
-    RateLimitedError,
     RemoteProtocolError,
     RepositoryNotFoundError,
 )
@@ -313,39 +312,97 @@ class TestHubGC:
             hub.gc_repo("ana", "ghost")
 
 
-class TestRateLimit:
-    def test_bucket_exhaustion_is_typed_denial(self, workload):
-        ticks = [0.0]
-        hub = RepositoryHub(clock=lambda: ticks[0])
-        hub.add_tenant("t", tokens=["tok"], rate_per_second=1.0, burst=3)
-        transport = hub.local_transport("t", "proj", "tok")
-        local = build_local_repo(workload)
-        remote = local.add_remote("hub", transport)
-        with pytest.raises(RateLimitedError):
-            for _ in range(4):
-                remote.manifest()
-        # time heals the bucket
-        ticks[0] += 10.0
-        assert remote.manifest()["refs"] == {}
+class TestTenantConfigValidation:
+    """A malformed tenant term is refused where it is given, naming the
+    tenant and the field — never registered to misbehave later."""
 
-    def test_rate_limits_are_per_tenant(self, workload):
-        ticks = [0.0]
-        hub = RepositoryHub(clock=lambda: ticks[0])
-        hub.add_tenant("slow", tokens=["s"], rate_per_second=1.0, burst=1)
-        hub.add_tenant("fast", tokens=["f"])
-        local = build_local_repo(workload)
-        slow = local.add_remote("slow", hub.local_transport("slow", "r", "s"))
-        fast = local.add_remote("fast", hub.local_transport("fast", "r", "f"))
-        slow.manifest()
-        with pytest.raises(RateLimitedError):
-            slow.manifest()
-        for _ in range(5):
-            fast.manifest()  # unaffected
+    @pytest.mark.parametrize("terms, field", [
+        # One string would split into one-character tokens, each one
+        # authenticating as the tenant.
+        ({"tokens": "secret"}, "tokens"),
+        ({"tokens": b"secret"}, "tokens"),
+        ({"tokens": 7}, "tokens"),
+        ({"tokens": ["ok", ""]}, "tokens"),
+        ({"tokens": ["ok", 7]}, "tokens"),
+        ({"tokens": [None]}, "tokens"),
+        ({"quota_bytes": "10"}, "quota_bytes"),
+        ({"quota_bytes": 10.0}, "quota_bytes"),
+        ({"quota_bytes": True}, "quota_bytes"),
+        ({"quota_bytes": 0}, "quota_bytes"),
+        ({"quota_bytes": -5}, "quota_bytes"),
+    ], ids=lambda value: repr(value) if not isinstance(value, str) else value)
+    def test_add_tenant_refuses_by_name(self, terms, field):
+        hub = RepositoryHub()
+        with pytest.raises(HubError, match=f"tenant 't': '{field}'"):
+            hub.add_tenant("t", **{"tokens": ["tok"], **terms})
+        assert not hub.authenticator.has_tenant("t")
+
+    def test_a_one_string_token_list_never_authenticates_its_letters(self):
+        hub = RepositoryHub()
+        with pytest.raises(HubError):
+            hub.add_tenant("t", tokens="secret")
+        response = hub.handle_request(
+            "t", "proj", "s", encode_message({"op": "manifest"})
+        )
+        assert decode_message(response)[0]["error"]["type"] == "AuthenticationError"
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"tokens": "secret"}, "tokens"),
+        ({"tokens": ["tok"], "quota_bytes": "10"}, "quota_bytes"),
+        ({"tokens": ["tok"], "quota_bytes": True}, "quota_bytes"),
+    ], ids=["one-string-tokens", "string-quota", "bool-quota"])
+    def test_hub_json_is_validated_at_start_up(self, tmp_path, entry, field):
+        write_hub_json(tmp_path, {"t": entry})
+        with pytest.raises(HubError, match=f"tenant 't': '{field}'"):
+            RepositoryHub(tmp_path)
+
+    @pytest.mark.parametrize("entry", [["tok"], "tok", None], ids=["list", "str", "null"])
+    def test_a_hub_json_entry_that_is_not_an_object_is_refused(self, tmp_path, entry):
+        write_hub_json(tmp_path, {"t": entry})
+        with pytest.raises(HubError, match="tenant 't': hub.json entry must be an object"):
+            RepositoryHub(tmp_path)
+
+    def test_valid_terms_register(self):
+        config = RepositoryHub().add_tenant("t", tokens=("a", "b"), quota_bytes=10)
+        assert (config.tokens, config.quota_bytes) == (("a", "b"), 10)
+
+
+def write_hub_json(root, tenants):
+    (root / "hub.json").write_text(json.dumps({"format": 1, "tenants": tenants}))
+
+
+class TestHubJsonCompatibility:
+    """Every hub.json written before per-tenant rate limits were removed
+    carries their two fields as null; a file that sets one is refused,
+    since dropping a configured limit would change admission silently."""
+
+    def test_null_rate_fields_load(self, tmp_path):
+        write_hub_json(tmp_path, {"t": {
+            "tokens": ["tok"], "quota_bytes": 1000,
+            "rate_per_second": None, "burst": None,
+        }})
+        hub = RepositoryHub(tmp_path)
+        config = hub.authenticator.tenant("t")
+        assert (config.tokens, config.quota_bytes) == (("tok",), 1000)
+        assert hub.authenticator.authenticate("tok") == "t"
+        # The next write of the file drops the dead fields.
+        hub.add_tenant("u", tokens=["tok-u"])
+        saved = json.loads((tmp_path / "hub.json").read_text())
+        assert saved["tenants"]["t"] == {"tokens": ["tok"], "quota_bytes": 1000}
+
+    @pytest.mark.parametrize("field", ["rate_per_second", "burst"])
+    def test_a_set_rate_field_is_refused_by_name(self, tmp_path, field):
+        write_hub_json(tmp_path, {"t": {
+            "tokens": ["tok"], "quota_bytes": None,
+            "rate_per_second": None, "burst": None, field: 5.0,
+        }})
+        with pytest.raises(HubError, match=f"tenant 't': hub.json sets '{field}'"):
+            RepositoryHub(tmp_path)
 
 
 class TestDecodeAfterAdmission:
-    """The hub parses a payload only once auth and rate limiting admit
-    it: a denied peer costs no decode and learns nothing of its bytes."""
+    """The hub parses a payload only once auth admits it: a denied peer
+    costs no decode and learns nothing of its bytes."""
 
     @pytest.fixture
     def decodes(self, monkeypatch):
@@ -371,16 +428,6 @@ class TestDecodeAfterAdmission:
         response = hub.handle_request("ana", "proj", "wrong", request)
         assert self.error_type(response) == "AuthenticationError"
         assert decodes == []
-
-    def test_a_rate_limit_denial_decodes_nothing(self, decodes):
-        hub = RepositoryHub(clock=lambda: 0.0)
-        hub.add_tenant("t", tokens=["tok"], rate_per_second=1.0, burst=1)
-        request = encode_message({"op": "manifest"})
-        hub.handle_request("t", "proj", "tok", request)
-        assert len(decodes) == 1  # the admitted one
-        response = hub.handle_request("t", "proj", "tok", request)
-        assert self.error_type(response) == "RateLimitedError"
-        assert len(decodes) == 1
 
     def test_undecodable_bytes_from_an_unauthenticated_peer_get_the_auth_error(
         self, decodes

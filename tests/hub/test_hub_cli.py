@@ -55,11 +55,10 @@ class TestHubAdminVerbs:
         root = str(tmp_path / "h")
         run_cli(["hub", "init", root])
         code, text = run_cli([
-            "hub", "add-tenant", root, "t",
-            "--token", "s", "--rate", "5", "--burst", "10",
+            "hub", "add-tenant", root, "t", "--token", "s", "--token", "s2",
         ])
         assert code == 0
-        assert "quota unlimited" in text and "rate 5/s" in text
+        assert text.strip() == "tenant 't': 2 token(s), quota unlimited bytes"
 
     def test_create_repo_with_explicit_config(self, hub_root):
         code, text = run_cli([

@@ -1,59 +1,61 @@
 """Observability-driven load shedding at hub admission: the typed
 denial, the pre-mutation guarantee, the denial-mix label, and the
-shed-exempt instrument ops."""
-
-import time
+shed-exempt instrument ops — under the fixed policy, with the hub's
+monitor swapped for one on a hand-advanced clock."""
 
 import pytest
 
 from repro.errors import ServerOverloadedError
 from repro.hub import RepositoryHub
-from repro.obs.slo import SLOConfig
-from repro.remote.client import Remote
+from repro.obs.health import (
+    MIN_SAMPLES,
+    RETRY_AFTER_SECONDS,
+    TICK_SECONDS,
+    HealthMonitor,
+)
+from repro.ops import OP_TABLE
+from repro.remote.client import OVERLOAD_RETRIES, Remote
 from repro.storage import sha256_hex
 
 
-def shed_happy_slo(**overrides):
-    """An SLO a single hand-fed breach trips: one sample re-arms it."""
-    settings = dict(
-        objectives={"put_chunks": 0.001},
-        window_seconds=1.0,
-        tick_seconds=0.05,
-        min_samples=1,
-        retry_after_seconds=2.5,
-    )
-    settings.update(overrides)
-    return SLOConfig(**settings)
+class Clock:
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self) -> float:
+        return self.now
 
 
-def breach_put_chunks(hub):
-    """Feed slow put_chunks observations straight into the hub registry
-    (the same family the hosted servers populate), then outwait a tick
-    so the monitor's next window sees them."""
+def breach_put_chunks(hub, n=MIN_SAMPLES):
+    """Feed over-objective put_chunks observations straight into the hub
+    registry (the same family the hosted servers populate), then advance
+    the monitor's clock past a tick so its next window sees them."""
     child = hub.registry.histogram(
         "repro_request_seconds",
         "End-to-end request handling latency",
         ("op", "tenant", "repo"),
     ).labels(op="put_chunks", tenant="ana", repo="proj")
-    for _ in range(5):
-        child.observe(0.5)
-    time.sleep(2 * hub.health.slo.tick_seconds)
+    for _ in range(n):
+        child.observe(2 * OP_TABLE["put_chunks"].p99_seconds)
+    hub.health._clock.now += 2 * TICK_SECONDS
 
 
 @pytest.fixture
 def shedding_hub():
-    hub = RepositoryHub(slo=shed_happy_slo())
+    hub = RepositoryHub()
+    # Before any repository loads: hosted servers answer the health op
+    # from whichever monitor the hub holds when they are built.
+    hub.health = HealthMonitor(registry=hub.registry, clock=Clock())
     hub.add_tenant("ana", tokens=["tok"])
     hub.create_repo("ana", "proj")
     return hub
 
 
-def remote_for(hub, retries=0, backoff=None):
+def remote_for(hub, backoff=None):
     return Remote(
         repo=None,
         transport=hub.local_transport("ana", "proj", "tok"),
-        overload_retries=retries,
-        backoff=backoff,
+        backoff=backoff if backoff is not None else (lambda seconds: None),
     )
 
 
@@ -66,20 +68,20 @@ class TestShedDenial:
         remote = remote_for(hub)
         with pytest.raises(ServerOverloadedError) as caught:
             remote._call({"op": "put_chunks", "digests": [digest]}, [blob])
-        # The typed error carries the configured backoff hint verbatim.
-        assert caught.value.retry_after == 2.5
+        # The typed error carries the policy's backoff hint verbatim.
+        assert caught.value.retry_after == RETRY_AFTER_SECONDS
         # Shed before any repository state was touched: the chunk never
-        # landed, and the denial is attributed in the admission mix.
+        # landed, and every attempt is attributed in the admission mix.
         meta, _ = remote._call({"op": "missing_chunks", "digests": [digest]})
         assert meta["missing"] == [digest]
         assert hub.registry.value(
             "repro_admission_denied_total", tenant="ana", reason="overload"
-        ) == 1
-        assert hub.health.health()["shedding"]["total"] == 1
+        ) == OVERLOAD_RETRIES + 1
+        assert hub.health.health()["shedding"]["total"] == OVERLOAD_RETRIES + 1
 
     def test_instrument_ops_answer_during_overload(self, shedding_hub):
-        """health/stats/trace must work while writes are being shed —
-        they are the instruments that explain the overload."""
+        """health/stats must work while writes are being shed — they are
+        the instruments that explain the overload."""
         hub = shedding_hub
         breach_put_chunks(hub)
         remote = remote_for(hub)
@@ -88,24 +90,20 @@ class TestShedDenial:
         report = remote.health()
         assert report["alive"] is True
         assert report["shedding"]["active"] is True
-        assert report["shedding"]["by_op"] == {"put_chunks": 1}
+        assert report["shedding"]["by_op"] == {"put_chunks": OVERLOAD_RETRIES + 1}
+        assert report["ops"]["put_chunks"]["breach"] is True
         stats = remote.stats()
         assert stats["health"]["ready"] is False
         assert "overload shedding active" in stats["health"]["reasons"]
 
-    def test_shedding_disabled_admits_breaching_writes(self):
-        hub = RepositoryHub(slo=shed_happy_slo(shed_enabled=False))
-        hub.add_tenant("ana", tokens=["tok"])
-        hub.create_repo("ana", "proj")
-        breach_put_chunks(hub)
+    def test_under_min_samples_breaching_writes_are_admitted(self, shedding_hub):
+        hub = shedding_hub
+        breach_put_chunks(hub, n=MIN_SAMPLES - 1)
         blob = b"admitted" * 64
-        digest = sha256_hex(blob)
         meta, _ = remote_for(hub)._call(
-            {"op": "put_chunks", "digests": [digest]}, [blob]
+            {"op": "put_chunks", "digests": [sha256_hex(blob)]}, [blob]
         )
         assert meta["new_chunks"] == 1
-        # Readiness still reports (shedding off is a policy choice, not
-        # blindness) but nothing was denied.
         assert hub.registry.value(
             "repro_admission_denied_total", tenant="ana", reason="overload"
         ) == 0
@@ -114,7 +112,7 @@ class TestShedDenial:
         hub = shedding_hub
         breach_put_chunks(hub)
         delays = []
-        remote = remote_for(hub, retries=2, backoff=delays.append)
+        remote = remote_for(hub, backoff=delays.append)
         blob = b"retry me" * 64
         with pytest.raises(ServerOverloadedError):
             remote._call(
@@ -122,6 +120,6 @@ class TestShedDenial:
             )
         # One jittered delay per retry, scaled off the server's hint:
         # attempt N waits in [0.5, 1.5) * retry_after * 2^N.
-        assert len(delays) == 2
-        assert 0.5 * 2.5 <= delays[0] < 1.5 * 2.5
-        assert 0.5 * 5.0 <= delays[1] < 1.5 * 5.0
+        assert len(delays) == OVERLOAD_RETRIES == 2
+        assert 0.5 * RETRY_AFTER_SECONDS <= delays[0] < 1.5 * RETRY_AFTER_SECONDS
+        assert 1.0 * RETRY_AFTER_SECONDS <= delays[1] < 3.0 * RETRY_AFTER_SECONDS

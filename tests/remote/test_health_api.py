@@ -9,9 +9,9 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServerOverloadedError
+from repro.errors import RemoteProtocolError, ServerOverloadedError
 from repro.remote import serve
-from repro.remote.client import Remote
+from repro.remote.client import OVERLOAD_RETRIES, Remote
 from repro.remote.protocol import encode_message, error_response
 
 
@@ -22,8 +22,10 @@ class TestHealthOp:
         assert report["ready"] is True
         assert report["reasons"] == []
         assert "ops" in report and "burn" in report and "shedding" in report
-        # The SLO in force rides along so a client can see the promise.
-        assert set(report["slo"]["objectives"]) >= {"push", "fetch"}
+        # The policy is fixed: no config block rides along, and
+        # shedding has no on/off switch to report.
+        assert "slo" not in report
+        assert set(report["shedding"]) == {"active", "total", "by_op"}
 
     def test_stats_carries_a_health_section(self, transport):
         stats = Remote(repo=None, transport=transport).stats()
@@ -105,10 +107,7 @@ class TestClientBackoff:
     def test_retries_through_transient_overload(self):
         delays = []
         transport = _OverloadedTransport(sheds=2)
-        remote = Remote(
-            repo=None, transport=transport,
-            overload_retries=2, backoff=delays.append,
-        )
+        remote = Remote(repo=None, transport=transport, backoff=delays.append)
         assert remote.manifest()["refs"] == {}
         assert transport.calls == 3
         # Full jitter over [0.5, 1.5) * retry_after * 2^attempt.
@@ -119,19 +118,22 @@ class TestClientBackoff:
     def test_exhausted_retries_propagate_typed(self):
         delays = []
         transport = _OverloadedTransport(sheds=10)
-        remote = Remote(
-            repo=None, transport=transport,
-            overload_retries=1, backoff=delays.append,
-        )
+        remote = Remote(repo=None, transport=transport, backoff=delays.append)
         with pytest.raises(ServerOverloadedError) as caught:
             remote.manifest()
         assert caught.value.retry_after == 0.05
-        assert transport.calls == 2  # initial try + one retry
-        assert len(delays) == 1
+        assert transport.calls == OVERLOAD_RETRIES + 1  # initial try + retries
+        assert len(delays) == OVERLOAD_RETRIES
 
-    def test_zero_retries_raises_immediately(self):
-        transport = _OverloadedTransport(sheds=1)
-        remote = Remote(repo=None, transport=transport, overload_retries=0)
-        with pytest.raises(ServerOverloadedError):
+    @pytest.mark.parametrize("retry_after", [
+        "1", None, [1], {"s": 1}, True, -1, float("inf"), float("nan"), 10**400,
+    ], ids=["str", "null", "list", "object", "bool", "negative", "Infinity",
+            "NaN", "int-past-float"])
+    def test_a_bad_retry_after_is_a_protocol_error_and_never_sleeps(self, retry_after):
+        delays = []
+        transport = _OverloadedTransport(sheds=10, retry_after=retry_after)
+        remote = Remote(repo=None, transport=transport, backoff=delays.append)
+        with pytest.raises(RemoteProtocolError, match="'retry_after'"):
             remote.manifest()
         assert transport.calls == 1
+        assert delays == []

@@ -1,12 +1,11 @@
-"""The health surface on the CLI: `repro health` (human + JSON),
-`--slo-config` on the serve path, and `repro stats --watch`."""
+"""The health surface on the CLI: `repro health` (human + JSON) against
+a directory and a served repository, and `repro stats --watch`."""
 
 import io
 import json
 import socket
 import threading
-
-import pytest
+import time
 
 from repro.cli import main
 
@@ -31,8 +30,8 @@ class TestHealthVerb:
         code, text = run_cli(["health", str(tmp_path / "A")])
         assert code == 0, text
         assert text.startswith("ready")
-        assert "error budget" in text
-        assert "shedding: on" in text
+        assert "error budget: 99.00% availability target" in text
+        assert "shedding: idle, 0 shed" in text
 
     def test_health_json_is_the_raw_report(self, tmp_path):
         init_repo(tmp_path / "A")
@@ -41,18 +40,12 @@ class TestHealthVerb:
         report = json.loads(text)
         assert report["alive"] is True
         assert report["ready"] is True
-        assert "slo" in report and "burn" in report
+        assert "burn" in report and "slo" not in report
 
 
-class TestSLOConfigFlag:
-    def test_serve_applies_slo_config_file(self, tmp_path):
+class TestServedPolicy:
+    def test_serve_reports_the_fixed_policy(self, tmp_path):
         init_repo(tmp_path / "A")
-        slo_file = tmp_path / "slo.json"
-        slo_file.write_text(json.dumps({
-            "objectives": {"put_chunks": 7.5},
-            "availability": 0.95,
-            "shed_enabled": False,
-        }))
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -62,7 +55,7 @@ class TestSLOConfigFlag:
             target=main,
             args=([
                 "serve", str(tmp_path / "A"), "--port", str(port),
-                "--requests", "1", "--slo-config", str(slo_file),
+                "--requests", "1",
             ],),
             kwargs={"out": server_out},
         )
@@ -70,37 +63,14 @@ class TestSLOConfigFlag:
         url = f"http://127.0.0.1:{port}"
         code, text = None, ""
         for _ in range(50):
-            code, text = run_cli(["health", url, "--json"])
+            code, text = run_cli(["health", url])
             if code == 0:
                 break
-            import time
-
             time.sleep(0.1)
         thread.join(timeout=10)
         assert code == 0, text
-        report = json.loads(text)
-        # The served health report echoes the file's SLO, not defaults.
-        assert report["slo"]["objectives"]["put_chunks"] == 7.5
-        assert report["slo"]["availability"] == 0.95
-        assert report["shedding"]["enabled"] is False
-
-    @pytest.mark.timeout(60)  # an accepted config would bind and block
-    @pytest.mark.parametrize("config, named", [
-        ({"objectives": {"push": "fast"}}, "positive seconds"),
-        ({"objectives": {"psuh": 2.0}}, "psuh"),
-        ({"shed_enabld": False}, "shed_enabld"),
-        ({"objectives": {"trace": 1.0}}, "unknown op 'trace'"),
-    ])
-    def test_bad_slo_config_fails_before_binding(self, tmp_path, config, named):
-        init_repo(tmp_path / "A")
-        bad = tmp_path / "slo.json"
-        bad.write_text(json.dumps(config))
-        code, text = run_cli([
-            "serve", str(tmp_path / "A"), "--port", "0",
-            "--requests", "1", "--slo-config", str(bad),
-        ])
-        assert code != 0
-        assert named in text
+        assert "error budget: 99.00% availability target" in text
+        assert "shedding: idle, 0 shed" in text
 
 
 class TestStatsWatch:

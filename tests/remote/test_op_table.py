@@ -33,7 +33,6 @@ from repro.hub import RepositoryHub
 from repro.hub.hub import _DENIAL_REASONS, PREFLIGHT_OPS
 from repro.obs.health import SHED_EXEMPT_OPS
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import DEFAULT_OP_OBJECTIVES
 from repro.ops import OP_TABLE
 from repro.provenance.ledger import LineageRecord
 from repro.remote import LocalTransport, Remote, RepositoryServer
@@ -78,7 +77,7 @@ def test_derived_views_equal_the_pre_table_literals():
         {"manifest", "known_commits", "missing_chunks"}
     )
     assert SHED_EXEMPT_OPS == frozenset({"health", "stats"})
-    assert DEFAULT_OP_OBJECTIVES == {
+    assert {name: spec.p99_seconds for name, spec in OP_TABLE.items()} == {
         "manifest": 0.5,
         "known_commits": 0.5,
         "missing_chunks": 0.5,

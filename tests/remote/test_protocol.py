@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     MergeError,
+    MLCaskError,
     PushRejectedError,
     RemoteError,
     RemoteProtocolError,
@@ -16,6 +17,7 @@ from repro.errors import (
 from repro.remote.protocol import (
     MAGIC,
     PROTOCOL_VERSION,
+    TYPED_ERRORS,
     decode_message,
     encode_message,
     error_response,
@@ -191,3 +193,39 @@ class TestErrorChannel:
 
     def test_no_error_is_a_no_op(self):
         raise_remote_error({"refs": {}})
+
+
+#: Error types a peer can name: each one the client reconstructs by
+#: name, or any other JSON value.
+ERROR_TYPES = (
+    st.sampled_from(
+        sorted(TYPED_ERRORS)
+        + ["PushRejectedError", "RemoteProtocolError", "ServerOverloadedError"]
+    )
+    | JSON_VALUES
+)
+#: What a peer can put under ``error``: an object over the fields the
+#: client reads (each one present or not, any JSON value), or anything.
+ERROR_METAS = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": ERROR_TYPES,
+        "message": JSON_VALUES,
+        "retry_after": JSON_VALUES,
+        "pipeline": JSON_VALUES,
+        "branch": JSON_VALUES,
+    },
+) | JSON_VALUES.filter(lambda value: value is not None)
+
+
+@oracle_settings(max_examples=300)
+@given(ERROR_METAS)
+@example({"type": "ServerOverloadedError", "retry_after": float("inf")})
+@example({"type": "ServerOverloadedError", "retry_after": "1"})
+@example({"type": "ServerOverloadedError", "retry_after": 10**400})
+@example({"type": ["AuthenticationError"]})  # not a name: unhashable
+def test_any_error_meta_raises_a_typed_error(error):
+    """Whatever a peer sends as its error, the client raises an
+    ``MLCaskError`` subclass, never a bare builtin exception."""
+    with pytest.raises(MLCaskError):
+        raise_remote_error({"error": error})

@@ -67,10 +67,10 @@ SEEDED = {
     "clean": None,
     "inverted pair": (
         "        with self._lock:\n"
-        "            self.authenticator.add_tenant(config)\n",
+        "            self.requests_handled += 1\n",
         "        with self._lock:\n"
         '            with self._tenant_lock("scratch"):\n'
-        "                self.authenticator.add_tenant(config)\n",
+        "                self.requests_handled += 1\n",
         "LK001 lock-order cycle: RepositoryHub._tenant_lock() (repro/hub/hub.py:",
     ),
     "config write under the hub lock": (
