@@ -88,7 +88,9 @@ class CheckpointStore(ABC):
         """Store bytes; return a retrieval reference."""
 
     @abstractmethod
-    def _retrieve(self, record: CheckpointRecord) -> bytes: ...
+    def _retrieve(self, record: CheckpointRecord) -> bytes | bytearray:
+        """The record's bytes; a ``bytearray`` is handed over to the
+        decoder, so a backend returns one only if nobody else holds it."""
 
     @property
     @abstractmethod
@@ -130,6 +132,13 @@ class CheckpointStore(ABC):
             return record
 
     def load(self, record: CheckpointRecord):
+        """The archived output of ``record``, decoded.
+
+        From the chunked store the blob arrives as a fresh ``bytearray``
+        (``ObjectStore.get``) that the decoder adopts: the dense arrays
+        of the payload are writable views into that one private buffer
+        and do not own their data. Writing into one changes neither the
+        store nor a later load."""
         from ..data.serialize import payload_from_bytes  # numpy: client tier only
 
         start = time.perf_counter()
@@ -193,7 +202,7 @@ class ChunkedCheckpointStore(CheckpointStore):
     def _persist(self, key: str, data: bytes) -> str:
         return self.objects.put(data)
 
-    def _retrieve(self, record: CheckpointRecord) -> bytes:
+    def _retrieve(self, record: CheckpointRecord) -> bytearray:
         return self.objects.get(record.output_ref)
 
     @property

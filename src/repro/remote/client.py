@@ -29,6 +29,7 @@ fetched commits to runnable components when the caller has them.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -175,7 +176,12 @@ class Remote:
                 # always safe — including for writes.
                 if attempt >= OVERLOAD_RETRIES:
                     raise
-                self._backoff(self._backoff_seconds(error.retry_after, attempt))
+                delay = self._backoff_seconds(error.retry_after, attempt)
+                if delay > threading.TIMEOUT_MAX:
+                    # Past what the platform can sleep for (``time.sleep``
+                    # raises OverflowError): the hint is the answer.
+                    raise
+                self._backoff(delay)
                 continue
             return meta_out, blobs_out
 

@@ -117,11 +117,13 @@ class StorageStats:
             if dedup:
                 mirror["dedup"].inc(dedup)
 
-    def record_read(self, n: int, seconds: float = 0.0) -> None:
-        """One completed read of ``n`` bytes that took ``seconds`` — the
-        whole per-chunk accounting step of :meth:`ChunkStore.get`."""
+    def record_reads(self, reads: int, n: int, seconds: float) -> None:
+        """``reads`` completed reads of ``n`` bytes in all, that took
+        ``seconds`` — the whole accounting step of one
+        :meth:`ChunkStore.get` (one read) or one :meth:`ChunkStore.join`
+        (a blob's chunks, booked as the ``get`` of each would book them)."""
         self.read_bytes += n
-        self.reads += 1
+        self.reads += reads
         self.read_seconds += seconds
         if self._mirror is not None:
             self._mirror["read"].inc(n)
@@ -147,7 +149,7 @@ class StorageStats:
     def timed_read(self):
         """Read-side twin of :meth:`timed_write`; its one remaining caller
         is ``FolderStore.retrieve`` (one call per archived version).
-        ``ChunkStore.get`` passes its elapsed time to :meth:`record_read`."""
+        ``ChunkStore.get`` passes its elapsed time to :meth:`record_reads`."""
         start = time.perf_counter()
         try:
             yield

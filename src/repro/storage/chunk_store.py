@@ -201,8 +201,30 @@ class ChunkStore(ABC):
         """
         start = perf_counter()
         data = self._read(digest)
-        self.stats.record_read(len(data), perf_counter() - start)
+        self.stats.record_reads(1, len(data), perf_counter() - start)
         return data
+
+    def join(self, digests: Iterable[str]) -> bytearray:
+        """The chunks for ``digests`` back to back, in a fresh buffer the
+        caller owns, or :class:`ChunkNotFoundError` for the first one
+        missing.
+
+        Runs once per blob read back: one ``_read`` per chunk and one
+        join, the chunks' bytes copied once, and one accounting step
+        equal to :meth:`get` per chunk — the reads before a miss are
+        booked, the miss is not."""
+        read = self._read
+        chunks = []
+        start = perf_counter()
+        try:
+            for digest in digests:
+                chunks.append(read(digest))
+        finally:
+            if chunks:
+                self.stats.record_reads(
+                    len(chunks), sum(map(len, chunks)), perf_counter() - start
+                )
+        return bytearray().join(chunks)
 
     def contains(self, digest: str) -> bool:
         return self._contains(digest)

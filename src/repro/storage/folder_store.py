@@ -60,7 +60,7 @@ class FolderStore:
                     data = self._memory[(namespace, version)]
                 except KeyError:
                     raise ObjectNotFoundError(f"{namespace}/{version}") from None
-        self.stats.record_read(len(data))
+        self.stats.record_reads(1, len(data), 0.0)
         return data
 
     def contains(self, namespace: str, version: str) -> bool:

@@ -65,11 +65,12 @@ class VersionedKV:
         return node
 
     # ------------------------------------------------------------------ get
-    def get(self, key: str, branch: str = DEFAULT_BRANCH) -> bytes:
-        """Value at the head of ``branch`` for ``key``."""
+    def get(self, key: str, branch: str = DEFAULT_BRANCH) -> bytearray:
+        """Value at the head of ``branch`` for ``key`` (a fresh buffer,
+        see :meth:`ObjectStore.get`)."""
         return self.objects.get(self.head(key, branch).blob_digest)
 
-    def get_version(self, version_id: str) -> bytes:
+    def get_version(self, version_id: str) -> bytearray:
         node = self.node(version_id)
         return self.objects.get(node.blob_digest)
 

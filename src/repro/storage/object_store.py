@@ -82,10 +82,16 @@ class ObjectStore:
         self.revision += 1
         return digest
 
-    def get(self, digest: str) -> bytes:
-        """Reassemble and return the blob for ``digest``."""
-        recipe = self.recipe(digest)
-        return b"".join(self.chunks.get(c) for c in recipe.chunk_digests)
+    def get(self, digest: str) -> bytearray:
+        """Reassemble and return the blob for ``digest``: its chunks
+        joined into a fresh ``bytearray`` nobody else holds
+        (:meth:`ChunkStore.join`, one pass, one accounting step).
+
+        The caller owns it. ``payload_from_bytes`` adopts it whole: the
+        dense arrays it decodes are writable views into this one private
+        buffer and do not own their data, and writing into them changes
+        neither the store nor a later ``get``."""
+        return self.chunks.join(self.recipe(digest).chunk_digests)
 
     def recipe(self, digest: str) -> Recipe:
         if digest not in self._recipes:

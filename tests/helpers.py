@@ -10,7 +10,8 @@ exact: expected winners, candidate counts, and reuse counts are all
 computable by hand.
 
 It also holds ``oracle_settings``, the hypothesis settings of the kernel
-oracles (the ``tests/*/test_*_reference.py`` differential tests).
+oracles (the ``tests/*/test_*_reference.py`` differential tests), and
+``traced_peak``, the tracemalloc probe of the copy-rule tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -287,3 +289,15 @@ def oracle_settings(max_examples: int) -> settings:
     if settings.get_current_profile_name() == "kernel-oracles":
         return settings(deadline=None)
     return settings(max_examples=max_examples, deadline=None)
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """``call()``'s result and the most memory it held at once."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

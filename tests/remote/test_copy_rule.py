@@ -11,7 +11,6 @@ chunks.
 """
 
 import random
-import tracemalloc
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.remote import LocalTransport, Remote, RepositoryServer, clone_reposit
 from repro.remote.protocol import decode_message, encode_message
 from repro.storage.hashing import sha256_hex
 
-from helpers import fresh_toy_repo, toy_model
+from helpers import fresh_toy_repo, toy_model, traced_peak
 
 TENANT, REPO, TOKEN = "ana", "proj", "tok"
 CHUNK = 256 * 1024
@@ -81,18 +80,6 @@ def content_push(blobs) -> bytes:
     return encode_message(
         {"op": "push", "chunk_digests": [sha256_hex(b) for b in blobs]}, blobs
     )
-
-
-def traced_peak(call) -> tuple[object, int]:
-    """``call()``'s result and the most memory it held at once."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture

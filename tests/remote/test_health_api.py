@@ -137,3 +137,16 @@ class TestClientBackoff:
             remote.manifest()
         assert transport.calls == 1
         assert delays == []
+
+    def test_a_retry_after_past_what_the_platform_sleeps_raises_typed(self):
+        # Finite, so the protocol takes it; any jittered backoff of it is
+        # past threading.TIMEOUT_MAX, where time.sleep raises
+        # OverflowError. The hint is the answer, and nothing sleeps.
+        delays = []
+        transport = _OverloadedTransport(sheds=10, retry_after=1e12)
+        remote = Remote(repo=None, transport=transport, backoff=delays.append)
+        with pytest.raises(ServerOverloadedError) as caught:
+            remote.manifest()
+        assert caught.value.retry_after == 1e12
+        assert transport.calls == 1
+        assert delays == []
