@@ -1,4 +1,9 @@
-"""Numpy-only ML substrate: the models and transforms the pipelines use."""
+"""Numpy-only ML substrate: the models and transforms the pipelines use.
+
+Importing it runs every BLAS call of the process on the calling thread
+(:func:`repro.ml.blas.one_blas_thread`), unless the environment sets a
+BLAS thread count.
+"""
 
 from .base import Classifier, Estimator, Transformer
 from .boosting import AdaBoostClassifier, DecisionStump
@@ -26,6 +31,12 @@ from .preprocess import (
 from .text import Vocabulary, tokenize
 from .utils import minibatches, resolve_rng, train_test_split
 from .zernike import ZernikeExtractor
+
+# After the imports above: numpy's and scipy's OpenBLAS are both mapped
+# now (``embeddings`` imports scipy).
+from .blas import one_blas_thread
+
+one_blas_thread()
 
 __all__ = [
     "Classifier", "Estimator", "Transformer",

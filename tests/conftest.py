@@ -357,7 +357,7 @@ def syscalls(monkeypatch):
 
     for name in (
         "open", "fstat", "read", "close", "stat", "lstat", "mkdir", "rmdir",
-        "pread", "write", "lseek", "replace", "rename", "fsync", "fdatasync",
+        "pread", "preadv", "write", "lseek", "replace", "rename", "fsync", "fdatasync",
         "listdir", "unlink", "remove",
     ):
         monkeypatch.setattr(os, name, counted(name, getattr(os, name)))

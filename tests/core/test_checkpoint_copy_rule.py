@@ -66,6 +66,19 @@ def test_a_load_allocates_one_blob(saved):
     assert peak < 1.1 * blob, (peak, blob)
 
 
+def test_a_file_backed_load_allocates_one_blob(saved, tmp_path):
+    # ``FileChunkStore.join`` reads each chunk into its slice of one
+    # buffer sized from the index: the chunks read one by one and then
+    # joined would be a second blob.
+    memory, record, table, blob = saved
+    objects = ObjectStore(FileChunkStore(tmp_path / "chunks"))
+    assert objects.put(bytes(memory.objects.get(record.output_ref))) == record.output_ref
+    store = ChunkedCheckpointStore(objects)
+    loaded, peak = traced_peak(lambda: store.load(record))
+    assert loaded.equals(table)
+    assert peak < 1.1 * blob, (peak, blob)
+
+
 def test_writing_into_a_loaded_array_changes_neither_the_store_nor_a_second_load(saved):
     store, record, table, _ = saved
     first = store.load(record)

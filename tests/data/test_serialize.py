@@ -391,6 +391,11 @@ def test_a_repeated_or_dense_string_table_column_is_refused():
         pytest.param(
             crafted_array({"shape": [-1], "kind": "strings"}, b""), "shape [-1]", id="negative"
         ),
+        pytest.param(
+            crafted_array(DENSE | {"shape": [1] * 100}, bytes(8)),
+            "has 100 dimensions, more than the 64",
+            id="dimensions",
+        ),
         pytest.param(crafted_array(b"{not json", b""), "not JSON", id="json"),
         pytest.param(
             MAGIC + b"s" + _prefixed(b"\xff\xfe"), "the string is not utf-8", id="utf-8"
@@ -402,3 +407,24 @@ def test_the_error_names_the_tag_and_what_was_wrong(data, what):
     with pytest.raises(StorageError, match=f"payload tag b'{chr(data[4])}'") as error:
         payload_from_bytes(data)
     assert what in str(error.value)
+
+
+def test_an_accepted_header_is_parsed_once_and_a_refused_one_every_time():
+    from repro.data.serialize import _parse_array_header
+
+    _parse_array_header.cache_clear()
+    table = Table({name: np.arange(4.0) for name in "abc"})
+    assert payload_from_bytes(payload_to_bytes(table)).equals(table)
+    info = _parse_array_header.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    spaced = crafted_array(b'{"dtype":"<f8","kind":"dense","shape":[1]}', bytes(8))
+    for _ in range(2):
+        with pytest.raises(StorageError, match="not in canonical form"):
+            payload_from_bytes(spaced)
+    # A header past the remembered length is parsed and refused as any
+    # other, and never remembered.
+    wide = crafted_array(DENSE | {"shape": [10**1200]}, bytes(8))
+    for _ in range(2):
+        with pytest.raises(StorageError, match="8 body bytes for shape"):
+            payload_from_bytes(wide)
+    assert _parse_array_header.cache_info().currsize == 1

@@ -39,6 +39,25 @@ class TestFileReadSyscalls:
         assert store.get(digest) == b"x" * 5000
         assert syscalls == ["pread"]
 
+    def test_a_join_is_one_preadv_per_chunk(self, tmp_path, syscalls):
+        store = FileChunkStore(tmp_path / "c")
+        pieces = [bytes([i]) * (100 + i) for i in range(3)]
+        digests = [store.put(piece) for piece in pieces]
+        del syscalls[:]
+        assert store.join(digests[::-1]) == b"".join(pieces[::-1])
+        assert syscalls == ["preadv"] * 3
+
+    def test_a_join_keeps_reading_a_short_read_to_the_length(self, tmp_path, monkeypatch):
+        store = FileChunkStore(tmp_path / "c")
+        pieces = [b"x" * 10, b"y" * 7]
+        digests = [store.put(piece) for piece in pieces]
+        preadv = os.preadv
+        monkeypatch.setattr(
+            os, "preadv", lambda fd, buffers, offset: preadv(fd, [buffers[0][:3]], offset)
+        )
+        assert store.join(digests) == b"".join(pieces)
+        assert (store.stats.reads, store.stats.read_bytes) == (2, 17)
+
     def test_a_miss_and_a_membership_test_touch_no_file(self, tmp_path, syscalls):
         store = FileChunkStore(tmp_path / "c")
         held = store.put(b"held")
@@ -130,6 +149,17 @@ def test_chunk_file_removed_behind_the_store_is_a_typed_miss(tmp_path):
         with pytest.raises(ChunkNotFoundError) as raised:
             FileChunkStore(tmp_path / "c").get(digest)
         assert raised.value.digest == digest
+
+
+def test_a_join_over_a_segment_cut_short_is_a_typed_error_booked_to_the_cut(tmp_path):
+    store = FileChunkStore(tmp_path / "c")
+    kept = store.put(b"written first")
+    lost = store.put(b"here, then not")
+    os.truncate(tmp_path / "c" / "segment.0", len(b"written first") + 4)
+    with pytest.raises(ChunkIntegrityError) as raised:
+        store.join([kept, lost])
+    assert raised.value.digest == lost
+    assert (store.stats.reads, store.stats.read_bytes) == (1, len(b"written first"))
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])
